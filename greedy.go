@@ -220,8 +220,9 @@ func WithPointer() Option { return func(c *config) { c.pointered = true } }
 
 // WithPhaseProfile enables per-phase wall-time attribution in the
 // round-synchronous engine: each RoundInfo reported to a
-// WithRoundObserver carries the round's check/commit/reset/slide
-// durations (CheckNS..SlideNS) and retry-tail size. The profile is
+// WithRoundObserver carries the round's check/commit/slide durations
+// (CheckNS, CommitNS, SlideNS; ResetNS is always 0) and retry-tail
+// size. The profile is
 // telemetry only — it never influences the computation, so it does NOT
 // participate in a Plan (two runs differing only in profiling are the
 // same computation and remain dedup-equal). Without an observer the

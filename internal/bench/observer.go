@@ -23,7 +23,7 @@ type ObserverResult struct {
 // ObserverOverhead measures what round observation costs the solver:
 // the same MIS computation bare, with the service's progress-counter
 // observer, with per-phase wall-time profiling (WithPhaseProfile: four
-// to five clock reads per round bracketing check/commit/reset/slide),
+// clock reads per round bracketing check/commit/slide),
 // and with the counter observer plus trace recording of every round
 // (TraceRoundSample=1 — the most expensive configuration; production
 // samples sparsely or not at all). The final mode is the live-telemetry

@@ -71,6 +71,10 @@ type Options struct {
 	// schedule (see core.Options.Adaptive); the coloring stays
 	// bit-identical to the sequential first-fit one for every schedule.
 	Adaptive bool
+	// Parents, if non-nil, are the parent lists of the input graph under
+	// the run's order (see core.BuildParents), reused by
+	// PrefixColoring instead of building them per run.
+	Parents *core.Parents
 	// OnRound, if non-nil, is called after every round with that round's
 	// statistics (see core.RoundStat), on the round loop's goroutine.
 	OnRound func(core.RoundStat)
@@ -186,7 +190,8 @@ func PrefixColoring(g *graph.Graph, ord core.Order, opt Options) *Result {
 // PrefixColoringCtx is PrefixColoring with cooperative cancellation:
 // ctx is checked once per round, so a cancelled context aborts within
 // one round and returns ctx.Err(). Pooled buffers come from
-// opt.Workspace when set.
+// opt.Workspace when set; the parent lists from opt.Parents when set,
+// and are built for this run otherwise.
 func PrefixColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
@@ -198,8 +203,12 @@ func PrefixColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, opt 
 	}
 	colors := engine.Grow32(&ws.colors, n)
 	engine.Fill32(colors, uncolored)
+	parents := opt.Parents
+	if parents == nil {
+		parents = core.BuildParents(g, ord)
+	}
 
-	prob := &colorProblem{g: g, rank: ord.Rank, colors: colors}
+	prob := &colorProblem{parents: parents, colors: colors}
 	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
 	if err != nil {
 		return nil, err
@@ -215,15 +224,14 @@ func PrefixColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, opt 
 // meaning to zero ("retry"), so any committed color, including color 0,
 // maps to a nonzero outcome.
 type colorProblem struct {
-	g      *graph.Graph
-	rank   []int32
-	colors []int32
+	parents *core.Parents
+	colors  []int32
 }
 
 func (p *colorProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	var local int64
 	for i := lo; i < hi; i++ {
-		c, insp := checkFirstFit(p.g, act[i], p.rank, p.colors)
+		c, insp := checkFirstFit(p.parents.Of(act[i]), p.colors)
 		local += insp
 		if c >= 0 {
 			outcome[i] = c + 1
@@ -241,24 +249,20 @@ func (p *colorProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 	return 0
 }
 
-// checkFirstFit decides vertex v against its earlier-priority
-// neighbors: it returns (-1, inspections) if some earlier neighbor is
-// still uncolored (retry next round), else the smallest color absent
-// among them. The scan is allocation-free: it finds the answer through
-// 64-color bitmask windows, rescanning the neighbor list once per
-// window, so a vertex whose answer is color c costs
-// O(deg·⌈(c+1)/64⌉) inspections — one pass for the overwhelming
-// majority of vertices, and never any per-vertex scratch that the
-// engine's concurrent chunks would have to allocate or share.
-func checkFirstFit(g *graph.Graph, v int32, rank []int32, colors []int32) (int32, int64) {
-	rv := rank[v]
+// checkFirstFit decides a vertex from its parents ps: it returns
+// (-1, inspections) if some parent is still uncolored (retry next
+// round), else the smallest color absent among them. The scan is
+// allocation-free: it finds the answer through 64-color bitmask
+// windows, rescanning the parent list once per window, so a vertex
+// whose answer is color c costs O(len(ps)·⌈(c+1)/64⌉) inspections — one
+// pass for the overwhelming majority of vertices, and never any
+// per-vertex scratch that the engine's concurrent chunks would have to
+// allocate or share.
+func checkFirstFit(ps []int32, colors []int32) (int32, int64) {
 	var inspections int64
 	for base := int32(0); ; base += 64 {
 		var mask uint64
-		for _, u := range g.Neighbors(v) {
-			if rank[u] >= rv {
-				continue
-			}
+		for _, u := range ps {
 			inspections++
 			c := colors[u]
 			if c == uncolored {

@@ -49,8 +49,9 @@ func PrefixMIS(g *graph.Graph, ord Order, opt Options) *Result {
 //
 // The round loop itself is the shared speculative-prefix engine
 // (internal/engine); this function contributes only the MIS problem:
-// the check that decides a vertex against its earlier neighbors and
-// the commit that publishes the decision.
+// the check that decides a vertex against its parents and the commit
+// that publishes the decision. The parent lists come from opt.Parents
+// when set, and are built for this run otherwise.
 func PrefixMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
@@ -62,14 +63,14 @@ func PrefixMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (
 	}
 	status := Grow32(&ws.status, n)
 	Fill32(status, statusUndecided)
-
-	var prob engine.Problem
+	parents := opt.Parents
+	if parents == nil {
+		parents = BuildParents(g, ord)
+	}
+	prob := &misProblem{status: status, parents: parents}
 	if opt.Pointered {
-		ptr := Grow32(&ws.ptr, n)
-		Fill32(ptr, 0)
-		prob = &misPointeredProblem{status: status, parents: buildParents(g, ord), ptr: ptr}
-	} else {
-		prob = &misProblem{g: g, rank: ord.Rank, status: status}
+		prob.ptr = Grow32(&ws.ptr, n)
+		Fill32(prob.ptr, 0)
 	}
 	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
 	if err != nil {
@@ -78,21 +79,27 @@ func PrefixMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (
 	return newResult(status, stats), nil
 }
 
-// misProblem is the engine adapter for the PBBS-style scratch check:
-// the check phase reads only statuses written in previous rounds, and
+// misProblem is the engine adapter for MIS: the check phase decides a
+// vertex from its parents' statuses, written in previous rounds, and
 // the commit phase writes each vertex's own status — no atomics at
 // all, the fork-join barrier between phases is the synchronization.
+// Under Pointered, ptr[v] is v's private scan cursor, written only by
+// v's own check, so the phase stays write-disjoint.
 type misProblem struct {
-	g      *graph.Graph
-	rank   []int32
-	status []int32
+	status  []int32
+	parents *Parents
+	ptr     []int32 // nil unless Pointered
 }
 
 func (p *misProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	var local int64
 	for i := lo; i < hi; i++ {
 		var insp int64
-		outcome[i], insp = checkScratch(p.g, act[i], p.rank, p.status)
+		if p.ptr != nil {
+			outcome[i], insp = checkPointered(act[i], p.status, p.parents, p.ptr)
+		} else {
+			outcome[i], insp = checkScratch(act[i], p.status, p.parents)
+		}
 		local += insp
 	}
 	return local
@@ -107,68 +114,34 @@ func (p *misProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 	return 0
 }
 
-// misPointeredProblem is the engine adapter for the Lemma 4.1
-// parent-pointer check; ptr[v] is v's private scan cursor, written only
-// by v's own check, so the phase stays write-disjoint.
-type misPointeredProblem struct {
-	status  []int32
-	parents *parentsCSR
-	ptr     []int32
-}
-
-func (p *misPointeredProblem) Check(act, outcome []int32, lo, hi int) int64 {
-	var local int64
-	for i := lo; i < hi; i++ {
-		var insp int64
-		outcome[i], insp = checkPointered(act[i], p.status, p.parents, p.ptr)
-		local += insp
-	}
-	return local
-}
-
-func (p *misPointeredProblem) Commit(act, outcome []int32, lo, hi int) int64 {
-	for i := lo; i < hi; i++ {
-		if outcome[i] != statusUndecided {
-			p.status[act[i]] = outcome[i]
-		}
-	}
-	return 0
-}
-
-// checkScratch decides vertex v by scanning all of its earlier neighbors
-// (the PBBS-style check the paper measures): if any earlier neighbor is
-// in the MIS, v is out; if all are out, v is in; otherwise v stays
-// undecided and is retried next round. Returns the decision and the
-// number of neighbor inspections performed.
-func checkScratch(g *graph.Graph, v int32, rank []int32, status []int32) (int32, int64) {
-	rv := rank[v]
+// checkScratch decides vertex v by scanning all of its parents (the
+// PBBS-style check the paper measures): if any parent is in the MIS, v
+// is out; if all are out, v is in; otherwise v stays undecided and is
+// retried next round. Returns the decision and the number of parent
+// inspections performed.
+func checkScratch(v int32, status []int32, parents *Parents) (int32, int64) {
+	ps := parents.Of(v)
 	sawUndecided := false
-	var inspections int64
-	for _, u := range g.Neighbors(v) {
-		if rank[u] >= rv {
-			continue
-		}
-		inspections++
+	for i, u := range ps {
 		switch status[u] {
 		case statusIn:
-			return statusOut, inspections
+			return statusOut, int64(i + 1)
 		case statusUndecided:
 			sawUndecided = true
 		}
 	}
 	if sawUndecided {
-		return statusUndecided, inspections
+		return statusUndecided, int64(len(ps))
 	}
-	return statusIn, inspections
+	return statusIn, int64(len(ps))
 }
 
 // checkPointered is checkScratch with the parent-pointer optimization of
 // Lemma 4.1: the scan resumes at the first parent that blocked the
 // previous attempt, charging each skipped (dead) parent once. This caps
-// total check work at O(m) regardless of the number of retries, at the
-// cost of building the parent lists up front.
-func checkPointered(v int32, status []int32, parents *parentsCSR, ptr []int32) (int32, int64) {
-	ps := parents.of(v)
+// total check work at O(m) regardless of the number of retries.
+func checkPointered(v int32, status []int32, parents *Parents, ptr []int32) (int32, int64) {
+	ps := parents.Of(v)
 	i := ptr[v]
 	var inspections int64
 	for int(i) < len(ps) {

@@ -96,6 +96,11 @@ type Options struct {
 	// default (false) matches the PBBS implementation the paper measures
 	// and its work curve.
 	Pointered bool
+	// Parents, if non-nil, are the parent lists of the input graph
+	// under the run's order (see BuildParents), reused by PrefixMIS and
+	// ParallelMIS instead of building them per run. They must match the
+	// graph and order passed with these options.
+	Parents *Parents
 	// OnRound, if non-nil, is called after every round of the
 	// round-synchronous algorithms (prefix-based, root-set, Luby) with
 	// that round's statistics. It exposes the per-round profile (how

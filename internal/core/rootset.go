@@ -34,7 +34,7 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 		panic("core: order size does not match graph")
 	}
 	grain := opt.grain()
-	parents := buildParents(g, ord)
+	parents := BuildParents(g, ord)
 	children := buildChildren(g, ord)
 
 	ws := opt.Workspace
@@ -88,7 +88,7 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 				atomic.StoreInt32(&status[v], statusIn)
 				decidedLocal++
 				var killed []int32
-				kids := children.of(v)
+				kids := children.Of(v)
 				local += int64(len(kids))
 				for _, c := range kids {
 					if atomic.CompareAndSwapInt32(&status[c], statusUndecided, statusOut) {
@@ -114,7 +114,7 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 			var found []int32
 			for i := lo; i < hi; i++ {
 				for _, w := range killedPerRoot[i] {
-					kids := children.of(w)
+					kids := children.Of(w)
 					local += int64(len(kids))
 					for _, c := range kids {
 						if atomic.LoadInt32(&status[c]) != statusUndecided {
@@ -167,8 +167,8 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 // lazily deleting dead ones by advancing the pointer, and report whether
 // none remain (v is a root of the remaining priority DAG). Work is
 // charged to deleted edges plus O(1) per call.
-func misCheck(v int32, status []int32, parents *parentsCSR, ptr []int32) (ready bool, inspections int64) {
-	ps := parents.of(v)
+func misCheck(v int32, status []int32, parents *Parents, ptr []int32) (ready bool, inspections int64) {
+	ps := parents.Of(v)
 	i := ptr[v]
 	for int(i) < len(ps) {
 		inspections++

@@ -18,13 +18,21 @@
 // pooled window/outcome buffers, and the per-round observer hook.
 //
 // Determinism contract: a Problem's Check phase may read only state
-// written in previous rounds (plus per-iterate reservation bids made
-// through the parallel package's atomic write-min helpers), and its
-// Commit phase may write only state no other in-flight iterate writes.
-// Under that contract the committed solution is a pure function of the
-// priority order — identical for every window schedule, grain and
-// GOMAXPROCS — which is the paper's Theorem 4.5 argument and the
-// property the service layer's idempotency keys rely on.
+// written in previous rounds, plus place per-iterate reservation bids
+// through the parallel package's atomic write-min helpers. Its Commit
+// phase may write only state no other in-flight iterate writes, and an
+// iterate may clear there a reservation slot it holds (its bid won the
+// write-min): reservation-based problems return every slot to neutral
+// that way, so the loop has two phases, not three. Other iterates'
+// Commits load a slot while its holder clears it, so such a slot is
+// accessed atomically everywhere; each of them sees the holder's bid
+// or the neutral value, never its own bid, and its outcome does not
+// depend on the interleaving. Under that contract the committed
+// solution is a pure function of the priority order — identical for
+// every window schedule, grain and GOMAXPROCS — which is the paper's
+// Theorem 4.5 argument and the property the service layer's
+// idempotency keys rely on. Releasing in Commit is the reserve/commit
+// split of parlaylib's speculative_for.
 package engine
 
 import (
@@ -61,18 +69,14 @@ const (
 // active iterate's Check reads this round. Commit applies the
 // decisions: it may write the problem's solution state for iterates it
 // resolves, and must set outcome[i] nonzero for every iterate resolved
-// this round. Both return the number of neighbor/endpoint inspections
-// performed, the paper's fine-grained work measure.
+// this round. An iterate holding a reservation releases it in Commit,
+// whether or not it commits, so every slot bid on this round is
+// neutral again when the commit phase ends. Both return the number of
+// neighbor/endpoint inspections performed, the paper's fine-grained
+// work measure.
 type Problem interface {
 	Check(act, outcome []int32, lo, hi int) int64
 	Commit(act, outcome []int32, lo, hi int) int64
-}
-
-// A Resetter is implemented by reservation-based problems that must
-// clear this round's bids after the commit phase so stale bids cannot
-// block future rounds. Reset runs as a third fork-join phase.
-type Resetter interface {
-	Reset(act, outcome []int32, lo, hi int)
 }
 
 // Options configures one engine run; the zero value runs the default
@@ -98,7 +102,7 @@ type Options struct {
 	OnRound func(RoundStat)
 	// Clock, if non-nil, enables per-phase wall-time attribution: it is
 	// read at every phase boundary and the deltas are reported through
-	// RoundStat's CheckNS/CommitNS/ResetNS/SlideNS fields. It must be a
+	// RoundStat's CheckNS/CommitNS/SlideNS fields. It must be a
 	// monotonic nanosecond clock. The engine itself never reads wall
 	// time (results are pure functions of the order, and this package is
 	// in nodeterminism's scope) — the caller injects the clock, and only
@@ -202,7 +206,6 @@ func Run(ctx context.Context, order []int32, p Problem, opt Options) (Stats, err
 	// otherwise leave the pooled buffer at its original size.
 	defer func() { ws.active = active[:0] }()
 	var outcome []int32
-	resetter, hasReset := p.(Resetter)
 	nextRank := 0
 	resolved := 0
 	var inspections atomic.Int64
@@ -248,7 +251,7 @@ func Run(ctx context.Context, order []int32, p Problem, opt Options) (Stats, err
 		outcome = Grow32(&ws.outcome, len(act))
 		Fill32(outcome, Undecided)
 
-		var checkNS, commitNS, resetNS, slideNS int64
+		var checkNS, commitNS, slideNS int64
 		if clock != nil {
 			t := clock()
 			slideNS = t - tPrev
@@ -276,19 +279,6 @@ func Run(ctx context.Context, order []int32, p Problem, opt Options) (Stats, err
 			t := clock()
 			commitNS = t - tPrev
 			tPrev = t
-		}
-
-		// Reset phase (reservation-based problems only): clear this
-		// round's bids.
-		if hasReset {
-			parallel.ForRange(len(act), grain, func(lo, hi int) {
-				resetter.Reset(act, outcome, lo, hi)
-			})
-			if clock != nil {
-				t := clock()
-				resetNS = t - tPrev
-				tPrev = t
-			}
 		}
 
 		before := len(act)
@@ -327,7 +317,6 @@ func Run(ctx context.Context, order []int32, p Problem, opt Options) (Stats, err
 				RetryTail:   len(kept),
 				CheckNS:     checkNS,
 				CommitNS:    commitNS,
-				ResetNS:     resetNS,
 				SlideNS:     slideNS,
 			})
 		}

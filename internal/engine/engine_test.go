@@ -2,9 +2,11 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/parallel"
@@ -16,14 +18,26 @@ const maxRank = int32(1<<31 - 1)
 // residueProblem is a minimal reservation-based Problem: item i belongs
 // to class i%k, and the earliest-priority item of each class commits
 // while every other member drops — the toy analogue of the MIS/MM
-// write-min pattern, exercising all three phases (Check bids, Commit
-// resolves the winning bidder, Reset clears the bids).
+// write-min pattern, exercising both phases: Check bids, and Commit
+// resolves the winning bidder and releases its reservation, so every
+// slot is neutral again when the round ends.
 type residueProblem struct {
 	k      int32
 	rank   []int32 // item -> priority rank
 	owner  []int32 // class -> committed rank, maxRank while unowned
 	reserv []int32 // class -> this round's write-min bid
 	result []int32 // item -> final outcome code
+
+	// first, when non-nil, forces the same-phase load of a
+	// just-released slot (see rendezvous). first[c] is the rank of
+	// class c's earliest member: the only item that ever holds c's
+	// slot, since every later member bids only while that one is
+	// unresolved, and then both are in the same window.
+	first      []int32
+	arrived    []int32      // class -> losers that reached Commit
+	forced     atomic.Int64 // winners that released after a loser arrived
+	sawNeutral atomic.Int64 // losing loads that saw the released slot
+	sawHeld    atomic.Int64 // losing loads that saw the winner's bid
 }
 
 func newResidueProblem(n int, k int32, rank []int32) *residueProblem {
@@ -37,6 +51,48 @@ func newResidueProblem(n int, k int32, rank []int32) *residueProblem {
 		p.reserv[c] = maxRank
 	}
 	return p
+}
+
+// newForcedResidueProblem is newResidueProblem with the rendezvous on.
+func newForcedResidueProblem(n int, k int32, rank []int32) *residueProblem {
+	p := newResidueProblem(n, k, rank)
+	p.arrived = make([]int32, k)
+	p.first = make([]int32, k)
+	for c := range p.first {
+		p.first[c] = maxRank
+	}
+	for id, r := range rank {
+		if cls := int32(id) % k; r < p.first[cls] {
+			p.first[cls] = r
+		}
+	}
+	return p
+}
+
+// rendezvous orders one Commit of a forced run. A loser announces
+// itself, then loads its class's slot until the winner has released
+// it; the winner waits for a loser of its class to announce itself
+// before it loads and releases. With fewer classes than workers some
+// worker is always free to claim a loser, so the wait ends; the
+// deadline only turns a broken schedule into a failure, not a hang. The slot itself is the
+// only synchronization from the release to the loser's load, so the
+// race detector sees exactly the access pair the contract governs.
+func (p *residueProblem) rendezvous(cls, id int32) {
+	if p.rank[id] != p.first[cls] {
+		atomic.AddInt32(&p.arrived[cls], 1)
+		for atomic.LoadInt32(&p.reserv[cls]) != maxRank {
+			runtime.Gosched()
+		}
+		return
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for atomic.LoadInt32(&p.arrived[cls]) == 0 {
+		if time.Now().After(deadline) {
+			return
+		}
+		runtime.Gosched()
+	}
+	p.forced.Add(1)
 }
 
 func (p *residueProblem) Check(act, outcome []int32, lo, hi int) int64 {
@@ -60,19 +116,22 @@ func (p *residueProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		}
 		id := act[i]
 		cls := id % p.k
-		if atomic.LoadInt32(&p.reserv[cls]) == p.rank[id] {
+		if p.first != nil {
+			p.rendezvous(cls, id)
+		}
+		bid := atomic.LoadInt32(&p.reserv[cls])
+		if bid == p.rank[id] {
+			atomic.StoreInt32(&p.reserv[cls], maxRank)
 			atomic.StoreInt32(&p.owner[cls], p.rank[id])
 			outcome[i] = engine.Committed
 			p.result[id] = engine.Committed
+		} else if bid == maxRank {
+			p.sawNeutral.Add(1)
+		} else {
+			p.sawHeld.Add(1)
 		}
 	}
 	return 0
-}
-
-func (p *residueProblem) Reset(act, outcome []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		atomic.StoreInt32(&p.reserv[act[i]%p.k], maxRank)
-	}
 }
 
 // sequentialResidue is the oracle: scan in rank order, first item of
@@ -149,6 +208,57 @@ func TestRunThreadIndependent(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: item %d diverged", procs, id)
 			}
 		}
+	}
+}
+
+// Commit releases a reservation while other iterates of the same phase
+// still load it. The forced run makes losing bidders of every class
+// load the slot concurrently with, and then after, its winner's
+// release, ordered by nothing but the slot itself: a non-atomic access
+// on either side is a data race the race detector reports when the
+// package runs under -race. The other runs put the same contention
+// under several window schedules. Either way the losers must neither
+// commit nor leave a slot held for a later round.
+func TestCommitReleaseSamePhaseLoad(t *testing.T) {
+	const n, k = 512, 3
+	order := rng.Perm(n, 21)
+	rank := ranksOf(order)
+	want := sequentialResidue(n, k, order)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	check := func(name string, p *residueProblem, opt engine.Options) {
+		t.Helper()
+		if _, err := engine.Run(context.Background(), order, p, opt); err != nil {
+			t.Fatal(err)
+		}
+		for id := range p.result {
+			if p.result[id] != want[id] {
+				t.Fatalf("%s: item %d = %d, want %d", name, id, p.result[id], want[id])
+			}
+		}
+		for c, r := range p.reserv {
+			if r != maxRank {
+				t.Fatalf("%s: class %d slot left at %d after the run", name, c, r)
+			}
+		}
+	}
+
+	// One full-window round: every class's winner and all its losers
+	// commit in the same phase.
+	forced := newForcedResidueProblem(n, k, rank)
+	check("forced", forced, engine.Options{PrefixFrac: 1, Grain: 1})
+	if got := forced.forced.Load(); got != k {
+		t.Errorf("%d of %d winners released with a loser waiting", got, k)
+	}
+	if neutral, held := forced.sawNeutral.Load(), forced.sawHeld.Load(); neutral != n-k || held != 0 {
+		t.Errorf("losing loads saw the released slot %d times (want %d) and a held one %d times", neutral, n-k, held)
+	}
+
+	for _, opt := range []engine.Options{
+		{PrefixFrac: 1, Grain: 1},
+		{PrefixSize: 64, Grain: 1},
+		{Adaptive: true, PrefixSize: 16, Grain: 1},
+	} {
+		check(fmt.Sprintf("opts %+v", opt), newResidueProblem(n, k, rank), opt)
 	}
 }
 

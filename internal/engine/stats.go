@@ -59,16 +59,17 @@ type RoundStat struct {
 	// Resolved for prefix runs). A persistently large tail relative to
 	// the window is the signature of a hot dependency chain.
 	RetryTail int
-	// CheckNS/CommitNS/ResetNS/SlideNS decompose the round's wall time
-	// by phase, in nanoseconds: the check fork-join, the commit
-	// fork-join, the reservation-reset fork-join (0 for problems without
-	// one), and everything else — window refill, outcome fill, the
+	// CheckNS/CommitNS/SlideNS decompose the round's wall time by
+	// phase, in nanoseconds: the check fork-join, the commit fork-join,
+	// and everything else — window refill, outcome fill, the
 	// pack-and-slide of the retry tail, and adaptive-controller
-	// bookkeeping. All four are 0 unless Options.Clock is set; when it
+	// bookkeeping. All three are 0 unless Options.Clock is set; when it
 	// is, consecutive rounds tile the loop's span with no gaps, so the
 	// per-phase sums over a run reconstruct where the loop's wall time
 	// went (the work/span decomposition the paper's Figure 1 analysis
-	// reasons about).
+	// reasons about). ResetNS is always 0: reservation-based problems
+	// release their bids inside Commit, so the loop has no reset phase;
+	// the field stays for the telemetry consumers that report it.
 	CheckNS  int64
 	CommitNS int64
 	ResetNS  int64

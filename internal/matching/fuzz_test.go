@@ -1,0 +1,47 @@
+package matching
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
+// FuzzMMEquivalence is the determinism invariant for maximal matching
+// as a fuzz target: for arbitrary small graphs, seeds, windows and
+// grains, the prefix (fixed and adaptive) and full-window parallel
+// matchings must reproduce the sequential greedy matching bit for bit.
+// Grains of 1–3 split even tiny windows into several chunks, so the
+// reservation bids and in-commit releases race across goroutines when
+// GOMAXPROCS > 1. Run with `go test -fuzz=FuzzMMEquivalence
+// ./internal/matching`.
+func FuzzMMEquivalence(f *testing.F) {
+	f.Add(uint8(10), uint16(20), uint64(1), uint8(4), uint8(0))
+	f.Add(uint8(2), uint16(1), uint64(9), uint8(1), uint8(1))
+	f.Add(uint8(60), uint16(400), uint64(3), uint8(255), uint8(2))
+	f.Fuzz(func(t *testing.T, rawN uint8, rawM uint16, seed uint64, rawPrefix, rawGrain uint8) {
+		n := int(rawN)%64 + 2
+		maxM := n * (n - 1) / 2
+		m := int(rawM) % (maxM + 1)
+		el := graph.Random(n, m, seed).EdgeList()
+		ord := core.NewRandomOrder(el.NumEdges(), seed^0xfeed)
+		want := SequentialMM(el, ord)
+		if !IsMaximalMatching(el, want.InMatching) {
+			t.Fatal("sequential answer is not a maximal matching")
+		}
+		prefix := int(rawPrefix)%(m+1) + 1
+		grain := int(rawGrain)%3 + 1
+		for _, run := range []struct {
+			name string
+			got  *Result
+		}{
+			{"prefix", PrefixMM(el, ord, Options{PrefixSize: prefix, Grain: grain})},
+			{"adaptive", PrefixMM(el, ord, Options{Adaptive: true, PrefixSize: prefix, Grain: grain})},
+			{"parallel", ParallelMM(el, ord, Options{Grain: grain})},
+		} {
+			if !run.got.Equal(want) {
+				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s MM diverged from sequential", n, m, prefix, grain, run.name)
+			}
+		}
+	})
+}

@@ -42,7 +42,7 @@ func PrefixMM(el graph.EdgeList, ord core.Order, opt Options) *Result {
 // The round loop is the shared speculative-prefix engine
 // (internal/engine); this function contributes the matching problem:
 // reserve both endpoints in the check phase, commit when holding both
-// reservations, clear the bids in the reset phase.
+// reservations and release the held ones in the commit phase.
 func PrefixMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
@@ -73,12 +73,13 @@ func PrefixMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 const maxRank = int32(1<<31 - 1)
 
 // mmProblem is the engine adapter for deterministic-reservation
-// matching. The endpoint arrays (mate, reserv) are shared between
-// concurrently checked edges, so cross-edge writes go through atomics:
-// a priority write-min for the bids, plain atomic stores elsewhere
-// (two committing edges never share an endpoint — both hold their
-// endpoints' reservations — so those stores are race-free, and the
-// loads pair with them for the race detector's benefit).
+// matching. reserv is the one word shared within a phase: bids race
+// through the priority write-min in Check, and in Commit every edge
+// loads its endpoints' slots while the holders clear theirs, so every
+// access to it is atomic. status and mate have one writer per phase —
+// an edge writes its own status, and two committing edges never share
+// an endpoint (both hold their endpoints' reservations) — and are read
+// only across the engine's fork-join barrier, so they stay plain.
 type mmProblem struct {
 	el     graph.EdgeList
 	rank   []int32
@@ -95,9 +96,8 @@ func (p *mmProblem) Check(act, outcome []int32, lo, hi int) int64 {
 		e := act[i]
 		edge := p.el.Edges[e]
 		local += 2
-		if atomic.LoadInt32(&p.mate[edge.U]) != unmatched ||
-			atomic.LoadInt32(&p.mate[edge.V]) != unmatched {
-			atomic.StoreInt32(&p.status[e], statusOut)
+		if p.mate[edge.U] != unmatched || p.mate[edge.V] != unmatched {
+			p.status[e] = statusOut
 			outcome[i] = engine.Dropped
 			continue
 		}
@@ -108,8 +108,11 @@ func (p *mmProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	return local
 }
 
-// Commit matches every edge holding both of its endpoints' reservations:
-// it is the earliest unresolved edge on both sides.
+// Commit matches every edge holding both of its endpoints' reservations
+// — it is the earliest unresolved edge on both sides — and releases
+// every reservation an edge holds, matched or not, so all slots are
+// neutral for the next round. Both slots are loaded before either is
+// released, since a self-loop's two endpoints are one slot.
 func (p *mmProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 	var local int64
 	for i := lo; i < hi; i++ {
@@ -120,25 +123,22 @@ func (p *mmProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		edge := p.el.Edges[e]
 		re := p.rank[e]
 		local += 2
-		if atomic.LoadInt32(&p.reserv[edge.U]) == re &&
-			atomic.LoadInt32(&p.reserv[edge.V]) == re {
-			atomic.StoreInt32(&p.status[e], statusIn)
+		holdU := atomic.LoadInt32(&p.reserv[edge.U]) == re
+		holdV := atomic.LoadInt32(&p.reserv[edge.V]) == re
+		if holdU {
+			atomic.StoreInt32(&p.reserv[edge.U], maxRank)
+		}
+		if holdV {
+			atomic.StoreInt32(&p.reserv[edge.V], maxRank)
+		}
+		if holdU && holdV {
+			p.status[e] = statusIn
 			outcome[i] = engine.Committed
-			atomic.StoreInt32(&p.mate[edge.U], edge.V)
-			atomic.StoreInt32(&p.mate[edge.V], edge.U)
+			p.mate[edge.U] = edge.V
+			p.mate[edge.V] = edge.U
 		}
 	}
 	return local
-}
-
-// Reset clears this round's reservations so stale bids from failed or
-// resolved edges cannot block future rounds.
-func (p *mmProblem) Reset(act, outcome []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		edge := p.el.Edges[act[i]]
-		atomic.StoreInt32(&p.reserv[edge.U], maxRank)
-		atomic.StoreInt32(&p.reserv[edge.V], maxRank)
-	}
 }
 
 // ParallelMM is Algorithm 4 proper: PrefixMM run with the full edge set

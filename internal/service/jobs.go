@@ -235,10 +235,11 @@ type JobProgress struct {
 
 	// Cumulative engine phase profile (present when phase profiling is
 	// active, i.e. when trace round sampling is on): wall time by
-	// check/commit/reset/slide phase and the latest retry-tail size.
-	// The four sums tile the round loop's span, so together they show
-	// where a run's time went — and their total tracks the job's run
-	// span to within the loop's startup/teardown cost.
+	// check/commit/slide phase and the latest retry-tail size; ResetMS
+	// is always 0, since the engine has no reset phase. The sums tile
+	// the round loop's span, so together they show where a run's time
+	// went — and their total tracks the job's run span to within the
+	// loop's startup/teardown cost.
 	CheckMS   float64 `json:"check_ms,omitempty"`
 	CommitMS  float64 `json:"commit_ms,omitempty"`
 	ResetMS   float64 `json:"reset_ms,omitempty"`

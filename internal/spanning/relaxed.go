@@ -52,7 +52,7 @@ func PrefixSFRelaxed(el graph.EdgeList, ord core.Order, opt Options) *Result {
 // The round loop is the shared speculative-prefix engine
 // (internal/engine); this function contributes the relaxed spanning
 // forest problem: bid only on the root that would be overwritten, link
-// on winning that single reservation, clear the bids in the reset
+// on winning that single reservation and release it in the commit
 // phase. The relaxed forest is deterministic per window schedule (and
 // the adaptive schedule is itself a deterministic function of the run),
 // but different schedules — like different fixed prefixes — may select
@@ -72,10 +72,10 @@ func PrefixSFRelaxedCtx(ctx context.Context, el graph.EdgeList, ord core.Order, 
 	fill32(reserv, maxRank)
 	// Root snapshots from the reserve phase: child is the root that
 	// would be written (larger id), target the root it hangs under.
+	// Commit reads only the snapshots of edges that bid this round, so
+	// the buffers need no initialization.
 	child := grow32(&ws.rootA, m)
 	target := grow32(&ws.rootB, m)
-	fill32(child, 0)
-	fill32(target, 0)
 
 	prob := &sfRelaxedProblem{el: el, rank: ord.Rank, dsu: dsu, in: in, reserv: reserv, child: child, target: target}
 	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
@@ -120,9 +120,9 @@ func (p *sfRelaxedProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	return local
 }
 
-// Commit links the winner of each written root. Distinct winners write
-// distinct roots, so links never race; hanging larger under smaller
-// keeps the structure a forest.
+// Commit links the winner of each written root and releases its
+// reservation. Distinct winners write distinct roots, so links never
+// race; hanging larger under smaller keeps the structure a forest.
 func (p *sfRelaxedProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 	for i := lo; i < hi; i++ {
 		if outcome[i] != engine.Undecided {
@@ -130,20 +130,11 @@ func (p *sfRelaxedProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		}
 		e := act[i]
 		if atomic.LoadInt32(&p.reserv[p.child[e]]) == p.rank[e] {
+			atomic.StoreInt32(&p.reserv[p.child[e]], maxRank)
 			p.dsu.Link(p.child[e], p.target[e])
 			p.in[e] = true
 			outcome[i] = engine.Committed
 		}
 	}
 	return 0
-}
-
-// Reset clears this round's bids; edges dropped as cycles this round
-// never bid, so their (possibly stale) child snapshot is skipped.
-func (p *sfRelaxedProblem) Reset(act, outcome []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if outcome[i] != engine.Dropped {
-			atomic.StoreInt32(&p.reserv[p.child[act[i]]], maxRank)
-		}
-	}
 }

@@ -172,7 +172,8 @@ func PrefixSF(el graph.EdgeList, ord core.Order, opt Options) *Result {
 // The round loop is the shared speculative-prefix engine
 // (internal/engine); this function contributes the strict spanning
 // forest problem: find roots and bid on both in the check phase, link
-// when holding both reservations, clear the bids in the reset phase.
+// when holding both reservations and release the held ones in the
+// commit phase.
 func PrefixSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
@@ -187,10 +188,10 @@ func PrefixSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 	reserv := grow32(&ws.reserv, el.N)
 	fill32(reserv, maxRank)
 	// Per-edge root snapshot from the reserve phase, reused by commit.
+	// Commit reads only the snapshots of edges that bid this round, so
+	// the buffers need no initialization.
 	rootU := grow32(&ws.rootA, m)
 	rootV := grow32(&ws.rootB, m)
-	fill32(rootU, 0)
-	fill32(rootV, 0)
 
 	prob := &sfProblem{el: el, rank: ord.Rank, dsu: dsu, in: in, reserv: reserv, rootU: rootU, rootV: rootV}
 	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
@@ -205,11 +206,11 @@ const maxRank = int32(1<<31 - 1)
 
 // sfProblem is the engine adapter for the strict (sequential-
 // equivalent) spanning forest. The reservation array is shared between
-// concurrently checked edges, so bids go through the priority write-min
-// and the commit-phase reads and reset-phase clears pair with them
-// atomically; the root snapshots and forest bits are written only by
-// their own edge's phases, on opposite sides of the engine's fork-join
-// barriers.
+// concurrently running edges within a phase — bids race through the
+// priority write-min, and commit-phase loads race with the holders'
+// releases — so every access to it is atomic; the root snapshots and
+// forest bits are written only by their own edge's phases, on opposite
+// sides of the engine's fork-join barrier.
 type sfProblem struct {
 	el     graph.EdgeList
 	rank   []int32
@@ -244,7 +245,9 @@ func (p *sfProblem) Check(act, outcome []int32, lo, hi int) int64 {
 // Commit links every edge holding both of its roots' reservations
 // (larger root id under smaller, so parent ids strictly decrease along
 // links and the structure stays a forest even across concurrent
-// commits, which necessarily touch disjoint root pairs).
+// commits, which necessarily touch disjoint root pairs), and releases
+// every reservation an edge holds, linked or not, so all slots are
+// neutral for the next round.
 func (p *sfProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 	for i := lo; i < hi; i++ {
 		if outcome[i] != engine.Undecided {
@@ -253,7 +256,15 @@ func (p *sfProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		e := act[i]
 		re := p.rank[e]
 		ru, rv := p.rootU[e], p.rootV[e]
-		if atomic.LoadInt32(&p.reserv[ru]) == re && atomic.LoadInt32(&p.reserv[rv]) == re {
+		holdU := atomic.LoadInt32(&p.reserv[ru]) == re
+		holdV := atomic.LoadInt32(&p.reserv[rv]) == re
+		if holdU {
+			atomic.StoreInt32(&p.reserv[ru], maxRank)
+		}
+		if holdV {
+			atomic.StoreInt32(&p.reserv[rv], maxRank)
+		}
+		if holdU && holdV {
 			if ru < rv {
 				p.dsu.Link(rv, ru)
 			} else {
@@ -264,20 +275,6 @@ func (p *sfProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		}
 	}
 	return 0
-}
-
-// Reset clears this round's bids. The root-snapshot guard skips edges
-// that never bid (a fresh cycle edge still has its zeroed — equal —
-// snapshot); a retried edge's stale snapshot only re-clears roots that
-// are already neutral.
-func (p *sfProblem) Reset(act, outcome []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e := act[i]
-		if p.rootU[e] != p.rootV[e] {
-			atomic.StoreInt32(&p.reserv[p.rootU[e]], maxRank)
-			atomic.StoreInt32(&p.reserv[p.rootV[e]], maxRank)
-		}
-	}
 }
 
 // IsForest reports whether the selected edges contain no cycle.

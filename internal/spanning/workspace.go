@@ -9,9 +9,9 @@ import (
 // Workspace holds the pooled per-run buffers of the spanning-forest
 // algorithms (reservations, root snapshots, and the concurrent
 // union-find), reused across runs on same-or-smaller inputs. Buffers
-// are reinitialized at the start of every run, so results are
-// bit-identical to runs on fresh memory; Result arrays (InForest,
-// Edges) are never pooled. Not safe for concurrent use; the zero value
+// are reinitialized at the start of every run, or (the root snapshots)
+// written before every read, so results are bit-identical to runs on
+// fresh memory; Result arrays (InForest, Edges) are never pooled. Not safe for concurrent use; the zero value
 // is ready.
 type Workspace struct {
 	reserv []int32

@@ -43,9 +43,9 @@ const (
 	// quantities of one round of the algorithm.
 	KindRound Kind = "round"
 	// KindPhase is a sampled per-phase profile of one engine round: the
-	// round's wall time decomposed into the check/commit/reset
-	// fork-joins and the window-slide remainder, plus the retry-tail
-	// size. Emitted alongside KindRound when phase profiling is active.
+	// round's wall time decomposed into the check/commit fork-joins
+	// and the window-slide remainder (ResetMS is always 0: the engine
+	// has no reset phase), plus the retry-tail size. Emitted alongside KindRound when phase profiling is active.
 	KindPhase Kind = "phase"
 	// KindRepair is one Maintainer.Apply during a dynamic job's
 	// patch-chain replay: the change-driven frontier repair cost of one

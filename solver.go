@@ -74,13 +74,15 @@ type RoundInfo struct {
 	// large tail relative to the window is the signature of a hot
 	// dependency chain.
 	RetryTail int
-	// CheckNS/CommitNS/ResetNS/SlideNS decompose the round's wall time
-	// by engine phase, in nanoseconds: the check fork-join, the commit
-	// fork-join, the reservation-reset fork-join (0 for problems
-	// without one), and everything else (window refill, outcome fill,
-	// the retry-tail pack-and-slide, adaptive bookkeeping). All four
-	// are 0 unless WithPhaseProfile is set; when it is, the per-phase
-	// sums over a run tile the round loop's span with no gaps.
+	// CheckNS/CommitNS/SlideNS decompose the round's wall time by
+	// engine phase, in nanoseconds: the check fork-join, the commit
+	// fork-join, and everything else (window refill, outcome fill, the
+	// retry-tail pack-and-slide, adaptive bookkeeping). All three are 0
+	// unless WithPhaseProfile is set; when it is, the per-phase sums
+	// over a run tile the round loop's span with no gaps. ResetNS is
+	// always 0: the engine has no reservation-reset phase —
+	// reservation-based problems release their bids inside the commit
+	// phase — and the field stays for consumers that report it.
 	CheckNS  int64
 	CommitNS int64
 	ResetNS  int64
@@ -108,10 +110,10 @@ func WithRoundObserver(fn func(RoundInfo)) Option {
 
 // Solver runs the paper's algorithms with a reusable Workspace: the
 // per-run arrays (frontiers, status flags, reservations, priority
-// orders) are allocated once, sized up lazily, and reused across runs
-// on same-or-smaller inputs, so a long-lived Solver performs
-// near-zero steady-state allocation per run beyond the returned
-// Result. Results are bit-identical to fresh-memory runs.
+// orders, parent lists) are allocated once, sized up lazily, and
+// reused across runs on same-or-smaller inputs, so a long-lived Solver
+// performs near-zero steady-state allocation per run beyond the
+// returned Result. Results are bit-identical to fresh-memory runs.
 //
 // A Solver is NOT safe for concurrent use: it owns its workspace.
 // Use one Solver per goroutine (the service layer keeps one per
@@ -130,6 +132,22 @@ type Solver struct {
 	hsWs    setcover.Workspace
 
 	orders map[orderKey]Order
+
+	parents parentsEntry
+}
+
+// parentsEntry is the Solver's single cached set of parent lists: each
+// vertex's earlier-priority neighbors, which the prefix MIS and
+// coloring checks scan. They depend only on the graph and the order, so
+// repeated runs on one (graph, seed) pair build them once; a miss
+// rebuilds them into the same buffers. The entry holds
+// the graph itself: graphs are immutable, and pinning the one the lists
+// describe keeps its address from being reused by another graph while
+// the entry is keyed on it.
+type parentsEntry struct {
+	g     *Graph
+	seed  uint64
+	lists core.Parents
 }
 
 // orderKey identifies a derived priority order: NewRandomOrder is
@@ -200,6 +218,23 @@ func (s *Solver) orderFor(c config, n int) (Order, error) {
 	}
 	s.orders[key] = ord
 	return ord, nil
+}
+
+// parentsFor returns the parent lists of g under ord, the order c
+// derives from its seed, serving them from the Solver's cache. Explicit
+// WithOrder orders are never cached: it returns nil, and the problem
+// package builds the lists for that run.
+func (s *Solver) parentsFor(c config, g *Graph, ord Order) *core.Parents {
+	if c.order != nil {
+		return nil
+	}
+	e := &s.parents
+	if e.g != g || e.seed != c.seed {
+		e.g = nil // invalid until the rebuild completes
+		e.lists.Build(g, ord)
+		e.g, e.seed = g, c.seed
+	}
+	return &e.lists
 }
 
 // observerFor adapts the facade observers to the internal round hook,
@@ -282,8 +317,10 @@ func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult,
 	case AlgoRootSet:
 		return core.RootSetMISCtx(ctx, g, ord, coreOpt)
 	case AlgoParallel:
+		coreOpt.Parents = s.parentsFor(c, g, ord)
 		return core.ParallelMISCtx(ctx, g, ord, coreOpt)
 	default:
+		coreOpt.Parents = s.parentsFor(c, g, ord)
 		return core.PrefixMISCtx(ctx, g, ord, coreOpt)
 	}
 }
@@ -412,6 +449,7 @@ func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*Color
 	if c.algorithm == AlgoSequential {
 		return coloring.SequentialColoringCtx(ctx, g, ord, opt)
 	}
+	opt.Parents = s.parentsFor(c, g, ord)
 	return coloring.PrefixColoringCtx(ctx, g, ord, opt)
 }
 

@@ -178,6 +178,64 @@ func TestSolverReuseAcrossAlgorithms(t *testing.T) {
 	}
 }
 
+// The Solver caches one set of parent lists per (graph, derived-order
+// seed). Cycling one Solver through a graph, another graph of the same
+// size, another seed, the first pair again and an explicit order, every
+// path that reads the cache — prefix MIS, pointered MIS, full-window
+// MIS and prefix coloring — must return what a fresh Solver returns.
+func TestSolverParentsCache(t *testing.T) {
+	ctx := context.Background()
+	a := greedy.RandomGraph(4_000, 20_000, 41)
+	b := greedy.RandomGraph(4_000, 20_000, 42)
+	steps := []struct {
+		name string
+		g    *greedy.Graph
+		opts []greedy.Option
+	}{
+		{"A seed 1", a, []greedy.Option{greedy.WithSeed(1)}},
+		{"B seed 1", b, []greedy.Option{greedy.WithSeed(1)}},
+		{"A seed 2", a, []greedy.Option{greedy.WithSeed(2)}},
+		{"A seed 1 again", a, []greedy.Option{greedy.WithSeed(1)}},
+		{"A explicit order", a, []greedy.Option{greedy.WithSeed(1), greedy.WithOrder(greedy.NewRandomOrder(a.NumVertices(), 77))}},
+	}
+	variants := []struct {
+		name string
+		opts []greedy.Option
+	}{
+		{"prefix", nil},
+		{"pointered", []greedy.Option{greedy.WithPointer()}},
+		{"parallel", []greedy.Option{greedy.WithAlgorithm(greedy.AlgoParallel)}},
+	}
+	s := greedy.NewSolver()
+	for _, st := range steps {
+		for _, v := range variants {
+			opts := append(append([]greedy.Option(nil), st.opts...), v.opts...)
+			got, err := s.MIS(ctx, st.g, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := greedy.NewSolver().MIS(ctx, st.g, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || got.Stats != want.Stats {
+				t.Fatalf("%s, %s MIS: reused solver differs from a fresh one", st.name, v.name)
+			}
+		}
+		got, err := s.Coloring(ctx, st.g, st.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := greedy.NewSolver().Coloring(ctx, st.g, st.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.Stats != want.Stats {
+			t.Fatalf("%s coloring: reused solver differs from a fresh one", st.name)
+		}
+	}
+}
+
 func TestSolverSecondRunAllocatesStrictlyLess(t *testing.T) {
 	g := greedy.RandomGraph(20_000, 100_000, 13)
 	ctx := context.Background()
