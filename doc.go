@@ -41,8 +41,12 @@
 // status flags, reservations, priority orders) are allocated once,
 // sized up lazily, and reused across runs on same-or-smaller inputs —
 // results stay bit-identical to fresh-memory runs while steady-state
-// allocation drops to little more than the returned Result. A Solver
-// is not safe for concurrent use; keep one per goroutine.
+// allocation drops to little more than the returned Result. The engine
+// iterates over priority ranks, and the Solver keeps the rank-space
+// layouts that depend only on the input and the order — MIS and
+// coloring parent lists per (graph, seed), the hitting-set layout per
+// (system, seed) — so repeated runs on one pair build them once. A
+// Solver is not safe for concurrent use; keep one per goroutine.
 //
 // Every Solver method takes a context, checked once per round of the
 // round-synchronous algorithms (the hot inner loops never see it), so

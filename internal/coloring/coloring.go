@@ -37,8 +37,9 @@ type Result struct {
 	Stats Stats
 }
 
-func newResult(colors []int32, stats Stats) *Result {
-	out := append([]int32(nil), colors...)
+// newResult wraps out, a vertex-indexed color array the result takes
+// over, with its color count.
+func newResult(out []int32, stats Stats) *Result {
 	num := int32(0)
 	for _, c := range out {
 		if c+1 > num {
@@ -71,8 +72,8 @@ type Options struct {
 	// schedule (see core.Options.Adaptive); the coloring stays
 	// bit-identical to the sequential first-fit one for every schedule.
 	Adaptive bool
-	// Parents, if non-nil, are the parent lists of the input graph under
-	// the run's order (see core.BuildParents), reused by
+	// Parents, if non-nil, are the rank-space parent lists of the input
+	// graph under the run's order (see core.BuildParents), reused by
 	// PrefixColoring instead of building them per run.
 	Parents *core.Parents
 	// OnRound, if non-nil, is called after every round with that round's
@@ -164,7 +165,7 @@ func SequentialColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, 
 		}
 		colors[v] = c
 	}
-	return newResult(colors, Stats{
+	return newResult(append([]int32(nil), colors...), Stats{
 		Rounds:          int64(n),
 		Attempts:        int64(n),
 		EdgeInspections: inspections,
@@ -190,8 +191,9 @@ func PrefixColoring(g *graph.Graph, ord core.Order, opt Options) *Result {
 // PrefixColoringCtx is PrefixColoring with cooperative cancellation:
 // ctx is checked once per round, so a cancelled context aborts within
 // one round and returns ctx.Err(). Pooled buffers come from
-// opt.Workspace when set; the parent lists from opt.Parents when set,
-// and are built for this run otherwise.
+// opt.Workspace when set; the rank-space parent lists from opt.Parents
+// when set, and are built for this run otherwise. The run colors ranks;
+// the colors are mapped back to vertices through ord.Order at the end.
 func PrefixColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
@@ -209,20 +211,25 @@ func PrefixColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, opt 
 	}
 
 	prob := &colorProblem{parents: parents, colors: colors}
-	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
+	stats, err := engine.Run(ctx, n, prob, opt.engineOptions(&ws.eng))
 	if err != nil {
 		return nil, err
 	}
-	return newResult(colors, stats), nil
+	// colors is rank-indexed; the result is vertex-indexed.
+	out := make([]int32, n)
+	for r, c := range colors {
+		out[ord.Order[r]] = c
+	}
+	return newResult(out, stats), nil
 }
 
-// colorProblem is the engine adapter for first-fit coloring. The check
-// phase reads only colors written in previous rounds and the commit
-// phase writes each vertex's own color, so no atomics are needed — the
-// engine's fork-join barrier is the synchronization, exactly as in the
-// MIS problem. The outcome payload is color+1: the engine only gives
-// meaning to zero ("retry"), so any committed color, including color 0,
-// maps to a nonzero outcome.
+// colorProblem is the engine adapter for first-fit coloring, indexed by
+// rank. The check phase reads only colors written in previous rounds
+// and the commit phase writes each rank's own color, so no atomics are
+// needed — the engine's fork-join barrier is the synchronization,
+// exactly as in the MIS problem. The outcome payload is color+1: the
+// engine only gives meaning to zero ("retry"), so any committed color,
+// including color 0, maps to a nonzero outcome.
 type colorProblem struct {
 	parents *core.Parents
 	colors  []int32

@@ -160,5 +160,5 @@ func LubyMISCtx(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (
 		live, offsets, adj = newLive, newOffsets, newAdj
 	}
 	stats.EdgeInspections = inspections.Load()
-	return newResult(status, stats), nil
+	return newResult(status, nil, stats), nil
 }

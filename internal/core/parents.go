@@ -5,12 +5,23 @@ import (
 	"repro/internal/parallel"
 )
 
-// Parents holds, for each vertex, its neighbors that are earlier in the
+// Parents holds each vertex's neighbors that are earlier in the
 // priority order (its parents in the priority DAG). The paper's
 // linear-work implementation assumes "the neighbors of a vertex have
 // been pre-partitioned into their parents (higher priorities) and
-// children (lower priorities)"; this structure is that partition. The
-// same layout holds the complementary children lists (buildChildren).
+// children (lower priorities)"; this structure is that partition.
+//
+// The lists BuildParents returns are in rank space, the space the
+// engine's iterates live in: row r belongs to the vertex of rank r
+// (ord.Order[r]) and holds the ranks of its earlier neighbors, so a
+// check indexes rank-space state with them directly and the rows of one
+// window are adjacent in memory. Within a row, parents appear in
+// adjacency (vertex id) order; the algorithms that use them do not
+// require priority order, and keeping adjacency order makes a parent
+// scan inspect exactly the neighbors, in exactly the order, that a
+// rank-filtered neighbor scan would. The root-set MIS keeps a
+// vertex-space partition (row v holds v's earlier neighbors as vertex
+// ids) built by the same routine.
 //
 // The lists depend only on the graph and the order, so a caller that
 // solves the same (graph, order) pair repeatedly builds them once and
@@ -22,67 +33,88 @@ type Parents struct {
 	items   []int32
 }
 
-// Of returns v's parents in adjacency (vertex id) order. The slice
-// aliases p's storage and must not be modified.
-func (p *Parents) Of(v int32) []int32 {
-	return p.items[p.offsets[v]:p.offsets[v+1]]
+// Of returns row i: for rank-space lists, the ranks of the parents of
+// the vertex of rank i. The slice aliases p's storage and must not be
+// modified.
+func (p *Parents) Of(i int32) []int32 {
+	return p.items[p.offsets[i]:p.offsets[i+1]]
 }
 
-// BuildParents returns the parent lists of g under ord, built in
-// O(n + m) work.
+// BuildParents returns the rank-space parent lists of g under ord,
+// built in O(n + m) work.
 func BuildParents(g *graph.Graph, ord Order) *Parents {
 	p := new(Parents)
 	p.Build(g, ord)
 	return p
 }
 
-// Build recomputes p as the parent lists of g under ord, reusing p's
-// buffers when their capacity suffices. Within each list, parents
-// appear in adjacency (vertex id) order; the algorithms that use them
-// do not require priority order, and keeping adjacency order makes a
-// parent scan inspect exactly the neighbors, in exactly the order, that
-// a rank-filtered neighbor scan would.
+// Build recomputes p as the rank-space parent lists of g under ord,
+// reusing p's buffers when their capacity suffices.
 func (p *Parents) Build(g *graph.Graph, ord Order) {
-	p.partition(g, ord.Rank, true)
+	p.partition(g, ord, true, true)
 }
 
-// buildChildren builds the child lists (later neighbors), the mirror of
-// BuildParents.
+// buildVertexParents builds the vertex-space parent lists: row v holds
+// v's earlier neighbors as vertex ids.
+func buildVertexParents(g *graph.Graph, ord Order) *Parents {
+	p := new(Parents)
+	p.partition(g, ord, true, false)
+	return p
+}
+
+// buildChildren builds the vertex-space child lists (later neighbors),
+// the mirror of buildVertexParents.
 func buildChildren(g *graph.Graph, ord Order) *Parents {
 	p := new(Parents)
-	p.partition(g, ord.Rank, false)
+	p.partition(g, ord, false, false)
 	return p
 }
 
 // partition fills p with each vertex's earlier neighbors (parents) or
 // later neighbors (!parents): a counting pass, an in-place scan of the
-// counts into offsets, and a filling pass.
-func (p *Parents) partition(g *graph.Graph, rank []int32, parents bool) {
+// counts into offsets, and a filling pass. Both passes walk the
+// adjacency lists in vertex order. With ranked set, vertex v's list
+// goes to row rank[v] and holds neighbor ranks; otherwise it goes to
+// row v and holds neighbor ids. Writing rank-space rows out of order
+// costs one scattered row per vertex, far less than reading the
+// adjacency lists in rank order would.
+func (p *Parents) partition(g *graph.Graph, ord Order, parents, ranked bool) {
 	n := g.NumVertices()
+	rank := ord.Rank
 	if cap(p.offsets) < n+1 {
 		p.offsets = make([]int64, n+1)
 	}
 	p.offsets = p.offsets[:n+1]
 	offsets := p.offsets
-	parallel.For(n, 1024, func(i int) {
-		rv := rank[i]
+	row := func(v int) int {
+		if ranked {
+			return int(rank[v])
+		}
+		return v
+	}
+	parallel.For(n, 1024, func(v int) {
+		rv := rank[v]
 		c := int64(0)
-		for _, u := range g.Neighbors(int32(i)) {
+		for _, u := range g.Neighbors(int32(v)) {
 			if (rank[u] < rv) == parents {
 				c++
 			}
 		}
-		offsets[i] = c
+		offsets[row(v)] = c
 	})
 	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 1024)
 	offsets[n] = total
 	items := Grow32(&p.items, int(total))
-	parallel.For(n, 1024, func(i int) {
-		rv := rank[i]
-		pos := offsets[i]
-		for _, u := range g.Neighbors(int32(i)) {
-			if (rank[u] < rv) == parents {
-				items[pos] = u
+	parallel.For(n, 1024, func(v int) {
+		rv := rank[v]
+		pos := offsets[row(v)]
+		for _, u := range g.Neighbors(int32(v)) {
+			if ru := rank[u]; (ru < rv) == parents {
+				if ranked {
+					items[pos] = ru
+				} else {
+					items[pos] = u
+				}
 				pos++
 			}
 		}

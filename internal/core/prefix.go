@@ -50,8 +50,10 @@ func PrefixMIS(g *graph.Graph, ord Order, opt Options) *Result {
 // The round loop itself is the shared speculative-prefix engine
 // (internal/engine); this function contributes only the MIS problem:
 // the check that decides a vertex against its parents and the commit
-// that publishes the decision. The parent lists come from opt.Parents
-// when set, and are built for this run otherwise.
+// that publishes the decision. The run is in rank space: the status
+// array is indexed by rank, the rank-space parent lists (opt.Parents
+// when set, built for this run otherwise) hold ranks, and the result is
+// mapped back to vertices through ord.Order once at the end.
 func PrefixMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
@@ -72,19 +74,19 @@ func PrefixMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (
 		prob.ptr = Grow32(&ws.ptr, n)
 		Fill32(prob.ptr, 0)
 	}
-	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
+	stats, err := engine.Run(ctx, n, prob, opt.engineOptions(&ws.eng))
 	if err != nil {
 		return nil, err
 	}
-	return newResult(status, stats), nil
+	return newResult(status, ord.Order, stats), nil
 }
 
-// misProblem is the engine adapter for MIS: the check phase decides a
-// vertex from its parents' statuses, written in previous rounds, and
-// the commit phase writes each vertex's own status — no atomics at
-// all, the fork-join barrier between phases is the synchronization.
-// Under Pointered, ptr[v] is v's private scan cursor, written only by
-// v's own check, so the phase stays write-disjoint.
+// misProblem is the engine adapter for MIS, indexed by rank: the check
+// phase decides rank r from its parents' statuses, written in previous
+// rounds, and the commit phase writes each rank's own status — no
+// atomics at all, the fork-join barrier between phases is the
+// synchronization. Under Pointered, ptr[r] is r's private scan cursor,
+// written only by r's own check, so the phase stays write-disjoint.
 type misProblem struct {
 	status  []int32
 	parents *Parents
@@ -114,13 +116,13 @@ func (p *misProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 	return 0
 }
 
-// checkScratch decides vertex v by scanning all of its parents (the
-// PBBS-style check the paper measures): if any parent is in the MIS, v
-// is out; if all are out, v is in; otherwise v stays undecided and is
+// checkScratch decides rank r by scanning all of its parents (the
+// PBBS-style check the paper measures): if any parent is in the MIS, r
+// is out; if all are out, r is in; otherwise r stays undecided and is
 // retried next round. Returns the decision and the number of parent
 // inspections performed.
-func checkScratch(v int32, status []int32, parents *Parents) (int32, int64) {
-	ps := parents.Of(v)
+func checkScratch(r int32, status []int32, parents *Parents) (int32, int64) {
+	ps := parents.Of(r)
 	sawUndecided := false
 	for i, u := range ps {
 		switch status[u] {
@@ -140,9 +142,9 @@ func checkScratch(v int32, status []int32, parents *Parents) (int32, int64) {
 // Lemma 4.1: the scan resumes at the first parent that blocked the
 // previous attempt, charging each skipped (dead) parent once. This caps
 // total check work at O(m) regardless of the number of retries.
-func checkPointered(v int32, status []int32, parents *Parents, ptr []int32) (int32, int64) {
-	ps := parents.Of(v)
-	i := ptr[v]
+func checkPointered(r int32, status []int32, parents *Parents, ptr []int32) (int32, int64) {
+	ps := parents.Of(r)
+	i := ptr[r]
 	var inspections int64
 	for int(i) < len(ps) {
 		inspections++
@@ -150,14 +152,14 @@ func checkPointered(v int32, status []int32, parents *Parents, ptr []int32) (int
 		case statusOut:
 			i++
 		case statusIn:
-			ptr[v] = i
+			ptr[r] = i
 			return statusOut, inspections
 		default: // undecided: stall here and retry next round
-			ptr[v] = i
+			ptr[r] = i
 			return statusUndecided, inspections
 		}
 	}
-	ptr[v] = i
+	ptr[r] = i
 	return statusIn, inspections
 }
 

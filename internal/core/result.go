@@ -40,11 +40,17 @@ type Result struct {
 	Stats Stats
 }
 
-func newResult(status []int32, stats Stats) *Result {
+// newResult builds the result from the final statuses: status[r] is the
+// status of vertex order[r] (order nil means status is vertex-indexed).
+func newResult(status, order []int32, stats Stats) *Result {
 	n := len(status)
 	in := make([]bool, n)
-	parallel.For(n, 4096, func(i int) {
-		in[i] = status[i] == statusIn
+	parallel.For(n, 4096, func(r int) {
+		v := int32(r)
+		if order != nil {
+			v = order[r]
+		}
+		in[v] = status[r] == statusIn
 	})
 	set := parallel.PackIndex(n, 4096, func(i int) bool { return in[i] })
 	return &Result{InSet: in, Set: set, Stats: stats}
@@ -96,10 +102,11 @@ type Options struct {
 	// default (false) matches the PBBS implementation the paper measures
 	// and its work curve.
 	Pointered bool
-	// Parents, if non-nil, are the parent lists of the input graph
-	// under the run's order (see BuildParents), reused by PrefixMIS and
-	// ParallelMIS instead of building them per run. They must match the
-	// graph and order passed with these options.
+	// Parents, if non-nil, are the rank-space parent lists of the input
+	// graph under the run's order (see BuildParents: row r holds the
+	// ranks of the earlier neighbors of the vertex of rank r), reused by
+	// PrefixMIS and ParallelMIS instead of building them per run. They
+	// must match the graph and order passed with these options.
 	Parents *Parents
 	// OnRound, if non-nil, is called after every round of the
 	// round-synchronous algorithms (prefix-based, root-set, Luby) with

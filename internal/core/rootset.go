@@ -34,7 +34,7 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 		panic("core: order size does not match graph")
 	}
 	grain := opt.grain()
-	parents := BuildParents(g, ord)
+	parents := buildVertexParents(g, ord)
 	children := buildChildren(g, ord)
 
 	ws := opt.Workspace
@@ -160,7 +160,7 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 		frontier = next
 	}
 	stats.EdgeInspections = inspections.Load()
-	return newResult(status, stats), nil
+	return newResult(status, nil, stats), nil
 }
 
 // misCheck is the operation of Lemma 4.1: scan v's remaining parents,

@@ -64,7 +64,7 @@ func SequentialMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Option
 			}
 		}
 	}
-	return newResult(status, Stats{
+	return newResult(status, nil, Stats{
 		Rounds:          int64(n),
 		Attempts:        int64(n),
 		EdgeInspections: inspections,

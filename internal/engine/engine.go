@@ -10,12 +10,20 @@
 // committing it writes — is supplied through the Problem interface,
 // exactly the factoring of parlaylib's speculative_for.
 //
+// Iterates are priority ranks: the engine runs over 0..n-1, rank 0
+// first, and never sees an order. A problem package owns the mapping
+// from ranks to its items. It lays its input out by rank once per run
+// (parent lists whose entries are ranks, edges gathered into rank
+// order), so a check compares and indexes ranks directly, as
+// parlaylib's speculative_for MIS compares iterate ids; and it maps its
+// result back to item ids through the order once, when the run ends.
+//
 // The engine owns everything the four formerly hand-specialized loops
 // duplicated: window refill and the shrink-tail slide that keeps the
-// active set equal to the earliest unresolved iterates in rank order,
-// the two-phase fork-join execution over parallel.ForRange, adaptive
-// window control (AdaptiveController), per-round context checks,
-// pooled window/outcome buffers, and the per-round observer hook.
+// active set equal to the earliest unresolved ranks, the two-phase
+// fork-join execution over parallel.ForRange, adaptive window control
+// (AdaptiveController), per-round context checks, pooled window/outcome
+// buffers, and the per-round observer hook.
 //
 // Determinism contract: a Problem's Check phase may read only state
 // written in previous rounds, plus place per-iterate reservation bids
@@ -56,12 +64,16 @@ const (
 )
 
 // A Problem supplies the two phases of one speculative round over a
-// chunk [lo, hi) of the active window act. Both phases run under
-// parallel.ForRange, so an implementation is called once per chunk —
-// one dynamic dispatch per grain-sized block, not per iterate — and
-// runs concurrently with itself on disjoint chunks. The fork-join
-// barrier between the phases is the only synchronization the engine
-// provides; it is also all the round-synchronous algorithms need.
+// chunk [lo, hi) of the active window act. act holds priority ranks in
+// increasing order, so act[i] is both the iterate's index into the
+// problem's rank-space state and its write-min reservation bid; which
+// vertex, edge or element a rank denotes is the problem's business
+// (see the package doc). Both phases run under parallel.ForRange, so
+// an implementation is called once per chunk — one dynamic dispatch
+// per grain-sized block, not per iterate — and runs concurrently with
+// itself on disjoint chunks. The fork-join barrier between the phases
+// is the only synchronization the engine provides; it is also all the
+// round-synchronous algorithms need.
 //
 // Check decides iterates against the state of previous rounds: for
 // each i in [lo, hi) it may write outcome[i] (leave Undecided to
@@ -171,14 +183,12 @@ type Workspace struct {
 	outcome []int32
 }
 
-// Run executes the speculative-prefix round loop over the iterates of
-// order (a rank→iterate array: order[r] is the iterate with priority
-// rank r) until all of them are resolved, and returns the run's cost
-// counters. ctx is checked once per round — the hot phases never see
-// it — so a cancelled context aborts within one round and returns
-// ctx.Err().
-func Run(ctx context.Context, order []int32, p Problem, opt Options) (Stats, error) {
-	n := len(order)
+// Run executes the speculative-prefix round loop over the n iterates
+// 0..n-1, which are priority ranks (rank 0 is the earliest), until all
+// of them are resolved, and returns the run's cost counters. ctx is
+// checked once per round — the hot phases never see it — so a
+// cancelled context aborts within one round and returns ctx.Err().
+func Run(ctx context.Context, n int, p Problem, opt Options) (Stats, error) {
 	ws := opt.Workspace
 	if ws == nil {
 		ws = new(Workspace)
@@ -216,10 +226,11 @@ func Run(ctx context.Context, order []int32, p Problem, opt Options) (Stats, err
 	// window refill) lands in the next round's slide bucket rather than
 	// vanishing. tPrev starts at the clock's epoch (solver entry, where
 	// the facade constructs the clock), not at loop entry, so one-time
-	// setup before the loop — priority-order derivation, workspace
-	// growth — is charged to the first round's slide bucket and the
-	// per-phase sums over a run reconstruct the run's wall time up to
-	// result extraction, not just the loop's.
+	// setup before the loop — priority-order derivation, the problem's
+	// rank-space layout (a parent-list build or an edge gather),
+	// workspace growth — is charged to the first round's slide bucket
+	// and the per-phase sums over a run reconstruct the run's wall time
+	// up to result extraction, not just the loop's.
 	clock := opt.Clock
 	var tPrev int64
 
@@ -229,7 +240,7 @@ func Run(ctx context.Context, order []int32, p Problem, opt Options) (Stats, err
 		}
 		// Refill the window with the earliest unresolved iterates.
 		for len(active) < window && nextRank < n {
-			active = append(active, order[nextRank])
+			active = append(active, int32(nextRank))
 			nextRank++
 		}
 		// A shrunken window attempts only the earliest unresolved

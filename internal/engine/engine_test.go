@@ -20,10 +20,11 @@ const maxRank = int32(1<<31 - 1)
 // while every other member drops — the toy analogue of the MIS/MM
 // write-min pattern, exercising both phases: Check bids, and Commit
 // resolves the winning bidder and releases its reservation, so every
-// slot is neutral again when the round ends.
+// slot is neutral again when the round ends. The engine hands it
+// ranks; order maps a rank to its item, and the rank is the bid.
 type residueProblem struct {
 	k      int32
-	rank   []int32 // item -> priority rank
+	order  []int32 // priority rank -> item
 	owner  []int32 // class -> committed rank, maxRank while unowned
 	reserv []int32 // class -> this round's write-min bid
 	result []int32 // item -> final outcome code
@@ -40,8 +41,8 @@ type residueProblem struct {
 	sawHeld    atomic.Int64 // losing loads that saw the winner's bid
 }
 
-func newResidueProblem(n int, k int32, rank []int32) *residueProblem {
-	p := &residueProblem{k: k, rank: rank,
+func newResidueProblem(n int, k int32, order []int32) *residueProblem {
+	p := &residueProblem{k: k, order: order,
 		owner:  make([]int32, k),
 		reserv: make([]int32, k),
 		result: make([]int32, n),
@@ -54,16 +55,16 @@ func newResidueProblem(n int, k int32, rank []int32) *residueProblem {
 }
 
 // newForcedResidueProblem is newResidueProblem with the rendezvous on.
-func newForcedResidueProblem(n int, k int32, rank []int32) *residueProblem {
-	p := newResidueProblem(n, k, rank)
+func newForcedResidueProblem(n int, k int32, order []int32) *residueProblem {
+	p := newResidueProblem(n, k, order)
 	p.arrived = make([]int32, k)
 	p.first = make([]int32, k)
 	for c := range p.first {
 		p.first[c] = maxRank
 	}
-	for id, r := range rank {
-		if cls := int32(id) % k; r < p.first[cls] {
-			p.first[cls] = r
+	for r, id := range order {
+		if cls := id % k; int32(r) < p.first[cls] {
+			p.first[cls] = int32(r)
 		}
 	}
 	return p
@@ -77,8 +78,8 @@ func newForcedResidueProblem(n int, k int32, rank []int32) *residueProblem {
 // deadline only turns a broken schedule into a failure, not a hang. The slot itself is the
 // only synchronization from the release to the loser's load, so the
 // race detector sees exactly the access pair the contract governs.
-func (p *residueProblem) rendezvous(cls, id int32) {
-	if p.rank[id] != p.first[cls] {
+func (p *residueProblem) rendezvous(cls, r int32) {
+	if r != p.first[cls] {
 		atomic.AddInt32(&p.arrived[cls], 1)
 		for atomic.LoadInt32(&p.reserv[cls]) != maxRank {
 			runtime.Gosched()
@@ -97,14 +98,15 @@ func (p *residueProblem) rendezvous(cls, id int32) {
 
 func (p *residueProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	for i := lo; i < hi; i++ {
-		id := act[i]
+		r := act[i]
+		id := p.order[r]
 		cls := id % p.k
-		if atomic.LoadInt32(&p.owner[cls]) < p.rank[id] {
+		if atomic.LoadInt32(&p.owner[cls]) < r {
 			outcome[i] = engine.Dropped
 			p.result[id] = engine.Dropped
 			continue
 		}
-		parallel.WriteMin32(&p.reserv[cls], p.rank[id])
+		parallel.WriteMin32(&p.reserv[cls], r)
 	}
 	return int64(hi - lo)
 }
@@ -114,15 +116,16 @@ func (p *residueProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		if outcome[i] != engine.Undecided {
 			continue
 		}
-		id := act[i]
+		r := act[i]
+		id := p.order[r]
 		cls := id % p.k
 		if p.first != nil {
-			p.rendezvous(cls, id)
+			p.rendezvous(cls, r)
 		}
 		bid := atomic.LoadInt32(&p.reserv[cls])
-		if bid == p.rank[id] {
+		if bid == r {
 			atomic.StoreInt32(&p.reserv[cls], maxRank)
-			atomic.StoreInt32(&p.owner[cls], p.rank[id])
+			atomic.StoreInt32(&p.owner[cls], r)
 			outcome[i] = engine.Committed
 			p.result[id] = engine.Committed
 		} else if bid == maxRank {
@@ -150,8 +153,6 @@ func sequentialResidue(n int, k int32, order []int32) []int32 {
 	return result
 }
 
-func ranksOf(order []int32) []int32 { return rng.InversePerm(order) }
-
 // The engine must produce the sequential greedy result for every window
 // schedule and grain — on a problem with real cross-round retries (a
 // class whose earliest member is late in rank order keeps its other
@@ -159,7 +160,6 @@ func ranksOf(order []int32) []int32 { return rng.InversePerm(order) }
 func TestRunMatchesSequentialEverySchedule(t *testing.T) {
 	const n, k = 3000, 37
 	order := rng.Perm(n, 7)
-	rank := ranksOf(order)
 	want := sequentialResidue(n, k, order)
 	for _, opt := range []engine.Options{
 		{PrefixSize: 1},
@@ -172,8 +172,8 @@ func TestRunMatchesSequentialEverySchedule(t *testing.T) {
 		{Adaptive: true, PrefixSize: 3},
 		{Adaptive: true, PrefixFrac: 0.02, Grain: 5},
 	} {
-		p := newResidueProblem(n, k, rank)
-		stats, err := engine.Run(context.Background(), order, p, opt)
+		p := newResidueProblem(n, k, order)
+		stats, err := engine.Run(context.Background(), n, p, opt)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opt, err)
 		}
@@ -194,13 +194,12 @@ func TestRunMatchesSequentialEverySchedule(t *testing.T) {
 func TestRunThreadIndependent(t *testing.T) {
 	const n, k = 5000, 11
 	order := rng.Perm(n, 13)
-	rank := ranksOf(order)
 	want := sequentialResidue(n, k, order)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		p := newResidueProblem(n, k, rank)
-		if _, err := engine.Run(context.Background(), order, p, engine.Options{PrefixFrac: 0.05, Grain: 3}); err != nil {
+		p := newResidueProblem(n, k, order)
+		if _, err := engine.Run(context.Background(), n, p, engine.Options{PrefixFrac: 0.05, Grain: 3}); err != nil {
 			t.Fatal(err)
 		}
 		for id := range p.result {
@@ -222,12 +221,11 @@ func TestRunThreadIndependent(t *testing.T) {
 func TestCommitReleaseSamePhaseLoad(t *testing.T) {
 	const n, k = 512, 3
 	order := rng.Perm(n, 21)
-	rank := ranksOf(order)
 	want := sequentialResidue(n, k, order)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	check := func(name string, p *residueProblem, opt engine.Options) {
 		t.Helper()
-		if _, err := engine.Run(context.Background(), order, p, opt); err != nil {
+		if _, err := engine.Run(context.Background(), n, p, opt); err != nil {
 			t.Fatal(err)
 		}
 		for id := range p.result {
@@ -244,7 +242,7 @@ func TestCommitReleaseSamePhaseLoad(t *testing.T) {
 
 	// One full-window round: every class's winner and all its losers
 	// commit in the same phase.
-	forced := newForcedResidueProblem(n, k, rank)
+	forced := newForcedResidueProblem(n, k, order)
 	check("forced", forced, engine.Options{PrefixFrac: 1, Grain: 1})
 	if got := forced.forced.Load(); got != k {
 		t.Errorf("%d of %d winners released with a loser waiting", got, k)
@@ -258,7 +256,7 @@ func TestCommitReleaseSamePhaseLoad(t *testing.T) {
 		{PrefixSize: 64, Grain: 1},
 		{Adaptive: true, PrefixSize: 16, Grain: 1},
 	} {
-		check(fmt.Sprintf("opts %+v", opt), newResidueProblem(n, k, rank), opt)
+		check(fmt.Sprintf("opts %+v", opt), newResidueProblem(n, k, order), opt)
 	}
 }
 
@@ -266,14 +264,16 @@ func TestCommitReleaseSamePhaseLoad(t *testing.T) {
 // leaves outcome slots UNTOUCHED to mean retry — the Problem style that
 // depends on the engine re-zeroing its pooled outcome buffer every
 // round. A stale nonzero value would silently drop a retried iterate.
+// order maps the engine's ranks to items.
 type chainProblem struct {
+	order     []int32
 	done      []int32
 	committed atomic.Int64
 }
 
 func (p *chainProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	for i := lo; i < hi; i++ {
-		v := act[i]
+		v := p.order[act[i]]
 		if v == 0 || atomic.LoadInt32(&p.done[v-1]) == 1 {
 			outcome[i] = engine.Committed
 		}
@@ -284,7 +284,7 @@ func (p *chainProblem) Check(act, outcome []int32, lo, hi int) int64 {
 func (p *chainProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 	for i := lo; i < hi; i++ {
 		if outcome[i] == engine.Committed {
-			atomic.StoreInt32(&p.done[act[i]], 1)
+			atomic.StoreInt32(&p.done[p.order[act[i]]], 1)
 			p.committed.Add(1)
 		}
 	}
@@ -299,9 +299,9 @@ func TestWorkspaceReuseRezeroesOutcomes(t *testing.T) {
 	const n = 300
 	ws := new(engine.Workspace)
 	run := func(order []int32, opt engine.Options) *chainProblem {
-		p := &chainProblem{done: make([]int32, n)}
+		p := &chainProblem{order: order, done: make([]int32, n)}
 		opt.Workspace = ws
-		if _, err := engine.Run(context.Background(), order, p, opt); err != nil {
+		if _, err := engine.Run(context.Background(), n, p, opt); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -335,11 +335,11 @@ func TestWorkspaceReuseRezeroesOutcomes(t *testing.T) {
 func TestOnRoundStatsConsistent(t *testing.T) {
 	const n, k = 2000, 17
 	order := rng.Perm(n, 3)
-	p := newResidueProblem(n, k, ranksOf(order))
+	p := newResidueProblem(n, k, order)
 	var attempted, resolved, inspections int64
 	lastRound := int64(0)
 	maxPrefix := 0
-	stats, err := engine.Run(context.Background(), order, p, engine.Options{Adaptive: true, OnRound: func(rs engine.RoundStat) {
+	stats, err := engine.Run(context.Background(), n, p, engine.Options{Adaptive: true, OnRound: func(rs engine.RoundStat) {
 		if rs.Round != lastRound+1 {
 			t.Fatalf("round %d after %d", rs.Round, lastRound)
 		}
@@ -375,10 +375,10 @@ func TestOnRoundStatsConsistent(t *testing.T) {
 func TestRunCancel(t *testing.T) {
 	const n = 1000
 	order := rng.Perm(n, 1)
-	p := newResidueProblem(n, 7, ranksOf(order))
+	p := newResidueProblem(n, 7, order)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := engine.Run(ctx, order, p, engine.Options{}); err != context.Canceled {
+	if _, err := engine.Run(ctx, n, p, engine.Options{}); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -416,7 +416,7 @@ func TestWindowResolution(t *testing.T) {
 // An empty order resolves immediately with zero rounds.
 func TestRunEmpty(t *testing.T) {
 	p := newResidueProblem(0, 1, nil)
-	stats, err := engine.Run(context.Background(), nil, p, engine.Options{})
+	stats, err := engine.Run(context.Background(), 0, p, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,27 @@ func (g *Graph) EdgeList() EdgeList {
 	return EdgeList{N: g.NumVertices(), Edges: g.Edges()}
 }
 
+// GatherByRank lays el's edges out in priority order, edge order[r] at
+// index r, in one parallel pass over *buf (grown when its capacity is
+// short), and returns the laid-out slice. It is the rank-space input of
+// the prefix-based edge problems, whose iterates are ranks.
+func (el EdgeList) GatherByRank(buf *[]Edge, order []int32) []Edge {
+	m := len(el.Edges)
+	out := *buf
+	if cap(out) < m {
+		out = make([]Edge, m)
+	}
+	out = out[:m]
+	*buf = out
+	edges := el.Edges
+	parallel.ForRange(m, 4096, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			out[r] = edges[order[r]]
+		}
+	})
+	return out
+}
+
 // Validate checks that all endpoints are in range and no edge is a self
 // loop.
 func (el EdgeList) Validate() error {

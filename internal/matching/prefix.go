@@ -42,7 +42,10 @@ func PrefixMM(el graph.EdgeList, ord core.Order, opt Options) *Result {
 // The round loop is the shared speculative-prefix engine
 // (internal/engine); this function contributes the matching problem:
 // reserve both endpoints in the check phase, commit when holding both
-// reservations and release the held ones in the commit phase.
+// reservations and release the held ones in the commit phase. The run
+// is in rank space: the edges are gathered into rank order once, an
+// edge's rank is its bid, and a committed edge sets its own bit of the
+// result, at its id order[r].
 func PrefixMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
@@ -52,38 +55,45 @@ func PrefixMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	status := grow32(&ws.status, m)
-	fill32(status, statusUndecided)
 	mate := grow32(&ws.mate, el.N)
 	fill32(mate, unmatched)
 	// reserv[v] holds the smallest rank among active edges bidding for
 	// vertex v this round.
 	reserv := grow32(&ws.reserv, el.N)
 	fill32(reserv, maxRank)
+	in := make([]bool, m)
 
-	prob := &mmProblem{el: el, rank: ord.Rank, status: status, mate: mate, reserv: reserv}
-	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
+	prob := &mmProblem{
+		edges:  el.GatherByRank(ws.edgeBuf(), ord.Order),
+		order:  ord.Order,
+		in:     in,
+		mate:   mate,
+		reserv: reserv,
+	}
+	stats, err := engine.Run(ctx, m, prob, opt.engineOptions(&ws.eng))
 	if err != nil {
 		return nil, err
 	}
-	return newResult(el, status, stats), nil
+	return bitsResult(el, in, stats), nil
 }
 
 // maxRank is the neutral reservation value: larger than any edge rank.
 const maxRank = int32(1<<31 - 1)
 
 // mmProblem is the engine adapter for deterministic-reservation
-// matching. reserv is the one word shared within a phase: bids race
+// matching, indexed by rank: edges[r] is the edge of rank r, and r is
+// its bid. reserv is the one word shared within a phase: bids race
 // through the priority write-min in Check, and in Commit every edge
 // loads its endpoints' slots while the holders clear theirs, so every
-// access to it is atomic. status and mate have one writer per phase —
-// an edge writes its own status, and two committing edges never share
-// an endpoint (both hold their endpoints' reservations) — and are read
-// only across the engine's fork-join barrier, so they stay plain.
+// access to it is atomic. in and mate have one writer per phase — a
+// committed edge writes its own bit, and two committing edges never
+// share an endpoint (both hold their endpoints' reservations) — and are
+// read only across the engine's fork-join barrier, so they stay plain.
+// A dropped edge writes nothing: its bit is already false.
 type mmProblem struct {
-	el     graph.EdgeList
-	rank   []int32
-	status []int32
+	edges  []graph.Edge
+	order  []int32
+	in     []bool
 	mate   []int32
 	reserv []int32
 }
@@ -93,17 +103,15 @@ type mmProblem struct {
 func (p *mmProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	var local int64
 	for i := lo; i < hi; i++ {
-		e := act[i]
-		edge := p.el.Edges[e]
+		r := act[i]
+		edge := p.edges[r]
 		local += 2
 		if p.mate[edge.U] != unmatched || p.mate[edge.V] != unmatched {
-			p.status[e] = statusOut
 			outcome[i] = engine.Dropped
 			continue
 		}
-		re := p.rank[e]
-		parallel.WriteMin32(&p.reserv[edge.U], re)
-		parallel.WriteMin32(&p.reserv[edge.V], re)
+		parallel.WriteMin32(&p.reserv[edge.U], r)
+		parallel.WriteMin32(&p.reserv[edge.V], r)
 	}
 	return local
 }
@@ -119,12 +127,11 @@ func (p *mmProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		if outcome[i] != engine.Undecided {
 			continue
 		}
-		e := act[i]
-		edge := p.el.Edges[e]
-		re := p.rank[e]
+		r := act[i]
+		edge := p.edges[r]
 		local += 2
-		holdU := atomic.LoadInt32(&p.reserv[edge.U]) == re
-		holdV := atomic.LoadInt32(&p.reserv[edge.V]) == re
+		holdU := atomic.LoadInt32(&p.reserv[edge.U]) == r
+		holdV := atomic.LoadInt32(&p.reserv[edge.V]) == r
 		if holdU {
 			atomic.StoreInt32(&p.reserv[edge.U], maxRank)
 		}
@@ -132,8 +139,8 @@ func (p *mmProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 			atomic.StoreInt32(&p.reserv[edge.V], maxRank)
 		}
 		if holdU && holdV {
-			p.status[e] = statusIn
 			outcome[i] = engine.Committed
+			p.in[p.order[r]] = true
 			p.mate[edge.U] = edge.V
 			p.mate[edge.V] = edge.U
 		}

@@ -53,6 +53,13 @@ func newResult(el graph.EdgeList, status []int32, stats Stats) *Result {
 	parallel.For(m, 4096, func(i int) {
 		in[i] = status[i] == statusIn
 	})
+	return bitsResult(el, in, stats)
+}
+
+// bitsResult builds the result around in, the per-edge matched bits,
+// which it takes over.
+func bitsResult(el graph.EdgeList, in []bool, stats Stats) *Result {
+	m := el.NumEdges()
 	mate := make([]int32, el.N)
 	for i := range mate {
 		mate[i] = unmatched

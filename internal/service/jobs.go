@@ -1171,7 +1171,7 @@ func (e *Engine) execute(ctx context.Context, job *Job, solver *greedy.Solver) (
 			payload.MembersOmitted = true
 		}
 	case ProblemHittingSet:
-		res, rerr := solver.HittingSet(ctx, greedy.HittingSystemFromEdges(h.EdgeList()), opts...)
+		res, rerr := solver.HittingSet(ctx, h.HittingSystem(), opts...)
 		if rerr != nil {
 			return payload, rerr
 		}

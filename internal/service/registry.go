@@ -12,6 +12,7 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/persist"
+	"repro/internal/setcover"
 )
 
 // Registry errors.
@@ -50,10 +51,11 @@ type GraphInfo struct {
 // Acquire returns only after g is loaded, and the pin then keeps the
 // entry warm, so handle methods read g without locks.
 //
-// The edge-list view (needed by MM and SF jobs) is derived lazily and
-// cached under elMu, so repeated matching jobs on the same graph do
-// not pay the O(m) derivation each run. Demotion clears it (it is
-// rederived on the next warm use); that touch is safe without elMu
+// The edge-list view (needed by MM and SF jobs) and the vertex-cover
+// set system built from it (needed by hitting-set jobs) are derived
+// lazily and cached under elMu, so repeated jobs on the same graph do
+// not pay the O(m) derivations each run. Demotion clears both (they
+// are rederived on the next warm use); that touch is safe without elMu
 // because demotion only ever selects unpinned entries, which by the
 // handle contract have no outstanding users.
 type regEntry struct {
@@ -64,10 +66,12 @@ type regEntry struct {
 
 	loadMu sync.Mutex // serializes cold loads of this entry
 
-	elMu    sync.Mutex
-	elSet   bool
-	el      graph.EdgeList
-	elBytes int64
+	elMu     sync.Mutex
+	elSet    bool
+	el       graph.EdgeList
+	elBytes  int64
+	sys      *setcover.System
+	sysBytes int64
 
 	statsMu   sync.Mutex
 	statsSet  bool
@@ -352,13 +356,15 @@ func (r *Registry) evictLocked(incoming int64) {
 		if victim == nil {
 			return // everything warm is pinned: overshoot rather than break jobs
 		}
-		r.resident -= victim.info.Bytes + victim.elBytes
+		r.resident -= victim.info.Bytes + victim.elBytes + victim.sysBytes
 		if victim.persisted {
 			victim.g = nil
 			victim.info.Resident = false
 			victim.el = graph.EdgeList{}
 			victim.elSet = false
 			victim.elBytes = 0
+			victim.sys = nil
+			victim.sysBytes = 0
 			r.metrics.persistDemotion()
 		} else {
 			delete(r.entries, victim.info.ID)
@@ -429,6 +435,25 @@ func (h *Handle) EdgeList() graph.EdgeList {
 		h.r.mu.Unlock()
 	}
 	return e.el
+}
+
+// HittingSystem returns the graph's vertex-cover set system (one
+// two-element set per edge, the input of hitting-set jobs), deriving
+// and caching it on first use like EdgeList, and accounting its bytes
+// the same way. Safe for concurrent use.
+func (h *Handle) HittingSystem() *setcover.System {
+	el := h.EdgeList()
+	e := h.e
+	e.elMu.Lock()
+	defer e.elMu.Unlock()
+	if e.sys == nil {
+		e.sys = setcover.FromEdges(el)
+		e.sysBytes = e.sys.Bytes()
+		h.r.mu.Lock()
+		h.r.resident += e.sysBytes
+		h.r.mu.Unlock()
+	}
+	return e.sys
 }
 
 // Release unpins the graph. Idempotent.

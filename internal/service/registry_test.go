@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/persist"
 )
 
 func testGraph(t *testing.T, n int, seed uint64) *graph.Graph {
@@ -204,5 +205,73 @@ func TestHandleEdgeListCachedAndAccounted(t *testing.T) {
 	}
 	if r.counters().BytesResident != after {
 		t.Fatal("edge list double-accounted")
+	}
+}
+
+// The vertex-cover system is cached per graph like the edge list: built
+// once on first use, its bytes (and the edge list's) added to the
+// resident count, shared across handles, and released with the arrays
+// when the graph is demoted; a cold load rebuilds it.
+func TestHandleHittingSystemCachedAccountedAndDemoted(t *testing.T) {
+	store, _, _, err := persist.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	a, b := testGraph(t, 1000, 1), testGraph(t, 1000, 2)
+	r := NewRegistry(graphBytes(a)+graphBytes(b), nil)
+	r.AttachStore(store, nil)
+	infoA, _, err := r.Add(a, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, err := r.Acquire(infoA.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.counters().BytesResident
+	sys := h1.HittingSystem()
+	derived := int64(8*a.NumEdges()) + sys.Bytes()
+	if got := r.counters().BytesResident - before; got != derived {
+		t.Fatalf("edge list and system added %d resident bytes, want %d", got, derived)
+	}
+	if sys.NumSets() != a.NumEdges() || sys.NumElements() != a.NumVertices() {
+		t.Fatalf("system has %d sets over %d elements, want %d over %d",
+			sys.NumSets(), sys.NumElements(), a.NumEdges(), a.NumVertices())
+	}
+	h2, err := r.Acquire(infoA.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2.HittingSystem() != sys {
+		t.Fatal("system not cached across handles")
+	}
+	if got := r.counters().BytesResident - before; got != derived {
+		t.Fatalf("second handle moved resident bytes to +%d, want +%d", got, derived)
+	}
+	h1.Release()
+	h2.Release()
+
+	// Adding b overflows the budget and demotes a with what it derived.
+	if _, _, err := r.Add(b, ""); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := r.Get(infoA.ID); info.Resident {
+		t.Fatal("graph a still resident after the budget overflowed")
+	}
+	if got, want := r.counters().BytesResident, graphBytes(b); got != want {
+		t.Fatalf("resident bytes after demotion = %d, want %d (b alone)", got, want)
+	}
+
+	h3, err := r.Acquire(infoA.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h3.Release()
+	if h3.HittingSystem() == sys {
+		t.Fatal("demotion kept the system")
+	}
+	if got, want := r.counters().BytesResident, graphBytes(a)+graphBytes(b)+derived; got != want {
+		t.Fatalf("resident bytes after the cold load = %d, want %d", got, want)
 	}
 }

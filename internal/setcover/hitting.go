@@ -30,11 +30,17 @@ type Result struct {
 	Stats Stats
 }
 
-func newResult(status []int32, stats Stats) *Result {
+// newResult builds the result from the final statuses: status[r] is the
+// status of element order[r] (order nil means status is element-indexed).
+func newResult(status, order []int32, stats Stats) *Result {
 	n := len(status)
 	in := make([]bool, n)
-	parallel.For(n, 4096, func(i int) {
-		in[i] = status[i] == statusIn
+	parallel.For(n, 4096, func(r int) {
+		e := int32(r)
+		if order != nil {
+			e = order[r]
+		}
+		in[e] = status[r] == statusIn
 	})
 	set := parallel.PackIndex(n, 4096, func(i int) bool { return in[i] })
 	return &Result{InSet: in, Set: set, Stats: stats}
@@ -67,6 +73,10 @@ type Options struct {
 	// schedule (see core.Options.Adaptive); the hitting set stays
 	// bit-identical to the sequential greedy one for every schedule.
 	Adaptive bool
+	// Layout, if non-nil, is the rank-space layout of the input system
+	// under the run's order (see BuildLayout), reused by
+	// PrefixHittingSet instead of building it per run.
+	Layout *Layout
 	// OnRound, if non-nil, is called after every round with that round's
 	// statistics (see core.RoundStat), on the round loop's goroutine.
 	OnRound func(core.RoundStat)
@@ -150,7 +160,7 @@ func SequentialHittingSetCtx(ctx context.Context, s *System, ord core.Order, opt
 			status[e] = statusOut
 		}
 	}
-	return newResult(status, Stats{
+	return newResult(status, nil, Stats{
 		Rounds:          int64(n),
 		Attempts:        int64(n),
 		EdgeInspections: inspections,
@@ -186,7 +196,9 @@ func PrefixHittingSet(s *System, ord core.Order, opt Options) *Result {
 // PrefixHittingSetCtx is PrefixHittingSet with cooperative
 // cancellation: ctx is checked once per round, so a cancelled context
 // aborts within one round and returns ctx.Err(). Pooled buffers come
-// from opt.Workspace when set.
+// from opt.Workspace when set; the layout from opt.Layout when set, and
+// it is built for this run otherwise. The run decides ranks; the
+// statuses are mapped back to elements through ord.Order at the end.
 func PrefixHittingSetCtx(ctx context.Context, s *System, ord core.Order, opt Options) (*Result, error) {
 	n := s.NumElements()
 	if ord.Len() != n {
@@ -199,20 +211,26 @@ func PrefixHittingSetCtx(ctx context.Context, s *System, ord core.Order, opt Opt
 	status := engine.Grow32(&ws.status, n)
 	engine.Fill32(status, statusUndecided)
 
-	prob := &hsProblem{sys: s, rank: ord.Rank, status: status}
-	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
+	layout := opt.Layout
+	if layout == nil {
+		layout = BuildLayout(s, ord)
+	}
+	prob := &hsProblem{layout: layout, sys: s, rank: ord.Rank, status: status}
+	stats, err := engine.Run(ctx, n, prob, opt.engineOptions(&ws.eng))
 	if err != nil {
 		return nil, err
 	}
-	return newResult(status, stats), nil
+	return newResult(status, ord.Order, stats), nil
 }
 
-// hsProblem is the engine adapter for greedy hitting set. Like the MIS
-// problem it needs no atomics: the check phase reads only statuses
-// written in previous rounds and the commit phase writes each element's
-// own status, with the engine's fork-join barrier as the only
-// synchronization.
+// hsProblem is the engine adapter for greedy hitting set, indexed by
+// rank. Like the MIS problem it needs no atomics: the check phase reads
+// only statuses written in previous rounds and the commit phase writes
+// each rank's own status, with the engine's fork-join barrier as the
+// only synchronization. rank is read only for the layout's references
+// to sets past inlineMax.
 type hsProblem struct {
+	layout *Layout
 	sys    *System
 	rank   []int32
 	status []int32
@@ -222,7 +240,7 @@ func (p *hsProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	var local int64
 	for i := lo; i < hi; i++ {
 		var insp int64
-		outcome[i], insp = checkHitting(p.sys, act[i], p.rank, p.status)
+		outcome[i], insp = p.check(act[i])
 		local += insp
 	}
 	return local
@@ -237,37 +255,30 @@ func (p *hsProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 	return 0
 }
 
-// checkHitting decides element e against the earlier-priority elements
-// of its sets; see PrefixHittingSet for the rule. Returns the decision
-// (statusUndecided to retry) and the number of element inspections.
-func checkHitting(s *System, e int32, rank []int32, status []int32) (int32, int64) {
-	re := rank[e]
+// check decides rank r from its layout row; see PrefixHittingSet for
+// the rule. Returns the decision (statusUndecided to retry) and the
+// number of element inspections.
+func (p *hsProblem) check(r int32) (int32, int64) {
+	row := p.layout.row(r)
 	var inspections int64
 	allHit := true
-	for _, id := range s.SetsOf(e) {
-		allEarlierOut := true
-		hitByEarlier := false
-		for _, x := range s.ElemsOf(id) {
-			if rank[x] >= re {
-				continue
-			}
-			inspections++
-			switch status[x] {
-			case statusIn:
-				hitByEarlier = true
-			case statusUndecided:
-				allEarlierOut = false
-			default: // out: keeps allEarlierOut
-			}
-			if hitByEarlier {
-				break
-			}
+	for i := 0; i < len(row); {
+		var insp int64
+		var hit, undecided bool
+		if h := row[i]; h >= 0 {
+			insp, hit, undecided = scanGroup(row[i+1:i+1+int(h)], p.status)
+			i += 1 + int(h)
+		} else {
+			insp, hit, undecided = p.scanSet(-h-1, r)
+			i++
 		}
-		if hitByEarlier {
+		inspections += insp
+		if hit {
 			continue
 		}
-		if allEarlierOut {
-			// Definitely unhit at e's sequential turn: e is needed.
+		if !undecided {
+			// Every earlier member is out: the set is definitely unhit
+			// at r's sequential turn, so r is needed.
 			return statusIn, inspections
 		}
 		allHit = false
@@ -276,4 +287,39 @@ func checkHitting(s *System, e int32, rank []int32, status []int32) (int32, int6
 		return statusOut, inspections
 	}
 	return statusUndecided, inspections
+}
+
+// scanGroup inspects the earlier members of one set, stopping at the
+// first one in the hitting set. It reports the inspections, whether a
+// member is in, and whether one is still undecided.
+func scanGroup(ranks, status []int32) (insp int64, hit, undecided bool) {
+	for _, x := range ranks {
+		insp++
+		switch status[x] {
+		case statusIn:
+			return insp, true, undecided
+		case statusUndecided:
+			undecided = true
+		}
+	}
+	return insp, false, undecided
+}
+
+// scanSet is scanGroup over set id's members of rank below r, read
+// from the system with a rank filter.
+func (p *hsProblem) scanSet(id, r int32) (insp int64, hit, undecided bool) {
+	for _, x := range p.sys.ElemsOf(id) {
+		rx := p.rank[x]
+		if rx >= r {
+			continue
+		}
+		insp++
+		switch p.status[rx] {
+		case statusIn:
+			return insp, true, undecided
+		case statusUndecided:
+			undecided = true
+		}
+	}
+	return insp, false, undecided
 }

@@ -175,3 +175,35 @@ func BenchmarkPrefixHittingSet(b *testing.B) {
 		PrefixHittingSet(s, ord, Options{Workspace: ws})
 	}
 }
+
+// A set far past inlineMax must not make the layout quadratic: inlined,
+// the 2,000-member set below would cost each member the ranks of all
+// its earlier members, about two million words. Stored as references,
+// no membership costs more than inlineMax words, and the run still
+// equals the sequential one.
+func TestLayoutLinearInMemberships(t *testing.T) {
+	const n = 2_000
+	big := make([]int32, n)
+	for i := range big {
+		big[i] = int32(i)
+	}
+	sets := [][]int32{big}
+	x := rng.NewXoshiro256(4)
+	for i := 0; i < 3_000; i++ {
+		sets = append(sets, []int32{int32(x.Intn(n)), int32(x.Intn(n)), int32(x.Intn(n))})
+	}
+	s := MustFromSets(n, sets)
+	memberships := 0
+	for _, set := range sets {
+		memberships += len(set)
+	}
+	ord := core.NewRandomOrder(n, 8)
+	l := BuildLayout(s, ord)
+	if words := len(l.words); words > inlineMax*memberships {
+		t.Fatalf("layout holds %d words for %d memberships, want at most %d", words, memberships, inlineMax*memberships)
+	}
+	want := SequentialHittingSet(s, ord)
+	if got := PrefixHittingSet(s, ord, Options{Layout: l}); !got.Equal(want) {
+		t.Fatal("prefix hitting set with a referenced set differs from sequential")
+	}
+}

@@ -116,6 +116,11 @@ func FromEdges(el graph.EdgeList) *System {
 	return s
 }
 
+// Bytes returns the size of s's arrays in bytes.
+func (s *System) Bytes() int64 {
+	return 8*int64(len(s.elemOff)+len(s.setOff)) + 4*int64(len(s.elemSets)+len(s.setElems))
+}
+
 // NumElements returns the number of elements in the universe.
 func (s *System) NumElements() int { return s.numElements }
 

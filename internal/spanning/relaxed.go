@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/unionfind"
 )
 
 // PrefixSFRelaxed computes a spanning forest with the PBBS-style
@@ -70,15 +69,15 @@ func PrefixSFRelaxedCtx(ctx context.Context, el graph.EdgeList, ord core.Order, 
 	in := make([]bool, m)
 	reserv := grow32(&ws.reserv, el.N)
 	fill32(reserv, maxRank)
-	// Root snapshots from the reserve phase: child is the root that
-	// would be written (larger id), target the root it hangs under.
-	// Commit reads only the snapshots of edges that bid this round, so
-	// the buffers need no initialization.
-	child := grow32(&ws.rootA, m)
-	target := grow32(&ws.rootB, m)
 
-	prob := &sfRelaxedProblem{el: el, rank: ord.Rank, dsu: dsu, in: in, reserv: reserv, child: child, target: target}
-	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
+	prob := &sfRelaxedProblem{
+		edges:  el.GatherByRank(ws.edgeBuf(), ord.Order),
+		order:  ord.Order,
+		dsu:    dsu,
+		in:     in,
+		reserv: reserv,
+	}
+	stats, err := engine.Run(ctx, m, prob, opt.engineOptions(&ws.eng))
 	if err != nil {
 		return nil, err
 	}
@@ -86,24 +85,20 @@ func PrefixSFRelaxedCtx(ctx context.Context, el graph.EdgeList, ord core.Order, 
 }
 
 // sfRelaxedProblem is the engine adapter for the PBBS-style one-root
-// reservation forest; see sfProblem for the sharing discipline.
-type sfRelaxedProblem struct {
-	el     graph.EdgeList
-	rank   []int32
-	dsu    *unionfind.Concurrent
-	in     []bool
-	reserv []int32
-	child  []int32
-	target []int32
-}
+// reservation forest. It holds sfProblem's rank-indexed state under
+// sfProblem's sharing discipline; only the phases differ. Check
+// overwrites the edge's slot with the root pair it found, the root it
+// would write (the larger id) first, and Commit links that pair; as in
+// sfProblem, the roots stand in for the endpoints in every later Find.
+type sfRelaxedProblem sfProblem
 
 // Check is the reserve phase: find roots, drop cycle edges, bid on the
 // root that would be overwritten (the larger id).
 func (p *sfRelaxedProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	var local int64
 	for i := lo; i < hi; i++ {
-		e := act[i]
-		edge := p.el.Edges[e]
+		r := act[i]
+		edge := p.edges[r]
 		ru := p.dsu.Find(edge.U)
 		rv := p.dsu.Find(edge.V)
 		local += 2
@@ -114,8 +109,8 @@ func (p *sfRelaxedProblem) Check(act, outcome []int32, lo, hi int) int64 {
 		if ru < rv {
 			ru, rv = rv, ru
 		}
-		p.child[e], p.target[e] = ru, rv
-		parallel.WriteMin32(&p.reserv[ru], p.rank[e])
+		p.edges[r] = graph.Edge{U: ru, V: rv}
+		parallel.WriteMin32(&p.reserv[ru], r)
 	}
 	return local
 }
@@ -128,11 +123,12 @@ func (p *sfRelaxedProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		if outcome[i] != engine.Undecided {
 			continue
 		}
-		e := act[i]
-		if atomic.LoadInt32(&p.reserv[p.child[e]]) == p.rank[e] {
-			atomic.StoreInt32(&p.reserv[p.child[e]], maxRank)
-			p.dsu.Link(p.child[e], p.target[e])
-			p.in[e] = true
+		r := act[i]
+		child, target := p.edges[r].U, p.edges[r].V
+		if atomic.LoadInt32(&p.reserv[child]) == r {
+			atomic.StoreInt32(&p.reserv[child], maxRank)
+			p.dsu.Link(child, target)
+			p.in[p.order[r]] = true
 			outcome[i] = engine.Committed
 		}
 	}

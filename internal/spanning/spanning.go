@@ -173,7 +173,9 @@ func PrefixSF(el graph.EdgeList, ord core.Order, opt Options) *Result {
 // (internal/engine); this function contributes the strict spanning
 // forest problem: find roots and bid on both in the check phase, link
 // when holding both reservations and release the held ones in the
-// commit phase.
+// commit phase. The run is in rank space: the edges are gathered into
+// rank order once, an edge's rank is its bid, and a linked edge sets
+// its own forest bit, at its id order[r].
 func PrefixSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
@@ -187,14 +189,15 @@ func PrefixSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 	in := make([]bool, m)
 	reserv := grow32(&ws.reserv, el.N)
 	fill32(reserv, maxRank)
-	// Per-edge root snapshot from the reserve phase, reused by commit.
-	// Commit reads only the snapshots of edges that bid this round, so
-	// the buffers need no initialization.
-	rootU := grow32(&ws.rootA, m)
-	rootV := grow32(&ws.rootB, m)
 
-	prob := &sfProblem{el: el, rank: ord.Rank, dsu: dsu, in: in, reserv: reserv, rootU: rootU, rootV: rootV}
-	stats, err := engine.Run(ctx, ord.Order, prob, opt.engineOptions(&ws.eng))
+	prob := &sfProblem{
+		edges:  el.GatherByRank(ws.edgeBuf(), ord.Order),
+		order:  ord.Order,
+		dsu:    dsu,
+		in:     in,
+		reserv: reserv,
+	}
+	stats, err := engine.Run(ctx, m, prob, opt.engineOptions(&ws.eng))
 	if err != nil {
 		return nil, err
 	}
@@ -205,20 +208,25 @@ func PrefixSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 const maxRank = int32(1<<31 - 1)
 
 // sfProblem is the engine adapter for the strict (sequential-
-// equivalent) spanning forest. The reservation array is shared between
+// equivalent) spanning forest, indexed by rank: edges[r] is the edge of
+// rank r, and r is its bid. The reservation array is shared between
 // concurrently running edges within a phase — bids race through the
 // priority write-min, and commit-phase loads race with the holders'
-// releases — so every access to it is atomic; the root snapshots and
-// forest bits are written only by their own edge's phases, on opposite
+// releases — so every access to it is atomic. An edge's slot of edges
+// and its forest bit are written only by its own phases, on opposite
 // sides of the engine's fork-join barrier.
+//
+// Check overwrites the edge's slot with the roots it found, the
+// snapshot Commit links: a root found in round t is an ancestor of its
+// endpoint ever after, so every later Find from it returns the
+// endpoint's current root, and a retried edge finds from its roots
+// exactly the roots its endpoints would give.
 type sfProblem struct {
-	el     graph.EdgeList
-	rank   []int32
+	edges  []graph.Edge
+	order  []int32
 	dsu    *unionfind.Concurrent
 	in     []bool
 	reserv []int32
-	rootU  []int32
-	rootV  []int32
 }
 
 // Check is the reserve phase: find roots, drop cycle edges, bid on both
@@ -226,8 +234,8 @@ type sfProblem struct {
 func (p *sfProblem) Check(act, outcome []int32, lo, hi int) int64 {
 	var local int64
 	for i := lo; i < hi; i++ {
-		e := act[i]
-		edge := p.el.Edges[e]
+		r := act[i]
+		edge := p.edges[r]
 		ru := p.dsu.Find(edge.U)
 		rv := p.dsu.Find(edge.V)
 		local += 2
@@ -235,9 +243,9 @@ func (p *sfProblem) Check(act, outcome []int32, lo, hi int) int64 {
 			outcome[i] = engine.Dropped
 			continue
 		}
-		p.rootU[e], p.rootV[e] = ru, rv
-		parallel.WriteMin32(&p.reserv[ru], p.rank[e])
-		parallel.WriteMin32(&p.reserv[rv], p.rank[e])
+		p.edges[r] = graph.Edge{U: ru, V: rv}
+		parallel.WriteMin32(&p.reserv[ru], r)
+		parallel.WriteMin32(&p.reserv[rv], r)
 	}
 	return local
 }
@@ -253,11 +261,10 @@ func (p *sfProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		if outcome[i] != engine.Undecided {
 			continue
 		}
-		e := act[i]
-		re := p.rank[e]
-		ru, rv := p.rootU[e], p.rootV[e]
-		holdU := atomic.LoadInt32(&p.reserv[ru]) == re
-		holdV := atomic.LoadInt32(&p.reserv[rv]) == re
+		r := act[i]
+		ru, rv := p.edges[r].U, p.edges[r].V
+		holdU := atomic.LoadInt32(&p.reserv[ru]) == r
+		holdV := atomic.LoadInt32(&p.reserv[rv]) == r
 		if holdU {
 			atomic.StoreInt32(&p.reserv[ru], maxRank)
 		}
@@ -270,7 +277,7 @@ func (p *sfProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 			} else {
 				p.dsu.Link(ru, rv)
 			}
-			p.in[e] = true
+			p.in[p.order[r]] = true
 			outcome[i] = engine.Committed
 		}
 	}

@@ -110,7 +110,7 @@ func WithRoundObserver(fn func(RoundInfo)) Option {
 
 // Solver runs the paper's algorithms with a reusable Workspace: the
 // per-run arrays (frontiers, status flags, reservations, priority
-// orders, parent lists) are allocated once, sized up lazily, and
+// orders, rank-space layouts) are allocated once, sized up lazily, and
 // reused across runs on same-or-smaller inputs, so a long-lived Solver
 // performs near-zero steady-state allocation per run beyond the
 // returned Result. Results are bit-identical to fresh-memory runs.
@@ -134,20 +134,33 @@ type Solver struct {
 	orders map[orderKey]Order
 
 	parents parentsEntry
+	hitting hittingEntry
+	// edges is the rank-ordered edge buffer the MM and SF runs share:
+	// each call regathers it, so one buffer serves both problems.
+	edges []Edge
 }
 
 // parentsEntry is the Solver's single cached set of parent lists: each
-// vertex's earlier-priority neighbors, which the prefix MIS and
-// coloring checks scan. They depend only on the graph and the order, so
-// repeated runs on one (graph, seed) pair build them once; a miss
-// rebuilds them into the same buffers. The entry holds
-// the graph itself: graphs are immutable, and pinning the one the lists
-// describe keeps its address from being reused by another graph while
-// the entry is keyed on it.
+// vertex's earlier-priority neighbors, in rank space, which the prefix
+// MIS and coloring checks scan. They depend only on the graph and the
+// order, so repeated runs on one (graph, seed) pair build them once; a
+// miss rebuilds them into the same buffers. The entry holds the graph
+// itself: graphs are immutable, and pinning the one the lists describe
+// keeps its address from being reused by another graph while the entry
+// is keyed on it.
 type parentsEntry struct {
 	g     *Graph
 	seed  uint64
 	lists core.Parents
+}
+
+// hittingEntry is parentsEntry for the hitting-set check: the Solver's
+// single cached rank-space layout, keyed on (system, seed), pinning the
+// system it describes for the same reason.
+type hittingEntry struct {
+	sys    *System
+	seed   uint64
+	layout setcover.Layout
 }
 
 // orderKey identifies a derived priority order: NewRandomOrder is
@@ -235,6 +248,20 @@ func (s *Solver) parentsFor(c config, g *Graph, ord Order) *core.Parents {
 		e.g, e.seed = g, c.seed
 	}
 	return &e.lists
+}
+
+// layoutFor is parentsFor for the hitting-set layout of sys.
+func (s *Solver) layoutFor(c config, sys *System, ord Order) *setcover.Layout {
+	if c.order != nil {
+		return nil
+	}
+	e := &s.hitting
+	if e.sys != sys || e.seed != c.seed {
+		e.sys = nil // invalid until the rebuild completes
+		e.layout.Build(sys, ord)
+		e.sys, e.seed = sys, c.seed
+	}
+	return &e.layout
 }
 
 // observerFor adapts the facade observers to the internal round hook,
@@ -352,6 +379,7 @@ func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult
 			return nil, err
 		}
 	}
+	s.mmWs.Edges = &s.edges
 	opt := matching.Options{
 		PrefixFrac: c.prefixFrac,
 		PrefixSize: c.prefixSize,
@@ -396,6 +424,7 @@ func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult
 	if err != nil {
 		return nil, err
 	}
+	s.sfWs.Edges = &s.edges
 	opt := spanning.Options{
 		PrefixFrac: c.prefixFrac,
 		PrefixSize: c.prefixSize,
@@ -491,6 +520,7 @@ func (s *Solver) HittingSet(ctx context.Context, sys *System, opts ...Option) (*
 	if c.algorithm == AlgoSequential {
 		return setcover.SequentialHittingSetCtx(ctx, sys, ord, opt)
 	}
+	opt.Layout = s.layoutFor(c, sys, ord)
 	return setcover.PrefixHittingSetCtx(ctx, sys, ord, opt)
 }
 

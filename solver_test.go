@@ -3,6 +3,7 @@ package greedy_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	greedy "repro"
@@ -236,6 +237,85 @@ func TestSolverParentsCache(t *testing.T) {
 	}
 }
 
+// The Solver caches one hitting-set layout per (system, derived-order
+// seed). Cycling one Solver through a system, another system over the
+// same elements, another seed, the first pair again and an explicit
+// order must return what a fresh Solver returns, result and counters.
+func TestSolverHittingSetCache(t *testing.T) {
+	ctx := context.Background()
+	a := greedy.HittingSystemFromEdges(greedy.RandomGraph(4_000, 20_000, 41).EdgeList())
+	sets := make([][]int32, 0, 2_000)
+	for i := 0; i < 2_000; i++ {
+		sets = append(sets, []int32{int32(i), int32(2*i) % 4_000, int32(7*i+3) % 4_000})
+	}
+	b, err := greedy.NewSystem(4_000, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		sys  *greedy.System
+		opts []greedy.Option
+	}{
+		{"A seed 1", a, []greedy.Option{greedy.WithSeed(1)}},
+		{"B seed 1", b, []greedy.Option{greedy.WithSeed(1)}},
+		{"A seed 2", a, []greedy.Option{greedy.WithSeed(2)}},
+		{"A seed 1 again", a, []greedy.Option{greedy.WithSeed(1)}},
+		{"A explicit order", a, []greedy.Option{greedy.WithSeed(1), greedy.WithOrder(greedy.NewRandomOrder(a.NumElements(), 77))}},
+	}
+	s := greedy.NewSolver()
+	for _, st := range steps {
+		got, err := s.HittingSet(ctx, st.sys, st.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := greedy.NewSolver().HittingSet(ctx, st.sys, st.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.Stats != want.Stats {
+			t.Fatalf("%s: reused solver differs from a fresh one", st.name)
+		}
+	}
+}
+
+// MM and SF share one rank-ordered edge buffer, and SF overwrites it
+// with root snapshots, so every call must regather it. Alternating the
+// two problems over two edge lists on one Solver must match fresh
+// Solvers call for call; a call that reused the previous gather would
+// read another list's edges or SF's roots.
+func TestSolverEdgeBufferSharedBySFAndMM(t *testing.T) {
+	ctx := context.Background()
+	lists := []greedy.EdgeList{
+		greedy.RandomGraph(3_000, 15_000, 5).EdgeList(),
+		greedy.RandomGraph(3_000, 15_000, 6).EdgeList(),
+	}
+	solve := func(s *greedy.Solver, problem string, el greedy.EdgeList) ([]bool, greedy.Stats) {
+		if problem == "mm" {
+			r, err := s.MM(ctx, el)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.InMatching, r.Stats
+		}
+		r, err := s.SF(ctx, el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.InForest, r.Stats
+	}
+	s := greedy.NewSolver(greedy.WithSeed(3))
+	for _, i := range []int{0, 1, 0} {
+		for step, problem := range []string{"sf", "mm", "sf"} {
+			got, gotStats := solve(s, problem, lists[i])
+			want, wantStats := solve(greedy.NewSolver(greedy.WithSeed(3)), problem, lists[i])
+			if !slices.Equal(got, want) || gotStats != wantStats {
+				t.Fatalf("list %d, step %d (%s): reused solver differs from a fresh one", i, step, problem)
+			}
+		}
+	}
+}
+
 func TestSolverSecondRunAllocatesStrictlyLess(t *testing.T) {
 	g := greedy.RandomGraph(20_000, 100_000, 13)
 	ctx := context.Background()
@@ -427,6 +507,22 @@ func BenchmarkSolverMISReused(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.MIS(ctx, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSolverHittingSetReused(b *testing.B) {
+	sys := greedy.HittingSystemFromEdges(greedy.RandomGraph(100_000, 500_000, 42).EdgeList())
+	ctx := context.Background()
+	s := greedy.NewSolver(greedy.WithSeed(7))
+	if _, err := s.HittingSet(ctx, sys); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.HittingSet(ctx, sys); err != nil {
 			b.Fatal(err)
 		}
 	}
