@@ -18,6 +18,7 @@ import (
 
 	greedy "repro"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/matching"
 	"repro/internal/spanning"
 )
@@ -67,7 +68,7 @@ func misPrefixPanel(b *testing.B, g *greedy.Graph, ord greedy.Order) {
 		b.Run(fmt.Sprintf("prefix=%g", frac), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = core.PrefixMIS(g, ord, core.Options{PrefixFrac: frac})
+				res = core.PrefixMIS(g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}})
 			}
 			b.ReportMetric(float64(res.Stats.Attempts)/float64(n), "work/N")
 			b.ReportMetric(float64(res.Stats.Rounds)/float64(n), "rounds/N")
@@ -81,7 +82,7 @@ func mmPrefixPanel(b *testing.B, el greedy.EdgeList, ord greedy.Order) {
 		b.Run(fmt.Sprintf("prefix=%g", frac), func(b *testing.B) {
 			var res *matching.Result
 			for i := 0; i < b.N; i++ {
-				res = matching.PrefixMM(el, ord, matching.Options{PrefixFrac: frac})
+				res = matching.PrefixMM(el, ord, matching.Options{Options: engine.Options{PrefixFrac: frac}})
 			}
 			b.ReportMetric(float64(res.Stats.Attempts)/float64(m), "work/M")
 			b.ReportMetric(float64(res.Stats.Rounds)/float64(m), "rounds/M")
@@ -216,14 +217,14 @@ func BenchmarkAblationPointer(b *testing.B) {
 		b.Run(fmt.Sprintf("scratch/prefix=%g", frac), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = core.PrefixMIS(benchRand, ordRandV, core.Options{PrefixFrac: frac})
+				res = core.PrefixMIS(benchRand, ordRandV, core.Options{Options: engine.Options{PrefixFrac: frac}})
 			}
 			b.ReportMetric(float64(res.Stats.EdgeInspections), "inspections")
 		})
 		b.Run(fmt.Sprintf("pointer/prefix=%g", frac), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = core.PrefixMIS(benchRand, ordRandV, core.Options{PrefixFrac: frac, Pointered: true})
+				res = core.PrefixMIS(benchRand, ordRandV, core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: true})
 			}
 			b.ReportMetric(float64(res.Stats.EdgeInspections), "inspections")
 		})
@@ -275,7 +276,7 @@ func BenchmarkSpanningForest(b *testing.B) {
 	})
 	b.Run("relaxed-prefix", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spanning.PrefixSFRelaxed(elRand, ord, spanning.Options{PrefixFrac: 0.01})
+			spanning.PrefixSFRelaxed(elRand, ord, spanning.Options{Options: engine.Options{PrefixFrac: 0.01}})
 		}
 	})
 	smallG := greedy.RandomGraph(benchRandN/16, benchRandM/16, benchSeed)
@@ -283,7 +284,7 @@ func BenchmarkSpanningForest(b *testing.B) {
 	smallOrd := greedy.NewRandomOrder(smallEl.NumEdges(), benchSeed+3)
 	b.Run("exact-prefix-1/16", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spanning.PrefixSF(smallEl, smallOrd, spanning.Options{PrefixFrac: 0.001})
+			spanning.PrefixSF(smallEl, smallOrd, spanning.Options{Options: engine.Options{PrefixFrac: 0.001}})
 		}
 	})
 }

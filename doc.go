@@ -115,7 +115,6 @@
 // internal/core (MIS, priority-DAG analyzers), internal/matching (MM),
 // internal/spanning, internal/coloring (first-fit greedy coloring),
 // internal/setcover (greedy hitting set over dual-CSR set systems),
-// internal/reservations (the deterministic-reservations framework),
 // internal/dynamic (incremental MIS/MM maintenance under edge churn),
 // internal/graph (CSR graphs, generators, I/O), internal/parallel
 // (fork-join primitives), internal/service (the greedyd serving layer

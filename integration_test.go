@@ -8,6 +8,7 @@ import (
 
 	greedy "repro"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/spanning"
@@ -85,7 +86,7 @@ func TestCrossModuleMISMMConsistency(t *testing.T) {
 	el := g.EdgeList()
 	ord := greedy.NewRandomOrder(el.NumEdges(), 4)
 
-	direct := matching.PrefixMM(el, ord, matching.Options{PrefixFrac: 0.1})
+	direct := matching.PrefixMM(el, ord, matching.Options{Options: engine.Options{PrefixFrac: 0.1}})
 	viaLG := matching.ViaLineGraphMIS(g, ord)
 	if !direct.Equal(viaLG) {
 		t.Fatal("direct MM and line-graph MIS disagree")

@@ -24,7 +24,7 @@ import (
 //   - ranging over a map (iteration order is randomized per run)
 //   - runtime.GOMAXPROCS / parallel.Procs (machine-dependent), allowed
 //     only at sites annotated //lint:allow nodeterminism <reason> —
-//     the adaptive-window growth cap in internal/core/adaptive.go is
+//     the adaptive-window growth cap in internal/engine/adaptive.go is
 //     the one argued-safe site (the cap bounds growth, never the
 //     schedule's dependence on per-round counters).
 //   - importing repro/internal/fault (fault injection): failpoints are
@@ -39,7 +39,7 @@ var Nodeterminism = &Analyzer{
 	Scope: scopeByBase(
 		"core", "matching", "spanning", "dynamic", "engine",
 		"coloring", "setcover",
-		"graph", "rng", "unionfind", "reservations",
+		"graph", "rng", "unionfind",
 	),
 	Run: runNodeterminism,
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/matching"
 	"repro/internal/spanning"
 )
@@ -27,10 +28,10 @@ func AblationPointer(w Workload, reps int) Table {
 	for _, frac := range []float64{1e-4, 1e-3, 1e-2, 1e-1, 1.0} {
 		var scratch, pointer *core.Result
 		st := MedianTime(reps, func() {
-			scratch = core.PrefixMIS(g, ord, core.Options{PrefixFrac: frac})
+			scratch = core.PrefixMIS(g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}})
 		})
 		pt := MedianTime(reps, func() {
-			pointer = core.PrefixMIS(g, ord, core.Options{PrefixFrac: frac, Pointered: true})
+			pointer = core.PrefixMIS(g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: true})
 		})
 		if !scratch.Equal(pointer) {
 			panic("bench: pointer ablation changed the MIS")
@@ -143,7 +144,7 @@ func SpanningForestExperiment(w Workload, reps int) Table {
 	for _, frac := range []float64{1e-3, 1e-2, 1e-1, 1.0} {
 		var res *spanning.Result
 		dur := MedianTime(reps, func() {
-			res = spanning.PrefixSFRelaxed(el, ord, spanning.Options{PrefixFrac: frac})
+			res = spanning.PrefixSFRelaxed(el, ord, spanning.Options{Options: engine.Options{PrefixFrac: frac}})
 		})
 		eq := "no"
 		if res.Equal(seq) {
@@ -169,7 +170,7 @@ func SpanningForestExperiment(w Workload, reps int) Table {
 	for _, frac := range []float64{1e-4, 1e-3} {
 		var res *spanning.Result
 		dur := MedianTime(reps, func() {
-			res = spanning.PrefixSF(sel, sord, spanning.Options{PrefixFrac: frac})
+			res = spanning.PrefixSF(sel, sord, spanning.Options{Options: engine.Options{PrefixFrac: frac}})
 		})
 		if !res.Equal(sseq) {
 			panic("bench: exact prefix spanning forest diverged from sequential")

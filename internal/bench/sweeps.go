@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/matching"
 )
 
@@ -47,7 +48,7 @@ func MISPrefixSweep(cfg SweepConfig) Table {
 	}
 	m := g.NumEdges()
 	for _, frac := range cfg.fracs() {
-		opt := core.Options{PrefixFrac: frac, Pointered: cfg.Pointered}
+		opt := core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: cfg.Pointered}
 		var res *core.Result
 		dur := MedianTime(cfg.Reps, func() { res = core.PrefixMIS(g, ord, opt) })
 		if !res.Equal(seq) {
@@ -89,7 +90,7 @@ func MMPrefixSweep(cfg SweepConfig) Table {
 		},
 	}
 	for _, frac := range cfg.fracs() {
-		opt := matching.Options{PrefixFrac: frac}
+		opt := matching.Options{Options: engine.Options{PrefixFrac: frac}}
 		var res *matching.Result
 		dur := MedianTime(cfg.Reps, func() { res = matching.PrefixMM(el, ord, opt) })
 		if !res.Equal(seq) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/matching"
 )
 
@@ -41,7 +42,7 @@ func MISThreadScaling(cfg ThreadConfig) Table {
 	ord := core.NewRandomOrder(n, cfg.Workload.Seed+1)
 	frac := cfg.PrefixFrac
 	if frac <= 0 {
-		frac = core.DefaultPrefixFrac
+		frac = engine.DefaultPrefixFrac
 	}
 
 	seqTime := MedianTime(cfg.Reps, func() { core.SequentialMIS(g, ord) })
@@ -64,7 +65,7 @@ func MISThreadScaling(cfg ThreadConfig) Table {
 		withProcs(p, func() {
 			var res *core.Result
 			prefixTime = MedianTime(cfg.Reps, func() {
-				res = core.PrefixMIS(g, ord, core.Options{PrefixFrac: frac})
+				res = core.PrefixMIS(g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}})
 			})
 			if !res.Equal(seq) {
 				panic("bench: prefix MIS diverged under thread scaling")
@@ -97,7 +98,7 @@ func MMThreadScaling(cfg ThreadConfig) Table {
 	ord := core.NewRandomOrder(m, cfg.Workload.Seed+2)
 	frac := cfg.PrefixFrac
 	if frac <= 0 {
-		frac = core.DefaultPrefixFrac
+		frac = engine.DefaultPrefixFrac
 	}
 
 	seqTime := MedianTime(cfg.Reps, func() { matching.SequentialMM(el, ord) })
@@ -120,7 +121,7 @@ func MMThreadScaling(cfg ThreadConfig) Table {
 		withProcs(p, func() {
 			var res *matching.Result
 			prefixTime = MedianTime(cfg.Reps, func() {
-				res = matching.PrefixMM(el, ord, matching.Options{PrefixFrac: frac})
+				res = matching.PrefixMM(el, ord, matching.Options{Options: engine.Options{PrefixFrac: frac}})
 			})
 			if !res.Equal(seq) {
 				panic("bench: prefix MM diverged under thread scaling")

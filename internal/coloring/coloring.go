@@ -62,44 +62,20 @@ func (r *Result) Equal(other *Result) bool {
 	return true
 }
 
-// Options configures the parallel coloring algorithm; the fields mirror
-// core.Options (PrefixSize/PrefixFrac apply to the number of vertices).
+// Options configures the parallel coloring algorithm: the engine's
+// window, grain and telemetry knobs (see engine.Options; PrefixSize and
+// PrefixFrac count vertices), plus the fields below. The coloring stays
+// bit-identical to the sequential first-fit one for every window
+// schedule.
 type Options struct {
-	PrefixSize int
-	PrefixFrac float64
-	Grain      int
-	// Adaptive replaces the fixed window with the engine's measured
-	// schedule (see core.Options.Adaptive); the coloring stays
-	// bit-identical to the sequential first-fit one for every schedule.
-	Adaptive bool
+	engine.Options
 	// Parents, if non-nil, are the rank-space parent lists of the input
 	// graph under the run's order (see core.BuildParents), reused by
 	// PrefixColoring instead of building them per run.
 	Parents *core.Parents
-	// OnRound, if non-nil, is called after every round with that round's
-	// statistics (see core.RoundStat), on the round loop's goroutine.
-	OnRound func(core.RoundStat)
-	// Clock, if non-nil, enables the engine's per-phase wall-time
-	// attribution (see engine.Options.Clock); telemetry-only, injected
-	// by the caller.
-	Clock func() int64
 	// Workspace, if non-nil, supplies pooled per-run buffers reused
 	// across runs. nil means allocate fresh buffers.
 	Workspace *Workspace
-}
-
-// engineOptions translates the coloring options into the engine's form,
-// wiring the pooled window buffers when ws is non-nil.
-func (o Options) engineOptions(ws *engine.Workspace) engine.Options {
-	return engine.Options{
-		PrefixSize: o.PrefixSize,
-		PrefixFrac: o.PrefixFrac,
-		Adaptive:   o.Adaptive,
-		Grain:      o.Grain,
-		OnRound:    o.OnRound,
-		Clock:      o.Clock,
-		Workspace:  ws,
-	}
 }
 
 // seqCancelMask paces the sequential scan's cancellation checks, as in
@@ -211,7 +187,7 @@ func PrefixColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, opt 
 	}
 
 	prob := &colorProblem{parents: parents, colors: colors}
-	stats, err := engine.Run(ctx, n, prob, opt.engineOptions(&ws.eng))
+	stats, err := engine.Run(ctx, n, prob, opt.Options, &ws.eng)
 	if err != nil {
 		return nil, err
 	}

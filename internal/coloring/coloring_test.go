@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -34,13 +35,13 @@ func TestPrefixColoringMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: sequential reference invalid: %v", name, err)
 		}
 		for _, opt := range []Options{
-			{PrefixSize: 1},
-			{PrefixSize: 7, Grain: 3},
-			{PrefixFrac: 0.01},
-			{PrefixFrac: 0.2, Grain: 17},
-			{PrefixFrac: 1},
-			{Adaptive: true},
-			{Adaptive: true, PrefixFrac: 0.05},
+			{Options: engine.Options{PrefixSize: 1}},
+			{Options: engine.Options{PrefixSize: 7, Grain: 3}},
+			{Options: engine.Options{PrefixFrac: 0.01}},
+			{Options: engine.Options{PrefixFrac: 0.2, Grain: 17}},
+			{Options: engine.Options{PrefixFrac: 1}},
+			{Options: engine.Options{Adaptive: true}},
+			{Options: engine.Options{Adaptive: true, PrefixFrac: 0.05}},
 		} {
 			got := PrefixColoring(g, ord, opt)
 			if !got.Equal(want) {
@@ -59,7 +60,7 @@ func TestPrefixColoringIdentityOrder(t *testing.T) {
 	g := graph.Path(300)
 	ord := core.IdentityOrder(300)
 	want := SequentialColoring(g, ord)
-	got := PrefixColoring(g, ord, Options{PrefixFrac: 1})
+	got := PrefixColoring(g, ord, Options{Options: engine.Options{PrefixFrac: 1}})
 	if !got.Equal(want) {
 		t.Fatal("identity order: prefix differs from sequential")
 	}
@@ -77,11 +78,11 @@ func TestPrefixColoringThreadIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		got := PrefixColoring(g, ord, Options{PrefixFrac: 0.05, Grain: 7})
+		got := PrefixColoring(g, ord, Options{Options: engine.Options{PrefixFrac: 0.05, Grain: 7}})
 		if !got.Equal(want) {
 			t.Fatalf("GOMAXPROCS=%d: coloring differs from sequential", procs)
 		}
-		adaptive := PrefixColoring(g, ord, Options{Adaptive: true})
+		adaptive := PrefixColoring(g, ord, Options{Options: engine.Options{Adaptive: true}})
 		if !adaptive.Equal(want) {
 			t.Fatalf("GOMAXPROCS=%d: adaptive coloring differs from sequential", procs)
 		}
@@ -98,10 +99,10 @@ func TestColoringWorkspaceReuse(t *testing.T) {
 	wantBig := SequentialColoring(big, bigOrd)
 	wantSmall := SequentialColoring(small, smallOrd)
 	for i := 0; i < 3; i++ {
-		if got := PrefixColoring(big, bigOrd, Options{Workspace: ws, PrefixFrac: 0.1}); !got.Equal(wantBig) {
+		if got := PrefixColoring(big, bigOrd, Options{Options: engine.Options{PrefixFrac: 0.1}, Workspace: ws}); !got.Equal(wantBig) {
 			t.Fatalf("run %d big: pooled run differs", i)
 		}
-		if got := PrefixColoring(small, smallOrd, Options{Workspace: ws, Adaptive: true}); !got.Equal(wantSmall) {
+		if got := PrefixColoring(small, smallOrd, Options{Options: engine.Options{Adaptive: true}, Workspace: ws}); !got.Equal(wantSmall) {
 			t.Fatalf("run %d small: pooled run differs", i)
 		}
 	}
@@ -130,7 +131,7 @@ func TestColoringManyColors(t *testing.T) {
 	if want.NumColors != 130 {
 		t.Fatalf("complete graph: want 130 colors, got %d", want.NumColors)
 	}
-	got := PrefixColoring(g, ord, Options{PrefixFrac: 0.3})
+	got := PrefixColoring(g, ord, Options{Options: engine.Options{PrefixFrac: 0.3}})
 	if !got.Equal(want) {
 		t.Fatal("complete graph: prefix differs from sequential")
 	}

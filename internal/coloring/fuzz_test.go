@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -35,9 +36,9 @@ func FuzzColoringEquivalence(f *testing.F) {
 			name string
 			got  *Result
 		}{
-			{"prefix", PrefixColoring(g, ord, Options{PrefixSize: prefix, Grain: grain})},
-			{"adaptive", PrefixColoring(g, ord, Options{Adaptive: true, PrefixSize: prefix, Grain: grain})},
-			{"prebuilt parents", PrefixColoring(g, ord, Options{PrefixSize: prefix, Grain: grain, Parents: parents})},
+			{"prefix", PrefixColoring(g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}})},
+			{"adaptive", PrefixColoring(g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}})},
+			{"prebuilt parents", PrefixColoring(g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}, Parents: parents})},
 		} {
 			if !run.got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s coloring diverged from sequential", n, m, prefix, grain, run.name)

@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 // TestAdaptiveMISMatchesSequential is the adaptive tentpole contract:
@@ -26,7 +26,7 @@ func TestAdaptiveMISMatchesSequential(t *testing.T) {
 		for _, seed := range []uint64{1, 9} {
 			ord := NewRandomOrder(n, seed)
 			want := SequentialMIS(g, ord)
-			got := PrefixMIS(g, ord, Options{Adaptive: true})
+			got := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true}})
 			if !got.Equal(want) {
 				t.Errorf("%s seed %d: adaptive MIS differs from sequential", name, seed)
 			}
@@ -34,7 +34,7 @@ func TestAdaptiveMISMatchesSequential(t *testing.T) {
 				t.Errorf("%s seed %d: %v", name, seed, err)
 			}
 			// Pointered variant under the same schedule dynamics.
-			ptr := PrefixMIS(g, ord, Options{Adaptive: true, Pointered: true})
+			ptr := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true}, Pointered: true})
 			if !ptr.Equal(want) {
 				t.Errorf("%s seed %d: adaptive pointered MIS differs", name, seed)
 			}
@@ -54,9 +54,9 @@ func TestAdaptiveDeterministicAcrossGrain(t *testing.T) {
 	var stats []Stats
 	for _, grain := range []int{0, 7, 256, 4096} {
 		var trace []int
-		r := PrefixMIS(g, ord, Options{Adaptive: true, Grain: grain, OnRound: func(rs RoundStat) {
+		r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain, OnRound: func(rs RoundStat) {
 			trace = append(trace, rs.Prefix)
-		}})
+		}}})
 		windows = append(windows, trace)
 		stats = append(stats, r.Stats)
 	}
@@ -80,8 +80,8 @@ func TestAdaptiveDeterministicAcrossGrain(t *testing.T) {
 func TestAdaptiveWindowBounds(t *testing.T) {
 	g := graph.Random(5000, 25000, 5)
 	ord := NewRandomOrder(5000, 6)
-	cap := AdaptiveGrowCap(5000)
-	r := PrefixMIS(g, ord, Options{Adaptive: true, OnRound: func(rs RoundStat) {
+	cap := engine.AdaptiveGrowCap(5000)
+	r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 		if rs.Prefix < 1 || rs.Prefix > 5000 {
 			t.Errorf("round %d: window %d outside [1, n]", rs.Round, rs.Prefix)
 		}
@@ -91,7 +91,7 @@ func TestAdaptiveWindowBounds(t *testing.T) {
 		if rs.Attempted > rs.Prefix {
 			t.Errorf("round %d: attempted %d exceeds window %d", rs.Round, rs.Attempted, rs.Prefix)
 		}
-	}})
+	}}})
 	if r.Stats.PrefixSize > cap {
 		t.Errorf("max window %d above grow cap %d", r.Stats.PrefixSize, cap)
 	}
@@ -104,67 +104,13 @@ func TestAdaptiveExplicitSeedWindow(t *testing.T) {
 	g := graph.Random(4000, 12000, 2)
 	ord := NewRandomOrder(4000, 2)
 	first := -1
-	PrefixMIS(g, ord, Options{Adaptive: true, PrefixSize: 3000, OnRound: func(rs RoundStat) {
+	PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: 3000, OnRound: func(rs RoundStat) {
 		if first < 0 {
 			first = rs.Prefix
 		}
-	}})
+	}}})
 	if first != 3000 {
 		t.Errorf("explicit prefix seed: first window %d, want 3000", first)
-	}
-}
-
-// TestAdaptiveControllerPolicy unit-tests the doubling/halving/brake
-// decisions directly.
-func TestAdaptiveControllerPolicy(t *testing.T) {
-	c := NewAdaptiveController(64, 1024, 4096)
-	// High acceptance doubles.
-	c.Observe(64, 64, 128)
-	if c.Window() != 128 {
-		t.Fatalf("after full acceptance: window %d, want 128", c.Window())
-	}
-	// Low acceptance halves.
-	c.Observe(128, 16, 256)
-	if c.Window() != 64 {
-		t.Fatalf("after 12.5%% acceptance: window %d, want 64", c.Window())
-	}
-	// Mid-band holds.
-	c.Observe(64, 48, 128)
-	if c.Window() != 64 {
-		t.Fatalf("after 75%% acceptance: window %d, want hold at 64", c.Window())
-	}
-	// Cost explosion halves even at perfect acceptance: the EWMA is
-	// ~2/iterate by now, so 100 inspections per resolved trips the brake.
-	c.Observe(64, 64, 6400)
-	if c.Window() != 32 {
-		t.Fatalf("after cost explosion: window %d, want 32", c.Window())
-	}
-
-	// Growth stops at the cap and never exceeds it.
-	c = NewAdaptiveController(512, 1024, 4096)
-	for i := 0; i < 10; i++ {
-		c.Observe(c.Window(), c.Window(), int64(2*c.Window()))
-	}
-	if c.Window() != 1024 {
-		t.Fatalf("growth cap: window %d, want 1024", c.Window())
-	}
-	// Shrinking below the cap and the floor of 1.
-	c = NewAdaptiveController(2, 8, 16)
-	for i := 0; i < 5; i++ {
-		c.Observe(16, 0, 32)
-	}
-	if c.Window() != 1 {
-		t.Fatalf("shrink floor: window %d, want 1", c.Window())
-	}
-	// An initial window above the cap is kept (explicit seed), and
-	// growth from there is refused.
-	c = NewAdaptiveController(2048, 1024, 4096)
-	if c.Window() != 2048 {
-		t.Fatalf("explicit seed above cap: window %d, want 2048", c.Window())
-	}
-	c.Observe(2048, 2048, 4096)
-	if c.Window() != 2048 {
-		t.Fatalf("growth above cap: window %d, want hold at 2048", c.Window())
 	}
 }
 
@@ -177,13 +123,13 @@ func TestAdaptiveStatsAccounting(t *testing.T) {
 	var rounds int64
 	var attempts int64
 	maxW := 0
-	r := PrefixMIS(g, ord, Options{Adaptive: true, OnRound: func(rs RoundStat) {
+	r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 		rounds++
 		attempts += int64(rs.Attempted)
 		if rs.Prefix > maxW {
 			maxW = rs.Prefix
 		}
-	}})
+	}}})
 	if rounds != r.Stats.Rounds {
 		t.Errorf("observer rounds %d, stats %d", rounds, r.Stats.Rounds)
 	}
@@ -208,11 +154,11 @@ func TestAdaptivePrefixSizeIsUsedWindow(t *testing.T) {
 	g := graph.Empty(768)
 	ord := NewRandomOrder(768, 1)
 	maxSeen := 0
-	r := PrefixMIS(g, ord, Options{Adaptive: true, OnRound: func(rs RoundStat) {
+	r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 		if rs.Prefix > maxSeen {
 			maxSeen = rs.Prefix
 		}
-	}})
+	}}})
 	if r.Stats.PrefixSize != maxSeen {
 		t.Errorf("Stats.PrefixSize %d, but the largest executed window was %d", r.Stats.PrefixSize, maxSeen)
 	}
@@ -232,79 +178,17 @@ func TestAdaptiveShrinkKeepsEarliestWindow(t *testing.T) {
 	ord := NewRandomOrder(600, 11)
 	shrank := false
 	prev := 0
-	r := PrefixMIS(g, ord, Options{Adaptive: true, PrefixSize: 512, OnRound: func(rs RoundStat) {
+	r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: 512, OnRound: func(rs RoundStat) {
 		if prev > 0 && rs.Prefix < prev {
 			shrank = true
 		}
 		prev = rs.Prefix
-	}})
+	}}})
 	if !shrank {
 		t.Fatal("schedule never shrank on K600 (test premise broken)")
 	}
 	if !r.Equal(SequentialMIS(g, ord)) {
 		t.Fatal("adaptive MIS differs from sequential after shrinking rounds")
-	}
-}
-
-// TestAdaptiveGrowCapTinyGraph pins the cap arithmetic for inputs
-// smaller than the parallel-slack product GOMAXPROCS·256: there the
-// input size, not the slack formula, must bound the cap — and the
-// AdaptiveStartWindow floor must never push the cap past n.
-func TestAdaptiveGrowCapTinyGraph(t *testing.T) {
-	slack := adaptiveSlackChunks * parallel.Procs() * parallel.DefaultGrain
-	cases := []struct{ n, want int }{
-		{0, 1},                 // degenerate: the [1, ...] clamp
-		{1, 1},                 // single vertex
-		{100, 100},             // below AdaptiveStartWindow: n wins over the 256 floor
-		{255, 255},             // one under the start window
-		{256, 256},             // exactly the start window
-		{slack - 1, slack - 1}, // one under the slack product: still n
-		{slack, slack},         // exactly the slack product
-		{slack + 100, slack},   // above it: the slack cap takes over
-		{100 * slack, slack},   // far above: unchanged
-	}
-	for _, tc := range cases {
-		if got := AdaptiveGrowCap(tc.n); got != tc.want {
-			t.Errorf("AdaptiveGrowCap(%d) = %d, want %d", tc.n, got, tc.want)
-		}
-	}
-}
-
-// TestAdaptiveControllerTinyGraph drives a controller sized for a tiny
-// input (n < GOMAXPROCS·256) through perfect-acceptance rounds: the
-// window must climb to exactly n and stay there — the grow cap, the
-// max bound and the doubling sequence all collapse onto the input
-// size.
-func TestAdaptiveControllerTinyGraph(t *testing.T) {
-	const n = 100 // < 256 <= GOMAXPROCS·256
-	c := NewAdaptiveController(Options{}.adaptiveInitial(n), AdaptiveGrowCap(n), n)
-	if c.Window() != n {
-		// adaptiveInitial clamps the 256 default start to n.
-		t.Fatalf("initial window %d, want n=%d", c.Window(), n)
-	}
-	for i := 0; i < 20; i++ {
-		w := c.Window()
-		c.Observe(w, w, int64(2*w))
-		if c.Window() > n {
-			t.Fatalf("round %d: window %d exceeded n=%d", i, c.Window(), n)
-		}
-	}
-	if c.Window() != n {
-		t.Fatalf("steady-state window %d, want n=%d", c.Window(), n)
-	}
-	// A mid-size tiny input (AdaptiveStartWindow < n < slack product):
-	// doubling stops exactly at n even though the slack cap is larger.
-	const n2 = 300
-	c2 := NewAdaptiveController(Options{}.adaptiveInitial(n2), AdaptiveGrowCap(n2), n2)
-	if c2.Window() != AdaptiveStartWindow {
-		t.Fatalf("initial window %d, want %d", c2.Window(), AdaptiveStartWindow)
-	}
-	for i := 0; i < 10; i++ {
-		w := c2.Window()
-		c2.Observe(w, w, int64(2*w))
-	}
-	if c2.Window() != n2 {
-		t.Fatalf("steady-state window %d, want n=%d", c2.Window(), n2)
 	}
 }
 
@@ -315,11 +199,11 @@ func TestAdaptiveTinyGraphEndToEnd(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 50, 255} {
 		g := graph.Path(n)
 		ord := NewRandomOrder(n, 3)
-		r := PrefixMIS(g, ord, Options{Adaptive: true, OnRound: func(rs RoundStat) {
+		r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 			if rs.Prefix > n {
 				t.Errorf("n=%d: executed window %d exceeds input", n, rs.Prefix)
 			}
-		}})
+		}}})
 		if !r.Equal(SequentialMIS(g, ord)) {
 			t.Errorf("n=%d: adaptive MIS differs from sequential", n)
 		}

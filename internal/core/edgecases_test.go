@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -37,7 +38,7 @@ func TestPrefixMISIsolatedVertices(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}
 	g := graph.MustFromEdges(10, edges)
 	ord := NewRandomOrder(10, 3)
-	r := PrefixMIS(g, ord, Options{PrefixFrac: 1})
+	r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 1}})
 	for v := graph.Vertex(4); v < 10; v++ {
 		if !r.InSet[v] {
 			t.Errorf("isolated vertex %d not in MIS", v)
@@ -63,7 +64,7 @@ func TestPrefixMISTwoVertices(t *testing.T) {
 	g := graph.Path(2)
 	for seed := uint64(0); seed < 8; seed++ {
 		ord := NewRandomOrder(2, seed)
-		r := PrefixMIS(g, ord, Options{PrefixSize: 2})
+		r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 2}})
 		// Exactly the earlier vertex is in the MIS.
 		first := ord.Order[0]
 		if !r.InSet[first] || r.InSet[1-first] {
@@ -110,85 +111,45 @@ func TestPrefixInternalEdgesFullPrefix(t *testing.T) {
 	}
 }
 
+// TestOptionsPrefixResolution pins the fixed window that core.Options
+// hands the engine (PrefixMISCtx passes opt.Options to engine.Run).
 func TestOptionsPrefixResolution(t *testing.T) {
+	eo := func(o engine.Options) Options { return Options{Options: o} }
 	cases := []struct {
 		opt  Options
 		n    int
 		want int
 	}{
-		{Options{}, 1000, 5},                 // default frac 0.005, exact product
-		{Options{PrefixFrac: 2.0}, 100, 100}, // clamped to n
-		{Options{PrefixFrac: 1e-9}, 100, 1},  // clamped to 1
-		{Options{PrefixSize: 17}, 100, 17},   // absolute wins
-		{Options{PrefixSize: 500}, 100, 100}, // clamped to n
-		{Options{PrefixFrac: 0.25}, 100, 25}, // frac honored
-		{Options{PrefixSize: -3}, 100, 1},    // negative: ⌈0.005·100⌉ = 1
+		{eo(engine.Options{}), 1000, 5},                 // default frac 0.005, exact product
+		{eo(engine.Options{PrefixFrac: 2.0}), 100, 100}, // clamped to n
+		{eo(engine.Options{PrefixFrac: 1e-9}), 100, 1},  // clamped to 1
+		{eo(engine.Options{PrefixSize: 17}), 100, 17},   // absolute wins
+		{eo(engine.Options{PrefixSize: 500}), 100, 100}, // clamped to n
+		{eo(engine.Options{PrefixFrac: 0.25}), 100, 25}, // frac honored
+		{eo(engine.Options{PrefixSize: -3}), 100, 1},    // negative: ⌈0.005·100⌉ = 1
 		// Ceiling semantics: a fractional product rounds UP to the
 		// documented ⌈frac·n⌉ instead of truncating down.
-		{Options{PrefixFrac: 0.005}, 1100, 6}, // ⌈5.5⌉, int() used to give 5
-		{Options{PrefixFrac: 0.005}, 300, 2},  // ⌈1.5⌉
-		{Options{PrefixFrac: 1.0 / 3}, 10, 4}, // ⌈3.33⌉
-		{Options{PrefixFrac: 0.003}, 999, 3},  // ⌈2.997⌉
+		{eo(engine.Options{PrefixFrac: 0.005}), 1100, 6}, // ⌈5.5⌉, int() used to give 5
+		{eo(engine.Options{PrefixFrac: 0.005}), 300, 2},  // ⌈1.5⌉
+		{eo(engine.Options{PrefixFrac: 1.0 / 3}), 10, 4}, // ⌈3.33⌉
+		{eo(engine.Options{PrefixFrac: 0.003}), 999, 3},  // ⌈2.997⌉
 		// Degenerate inputs: n = 0 and n = 1.
-		{Options{}, 0, 0},
-		{Options{PrefixFrac: 1}, 0, 0},
-		{Options{PrefixSize: 7}, 0, 0},
-		{Options{}, 1, 1},
-		{Options{PrefixFrac: 1e-12}, 1, 1},
-		{Options{PrefixFrac: 1}, 1, 1},
+		{eo(engine.Options{}), 0, 0},
+		{eo(engine.Options{PrefixFrac: 1}), 0, 0},
+		{eo(engine.Options{PrefixSize: 7}), 0, 0},
+		{eo(engine.Options{}), 1, 1},
+		{eo(engine.Options{PrefixFrac: 1e-12}), 1, 1},
+		{eo(engine.Options{PrefixFrac: 1}), 1, 1},
 		// frac → 0 and frac = 1 at larger n.
-		{Options{PrefixFrac: 1e-300}, 1 << 20, 1},
-		{Options{PrefixFrac: 1}, 1 << 20, 1 << 20},
+		{eo(engine.Options{PrefixFrac: 1e-300}), 1 << 20, 1},
+		{eo(engine.Options{PrefixFrac: 1}), 1 << 20, 1 << 20},
+		// The MIS-only fields do not move the window.
+		{Options{Options: engine.Options{PrefixSize: 17}, Pointered: true}, 100, 17},
 	}
 	for i, c := range cases {
-		if got := c.opt.prefixFor(c.n); got != c.want {
-			t.Errorf("case %d: prefixFor(%d) = %d, want %d", i, c.n, got, c.want)
+		if got := c.opt.PrefixFor(c.n); got != c.want {
+			t.Errorf("case %d: PrefixFor(%d) = %d, want %d", i, c.n, got, c.want)
 		}
-	}
-}
-
-// TestCeilFracExactness pins the rounding fix: binary-float products a
-// hair above an integer (the decimal 0.005 is not exactly
-// representable) must not push the ceiling one past the documented
-// value, while genuinely fractional products must round up.
-func TestCeilFracExactness(t *testing.T) {
-	// 0.005·n is an integer in decimal for every multiple of 200; the
-	// float product oscillates a few ulps around it. The documented
-	// value is exactly n/200.
-	for n := 200; n <= 200_000; n += 200 {
-		if got := CeilFrac(0.005, n); got != n/200 {
-			t.Fatalf("CeilFrac(0.005, %d) = %d, want %d", n, got, n/200)
-		}
-	}
-	// Same for 0.1·n over multiples of 10 (0.1 is the classic
-	// non-representable decimal).
-	for n := 10; n <= 100_000; n += 10 {
-		if got := CeilFrac(0.1, n); got != n/10 {
-			t.Fatalf("CeilFrac(0.1, %d) = %d, want %d", n, got, n/10)
-		}
-	}
-	// Non-integer products take the ceiling.
-	if got := CeilFrac(0.07, 100); got != 7 {
-		t.Errorf("CeilFrac(0.07, 100) = %d, want 7", got)
-	}
-	if got := CeilFrac(0.0051, 1000); got != 6 {
-		t.Errorf("CeilFrac(0.0051, 1000) = %d, want ⌈5.1⌉ = 6", got)
-	}
-	// Range edges.
-	if got := CeilFrac(0, 100); got != 0 {
-		t.Errorf("CeilFrac(0, 100) = %d, want 0", got)
-	}
-	if got := CeilFrac(-0.5, 100); got != 0 {
-		t.Errorf("CeilFrac(-0.5, 100) = %d, want 0", got)
-	}
-	if got := CeilFrac(1, 100); got != 100 {
-		t.Errorf("CeilFrac(1, 100) = %d, want 100", got)
-	}
-	if got := CeilFrac(7.5, 100); got != 100 {
-		t.Errorf("CeilFrac(7.5, 100) = %d, want 100 (frac > 1 clamps)", got)
-	}
-	if got := CeilFrac(0.5, 0); got != 0 {
-		t.Errorf("CeilFrac(0.5, 0) = %d, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -26,9 +27,9 @@ func FuzzMISEquivalence(f *testing.F) {
 		}
 		prefix := int(rawPrefix)%n + 1
 		for _, got := range []*Result{
-			PrefixMIS(g, ord, Options{PrefixSize: prefix, Grain: 3}),
-			PrefixMIS(g, ord, Options{PrefixSize: prefix, Pointered: true}),
-			RootSetMIS(g, ord, Options{Grain: 3}),
+			PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 3}}),
+			PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: prefix}, Pointered: true}),
+			RootSetMIS(g, ord, Options{Options: engine.Options{Grain: 3}}),
 			ParallelMIS(g, ord, Options{}),
 		} {
 			if !got.Equal(want) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -41,13 +42,12 @@ func LubyMIS(g *graph.Graph, seed uint64, opt Options) *Result {
 // footprint for the pool's lifetime.
 func LubyMISCtx(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (*Result, error) {
 	n := g.NumVertices()
-	grain := opt.grain()
 	ws := opt.Workspace
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	status := Grow32(&ws.status, n)
-	Fill32(status, statusUndecided)
+	status := engine.Grow32(&ws.status, n)
+	engine.Fill32(status, statusUndecided)
 
 	// Current subgraph in CSR form over the live vertices. live holds
 	// original vertex ids; adjacency stores original ids too, filtered
@@ -81,7 +81,7 @@ func LubyMISCtx(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (
 		}
 
 		// Select local minima among live vertices.
-		parallel.ForRange(len(live), grain, func(lo, hi int) {
+		parallel.ForRange(len(live), opt.Grain, func(lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				v := live[i]
@@ -104,7 +104,7 @@ func LubyMISCtx(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (
 		})
 		// Knock out neighbors of winners. A separate pass avoids
 		// read/write races on status during selection.
-		parallel.ForRange(len(live), grain, func(lo, hi int) {
+		parallel.ForRange(len(live), opt.Grain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v := live[i]
 				if atomic.LoadInt32(&status[v]) != statusIn {
@@ -117,12 +117,12 @@ func LubyMISCtx(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (
 		})
 
 		// Compact the subgraph to the still-undecided vertices.
-		liveIdx := parallel.PackIndex(len(live), grain, func(i int) bool {
+		liveIdx := parallel.PackIndex(len(live), opt.Grain, func(i int) bool {
 			return status[live[i]] == statusUndecided
 		})
 		newLive := make([]int32, len(liveIdx))
 		counts := make([]int64, len(liveIdx)+1)
-		parallel.For(len(liveIdx), grain, func(i int) {
+		parallel.For(len(liveIdx), opt.Grain, func(i int) {
 			oi := liveIdx[i]
 			newLive[i] = live[oi]
 			c := int64(0)
@@ -134,10 +134,10 @@ func LubyMISCtx(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (
 			counts[i] = c
 		})
 		newOffsets := make([]int64, len(liveIdx)+1)
-		total := parallel.ExclusiveScan(newOffsets[:len(liveIdx)], counts[:len(liveIdx)], grain)
+		total := parallel.ExclusiveScan(newOffsets[:len(liveIdx)], counts[:len(liveIdx)], opt.Grain)
 		newOffsets[len(liveIdx)] = total
 		newAdj := make([]int32, total)
-		parallel.For(len(liveIdx), grain, func(i int) {
+		parallel.For(len(liveIdx), opt.Grain, func(i int) {
 			oi := liveIdx[i]
 			pos := newOffsets[i]
 			for _, u := range adj[offsets[oi]:offsets[oi+1]] {

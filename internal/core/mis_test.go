@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -114,11 +115,11 @@ func allDeterministicAlgorithms(g *graph.Graph, ord Order) map[string]*Result {
 		"parallel-full":     ParallelMIS(g, ord, Options{}),
 		"rootset":           RootSetMIS(g, ord, Options{}),
 		"prefix-default":    PrefixMIS(g, ord, Options{}),
-		"prefix-1":          PrefixMIS(g, ord, Options{PrefixSize: 1}),
-		"prefix-7":          PrefixMIS(g, ord, Options{PrefixSize: 7}),
-		"prefix-frac-0.1":   PrefixMIS(g, ord, Options{PrefixFrac: 0.1}),
-		"prefix-pointered":  PrefixMIS(g, ord, Options{PrefixFrac: 0.05, Pointered: true}),
-		"prefix-tiny-grain": PrefixMIS(g, ord, Options{PrefixFrac: 0.2, Grain: 2}),
+		"prefix-1":          PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 1}}),
+		"prefix-7":          PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 7}}),
+		"prefix-frac-0.1":   PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}}),
+		"prefix-pointered":  PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.05}, Pointered: true}),
+		"prefix-tiny-grain": PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.2, Grain: 2}}),
 	}
 }
 
@@ -166,8 +167,8 @@ func TestAlgorithmsMatchQuick(t *testing.T) {
 		for _, got := range []*Result{
 			ParallelMIS(g, ord, Options{}),
 			RootSetMIS(g, ord, Options{}),
-			PrefixMIS(g, ord, Options{PrefixSize: 3}),
-			PrefixMIS(g, ord, Options{PrefixFrac: 0.3, Pointered: true}),
+			PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 3}}),
+			PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.3}, Pointered: true}),
 		} {
 			if !got.Equal(want) {
 				return false
@@ -182,9 +183,9 @@ func TestAlgorithmsMatchQuick(t *testing.T) {
 
 func TestDeterminismAcrossRepeatedRuns(t *testing.T) {
 	g, ord := randomGraphAndOrder(2000, 10000, 99)
-	first := PrefixMIS(g, ord, Options{PrefixFrac: 0.02})
+	first := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.02}})
 	for trial := 0; trial < 5; trial++ {
-		again := PrefixMIS(g, ord, Options{PrefixFrac: 0.02})
+		again := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.02}})
 		if !again.Equal(first) {
 			t.Fatalf("trial %d: prefix MIS differs across identical runs", trial)
 		}
@@ -192,7 +193,7 @@ func TestDeterminismAcrossRepeatedRuns(t *testing.T) {
 	// Different prefix sizes must also agree (the paper's determinism
 	// guarantee covers the whole work/parallelism tradeoff).
 	for _, frac := range []float64{0.001, 0.01, 0.5, 1.0} {
-		r := PrefixMIS(g, ord, Options{PrefixFrac: frac})
+		r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: frac}})
 		if !r.Equal(first) {
 			t.Fatalf("prefix frac %v changed the result", frac)
 		}
@@ -201,7 +202,7 @@ func TestDeterminismAcrossRepeatedRuns(t *testing.T) {
 
 func TestPrefixSize1IsSequential(t *testing.T) {
 	g, ord := randomGraphAndOrder(400, 1200, 3)
-	r := PrefixMIS(g, ord, Options{PrefixSize: 1})
+	r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 1}})
 	if r.Stats.Rounds != int64(g.NumVertices()) {
 		t.Errorf("prefix-1 rounds = %d, want n = %d", r.Stats.Rounds, g.NumVertices())
 	}
@@ -212,8 +213,8 @@ func TestPrefixSize1IsSequential(t *testing.T) {
 
 func TestPrefixWorkGrowsWithPrefix(t *testing.T) {
 	g, ord := randomGraphAndOrder(3000, 15000, 5)
-	small := PrefixMIS(g, ord, Options{PrefixSize: 8})
-	full := PrefixMIS(g, ord, Options{PrefixFrac: 1})
+	small := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 8}})
+	full := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 1}})
 	if small.Stats.Attempts > full.Stats.Attempts {
 		t.Errorf("expected attempts to grow with prefix size: small=%d full=%d",
 			small.Stats.Attempts, full.Stats.Attempts)
@@ -449,7 +450,7 @@ func TestLubyDoesMoreWorkThanPrefix(t *testing.T) {
 	// good prefix size performs less work than Luby.
 	g, ord := randomGraphAndOrder(20000, 100000, 44)
 	luby := LubyMIS(g, 3, Options{})
-	pref := PrefixMIS(g, ord, Options{PrefixFrac: 0.01})
+	pref := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.01}})
 	if luby.Stats.EdgeInspections <= pref.Stats.EdgeInspections {
 		t.Errorf("expected Luby (%d inspections) to exceed prefix-based (%d)",
 			luby.Stats.EdgeInspections, pref.Stats.EdgeInspections)
@@ -525,7 +526,7 @@ func BenchmarkPrefixMIS(b *testing.B) {
 	g, ord := randomGraphAndOrder(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PrefixMIS(g, ord, Options{PrefixFrac: 0.01})
+		_ = PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.01}})
 	}
 }
 

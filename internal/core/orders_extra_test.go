@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -120,7 +121,7 @@ func TestStructuredOrdersStillGiveLexFirstForThatOrder(t *testing.T) {
 		Reverse(NewRandomOrder(g.NumVertices(), 2)),
 	} {
 		want := SequentialMIS(g, ord)
-		got := PrefixMIS(g, ord, Options{PrefixFrac: 0.1})
+		got := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}})
 		if !got.Equal(want) {
 			t.Fatal("parallel MIS diverged from sequential under a structured order")
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -104,7 +105,7 @@ func (p *Parents) partition(g *graph.Graph, ord Order, parents, ranked bool) {
 	})
 	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 1024)
 	offsets[n] = total
-	items := Grow32(&p.items, int(total))
+	items := engine.Grow32(&p.items, int(total))
 	parallel.For(n, 1024, func(v int) {
 		rv := rank[v]
 		pos := offsets[row(v)]

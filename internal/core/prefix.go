@@ -63,18 +63,18 @@ func PrefixMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	status := Grow32(&ws.status, n)
-	Fill32(status, statusUndecided)
+	status := engine.Grow32(&ws.status, n)
+	engine.Fill32(status, statusUndecided)
 	parents := opt.Parents
 	if parents == nil {
 		parents = BuildParents(g, ord)
 	}
 	prob := &misProblem{status: status, parents: parents}
 	if opt.Pointered {
-		prob.ptr = Grow32(&ws.ptr, n)
-		Fill32(prob.ptr, 0)
+		prob.ptr = engine.Grow32(&ws.ptr, n)
+		engine.Fill32(prob.ptr, 0)
 	}
-	stats, err := engine.Run(ctx, n, prob, opt.engineOptions(&ws.eng))
+	stats, err := engine.Run(ctx, n, prob, opt.Options, &ws.eng)
 	if err != nil {
 		return nil, err
 	}

@@ -72,30 +72,19 @@ func (r *Result) Equal(other *Result) bool {
 	return true
 }
 
-// Options configures the parallel MIS algorithms.
+// Options configures the parallel MIS algorithms. The embedded engine
+// options hold the knobs every problem shares — window (PrefixSize,
+// PrefixFrac, Adaptive), Grain, the OnRound observer and the phase
+// Clock; see engine.Options. PrefixFrac = 1 processes the whole
+// remaining input each round (maximum parallelism, maximum redundant
+// work) and prefix size 1 degenerates to the sequential algorithm; the
+// window knobs are ignored by the non-prefix algorithms, while Grain
+// and OnRound also drive the root-set and Luby rounds. Results are
+// bit-identical under every window schedule: the window changes only
+// how many of the earliest unresolved iterates run per round, never
+// their order.
 type Options struct {
-	// PrefixSize fixes the number of iterates examined per round of the
-	// prefix-based algorithm. If zero, PrefixFrac is used instead.
-	PrefixSize int
-	// PrefixFrac sets the prefix size as ⌈PrefixFrac·n⌉ (see CeilFrac).
-	// If both PrefixSize and PrefixFrac are zero, DefaultPrefixFrac is
-	// used. PrefixFrac = 1 processes the whole remaining input each
-	// round (maximum parallelism, maximum redundant work); prefix size 1
-	// degenerates to the sequential algorithm.
-	PrefixFrac float64
-	// Adaptive replaces the fixed window of the prefix-based algorithms
-	// with a measured schedule: an AdaptiveController doubles or halves
-	// the next round's window from the previous round's
-	// resolved/attempted ratio and edge-inspection cost, bounded by
-	// [1, n]. An explicit PrefixSize/PrefixFrac seeds the initial
-	// window; otherwise the run starts at AdaptiveStartWindow. Results
-	// are bit-identical to fixed-prefix and sequential runs: the window
-	// changes only how many of the earliest unresolved iterates run per
-	// round, never their order. Ignored by the non-prefix algorithms.
-	Adaptive bool
-	// Grain is the parallel-loop grain size; 0 means
-	// parallel.DefaultGrain (256, as in the paper).
-	Grain int
+	engine.Options
 	// Pointered enables the parent-pointer optimization of Lemma 4.1:
 	// each iterate resumes scanning its earlier neighbors where the
 	// previous attempt stalled instead of rescanning from scratch. The
@@ -108,54 +97,7 @@ type Options struct {
 	// PrefixMIS and ParallelMIS instead of building them per run. They
 	// must match the graph and order passed with these options.
 	Parents *Parents
-	// OnRound, if non-nil, is called after every round of the
-	// round-synchronous algorithms (prefix-based, root-set, Luby) with
-	// that round's statistics. It exposes the per-round profile (how
-	// failed iterates accumulate at large prefixes) at no cost when
-	// unset. The callback runs on the round loop's goroutine, between
-	// rounds; it must not block for long.
-	OnRound func(RoundStat)
-	// Clock, if non-nil, enables the engine's per-phase wall-time
-	// attribution (see engine.Options.Clock): a caller-injected
-	// monotonic nanosecond clock whose readings surface only through
-	// RoundStat's phase fields, never in results. nil (the default)
-	// keeps the dark path free of clock reads.
-	Clock func() int64
 	// Workspace, if non-nil, supplies pooled per-run buffers reused
 	// across runs (see Workspace). nil means allocate fresh buffers.
 	Workspace *Workspace
-}
-
-// engineOptions translates the MIS options into the engine's form,
-// wiring the pooled window buffers when ws is non-nil.
-func (o Options) engineOptions(ws *engine.Workspace) engine.Options {
-	return engine.Options{
-		PrefixSize: o.PrefixSize,
-		PrefixFrac: o.PrefixFrac,
-		Adaptive:   o.Adaptive,
-		Grain:      o.Grain,
-		OnRound:    o.OnRound,
-		Clock:      o.Clock,
-		Workspace:  ws,
-	}
-}
-
-// DefaultPrefixFrac is the default prefix fraction, chosen near the
-// running-time optimum the paper observes (prefix/input between 1e-3
-// and 1e-2 on both inputs).
-const DefaultPrefixFrac = engine.DefaultPrefixFrac
-
-// CeilFrac returns ⌈frac·n⌉ with exact integer rounding semantics; see
-// engine.CeilFrac, the single implementation.
-func CeilFrac(frac float64, n int) int { return engine.CeilFrac(frac, n) }
-
-func (o Options) prefixFor(n int) int {
-	return o.engineOptions(nil).PrefixFor(n)
-}
-
-func (o Options) grain() int {
-	if o.Grain <= 0 {
-		return parallel.DefaultGrain
-	}
-	return o.Grain
 }

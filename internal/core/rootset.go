@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -33,7 +34,6 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 	if ord.Len() != n {
 		panic("core: order size does not match graph")
 	}
-	grain := opt.grain()
 	parents := buildVertexParents(g, ord)
 	children := buildChildren(g, ord)
 
@@ -41,25 +41,25 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	status := Grow32(&ws.status, n)
-	Fill32(status, statusUndecided)
+	status := engine.Grow32(&ws.status, n)
+	engine.Fill32(status, statusUndecided)
 	// ptr[v] indexes the first not-yet-skipped parent of v; parents
 	// before it are known dead (lazy deletion, Lemma 4.1).
-	ptr := Grow32(&ws.ptr, n)
-	Fill32(ptr, 0)
+	ptr := engine.Grow32(&ws.ptr, n)
+	engine.Fill32(ptr, 0)
 	// claimStamp[v] records the last step at which some neighbor claimed
 	// the right to misCheck v. This is the concurrent-write
 	// deduplication of Lemma 4.2 ("whichever write succeeds is
 	// responsible for the check"): per step, at most one worker checks v.
-	claimStamp := Grow32(&ws.claim, n)
-	Fill32(claimStamp, -1)
+	claimStamp := engine.Grow32(&ws.claim, n)
+	engine.Fill32(claimStamp, -1)
 
 	stats := Stats{}
 	var inspections atomic.Int64
 	var prevInspections int64
 
 	// Initial roots: vertices with no parents at all.
-	frontier := parallel.PackIndex(n, grain, func(i int) bool {
+	frontier := parallel.PackIndex(n, opt.Grain, func(i int) bool {
 		return parents.offsets[i] == parents.offsets[i+1]
 	})
 
@@ -81,7 +81,7 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 		// traverses each killed vertex once.
 		killedPerRoot := make([][]int32, len(frontier))
 		var decidedThisStep atomic.Int64
-		parallel.ForRange(len(frontier), grain, func(lo, hi int) {
+		parallel.ForRange(len(frontier), opt.Grain, func(lo, hi int) {
 			var local, decidedLocal int64
 			for i := lo; i < hi; i++ {
 				v := frontier[i]
@@ -109,7 +109,7 @@ func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 		// at most once per step.
 		var mu sync.Mutex
 		var chunks [][]int32
-		parallel.ForRange(len(frontier), grain, func(lo, hi int) {
+		parallel.ForRange(len(frontier), opt.Grain, func(lo, hi int) {
 			var local int64
 			var found []int32
 			for i := lo; i < hi; i++ {

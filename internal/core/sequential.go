@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -42,8 +43,8 @@ func SequentialMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Option
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	status := Grow32(&ws.status, n)
-	Fill32(status, statusUndecided)
+	status := engine.Grow32(&ws.status, n)
+	engine.Fill32(status, statusUndecided)
 	var inspections int64
 	for r := 0; r < n; r++ {
 		if r&seqCancelMask == 0 {

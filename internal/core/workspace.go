@@ -16,22 +16,5 @@ type Workspace struct {
 	status []int32
 	ptr    []int32
 	claim  []int32
-	active []int32
 	eng    engine.Workspace
 }
-
-// Pooled-buffer helpers, forwarded from the engine package (the single
-// source of truth shared by the algorithm packages).
-
-// Grow32 returns *buf resized to n int32s, reallocating only when the
-// pooled capacity is insufficient. Contents are unspecified: callers
-// must reinitialize the slice (Fill32 or full overwrite) before reads.
-// Exported for the sibling algorithm packages' workspaces.
-func Grow32(buf *[]int32, n int) []int32 { return engine.Grow32(buf, n) }
-
-// Fill32 sets every element of s to v.
-func Fill32(s []int32, v int32) { engine.Fill32(s, v) }
-
-// GrowActive returns an empty int32 slice with capacity at least n
-// backed by *buf, for frontier/window arrays rebuilt by appends.
-func GrowActive(buf *[]int32, n int) []int32 { return engine.GrowActive(buf, n) }

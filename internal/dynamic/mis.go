@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -53,8 +54,8 @@ type misState struct {
 // no universe-sized allocation.
 //
 //lint:allow ctxround ctx is consumed by PrefixMISCtx (checked every round); the remaining loop is one bounded O(n) status conversion, cheaper than a single solver round
-func newMISState(ctx context.Context, g *graph.Graph, ord core.Order, engine Engine, grain int) (*misState, core.Stats, error) {
-	res, err := core.PrefixMISCtx(ctx, g, ord, core.Options{Grain: grain})
+func newMISState(ctx context.Context, g *graph.Graph, ord core.Order, eng Engine, grain int) (*misState, core.Stats, error) {
+	res, err := core.PrefixMISCtx(ctx, g, ord, core.Options{Options: engine.Options{Grain: grain}})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -67,7 +68,7 @@ func newMISState(ctx context.Context, g *graph.Graph, ord core.Order, engine Eng
 			status[v] = statusOut
 		}
 	}
-	ms := &misState{ord: ord, status: status, engine: engine}
+	ms := &misState{ord: ord, status: status, engine: eng}
 	ms.shift = core.FrontierBucketShift(n, misFrontierBuckets)
 	ms.buckets = ((n - 1) >> ms.shift) + 1
 	if n == 0 {
@@ -146,7 +147,7 @@ func (ms *misState) repairFrontier(ctx context.Context, ov *overlay, batch []Upd
 				ms.activeBuf = active
 				return cost, err
 			}
-			outcome := grow32(&ms.outcome, len(active))
+			outcome := engine.Grow32(&ms.outcome, len(active))
 			// Check phase: reads only statuses and pending marks
 			// committed before this round.
 			parallel.ForRange(len(active), grain, func(lo, hi int) {
@@ -260,7 +261,7 @@ func (ms *misState) repairClosure(ctx context.Context, ov *overlay, batch []Upda
 	// unresolved vertices, capture the pre-repair statuses for the
 	// Changed count, then reset.
 	sortByRank(cone, rank)
-	old := grow32(&ms.oldBuf, len(cone))
+	old := engine.Grow32(&ms.oldBuf, len(cone))
 	for i, v := range cone {
 		old[i] = ms.status[v]
 	}
@@ -271,13 +272,13 @@ func (ms *misState) repairClosure(ctx context.Context, ov *overlay, batch []Upda
 	var inspections atomic.Int64
 	// The round loop packs its active set in place; run it on a copy so
 	// cone keeps its rank order for the Changed diff below.
-	active := grow32(&ms.activeBuf, len(cone))
+	active := engine.Grow32(&ms.activeBuf, len(cone))
 	copy(active, cone)
 	for len(active) > 0 {
 		if err := ctx.Err(); err != nil {
 			return cost, err
 		}
-		outcome := grow32(&ms.outcome, len(active))
+		outcome := engine.Grow32(&ms.outcome, len(active))
 		// Check phase: reads only statuses written in previous rounds.
 		parallel.ForRange(len(active), grain, func(lo, hi int) {
 			var local int64
@@ -363,17 +364,4 @@ func sortByRank(vs []int32, rank []int32) {
 // sortInt32s sorts s by the given strict order.
 func sortInt32s(s []int32, less func(a, b int32) bool) {
 	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-}
-
-// grow32 resizes *buf to n int32s reusing capacity (contents
-// unspecified), mirroring core.Grow32 without exporting scratch
-// internals across packages.
-func grow32(buf *[]int32, n int) []int32 {
-	s := *buf
-	if cap(s) < n {
-		s = make([]int32, n)
-	}
-	s = s[:n]
-	*buf = s
-	return s
 }

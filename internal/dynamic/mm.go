@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/parallel"
@@ -66,15 +67,15 @@ type mmState struct {
 // the first Apply pays no universe-sized allocation.
 //
 //lint:allow ctxround ctx is consumed by PrefixMMCtx (checked every round); the remaining loops are bounded O(m) slot/incidence conversions, cheaper than a single solver round
-func newMMState(ctx context.Context, g *graph.Graph, seed uint64, engine Engine, grain int) (*mmState, core.Stats, error) {
+func newMMState(ctx context.Context, g *graph.Graph, seed uint64, eng Engine, grain int) (*mmState, core.Stats, error) {
 	el := g.EdgeList()
 	m := el.NumEdges()
 	ord := EdgeOrder(el, seed)
-	res, err := matching.PrefixMMCtx(ctx, el, ord, matching.Options{Grain: grain})
+	res, err := matching.PrefixMMCtx(ctx, el, ord, matching.Options{Options: engine.Options{Grain: grain}})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	ms := &mmState{seed: seed, engine: engine}
+	ms := &mmState{seed: seed, engine: eng}
 	ms.edges = make([]mmEdge, m)
 	ms.status = make([]int32, m)
 	for i, e := range el.Edges {
@@ -293,7 +294,7 @@ func (ms *mmState) repairFrontier(ctx context.Context, batch []Update, grain int
 				ms.activeBuf = active
 				return cost, err
 			}
-			outcome := grow32(&ms.outcome, len(active))
+			outcome := engine.Grow32(&ms.outcome, len(active))
 			// Check phase: reads only statuses and pending marks
 			// committed before this round.
 			parallel.ForRange(len(active), grain, func(lo, hi int) {
@@ -404,7 +405,7 @@ func (ms *mmState) repairClosure(ctx context.Context, batch []Update, grain int)
 	cost.Visited = len(cone)
 
 	sortInt32s(cone, ms.earlier)
-	old := grow32(&ms.oldBuf, len(cone))
+	old := engine.Grow32(&ms.oldBuf, len(cone))
 	for i, e := range cone {
 		old[i] = ms.status[e]
 	}
@@ -418,13 +419,13 @@ func (ms *mmState) repairClosure(ctx context.Context, batch []Update, grain int)
 	}
 
 	var inspections atomic.Int64
-	active := grow32(&ms.activeBuf, len(cone))
+	active := engine.Grow32(&ms.activeBuf, len(cone))
 	copy(active, cone)
 	for len(active) > 0 {
 		if err := ctx.Err(); err != nil {
 			return cost, err
 		}
-		outcome := grow32(&ms.outcome, len(active))
+		outcome := engine.Grow32(&ms.outcome, len(active))
 		// Check phase: reads only statuses committed in previous
 		// rounds.
 		parallel.ForRange(len(active), grain, func(lo, hi int) {

@@ -23,7 +23,10 @@
 // active set equal to the earliest unresolved ranks, the two-phase
 // fork-join execution over parallel.ForRange, adaptive window control
 // (AdaptiveController), per-round context checks, pooled window/outcome
-// buffers, and the per-round observer hook.
+// buffers (a Workspace, passed to Run as its last argument), and the
+// per-round observer hook. Its knobs — window, grain, observer, phase
+// clock — are declared once, in Options, which every problem package's
+// own Options embeds.
 //
 // Determinism contract: a Problem's Check phase may read only state
 // written in previous rounds, plus place per-iterate reservation bids
@@ -122,9 +125,6 @@ type Options struct {
 	// byte-identical: no clock reads, no extra work beyond one nil test
 	// per phase.
 	Clock func() int64
-	// Workspace, if non-nil, supplies the pooled window/outcome buffers
-	// reused across runs. nil allocates fresh buffers.
-	Workspace *Workspace
 }
 
 // PrefixFor resolves the fixed window size the options denote for an
@@ -166,13 +166,6 @@ func (o Options) AdaptiveInitial(n int) int {
 	return w
 }
 
-func (o Options) grain() int {
-	if o.Grain <= 0 {
-		return parallel.DefaultGrain
-	}
-	return o.Grain
-}
-
 // Workspace holds the engine's pooled per-run buffers (the active
 // window and the per-iterate outcome array), reused across runs on
 // same-or-smaller inputs. Problem-side state (statuses, mates,
@@ -188,8 +181,9 @@ type Workspace struct {
 // of them are resolved, and returns the run's cost counters. ctx is
 // checked once per round — the hot phases never see it — so a
 // cancelled context aborts within one round and returns ctx.Err().
-func Run(ctx context.Context, n int, p Problem, opt Options) (Stats, error) {
-	ws := opt.Workspace
+// ws supplies the pooled window/outcome buffers reused across runs;
+// nil allocates fresh ones.
+func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Stats, error) {
 	if ws == nil {
 		ws = new(Workspace)
 	}
@@ -201,7 +195,6 @@ func Run(ctx context.Context, n int, p Problem, opt Options) (Stats, error) {
 	// order, and Check only commits iterates whose earlier-priority
 	// dependencies are resolved.
 	window := opt.PrefixFor(n)
-	grain := opt.grain()
 	var ctrl *AdaptiveController
 	if opt.Adaptive {
 		ctrl = NewAdaptiveController(opt.AdaptiveInitial(n), AdaptiveGrowCap(n), n)
@@ -273,7 +266,7 @@ func Run(ctx context.Context, n int, p Problem, opt Options) (Stats, error) {
 		// previous rounds. The problem writes outcome[i] (and places
 		// reservation bids); the fork-join barrier below makes those
 		// writes visible to the commit phase.
-		parallel.ForRange(len(act), grain, func(lo, hi int) {
+		parallel.ForRange(len(act), opt.Grain, func(lo, hi int) {
 			inspections.Add(p.Check(act, outcome, lo, hi))
 		})
 		if clock != nil {
@@ -283,7 +276,7 @@ func Run(ctx context.Context, n int, p Problem, opt Options) (Stats, error) {
 		}
 
 		// Commit phase: apply the decisions to the problem's state.
-		parallel.ForRange(len(act), grain, func(lo, hi int) {
+		parallel.ForRange(len(act), opt.Grain, func(lo, hi int) {
 			inspections.Add(p.Commit(act, outcome, lo, hi))
 		})
 		if clock != nil {
@@ -293,7 +286,7 @@ func Run(ctx context.Context, n int, p Problem, opt Options) (Stats, error) {
 		}
 
 		before := len(act)
-		kept := parallel.PackInPlace(act, grain, func(i int) bool {
+		kept := parallel.PackInPlace(act, opt.Grain, func(i int) bool {
 			return outcome[i] == Undecided
 		})
 		if len(act) < len(active) {

@@ -173,7 +173,7 @@ func TestRunMatchesSequentialEverySchedule(t *testing.T) {
 		{Adaptive: true, PrefixFrac: 0.02, Grain: 5},
 	} {
 		p := newResidueProblem(n, k, order)
-		stats, err := engine.Run(context.Background(), n, p, opt)
+		stats, err := engine.Run(context.Background(), n, p, opt, nil)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opt, err)
 		}
@@ -199,7 +199,7 @@ func TestRunThreadIndependent(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		p := newResidueProblem(n, k, order)
-		if _, err := engine.Run(context.Background(), n, p, engine.Options{PrefixFrac: 0.05, Grain: 3}); err != nil {
+		if _, err := engine.Run(context.Background(), n, p, engine.Options{PrefixFrac: 0.05, Grain: 3}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for id := range p.result {
@@ -225,7 +225,7 @@ func TestCommitReleaseSamePhaseLoad(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	check := func(name string, p *residueProblem, opt engine.Options) {
 		t.Helper()
-		if _, err := engine.Run(context.Background(), n, p, opt); err != nil {
+		if _, err := engine.Run(context.Background(), n, p, opt, nil); err != nil {
 			t.Fatal(err)
 		}
 		for id := range p.result {
@@ -300,8 +300,7 @@ func TestWorkspaceReuseRezeroesOutcomes(t *testing.T) {
 	ws := new(engine.Workspace)
 	run := func(order []int32, opt engine.Options) *chainProblem {
 		p := &chainProblem{order: order, done: make([]int32, n)}
-		opt.Workspace = ws
-		if _, err := engine.Run(context.Background(), n, p, opt); err != nil {
+		if _, err := engine.Run(context.Background(), n, p, opt, ws); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -350,7 +349,7 @@ func TestOnRoundStatsConsistent(t *testing.T) {
 		if rs.Prefix > maxPrefix {
 			maxPrefix = rs.Prefix
 		}
-	}})
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +377,7 @@ func TestRunCancel(t *testing.T) {
 	p := newResidueProblem(n, 7, order)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := engine.Run(ctx, n, p, engine.Options{}); err != context.Canceled {
+	if _, err := engine.Run(ctx, n, p, engine.Options{}, nil); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -413,10 +412,55 @@ func TestWindowResolution(t *testing.T) {
 	}
 }
 
+// TestCeilFracExactness pins the rounding fix: binary-float products a
+// hair above an integer (the decimal 0.005 is not exactly
+// representable) must not push the ceiling one past the documented
+// value, while genuinely fractional products must round up.
+func TestCeilFracExactness(t *testing.T) {
+	// 0.005·n is an integer in decimal for every multiple of 200; the
+	// float product oscillates a few ulps around it. The documented
+	// value is exactly n/200.
+	for n := 200; n <= 200_000; n += 200 {
+		if got := engine.CeilFrac(0.005, n); got != n/200 {
+			t.Fatalf("CeilFrac(0.005, %d) = %d, want %d", n, got, n/200)
+		}
+	}
+	// Same for 0.1·n over multiples of 10 (0.1 is the classic
+	// non-representable decimal).
+	for n := 10; n <= 100_000; n += 10 {
+		if got := engine.CeilFrac(0.1, n); got != n/10 {
+			t.Fatalf("CeilFrac(0.1, %d) = %d, want %d", n, got, n/10)
+		}
+	}
+	// Non-integer products take the ceiling.
+	if got := engine.CeilFrac(0.07, 100); got != 7 {
+		t.Errorf("CeilFrac(0.07, 100) = %d, want 7", got)
+	}
+	if got := engine.CeilFrac(0.0051, 1000); got != 6 {
+		t.Errorf("CeilFrac(0.0051, 1000) = %d, want ⌈5.1⌉ = 6", got)
+	}
+	// Range edges.
+	if got := engine.CeilFrac(0, 100); got != 0 {
+		t.Errorf("CeilFrac(0, 100) = %d, want 0", got)
+	}
+	if got := engine.CeilFrac(-0.5, 100); got != 0 {
+		t.Errorf("CeilFrac(-0.5, 100) = %d, want 0", got)
+	}
+	if got := engine.CeilFrac(1, 100); got != 100 {
+		t.Errorf("CeilFrac(1, 100) = %d, want 100", got)
+	}
+	if got := engine.CeilFrac(7.5, 100); got != 100 {
+		t.Errorf("CeilFrac(7.5, 100) = %d, want 100 (frac > 1 clamps)", got)
+	}
+	if got := engine.CeilFrac(0.5, 0); got != 0 {
+		t.Errorf("CeilFrac(0.5, 0) = %d, want 0", got)
+	}
+}
+
 // An empty order resolves immediately with zero rounds.
 func TestRunEmpty(t *testing.T) {
 	p := newResidueProblem(0, 1, nil)
-	stats, err := engine.Run(context.Background(), 0, p, engine.Options{})
+	stats, err := engine.Run(context.Background(), 0, p, engine.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

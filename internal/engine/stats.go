@@ -67,11 +67,9 @@ type RoundStat struct {
 	// is, consecutive rounds tile the loop's span with no gaps, so the
 	// per-phase sums over a run reconstruct where the loop's wall time
 	// went (the work/span decomposition the paper's Figure 1 analysis
-	// reasons about). ResetNS is always 0: reservation-based problems
-	// release their bids inside Commit, so the loop has no reset phase;
-	// the field stays for the telemetry consumers that report it.
+	// reasons about). There is no reset phase: reservation-based
+	// problems release their bids inside Commit.
 	CheckNS  int64
 	CommitNS int64
-	ResetNS  int64
 	SlideNS  int64
 }

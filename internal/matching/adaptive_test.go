@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -24,7 +25,7 @@ func TestAdaptiveMMMatchesSequential(t *testing.T) {
 		for _, seed := range []uint64{1, 5} {
 			ord := core.NewRandomOrder(m, seed)
 			want := SequentialMM(el, ord)
-			got := PrefixMM(el, ord, Options{Adaptive: true})
+			got := PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true}})
 			if !got.Equal(want) {
 				t.Errorf("%s seed %d: adaptive MM differs from sequential", name, seed)
 			}
@@ -33,7 +34,7 @@ func TestAdaptiveMMMatchesSequential(t *testing.T) {
 			}
 			// An explicit seed window (fixed config as starting point)
 			// must not change the answer either.
-			seeded := PrefixMM(el, ord, Options{Adaptive: true, PrefixSize: m/2 + 1})
+			seeded := PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: m/2 + 1}})
 			if !seeded.Equal(want) {
 				t.Errorf("%s seed %d: adaptive MM with explicit seed window differs", name, seed)
 			}
@@ -47,9 +48,9 @@ func TestAdaptiveMMScheduleGrainIndependent(t *testing.T) {
 	g := graph.Random(1500, 7500, 3)
 	el := g.EdgeList()
 	ord := core.NewRandomOrder(el.NumEdges(), 4)
-	base := PrefixMM(el, ord, Options{Adaptive: true})
+	base := PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true}})
 	for _, grain := range []int{5, 64, 2048} {
-		r := PrefixMM(el, ord, Options{Adaptive: true, Grain: grain})
+		r := PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain}})
 		if r.Stats != base.Stats {
 			t.Fatalf("grain %d changed adaptive MM stats: %+v vs %+v", grain, r.Stats, base.Stats)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -35,9 +36,9 @@ func FuzzMMEquivalence(f *testing.F) {
 			name string
 			got  *Result
 		}{
-			{"prefix", PrefixMM(el, ord, Options{PrefixSize: prefix, Grain: grain})},
-			{"adaptive", PrefixMM(el, ord, Options{Adaptive: true, PrefixSize: prefix, Grain: grain})},
-			{"parallel", ParallelMM(el, ord, Options{Grain: grain})},
+			{"prefix", PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}})},
+			{"adaptive", PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}})},
+			{"parallel", ParallelMM(el, ord, Options{Options: engine.Options{Grain: grain}})},
 		} {
 			if !run.got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s MM diverged from sequential", n, m, prefix, grain, run.name)

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -74,10 +75,10 @@ func allDeterministicMM(el graph.EdgeList, ord core.Order) map[string]*Result {
 		"parallel-full":  ParallelMM(el, ord, Options{}),
 		"rootset":        RootSetMM(el, ord, Options{}),
 		"prefix-default": PrefixMM(el, ord, Options{}),
-		"prefix-1":       PrefixMM(el, ord, Options{PrefixSize: 1}),
-		"prefix-5":       PrefixMM(el, ord, Options{PrefixSize: 5}),
-		"prefix-0.2":     PrefixMM(el, ord, Options{PrefixFrac: 0.2}),
-		"tiny-grain":     PrefixMM(el, ord, Options{PrefixFrac: 0.5, Grain: 2}),
+		"prefix-1":       PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 1}}),
+		"prefix-5":       PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 5}}),
+		"prefix-0.2":     PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: 0.2}}),
+		"tiny-grain":     PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: 0.5, Grain: 2}}),
 	}
 }
 
@@ -125,7 +126,7 @@ func TestMMAlgorithmsMatchQuick(t *testing.T) {
 		for _, got := range []*Result{
 			ParallelMM(el, ord, Options{}),
 			RootSetMM(el, ord, Options{}),
-			PrefixMM(el, ord, Options{PrefixSize: 4}),
+			PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 4}}),
 		} {
 			if !got.Equal(want) {
 				return false
@@ -161,7 +162,7 @@ func TestMMDeterminismAcrossPrefixSizes(t *testing.T) {
 	el, ord := instance(1000, 6000, 9)
 	want := SequentialMM(el, ord)
 	for _, frac := range []float64{0.001, 0.01, 0.1, 1.0} {
-		r := PrefixMM(el, ord, Options{PrefixFrac: frac})
+		r := PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: frac}})
 		if !r.Equal(want) {
 			t.Fatalf("prefix frac %v changed the matching", frac)
 		}
@@ -170,7 +171,7 @@ func TestMMDeterminismAcrossPrefixSizes(t *testing.T) {
 
 func TestMMPrefix1IsSequential(t *testing.T) {
 	el, ord := instance(300, 900, 4)
-	r := PrefixMM(el, ord, Options{PrefixSize: 1})
+	r := PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 1}})
 	if r.Stats.Rounds != int64(el.NumEdges()) {
 		t.Errorf("prefix-1 rounds = %d, want m = %d", r.Stats.Rounds, el.NumEdges())
 	}
@@ -181,8 +182,8 @@ func TestMMPrefix1IsSequential(t *testing.T) {
 
 func TestMMWorkRoundsTradeoff(t *testing.T) {
 	el, ord := instance(2000, 12000, 6)
-	small := PrefixMM(el, ord, Options{PrefixSize: 16})
-	full := PrefixMM(el, ord, Options{PrefixFrac: 1})
+	small := PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 16}})
+	full := PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: 1}})
 	if small.Stats.Attempts > full.Stats.Attempts {
 		t.Errorf("attempts should grow with prefix: small=%d full=%d",
 			small.Stats.Attempts, full.Stats.Attempts)
@@ -317,7 +318,7 @@ func BenchmarkPrefixMM(b *testing.B) {
 	el, ord := instance(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PrefixMM(el, ord, Options{PrefixFrac: 0.01})
+		_ = PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: 0.01}})
 	}
 }
 

@@ -55,12 +55,12 @@ func PrefixMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	mate := grow32(&ws.mate, el.N)
-	fill32(mate, unmatched)
+	mate := engine.Grow32(&ws.mate, el.N)
+	engine.Fill32(mate, unmatched)
 	// reserv[v] holds the smallest rank among active edges bidding for
 	// vertex v this round.
-	reserv := grow32(&ws.reserv, el.N)
-	fill32(reserv, maxRank)
+	reserv := engine.Grow32(&ws.reserv, el.N)
+	engine.Fill32(reserv, maxRank)
 	in := make([]bool, m)
 
 	prob := &mmProblem{
@@ -70,7 +70,7 @@ func PrefixMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 		mate:   mate,
 		reserv: reserv,
 	}
-	stats, err := engine.Run(ctx, m, prob, opt.engineOptions(&ws.eng))
+	stats, err := engine.Run(ctx, m, prob, opt.Options, &ws.eng)
 	if err != nil {
 		return nil, err
 	}

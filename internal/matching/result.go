@@ -91,50 +91,14 @@ func (r *Result) Equal(other *Result) bool {
 	return true
 }
 
-// Options configures the parallel matching algorithms; the fields mirror
-// core.Options (PrefixSize/PrefixFrac apply to the number of edges).
+// Options configures the parallel matching algorithms: the engine's
+// window, grain and telemetry knobs (see engine.Options; PrefixSize and
+// PrefixFrac count edges), plus the pooled workspace. The matching
+// stays bit-identical to the sequential greedy one for every window
+// schedule.
 type Options struct {
-	PrefixSize int
-	PrefixFrac float64
-	Grain      int
-	// Adaptive replaces the fixed window with a measured schedule (see
-	// core.Options.Adaptive): a core.AdaptiveController doubles or
-	// halves the next round's window from the previous round's
-	// resolved/attempted ratio and inspection cost, bounded by [1, m].
-	// The matching stays bit-identical to the sequential greedy one.
-	Adaptive bool
-	// OnRound, if non-nil, is called after every round of the
-	// round-synchronous algorithms with that round's statistics (see
-	// core.RoundStat). It runs on the round loop's goroutine.
-	OnRound func(core.RoundStat)
-	// Clock, if non-nil, enables the engine's per-phase wall-time
-	// attribution (see engine.Options.Clock); telemetry-only, injected
-	// by the caller.
-	Clock func() int64
+	engine.Options
 	// Workspace, if non-nil, supplies pooled per-run buffers reused
 	// across runs. nil means allocate fresh buffers.
 	Workspace *Workspace
-}
-
-// engineOptions translates the matching options into the engine's form,
-// wiring the pooled window buffers when ws is non-nil. Prefix
-// resolution (size/frac/default, adaptive seeding) lives in the engine,
-// the single source of truth shared with the other problem packages.
-func (o Options) engineOptions(ws *engine.Workspace) engine.Options {
-	return engine.Options{
-		PrefixSize: o.PrefixSize,
-		PrefixFrac: o.PrefixFrac,
-		Adaptive:   o.Adaptive,
-		Grain:      o.Grain,
-		OnRound:    o.OnRound,
-		Clock:      o.Clock,
-		Workspace:  ws,
-	}
-}
-
-func (o Options) grain() int {
-	if o.Grain <= 0 {
-		return parallel.DefaultGrain
-	}
-	return o.Grain
 }

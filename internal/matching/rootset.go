@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -34,7 +35,6 @@ func RootSetMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Op
 	if ord.Len() != m {
 		panic("matching: order size does not match edge list")
 	}
-	grain := opt.grain()
 
 	// O(m) bucket-sorted incidence: every per-vertex list is already in
 	// priority order (the paper's Lemma 5.3 preprocessing).
@@ -44,28 +44,28 @@ func RootSetMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Op
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	status := grow32(&ws.status, m)
-	fill32(status, statusUndecided)
-	mate := grow32(&ws.mate, el.N)
-	fill32(mate, unmatched)
+	status := engine.Grow32(&ws.status, m)
+	engine.Fill32(status, statusUndecided)
+	mate := engine.Grow32(&ws.mate, el.N)
+	engine.Fill32(mate, unmatched)
 	// vptr[v] indexes the first not-yet-skipped entry of v's sorted
 	// incident list (lazy deletion).
-	vptr := grow32(&ws.reserv, el.N)
-	fill32(vptr, 0)
+	vptr := engine.Grow32(&ws.reserv, el.N)
+	engine.Fill32(vptr, 0)
 	// claimed[e] dedups ready-edge discovery: an edge can be found ready
 	// from both endpoints simultaneously.
-	claimed := grow32(&ws.claimed, m)
-	fill32(claimed, 0)
+	claimed := engine.Grow32(&ws.claimed, m)
+	engine.Fill32(claimed, 0)
 	// checkStamp[v] ensures each far endpoint is checked once per step.
-	checkStamp := grow32(&ws.stamp, el.N)
-	fill32(checkStamp, -1)
+	checkStamp := engine.Grow32(&ws.stamp, el.N)
+	engine.Fill32(checkStamp, -1)
 
 	stats := Stats{}
 	var inspections atomic.Int64
 	var prevInspections int64
 
 	// Initial ready set: edges that head both endpoints' lists.
-	frontier := parallel.PackIndex(m, grain, func(i int) bool {
+	frontier := parallel.PackIndex(m, opt.Grain, func(i int) bool {
 		e := int32(i)
 		edge := el.Edges[e]
 		u := inc.Incident(edge.U)
@@ -90,7 +90,7 @@ func RootSetMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Op
 		// of the edges its matching deleted.
 		killedFar := make([][]int32, len(frontier))
 		var decidedDelta atomic.Int64
-		parallel.ForRange(len(frontier), grain, func(lo, hi int) {
+		parallel.ForRange(len(frontier), opt.Grain, func(lo, hi int) {
 			var local, decided int64
 			for i := lo; i < hi; i++ {
 				e := frontier[i]
@@ -124,7 +124,7 @@ func RootSetMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Op
 		// newly ready edge.
 		var mu sync.Mutex
 		var chunks [][]int32
-		parallel.ForRange(len(frontier), grain, func(lo, hi int) {
+		parallel.ForRange(len(frontier), opt.Grain, func(lo, hi int) {
 			var local int64
 			var found []int32
 			for i := lo; i < hi; i++ {

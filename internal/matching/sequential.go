@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -39,10 +40,10 @@ func SequentialMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	status := grow32(&ws.status, m)
-	fill32(status, statusUndecided)
-	mate := grow32(&ws.mate, el.N)
-	fill32(mate, unmatched)
+	status := engine.Grow32(&ws.status, m)
+	engine.Fill32(status, statusUndecided)
+	mate := engine.Grow32(&ws.mate, el.N)
+	engine.Fill32(mate, unmatched)
 	var inspections int64
 	for r := 0; r < m; r++ {
 		if r&seqCancelMask == 0 {

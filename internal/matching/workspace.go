@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 )
@@ -23,7 +22,6 @@ type Workspace struct {
 	status  []int32
 	mate    []int32
 	reserv  []int32 // doubles as vptr for RootSetMM
-	active  []int32
 	claimed []int32
 	stamp   []int32
 	eng     engine.Workspace
@@ -36,10 +34,3 @@ func (w *Workspace) edgeBuf() *[]graph.Edge {
 	}
 	return &w.edges
 }
-
-// Pooled-buffer helpers shared with the other algorithm packages.
-var (
-	grow32     = core.Grow32
-	fill32     = core.Fill32
-	growActive = core.GrowActive
-)

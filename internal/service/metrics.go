@@ -138,8 +138,8 @@ type Metrics struct {
 	// Overload-control rejections: admission is the job queue saying no
 	// (HTTP 429), ingestPaused is the memory watermark refusing graph
 	// uploads (HTTP 503).
-	admissionRejected  int64
-	ingestPausedCount  int64
+	admissionRejected int64
+	ingestPausedCount int64
 
 	registryHits      int64 // Add or Acquire found an existing resident graph
 	registryMisses    int64 // Acquire of an unknown id
@@ -351,8 +351,8 @@ type JobCounters struct {
 
 // RegistryCounters is the registry section of a metrics snapshot.
 type RegistryCounters struct {
-	Graphs        int   `json:"graphs"`
-	Pinned        int   `json:"pinned"`
+	Graphs int `json:"graphs"`
+	Pinned int `json:"pinned"`
 	// ColdGraphs counts entries whose arrays live only in the disk tier
 	// right now (always 0 without persistence).
 	ColdGraphs    int   `json:"cold_graphs"`
@@ -495,13 +495,13 @@ func (m *Metrics) snapshot() Snapshot {
 	defer m.mu.Unlock()
 	s := Snapshot{
 		Jobs: JobCounters{
-			Submitted:        m.jobsSubmitted,
-			DedupHits:        m.dedupHits,
-			Executed:         m.jobsExecuted,
-			AdaptiveExecuted: m.jobsAdaptive,
-			Repaired:         m.jobsRepaired,
-			RepairVisited:    m.repairVisited,
-			RepairFlipped:    m.repairFlipped,
+			Submitted:         m.jobsSubmitted,
+			DedupHits:         m.dedupHits,
+			Executed:          m.jobsExecuted,
+			AdaptiveExecuted:  m.jobsAdaptive,
+			Repaired:          m.jobsRepaired,
+			RepairVisited:     m.repairVisited,
+			RepairFlipped:     m.repairFlipped,
 			Failed:            m.jobsFailed,
 			Cancelled:         m.jobsCancelled,
 			DeadlineExceeded:  m.jobsDeadline,

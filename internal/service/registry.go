@@ -31,12 +31,12 @@ var (
 
 // GraphInfo is the public metadata of a registered graph.
 type GraphInfo struct {
-	ID      string `json:"id"`
-	Label   string `json:"label,omitempty"`
-	N       int    `json:"n"`
-	M       int    `json:"m"`
-	Bytes   int64  `json:"bytes"`
-	Refs    int    `json:"refs"`
+	ID    string `json:"id"`
+	Label string `json:"label,omitempty"`
+	N     int    `json:"n"`
+	M     int    `json:"m"`
+	Bytes int64  `json:"bytes"`
+	Refs  int    `json:"refs"`
 	// Resident reports which tier holds the graph: true means the CSR
 	// arrays are in memory, false means the graph lives only in the
 	// disk tier and the next Acquire will reload it.
@@ -61,7 +61,7 @@ type GraphInfo struct {
 type regEntry struct {
 	info      GraphInfo
 	g         *graph.Graph
-	persisted bool // a committed blob exists in the disk tier
+	persisted bool   // a committed blob exists in the disk tier
 	clock     uint64 // LRU tick of the last Acquire
 
 	loadMu sync.Mutex // serializes cold loads of this entry
@@ -73,9 +73,9 @@ type regEntry struct {
 	sys      *setcover.System
 	sysBytes int64
 
-	statsMu   sync.Mutex
-	statsSet  bool
-	stats     graph.DegreeStats
+	statsMu  sync.Mutex
+	statsSet bool
+	stats    graph.DegreeStats
 }
 
 // lineageRec remembers how a graph version was derived, so the job

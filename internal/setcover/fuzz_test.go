@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -65,8 +66,8 @@ func FuzzHittingSetEquivalence(f *testing.F) {
 		layout := BuildLayout(s, ord)
 
 		for _, opt := range []Options{
-			{PrefixSize: prefix, Grain: grain},
-			{Adaptive: true, PrefixSize: prefix, Grain: grain},
+			{Options: engine.Options{PrefixSize: prefix, Grain: grain}},
+			{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}},
 		} {
 			got := PrefixHittingSet(s, ord, opt)
 			if !got.Equal(want) {

@@ -62,45 +62,20 @@ func (r *Result) Equal(other *Result) bool {
 	return true
 }
 
-// Options configures the parallel hitting set algorithm; the fields
-// mirror core.Options (PrefixSize/PrefixFrac apply to the number of
-// elements).
+// Options configures the parallel hitting set algorithm: the engine's
+// window, grain and telemetry knobs (see engine.Options; PrefixSize and
+// PrefixFrac count elements), plus the fields below. The hitting set
+// stays bit-identical to the sequential greedy one for every window
+// schedule.
 type Options struct {
-	PrefixSize int
-	PrefixFrac float64
-	Grain      int
-	// Adaptive replaces the fixed window with the engine's measured
-	// schedule (see core.Options.Adaptive); the hitting set stays
-	// bit-identical to the sequential greedy one for every schedule.
-	Adaptive bool
+	engine.Options
 	// Layout, if non-nil, is the rank-space layout of the input system
 	// under the run's order (see BuildLayout), reused by
 	// PrefixHittingSet instead of building it per run.
 	Layout *Layout
-	// OnRound, if non-nil, is called after every round with that round's
-	// statistics (see core.RoundStat), on the round loop's goroutine.
-	OnRound func(core.RoundStat)
-	// Clock, if non-nil, enables the engine's per-phase wall-time
-	// attribution (see engine.Options.Clock); telemetry-only, injected
-	// by the caller.
-	Clock func() int64
 	// Workspace, if non-nil, supplies pooled per-run buffers reused
 	// across runs. nil means allocate fresh buffers.
 	Workspace *Workspace
-}
-
-// engineOptions translates the options into the engine's form, wiring
-// the pooled window buffers when ws is non-nil.
-func (o Options) engineOptions(ws *engine.Workspace) engine.Options {
-	return engine.Options{
-		PrefixSize: o.PrefixSize,
-		PrefixFrac: o.PrefixFrac,
-		Adaptive:   o.Adaptive,
-		Grain:      o.Grain,
-		OnRound:    o.OnRound,
-		Clock:      o.Clock,
-		Workspace:  ws,
-	}
 }
 
 // seqCancelMask paces the sequential scan's cancellation checks, as in
@@ -216,7 +191,7 @@ func PrefixHittingSetCtx(ctx context.Context, s *System, ord core.Order, opt Opt
 		layout = BuildLayout(s, ord)
 	}
 	prob := &hsProblem{layout: layout, sys: s, rank: ord.Rank, status: status}
-	stats, err := engine.Run(ctx, n, prob, opt.engineOptions(&ws.eng))
+	stats, err := engine.Run(ctx, n, prob, opt.Options, &ws.eng)
 	if err != nil {
 		return nil, err
 	}

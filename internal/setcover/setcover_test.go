@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -52,13 +53,13 @@ func TestPrefixHittingSetMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: sequential reference invalid: %v", name, err)
 		}
 		for _, opt := range []Options{
-			{PrefixSize: 1},
-			{PrefixSize: 7, Grain: 3},
-			{PrefixFrac: 0.01},
-			{PrefixFrac: 0.2, Grain: 17},
-			{PrefixFrac: 1},
-			{Adaptive: true},
-			{Adaptive: true, PrefixFrac: 0.05},
+			{Options: engine.Options{PrefixSize: 1}},
+			{Options: engine.Options{PrefixSize: 7, Grain: 3}},
+			{Options: engine.Options{PrefixFrac: 0.01}},
+			{Options: engine.Options{PrefixFrac: 0.2, Grain: 17}},
+			{Options: engine.Options{PrefixFrac: 1}},
+			{Options: engine.Options{Adaptive: true}},
+			{Options: engine.Options{Adaptive: true, PrefixFrac: 0.05}},
 		} {
 			got := PrefixHittingSet(s, ord, opt)
 			if !got.Equal(want) {
@@ -80,11 +81,11 @@ func TestPrefixHittingSetThreadIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		got := PrefixHittingSet(s, ord, Options{PrefixFrac: 0.05, Grain: 7})
+		got := PrefixHittingSet(s, ord, Options{Options: engine.Options{PrefixFrac: 0.05, Grain: 7}})
 		if !got.Equal(want) {
 			t.Fatalf("GOMAXPROCS=%d: hitting set differs from sequential", procs)
 		}
-		adaptive := PrefixHittingSet(s, ord, Options{Adaptive: true})
+		adaptive := PrefixHittingSet(s, ord, Options{Options: engine.Options{Adaptive: true}})
 		if !adaptive.Equal(want) {
 			t.Fatalf("GOMAXPROCS=%d: adaptive hitting set differs from sequential", procs)
 		}
@@ -116,10 +117,10 @@ func TestHittingSetWorkspaceReuse(t *testing.T) {
 	wantBig := SequentialHittingSet(big, bigOrd)
 	wantSmall := SequentialHittingSet(small, smallOrd)
 	for i := 0; i < 3; i++ {
-		if got := PrefixHittingSet(big, bigOrd, Options{Workspace: ws, PrefixFrac: 0.1}); !got.Equal(wantBig) {
+		if got := PrefixHittingSet(big, bigOrd, Options{Options: engine.Options{PrefixFrac: 0.1}, Workspace: ws}); !got.Equal(wantBig) {
 			t.Fatalf("run %d big: pooled run differs", i)
 		}
-		if got := PrefixHittingSet(small, smallOrd, Options{Workspace: ws, Adaptive: true}); !got.Equal(wantSmall) {
+		if got := PrefixHittingSet(small, smallOrd, Options{Options: engine.Options{Adaptive: true}, Workspace: ws}); !got.Equal(wantSmall) {
 			t.Fatalf("run %d small: pooled run differs", i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -21,7 +22,7 @@ func TestAdaptiveStrictSFMatchesSequential(t *testing.T) {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), 3)
 		want := SequentialSF(el, ord)
-		got := PrefixSF(el, ord, Options{Adaptive: true})
+		got := PrefixSF(el, ord, Options{Options: engine.Options{Adaptive: true}})
 		if !got.Equal(want) {
 			t.Errorf("%s: adaptive strict SF differs from sequential", name)
 		}
@@ -40,7 +41,7 @@ func TestAdaptiveRelaxedSFValidAndDeterministic(t *testing.T) {
 	ord := core.NewRandomOrder(el.NumEdges(), 6)
 	seq := SequentialSF(el, ord)
 
-	base := PrefixSFRelaxed(el, ord, Options{Adaptive: true})
+	base := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{Adaptive: true}})
 	if !IsForest(el, base.InForest) {
 		t.Fatal("adaptive relaxed SF is not a forest")
 	}
@@ -51,7 +52,7 @@ func TestAdaptiveRelaxedSFValidAndDeterministic(t *testing.T) {
 		t.Fatalf("adaptive relaxed SF size %d, sequential %d (both must equal n - #components)", base.Size(), seq.Size())
 	}
 	for _, grain := range []int{3, 128, 1024} {
-		r := PrefixSFRelaxed(el, ord, Options{Adaptive: true, Grain: grain})
+		r := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain}})
 		if !r.Equal(base) {
 			t.Fatalf("grain %d changed the adaptive relaxed forest", grain)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -32,21 +33,21 @@ func FuzzSFEquivalence(f *testing.F) {
 		grain := int(rawGrain)%3 + 1
 
 		for _, opt := range []Options{
-			{PrefixSize: prefix, Grain: grain},
-			{Adaptive: true, PrefixSize: prefix, Grain: grain},
+			{Options: engine.Options{PrefixSize: prefix, Grain: grain}},
+			{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}},
 		} {
 			if got := PrefixSF(el, ord, opt); !got.Equal(want) {
 				t.Fatalf("n=%d m=%d opts %+v: strict SF diverged from sequential", n, m, opt)
 			}
 		}
 
-		relaxed := PrefixSFRelaxed(el, ord, Options{PrefixSize: prefix, Grain: grain})
+		relaxed := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}})
 		if !IsForest(el, relaxed.InForest) || !IsSpanning(el, relaxed.InForest) || relaxed.Size() != want.Size() {
 			t.Fatalf("n=%d m=%d prefix=%d grain=%d: relaxed SF is not a spanning forest of the sequential size %d (got %d edges)",
 				n, m, prefix, grain, want.Size(), relaxed.Size())
 		}
 		for _, g := range []int{grain, 1, 2, 3} {
-			if again := PrefixSFRelaxed(el, ord, Options{PrefixSize: prefix, Grain: g}); !again.Equal(relaxed) {
+			if again := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: g}}); !again.Equal(relaxed) {
 				t.Fatalf("n=%d m=%d prefix=%d: relaxed SF at grain %d differs from grain %d", n, m, prefix, g, grain)
 			}
 		}

@@ -67,8 +67,8 @@ func PrefixSFRelaxedCtx(ctx context.Context, el graph.EdgeList, ord core.Order, 
 	}
 	dsu := ws.freshDSU(el.N)
 	in := make([]bool, m)
-	reserv := grow32(&ws.reserv, el.N)
-	fill32(reserv, maxRank)
+	reserv := engine.Grow32(&ws.reserv, el.N)
+	engine.Fill32(reserv, maxRank)
 
 	prob := &sfRelaxedProblem{
 		edges:  el.GatherByRank(ws.edgeBuf(), ord.Order),
@@ -77,7 +77,7 @@ func PrefixSFRelaxedCtx(ctx context.Context, el graph.EdgeList, ord core.Order, 
 		in:     in,
 		reserv: reserv,
 	}
-	stats, err := engine.Run(ctx, m, prob, opt.engineOptions(&ws.eng))
+	stats, err := engine.Run(ctx, m, prob, opt.Options, &ws.eng)
 	if err != nil {
 		return nil, err
 	}

@@ -105,46 +105,18 @@ func SequentialSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt
 	}), nil
 }
 
-// Options configures PrefixSF; the fields mirror matching.Options.
+// Options configures the prefix spanning-forest algorithms: the
+// engine's window, grain and telemetry knobs (see engine.Options;
+// PrefixSize and PrefixFrac count edges), plus the pooled workspace.
+// PrefixSF returns exactly the sequential forest for every window
+// schedule, while PrefixSFRelaxed — deterministic per window schedule,
+// like per fixed prefix — may select a different (equally valid) forest
+// under an adaptive schedule than under a fixed window.
 type Options struct {
-	PrefixSize int
-	PrefixFrac float64
-	Grain      int
-	// Adaptive replaces the fixed window with a measured schedule (see
-	// core.Options.Adaptive). The schedule is a deterministic function
-	// of the run's per-round counters, so adaptive runs stay
-	// reproducible; PrefixSF still returns exactly the sequential
-	// forest for every schedule, while PrefixSFRelaxed — deterministic
-	// per window schedule, like per fixed prefix — may select a
-	// different (equally valid) forest than a fixed-window run.
-	Adaptive bool
-	// OnRound, if non-nil, is called after every round of the
-	// prefix-based algorithms with that round's statistics (see
-	// core.RoundStat). It runs on the round loop's goroutine.
-	OnRound func(core.RoundStat)
-	// Clock, if non-nil, enables the engine's per-phase wall-time
-	// attribution (see engine.Options.Clock); telemetry-only, injected
-	// by the caller.
-	Clock func() int64
+	engine.Options
 	// Workspace, if non-nil, supplies pooled per-run buffers reused
 	// across runs. nil means allocate fresh buffers.
 	Workspace *Workspace
-}
-
-// engineOptions translates the spanning options into the engine's form,
-// wiring the pooled window buffers when ws is non-nil. Prefix
-// resolution (size/frac/default, adaptive seeding) lives in the engine,
-// the single source of truth shared with the other problem packages.
-func (o Options) engineOptions(ws *engine.Workspace) engine.Options {
-	return engine.Options{
-		PrefixSize: o.PrefixSize,
-		PrefixFrac: o.PrefixFrac,
-		Adaptive:   o.Adaptive,
-		Grain:      o.Grain,
-		OnRound:    o.OnRound,
-		Clock:      o.Clock,
-		Workspace:  ws,
-	}
 }
 
 // PrefixSF computes the lexicographically-first spanning forest with
@@ -187,8 +159,8 @@ func PrefixSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 	}
 	dsu := ws.freshDSU(el.N)
 	in := make([]bool, m)
-	reserv := grow32(&ws.reserv, el.N)
-	fill32(reserv, maxRank)
+	reserv := engine.Grow32(&ws.reserv, el.N)
+	engine.Fill32(reserv, maxRank)
 
 	prob := &sfProblem{
 		edges:  el.GatherByRank(ws.edgeBuf(), ord.Order),
@@ -197,7 +169,7 @@ func PrefixSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Opt
 		in:     in,
 		reserv: reserv,
 	}
-	stats, err := engine.Run(ctx, m, prob, opt.engineOptions(&ws.eng))
+	stats, err := engine.Run(ctx, m, prob, opt.Options, &ws.eng)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -69,13 +70,13 @@ func TestPrefixSFMatchesSequential(t *testing.T) {
 		ord := core.NewRandomOrder(el.NumEdges(), uint64(ci)+11)
 		want := SequentialSF(el, ord)
 		for _, frac := range []float64{0.001, 0.01, 0.2, 1.0} {
-			got := PrefixSF(el, ord, Options{PrefixFrac: frac})
+			got := PrefixSF(el, ord, Options{Options: engine.Options{PrefixFrac: frac}})
 			if !got.Equal(want) {
 				t.Errorf("case %d frac %v: prefix spanning forest differs from sequential (%d vs %d edges)",
 					ci, frac, got.Size(), want.Size())
 			}
 		}
-		one := PrefixSF(el, ord, Options{PrefixSize: 1})
+		one := PrefixSF(el, ord, Options{Options: engine.Options{PrefixSize: 1}})
 		if !one.Equal(want) {
 			t.Errorf("case %d: prefix-1 differs from sequential", ci)
 		}
@@ -95,7 +96,7 @@ func TestPrefixSFQuick(t *testing.T) {
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xabcd)
 		want := SequentialSF(el, ord)
 		prefix := int(rawPrefix)%el.NumEdges() + 1
-		got := PrefixSF(el, ord, Options{PrefixSize: prefix, Grain: 4})
+		got := PrefixSF(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 4}})
 		return got.Equal(want) && IsForest(el, got.InForest) && IsSpanning(el, got.InForest)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -105,11 +106,11 @@ func TestPrefixSFQuick(t *testing.T) {
 
 func TestPrefixSFStats(t *testing.T) {
 	el, ord := instance(400, 2000, 9)
-	seq := PrefixSF(el, ord, Options{PrefixSize: 1})
+	seq := PrefixSF(el, ord, Options{Options: engine.Options{PrefixSize: 1}})
 	if seq.Stats.Rounds != int64(el.NumEdges()) {
 		t.Errorf("prefix-1 rounds = %d, want m", seq.Stats.Rounds)
 	}
-	full := PrefixSF(el, ord, Options{PrefixFrac: 1})
+	full := PrefixSF(el, ord, Options{Options: engine.Options{PrefixFrac: 1}})
 	if full.Stats.Rounds >= seq.Stats.Rounds {
 		t.Errorf("full prefix rounds = %d not smaller than sequential %d",
 			full.Stats.Rounds, seq.Stats.Rounds)
@@ -143,7 +144,7 @@ func BenchmarkPrefixSF(b *testing.B) {
 	el, ord := instance(10000, 50000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PrefixSF(el, ord, Options{PrefixFrac: 0.001})
+		_ = PrefixSF(el, ord, Options{Options: engine.Options{PrefixFrac: 0.001}})
 	}
 }
 

@@ -1,7 +1,6 @@
 package spanning
 
 import (
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/unionfind"
@@ -44,9 +43,3 @@ func (w *Workspace) freshDSU(n int) *unionfind.Concurrent {
 	}
 	return w.dsu
 }
-
-// Pooled-buffer helpers shared with the other algorithm packages.
-var (
-	grow32 = core.Grow32
-	fill32 = core.Fill32
-)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/core"
 	"repro/internal/dynamic"
+	"repro/internal/engine"
 	"repro/internal/matching"
 	"repro/internal/setcover"
 	"repro/internal/spanning"
@@ -268,12 +269,12 @@ func (s *Solver) layoutFor(c config, sys *System, ord Order) *setcover.Layout {
 // fanning each round report out to every registered observer. With no
 // observers it returns nil, so the unobserved hot path stays exactly
 // the pre-observer code (and allocation-free).
-func observerFor(c config) func(core.RoundStat) {
+func observerFor(c config) func(engine.RoundStat) {
 	if len(c.observers) == 0 {
 		return nil
 	}
 	obs := c.observers
-	return func(rs core.RoundStat) {
+	return func(rs engine.RoundStat) {
 		ri := RoundInfo{
 			Round:           rs.Round,
 			PrefixSize:      rs.Prefix,
@@ -283,7 +284,6 @@ func observerFor(c config) func(core.RoundStat) {
 			RetryTail:       rs.RetryTail,
 			CheckNS:         rs.CheckNS,
 			CommitNS:        rs.CommitNS,
-			ResetNS:         rs.ResetNS,
 			SlideNS:         rs.SlideNS,
 		}
 		for _, fn := range obs {
@@ -306,6 +306,19 @@ func clockFor(c config) func() int64 {
 	return func() int64 { return int64(time.Since(start)) }
 }
 
+// engineOptions is the engine configuration c denotes — window, grain,
+// observers and phase clock — shared by every problem's Options.
+func engineOptions(c config) engine.Options {
+	return engine.Options{
+		PrefixSize: c.prefixSize,
+		PrefixFrac: c.prefixFrac,
+		Adaptive:   c.adaptive,
+		Grain:      c.grain,
+		OnRound:    observerFor(c),
+		Clock:      clockFor(c),
+	}
+}
+
 // MIS computes a maximal independent set of g under the configured
 // options. Long runs honor ctx: cancellation is checked once per round
 // (the hot inner loops never see it), so the call returns ctx.Err()
@@ -315,16 +328,7 @@ func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult,
 	if err := c.checkAdaptive(); err != nil {
 		return nil, err
 	}
-	coreOpt := core.Options{
-		PrefixFrac: c.prefixFrac,
-		PrefixSize: c.prefixSize,
-		Adaptive:   c.adaptive,
-		Grain:      c.grain,
-		Pointered:  c.pointered,
-		OnRound:    observerFor(c),
-		Clock:      clockFor(c),
-		Workspace:  &s.misWs,
-	}
+	coreOpt := core.Options{Options: engineOptions(c), Pointered: c.pointered, Workspace: &s.misWs}
 	// Luby regenerates priorities from the seed every round; deriving
 	// (and caching) a priority order for it would be pure waste. It has
 	// no churn-stable variant either, so WithDynamic rejects it.
@@ -380,15 +384,7 @@ func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult
 		}
 	}
 	s.mmWs.Edges = &s.edges
-	opt := matching.Options{
-		PrefixFrac: c.prefixFrac,
-		PrefixSize: c.prefixSize,
-		Adaptive:   c.adaptive,
-		Grain:      c.grain,
-		OnRound:    observerFor(c),
-		Clock:      clockFor(c),
-		Workspace:  &s.mmWs,
-	}
+	opt := matching.Options{Options: engineOptions(c), Workspace: &s.mmWs}
 	switch c.algorithm {
 	case AlgoSequential:
 		return matching.SequentialMMCtx(ctx, el, ord, opt)
@@ -425,15 +421,7 @@ func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult
 		return nil, err
 	}
 	s.sfWs.Edges = &s.edges
-	opt := spanning.Options{
-		PrefixFrac: c.prefixFrac,
-		PrefixSize: c.prefixSize,
-		Adaptive:   c.adaptive,
-		Grain:      c.grain,
-		OnRound:    observerFor(c),
-		Clock:      clockFor(c),
-		Workspace:  &s.sfWs,
-	}
+	opt := spanning.Options{Options: engineOptions(c), Workspace: &s.sfWs}
 	if c.algorithm == AlgoSequential {
 		return spanning.SequentialSFCtx(ctx, el, ord, opt)
 	}
@@ -466,15 +454,7 @@ func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*Color
 	if err != nil {
 		return nil, err
 	}
-	opt := coloring.Options{
-		PrefixFrac: c.prefixFrac,
-		PrefixSize: c.prefixSize,
-		Adaptive:   c.adaptive,
-		Grain:      c.grain,
-		OnRound:    observerFor(c),
-		Clock:      clockFor(c),
-		Workspace:  &s.colorWs,
-	}
+	opt := coloring.Options{Options: engineOptions(c), Workspace: &s.colorWs}
 	if c.algorithm == AlgoSequential {
 		return coloring.SequentialColoringCtx(ctx, g, ord, opt)
 	}
@@ -508,15 +488,7 @@ func (s *Solver) HittingSet(ctx context.Context, sys *System, opts ...Option) (*
 	if err != nil {
 		return nil, err
 	}
-	opt := setcover.Options{
-		PrefixFrac: c.prefixFrac,
-		PrefixSize: c.prefixSize,
-		Adaptive:   c.adaptive,
-		Grain:      c.grain,
-		OnRound:    observerFor(c),
-		Clock:      clockFor(c),
-		Workspace:  &s.hsWs,
-	}
+	opt := setcover.Options{Options: engineOptions(c), Workspace: &s.hsWs}
 	if c.algorithm == AlgoSequential {
 		return setcover.SequentialHittingSetCtx(ctx, sys, ord, opt)
 	}

@@ -492,6 +492,136 @@ func TestSolverDefaultsAndOverrides(t *testing.T) {
 	}
 }
 
+// TestSolverEngineOptionsReachEveryProblem checks that every facade
+// knob of the speculative engine — prefix size, prefix fraction,
+// adaptive window, round observers and phase profiling — reaches the
+// engine run of each of the five problems under AlgoPrefix, measured
+// over that problem's own item count.
+func TestSolverEngineOptionsReachEveryProblem(t *testing.T) {
+	ctx := context.Background()
+	g := greedy.RandomGraph(3_000, 15_000, 23)
+	el := g.EdgeList()
+	sets := make([][]int32, 0, 1_200)
+	for i := 0; i < 1_200; i++ {
+		sets = append(sets, []int32{int32(i), int32(3*i+1) % 2_500, int32(11*i+7) % 2_500})
+	}
+	sys, err := greedy.NewSystem(2_500, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems := []struct {
+		name  string
+		items int
+		run   func(s *greedy.Solver, opts ...greedy.Option) (greedy.Stats, error)
+	}{
+		{"mis", g.NumVertices(), func(s *greedy.Solver, opts ...greedy.Option) (greedy.Stats, error) {
+			r, err := s.MIS(ctx, g, opts...)
+			if err != nil {
+				return greedy.Stats{}, err
+			}
+			return r.Stats, nil
+		}},
+		{"mm", el.NumEdges(), func(s *greedy.Solver, opts ...greedy.Option) (greedy.Stats, error) {
+			r, err := s.MM(ctx, el, opts...)
+			if err != nil {
+				return greedy.Stats{}, err
+			}
+			return r.Stats, nil
+		}},
+		{"sf", el.NumEdges(), func(s *greedy.Solver, opts ...greedy.Option) (greedy.Stats, error) {
+			r, err := s.SF(ctx, el, opts...)
+			if err != nil {
+				return greedy.Stats{}, err
+			}
+			return r.Stats, nil
+		}},
+		{"coloring", g.NumVertices(), func(s *greedy.Solver, opts ...greedy.Option) (greedy.Stats, error) {
+			r, err := s.Coloring(ctx, g, opts...)
+			if err != nil {
+				return greedy.Stats{}, err
+			}
+			return r.Stats, nil
+		}},
+		{"hittingset", sys.NumElements(), func(s *greedy.Solver, opts ...greedy.Option) (greedy.Stats, error) {
+			r, err := s.HittingSet(ctx, sys, opts...)
+			if err != nil {
+				return greedy.Stats{}, err
+			}
+			return r.Stats, nil
+		}},
+	}
+	for _, p := range problems {
+		t.Run(p.name, func(t *testing.T) {
+			// observe runs the problem under opts on a fresh prefix
+			// Solver and returns its counters and every round report.
+			observe := func(opts ...greedy.Option) (greedy.Stats, []greedy.RoundInfo) {
+				t.Helper()
+				var rounds []greedy.RoundInfo
+				opts = append(opts, greedy.WithRoundObserver(func(ri greedy.RoundInfo) {
+					rounds = append(rounds, ri)
+				}))
+				st, err := p.run(greedy.NewSolver(greedy.WithAlgorithm(greedy.AlgoPrefix)), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int64(len(rounds)) != st.Rounds {
+					t.Fatalf("observer saw %d rounds, Stats.Rounds = %d", len(rounds), st.Rounds)
+				}
+				var attempted int64
+				for _, ri := range rounds {
+					attempted += int64(ri.Attempted)
+				}
+				if attempted != st.Attempts {
+					t.Fatalf("observer Attempted sums to %d, Stats.Attempts = %d", attempted, st.Attempts)
+				}
+				return st, rounds
+			}
+			fixedWindow := func(name string, want int, opts ...greedy.Option) {
+				t.Helper()
+				st, rounds := observe(opts...)
+				if st.PrefixSize != want {
+					t.Errorf("%s: Stats.PrefixSize = %d, want %d", name, st.PrefixSize, want)
+				}
+				for _, ri := range rounds {
+					if ri.PrefixSize != want {
+						t.Fatalf("%s: round %d window %d, want %d", name, ri.Round, ri.PrefixSize, want)
+					}
+				}
+			}
+
+			fixedWindow("WithPrefixSize(37)", 37, greedy.WithPrefixSize(37))
+			// ⌈0.0123·items⌉ in exact integer arithmetic.
+			fixedWindow("WithPrefixFrac(0.0123)", (123*p.items+9_999)/10_000, greedy.WithPrefixFrac(0.0123))
+
+			_, rounds := observe(greedy.WithAdaptivePrefix())
+			changed := false
+			for _, ri := range rounds[1:] {
+				if ri.PrefixSize != rounds[0].PrefixSize {
+					changed = true
+				}
+			}
+			if !changed {
+				t.Errorf("WithAdaptivePrefix: window stayed at %d for all %d rounds", rounds[0].PrefixSize, len(rounds))
+			}
+
+			_, rounds = observe(greedy.WithPhaseProfile())
+			var phaseNS int64
+			for _, ri := range rounds {
+				phaseNS += ri.CheckNS + ri.CommitNS + ri.SlideNS
+			}
+			if phaseNS <= 0 {
+				t.Errorf("WithPhaseProfile: phase times sum to %d ns, want > 0", phaseNS)
+			}
+			_, rounds = observe()
+			for _, ri := range rounds {
+				if ri.CheckNS != 0 || ri.CommitNS != 0 || ri.ResetNS != 0 || ri.SlideNS != 0 {
+					t.Fatalf("round %d without WithPhaseProfile reports phase times %+v", ri.Round, ri)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSolverMISReused vs BenchmarkSolverMISFresh quantify the
 // workspace win the Solver API exists for: the reused variant allocates
 // only the returned Result, the fresh variant pays the full set of
