@@ -11,6 +11,7 @@
 package greedy_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -68,7 +69,7 @@ func misPrefixPanel(b *testing.B, g *greedy.Graph, ord greedy.Order) {
 		b.Run(fmt.Sprintf("prefix=%g", frac), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = core.PrefixMIS(g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}})
+				res = must(core.PrefixMIS(context.Background(), g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}}))
 			}
 			b.ReportMetric(float64(res.Stats.Attempts)/float64(n), "work/N")
 			b.ReportMetric(float64(res.Stats.Rounds)/float64(n), "rounds/N")
@@ -82,7 +83,7 @@ func mmPrefixPanel(b *testing.B, el greedy.EdgeList, ord greedy.Order) {
 		b.Run(fmt.Sprintf("prefix=%g", frac), func(b *testing.B) {
 			var res *matching.Result
 			for i := 0; i < b.N; i++ {
-				res = matching.PrefixMM(el, ord, matching.Options{Options: engine.Options{PrefixFrac: frac}})
+				res = must(matching.PrefixMM(context.Background(), el, ord, matching.Options{Options: engine.Options{PrefixFrac: frac}}))
 			}
 			b.ReportMetric(float64(res.Stats.Attempts)/float64(m), "work/M")
 			b.ReportMetric(float64(res.Stats.Rounds)/float64(m), "rounds/M")
@@ -120,19 +121,19 @@ func misThreadsPanel(b *testing.B, g *greedy.Graph, ord greedy.Order) {
 		b.Run(fmt.Sprintf("threads=%d/prefixMIS", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < b.N; i++ {
-				core.PrefixMIS(g, ord, core.Options{})
+				must(core.PrefixMIS(context.Background(), g, ord, core.Options{}))
 			}
 		})
 		b.Run(fmt.Sprintf("threads=%d/luby", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < b.N; i++ {
-				core.LubyMIS(g, benchSeed+9, core.Options{})
+				must(core.LubyMIS(context.Background(), g, benchSeed+9, core.Options{}))
 			}
 		})
 		b.Run(fmt.Sprintf("threads=%d/serialMIS", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < b.N; i++ {
-				core.SequentialMIS(g, ord)
+				must(core.SequentialMIS(context.Background(), g, ord, core.Options{}))
 			}
 		})
 	}
@@ -153,13 +154,13 @@ func mmThreadsPanel(b *testing.B, el greedy.EdgeList, ord greedy.Order) {
 		b.Run(fmt.Sprintf("threads=%d/prefixMM", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < b.N; i++ {
-				matching.PrefixMM(el, ord, matching.Options{})
+				must(matching.PrefixMM(context.Background(), el, ord, matching.Options{}))
 			}
 		})
 		b.Run(fmt.Sprintf("threads=%d/serialMM", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < b.N; i++ {
-				matching.SequentialMM(el, ord)
+				must(matching.SequentialMM(context.Background(), el, ord, matching.Options{}))
 			}
 		})
 	}
@@ -173,17 +174,17 @@ func BenchmarkFig4bMMThreadsRMat(b *testing.B)   { benchSetup(); mmThreadsPanel(
 // (paper: 4-8x faster); the metric reports the inspection ratio.
 func BenchmarkTextMISvsLuby(b *testing.B) {
 	benchSetup()
-	pref := core.PrefixMIS(benchRand, ordRandV, core.Options{})
-	luby := core.LubyMIS(benchRand, benchSeed+9, core.Options{})
+	pref := must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{}))
+	luby := must(core.LubyMIS(context.Background(), benchRand, benchSeed+9, core.Options{}))
 	b.Run("prefixMIS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.PrefixMIS(benchRand, ordRandV, core.Options{})
+			must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{}))
 		}
 		b.ReportMetric(float64(luby.Stats.EdgeInspections)/float64(pref.Stats.EdgeInspections), "luby-inspect-ratio")
 	})
 	b.Run("luby", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.LubyMIS(benchRand, benchSeed+9, core.Options{})
+			must(core.LubyMIS(context.Background(), benchRand, benchSeed+9, core.Options{}))
 		}
 	})
 }
@@ -217,14 +218,14 @@ func BenchmarkAblationPointer(b *testing.B) {
 		b.Run(fmt.Sprintf("scratch/prefix=%g", frac), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = core.PrefixMIS(benchRand, ordRandV, core.Options{Options: engine.Options{PrefixFrac: frac}})
+				res = must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{Options: engine.Options{PrefixFrac: frac}}))
 			}
 			b.ReportMetric(float64(res.Stats.EdgeInspections), "inspections")
 		})
 		b.Run(fmt.Sprintf("pointer/prefix=%g", frac), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = core.PrefixMIS(benchRand, ordRandV, core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: true})
+				res = must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: true}))
 			}
 			b.ReportMetric(float64(res.Stats.EdgeInspections), "inspections")
 		})
@@ -236,27 +237,27 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 	benchSetup()
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.SequentialMIS(benchRand, ordRandV)
+			must(core.SequentialMIS(context.Background(), benchRand, ordRandV, core.Options{}))
 		}
 	})
 	b.Run("rootset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.RootSetMIS(benchRand, ordRandV, core.Options{})
+			must(core.RootSetMIS(context.Background(), benchRand, ordRandV, core.Options{}))
 		}
 	})
 	b.Run("prefix", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.PrefixMIS(benchRand, ordRandV, core.Options{})
+			must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{}))
 		}
 	})
 	b.Run("parallel-full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.ParallelMIS(benchRand, ordRandV, core.Options{})
+			must(core.ParallelMIS(context.Background(), benchRand, ordRandV, core.Options{}))
 		}
 	})
 	b.Run("luby", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.LubyMIS(benchRand, benchSeed+9, core.Options{})
+			must(core.LubyMIS(context.Background(), benchRand, benchSeed+9, core.Options{}))
 		}
 	})
 }
@@ -271,12 +272,12 @@ func BenchmarkSpanningForest(b *testing.B) {
 	ord := greedy.NewRandomOrder(elRand.NumEdges(), benchSeed+3)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spanning.SequentialSF(elRand, ord)
+			must(spanning.SequentialSF(context.Background(), elRand, ord, spanning.Options{}))
 		}
 	})
 	b.Run("relaxed-prefix", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spanning.PrefixSFRelaxed(elRand, ord, spanning.Options{Options: engine.Options{PrefixFrac: 0.01}})
+			must(spanning.PrefixSFRelaxed(context.Background(), elRand, ord, spanning.Options{Options: engine.Options{PrefixFrac: 0.01}}))
 		}
 	})
 	smallG := greedy.RandomGraph(benchRandN/16, benchRandM/16, benchSeed)
@@ -284,7 +285,16 @@ func BenchmarkSpanningForest(b *testing.B) {
 	smallOrd := greedy.NewRandomOrder(smallEl.NumEdges(), benchSeed+3)
 	b.Run("exact-prefix-1/16", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spanning.PrefixSF(smallEl, smallOrd, spanning.Options{Options: engine.Options{PrefixFrac: 0.001}})
+			must(spanning.PrefixSF(context.Background(), smallEl, smallOrd, spanning.Options{Options: engine.Options{PrefixFrac: 0.001}}))
 		}
 	})
+}
+
+// must unwraps the result of a run under a background context, whose
+// only possible error, cancellation, cannot happen.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -97,7 +97,6 @@ type problemAgg struct {
 	phaseSamples int64
 	checkMS      float64
 	commitMS     float64
-	resetMS      float64
 	slideMS      float64
 	retryTail    int64 // last sampled retry tail
 
@@ -196,7 +195,6 @@ func (s *state) ingest(msg service.StreamEvent) error {
 		a.phaseSamples++
 		a.checkMS += ev.CheckMS
 		a.commitMS += ev.CommitMS
-		a.resetMS += ev.ResetMS
 		a.slideMS += ev.SlideMS
 		a.retryTail = int64(ev.RetryTail)
 	case trace.KindRepair:
@@ -274,13 +272,13 @@ func (s *state) render(addr string) string {
 
 // phaseBar renders one problem's phase split as percentages plus the
 // last sampled retry tail, e.g.
-// "check 62% commit 21% reset 0% slide 17% tail=128".
+// "check 62% commit 21% slide 17% tail=128".
 func phaseBar(a *problemAgg) string {
-	total := a.checkMS + a.commitMS + a.resetMS + a.slideMS
+	total := a.checkMS + a.commitMS + a.slideMS
 	if a.phaseSamples == 0 || total <= 0 {
 		return "(no phase samples; run greedyd with -trace-sample)"
 	}
 	pct := func(v float64) string { return fmt.Sprintf("%.0f%%", 100*v/total) }
-	return fmt.Sprintf("check %s commit %s reset %s slide %s tail=%d",
-		pct(a.checkMS), pct(a.commitMS), pct(a.resetMS), pct(a.slideMS), a.retryTail)
+	return fmt.Sprintf("check %s commit %s slide %s tail=%d",
+		pct(a.checkMS), pct(a.commitMS), pct(a.slideMS), a.retryTail)
 }

@@ -123,28 +123,19 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *churn && algo == greedy.AlgoLuby {
-		// Every dynamic plan with Luby would be rejected at submission.
-		fmt.Fprintln(os.Stderr, "loadgen: -churn submits dynamic plans, which cannot use -algorithm luby")
-		os.Exit(2)
-	}
 	if *churn {
-		// Dynamic plans exist for MIS and MM only; drop the other
-		// problems from the mix rather than submitting jobs the daemon
-		// must reject.
-		kept := mix[:0]
+		// Keep only the problems a dynamic plan can run, rather than
+		// submitting jobs the daemon must reject.
+		kept, plan := mix[:0], greedy.Plan{Algorithm: algo, Dynamic: true}
 		for _, p := range mix {
-			switch strings.TrimSpace(p) {
-			case "mis", "mm":
-				kept = append(kept, p)
+			if cerr := greedy.Problem(strings.TrimSpace(p)).Check(plan); cerr != nil {
+				fmt.Fprintf(os.Stderr, "loadgen: -churn drops %s from the problem mix: %v\n", p, cerr)
+				continue
 			}
+			kept = append(kept, p)
 		}
-		if len(kept) < len(mix) {
-			fmt.Fprintln(os.Stderr, "loadgen: -churn keeps only mis/mm in the problem mix (dynamic plans exist for those alone)")
-		}
-		mix = kept
-		if len(mix) == 0 {
-			fmt.Fprintln(os.Stderr, "loadgen: -churn needs mis and/or mm in -problems")
+		if mix = kept; len(mix) == 0 {
+			fmt.Fprintln(os.Stderr, "loadgen: -churn keeps no problem of -problems")
 			os.Exit(2)
 		}
 	}
@@ -398,8 +389,8 @@ func main() {
 // heartbeat comments).
 func runWatcher(ctx context.Context, client *service.Client) {
 	var done, phaseSamples int64
-	var phaseMS [4]float64 // check, commit, reset, slide
-	phaseNames := [4]string{"check", "commit", "reset", "slide"}
+	var phaseMS [3]float64 // check, commit, slide
+	phaseNames := [3]string{"check", "commit", "slide"}
 	var dropped uint64
 	start := time.Now()
 	last := start
@@ -439,8 +430,7 @@ func runWatcher(ctx context.Context, client *service.Client) {
 					phaseSamples++
 					phaseMS[0] += te.CheckMS
 					phaseMS[1] += te.CommitMS
-					phaseMS[2] += te.ResetMS
-					phaseMS[3] += te.SlideMS
+					phaseMS[2] += te.SlideMS
 				}
 			}
 			if time.Since(last) >= time.Second {

@@ -64,7 +64,7 @@ func TestPinnedCounters(t *testing.T) {
 	stats("mm", mm.Stats, err)
 	sf, err := s.SF(ctx, el)
 	stats("sf", sf.Stats, err)
-	strict, err := spanning.PrefixSFCtx(ctx, el, core.NewRandomOrder(el.NumEdges(), 1), spanning.Options{})
+	strict, err := spanning.PrefixSF(ctx, el, core.NewRandomOrder(el.NumEdges(), 1), spanning.Options{})
 	stats("sf strict", strict.Stats, err)
 	col, err := s.Coloring(ctx, g)
 	stats("coloring", col.Stats, err)

@@ -53,9 +53,19 @@
 // cancelling aborts a long run within one round and returns ctx.Err().
 // WithRoundObserver streams per-round statistics (RoundInfo: round
 // index, prefix size, accepted count, edge inspections — the paper's
-// Figure 1 quantities) as the run progresses. Configuration mistakes
-// (AlgoLuby for matching, a mismatched WithOrder) come back as errors,
-// not panics.
+// Figure 1 quantities) as the run progresses.
+//
+// Each Problem (mis, mm, sf, coloring, hittingset: the wire names) has
+// one row in the facade's problem table, which Problem.Check reads: the
+// algorithms that run it and whether it has a dynamic variant. Every
+// Solver run checks its plan there first, and the service admits jobs
+// by the same check. Solver.Solve runs any problem on an Input (a
+// graph with its lazily derived edge list and set system; GraphInput
+// wraps a *Graph) and returns a problem-independent Answer.
+// Configuration mistakes come back as errors, not panics:
+// ErrLubyMatching, ErrSpanningAlgorithm, ErrColoringAlgorithm and
+// ErrHittingSetAlgorithm for an algorithm that does not run the
+// problem, ErrAdaptiveAlgorithm, ErrDynamicUnsupported and ErrOrderSize.
 //
 // # One-shot helpers
 //
@@ -66,19 +76,9 @@
 //	res := greedy.MaximalIndependentSet(g, greedy.WithSeed(7))
 //	fmt.Println(res.Size(), res.Stats)
 //
-// Migration from the free functions to the Solver API:
-//
-//	MaximalIndependentSet(g, opts...)  ->  solver.MIS(ctx, g, opts...)
-//	MaximalMatching(g, opts...)        ->  solver.MM(ctx, g.EdgeList(), opts...)
-//	MaximalMatchingEdges(el, opts...)  ->  solver.MM(ctx, el, opts...)
-//	SpanningForest(g, opts...)         ->  solver.SF(ctx, g.EdgeList(), opts...)
-//	SpanningForestEdges(el, opts...)   ->  solver.SF(ctx, el, opts...)
-//
-// The wrappers preserve the historical panic-on-misuse behavior; the
-// Solver methods return those conditions as errors (ErrLubyMatching,
-// ErrOrderSize, ErrSpanningAlgorithm, ErrColoringAlgorithm,
-// ErrHittingSetAlgorithm). GreedyColoring and GreedyHittingSet are the
-// one-shot wrappers for the two newest problems.
+// Each free function runs its problem's Solver method (MaximalMatching
+// is solver.MM on g.EdgeList(), GreedyColoring is solver.Coloring, and
+// so on) and panics with the error the method would return.
 //
 // # Dynamic graphs
 //

@@ -205,9 +205,8 @@ func WithAdaptivePrefix() Option { return func(c *config) { c.adaptive = true } 
 // with WithDynamic computes exactly the matching a dynamic session
 // with the same seed maintains — which is what lets the service layer
 // answer a dynamic-plan job either by repair or by recompute
-// interchangeably. Spanning forest and Luby have no churn-stable
-// variant; requesting them with WithDynamic is reported as
-// ErrDynamicUnsupported.
+// interchangeably. Luby and the problems without a churn-stable variant
+// (SF, coloring, hitting set) report ErrDynamicUnsupported.
 func WithDynamic() Option { return func(c *config) { c.dynamic = true } }
 
 // WithGrain sets the parallel-loop grain size (default 256, as in the
@@ -271,8 +270,10 @@ type Plan struct {
 // ResolvePlan applies opts over the defaults and returns the resulting
 // Plan — the exact option→configuration mapping the solver entry points
 // use internally.
-func ResolvePlan(opts ...Option) Plan {
-	c := buildConfig(opts)
+func ResolvePlan(opts ...Option) Plan { return buildConfig(opts).plan() }
+
+// plan is the Plan c denotes.
+func (c config) plan() Plan {
 	return Plan{
 		Algorithm:      c.algorithm,
 		Seed:           c.seed,
@@ -322,9 +323,14 @@ func (p Plan) Options() []Option {
 // WithOrder). Long-lived callers should hold a Solver: it exposes
 // cancellation and reuses its workspace deterministically.
 func MaximalIndependentSet(g *Graph, opts ...Option) *MISResult {
+	return pooled(func(s *Solver) (*MISResult, error) { return s.MIS(context.Background(), g, opts...) })
+}
+
+// pooled runs solve on a pooled Solver, panicking on its error.
+func pooled[R any](solve func(*Solver) (R, error)) R {
 	s := solverPool.Get().(*Solver)
 	defer solverPool.Put(s)
-	res, err := s.MIS(context.Background(), g, opts...)
+	res, err := solve(s)
 	if err != nil {
 		panic(err)
 	}
@@ -341,13 +347,7 @@ func MaximalMatching(g *Graph, opts ...Option) *MMResult {
 // list. Like MaximalIndependentSet it wraps a pooled Solver and panics
 // on configuration errors (AlgoLuby, mismatched WithOrder).
 func MaximalMatchingEdges(el EdgeList, opts ...Option) *MMResult {
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	res, err := s.MM(context.Background(), el, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return pooled(func(s *Solver) (*MMResult, error) { return s.MM(context.Background(), el, opts...) })
 }
 
 // SpanningForest computes a greedy spanning forest of g — the §7
@@ -369,13 +369,7 @@ func SpanningForest(g *Graph, opts ...Option) *SFResult {
 // functions it wraps a pooled Solver and panics on configuration
 // errors (an unsupported algorithm, mismatched WithOrder).
 func SpanningForestEdges(el EdgeList, opts ...Option) *SFResult {
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	res, err := s.SF(context.Background(), el, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return pooled(func(s *Solver) (*SFResult, error) { return s.SF(context.Background(), el, opts...) })
 }
 
 // GreedyColoring computes the first-fit greedy coloring of g: vertices
@@ -385,13 +379,7 @@ func SpanningForestEdges(el EdgeList, opts ...Option) *SFResult {
 // configuration errors (an unsupported algorithm, mismatched
 // WithOrder).
 func GreedyColoring(g *Graph, opts ...Option) *ColoringResult {
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	res, err := s.Coloring(context.Background(), g, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return pooled(func(s *Solver) (*ColoringResult, error) { return s.Coloring(context.Background(), g, opts...) })
 }
 
 // GreedyHittingSet computes the greedy hitting set of a set system:
@@ -400,13 +388,7 @@ func GreedyColoring(g *Graph, opts ...Option) *ColoringResult {
 // a pooled Solver and panics on configuration errors (an unsupported
 // algorithm, mismatched WithOrder).
 func GreedyHittingSet(sys *System, opts ...Option) *HittingSetResult {
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	res, err := s.HittingSet(context.Background(), sys, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return pooled(func(s *Solver) (*HittingSetResult, error) { return s.HittingSet(context.Background(), sys, opts...) })
 }
 
 // Verifiers, re-exported for callers that want the paper's checks.

@@ -2,6 +2,7 @@ package greedy_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,7 +87,7 @@ func TestCrossModuleMISMMConsistency(t *testing.T) {
 	el := g.EdgeList()
 	ord := greedy.NewRandomOrder(el.NumEdges(), 4)
 
-	direct := matching.PrefixMM(el, ord, matching.Options{Options: engine.Options{PrefixFrac: 0.1}})
+	direct := must(matching.PrefixMM(context.Background(), el, ord, matching.Options{Options: engine.Options{PrefixFrac: 0.1}}))
 	viaLG := matching.ViaLineGraphMIS(g, ord)
 	if !direct.Equal(viaLG) {
 		t.Fatal("direct MM and line-graph MIS disagree")
@@ -118,7 +119,7 @@ func TestAnalyzerExecutableAgreement(t *testing.T) {
 	for i, g := range zoo {
 		ord := greedy.NewRandomOrder(g.NumVertices(), uint64(i)+50)
 		info := core.DependenceSteps(g, ord)
-		exec := core.RootSetMIS(g, ord, core.Options{})
+		exec := must(core.RootSetMIS(context.Background(), g, ord, core.Options{}))
 		if int(exec.Stats.Rounds) != info.Steps {
 			t.Errorf("graph %d: rootset steps %d != analyzer %d", i, exec.Stats.Rounds, info.Steps)
 		}
@@ -134,7 +135,7 @@ func TestAnalyzerExecutableAgreement(t *testing.T) {
 		}
 		mmOrd := greedy.NewRandomOrder(el.NumEdges(), uint64(i)+80)
 		mmInfo := matching.DependenceSteps(el, mmOrd)
-		mmExec := matching.RootSetMM(el, mmOrd, matching.Options{})
+		mmExec := must(matching.RootSetMM(context.Background(), el, mmOrd, matching.Options{}))
 		if int(mmExec.Stats.Rounds) != mmInfo.Steps {
 			t.Errorf("graph %d: MM rootset steps %d != analyzer %d", i, mmExec.Stats.Rounds, mmInfo.Steps)
 		}

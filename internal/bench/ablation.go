@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -28,10 +29,10 @@ func AblationPointer(w Workload, reps int) Table {
 	for _, frac := range []float64{1e-4, 1e-3, 1e-2, 1e-1, 1.0} {
 		var scratch, pointer *core.Result
 		st := MedianTime(reps, func() {
-			scratch = core.PrefixMIS(g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}})
+			scratch = must(core.PrefixMIS(context.Background(), g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}}))
 		})
 		pt := MedianTime(reps, func() {
-			pointer = core.PrefixMIS(g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: true})
+			pointer = must(core.PrefixMIS(context.Background(), g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: true}))
 		})
 		if !scratch.Equal(pointer) {
 			panic("bench: pointer ablation changed the MIS")
@@ -69,36 +70,36 @@ func AblationAlgorithms(w Workload, reps int) Table {
 		})
 	}
 
-	seq := core.SequentialMIS(g, ord)
-	seqT := MedianTime(reps, func() { core.SequentialMIS(g, ord) })
+	seq := must(core.SequentialMIS(context.Background(), g, ord, core.Options{}))
+	seqT := MedianTime(reps, func() { must(core.SequentialMIS(context.Background(), g, ord, core.Options{})) })
 	addRow("mis/sequential", seq.Stats.Rounds, seq.Stats.Attempts, seq.Stats.EdgeInspections, fmtDuration(seqT), seq.Size())
 
-	root := core.RootSetMIS(g, ord, core.Options{})
-	rootT := MedianTime(reps, func() { core.RootSetMIS(g, ord, core.Options{}) })
+	root := must(core.RootSetMIS(context.Background(), g, ord, core.Options{}))
+	rootT := MedianTime(reps, func() { must(core.RootSetMIS(context.Background(), g, ord, core.Options{})) })
 	addRow("mis/rootset", root.Stats.Rounds, root.Stats.Attempts, root.Stats.EdgeInspections, fmtDuration(rootT), root.Size())
 
-	pref := core.PrefixMIS(g, ord, core.Options{})
-	prefT := MedianTime(reps, func() { core.PrefixMIS(g, ord, core.Options{}) })
+	pref := must(core.PrefixMIS(context.Background(), g, ord, core.Options{}))
+	prefT := MedianTime(reps, func() { must(core.PrefixMIS(context.Background(), g, ord, core.Options{})) })
 	addRow("mis/prefix", pref.Stats.Rounds, pref.Stats.Attempts, pref.Stats.EdgeInspections, fmtDuration(prefT), pref.Size())
 
-	full := core.ParallelMIS(g, ord, core.Options{})
-	fullT := MedianTime(reps, func() { core.ParallelMIS(g, ord, core.Options{}) })
+	full := must(core.ParallelMIS(context.Background(), g, ord, core.Options{}))
+	fullT := MedianTime(reps, func() { must(core.ParallelMIS(context.Background(), g, ord, core.Options{})) })
 	addRow("mis/parallel-full", full.Stats.Rounds, full.Stats.Attempts, full.Stats.EdgeInspections, fmtDuration(fullT), full.Size())
 
-	luby := core.LubyMIS(g, w.Seed+9, core.Options{})
-	lubyT := MedianTime(reps, func() { core.LubyMIS(g, w.Seed+9, core.Options{}) })
+	luby := must(core.LubyMIS(context.Background(), g, w.Seed+9, core.Options{}))
+	lubyT := MedianTime(reps, func() { must(core.LubyMIS(context.Background(), g, w.Seed+9, core.Options{})) })
 	addRow("mis/luby", luby.Stats.Rounds, luby.Stats.Attempts, luby.Stats.EdgeInspections, fmtDuration(lubyT), luby.Size())
 
-	mseq := matching.SequentialMM(el, mmOrd)
-	mseqT := MedianTime(reps, func() { matching.SequentialMM(el, mmOrd) })
+	mseq := must(matching.SequentialMM(context.Background(), el, mmOrd, matching.Options{}))
+	mseqT := MedianTime(reps, func() { must(matching.SequentialMM(context.Background(), el, mmOrd, matching.Options{})) })
 	addRow("mm/sequential", mseq.Stats.Rounds, mseq.Stats.Attempts, mseq.Stats.EdgeInspections, fmtDuration(mseqT), mseq.Size())
 
-	mroot := matching.RootSetMM(el, mmOrd, matching.Options{})
-	mrootT := MedianTime(reps, func() { matching.RootSetMM(el, mmOrd, matching.Options{}) })
+	mroot := must(matching.RootSetMM(context.Background(), el, mmOrd, matching.Options{}))
+	mrootT := MedianTime(reps, func() { must(matching.RootSetMM(context.Background(), el, mmOrd, matching.Options{})) })
 	addRow("mm/rootset", mroot.Stats.Rounds, mroot.Stats.Attempts, mroot.Stats.EdgeInspections, fmtDuration(mrootT), mroot.Size())
 
-	mpref := matching.PrefixMM(el, mmOrd, matching.Options{})
-	mprefT := MedianTime(reps, func() { matching.PrefixMM(el, mmOrd, matching.Options{}) })
+	mpref := must(matching.PrefixMM(context.Background(), el, mmOrd, matching.Options{}))
+	mprefT := MedianTime(reps, func() { must(matching.PrefixMM(context.Background(), el, mmOrd, matching.Options{})) })
 	addRow("mm/prefix", mpref.Stats.Rounds, mpref.Stats.Attempts, mpref.Stats.EdgeInspections, fmtDuration(mprefT), mpref.Size())
 
 	if !root.Equal(seq) || !pref.Equal(seq) || !full.Equal(seq) {
@@ -126,8 +127,8 @@ func SpanningForestExperiment(w Workload, reps int) Table {
 	el := g.EdgeList()
 	ord := core.NewRandomOrder(el.NumEdges(), w.Seed+3)
 
-	seq := spanning.SequentialSF(el, ord)
-	seqT := MedianTime(reps, func() { spanning.SequentialSF(el, ord) })
+	seq := must(spanning.SequentialSF(context.Background(), el, ord, spanning.Options{}))
+	seqT := MedianTime(reps, func() { must(spanning.SequentialSF(context.Background(), el, ord, spanning.Options{})) })
 
 	t := Table{
 		Title:   fmt.Sprintf("Extension X1 (Section 7): spanning forest on %s [%s]", w, Env()),
@@ -144,7 +145,7 @@ func SpanningForestExperiment(w Workload, reps int) Table {
 	for _, frac := range []float64{1e-3, 1e-2, 1e-1, 1.0} {
 		var res *spanning.Result
 		dur := MedianTime(reps, func() {
-			res = spanning.PrefixSFRelaxed(el, ord, spanning.Options{Options: engine.Options{PrefixFrac: frac}})
+			res = must(spanning.PrefixSFRelaxed(context.Background(), el, ord, spanning.Options{Options: engine.Options{PrefixFrac: frac}}))
 		})
 		eq := "no"
 		if res.Equal(seq) {
@@ -166,11 +167,11 @@ func SpanningForestExperiment(w Workload, reps int) Table {
 	sg := smallW.Build()
 	sel := sg.EdgeList()
 	sord := core.NewRandomOrder(sel.NumEdges(), w.Seed+3)
-	sseq := spanning.SequentialSF(sel, sord)
+	sseq := must(spanning.SequentialSF(context.Background(), sel, sord, spanning.Options{}))
 	for _, frac := range []float64{1e-4, 1e-3} {
 		var res *spanning.Result
 		dur := MedianTime(reps, func() {
-			res = spanning.PrefixSF(sel, sord, spanning.Options{Options: engine.Options{PrefixFrac: frac}})
+			res = must(spanning.PrefixSF(context.Background(), sel, sord, spanning.Options{Options: engine.Options{PrefixFrac: frac}}))
 		})
 		if !res.Equal(sseq) {
 			panic("bench: exact prefix spanning forest diverged from sequential")

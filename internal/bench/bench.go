@@ -108,3 +108,11 @@ func fmtFloat(v float64) string {
 func fmtDuration(d time.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000.0)
 }
+
+// must unwraps a run under a background context, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}

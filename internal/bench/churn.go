@@ -393,14 +393,14 @@ func runChurnProblem(problem string, g *graph.Graph, sizes []int, batches, reps 
 			ord := mt.Order()
 			runtime.GC()
 			run.RecomputeMS = medianMS(reps, func() {
-				core.SequentialMIS(cur, ord)
+				must(core.SequentialMIS(context.Background(), cur, ord, core.Options{}))
 			})
 		default:
 			el := cur.EdgeList()
 			ord := dynamic.EdgeOrder(el, churnSeed)
 			runtime.GC()
 			run.RecomputeMS = medianMS(reps, func() {
-				matching.SequentialMM(el, ord)
+				must(matching.SequentialMM(context.Background(), el, ord, matching.Options{}))
 			})
 		}
 		if run.RepairMSMean > 0 {
@@ -420,7 +420,7 @@ func verifyChurn(problem string, mt *dynamic.Maintainer) {
 	g := mt.Graph()
 	switch problem {
 	case "mis":
-		want := core.SequentialMIS(g, mt.Order())
+		want := must(core.SequentialMIS(context.Background(), g, mt.Order(), core.Options{}))
 		got := mt.MISResult()
 		for v := range want.InSet {
 			if got.InSet[v] != want.InSet[v] {
@@ -429,7 +429,7 @@ func verifyChurn(problem string, mt *dynamic.Maintainer) {
 		}
 	default:
 		el := g.EdgeList()
-		want := matching.SequentialMM(el, dynamic.EdgeOrder(el, churnSeed))
+		want := must(matching.SequentialMM(context.Background(), el, dynamic.EdgeOrder(el, churnSeed), matching.Options{}))
 		got := mt.MatchingPairs()
 		if len(got) != len(want.Pairs) {
 			panic(fmt.Sprintf("bench: churn MM size diverged: %d vs %d", len(got), len(want.Pairs)))

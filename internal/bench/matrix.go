@@ -8,7 +8,6 @@ import (
 
 	greedy "repro"
 	"repro/internal/graph"
-	"repro/internal/spanning"
 )
 
 // The scenario matrix: a reproducible fixed-vs-adaptive prefix harness
@@ -185,9 +184,8 @@ func (r MatrixReport) JSON() []byte {
 const windowTraceCap = 256
 
 // RunMatrix executes the scenario matrix and returns the report.
-// Verification is built in: a fixed or adaptive MIS/MM run that is not
-// bit-identical to the sequential greedy result panics, and a spanning
-// forest that is not a valid forest spanning the input's components
+// Verification is built in: an invalid answer, or a fixed or adaptive
+// one that does not match the sequential answer (Answer.Matches),
 // panics — the harness refuses to time wrong answers.
 func RunMatrix(cfg MatrixConfig) MatrixReport {
 	reps := cfg.Reps
@@ -207,11 +205,12 @@ func RunMatrix(cfg MatrixConfig) MatrixReport {
 		Fracs:      fracs,
 	}
 	for _, sc := range MatrixScenarios(cfg.Smoke) {
-		g := sc.build()
-		el := g.EdgeList()
+		// The edge list and hitting-set system are derived on the first
+		// (untimed) run that reads them, not charged to solve times.
+		in := greedy.GraphInput(sc.build())
 		sr := ScenarioReport{Scenario: sc}
-		for _, problem := range []string{"mis", "mm", "sf", "coloring", "hittingset"} {
-			sr.Problems = append(sr.Problems, runProblem(problem, g, el, fracs, reps))
+		for _, problem := range greedy.Problems() {
+			sr.Problems = append(sr.Problems, runProblem(problem, in, fracs, reps))
 		}
 		report.Scenarios = append(report.Scenarios, sr)
 	}
@@ -220,21 +219,17 @@ func RunMatrix(cfg MatrixConfig) MatrixReport {
 
 // runProblem benchmarks one problem on one graph across the schedule
 // configurations.
-func runProblem(problem string, g *graph.Graph, el graph.EdgeList, fracs []float64, reps int) ProblemReport {
-	pr := ProblemReport{Problem: problem}
+func runProblem(problem greedy.Problem, in greedy.Input, fracs []float64, reps int) ProblemReport {
+	pr := ProblemReport{Problem: string(problem)}
 	solver := greedy.NewSolver()
-	// The hitting-set instance (greedy vertex cover: each edge a
-	// two-element set) is built once so system construction is not
-	// charged to the solve times.
-	var sys *greedy.System
-	if problem == "hittingset" {
-		sys = greedy.HittingSystemFromEdges(el)
-	}
 	run := func(seq *executed, opts ...greedy.Option) *executed {
-		return execute(problem, solver, g, el, sys, seq, opts...)
+		return execute(problem, solver, in, seq, opts...)
 	}
 
 	seq := run(nil, greedy.WithAlgorithm(greedy.AlgoSequential))
+	if verr := seq.answer.Verify(in); verr != nil {
+		panic(fmt.Sprintf("bench: sequential %s invalid: %v", problem, verr))
+	}
 	seq.run.Config = "seq"
 	seq.run.TimeMS = medianMS(reps, func() {
 		run(nil, greedy.WithAlgorithm(greedy.AlgoSequential))
@@ -275,21 +270,18 @@ func runProblem(problem string, g *graph.Graph, el graph.EdgeList, fracs []float
 	return pr
 }
 
-// executed carries one run's report row plus the raw results needed
-// for cross-run comparison.
+// executed carries one run's report row plus its answer, for
+// cross-run comparison.
 type executed struct {
-	run RunReport
-	mis *greedy.MISResult
-	mm  *greedy.MMResult
-	sf  *greedy.SFResult
-	col *greedy.ColoringResult
-	hs  *greedy.HittingSetResult
+	run    RunReport
+	answer greedy.Answer
 }
 
 // execute runs one configuration once, recording counters, the window
 // trajectory, and agreement with the sequential baseline seq (nil
-// skips comparison — the timing path). Wrong answers panic.
-func execute(problem string, solver *greedy.Solver, g *graph.Graph, el graph.EdgeList, sys *greedy.System, seq *executed, opts ...greedy.Option) *executed {
+// skips verification — the timing path). Invalid answers, and answers
+// that do not match the sequential one, panic.
+func execute(problem greedy.Problem, solver *greedy.Solver, in greedy.Input, seq *executed, opts ...greedy.Option) *executed {
 	out := &executed{run: RunReport{Matches: true}}
 	plan := greedy.ResolvePlan(opts...)
 	if plan.AdaptivePrefix && seq != nil {
@@ -306,77 +298,24 @@ func execute(problem string, solver *greedy.Solver, g *graph.Graph, el graph.Edg
 			out.run.Windows = append(w, WindowRun{Window: ri.PrefixSize, Rounds: 1})
 		}))
 	}
-	ctx := context.Background()
-	var stats greedy.Stats
-	switch problem {
-	case "mis":
-		res, err := solver.MIS(ctx, g, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("bench: mis: %v", err))
-		}
-		out.mis, stats, out.run.Size = res, res.Stats, res.Size()
-		if seq != nil && !res.Equal(seq.mis) {
-			panic(fmt.Sprintf("bench: %s MIS differs from sequential", plan.Algorithm))
-		}
-	case "mm":
-		res, err := solver.MM(ctx, el, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("bench: mm: %v", err))
-		}
-		out.mm, stats, out.run.Size = res, res.Stats, res.Size()
-		if seq != nil && !res.Equal(seq.mm) {
-			panic(fmt.Sprintf("bench: %s MM differs from sequential", plan.Algorithm))
-		}
-	case "sf":
-		res, err := solver.SF(ctx, el, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("bench: sf: %v", err))
-		}
-		out.sf, stats, out.run.Size = res, res.Stats, res.Size()
-		if !validForest(el, res) {
-			panic("bench: spanning forest invalid")
-		}
-		// The prefix-based facade SF is the relaxed (PBBS one-root)
-		// algorithm: any window schedule may pick a different, equally
-		// valid forest, but every spanning forest of the same input has
-		// the same cardinality — that is the cross-schedule invariant.
-		if seq != nil {
-			out.run.Matches = res.Size() == seq.sf.Size()
-			if !out.run.Matches {
-				panic("bench: spanning forest size differs from sequential (not a spanning forest?)")
-			}
-		}
-	case "coloring":
-		res, err := solver.Coloring(ctx, g, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("bench: coloring: %v", err))
-		}
-		out.col, stats, out.run.Size = res, res.Stats, res.NumColors
-		if verr := greedy.VerifyColoring(g, res.Colors); verr != nil {
-			panic(fmt.Sprintf("bench: coloring invalid: %v", verr))
-		}
-		if seq != nil && !res.Equal(seq.col) {
-			panic(fmt.Sprintf("bench: %s coloring differs from sequential", plan.Algorithm))
-		}
-	case "hittingset":
-		res, err := solver.HittingSet(ctx, sys, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("bench: hittingset: %v", err))
-		}
-		out.hs, stats, out.run.Size = res, res.Stats, res.Size()
-		if verr := greedy.VerifyHittingSet(sys, res.InSet); verr != nil {
-			panic(fmt.Sprintf("bench: hitting set invalid: %v", verr))
-		}
-		if seq != nil && !res.Equal(seq.hs) {
-			panic(fmt.Sprintf("bench: %s hitting set differs from sequential", plan.Algorithm))
-		}
-	default:
-		panic(fmt.Sprintf("bench: unknown problem %q", problem))
+	a, err := solver.Solve(context.Background(), problem, in, opts...)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s: %v", problem, err))
 	}
-	out.run.PrefixMax = stats.PrefixSize
-	out.run.Rounds = stats.Rounds
-	out.run.Attempts = stats.Attempts
-	out.run.Inspections = stats.EdgeInspections
+	if seq != nil {
+		if verr := a.Verify(in); verr != nil {
+			panic(fmt.Sprintf("bench: %s %s invalid: %v", plan.Algorithm, problem, verr))
+		}
+		if !a.Matches(seq.answer) {
+			panic(fmt.Sprintf("bench: %s %s differs from sequential", plan.Algorithm, problem))
+		}
+	}
+	out.answer = a
+	out.run.Size = a.Size
+	out.run.PrefixMax = a.Stats.PrefixSize
+	out.run.Rounds = a.Stats.Rounds
+	out.run.Attempts = a.Stats.Attempts
+	out.run.Inspections = a.Stats.EdgeInspections
 	return out
 }
 
@@ -389,12 +328,9 @@ func MatrixTable(r MatrixReport) Table {
 	}
 	for _, sc := range r.Scenarios {
 		for _, p := range sc.Problems {
-			// MM and SF iterate over edges; MIS, coloring and hitting
-			// set (vertex-cover elements) iterate over vertices.
-			items := sc.N
-			if p.Problem == "mm" || p.Problem == "sf" {
-				items = sc.M
-			}
+			// A sequential run attempts every item once, so its attempts
+			// count the problem's items: vertices, edges or elements.
+			items := p.Runs[0].Attempts
 			for _, run := range p.Runs {
 				vs := ""
 				if run.Adaptive {
@@ -413,7 +349,7 @@ func MatrixTable(r MatrixReport) Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"work/n normalizes attempts by the problem's item count (vertices for MIS, edges for MM/SF); sequential is 1.0 by definition",
+		"work/n normalizes attempts by the problem's item count (vertices for MIS, edges for MM/SF), the sequential run's attempts; sequential is 1.0 by definition",
 		"adaptive windows start at 256 (or the explicit prefix) and double while >=90% of attempts resolve; vsBestFixed compares against the best fixed fraction benchmarked",
 	)
 	return t
@@ -422,10 +358,4 @@ func MatrixTable(r MatrixReport) Table {
 // medianMS times f like MedianTime but returns milliseconds.
 func medianMS(reps int, f func()) float64 {
 	return float64(MedianTime(reps, f).Microseconds()) / 1000.0
-}
-
-// validForest reports whether res is an acyclic edge set spanning the
-// same components as el.
-func validForest(el graph.EdgeList, res *greedy.SFResult) bool {
-	return spanning.IsForest(el, res.InForest) && spanning.IsSpanning(el, res.InForest)
 }

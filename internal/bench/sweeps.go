@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -33,8 +34,8 @@ func MISPrefixSweep(cfg SweepConfig) Table {
 	n := g.NumVertices()
 	ord := core.NewRandomOrder(n, cfg.Workload.Seed+1)
 
-	seq := core.SequentialMIS(g, ord)
-	seqTime := MedianTime(cfg.Reps, func() { core.SequentialMIS(g, ord) })
+	seq := must(core.SequentialMIS(context.Background(), g, ord, core.Options{}))
+	seqTime := MedianTime(cfg.Reps, func() { must(core.SequentialMIS(context.Background(), g, ord, core.Options{})) })
 
 	t := Table{
 		Title: fmt.Sprintf("Figure 1 (MIS prefix sweep) on %s [%s]", cfg.Workload, Env()),
@@ -50,7 +51,7 @@ func MISPrefixSweep(cfg SweepConfig) Table {
 	for _, frac := range cfg.fracs() {
 		opt := core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: cfg.Pointered}
 		var res *core.Result
-		dur := MedianTime(cfg.Reps, func() { res = core.PrefixMIS(g, ord, opt) })
+		dur := MedianTime(cfg.Reps, func() { res = must(core.PrefixMIS(context.Background(), g, ord, opt)) })
 		if !res.Equal(seq) {
 			panic(fmt.Sprintf("bench: prefix MIS at frac %v differs from sequential", frac))
 		}
@@ -76,8 +77,8 @@ func MMPrefixSweep(cfg SweepConfig) Table {
 	m := el.NumEdges()
 	ord := core.NewRandomOrder(m, cfg.Workload.Seed+2)
 
-	seq := matching.SequentialMM(el, ord)
-	seqTime := MedianTime(cfg.Reps, func() { matching.SequentialMM(el, ord) })
+	seq := must(matching.SequentialMM(context.Background(), el, ord, matching.Options{}))
+	seqTime := MedianTime(cfg.Reps, func() { must(matching.SequentialMM(context.Background(), el, ord, matching.Options{})) })
 
 	t := Table{
 		Title: fmt.Sprintf("Figure 2 (MM prefix sweep) on %s [%s]", cfg.Workload, Env()),
@@ -92,7 +93,7 @@ func MMPrefixSweep(cfg SweepConfig) Table {
 	for _, frac := range cfg.fracs() {
 		opt := matching.Options{Options: engine.Options{PrefixFrac: frac}}
 		var res *matching.Result
-		dur := MedianTime(cfg.Reps, func() { res = matching.PrefixMM(el, ord, opt) })
+		dur := MedianTime(cfg.Reps, func() { res = must(matching.PrefixMM(context.Background(), el, ord, opt)) })
 		if !res.Equal(seq) {
 			panic(fmt.Sprintf("bench: prefix MM at frac %v differs from sequential", frac))
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -45,8 +46,8 @@ func MISThreadScaling(cfg ThreadConfig) Table {
 		frac = engine.DefaultPrefixFrac
 	}
 
-	seqTime := MedianTime(cfg.Reps, func() { core.SequentialMIS(g, ord) })
-	seq := core.SequentialMIS(g, ord)
+	seqTime := MedianTime(cfg.Reps, func() { must(core.SequentialMIS(context.Background(), g, ord, core.Options{})) })
+	seq := must(core.SequentialMIS(context.Background(), g, ord, core.Options{}))
 
 	t := Table{
 		Title: fmt.Sprintf("Figure 3 (MIS time vs threads) on %s [%s]", cfg.Workload, Env()),
@@ -65,13 +66,13 @@ func MISThreadScaling(cfg ThreadConfig) Table {
 		withProcs(p, func() {
 			var res *core.Result
 			prefixTime = MedianTime(cfg.Reps, func() {
-				res = core.PrefixMIS(g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}})
+				res = must(core.PrefixMIS(context.Background(), g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}}))
 			})
 			if !res.Equal(seq) {
 				panic("bench: prefix MIS diverged under thread scaling")
 			}
 			lubyTime = MedianTime(cfg.Reps, func() {
-				core.LubyMIS(g, cfg.Workload.Seed+9, core.Options{})
+				must(core.LubyMIS(context.Background(), g, cfg.Workload.Seed+9, core.Options{}))
 			})
 		})
 		if prefix1 == 0 {
@@ -101,8 +102,8 @@ func MMThreadScaling(cfg ThreadConfig) Table {
 		frac = engine.DefaultPrefixFrac
 	}
 
-	seqTime := MedianTime(cfg.Reps, func() { matching.SequentialMM(el, ord) })
-	seq := matching.SequentialMM(el, ord)
+	seqTime := MedianTime(cfg.Reps, func() { must(matching.SequentialMM(context.Background(), el, ord, matching.Options{})) })
+	seq := must(matching.SequentialMM(context.Background(), el, ord, matching.Options{}))
 
 	t := Table{
 		Title: fmt.Sprintf("Figure 4 (MM time vs threads) on %s [%s]", cfg.Workload, Env()),
@@ -121,7 +122,7 @@ func MMThreadScaling(cfg ThreadConfig) Table {
 		withProcs(p, func() {
 			var res *matching.Result
 			prefixTime = MedianTime(cfg.Reps, func() {
-				res = matching.PrefixMM(el, ord, matching.Options{Options: engine.Options{PrefixFrac: frac}})
+				res = must(matching.PrefixMM(context.Background(), el, ord, matching.Options{Options: engine.Options{PrefixFrac: frac}}))
 			})
 			if !res.Equal(seq) {
 				panic("bench: prefix MM diverged under thread scaling")
@@ -149,10 +150,10 @@ func LubyWorkRatio(w Workload, reps int) Table {
 	n := g.NumVertices()
 	ord := core.NewRandomOrder(n, w.Seed+1)
 
-	pref := core.PrefixMIS(g, ord, core.Options{})
-	prefTime := MedianTime(reps, func() { core.PrefixMIS(g, ord, core.Options{}) })
-	luby := core.LubyMIS(g, w.Seed+9, core.Options{})
-	lubyTime := MedianTime(reps, func() { core.LubyMIS(g, w.Seed+9, core.Options{}) })
+	pref := must(core.PrefixMIS(context.Background(), g, ord, core.Options{}))
+	prefTime := MedianTime(reps, func() { must(core.PrefixMIS(context.Background(), g, ord, core.Options{})) })
+	luby := must(core.LubyMIS(context.Background(), g, w.Seed+9, core.Options{}))
+	lubyTime := MedianTime(reps, func() { must(core.LubyMIS(context.Background(), g, w.Seed+9, core.Options{})) })
 
 	return Table{
 		Title: fmt.Sprintf("In-text claim: prefix MIS vs Luby on %s [%s]", w, Env()),

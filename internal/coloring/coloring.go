@@ -79,24 +79,16 @@ type Options struct {
 }
 
 // seqCancelMask paces the sequential scan's cancellation checks, as in
-// core.SequentialMISCtx.
+// core.SequentialMIS.
 const seqCancelMask = 1<<12 - 1
 
 // SequentialColoring computes the first-fit greedy coloring of g under
 // ord: vertices in priority order, each taking the smallest color not
 // used by an already-colored neighbor.
-func SequentialColoring(g *graph.Graph, ord core.Order) *Result {
-	res, err := SequentialColoringCtx(context.Background(), g, ord, Options{})
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// SequentialColoringCtx is SequentialColoring with cooperative
-// cancellation (ctx is checked every few thousand vertices). Pooled
-// buffers come from opt.Workspace when set.
-func SequentialColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, opt Options) (*Result, error) {
+//
+// ctx is checked every few thousand vertices, and pooled buffers come
+// from opt.Workspace when set.
+func SequentialColoring(ctx context.Context, g *graph.Graph, ord core.Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
 		panic("coloring: order size does not match graph")
@@ -156,21 +148,13 @@ func SequentialColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, 
 // loop makes progress, and because a vertex decides only after all of
 // its earlier neighbors are final, the coloring equals the sequential
 // first-fit one for every window schedule, grain and thread count.
-func PrefixColoring(g *graph.Graph, ord core.Order, opt Options) *Result {
-	res, err := PrefixColoringCtx(context.Background(), g, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// PrefixColoringCtx is PrefixColoring with cooperative cancellation:
+//
 // ctx is checked once per round, so a cancelled context aborts within
 // one round and returns ctx.Err(). Pooled buffers come from
 // opt.Workspace when set; the rank-space parent lists from opt.Parents
 // when set, and are built for this run otherwise. The run colors ranks;
 // the colors are mapped back to vertices through ord.Order at the end.
-func PrefixColoringCtx(ctx context.Context, g *graph.Graph, ord core.Order, opt Options) (*Result, error) {
+func PrefixColoring(ctx context.Context, g *graph.Graph, ord core.Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
 		panic("coloring: order size does not match graph")

@@ -30,7 +30,7 @@ func TestPrefixColoringMatchesSequential(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		n := g.NumVertices()
 		ord := core.NewRandomOrder(n, 99)
-		want := SequentialColoring(g, ord)
+		want := must(SequentialColoring(context.Background(), g, ord, Options{}))
 		if err := Verify(g, want.Colors); err != nil {
 			t.Fatalf("%s: sequential reference invalid: %v", name, err)
 		}
@@ -43,7 +43,7 @@ func TestPrefixColoringMatchesSequential(t *testing.T) {
 			{Options: engine.Options{Adaptive: true}},
 			{Options: engine.Options{Adaptive: true, PrefixFrac: 0.05}},
 		} {
-			got := PrefixColoring(g, ord, opt)
+			got := must(PrefixColoring(context.Background(), g, ord, opt))
 			if !got.Equal(want) {
 				t.Fatalf("%s opts %+v: prefix coloring differs from sequential", name, opt)
 			}
@@ -59,8 +59,8 @@ func TestPrefixColoringMatchesSequential(t *testing.T) {
 func TestPrefixColoringIdentityOrder(t *testing.T) {
 	g := graph.Path(300)
 	ord := core.IdentityOrder(300)
-	want := SequentialColoring(g, ord)
-	got := PrefixColoring(g, ord, Options{Options: engine.Options{PrefixFrac: 1}})
+	want := must(SequentialColoring(context.Background(), g, ord, Options{}))
+	got := must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 	if !got.Equal(want) {
 		t.Fatal("identity order: prefix differs from sequential")
 	}
@@ -74,15 +74,15 @@ func TestPrefixColoringIdentityOrder(t *testing.T) {
 func TestPrefixColoringThreadIndependent(t *testing.T) {
 	g := graph.Random(900, 5400, 21)
 	ord := core.NewRandomOrder(900, 5)
-	want := SequentialColoring(g, ord)
+	want := must(SequentialColoring(context.Background(), g, ord, Options{}))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		got := PrefixColoring(g, ord, Options{Options: engine.Options{PrefixFrac: 0.05, Grain: 7}})
+		got := must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.05, Grain: 7}}))
 		if !got.Equal(want) {
 			t.Fatalf("GOMAXPROCS=%d: coloring differs from sequential", procs)
 		}
-		adaptive := PrefixColoring(g, ord, Options{Options: engine.Options{Adaptive: true}})
+		adaptive := must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true}}))
 		if !adaptive.Equal(want) {
 			t.Fatalf("GOMAXPROCS=%d: adaptive coloring differs from sequential", procs)
 		}
@@ -96,13 +96,13 @@ func TestColoringWorkspaceReuse(t *testing.T) {
 	small := graph.Complete(20)
 	bigOrd := core.NewRandomOrder(500, 1)
 	smallOrd := core.NewRandomOrder(20, 2)
-	wantBig := SequentialColoring(big, bigOrd)
-	wantSmall := SequentialColoring(small, smallOrd)
+	wantBig := must(SequentialColoring(context.Background(), big, bigOrd, Options{}))
+	wantSmall := must(SequentialColoring(context.Background(), small, smallOrd, Options{}))
 	for i := 0; i < 3; i++ {
-		if got := PrefixColoring(big, bigOrd, Options{Options: engine.Options{PrefixFrac: 0.1}, Workspace: ws}); !got.Equal(wantBig) {
+		if got := must(PrefixColoring(context.Background(), big, bigOrd, Options{Options: engine.Options{PrefixFrac: 0.1}, Workspace: ws})); !got.Equal(wantBig) {
 			t.Fatalf("run %d big: pooled run differs", i)
 		}
-		if got := PrefixColoring(small, smallOrd, Options{Options: engine.Options{Adaptive: true}, Workspace: ws}); !got.Equal(wantSmall) {
+		if got := must(PrefixColoring(context.Background(), small, smallOrd, Options{Options: engine.Options{Adaptive: true}, Workspace: ws})); !got.Equal(wantSmall) {
 			t.Fatalf("run %d small: pooled run differs", i)
 		}
 	}
@@ -114,10 +114,10 @@ func TestPrefixColoringCancel(t *testing.T) {
 	ord := core.NewRandomOrder(400, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PrefixColoringCtx(ctx, g, ord, Options{}); err != context.Canceled {
+	if _, err := PrefixColoring(ctx, g, ord, Options{}); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if _, err := SequentialColoringCtx(ctx, g, ord, Options{}); err != context.Canceled {
+	if _, err := SequentialColoring(ctx, g, ord, Options{}); err != context.Canceled {
 		t.Fatalf("sequential: want context.Canceled, got %v", err)
 	}
 }
@@ -127,11 +127,11 @@ func TestPrefixColoringCancel(t *testing.T) {
 func TestColoringManyColors(t *testing.T) {
 	g := graph.Complete(130) // forces colors 0..129: three 64-color windows
 	ord := core.NewRandomOrder(130, 17)
-	want := SequentialColoring(g, ord)
+	want := must(SequentialColoring(context.Background(), g, ord, Options{}))
 	if want.NumColors != 130 {
 		t.Fatalf("complete graph: want 130 colors, got %d", want.NumColors)
 	}
-	got := PrefixColoring(g, ord, Options{Options: engine.Options{PrefixFrac: 0.3}})
+	got := must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.3}}))
 	if !got.Equal(want) {
 		t.Fatal("complete graph: prefix differs from sequential")
 	}
@@ -143,6 +143,15 @@ func BenchmarkPrefixColoring(b *testing.B) {
 	ws := new(Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PrefixColoring(g, ord, Options{Workspace: ws})
+		must(PrefixColoring(context.Background(), g, ord, Options{Workspace: ws}))
 	}
+}
+
+// must unwraps the result of a run under a background context, whose
+// only possible error, cancellation, cannot happen.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +26,7 @@ func FuzzColoringEquivalence(f *testing.F) {
 		m := int(rawM) % (maxM + 1)
 		g := graph.Random(n, m, seed)
 		ord := core.NewRandomOrder(n, seed^0xfeed)
-		want := SequentialColoring(g, ord)
+		want := must(SequentialColoring(context.Background(), g, ord, Options{}))
 		if err := Verify(g, want.Colors); err != nil {
 			t.Fatalf("sequential answer is not a proper coloring: %v", err)
 		}
@@ -36,9 +37,9 @@ func FuzzColoringEquivalence(f *testing.F) {
 			name string
 			got  *Result
 		}{
-			{"prefix", PrefixColoring(g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}})},
-			{"adaptive", PrefixColoring(g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}})},
-			{"prebuilt parents", PrefixColoring(g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}, Parents: parents})},
+			{"prefix", must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))},
+			{"adaptive", must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}}))},
+			{"prebuilt parents", must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}, Parents: parents}))},
 		} {
 			if !run.got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s coloring diverged from sequential", n, m, prefix, grain, run.name)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -25,8 +26,8 @@ func TestAdaptiveMISMatchesSequential(t *testing.T) {
 		n := g.NumVertices()
 		for _, seed := range []uint64{1, 9} {
 			ord := NewRandomOrder(n, seed)
-			want := SequentialMIS(g, ord)
-			got := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true}})
+			want := must(SequentialMIS(context.Background(), g, ord, Options{}))
+			got := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true}}))
 			if !got.Equal(want) {
 				t.Errorf("%s seed %d: adaptive MIS differs from sequential", name, seed)
 			}
@@ -34,7 +35,7 @@ func TestAdaptiveMISMatchesSequential(t *testing.T) {
 				t.Errorf("%s seed %d: %v", name, seed, err)
 			}
 			// Pointered variant under the same schedule dynamics.
-			ptr := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true}, Pointered: true})
+			ptr := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true}, Pointered: true}))
 			if !ptr.Equal(want) {
 				t.Errorf("%s seed %d: adaptive pointered MIS differs", name, seed)
 			}
@@ -54,9 +55,9 @@ func TestAdaptiveDeterministicAcrossGrain(t *testing.T) {
 	var stats []Stats
 	for _, grain := range []int{0, 7, 256, 4096} {
 		var trace []int
-		r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain, OnRound: func(rs RoundStat) {
+		r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain, OnRound: func(rs RoundStat) {
 			trace = append(trace, rs.Prefix)
-		}}})
+		}}}))
 		windows = append(windows, trace)
 		stats = append(stats, r.Stats)
 	}
@@ -81,7 +82,7 @@ func TestAdaptiveWindowBounds(t *testing.T) {
 	g := graph.Random(5000, 25000, 5)
 	ord := NewRandomOrder(5000, 6)
 	cap := engine.AdaptiveGrowCap(5000)
-	r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
+	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 		if rs.Prefix < 1 || rs.Prefix > 5000 {
 			t.Errorf("round %d: window %d outside [1, n]", rs.Round, rs.Prefix)
 		}
@@ -91,7 +92,7 @@ func TestAdaptiveWindowBounds(t *testing.T) {
 		if rs.Attempted > rs.Prefix {
 			t.Errorf("round %d: attempted %d exceeds window %d", rs.Round, rs.Attempted, rs.Prefix)
 		}
-	}}})
+	}}}))
 	if r.Stats.PrefixSize > cap {
 		t.Errorf("max window %d above grow cap %d", r.Stats.PrefixSize, cap)
 	}
@@ -104,11 +105,11 @@ func TestAdaptiveExplicitSeedWindow(t *testing.T) {
 	g := graph.Random(4000, 12000, 2)
 	ord := NewRandomOrder(4000, 2)
 	first := -1
-	PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: 3000, OnRound: func(rs RoundStat) {
+	must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: 3000, OnRound: func(rs RoundStat) {
 		if first < 0 {
 			first = rs.Prefix
 		}
-	}}})
+	}}}))
 	if first != 3000 {
 		t.Errorf("explicit prefix seed: first window %d, want 3000", first)
 	}
@@ -123,13 +124,13 @@ func TestAdaptiveStatsAccounting(t *testing.T) {
 	var rounds int64
 	var attempts int64
 	maxW := 0
-	r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
+	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 		rounds++
 		attempts += int64(rs.Attempted)
 		if rs.Prefix > maxW {
 			maxW = rs.Prefix
 		}
-	}}})
+	}}}))
 	if rounds != r.Stats.Rounds {
 		t.Errorf("observer rounds %d, stats %d", rounds, r.Stats.Rounds)
 	}
@@ -154,11 +155,11 @@ func TestAdaptivePrefixSizeIsUsedWindow(t *testing.T) {
 	g := graph.Empty(768)
 	ord := NewRandomOrder(768, 1)
 	maxSeen := 0
-	r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
+	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 		if rs.Prefix > maxSeen {
 			maxSeen = rs.Prefix
 		}
-	}}})
+	}}}))
 	if r.Stats.PrefixSize != maxSeen {
 		t.Errorf("Stats.PrefixSize %d, but the largest executed window was %d", r.Stats.PrefixSize, maxSeen)
 	}
@@ -178,16 +179,16 @@ func TestAdaptiveShrinkKeepsEarliestWindow(t *testing.T) {
 	ord := NewRandomOrder(600, 11)
 	shrank := false
 	prev := 0
-	r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: 512, OnRound: func(rs RoundStat) {
+	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: 512, OnRound: func(rs RoundStat) {
 		if prev > 0 && rs.Prefix < prev {
 			shrank = true
 		}
 		prev = rs.Prefix
-	}}})
+	}}}))
 	if !shrank {
 		t.Fatal("schedule never shrank on K600 (test premise broken)")
 	}
-	if !r.Equal(SequentialMIS(g, ord)) {
+	if !r.Equal(must(SequentialMIS(context.Background(), g, ord, Options{}))) {
 		t.Fatal("adaptive MIS differs from sequential after shrinking rounds")
 	}
 }
@@ -199,12 +200,12 @@ func TestAdaptiveTinyGraphEndToEnd(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 50, 255} {
 		g := graph.Path(n)
 		ord := NewRandomOrder(n, 3)
-		r := PrefixMIS(g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
+		r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 			if rs.Prefix > n {
 				t.Errorf("n=%d: executed window %d exceeds input", n, rs.Prefix)
 			}
-		}}})
-		if !r.Equal(SequentialMIS(g, ord)) {
+		}}}))
+		if !r.Equal(must(SequentialMIS(context.Background(), g, ord, Options{}))) {
 			t.Errorf("n=%d: adaptive MIS differs from sequential", n)
 		}
 		if r.Stats.PrefixSize > n {

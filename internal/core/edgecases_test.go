@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,7 +12,7 @@ func TestLubyCompleteGraph(t *testing.T) {
 	// On K_n one vertex wins round 1 and kills everyone: exactly one
 	// round, one MIS member.
 	g := graph.Complete(200)
-	r := LubyMIS(g, 5, Options{})
+	r := must(LubyMIS(context.Background(), g, 5, Options{}))
 	if r.Size() != 1 {
 		t.Errorf("K200 Luby MIS size = %d, want 1", r.Size())
 	}
@@ -21,10 +22,10 @@ func TestLubyCompleteGraph(t *testing.T) {
 }
 
 func TestLubyEmptyAndEdgeless(t *testing.T) {
-	if r := LubyMIS(graph.Empty(0), 1, Options{}); r.Size() != 0 {
+	if r := must(LubyMIS(context.Background(), graph.Empty(0), 1, Options{})); r.Size() != 0 {
 		t.Error("Luby on empty graph returned vertices")
 	}
-	r := LubyMIS(graph.Empty(100), 1, Options{})
+	r := must(LubyMIS(context.Background(), graph.Empty(100), 1, Options{}))
 	if r.Size() != 100 {
 		t.Errorf("Luby on edgeless graph: size %d, want 100", r.Size())
 	}
@@ -38,7 +39,7 @@ func TestPrefixMISIsolatedVertices(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}
 	g := graph.MustFromEdges(10, edges)
 	ord := NewRandomOrder(10, 3)
-	r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 1}})
+	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 	for v := graph.Vertex(4); v < 10; v++ {
 		if !r.InSet[v] {
 			t.Errorf("isolated vertex %d not in MIS", v)
@@ -54,7 +55,7 @@ func TestPrefixMISIsolatedVertices(t *testing.T) {
 
 func TestRootSetMISIsolatedOnlyGraph(t *testing.T) {
 	g := graph.Empty(50)
-	r := RootSetMIS(g, NewRandomOrder(50, 1), Options{})
+	r := must(RootSetMIS(context.Background(), g, NewRandomOrder(50, 1), Options{}))
 	if r.Size() != 50 || r.Stats.Rounds != 1 {
 		t.Errorf("edgeless rootset: size=%d rounds=%d", r.Size(), r.Stats.Rounds)
 	}
@@ -64,7 +65,7 @@ func TestPrefixMISTwoVertices(t *testing.T) {
 	g := graph.Path(2)
 	for seed := uint64(0); seed < 8; seed++ {
 		ord := NewRandomOrder(2, seed)
-		r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 2}})
+		r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 2}}))
 		// Exactly the earlier vertex is in the MIS.
 		first := ord.Order[0]
 		if !r.InSet[first] || r.InSet[1-first] {
@@ -112,7 +113,7 @@ func TestPrefixInternalEdgesFullPrefix(t *testing.T) {
 }
 
 // TestOptionsPrefixResolution pins the fixed window that core.Options
-// hands the engine (PrefixMISCtx passes opt.Options to engine.Run).
+// hands the engine (PrefixMIS passes opt.Options to engine.Run).
 func TestOptionsPrefixResolution(t *testing.T) {
 	eo := func(o engine.Options) Options { return Options{Options: o} }
 	cases := []struct {
@@ -159,10 +160,10 @@ func TestLubyDifferentFromGreedyUsually(t *testing.T) {
 	// the "different results" the paper contrasts determinism against.
 	g := graph.Random(500, 2500, 11)
 	ord := NewRandomOrder(500, 12)
-	want := SequentialMIS(g, ord)
+	want := must(SequentialMIS(context.Background(), g, ord, Options{}))
 	differs := false
 	for seed := uint64(0); seed < 5; seed++ {
-		if !LubyMIS(g, seed, Options{}).Equal(want) {
+		if !must(LubyMIS(context.Background(), g, seed, Options{})).Equal(want) {
 			differs = true
 			break
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -21,16 +22,16 @@ func FuzzMISEquivalence(f *testing.F) {
 		m := int(rawM) % (maxM + 1)
 		g := graph.Random(n, m, seed)
 		ord := NewRandomOrder(n, seed^0xfeed)
-		want := SequentialMIS(g, ord)
+		want := must(SequentialMIS(context.Background(), g, ord, Options{}))
 		if !IsMaximalIndependentSet(g, want.InSet) {
 			t.Fatal("sequential answer is not a maximal independent set")
 		}
 		prefix := int(rawPrefix)%n + 1
 		for _, got := range []*Result{
-			PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 3}}),
-			PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: prefix}, Pointered: true}),
-			RootSetMIS(g, ord, Options{Options: engine.Options{Grain: 3}}),
-			ParallelMIS(g, ord, Options{}),
+			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 3}})),
+			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix}, Pointered: true})),
+			must(RootSetMIS(context.Background(), g, ord, Options{Options: engine.Options{Grain: 3}})),
+			must(ParallelMIS(context.Background(), g, ord, Options{})),
 		} {
 			if !got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d: parallel MIS diverged from sequential", n, m, prefix)

@@ -27,20 +27,12 @@ import (
 // result is deterministic in the seed even though it is not the
 // lexicographically-first MIS. Ties are broken by vertex id; with 64-bit
 // priorities they are vanishingly rare.
-func LubyMIS(g *graph.Graph, seed uint64, opt Options) *Result {
-	res, err := LubyMISCtx(context.Background(), g, seed, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// LubyMISCtx is LubyMIS with cooperative cancellation (ctx is checked
-// once per round) and workspace reuse of the status array. The
-// per-round compacted subgraphs are still allocated fresh: they shrink
-// geometrically, and pooling them would pin the largest round's
-// footprint for the pool's lifetime.
-func LubyMISCtx(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (*Result, error) {
+//
+// ctx is checked once per round, and the status array comes from
+// opt.Workspace when set. The per-round compacted subgraphs are still
+// allocated fresh: they shrink geometrically, and pooling them would
+// pin the largest round's footprint for the pool's lifetime.
+func LubyMIS(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	ws := opt.Workspace
 	if ws == nil {

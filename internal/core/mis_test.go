@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -53,7 +54,7 @@ func TestSequentialMISSmall(t *testing.T) {
 	// Path 0-1-2-3 with identity order: greedy picks 0, skips 1, picks
 	// 2, skips 3.
 	g := graph.Path(4)
-	r := SequentialMIS(g, IdentityOrder(4))
+	r := must(SequentialMIS(context.Background(), g, IdentityOrder(4), Options{}))
 	want := []graph.Vertex{0, 2}
 	if len(r.Set) != 2 || r.Set[0] != want[0] || r.Set[1] != want[1] {
 		t.Errorf("Set = %v, want %v", r.Set, want)
@@ -67,32 +68,32 @@ func TestSequentialMISOrderMatters(t *testing.T) {
 	// Star: if the center is first it alone is the MIS; otherwise all
 	// leaves are.
 	g := graph.Star(5)
-	centerFirst := SequentialMIS(g, IdentityOrder(5))
+	centerFirst := must(SequentialMIS(context.Background(), g, IdentityOrder(5), Options{}))
 	if centerFirst.Size() != 1 || !centerFirst.InSet[0] {
 		t.Errorf("center-first MIS = %v", centerFirst.Set)
 	}
-	leafFirst := SequentialMIS(g, FromOrder([]int32{1, 2, 3, 4, 0}))
+	leafFirst := must(SequentialMIS(context.Background(), g, FromOrder([]int32{1, 2, 3, 4, 0}), Options{}))
 	if leafFirst.Size() != 4 || leafFirst.InSet[0] {
 		t.Errorf("leaf-first MIS = %v", leafFirst.Set)
 	}
 }
 
 func TestSequentialMISEmptyAndSingleton(t *testing.T) {
-	if r := SequentialMIS(graph.Empty(0), IdentityOrder(0)); r.Size() != 0 {
+	if r := must(SequentialMIS(context.Background(), graph.Empty(0), IdentityOrder(0), Options{})); r.Size() != 0 {
 		t.Error("empty graph MIS not empty")
 	}
-	if r := SequentialMIS(graph.Empty(1), IdentityOrder(1)); r.Size() != 1 {
+	if r := must(SequentialMIS(context.Background(), graph.Empty(1), IdentityOrder(1), Options{})); r.Size() != 1 {
 		t.Error("singleton graph MIS wrong")
 	}
 	// Edgeless graph: everything is in the MIS.
-	if r := SequentialMIS(graph.Empty(10), NewRandomOrder(10, 1)); r.Size() != 10 {
+	if r := must(SequentialMIS(context.Background(), graph.Empty(10), NewRandomOrder(10, 1), Options{})); r.Size() != 10 {
 		t.Error("edgeless graph MIS should be all vertices")
 	}
 }
 
 func TestSequentialMISIsMaximal(t *testing.T) {
 	g, ord := randomGraphAndOrder(500, 2500, 7)
-	r := SequentialMIS(g, ord)
+	r := must(SequentialMIS(context.Background(), g, ord, Options{}))
 	if !IsMaximalIndependentSet(g, r.InSet) {
 		t.Error("sequential MIS not maximal independent")
 	}
@@ -104,22 +105,22 @@ func TestSequentialMISPanicsOnSizeMismatch(t *testing.T) {
 			t.Error("size mismatch not caught")
 		}
 	}()
-	SequentialMIS(graph.Empty(3), IdentityOrder(4))
+	must(SequentialMIS(context.Background(), graph.Empty(3), IdentityOrder(4), Options{}))
 }
 
 // allDeterministicAlgorithms runs every deterministic MIS implementation
 // on the instance and returns the results keyed by name.
 func allDeterministicAlgorithms(g *graph.Graph, ord Order) map[string]*Result {
 	return map[string]*Result{
-		"sequential":        SequentialMIS(g, ord),
-		"parallel-full":     ParallelMIS(g, ord, Options{}),
-		"rootset":           RootSetMIS(g, ord, Options{}),
-		"prefix-default":    PrefixMIS(g, ord, Options{}),
-		"prefix-1":          PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 1}}),
-		"prefix-7":          PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 7}}),
-		"prefix-frac-0.1":   PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}}),
-		"prefix-pointered":  PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.05}, Pointered: true}),
-		"prefix-tiny-grain": PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.2, Grain: 2}}),
+		"sequential":        must(SequentialMIS(context.Background(), g, ord, Options{})),
+		"parallel-full":     must(ParallelMIS(context.Background(), g, ord, Options{})),
+		"rootset":           must(RootSetMIS(context.Background(), g, ord, Options{})),
+		"prefix-default":    must(PrefixMIS(context.Background(), g, ord, Options{})),
+		"prefix-1":          must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 1}})),
+		"prefix-7":          must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 7}})),
+		"prefix-frac-0.1":   must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}})),
+		"prefix-pointered":  must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.05}, Pointered: true})),
+		"prefix-tiny-grain": must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.2, Grain: 2}})),
 	}
 }
 
@@ -143,7 +144,7 @@ func TestAllAlgorithmsMatchSequential(t *testing.T) {
 	}
 	for _, c := range cases {
 		ord := NewRandomOrder(c.g.NumVertices(), c.seed)
-		want := SequentialMIS(c.g, ord)
+		want := must(SequentialMIS(context.Background(), c.g, ord, Options{}))
 		for name, got := range allDeterministicAlgorithms(c.g, ord) {
 			if !got.Equal(want) {
 				t.Errorf("%s/%s: set differs from sequential greedy (got %d, want %d vertices)",
@@ -163,12 +164,12 @@ func TestAlgorithmsMatchQuick(t *testing.T) {
 		m := int(rawM) % (maxM + 1)
 		g := graph.Random(n, m, seed)
 		ord := NewRandomOrder(n, seed^0xdead)
-		want := SequentialMIS(g, ord)
+		want := must(SequentialMIS(context.Background(), g, ord, Options{}))
 		for _, got := range []*Result{
-			ParallelMIS(g, ord, Options{}),
-			RootSetMIS(g, ord, Options{}),
-			PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 3}}),
-			PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.3}, Pointered: true}),
+			must(ParallelMIS(context.Background(), g, ord, Options{})),
+			must(RootSetMIS(context.Background(), g, ord, Options{})),
+			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 3}})),
+			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.3}, Pointered: true})),
 		} {
 			if !got.Equal(want) {
 				return false
@@ -183,9 +184,9 @@ func TestAlgorithmsMatchQuick(t *testing.T) {
 
 func TestDeterminismAcrossRepeatedRuns(t *testing.T) {
 	g, ord := randomGraphAndOrder(2000, 10000, 99)
-	first := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.02}})
+	first := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.02}}))
 	for trial := 0; trial < 5; trial++ {
-		again := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.02}})
+		again := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.02}}))
 		if !again.Equal(first) {
 			t.Fatalf("trial %d: prefix MIS differs across identical runs", trial)
 		}
@@ -193,7 +194,7 @@ func TestDeterminismAcrossRepeatedRuns(t *testing.T) {
 	// Different prefix sizes must also agree (the paper's determinism
 	// guarantee covers the whole work/parallelism tradeoff).
 	for _, frac := range []float64{0.001, 0.01, 0.5, 1.0} {
-		r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: frac}})
+		r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: frac}}))
 		if !r.Equal(first) {
 			t.Fatalf("prefix frac %v changed the result", frac)
 		}
@@ -202,7 +203,7 @@ func TestDeterminismAcrossRepeatedRuns(t *testing.T) {
 
 func TestPrefixSize1IsSequential(t *testing.T) {
 	g, ord := randomGraphAndOrder(400, 1200, 3)
-	r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 1}})
+	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 1}}))
 	if r.Stats.Rounds != int64(g.NumVertices()) {
 		t.Errorf("prefix-1 rounds = %d, want n = %d", r.Stats.Rounds, g.NumVertices())
 	}
@@ -213,8 +214,8 @@ func TestPrefixSize1IsSequential(t *testing.T) {
 
 func TestPrefixWorkGrowsWithPrefix(t *testing.T) {
 	g, ord := randomGraphAndOrder(3000, 15000, 5)
-	small := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 8}})
-	full := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 1}})
+	small := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 8}}))
+	full := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 	if small.Stats.Attempts > full.Stats.Attempts {
 		t.Errorf("expected attempts to grow with prefix size: small=%d full=%d",
 			small.Stats.Attempts, full.Stats.Attempts)
@@ -243,7 +244,7 @@ func TestParallelMISRoundsTrackDependenceLength(t *testing.T) {
 		{"path", graph.Path(300)},
 	} {
 		ord := NewRandomOrder(c.g.NumVertices(), 31)
-		r := ParallelMIS(c.g, ord, Options{})
+		r := must(ParallelMIS(context.Background(), c.g, ord, Options{}))
 		info := DependenceSteps(c.g, ord)
 		if int(r.Stats.Rounds) < info.Steps || int(r.Stats.Rounds) > 2*info.Steps+1 {
 			t.Errorf("%s: ParallelMIS rounds %d outside [depLen, 2*depLen+1] for depLen %d",
@@ -256,7 +257,7 @@ func TestFullPrefixWorkExceedsSequential(t *testing.T) {
 	// The paper's Figure 1(a): at the full prefix, total work (attempts)
 	// is well above N because blocked vertices retry every round.
 	g, ord := randomGraphAndOrder(5000, 25000, 77)
-	full := ParallelMIS(g, ord, Options{})
+	full := must(ParallelMIS(context.Background(), g, ord, Options{}))
 	ratio := float64(full.Stats.Attempts) / float64(g.NumVertices())
 	if ratio < 1.5 {
 		t.Errorf("full-prefix work/N = %.2f, expected the paper's ~2-3x regime", ratio)
@@ -278,7 +279,7 @@ func TestRootSetStepsEqualDependenceLength(t *testing.T) {
 		{"path", graph.Path(300)},
 	} {
 		ord := NewRandomOrder(c.g.NumVertices(), 21)
-		r := RootSetMIS(c.g, ord, Options{})
+		r := must(RootSetMIS(context.Background(), c.g, ord, Options{}))
 		info := DependenceSteps(c.g, ord)
 		if int(r.Stats.Rounds) != info.Steps {
 			t.Errorf("%s: rootset steps %d != analyzer dependence length %d",
@@ -290,7 +291,7 @@ func TestRootSetStepsEqualDependenceLength(t *testing.T) {
 func TestDependenceStepsMatchesSequentialSet(t *testing.T) {
 	g, ord := randomGraphAndOrder(800, 4000, 33)
 	info := DependenceSteps(g, ord)
-	want := SequentialMIS(g, ord)
+	want := must(SequentialMIS(context.Background(), g, ord, Options{}))
 	for v := 0; v < g.NumVertices(); v++ {
 		if info.InSet[v] != want.InSet[v] {
 			t.Fatalf("analyzer and sequential disagree on vertex %d", v)
@@ -416,7 +417,7 @@ func TestLubyProducesMaximalIndependentSet(t *testing.T) {
 		graph.Star(60),
 		graph.Empty(40),
 	} {
-		r := LubyMIS(c, 123, Options{})
+		r := must(LubyMIS(context.Background(), c, 123, Options{}))
 		if !IsMaximalIndependentSet(c, r.InSet) {
 			t.Errorf("Luby result not a maximal independent set on %v", c)
 		}
@@ -425,12 +426,12 @@ func TestLubyProducesMaximalIndependentSet(t *testing.T) {
 
 func TestLubyDeterministicInSeed(t *testing.T) {
 	g := graph.Random(600, 3000, 2)
-	a := LubyMIS(g, 7, Options{})
-	b := LubyMIS(g, 7, Options{})
+	a := must(LubyMIS(context.Background(), g, 7, Options{}))
+	b := must(LubyMIS(context.Background(), g, 7, Options{}))
 	if !a.Equal(b) {
 		t.Error("Luby not deterministic for a fixed seed")
 	}
-	c := LubyMIS(g, 8, Options{})
+	c := must(LubyMIS(context.Background(), g, 8, Options{}))
 	if a.Equal(c) {
 		t.Log("Luby produced identical sets for different seeds (possible but unlikely)")
 	}
@@ -439,7 +440,7 @@ func TestLubyDeterministicInSeed(t *testing.T) {
 func TestLubyRoundsLogarithmic(t *testing.T) {
 	// Luby's algorithm finishes in O(log n) rounds w.h.p.
 	g := graph.Random(20000, 100000, 5)
-	r := LubyMIS(g, 1, Options{})
+	r := must(LubyMIS(context.Background(), g, 1, Options{}))
 	if r.Stats.Rounds > 40 {
 		t.Errorf("Luby rounds = %d on n=20000, want O(log n)", r.Stats.Rounds)
 	}
@@ -449,8 +450,8 @@ func TestLubyDoesMoreWorkThanPrefix(t *testing.T) {
 	// The paper's practical point: the prefix-based algorithm with a
 	// good prefix size performs less work than Luby.
 	g, ord := randomGraphAndOrder(20000, 100000, 44)
-	luby := LubyMIS(g, 3, Options{})
-	pref := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.01}})
+	luby := must(LubyMIS(context.Background(), g, 3, Options{}))
+	pref := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.01}}))
 	if luby.Stats.EdgeInspections <= pref.Stats.EdgeInspections {
 		t.Errorf("expected Luby (%d inspections) to exceed prefix-based (%d)",
 			luby.Stats.EdgeInspections, pref.Stats.EdgeInspections)
@@ -459,7 +460,7 @@ func TestLubyDoesMoreWorkThanPrefix(t *testing.T) {
 
 func TestVerifyLexFirstCatchesWrongSet(t *testing.T) {
 	g, ord := randomGraphAndOrder(100, 300, 8)
-	r := SequentialMIS(g, ord)
+	r := must(SequentialMIS(context.Background(), g, ord, Options{}))
 	// Corrupt: flip one vertex.
 	bad := &Result{InSet: append([]bool(nil), r.InSet...), Set: r.Set}
 	bad.InSet[ord.Order[0]] = !bad.InSet[ord.Order[0]]
@@ -497,7 +498,7 @@ func TestStatsString(t *testing.T) {
 
 func TestResultSetSorted(t *testing.T) {
 	g, ord := randomGraphAndOrder(1000, 4000, 2)
-	r := PrefixMIS(g, ord, Options{})
+	r := must(PrefixMIS(context.Background(), g, ord, Options{}))
 	for i := 1; i < len(r.Set); i++ {
 		if r.Set[i-1] >= r.Set[i] {
 			t.Fatalf("Set not sorted at %d", i)
@@ -518,7 +519,7 @@ func BenchmarkSequentialMIS(b *testing.B) {
 	g, ord := randomGraphAndOrder(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SequentialMIS(g, ord)
+		_ = must(SequentialMIS(context.Background(), g, ord, Options{}))
 	}
 }
 
@@ -526,7 +527,7 @@ func BenchmarkPrefixMIS(b *testing.B) {
 	g, ord := randomGraphAndOrder(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.01}})
+		_ = must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.01}}))
 	}
 }
 
@@ -534,7 +535,7 @@ func BenchmarkRootSetMIS(b *testing.B) {
 	g, ord := randomGraphAndOrder(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = RootSetMIS(g, ord, Options{})
+		_ = must(RootSetMIS(context.Background(), g, ord, Options{}))
 	}
 }
 
@@ -542,6 +543,15 @@ func BenchmarkLubyMIS(b *testing.B) {
 	g, _ := randomGraphAndOrder(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = LubyMIS(g, uint64(i), Options{})
+		_ = must(LubyMIS(context.Background(), g, uint64(i), Options{}))
 	}
+}
+
+// must unwraps the result of a run under a background context, whose
+// only possible error, cancellation, cannot happen.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

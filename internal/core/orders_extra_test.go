@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -120,8 +121,8 @@ func TestStructuredOrdersStillGiveLexFirstForThatOrder(t *testing.T) {
 		BFSOrder(g, 0),
 		Reverse(NewRandomOrder(g.NumVertices(), 2)),
 	} {
-		want := SequentialMIS(g, ord)
-		got := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}})
+		want := must(SequentialMIS(context.Background(), g, ord, Options{}))
+		got := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}}))
 		if !got.Equal(want) {
 			t.Fatal("parallel MIS diverged from sequential under a structured order")
 		}

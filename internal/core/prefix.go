@@ -34,17 +34,9 @@ import (
 // prefix 1 is the sequential algorithm (Attempts = n, Rounds = n); the
 // full prefix is Algorithm 2 (Rounds = dependence length, maximum
 // redundant work).
-func PrefixMIS(g *graph.Graph, ord Order, opt Options) *Result {
-	res, err := PrefixMISCtx(context.Background(), g, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// PrefixMISCtx is PrefixMIS with cooperative cancellation: ctx is
-// checked once per round (the hot inner loops never see it), so a
-// cancelled context aborts the run within one round and returns
+//
+// ctx is checked once per round (the hot inner loops never see it), so
+// a cancelled context aborts the run within one round and returns
 // ctx.Err(). Pooled buffers come from opt.Workspace when set.
 //
 // The round loop itself is the shared speculative-prefix engine
@@ -54,7 +46,7 @@ func PrefixMIS(g *graph.Graph, ord Order, opt Options) *Result {
 // array is indexed by rank, the rank-space parent lists (opt.Parents
 // when set, built for this run otherwise) hold ranks, and the result is
 // mapped back to vertices through ord.Order once at the end.
-func PrefixMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
+func PrefixMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
 		panic("core: order size does not match graph")
@@ -168,21 +160,12 @@ func checkPointered(r int32, status []int32, parents *Parents, ptr []int32) (int
 // attempted every round. Its Rounds statistic is exactly the dependence
 // length of the priority DAG, the quantity Theorem 3.5 bounds by
 // O(log^2 n).
-func ParallelMIS(g *graph.Graph, ord Order, opt Options) *Result {
-	res, err := ParallelMISCtx(context.Background(), g, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// ParallelMISCtx is ParallelMIS with cooperative cancellation and
-// workspace reuse (see PrefixMISCtx).
-func ParallelMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
+// Cancellation and workspace reuse work as in PrefixMIS.
+func ParallelMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
 	opt.Adaptive = false // the full prefix is the point of Algorithm 2
 	opt.PrefixSize = g.NumVertices()
 	if opt.PrefixSize == 0 {
 		opt.PrefixSize = 1
 	}
-	return PrefixMISCtx(ctx, g, ord, opt)
+	return PrefixMIS(ctx, g, ord, opt)
 }

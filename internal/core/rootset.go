@@ -19,17 +19,9 @@ import (
 // deletion argument of Lemma 4.1), so total work is O(n + m); the number
 // of steps equals the dependence length of the priority DAG exactly,
 // which Theorem 3.5 bounds by O(log^2 n) w.h.p. for random orders.
-func RootSetMIS(g *graph.Graph, ord Order, opt Options) *Result {
-	res, err := RootSetMISCtx(context.Background(), g, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// RootSetMISCtx is RootSetMIS with cooperative cancellation (ctx is
-// checked once per step) and workspace reuse.
-func RootSetMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
+// ctx is checked once per step, and buffers come from opt.Workspace
+// when set.
+func RootSetMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
 		panic("core: order size does not match graph")

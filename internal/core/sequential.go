@@ -7,6 +7,12 @@ import (
 	"repro/internal/graph"
 )
 
+// seqCancelMask paces the cancellation checks of the sequential scans:
+// ctx.Err() is consulted every seqCancelMask+1 iterations, so a
+// cancelled context aborts within a few thousand O(1) iterations —
+// well inside the issue-of-one-round bound the parallel loops honor.
+const seqCancelMask = 1<<12 - 1
+
 // SequentialMIS computes the lexicographically-first MIS of g under ord
 // with the paper's Algorithm 1: scan vertices in priority order; add a
 // vertex if it has not been removed; remove it and its neighbors.
@@ -16,25 +22,11 @@ import (
 // Stats: Rounds = Attempts = n (the paper's convention that a sequential
 // implementation's work and round count both equal the input size);
 // EdgeInspections counts the neighbor scans of accepted vertices.
-func SequentialMIS(g *graph.Graph, ord Order) *Result {
-	res, err := SequentialMISCtx(context.Background(), g, ord, Options{})
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// seqCancelMask paces the cancellation checks of the sequential scans:
-// ctx.Err() is consulted every seqCancelMask+1 iterations, so a
-// cancelled context aborts within a few thousand O(1) iterations —
-// well inside the issue-of-one-round bound the parallel loops honor.
-const seqCancelMask = 1<<12 - 1
-
-// SequentialMISCtx is SequentialMIS with cooperative cancellation and
-// workspace reuse. The priority scan checks ctx every few thousand
-// vertices, so cancellation is honored promptly without slowing the
-// O(n + m) loop measurably.
-func SequentialMISCtx(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
+//
+// The priority scan checks ctx every few thousand vertices, so
+// cancellation is honored promptly without slowing the O(n + m) loop
+// measurably; the status array comes from opt.Workspace when set.
+func SequentialMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	if ord.Len() != n {
 		panic("core: order size does not match graph")

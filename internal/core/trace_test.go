@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -12,12 +13,12 @@ func TestOnRoundTraceConsistency(t *testing.T) {
 	var rounds []int64
 	var attempted, resolved []int
 	var inspections int64
-	res := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.05, OnRound: func(rs RoundStat) {
+	res := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.05, OnRound: func(rs RoundStat) {
 		rounds = append(rounds, rs.Round)
 		attempted = append(attempted, rs.Attempted)
 		resolved = append(resolved, rs.Resolved)
 		inspections += rs.Inspections
-	}}})
+	}}}))
 	if inspections != res.Stats.EdgeInspections {
 		t.Errorf("trace inspections %d != stats inspections %d", inspections, res.Stats.EdgeInspections)
 	}
@@ -52,8 +53,8 @@ func TestOnRoundTraceConsistency(t *testing.T) {
 
 func TestOnRoundNilIsDefault(t *testing.T) {
 	g, ord := randomGraphAndOrder(500, 2500, 14)
-	a := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}})
-	b := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixFrac: 0.1, OnRound: func(RoundStat) {}}})
+	a := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}}))
+	b := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.1, OnRound: func(RoundStat) {}}}))
 	if !a.Equal(b) || a.Stats != b.Stats {
 		t.Error("OnRound changed the computation")
 	}
@@ -65,9 +66,9 @@ func TestOnRoundFullPrefixProfile(t *testing.T) {
 	// is exhausted).
 	g, ord := randomGraphAndOrder(3000, 15000, 15)
 	var attempted []int
-	ParallelMIS(g, ord, Options{Options: engine.Options{OnRound: func(rs RoundStat) {
+	must(ParallelMIS(context.Background(), g, ord, Options{Options: engine.Options{OnRound: func(rs RoundStat) {
 		attempted = append(attempted, rs.Attempted)
-	}}})
+	}}}))
 	if attempted[0] != g.NumVertices() {
 		t.Errorf("first full-prefix round attempted %d, want n", attempted[0])
 	}
@@ -85,7 +86,7 @@ func TestVertexProgressGuarantee(t *testing.T) {
 	// degenerate case: a clique processed with a tiny prefix.
 	g := graph.Complete(30)
 	ord := NewRandomOrder(30, 1)
-	r := PrefixMIS(g, ord, Options{Options: engine.Options{PrefixSize: 3}})
+	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 3}}))
 	if r.Size() != 1 {
 		t.Errorf("K30 MIS size = %d", r.Size())
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -55,7 +56,10 @@ func IsMaximalIndependentSet(g *graph.Graph, inSet []bool) bool {
 // property the paper emphasizes: any schedule of the parallel algorithm
 // must pass this check.
 func VerifyLexFirst(g *graph.Graph, ord Order, result *Result) error {
-	want := SequentialMIS(g, ord)
+	want, err := SequentialMIS(context.Background(), g, ord, Options{})
+	if err != nil {
+		return err
+	}
 	n := g.NumVertices()
 	if len(result.InSet) != n {
 		return fmt.Errorf("core: result covers %d vertices, graph has %d", len(result.InSet), n)

@@ -21,7 +21,7 @@ func verifyAgainstScratch(t *testing.T, mt *Maintainer, seed uint64) {
 		t.Fatalf("materialized graph invalid: %v", err)
 	}
 	if mt.mis != nil {
-		want := core.SequentialMIS(g, mt.Order())
+		want := must(core.SequentialMIS(context.Background(), g, mt.Order(), core.Options{}))
 		got := mt.MISResult()
 		if len(got.InSet) != len(want.InSet) {
 			t.Fatalf("MIS size mismatch: %d vs %d", len(got.InSet), len(want.InSet))
@@ -34,7 +34,7 @@ func verifyAgainstScratch(t *testing.T, mt *Maintainer, seed uint64) {
 	}
 	if mt.mm != nil {
 		el := g.EdgeList()
-		want := matching.SequentialMM(el, EdgeOrder(el, seed))
+		want := must(matching.SequentialMM(context.Background(), el, EdgeOrder(el, seed), matching.Options{}))
 		got := mt.MatchingPairs()
 		if len(got) != len(want.Pairs) {
 			t.Fatalf("MM size mismatch: %d vs %d", len(got), len(want.Pairs))
@@ -335,4 +335,13 @@ func TestEdgeOrderStability(t *testing.T) {
 	if (pa < pb) != abBefore {
 		t.Fatal("EdgeOrder disagrees with raw EdgePriority comparison")
 	}
+}
+
+// must unwraps the result of a run under a background context, whose
+// only possible error, cancellation, cannot happen.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

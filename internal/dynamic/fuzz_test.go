@@ -146,7 +146,7 @@ func verifyFuzz(t *testing.T, mt *Maintainer, seed uint64) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("materialized graph invalid: %v", err)
 	}
-	want := core.SequentialMIS(g, mt.Order())
+	want := must(core.SequentialMIS(context.Background(), g, mt.Order(), core.Options{}))
 	got := mt.MISResult()
 	for v := range want.InSet {
 		if got.InSet[v] != want.InSet[v] {
@@ -154,7 +154,7 @@ func verifyFuzz(t *testing.T, mt *Maintainer, seed uint64) {
 		}
 	}
 	el := g.EdgeList()
-	wantMM := matching.SequentialMM(el, EdgeOrder(el, seed))
+	wantMM := must(matching.SequentialMM(context.Background(), el, EdgeOrder(el, seed), matching.Options{}))
 	gotPairs := mt.MatchingPairs()
 	if len(gotPairs) != len(wantMM.Pairs) {
 		t.Fatalf("MM size diverged: %d vs %d", len(gotPairs), len(wantMM.Pairs))

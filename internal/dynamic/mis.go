@@ -53,9 +53,9 @@ type misState struct {
 // scratch is pre-sized to the vertex universe so the first Apply pays
 // no universe-sized allocation.
 //
-//lint:allow ctxround ctx is consumed by PrefixMISCtx (checked every round); the remaining loop is one bounded O(n) status conversion, cheaper than a single solver round
+//lint:allow ctxround ctx is consumed by PrefixMIS (checked every round); the remaining loop is one bounded O(n) status conversion, cheaper than a single solver round
 func newMISState(ctx context.Context, g *graph.Graph, ord core.Order, eng Engine, grain int) (*misState, core.Stats, error) {
-	res, err := core.PrefixMISCtx(ctx, g, ord, core.Options{Options: engine.Options{Grain: grain}})
+	res, err := core.PrefixMIS(ctx, g, ord, core.Options{Options: engine.Options{Grain: grain}})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}

@@ -66,12 +66,12 @@ type mmState struct {
 // into slot form. Repair scratch is pre-sized to the edge universe so
 // the first Apply pays no universe-sized allocation.
 //
-//lint:allow ctxround ctx is consumed by PrefixMMCtx (checked every round); the remaining loops are bounded O(m) slot/incidence conversions, cheaper than a single solver round
+//lint:allow ctxround ctx is consumed by PrefixMM (checked every round); the remaining loops are bounded O(m) slot/incidence conversions, cheaper than a single solver round
 func newMMState(ctx context.Context, g *graph.Graph, seed uint64, eng Engine, grain int) (*mmState, core.Stats, error) {
 	el := g.EdgeList()
 	m := el.NumEdges()
 	ord := EdgeOrder(el, seed)
-	res, err := matching.PrefixMMCtx(ctx, el, ord, matching.Options{Options: engine.Options{Grain: grain}})
+	res, err := matching.PrefixMM(ctx, el, ord, matching.Options{Options: engine.Options{Grain: grain}})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}

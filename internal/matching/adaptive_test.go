@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -24,8 +25,8 @@ func TestAdaptiveMMMatchesSequential(t *testing.T) {
 		m := el.NumEdges()
 		for _, seed := range []uint64{1, 5} {
 			ord := core.NewRandomOrder(m, seed)
-			want := SequentialMM(el, ord)
-			got := PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true}})
+			want := must(SequentialMM(context.Background(), el, ord, Options{}))
+			got := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true}}))
 			if !got.Equal(want) {
 				t.Errorf("%s seed %d: adaptive MM differs from sequential", name, seed)
 			}
@@ -34,7 +35,7 @@ func TestAdaptiveMMMatchesSequential(t *testing.T) {
 			}
 			// An explicit seed window (fixed config as starting point)
 			// must not change the answer either.
-			seeded := PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: m/2 + 1}})
+			seeded := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: m/2 + 1}}))
 			if !seeded.Equal(want) {
 				t.Errorf("%s seed %d: adaptive MM with explicit seed window differs", name, seed)
 			}
@@ -48,9 +49,9 @@ func TestAdaptiveMMScheduleGrainIndependent(t *testing.T) {
 	g := graph.Random(1500, 7500, 3)
 	el := g.EdgeList()
 	ord := core.NewRandomOrder(el.NumEdges(), 4)
-	base := PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true}})
+	base := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true}}))
 	for _, grain := range []int{5, 64, 2048} {
-		r := PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain}})
+		r := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain}}))
 		if r.Stats != base.Stats {
 			t.Fatalf("grain %d changed adaptive MM stats: %+v vs %+v", grain, r.Stats, base.Stats)
 		}

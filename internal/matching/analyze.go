@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -81,7 +82,8 @@ func DependenceSteps(el graph.EdgeList, ord core.Order) DependenceInfo {
 // the direct algorithms are tested against.
 func ViaLineGraphMIS(g *graph.Graph, ord core.Order) *Result {
 	lg, el := graph.LineGraph(g)
-	misResult := core.SequentialMIS(lg, ord)
+	// A background context never cancels, the scan's only error.
+	misResult, _ := core.SequentialMIS(context.Background(), lg, ord, core.Options{})
 	m := el.NumEdges()
 	status := make([]int32, m)
 	for e := 0; e < m; e++ {

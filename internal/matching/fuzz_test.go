@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -26,7 +27,7 @@ func FuzzMMEquivalence(f *testing.F) {
 		m := int(rawM) % (maxM + 1)
 		el := graph.Random(n, m, seed).EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xfeed)
-		want := SequentialMM(el, ord)
+		want := must(SequentialMM(context.Background(), el, ord, Options{}))
 		if !IsMaximalMatching(el, want.InMatching) {
 			t.Fatal("sequential answer is not a maximal matching")
 		}
@@ -36,9 +37,9 @@ func FuzzMMEquivalence(f *testing.F) {
 			name string
 			got  *Result
 		}{
-			{"prefix", PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}})},
-			{"adaptive", PrefixMM(el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}})},
-			{"parallel", ParallelMM(el, ord, Options{Options: engine.Options{Grain: grain}})},
+			{"prefix", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))},
+			{"adaptive", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}}))},
+			{"parallel", must(ParallelMM(context.Background(), el, ord, Options{Options: engine.Options{Grain: grain}}))},
 		} {
 			if !run.got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s MM diverged from sequential", n, m, prefix, grain, run.name)

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,7 @@ func TestSequentialMMSmall(t *testing.T) {
 	// matches (0,1), skips (1,2), matches (2,3).
 	g := graph.Path(4)
 	el := g.EdgeList()
-	r := SequentialMM(el, core.IdentityOrder(3))
+	r := must(SequentialMM(context.Background(), el, core.IdentityOrder(3), Options{}))
 	if r.Size() != 2 || !r.InMatching[0] || r.InMatching[1] || !r.InMatching[2] {
 		t.Errorf("path matching = %v (pairs %v)", r.InMatching, r.Pairs)
 	}
@@ -37,12 +38,12 @@ func TestSequentialMMOrderMatters(t *testing.T) {
 	// result depends on the order, which is the point of fixing it.
 	g := graph.Path(3)
 	el := g.EdgeList()
-	midFirst := SequentialMM(el, core.FromOrder([]int32{1, 0})) // wait: P3 has 2 edges
+	midFirst := must(SequentialMM(context.Background(), el, core.FromOrder([]int32{1, 0}), Options{})) // wait: P3 has 2 edges
 	_ = midFirst
 	// P4 instead: 3 edges; process middle edge (1,2) first.
 	g4 := graph.Path(4)
 	el4 := g4.EdgeList()
-	r := SequentialMM(el4, core.FromOrder([]int32{1, 0, 2}))
+	r := must(SequentialMM(context.Background(), el4, core.FromOrder([]int32{1, 0, 2}), Options{}))
 	if r.Size() != 1 || !r.InMatching[1] {
 		t.Errorf("middle-first matching = %v", r.InMatching)
 	}
@@ -50,7 +51,7 @@ func TestSequentialMMOrderMatters(t *testing.T) {
 
 func TestSequentialMMEmpty(t *testing.T) {
 	el := graph.EdgeList{N: 5}
-	r := SequentialMM(el, core.IdentityOrder(0))
+	r := must(SequentialMM(context.Background(), el, core.IdentityOrder(0), Options{}))
 	if r.Size() != 0 {
 		t.Error("empty edge list gave nonempty matching")
 	}
@@ -63,7 +64,7 @@ func TestSequentialMMEmpty(t *testing.T) {
 
 func TestSequentialMMIsMaximal(t *testing.T) {
 	el, ord := instance(400, 2000, 3)
-	r := SequentialMM(el, ord)
+	r := must(SequentialMM(context.Background(), el, ord, Options{}))
 	if !IsMaximalMatching(el, r.InMatching) {
 		t.Error("sequential matching not maximal")
 	}
@@ -71,14 +72,14 @@ func TestSequentialMMIsMaximal(t *testing.T) {
 
 func allDeterministicMM(el graph.EdgeList, ord core.Order) map[string]*Result {
 	return map[string]*Result{
-		"sequential":     SequentialMM(el, ord),
-		"parallel-full":  ParallelMM(el, ord, Options{}),
-		"rootset":        RootSetMM(el, ord, Options{}),
-		"prefix-default": PrefixMM(el, ord, Options{}),
-		"prefix-1":       PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 1}}),
-		"prefix-5":       PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 5}}),
-		"prefix-0.2":     PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: 0.2}}),
-		"tiny-grain":     PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: 0.5, Grain: 2}}),
+		"sequential":     must(SequentialMM(context.Background(), el, ord, Options{})),
+		"parallel-full":  must(ParallelMM(context.Background(), el, ord, Options{})),
+		"rootset":        must(RootSetMM(context.Background(), el, ord, Options{})),
+		"prefix-default": must(PrefixMM(context.Background(), el, ord, Options{})),
+		"prefix-1":       must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}})),
+		"prefix-5":       must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 5}})),
+		"prefix-0.2":     must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.2}})),
+		"tiny-grain":     must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.5, Grain: 2}})),
 	}
 }
 
@@ -101,7 +102,7 @@ func TestAllMMAlgorithmsMatchSequential(t *testing.T) {
 	for _, c := range cases {
 		el := c.g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), c.seed)
-		want := SequentialMM(el, ord)
+		want := must(SequentialMM(context.Background(), el, ord, Options{}))
 		for name, got := range allDeterministicMM(el, ord) {
 			if !got.Equal(want) {
 				t.Errorf("%s/%s: matching differs from sequential greedy (got %d, want %d edges)",
@@ -122,11 +123,11 @@ func TestMMAlgorithmsMatchQuick(t *testing.T) {
 		g := graph.Random(n, m, seed)
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xbeef)
-		want := SequentialMM(el, ord)
+		want := must(SequentialMM(context.Background(), el, ord, Options{}))
 		for _, got := range []*Result{
-			ParallelMM(el, ord, Options{}),
-			RootSetMM(el, ord, Options{}),
-			PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 4}}),
+			must(ParallelMM(context.Background(), el, ord, Options{})),
+			must(RootSetMM(context.Background(), el, ord, Options{})),
+			must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 4}})),
 		} {
 			if !got.Equal(want) {
 				return false
@@ -150,7 +151,7 @@ func TestMMMatchesLineGraphMIS(t *testing.T) {
 	} {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), 7)
-		direct := SequentialMM(el, ord)
+		direct := must(SequentialMM(context.Background(), el, ord, Options{}))
 		viaLG := ViaLineGraphMIS(g, ord)
 		if !direct.Equal(viaLG) {
 			t.Errorf("line-graph MIS disagrees with direct greedy MM on %v", g)
@@ -160,9 +161,9 @@ func TestMMMatchesLineGraphMIS(t *testing.T) {
 
 func TestMMDeterminismAcrossPrefixSizes(t *testing.T) {
 	el, ord := instance(1000, 6000, 9)
-	want := SequentialMM(el, ord)
+	want := must(SequentialMM(context.Background(), el, ord, Options{}))
 	for _, frac := range []float64{0.001, 0.01, 0.1, 1.0} {
-		r := PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: frac}})
+		r := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: frac}}))
 		if !r.Equal(want) {
 			t.Fatalf("prefix frac %v changed the matching", frac)
 		}
@@ -171,7 +172,7 @@ func TestMMDeterminismAcrossPrefixSizes(t *testing.T) {
 
 func TestMMPrefix1IsSequential(t *testing.T) {
 	el, ord := instance(300, 900, 4)
-	r := PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 1}})
+	r := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}}))
 	if r.Stats.Rounds != int64(el.NumEdges()) {
 		t.Errorf("prefix-1 rounds = %d, want m = %d", r.Stats.Rounds, el.NumEdges())
 	}
@@ -182,8 +183,8 @@ func TestMMPrefix1IsSequential(t *testing.T) {
 
 func TestMMWorkRoundsTradeoff(t *testing.T) {
 	el, ord := instance(2000, 12000, 6)
-	small := PrefixMM(el, ord, Options{Options: engine.Options{PrefixSize: 16}})
-	full := PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: 1}})
+	small := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 16}}))
+	full := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 	if small.Stats.Attempts > full.Stats.Attempts {
 		t.Errorf("attempts should grow with prefix: small=%d full=%d",
 			small.Stats.Attempts, full.Stats.Attempts)
@@ -207,7 +208,7 @@ func TestRootSetMMStepsEqualDependenceLength(t *testing.T) {
 	} {
 		el := c.g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), 21)
-		r := RootSetMM(el, ord, Options{})
+		r := must(RootSetMM(context.Background(), el, ord, Options{}))
 		info := DependenceSteps(el, ord)
 		if int(r.Stats.Rounds) != info.Steps {
 			t.Errorf("%s: rootset steps %d != analyzer dependence length %d",
@@ -219,7 +220,7 @@ func TestRootSetMMStepsEqualDependenceLength(t *testing.T) {
 func TestDependenceStepsMatchesSequentialMatching(t *testing.T) {
 	el, ord := instance(500, 2500, 31)
 	info := DependenceSteps(el, ord)
-	want := SequentialMM(el, ord)
+	want := must(SequentialMM(context.Background(), el, ord, Options{}))
 	for e := 0; e < el.NumEdges(); e++ {
 		if info.InMatching[e] != want.InMatching[e] {
 			t.Fatalf("analyzer and sequential disagree on edge %d", e)
@@ -258,7 +259,7 @@ func TestMMStarDependence(t *testing.T) {
 
 func TestVerifyLexFirstCatchesCorruption(t *testing.T) {
 	el, ord := instance(100, 300, 12)
-	r := SequentialMM(el, ord)
+	r := must(SequentialMM(context.Background(), el, ord, Options{}))
 	bad := &Result{InMatching: append([]bool(nil), r.InMatching...)}
 	bad.InMatching[ord.Order[0]] = !bad.InMatching[ord.Order[0]]
 	if err := VerifyLexFirst(el, ord, bad); err == nil {
@@ -289,7 +290,7 @@ func TestIsMatchingAndMaximal(t *testing.T) {
 
 func TestResultPairsAndMateConsistent(t *testing.T) {
 	el, ord := instance(500, 2000, 14)
-	r := PrefixMM(el, ord, Options{})
+	r := must(PrefixMM(context.Background(), el, ord, Options{}))
 	for _, p := range r.Pairs {
 		if r.Mate[p.U] != p.V || r.Mate[p.V] != p.U {
 			t.Fatalf("pair %v not reflected in Mate", p)
@@ -310,7 +311,7 @@ func BenchmarkSequentialMM(b *testing.B) {
 	el, ord := instance(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SequentialMM(el, ord)
+		_ = must(SequentialMM(context.Background(), el, ord, Options{}))
 	}
 }
 
@@ -318,7 +319,7 @@ func BenchmarkPrefixMM(b *testing.B) {
 	el, ord := instance(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PrefixMM(el, ord, Options{Options: engine.Options{PrefixFrac: 0.01}})
+		_ = must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.01}}))
 	}
 }
 
@@ -326,6 +327,15 @@ func BenchmarkRootSetMM(b *testing.B) {
 	el, ord := instance(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = RootSetMM(el, ord, Options{})
+		_ = must(RootSetMM(context.Background(), el, ord, Options{}))
 	}
+}
+
+// must unwraps the result of a run under a background context, whose
+// only possible error, cancellation, cannot happen.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

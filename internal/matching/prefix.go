@@ -27,17 +27,10 @@ import (
 // edge commits only when every earlier neighbor is resolved, the result
 // equals the sequential greedy matching for any prefix size, grain size
 // and thread count.
-func PrefixMM(el graph.EdgeList, ord core.Order, opt Options) *Result {
-	res, err := PrefixMMCtx(context.Background(), el, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// PrefixMMCtx is PrefixMM with cooperative cancellation: ctx is checked
-// once per round, so a cancelled context aborts within one round and
-// returns ctx.Err(). Pooled buffers come from opt.Workspace when set.
+//
+// ctx is checked once per round, so a cancelled context aborts within
+// one round and returns ctx.Err(). Pooled buffers come from
+// opt.Workspace when set.
 //
 // The round loop is the shared speculative-prefix engine
 // (internal/engine); this function contributes the matching problem:
@@ -46,7 +39,7 @@ func PrefixMM(el graph.EdgeList, ord core.Order, opt Options) *Result {
 // is in rank space: the edges are gathered into rank order once, an
 // edge's rank is its bid, and a committed edge sets its own bit of the
 // result, at its id order[r].
-func PrefixMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+func PrefixMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("matching: order size does not match edge list")
@@ -151,21 +144,12 @@ func (p *mmProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 // ParallelMM is Algorithm 4 proper: PrefixMM run with the full edge set
 // as the window each round. Its Rounds statistic tracks the dependence
 // length of the edge priority DAG (Lemma 5.1: O(log^2 m) w.h.p.).
-func ParallelMM(el graph.EdgeList, ord core.Order, opt Options) *Result {
-	res, err := ParallelMMCtx(context.Background(), el, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// ParallelMMCtx is ParallelMM with cooperative cancellation and
-// workspace reuse (see PrefixMMCtx).
-func ParallelMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+// Cancellation and workspace reuse work as in PrefixMM.
+func ParallelMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	opt.Adaptive = false // the full prefix is the point of Algorithm 4
 	opt.PrefixSize = el.NumEdges()
 	if opt.PrefixSize == 0 {
 		opt.PrefixSize = 1
 	}
-	return PrefixMMCtx(ctx, el, ord, opt)
+	return PrefixMM(ctx, el, ord, opt)
 }

@@ -20,17 +20,9 @@ import (
 // edges to discover the next ready set. Every incident-list entry is
 // skipped past at most once, so total work is O(n + m); the number of
 // steps is exactly the dependence length of the edge priority DAG.
-func RootSetMM(el graph.EdgeList, ord core.Order, opt Options) *Result {
-	res, err := RootSetMMCtx(context.Background(), el, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// RootSetMMCtx is RootSetMM with cooperative cancellation (ctx is
-// checked once per step) and workspace reuse.
-func RootSetMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+// ctx is checked once per step, and buffers come from opt.Workspace
+// when set.
+func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("matching: order size does not match edge list")

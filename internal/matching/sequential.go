@@ -8,6 +8,10 @@ import (
 	"repro/internal/graph"
 )
 
+// seqCancelMask paces the sequential scan's cancellation checks, as in
+// core.SequentialMIS.
+const seqCancelMask = 1<<12 - 1
+
 // SequentialMM computes the greedy maximal matching of el under ord: it
 // scans edges in priority order and keeps an edge exactly when both of
 // its endpoints are still free. This is the paper's linear-time
@@ -17,21 +21,9 @@ import (
 // Stats follow the paper's convention: Rounds = Attempts = m for a
 // sequential run; EdgeInspections counts the two endpoint examinations
 // per edge.
-func SequentialMM(el graph.EdgeList, ord core.Order) *Result {
-	res, err := SequentialMMCtx(context.Background(), el, ord, Options{})
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// seqCancelMask paces the sequential scan's cancellation checks, as in
-// core.SequentialMISCtx.
-const seqCancelMask = 1<<12 - 1
-
-// SequentialMMCtx is SequentialMM with cooperative cancellation (ctx is
-// checked every few thousand edges) and workspace reuse.
-func SequentialMMCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+// ctx is checked every few thousand edges, and buffers come from
+// opt.Workspace when set.
+func SequentialMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("matching: order size does not match edge list")

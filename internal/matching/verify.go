@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -54,7 +55,10 @@ func IsMaximalMatching(el graph.EdgeList, inMatching []bool) bool {
 // matching of el under ord — the determinism guarantee of the paper. It
 // returns nil on success.
 func VerifyLexFirst(el graph.EdgeList, ord core.Order, result *Result) error {
-	want := SequentialMM(el, ord)
+	want, err := SequentialMM(context.Background(), el, ord, Options{})
+	if err != nil {
+		return err
+	}
 	if len(result.InMatching) != el.NumEdges() {
 		return fmt.Errorf("matching: result covers %d edges, edge list has %d",
 			len(result.InMatching), el.NumEdges())

@@ -163,7 +163,7 @@ func TestEventStreamLifecycle(t *testing.T) {
 			t.Fatalf("stream out of order: seq %d after %d", ev.Seq, lastSeq)
 		}
 		lastSeq = ev.Seq
-		if ev.Kind == trace.KindPhase && ev.CheckMS+ev.CommitMS+ev.ResetMS+ev.SlideMS <= 0 {
+		if ev.Kind == trace.KindPhase && ev.CheckMS+ev.CommitMS+ev.SlideMS <= 0 {
 			t.Fatalf("phase event carries no durations: %+v", ev)
 		}
 	}
@@ -321,7 +321,7 @@ func TestPhaseDurationsTileRunSpan(t *testing.T) {
 		t.Fatal("done job has no progress")
 	}
 	p := st.Progress
-	sum := p.CheckMS + p.CommitMS + p.ResetMS + p.SlideMS
+	sum := p.CheckMS + p.CommitMS + p.SlideMS
 	if sum <= 0 {
 		t.Fatalf("no phase durations accumulated: %+v", p)
 	}

@@ -297,14 +297,10 @@ func (s *Service) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad job request: %w", err))
 		return
 	}
-	problem, err := ParseProblem(req.Problem)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+	// Submit validates the spec, the problem name included (400 below).
 	spec := JobSpec{
 		GraphID:   req.GraphID,
-		Problem:   problem,
+		Problem:   Problem(req.Problem),
 		Plan:      req.Plan,
 		TimeoutMS: req.TimeoutMS,
 	}

@@ -25,31 +25,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Problem names a computation the service can run.
-type Problem string
+// Problem names a computation the service can run: a facade problem,
+// on the graph (hitting set: on its vertex-cover system).
+type Problem = greedy.Problem
 
-// The problems the service runs: the paper's maximal independent set
-// and maximal matching, the §7 spanning forest extension, and the two
-// further greedy problems opened by the shared speculative engine —
-// first-fit graph coloring and greedy hitting set (as greedy vertex
-// cover: each edge a two-element set over its endpoints).
+// The problems the service runs.
 const (
-	ProblemMIS        Problem = "mis"
-	ProblemMM         Problem = "mm"
-	ProblemSF         Problem = "sf"
-	ProblemColoring   Problem = "coloring"
-	ProblemHittingSet Problem = "hittingset"
+	ProblemMIS        = greedy.ProblemMIS
+	ProblemMM         = greedy.ProblemMM
+	ProblemSF         = greedy.ProblemSF
+	ProblemColoring   = greedy.ProblemColoring
+	ProblemHittingSet = greedy.ProblemHittingSet
 )
 
 // ParseProblem validates a problem name.
-func ParseProblem(s string) (Problem, error) {
-	switch Problem(s) {
-	case ProblemMIS, ProblemMM, ProblemSF, ProblemColoring, ProblemHittingSet:
-		return Problem(s), nil
-	default:
-		return "", fmt.Errorf("service: unknown problem %q (want mis|mm|sf|coloring|hittingset)", s)
-	}
-}
+func ParseProblem(s string) (Problem, error) { return greedy.ParseProblem(s) }
 
 // JobState is the lifecycle state of a job.
 type JobState string
@@ -121,44 +111,17 @@ func (s JobSpec) Key() string {
 		s.GraphID, s.Problem, p.Algorithm, p.Seed, p.PrefixFrac, p.PrefixSize, p.AdaptivePrefix, p.Dynamic, p.Grain, p.Pointered, s.TimeoutMS)
 }
 
-// Validate rejects specs no algorithm can run. The same conditions the
-// Solver reports as errors are caught here before a worker is
-// committed, so they map to HTTP 400 at submission time.
+// Validate rejects specs no algorithm can run, so they map to HTTP 400
+// at submission. The problem's rules are Problem.Check's, which every
+// Solver run applies too; the service adds only its own: no explicit
+// order, knobs in range, no negative timeout.
 func (s JobSpec) Validate() error {
-	if _, err := ParseProblem(string(s.Problem)); err != nil {
+	p := s.Plan
+	if err := s.Problem.Check(p); err != nil {
 		return err
 	}
-	p := s.Plan
 	if p.ExplicitOrder {
 		return fmt.Errorf("service: explicit orders are not serializable and cannot be submitted")
-	}
-	if p.Algorithm == greedy.AlgoLuby && s.Problem != ProblemMIS {
-		return fmt.Errorf("service: algorithm %q applies to MIS only", p.Algorithm)
-	}
-	// The spanning forest, coloring and hitting set facades implement
-	// only the sequential scan and the prefix-based algorithm; accepting
-	// other names would run prefix while reporting a different algorithm
-	// in the payload and split one computation across several dedup keys.
-	switch s.Problem {
-	case ProblemSF, ProblemColoring, ProblemHittingSet:
-		if p.Algorithm != greedy.AlgoPrefix && p.Algorithm != greedy.AlgoSequential {
-			return fmt.Errorf("service: problem %q supports algorithms prefix|sequential, not %q", s.Problem, p.Algorithm)
-		}
-	}
-	// Adaptive scheduling adapts the prefix algorithm's window; the
-	// other algorithms have none, and accepting the combination would
-	// run a job the Solver rejects after a worker is committed.
-	if p.AdaptivePrefix && p.Algorithm != greedy.AlgoPrefix {
-		return fmt.Errorf("service: adaptive prefix applies to algorithm %q only, not %q", greedy.AlgoPrefix, p.Algorithm)
-	}
-	// Dynamic (churn-stable) priorities exist for MIS and MM only, and
-	// Luby regenerates priorities every round — there is nothing for a
-	// session to maintain.
-	if p.Dynamic && s.Problem != ProblemMIS && s.Problem != ProblemMM {
-		return fmt.Errorf("service: dynamic plans support problems mis|mm, not %q", s.Problem)
-	}
-	if p.Dynamic && p.Algorithm == greedy.AlgoLuby {
-		return fmt.Errorf("service: dynamic plans cannot use algorithm %q", p.Algorithm)
 	}
 	if p.PrefixFrac < 0 || p.PrefixFrac > 1 {
 		return fmt.Errorf("service: prefix_frac %g outside [0,1]", p.PrefixFrac)
@@ -210,7 +173,6 @@ type Job struct {
 	// profiling is active (zero otherwise).
 	progCheckNS   atomic.Int64
 	progCommitNS  atomic.Int64
-	progResetNS   atomic.Int64
 	progSlideNS   atomic.Int64
 	progRetryTail atomic.Int64
 }
@@ -235,14 +197,12 @@ type JobProgress struct {
 
 	// Cumulative engine phase profile (present when phase profiling is
 	// active, i.e. when trace round sampling is on): wall time by
-	// check/commit/slide phase and the latest retry-tail size; ResetMS
-	// is always 0, since the engine has no reset phase. The sums tile
-	// the round loop's span, so together they show where a run's time
+	// check/commit/slide phase and the latest retry-tail size. The sums
+	// tile the round loop's span, so together they show where a run's time
 	// went — and their total tracks the job's run span to within the
 	// loop's startup/teardown cost.
 	CheckMS   float64 `json:"check_ms,omitempty"`
 	CommitMS  float64 `json:"commit_ms,omitempty"`
-	ResetMS   float64 `json:"reset_ms,omitempty"`
 	SlideMS   float64 `json:"slide_ms,omitempty"`
 	RetryTail int64   `json:"retry_tail,omitempty"`
 }
@@ -275,9 +235,11 @@ type ResultPayload struct {
 	Checksum string       `json:"checksum"`
 	Stats    greedy.Stats `json:"stats"`
 	RunMS    float64      `json:"run_ms"`
-	// Members is the selected set: vertex ids for MIS, edge endpoint
-	// pairs for MM and SF. Omitted above memberCap entries (Checksum
-	// still commits to the full membership).
+	// Members is the answer's member ids: the selected vertices (MIS) or
+	// elements (hitting set), or coloring's color array, one color per
+	// vertex. MemberPairs holds the selected edges' endpoints (MM, SF).
+	// Both are omitted above memberCap entries (memberCap/2 pairs); the
+	// Checksum still commits to the full answer.
 	Members        []int32    `json:"members,omitempty"`
 	MemberPairs    [][2]int32 `json:"member_pairs,omitempty"`
 	MembersOmitted bool       `json:"members_omitted,omitempty"`
@@ -826,7 +788,6 @@ func (e *Engine) statusLocked(job *Job) JobStatus {
 			EdgeInspections: job.progInspections.Load(),
 			CheckMS:         float64(job.progCheckNS.Load()) / 1e6,
 			CommitMS:        float64(job.progCommitNS.Load()) / 1e6,
-			ResetMS:         float64(job.progResetNS.Load()) / 1e6,
 			SlideMS:         float64(job.progSlideNS.Load()) / 1e6,
 			RetryTail:       job.progRetryTail.Load(),
 		}
@@ -1061,11 +1022,10 @@ func (e *Engine) execute(ctx context.Context, job *Job, solver *greedy.Solver) (
 		job.progAttempted.Add(int64(ri.Attempted))
 		job.progResolved.Add(int64(ri.Accepted))
 		job.progInspections.Add(ri.EdgeInspections)
-		profiled := ri.CheckNS|ri.CommitNS|ri.ResetNS|ri.SlideNS != 0
+		profiled := ri.CheckNS|ri.CommitNS|ri.SlideNS != 0
 		if profiled {
 			job.progCheckNS.Add(ri.CheckNS)
 			job.progCommitNS.Add(ri.CommitNS)
-			job.progResetNS.Add(ri.ResetNS)
 			job.progSlideNS.Add(ri.SlideNS)
 			job.progRetryTail.Store(int64(ri.RetryTail))
 		}
@@ -1087,7 +1047,6 @@ func (e *Engine) execute(ctx context.Context, job *Job, solver *greedy.Solver) (
 					Prefix:    ri.PrefixSize,
 					CheckMS:   float64(ri.CheckNS) / 1e6,
 					CommitMS:  float64(ri.CommitNS) / 1e6,
-					ResetMS:   float64(ri.ResetNS) / 1e6,
 					SlideMS:   float64(ri.SlideNS) / 1e6,
 					RetryTail: ri.RetryTail,
 				})
@@ -1114,79 +1073,34 @@ func (e *Engine) execute(ctx context.Context, job *Job, solver *greedy.Solver) (
 	if plan.Dynamic {
 		return e.executeDynamic(ctx, job, payload)
 	}
-	switch job.Spec.Problem {
-	case ProblemMIS:
-		res, rerr := solver.MIS(ctx, g, opts...)
-		if rerr != nil {
-			return payload, rerr
-		}
-		payload.Size = res.Size()
-		payload.Checksum = membershipChecksum(res.InSet)
-		payload.Stats = res.Stats
-		if len(res.Set) <= memberCap {
-			payload.Members = res.Set
-		} else {
-			payload.MembersOmitted = true
-		}
-	case ProblemMM:
-		res, rerr := solver.MM(ctx, h.EdgeList(), opts...)
-		if rerr != nil {
-			return payload, rerr
-		}
-		payload.Size = res.Size()
-		payload.Checksum = membershipChecksum(res.InMatching)
-		payload.Stats = res.Stats
-		if len(res.Pairs) <= memberCap/2 {
-			payload.MemberPairs = pairsOf(res.Pairs)
-		} else {
-			payload.MembersOmitted = true
-		}
-	case ProblemSF:
-		res, rerr := solver.SF(ctx, h.EdgeList(), opts...)
-		if rerr != nil {
-			return payload, rerr
-		}
-		payload.Size = res.Size()
-		payload.Checksum = membershipChecksum(res.InForest)
-		payload.Stats = res.Stats
-		if len(res.Edges) <= memberCap/2 {
-			payload.MemberPairs = pairsOf(res.Edges)
-		} else {
-			payload.MembersOmitted = true
-		}
-	case ProblemColoring:
-		res, rerr := solver.Coloring(ctx, g, opts...)
-		if rerr != nil {
-			return payload, rerr
-		}
-		// Size is the number of colors used — the figure of merit for a
-		// coloring; Members carries the full color assignment (one int32
-		// per vertex, not a membership subset).
-		payload.Size = res.NumColors
-		payload.Checksum = colorsChecksum(res.Colors)
-		payload.Stats = res.Stats
-		if len(res.Colors) <= memberCap {
-			payload.Members = res.Colors
-		} else {
-			payload.MembersOmitted = true
-		}
-	case ProblemHittingSet:
-		res, rerr := solver.HittingSet(ctx, h.HittingSystem(), opts...)
-		if rerr != nil {
-			return payload, rerr
-		}
-		payload.Size = res.Size()
-		payload.Checksum = membershipChecksum(res.InSet)
-		payload.Stats = res.Stats
-		if len(res.Set) <= memberCap {
-			payload.Members = res.Set
-		} else {
-			payload.MembersOmitted = true
-		}
-	default:
-		return payload, fmt.Errorf("service: unknown problem %q", job.Spec.Problem)
+	a, err := solver.Solve(ctx, job.Spec.Problem, h, opts...)
+	if err != nil {
+		return payload, err
 	}
+	payload.Stats = a.Stats
+	payload.setAnswer(a)
 	return payload, nil
+}
+
+// setAnswer fills p's size, checksum and members from a. A coloring's
+// members are its colors; a maintained matching has no edge-id bits,
+// so its checksum commits to its sorted pairs.
+func (p *ResultPayload) setAnswer(a greedy.Answer) {
+	p.Size = a.Size
+	members := a.Members
+	switch {
+	case a.Colors != nil:
+		p.Checksum, members = colorsChecksum(a.Colors), a.Colors
+	case a.In != nil:
+		p.Checksum = membershipChecksum(a.In)
+	default:
+		p.Checksum = pairsChecksum(a.Pairs)
+	}
+	if len(members) > memberCap || len(a.Pairs) > memberCap/2 {
+		p.MembersOmitted = true
+	} else {
+		p.Members, p.MemberPairs = members, pairsOf(a.Pairs)
+	}
 }
 
 // checkoutSession removes and returns the cached session for key, if
@@ -1280,10 +1194,7 @@ func (e *Engine) executeDynamic(ctx context.Context, job *Job, payload ResultPay
 			for i, batch := range chain {
 				st, err := advanced.Apply(ctx, batch)
 				repair.Add(st)
-				cost := st.MIS
-				if problem == ProblemMM {
-					cost = st.MM
-				}
+				cost := pick(problem, st.MIS, st.MM)
 				e.trace.Append(trace.Event{
 					Kind:         trace.KindRepair,
 					Job:          job.ID,
@@ -1315,10 +1226,7 @@ func (e *Engine) executeDynamic(ctx context.Context, job *Job, payload ResultPay
 				payload.RepairedFrom = from
 				payload.RepairBatches = len(chain)
 				payload.Repair = &repair
-				cost := repair.MIS
-				if problem == ProblemMM {
-					cost = repair.MM
-				}
+				cost := pick(problem, repair.MIS, repair.MM)
 				payload.Stats = greedy.Stats{Rounds: cost.Rounds, Attempts: cost.Attempts, EdgeInspections: cost.Inspections}
 			}
 		}
@@ -1336,43 +1244,33 @@ func (e *Engine) executeDynamic(ctx context.Context, job *Job, payload ResultPay
 		}
 		mt = fresh
 		misStats, mmStats := mt.InitStats()
-		if problem == ProblemMIS {
-			payload.Stats = misStats
-		} else {
-			payload.Stats = mmStats
-		}
+		payload.Stats = pick(problem, misStats, mmStats)
 	}
 	// (A checkout hit at the exact version reads the maintained state
 	// with zero Stats: no work was performed.)
 	e.trace.Append(trace.Event{Kind: trace.KindResolve, Job: job.ID, Name: resolution,
 		Batch: payload.RepairBatches})
-	switch problem {
-	case ProblemMIS:
+	if problem == ProblemMIS {
 		res := mt.MISResult()
-		payload.Size = res.Size()
-		payload.Checksum = membershipChecksum(res.InSet)
-		if len(res.Set) <= memberCap {
-			payload.Members = res.Set
-		} else {
-			payload.MembersOmitted = true
-		}
-	default: // ProblemMM (Validate rejects dynamic SF)
+		payload.setAnswer(greedy.Answer{Size: res.Size(), In: res.InSet, Members: res.Set})
+	} else { // ProblemMM: Validate rejects the other dynamic problems
 		pairs := mt.MatchingPairs()
-		payload.Size = len(pairs)
-		payload.Checksum = pairsChecksum(pairs)
-		if len(pairs) <= memberCap/2 {
-			payload.MemberPairs = pairsOf(pairs)
-		} else {
-			payload.MembersOmitted = true
-		}
+		payload.setAnswer(greedy.Answer{Size: len(pairs), Pairs: pairs})
 	}
 	e.checkinSession(key, mt)
 	return payload, nil
 }
 
+// pick returns mm for a matching session and mis for an MIS one.
+func pick[T any](problem Problem, mis, mm T) T {
+	if problem == ProblemMM {
+		return mm
+	}
+	return mis
+}
+
 // pairsChecksum commits to a matching by hashing its canonical sorted
-// pair list — dynamic matchings live in slot form and have no
-// canonical edge-id membership vector to feed membershipChecksum.
+// pair list.
 func pairsChecksum(pairs []graph.Edge) string {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -191,5 +193,55 @@ func TestProblemWireNames(t *testing.T) {
 	}
 	if _, err := ParseProblem("setcover"); err == nil {
 		t.Fatal("ParseProblem accepted an unknown name")
+	}
+}
+
+// TestValidateAgreesWithSolver enumerates the facade's problem table
+// against every algorithm, adaptive or not, dynamic or not (100 plans):
+// admission (JobSpec.Validate) and execution (Solver.Solve) must accept
+// or reject each plan together, and a rejection must wrap the same
+// facade sentinel on both sides, so the service never admits a job its
+// worker must fail, nor refuses one the library runs.
+func TestValidateAgreesWithSolver(t *testing.T) {
+	in := greedy.GraphInput(greedy.RandomGraph(50, 150, 3))
+	solver := greedy.NewSolver()
+	sentinels := []error{greedy.ErrLubyMatching, greedy.ErrSpanningAlgorithm, greedy.ErrColoringAlgorithm,
+		greedy.ErrHittingSetAlgorithm, greedy.ErrAdaptiveAlgorithm, greedy.ErrDynamicUnsupported}
+	algos := []greedy.Algorithm{greedy.AlgoPrefix, greedy.AlgoSequential, greedy.AlgoRootSet, greedy.AlgoParallel, greedy.AlgoLuby}
+	plans, rejected := 0, 0
+	for _, p := range greedy.Problems() {
+		for _, algo := range algos {
+			for _, adaptive := range []bool{false, true} {
+				for _, dynamic := range []bool{false, true} {
+					plans++
+					plan := greedy.Plan{Algorithm: algo, Seed: 5, AdaptivePrefix: adaptive, Dynamic: dynamic}
+					verr := JobSpec{GraphID: "g", Problem: p, Plan: plan}.Validate()
+					_, serr := solver.Solve(context.Background(), p, in, plan.Options()...)
+					if (verr == nil) != (serr == nil) {
+						t.Errorf("%s %+v: Validate says %v, Solve says %v", p, plan, verr, serr)
+						continue
+					}
+					if verr == nil {
+						continue
+					}
+					rejected++
+					wrapped := 0
+					for _, s := range sentinels {
+						if errors.Is(verr, s) != errors.Is(serr, s) {
+							t.Errorf("%s %+v: Validate (%v) and Solve (%v) disagree on %v", p, plan, verr, serr, s)
+						}
+						if errors.Is(verr, s) {
+							wrapped++
+						}
+					}
+					if wrapped == 0 {
+						t.Errorf("%s %+v: rejection %v wraps no facade sentinel", p, plan, verr)
+					}
+				}
+			}
+		}
+	}
+	if plans != 100 || rejected == 0 || rejected == plans {
+		t.Fatalf("enumerated %d plans, %d rejected; want 100 with both outcomes", plans, rejected)
 	}
 }

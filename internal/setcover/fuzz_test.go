@@ -1,6 +1,7 @@
 package setcover
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -57,7 +58,7 @@ func FuzzHittingSetEquivalence(f *testing.F) {
 			s = fuzzSystem(n, int(rawSets)%48, seed)
 		}
 		ord := core.NewRandomOrder(n, seed^0xfeed)
-		want := SequentialHittingSet(s, ord)
+		want := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
 		if err := s.Verify(want.InSet); err != nil {
 			t.Fatalf("sequential answer is not a hitting set: %v", err)
 		}
@@ -69,13 +70,13 @@ func FuzzHittingSetEquivalence(f *testing.F) {
 			{Options: engine.Options{PrefixSize: prefix, Grain: grain}},
 			{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}},
 		} {
-			got := PrefixHittingSet(s, ord, opt)
+			got := must(PrefixHittingSet(context.Background(), s, ord, opt))
 			if !got.Equal(want) {
 				t.Fatalf("n=%d sets=%d edges=%v opts %+v: prefix hitting set diverged from sequential",
 					n, s.NumSets(), edges, opt)
 			}
 			opt.Layout = layout
-			prebuilt := PrefixHittingSet(s, ord, opt)
+			prebuilt := must(PrefixHittingSet(context.Background(), s, ord, opt))
 			if !prebuilt.Equal(want) || prebuilt.Stats != got.Stats {
 				t.Fatalf("n=%d sets=%d edges=%v opts %+v: prebuilt layout changed the result or stats",
 					n, s.NumSets(), edges, opt)

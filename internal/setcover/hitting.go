@@ -79,24 +79,16 @@ type Options struct {
 }
 
 // seqCancelMask paces the sequential scan's cancellation checks, as in
-// core.SequentialMISCtx.
+// core.SequentialMIS.
 const seqCancelMask = 1<<12 - 1
 
 // SequentialHittingSet computes the greedy hitting set of s under ord:
 // elements in priority order, each joining the hitting set exactly when
 // some set containing it is not yet hit.
-func SequentialHittingSet(s *System, ord core.Order) *Result {
-	res, err := SequentialHittingSetCtx(context.Background(), s, ord, Options{})
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// SequentialHittingSetCtx is SequentialHittingSet with cooperative
-// cancellation (ctx is checked every few thousand elements). Pooled
-// buffers come from opt.Workspace when set.
-func SequentialHittingSetCtx(ctx context.Context, s *System, ord core.Order, opt Options) (*Result, error) {
+//
+// ctx is checked every few thousand elements, and pooled buffers come
+// from opt.Workspace when set.
+func SequentialHittingSet(ctx context.Context, s *System, ord core.Order, opt Options) (*Result, error) {
 	n := s.NumElements()
 	if ord.Len() != n {
 		panic("setcover: order size does not match system")
@@ -160,21 +152,13 @@ func SequentialHittingSetCtx(ctx context.Context, s *System, ord core.Order, opt
 // progress, and because an element decides only from final
 // earlier-priority state the result equals the sequential greedy
 // hitting set for every window schedule, grain and thread count.
-func PrefixHittingSet(s *System, ord core.Order, opt Options) *Result {
-	res, err := PrefixHittingSetCtx(context.Background(), s, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// PrefixHittingSetCtx is PrefixHittingSet with cooperative
-// cancellation: ctx is checked once per round, so a cancelled context
-// aborts within one round and returns ctx.Err(). Pooled buffers come
+//
+// ctx is checked once per round, so a cancelled context aborts within
+// one round and returns ctx.Err(). Pooled buffers come
 // from opt.Workspace when set; the layout from opt.Layout when set, and
 // it is built for this run otherwise. The run decides ranks; the
 // statuses are mapped back to elements through ord.Order at the end.
-func PrefixHittingSetCtx(ctx context.Context, s *System, ord core.Order, opt Options) (*Result, error) {
+func PrefixHittingSet(ctx context.Context, s *System, ord core.Order, opt Options) (*Result, error) {
 	n := s.NumElements()
 	if ord.Len() != n {
 		panic("setcover: order size does not match system")

@@ -48,7 +48,7 @@ func TestPrefixHittingSetMatchesSequential(t *testing.T) {
 	for name, s := range testSystems(t) {
 		n := s.NumElements()
 		ord := core.NewRandomOrder(n, 99)
-		want := SequentialHittingSet(s, ord)
+		want := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
 		if err := s.Verify(want.InSet); err != nil {
 			t.Fatalf("%s: sequential reference invalid: %v", name, err)
 		}
@@ -61,7 +61,7 @@ func TestPrefixHittingSetMatchesSequential(t *testing.T) {
 			{Options: engine.Options{Adaptive: true}},
 			{Options: engine.Options{Adaptive: true, PrefixFrac: 0.05}},
 		} {
-			got := PrefixHittingSet(s, ord, opt)
+			got := must(PrefixHittingSet(context.Background(), s, ord, opt))
 			if !got.Equal(want) {
 				t.Fatalf("%s opts %+v: prefix hitting set differs from sequential (%d vs %d)", name, opt, got.Size(), want.Size())
 			}
@@ -77,15 +77,15 @@ func TestPrefixHittingSetMatchesSequential(t *testing.T) {
 func TestPrefixHittingSetThreadIndependent(t *testing.T) {
 	s := randomSystem(900, 700, 8, 21)
 	ord := core.NewRandomOrder(900, 5)
-	want := SequentialHittingSet(s, ord)
+	want := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		got := PrefixHittingSet(s, ord, Options{Options: engine.Options{PrefixFrac: 0.05, Grain: 7}})
+		got := must(PrefixHittingSet(context.Background(), s, ord, Options{Options: engine.Options{PrefixFrac: 0.05, Grain: 7}}))
 		if !got.Equal(want) {
 			t.Fatalf("GOMAXPROCS=%d: hitting set differs from sequential", procs)
 		}
-		adaptive := PrefixHittingSet(s, ord, Options{Options: engine.Options{Adaptive: true}})
+		adaptive := must(PrefixHittingSet(context.Background(), s, ord, Options{Options: engine.Options{Adaptive: true}}))
 		if !adaptive.Equal(want) {
 			t.Fatalf("GOMAXPROCS=%d: adaptive hitting set differs from sequential", procs)
 		}
@@ -99,7 +99,7 @@ func TestHittingSetCoversEdges(t *testing.T) {
 	el := g.EdgeList()
 	s := FromEdges(el)
 	ord := core.NewRandomOrder(s.NumElements(), 13)
-	res := PrefixHittingSet(s, ord, Options{})
+	res := must(PrefixHittingSet(context.Background(), s, ord, Options{}))
 	for _, e := range el.Edges {
 		if !res.InSet[e.U] && !res.InSet[e.V] {
 			t.Fatalf("edge {%d,%d} uncovered", e.U, e.V)
@@ -114,13 +114,13 @@ func TestHittingSetWorkspaceReuse(t *testing.T) {
 	small := randomSystem(40, 30, 4, 2)
 	bigOrd := core.NewRandomOrder(500, 1)
 	smallOrd := core.NewRandomOrder(40, 2)
-	wantBig := SequentialHittingSet(big, bigOrd)
-	wantSmall := SequentialHittingSet(small, smallOrd)
+	wantBig := must(SequentialHittingSet(context.Background(), big, bigOrd, Options{}))
+	wantSmall := must(SequentialHittingSet(context.Background(), small, smallOrd, Options{}))
 	for i := 0; i < 3; i++ {
-		if got := PrefixHittingSet(big, bigOrd, Options{Options: engine.Options{PrefixFrac: 0.1}, Workspace: ws}); !got.Equal(wantBig) {
+		if got := must(PrefixHittingSet(context.Background(), big, bigOrd, Options{Options: engine.Options{PrefixFrac: 0.1}, Workspace: ws})); !got.Equal(wantBig) {
 			t.Fatalf("run %d big: pooled run differs", i)
 		}
-		if got := PrefixHittingSet(small, smallOrd, Options{Options: engine.Options{Adaptive: true}, Workspace: ws}); !got.Equal(wantSmall) {
+		if got := must(PrefixHittingSet(context.Background(), small, smallOrd, Options{Options: engine.Options{Adaptive: true}, Workspace: ws})); !got.Equal(wantSmall) {
 			t.Fatalf("run %d small: pooled run differs", i)
 		}
 	}
@@ -132,10 +132,10 @@ func TestPrefixHittingSetCancel(t *testing.T) {
 	ord := core.NewRandomOrder(400, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PrefixHittingSetCtx(ctx, s, ord, Options{}); err != context.Canceled {
+	if _, err := PrefixHittingSet(ctx, s, ord, Options{}); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if _, err := SequentialHittingSetCtx(ctx, s, ord, Options{}); err != context.Canceled {
+	if _, err := SequentialHittingSet(ctx, s, ord, Options{}); err != context.Canceled {
 		t.Fatalf("sequential: want context.Canceled, got %v", err)
 	}
 }
@@ -173,7 +173,7 @@ func BenchmarkPrefixHittingSet(b *testing.B) {
 	ws := new(Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PrefixHittingSet(s, ord, Options{Workspace: ws})
+		must(PrefixHittingSet(context.Background(), s, ord, Options{Workspace: ws}))
 	}
 }
 
@@ -203,8 +203,17 @@ func TestLayoutLinearInMemberships(t *testing.T) {
 	if words := len(l.words); words > inlineMax*memberships {
 		t.Fatalf("layout holds %d words for %d memberships, want at most %d", words, memberships, inlineMax*memberships)
 	}
-	want := SequentialHittingSet(s, ord)
-	if got := PrefixHittingSet(s, ord, Options{Layout: l}); !got.Equal(want) {
+	want := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
+	if got := must(PrefixHittingSet(context.Background(), s, ord, Options{Layout: l})); !got.Equal(want) {
 		t.Fatal("prefix hitting set with a referenced set differs from sequential")
 	}
+}
+
+// must unwraps the result of a run under a background context, whose
+// only possible error, cancellation, cannot happen.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -21,8 +22,8 @@ func TestAdaptiveStrictSFMatchesSequential(t *testing.T) {
 	for name, g := range graphs {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), 3)
-		want := SequentialSF(el, ord)
-		got := PrefixSF(el, ord, Options{Options: engine.Options{Adaptive: true}})
+		want := must(SequentialSF(context.Background(), el, ord, Options{}))
+		got := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true}}))
 		if !got.Equal(want) {
 			t.Errorf("%s: adaptive strict SF differs from sequential", name)
 		}
@@ -39,9 +40,9 @@ func TestAdaptiveRelaxedSFValidAndDeterministic(t *testing.T) {
 	g := graph.Random(2000, 10000, 5)
 	el := g.EdgeList()
 	ord := core.NewRandomOrder(el.NumEdges(), 6)
-	seq := SequentialSF(el, ord)
+	seq := must(SequentialSF(context.Background(), el, ord, Options{}))
 
-	base := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{Adaptive: true}})
+	base := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true}}))
 	if !IsForest(el, base.InForest) {
 		t.Fatal("adaptive relaxed SF is not a forest")
 	}
@@ -52,7 +53,7 @@ func TestAdaptiveRelaxedSFValidAndDeterministic(t *testing.T) {
 		t.Fatalf("adaptive relaxed SF size %d, sequential %d (both must equal n - #components)", base.Size(), seq.Size())
 	}
 	for _, grain := range []int{3, 128, 1024} {
-		r := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain}})
+		r := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain}}))
 		if !r.Equal(base) {
 			t.Fatalf("grain %d changed the adaptive relaxed forest", grain)
 		}

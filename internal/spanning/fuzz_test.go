@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -28,7 +29,7 @@ func FuzzSFEquivalence(f *testing.F) {
 		m := int(rawM) % (maxM + 1)
 		el := graph.Random(n, m, seed).EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xfeed)
-		want := SequentialSF(el, ord)
+		want := must(SequentialSF(context.Background(), el, ord, Options{}))
 		prefix := int(rawPrefix)%(m+1) + 1
 		grain := int(rawGrain)%3 + 1
 
@@ -36,18 +37,18 @@ func FuzzSFEquivalence(f *testing.F) {
 			{Options: engine.Options{PrefixSize: prefix, Grain: grain}},
 			{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}},
 		} {
-			if got := PrefixSF(el, ord, opt); !got.Equal(want) {
+			if got := must(PrefixSF(context.Background(), el, ord, opt)); !got.Equal(want) {
 				t.Fatalf("n=%d m=%d opts %+v: strict SF diverged from sequential", n, m, opt)
 			}
 		}
 
-		relaxed := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}})
+		relaxed := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))
 		if !IsForest(el, relaxed.InForest) || !IsSpanning(el, relaxed.InForest) || relaxed.Size() != want.Size() {
 			t.Fatalf("n=%d m=%d prefix=%d grain=%d: relaxed SF is not a spanning forest of the sequential size %d (got %d edges)",
 				n, m, prefix, grain, want.Size(), relaxed.Size())
 		}
 		for _, g := range []int{grain, 1, 2, 3} {
-			if again := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: g}}); !again.Equal(relaxed) {
+			if again := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: g}})); !again.Equal(relaxed) {
 				t.Fatalf("n=%d m=%d prefix=%d: relaxed SF at grain %d differs from grain %d", n, m, prefix, g, grain)
 			}
 		}

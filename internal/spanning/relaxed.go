@@ -35,15 +35,7 @@ import (
 //     different prefix sizes may pick different (equally valid)
 //     forests. This is exactly the semantics of the PBBS spanning
 //     forest built on deterministic reservations.
-func PrefixSFRelaxed(el graph.EdgeList, ord core.Order, opt Options) *Result {
-	res, err := PrefixSFRelaxedCtx(context.Background(), el, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// PrefixSFRelaxedCtx is PrefixSFRelaxed with cooperative cancellation:
+//
 // ctx is checked once per round, so a cancelled context aborts within
 // one round and returns ctx.Err(). Pooled buffers come from
 // opt.Workspace when set.
@@ -56,7 +48,7 @@ func PrefixSFRelaxed(el graph.EdgeList, ord core.Order, opt Options) *Result {
 // the adaptive schedule is itself a deterministic function of the run),
 // but different schedules — like different fixed prefixes — may select
 // different, equally valid forests.
-func PrefixSFRelaxedCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+func PrefixSFRelaxed(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("spanning: order size does not match edge list")

@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -21,9 +22,9 @@ func TestRelaxedProducesValidSpanningForest(t *testing.T) {
 	} {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), 7)
-		want := SequentialSF(el, ord)
+		want := must(SequentialSF(context.Background(), el, ord, Options{}))
 		for _, frac := range []float64{0.01, 0.2, 1.0} {
-			got := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixFrac: frac}})
+			got := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: frac}}))
 			if !IsForest(el, got.InForest) {
 				t.Fatalf("frac %v: relaxed result has a cycle", frac)
 			}
@@ -41,16 +42,16 @@ func TestRelaxedProducesValidSpanningForest(t *testing.T) {
 
 func TestRelaxedDeterministicForFixedPrefix(t *testing.T) {
 	el, ord := instance(800, 4000, 3)
-	first := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: 128}})
+	first := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 128}}))
 	for trial := 0; trial < 4; trial++ {
-		again := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: 128}})
+		again := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 128}}))
 		if !again.Equal(first) {
 			t.Fatalf("trial %d: relaxed forest changed across identical runs", trial)
 		}
 	}
 	for _, procs := range []int{1, 2, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		r := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: 128}})
+		r := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 128}}))
 		runtime.GOMAXPROCS(old)
 		if !r.Equal(first) {
 			t.Fatalf("procs %d: relaxed forest depends on thread count", procs)
@@ -63,8 +64,8 @@ func TestRelaxedPrefixOneIsSequential(t *testing.T) {
 	// sequential loop: one edge at a time, always the earliest, so the
 	// result is the lexicographically-first forest.
 	el, ord := instance(300, 1200, 5)
-	want := SequentialSF(el, ord)
-	got := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: 1}})
+	want := must(SequentialSF(context.Background(), el, ord, Options{}))
+	got := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}}))
 	if !got.Equal(want) {
 		t.Error("relaxed with prefix 1 differs from sequential")
 	}
@@ -82,9 +83,9 @@ func TestRelaxedQuick(t *testing.T) {
 		}
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0x5555)
 		prefix := int(rawPrefix)%el.NumEdges() + 1
-		got := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 4}})
+		got := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 4}}))
 		return IsForest(el, got.InForest) && IsSpanning(el, got.InForest) &&
-			got.Size() == SequentialSF(el, ord).Size()
+			got.Size() == must(SequentialSF(context.Background(), el, ord, Options{})).Size()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -103,8 +104,8 @@ func TestExactVsRelaxedHubContention(t *testing.T) {
 	el := g.EdgeList()
 	ord := core.NewRandomOrder(el.NumEdges(), 9)
 
-	exact := PrefixSF(el, ord, Options{Options: engine.Options{PrefixFrac: 1}})
-	relaxed := PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixFrac: 1}})
+	exact := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
+	relaxed := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 	if exact.Stats.Rounds < int64(n)/2 {
 		t.Errorf("exact rounds = %d; expected near-linear serialization on the star", exact.Stats.Rounds)
 	}
@@ -121,6 +122,6 @@ func BenchmarkPrefixSFRelaxed(b *testing.B) {
 	el, ord := instance(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PrefixSFRelaxed(el, ord, Options{Options: engine.Options{PrefixFrac: 0.01}})
+		_ = must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.01}}))
 	}
 }

@@ -59,27 +59,19 @@ func newResult(el graph.EdgeList, in []bool, stats Stats) *Result {
 	return &Result{InForest: in, Edges: edges, Stats: stats}
 }
 
+// seqCancelMask paces the sequential scan's cancellation checks, as in
+// core.SequentialMIS.
+const seqCancelMask = 1<<12 - 1
+
 // SequentialSF computes the greedy spanning forest of el under ord with
 // a union-find over the edges in priority order; the kept edges form
 // the lexicographically-first spanning forest.
-func SequentialSF(el graph.EdgeList, ord core.Order) *Result {
-	res, err := SequentialSFCtx(context.Background(), el, ord, Options{})
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// seqCancelMask paces the sequential scan's cancellation checks, as in
-// core.SequentialMISCtx.
-const seqCancelMask = 1<<12 - 1
-
-// SequentialSFCtx is SequentialSF with cooperative cancellation (ctx is
-// checked every few thousand edges). The sequential union-find is not
-// pooled: it is cheap relative to the scan and sharing it with the
+//
+// ctx is checked every few thousand edges. The sequential union-find
+// is not pooled: it is cheap relative to the scan and sharing it with the
 // concurrent variant would complicate the workspace for no measurable
 // win.
-func SequentialSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+func SequentialSF(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("spanning: order size does not match edge list")
@@ -129,17 +121,10 @@ type Options struct {
 // equal to the sequential forest: an earlier unresolved edge incident
 // to either component always outbids a later one, so a later edge can
 // never steal a union that would change an earlier edge's fate.
-func PrefixSF(el graph.EdgeList, ord core.Order, opt Options) *Result {
-	res, err := PrefixSFCtx(context.Background(), el, ord, opt)
-	if err != nil {
-		panic(err) // unreachable: only cancellation can fail
-	}
-	return res
-}
-
-// PrefixSFCtx is PrefixSF with cooperative cancellation: ctx is checked
-// once per round, so a cancelled context aborts within one round and
-// returns ctx.Err(). Pooled buffers come from opt.Workspace when set.
+//
+// ctx is checked once per round, so a cancelled context aborts within
+// one round and returns ctx.Err(). Pooled buffers come from
+// opt.Workspace when set.
 //
 // The round loop is the shared speculative-prefix engine
 // (internal/engine); this function contributes the strict spanning
@@ -148,7 +133,7 @@ func PrefixSF(el graph.EdgeList, ord core.Order, opt Options) *Result {
 // commit phase. The run is in rank space: the edges are gathered into
 // rank order once, an edge's rank is its bid, and a linked edge sets
 // its own forest bit, at its id order[r].
-func PrefixSFCtx(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+func PrefixSF(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("spanning: order size does not match edge list")

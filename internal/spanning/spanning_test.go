@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -19,7 +20,7 @@ func TestSequentialSFTree(t *testing.T) {
 	// A tree: every edge is a forest edge regardless of order.
 	g := graph.RandomTree(100, 3)
 	el := g.EdgeList()
-	r := SequentialSF(el, core.NewRandomOrder(el.NumEdges(), 4))
+	r := must(SequentialSF(context.Background(), el, core.NewRandomOrder(el.NumEdges(), 4), Options{}))
 	if r.Size() != 99 {
 		t.Errorf("tree forest size = %d, want 99", r.Size())
 	}
@@ -29,7 +30,7 @@ func TestSequentialSFCycleDropsOneEdge(t *testing.T) {
 	g := graph.Cycle(10)
 	el := g.EdgeList()
 	ord := core.NewRandomOrder(el.NumEdges(), 5)
-	r := SequentialSF(el, ord)
+	r := must(SequentialSF(context.Background(), el, ord, Options{}))
 	if r.Size() != 9 {
 		t.Errorf("cycle forest size = %d, want 9", r.Size())
 	}
@@ -42,7 +43,7 @@ func TestSequentialSFCycleDropsOneEdge(t *testing.T) {
 
 func TestSequentialSFConnectedGraphSize(t *testing.T) {
 	el, ord := instance(500, 3000, 7) // dense enough to be connected whp
-	r := SequentialSF(el, ord)
+	r := must(SequentialSF(context.Background(), el, ord, Options{}))
 	if !IsForest(el, r.InForest) {
 		t.Error("result has a cycle")
 	}
@@ -68,15 +69,15 @@ func TestPrefixSFMatchesSequential(t *testing.T) {
 	for ci, g := range cases {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), uint64(ci)+11)
-		want := SequentialSF(el, ord)
+		want := must(SequentialSF(context.Background(), el, ord, Options{}))
 		for _, frac := range []float64{0.001, 0.01, 0.2, 1.0} {
-			got := PrefixSF(el, ord, Options{Options: engine.Options{PrefixFrac: frac}})
+			got := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: frac}}))
 			if !got.Equal(want) {
 				t.Errorf("case %d frac %v: prefix spanning forest differs from sequential (%d vs %d edges)",
 					ci, frac, got.Size(), want.Size())
 			}
 		}
-		one := PrefixSF(el, ord, Options{Options: engine.Options{PrefixSize: 1}})
+		one := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}}))
 		if !one.Equal(want) {
 			t.Errorf("case %d: prefix-1 differs from sequential", ci)
 		}
@@ -94,9 +95,9 @@ func TestPrefixSFQuick(t *testing.T) {
 			return true
 		}
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xabcd)
-		want := SequentialSF(el, ord)
+		want := must(SequentialSF(context.Background(), el, ord, Options{}))
 		prefix := int(rawPrefix)%el.NumEdges() + 1
-		got := PrefixSF(el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 4}})
+		got := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 4}}))
 		return got.Equal(want) && IsForest(el, got.InForest) && IsSpanning(el, got.InForest)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -106,11 +107,11 @@ func TestPrefixSFQuick(t *testing.T) {
 
 func TestPrefixSFStats(t *testing.T) {
 	el, ord := instance(400, 2000, 9)
-	seq := PrefixSF(el, ord, Options{Options: engine.Options{PrefixSize: 1}})
+	seq := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}}))
 	if seq.Stats.Rounds != int64(el.NumEdges()) {
 		t.Errorf("prefix-1 rounds = %d, want m", seq.Stats.Rounds)
 	}
-	full := PrefixSF(el, ord, Options{Options: engine.Options{PrefixFrac: 1}})
+	full := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 	if full.Stats.Rounds >= seq.Stats.Rounds {
 		t.Errorf("full prefix rounds = %d not smaller than sequential %d",
 			full.Stats.Rounds, seq.Stats.Rounds)
@@ -144,7 +145,7 @@ func BenchmarkPrefixSF(b *testing.B) {
 	el, ord := instance(10000, 50000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PrefixSF(el, ord, Options{Options: engine.Options{PrefixFrac: 0.001}})
+		_ = must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.001}}))
 	}
 }
 
@@ -152,6 +153,15 @@ func BenchmarkSequentialSF(b *testing.B) {
 	el, ord := instance(100000, 500000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SequentialSF(el, ord)
+		_ = must(SequentialSF(context.Background(), el, ord, Options{}))
 	}
+}
+
+// must unwraps the result of a run under a background context, whose
+// only possible error, cancellation, cannot happen.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

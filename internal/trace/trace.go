@@ -44,8 +44,8 @@ const (
 	KindRound Kind = "round"
 	// KindPhase is a sampled per-phase profile of one engine round: the
 	// round's wall time decomposed into the check/commit fork-joins
-	// and the window-slide remainder (ResetMS is always 0: the engine
-	// has no reset phase), plus the retry-tail size. Emitted alongside KindRound when phase profiling is active.
+	// and the window-slide remainder, plus the retry-tail size. Emitted
+	// alongside KindRound when phase profiling is active.
 	KindPhase Kind = "phase"
 	// KindRepair is one Maintainer.Apply during a dynamic job's
 	// patch-chain replay: the change-driven frontier repair cost of one
@@ -90,7 +90,6 @@ type Event struct {
 	// into the next round.
 	CheckMS   float64 `json:"check_ms,omitempty"`
 	CommitMS  float64 `json:"commit_ms,omitempty"`
-	ResetMS   float64 `json:"reset_ms,omitempty"`
 	SlideMS   float64 `json:"slide_ms,omitempty"`
 	RetryTail int     `json:"retry_tail,omitempty"`
 

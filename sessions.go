@@ -2,7 +2,6 @@ package greedy
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/dynamic"
 )
@@ -59,27 +58,30 @@ type MISSession struct {
 // AlgoLuby has no maintainable order and is reported as
 // ErrDynamicUnsupported.
 func (s *Solver) MISDynamic(ctx context.Context, g *Graph, opts ...Option) (*MISSession, error) {
-	c := s.config(opts)
-	if c.algorithm == AlgoLuby {
-		return nil, fmt.Errorf("%w: got %q", ErrDynamicUnsupported, c.algorithm)
-	}
-	var ord *Order
-	if c.order != nil {
-		if c.order.Len() != g.NumVertices() {
-			return nil, fmt.Errorf("%w: order has %d items, input has %d", ErrOrderSize, c.order.Len(), g.NumVertices())
-		}
-		ord = c.order
-	}
-	mt, err := dynamic.NewMaintainer(ctx, g, dynamic.Config{
-		MIS:   true,
-		Seed:  c.seed,
-		Order: ord,
-		Grain: c.grain,
-	})
+	mt, err := s.maintainer(ctx, ProblemMIS, g, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &MISSession{mt: mt}, nil
+}
+
+// maintainer checks opts as a dynamic plan of p and computes p's
+// maintained state on g (MIS under the order Solver.MIS uses).
+func (s *Solver) maintainer(ctx context.Context, p Problem, g *Graph, opts []Option) (*dynamic.Maintainer, error) {
+	c := s.config(opts)
+	c.dynamic = true
+	if err := c.check(p); err != nil {
+		return nil, err
+	}
+	cfg := dynamic.Config{MIS: p == ProblemMIS, MM: p == ProblemMM, Seed: c.seed, Grain: c.grain}
+	if cfg.MIS {
+		ord, err := s.orderFor(c, g.NumVertices())
+		if err != nil {
+			return nil, err
+		}
+		cfg.Order = &ord
+	}
+	return dynamic.NewMaintainer(ctx, g, cfg)
 }
 
 // Apply atomically applies a batch of edge updates and repairs the
@@ -118,21 +120,10 @@ type MMSession struct {
 // (hash-derived, WithDynamic-style) edge priorities and returns a
 // session that maintains it under edge updates. The maintained
 // matching always equals Solver.MM(ctx, g.EdgeList(), WithDynamic(),
-// WithSeed(seed)) on the current graph. Explicit orders and AlgoLuby
-// are reported as ErrDynamicUnsupported.
+// WithSeed(seed)) on the current graph. Explicit orders are reported
+// as ErrDynamicUnsupported, and AlgoLuby as ErrLubyMatching.
 func (s *Solver) MMDynamic(ctx context.Context, g *Graph, opts ...Option) (*MMSession, error) {
-	c := s.config(opts)
-	if c.algorithm == AlgoLuby {
-		return nil, ErrLubyMatching
-	}
-	if c.order != nil {
-		return nil, fmt.Errorf("%w: WithOrder cannot combine with dynamic matching", ErrDynamicUnsupported)
-	}
-	mt, err := dynamic.NewMaintainer(ctx, g, dynamic.Config{
-		MM:    true,
-		Seed:  c.seed,
-		Grain: c.grain,
-	})
+	mt, err := s.maintainer(ctx, ProblemMM, g, opts)
 	if err != nil {
 		return nil, err
 	}

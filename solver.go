@@ -134,34 +134,24 @@ type Solver struct {
 
 	orders map[orderKey]Order
 
-	parents parentsEntry
-	hitting hittingEntry
+	parents layoutEntry[*Graph, core.Parents]
+	hitting layoutEntry[*System, setcover.Layout]
 	// edges is the rank-ordered edge buffer the MM and SF runs share:
 	// each call regathers it, so one buffer serves both problems.
 	edges []Edge
 }
 
-// parentsEntry is the Solver's single cached set of parent lists: each
-// vertex's earlier-priority neighbors, in rank space, which the prefix
-// MIS and coloring checks scan. They depend only on the graph and the
-// order, so repeated runs on one (graph, seed) pair build them once; a
-// miss rebuilds them into the same buffers. The entry holds the graph
-// itself: graphs are immutable, and pinning the one the lists describe
-// keeps its address from being reused by another graph while the entry
-// is keyed on it.
-type parentsEntry struct {
-	g     *Graph
-	seed  uint64
-	lists core.Parents
-}
-
-// hittingEntry is parentsEntry for the hitting-set check: the Solver's
-// single cached rank-space layout, keyed on (system, seed), pinning the
-// system it describes for the same reason.
-type hittingEntry struct {
-	sys    *System
+// layoutEntry caches one rank-space layout L of an input I — the
+// parent lists the prefix MIS and coloring checks scan, or the
+// hitting-set layout — keyed on (input, seed): repeated runs build it
+// once, and a miss rebuilds it into the same buffers. Each layout kind
+// has its own entry, so a pass over all problems keeps hitting. Pinning
+// the (immutable) input keeps its address from being reused by another
+// input while the entry is keyed on it.
+type layoutEntry[I comparable, L any] struct {
+	in     I
 	seed   uint64
-	layout setcover.Layout
+	layout L
 }
 
 // orderKey identifies a derived priority order: NewRandomOrder is
@@ -196,16 +186,6 @@ func (s *Solver) config(opts []Option) config {
 	return c
 }
 
-// checkAdaptive rejects WithAdaptivePrefix for algorithms with no
-// prefix window: only AlgoPrefix has one to adapt (AlgoParallel's full
-// prefix is the point of Algorithm 2, the rest are windowless).
-func (c config) checkAdaptive() error {
-	if c.adaptive && c.algorithm != AlgoPrefix {
-		return fmt.Errorf("%w: got %q", ErrAdaptiveAlgorithm, c.algorithm)
-	}
-	return nil
-}
-
 // orderFor returns the priority order the configuration denotes for n
 // items, serving derived orders from the Solver's cache (regenerating a
 // random order is deterministic, so caching is purely an allocation
@@ -234,33 +214,18 @@ func (s *Solver) orderFor(c config, n int) (Order, error) {
 	return ord, nil
 }
 
-// parentsFor returns the parent lists of g under ord, the order c
-// derives from its seed, serving them from the Solver's cache. Explicit
-// WithOrder orders are never cached: it returns nil, and the problem
-// package builds the lists for that run.
-func (s *Solver) parentsFor(c config, g *Graph, ord Order) *core.Parents {
+// get returns the layout of in under ord, the order c derives from its
+// seed, from the entry. An explicit WithOrder is never cached: get
+// returns nil, and the problem package builds the layout for the run.
+func (e *layoutEntry[I, L]) get(c config, in I, ord Order, build func(*L, I, Order)) *L {
 	if c.order != nil {
 		return nil
 	}
-	e := &s.parents
-	if e.g != g || e.seed != c.seed {
-		e.g = nil // invalid until the rebuild completes
-		e.lists.Build(g, ord)
-		e.g, e.seed = g, c.seed
-	}
-	return &e.lists
-}
-
-// layoutFor is parentsFor for the hitting-set layout of sys.
-func (s *Solver) layoutFor(c config, sys *System, ord Order) *setcover.Layout {
-	if c.order != nil {
-		return nil
-	}
-	e := &s.hitting
-	if e.sys != sys || e.seed != c.seed {
-		e.sys = nil // invalid until the rebuild completes
-		e.layout.Build(sys, ord)
-		e.sys, e.seed = sys, c.seed
+	if e.in != in || e.seed != c.seed {
+		var invalid I
+		e.in = invalid // until the rebuild completes
+		build(&e.layout, in, ord)
+		e.in, e.seed = in, c.seed
 	}
 	return &e.layout
 }
@@ -325,18 +290,14 @@ func engineOptions(c config) engine.Options {
 // within one round of the context being cancelled.
 func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult, error) {
 	c := s.config(opts)
-	if err := c.checkAdaptive(); err != nil {
+	if err := c.check(ProblemMIS); err != nil {
 		return nil, err
 	}
 	coreOpt := core.Options{Options: engineOptions(c), Pointered: c.pointered, Workspace: &s.misWs}
 	// Luby regenerates priorities from the seed every round; deriving
-	// (and caching) a priority order for it would be pure waste. It has
-	// no churn-stable variant either, so WithDynamic rejects it.
+	// (and caching) a priority order for it would be pure waste.
 	if c.algorithm == AlgoLuby {
-		if c.dynamic {
-			return nil, fmt.Errorf("%w: got %q", ErrDynamicUnsupported, c.algorithm)
-		}
-		return core.LubyMISCtx(ctx, g, c.seed, coreOpt)
+		return core.LubyMIS(ctx, g, c.seed, coreOpt)
 	}
 	ord, err := s.orderFor(c, g.NumVertices())
 	if err != nil {
@@ -344,15 +305,15 @@ func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult,
 	}
 	switch c.algorithm {
 	case AlgoSequential:
-		return core.SequentialMISCtx(ctx, g, ord, coreOpt)
+		return core.SequentialMIS(ctx, g, ord, coreOpt)
 	case AlgoRootSet:
-		return core.RootSetMISCtx(ctx, g, ord, coreOpt)
+		return core.RootSetMIS(ctx, g, ord, coreOpt)
 	case AlgoParallel:
-		coreOpt.Parents = s.parentsFor(c, g, ord)
-		return core.ParallelMISCtx(ctx, g, ord, coreOpt)
+		coreOpt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
+		return core.ParallelMIS(ctx, g, ord, coreOpt)
 	default:
-		coreOpt.Parents = s.parentsFor(c, g, ord)
-		return core.PrefixMISCtx(ctx, g, ord, coreOpt)
+		coreOpt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
+		return core.PrefixMIS(ctx, g, ord, coreOpt)
 	}
 }
 
@@ -361,20 +322,14 @@ func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult,
 // one-round bound as MIS. AlgoLuby is rejected with ErrLubyMatching.
 func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult, error) {
 	c := s.config(opts)
-	if c.algorithm == AlgoLuby {
-		return nil, ErrLubyMatching
-	}
-	if err := c.checkAdaptive(); err != nil {
+	if err := c.check(ProblemMM); err != nil {
 		return nil, err
 	}
 	var ord Order
 	if c.dynamic {
 		// Churn-stable priorities: derived from the edges themselves
-		// (see WithDynamic), incompatible with an explicit identifier
-		// order and never cached — (m, seed) does not determine them.
-		if c.order != nil {
-			return nil, fmt.Errorf("%w: WithOrder cannot combine with WithDynamic", ErrDynamicUnsupported)
-		}
+		// (see WithDynamic) and never cached — (m, seed) does not
+		// determine them.
 		ord = dynamic.EdgeOrder(el, c.seed)
 	} else {
 		var err error
@@ -387,13 +342,13 @@ func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult
 	opt := matching.Options{Options: engineOptions(c), Workspace: &s.mmWs}
 	switch c.algorithm {
 	case AlgoSequential:
-		return matching.SequentialMMCtx(ctx, el, ord, opt)
+		return matching.SequentialMM(ctx, el, ord, opt)
 	case AlgoRootSet:
-		return matching.RootSetMMCtx(ctx, el, ord, opt)
+		return matching.RootSetMM(ctx, el, ord, opt)
 	case AlgoParallel:
-		return matching.ParallelMMCtx(ctx, el, ord, opt)
+		return matching.ParallelMM(ctx, el, ord, opt)
 	default:
-		return matching.PrefixMMCtx(ctx, el, ord, opt)
+		return matching.PrefixMM(ctx, el, ord, opt)
 	}
 }
 
@@ -405,15 +360,7 @@ func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult
 // follows the same one-round bound as MIS.
 func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult, error) {
 	c := s.config(opts)
-	if c.dynamic {
-		return nil, fmt.Errorf("%w: spanning forest has no dynamic variant", ErrDynamicUnsupported)
-	}
-	switch c.algorithm {
-	case AlgoPrefix, AlgoSequential:
-	default:
-		return nil, fmt.Errorf("%w: got %q", ErrSpanningAlgorithm, c.algorithm)
-	}
-	if err := c.checkAdaptive(); err != nil {
+	if err := c.check(ProblemSF); err != nil {
 		return nil, err
 	}
 	ord, err := s.orderFor(c, el.NumEdges())
@@ -423,9 +370,9 @@ func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult
 	s.sfWs.Edges = &s.edges
 	opt := spanning.Options{Options: engineOptions(c), Workspace: &s.sfWs}
 	if c.algorithm == AlgoSequential {
-		return spanning.SequentialSFCtx(ctx, el, ord, opt)
+		return spanning.SequentialSF(ctx, el, ord, opt)
 	}
-	return spanning.PrefixSFRelaxedCtx(ctx, el, ord, opt)
+	return spanning.PrefixSFRelaxed(ctx, el, ord, opt)
 }
 
 // Coloring computes the greedy (first-fit) coloring of g under the
@@ -439,15 +386,7 @@ func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult
 // as MIS.
 func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*ColoringResult, error) {
 	c := s.config(opts)
-	if c.dynamic {
-		return nil, fmt.Errorf("%w: coloring has no dynamic variant", ErrDynamicUnsupported)
-	}
-	switch c.algorithm {
-	case AlgoPrefix, AlgoSequential:
-	default:
-		return nil, fmt.Errorf("%w: got %q", ErrColoringAlgorithm, c.algorithm)
-	}
-	if err := c.checkAdaptive(); err != nil {
+	if err := c.check(ProblemColoring); err != nil {
 		return nil, err
 	}
 	ord, err := s.orderFor(c, g.NumVertices())
@@ -456,10 +395,10 @@ func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*Color
 	}
 	opt := coloring.Options{Options: engineOptions(c), Workspace: &s.colorWs}
 	if c.algorithm == AlgoSequential {
-		return coloring.SequentialColoringCtx(ctx, g, ord, opt)
+		return coloring.SequentialColoring(ctx, g, ord, opt)
 	}
-	opt.Parents = s.parentsFor(c, g, ord)
-	return coloring.PrefixColoringCtx(ctx, g, ord, opt)
+	opt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
+	return coloring.PrefixColoring(ctx, g, ord, opt)
 }
 
 // HittingSet computes the greedy hitting set of the set system sys
@@ -473,15 +412,7 @@ func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*Color
 // bound as MIS.
 func (s *Solver) HittingSet(ctx context.Context, sys *System, opts ...Option) (*HittingSetResult, error) {
 	c := s.config(opts)
-	if c.dynamic {
-		return nil, fmt.Errorf("%w: hitting set has no dynamic variant", ErrDynamicUnsupported)
-	}
-	switch c.algorithm {
-	case AlgoPrefix, AlgoSequential:
-	default:
-		return nil, fmt.Errorf("%w: got %q", ErrHittingSetAlgorithm, c.algorithm)
-	}
-	if err := c.checkAdaptive(); err != nil {
+	if err := c.check(ProblemHittingSet); err != nil {
 		return nil, err
 	}
 	ord, err := s.orderFor(c, sys.NumElements())
@@ -490,10 +421,10 @@ func (s *Solver) HittingSet(ctx context.Context, sys *System, opts ...Option) (*
 	}
 	opt := setcover.Options{Options: engineOptions(c), Workspace: &s.hsWs}
 	if c.algorithm == AlgoSequential {
-		return setcover.SequentialHittingSetCtx(ctx, sys, ord, opt)
+		return setcover.SequentialHittingSet(ctx, sys, ord, opt)
 	}
-	opt.Layout = s.layoutFor(c, sys, ord)
-	return setcover.PrefixHittingSetCtx(ctx, sys, ord, opt)
+	opt.Layout = s.hitting.get(c, sys, ord, (*setcover.Layout).Build)
+	return setcover.PrefixHittingSet(ctx, sys, ord, opt)
 }
 
 // solverPool backs the package free functions: one-shot callers still
