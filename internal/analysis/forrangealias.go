@@ -211,8 +211,8 @@ func nonIndexedFreeTarget(info *types.Info, expr ast.Expr, free func(*ast.Ident)
 }
 
 // addressFeedsAtomic reports whether the innermost enclosing call of
-// the &x expression is a sync/atomic function or one of the parallel
-// package's atomic write helpers (WriteMin/WriteMax/WriteOnce).
+// the &x expression is a sync/atomic function or the parallel
+// package's atomic priority write, WriteMin32.
 func addressFeedsAtomic(info *types.Info, stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch p := stack[i].(type) {
@@ -226,8 +226,7 @@ func addressFeedsAtomic(info *types.Info, stack []ast.Node) bool {
 			if fn.Pkg().Path() == "sync/atomic" {
 				return true
 			}
-			return isPkgFunc(fn, "repro/internal/parallel",
-				"WriteMin32", "WriteMin64", "WriteMax32", "WriteOnce32")
+			return isPkgFunc(fn, "repro/internal/parallel", "WriteMin32")
 		default:
 			return false
 		}

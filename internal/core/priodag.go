@@ -183,69 +183,6 @@ func MaxDegreeAfterPrefix(g *graph.Graph, ord Order, prefixSize int) int {
 	return maxDeg
 }
 
-// ConeScratch holds the reusable marking state of downstream-cone
-// computations over a fixed item universe (vertices for MIS, edge
-// identifiers for MM). Marks are epoch-stamped, so repeated cones cost
-// O(|cone| + frontier scans) each instead of an O(n) clear per call —
-// the property the dynamic-graph subsystem relies on to keep per-batch
-// repair work proportional to the affected region. The zero value is
-// ready to use. Not safe for concurrent use.
-type ConeScratch struct {
-	mark  []int32
-	epoch int32
-}
-
-// DownstreamCone computes the downstream closure of seeds in the
-// priority DAG: the set of items reachable from a seed by repeatedly
-// following adjacency edges to strictly later items. later(x, y)
-// reports whether y comes strictly after x in the priority order; adj
-// enumerates the current neighbors of an item (the caller's — possibly
-// mutable-overlay — adjacency view). This is the paper's dependence
-// cone: an item outside the closure has no in-DAG path from any seed,
-// so by induction on priority its greedy decision cannot change when
-// only the seeds' incident structure changed.
-//
-// The closure is returned appended to out (reset to out[:0]), seeds
-// first (deduplicated), then discovered items in BFS order. n bounds
-// the item identifiers.
-func (cs *ConeScratch) DownstreamCone(n int, seeds []int32, out []int32, adj func(x int32, visit func(y int32)), later func(x, y int32) bool) []int32 {
-	if len(cs.mark) < n {
-		// Grow with slack: the matching maintainer's item universe
-		// (edge slots) creeps upward one slot per net insertion, and
-		// reallocating — and zeroing — a multi-megabyte mark array per
-		// batch would swamp the cone-proportional repair cost the
-		// scratch exists to protect.
-		cs.mark = make([]int32, n+n/2+64)
-		cs.epoch = 0
-	}
-	if cs.epoch == 1<<31-1 {
-		// Epoch wrap: clear the stamps rather than alias an old epoch.
-		for i := range cs.mark {
-			cs.mark[i] = 0
-		}
-		cs.epoch = 0
-	}
-	cs.epoch++
-	epoch := cs.epoch
-	out = out[:0]
-	for _, s := range seeds {
-		if cs.mark[s] != epoch {
-			cs.mark[s] = epoch
-			out = append(out, s)
-		}
-	}
-	for i := 0; i < len(out); i++ {
-		x := out[i]
-		adj(x, func(y int32) {
-			if later(x, y) && cs.mark[y] != epoch {
-				cs.mark[y] = epoch
-				out = append(out, y)
-			}
-		})
-	}
-	return out
-}
-
 // FrontierQueue is a monotone bucket priority queue over int32 items,
 // the work-frontier structure of change-driven repair. Items are
 // pushed with a small integer bucket key that must be monotone in the

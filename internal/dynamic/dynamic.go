@@ -30,16 +30,16 @@
 //     in/out-of-solution status actually changed. An item that
 //     re-derives its old status terminates propagation on the spot.
 //
-// The change-driven expansion is the crucial difference from the
-// conservative downstream-closure repair (EngineClosure, retained for
-// differential testing): the closure pays for every item reachable
-// from a seed along increasing-priority paths — which explodes through
-// high-degree hubs on power-law graphs even when the hub's own
-// decision is unaffected — while the frontier pays for a hub's
-// fan-out only when the hub genuinely flips. Fischer & Noever's tight
-// analysis of randomized greedy (arXiv:1707.05124) bounds the realized
-// decision-dependence depth, not the full priority DAG, which is why
-// the flip-driven region is typically orders of magnitude smaller.
+// The change-driven expansion is the crucial difference from
+// re-deciding the seeds' whole downstream cone: the cone holds every
+// item reachable from a seed along increasing-priority paths — which
+// explodes through high-degree hubs on power-law graphs even when the
+// hub's own decision is unaffected — while the frontier pays for a
+// hub's fan-out only when the hub genuinely flips. Fischer & Noever's
+// tight analysis of randomized greedy (arXiv:1707.05124) bounds the
+// realized decision-dependence depth, not the full priority DAG, which
+// is why the flip-driven region is typically orders of magnitude
+// smaller.
 //
 // The result after every batch is bit-identical to a from-scratch
 // sequential greedy run on the mutated graph. Within one priority
@@ -51,9 +51,14 @@
 // item never enqueued kept all of its (unchanged) earlier inputs.
 // Bucket rounds above the configured grain run through
 // parallel.ForRange; the committed outcome is independent of
-// GOMAXPROCS and grain. The fuzz target in this package asserts the
-// three-way equivalence frontier == closure == from-scratch sequential
-// on arbitrary graphs and update batches.
+// GOMAXPROCS and grain. MIS and MM share one drain loop (frontier.drain)
+// and differ only in seeding, the per-item decision, the flip
+// expansion and, for MM, the mate fix-up. The fuzz target in this
+// package asserts, on arbitrary graphs and update batches, that the
+// repaired answers equal a from-scratch sequential run, that Changed
+// counts exactly the items whose sequential answers differ between the
+// two graph versions, and that Visited stays within the seeds'
+// downstream cone.
 //
 // MIS priorities are the usual per-vertex random order (stable under
 // edge churn because the vertex set is fixed). MM priorities cannot be
@@ -129,45 +134,12 @@ var (
 	ErrBroken = errors.New("dynamic: maintainer broken by a cancelled repair")
 )
 
-// Engine selects the repair strategy of a Maintainer.
-type Engine uint8
-
-const (
-	// EngineFrontier is the default change-driven repair engine: a
-	// priority-ordered work frontier seeded by the directly-perturbed
-	// items that expands to an item's downstream neighbors only when
-	// the item's membership actually flipped.
-	EngineFrontier Engine = iota
-	// EngineClosure is the conservative downstream-closure engine (the
-	// original dynamic subsystem): it resets and re-resolves the whole
-	// increasing-priority BFS closure of the seeds, flipped or not. It
-	// is retained as the differential-testing oracle for the frontier
-	// engine (see FuzzConeRepair) and for repair-cost comparisons; new
-	// code should not select it.
-	EngineClosure
-)
-
-// String returns the engine's name.
-func (e Engine) String() string {
-	switch e {
-	case EngineFrontier:
-		return "frontier"
-	case EngineClosure:
-		return "closure"
-	default:
-		return fmt.Sprintf("engine(%d)", uint8(e))
-	}
-}
-
 // Config configures a Maintainer.
 type Config struct {
 	// MIS and MM select which solutions to maintain. If both are false,
 	// both are maintained.
 	MIS bool
 	MM  bool
-	// Engine selects the repair strategy; the zero value is
-	// EngineFrontier.
-	Engine Engine
 	// Seed derives the priorities: the vertex order for MIS (via
 	// core.NewRandomOrder, stable under edge churn because the vertex
 	// set is fixed) and the per-edge hash priorities for MM (via
@@ -198,18 +170,15 @@ type RepairCost struct {
 	// the batch was provably inert for this problem and nothing ran).
 	Seeds int `json:"seeds"`
 	// Visited is the number of distinct items the repair re-decided:
-	// the items the frontier touched (for EngineClosure, the full
-	// downstream-closure size — the quantity the frontier engine
-	// exists to shrink).
+	// the items the frontier touched, a subset of the seeds'
+	// downstream cone.
 	Visited int `json:"visited"`
 	// Flipped counts committed membership flips during the drain —
 	// the propagation events. It can exceed Changed when an item flips
 	// more than once before settling (re-push), and equals it
-	// otherwise; for EngineClosure it is 0 (the closure has no flip
-	// events, only the final Changed diff).
+	// otherwise.
 	Flipped int `json:"flipped"`
-	// FrontierPeak is the high-water mark of the pending frontier (0
-	// for EngineClosure).
+	// FrontierPeak is the high-water mark of the pending frontier.
 	FrontierPeak int `json:"frontier_peak"`
 	// Rounds/Attempts/Inspections are the decide-loop cost counters:
 	// Attempts counts item decide attempts (stalls and re-decides

@@ -292,6 +292,53 @@ func TestRepairLocality(t *testing.T) {
 	verifyAgainstScratch(t, mt, seed)
 }
 
+// TestPinnedRepairCounters pins the MIS and MM RepairCost of every
+// Apply over one fixed graph, seed and batch sequence. The counters are
+// a pure function of (graph, priorities, batches), so a change to the
+// repair loop that keeps the answers but moves the repair work fails
+// here.
+func TestPinnedRepairCounters(t *testing.T) {
+	ctx := context.Background()
+	g := graph.Random(4_000, 20_000, 41)
+	mt, err := NewMaintainer(ctx, g, Config{Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		k       int
+		mis, mm RepairCost
+	}{
+		{1, RepairCost{Seeds: 1, Visited: 1, Flipped: 0, FrontierPeak: 1, Rounds: 1, Attempts: 1, Inspections: 8, Changed: 0},
+			RepairCost{}},
+		{8, RepairCost{Seeds: 1, Visited: 1, Flipped: 0, FrontierPeak: 1, Rounds: 1, Attempts: 1, Inspections: 1, Changed: 0},
+			RepairCost{Seeds: 1, Visited: 1, Flipped: 0, FrontierPeak: 1, Rounds: 1, Attempts: 1, Inspections: 4, Changed: 0}},
+		{64, RepairCost{Seeds: 17, Visited: 100, Flipped: 23, FrontierPeak: 45, Rounds: 96, Attempts: 100, Inspections: 355, Changed: 23},
+			RepairCost{Seeds: 108, Visited: 294, Flipped: 25, FrontierPeak: 189, Rounds: 253, Attempts: 294, Inspections: 1292, Changed: 25}},
+		{512, RepairCost{Seeds: 175, Visited: 491, Flipped: 79, FrontierPeak: 286, Rounds: 398, Attempts: 491, Inspections: 1379, Changed: 79},
+			RepairCost{Seeds: 576, Visited: 1494, Flipped: 140, FrontierPeak: 955, Rounds: 759, Attempts: 1497, Inspections: 7196, Changed: 140}},
+		{1, RepairCost{},
+			RepairCost{Seeds: 1, Visited: 1, Flipped: 0, FrontierPeak: 1, Rounds: 1, Attempts: 1, Inspections: 2, Changed: 0}},
+		{8, RepairCost{Seeds: 5, Visited: 34, Flipped: 6, FrontierPeak: 26, Rounds: 34, Attempts: 34, Inspections: 89, Changed: 6},
+			RepairCost{Seeds: 5, Visited: 5, Flipped: 0, FrontierPeak: 5, Rounds: 5, Attempts: 5, Inspections: 22, Changed: 0}},
+		{64, RepairCost{Seeds: 16, Visited: 18, Flipped: 1, FrontierPeak: 16, Rounds: 18, Attempts: 18, Inspections: 41, Changed: 1},
+			RepairCost{Seeds: 59, Visited: 219, Flipped: 22, FrontierPeak: 149, Rounds: 195, Attempts: 219, Inspections: 1100, Changed: 22}},
+	}
+	x := rng.NewXoshiro256(4)
+	for step, w := range want {
+		st, err := mt.Apply(ctx, randomBatch(x, mt, w.k))
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if st.MIS != w.mis {
+			t.Errorf("step %d (k=%d) mis: %+v, want %+v", step, w.k, st.MIS, w.mis)
+		}
+		if st.MM != w.mm {
+			t.Errorf("step %d (k=%d) mm: %+v, want %+v", step, w.k, st.MM, w.mm)
+		}
+	}
+	verifyAgainstScratch(t, mt, 13)
+}
+
 // TestMaintainerCancellation checks that a context cancelled before
 // Apply is honored and that a cancelled initial computation returns no
 // Maintainer.

@@ -2,74 +2,214 @@ package dynamic
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/rng"
 )
 
-// TestEngineDifferential runs the frontier and closure engines in
-// lockstep over every graph family and asserts, after every batch:
-// both bit-identical to sequential, identical Seeds and Changed, and
-// frontier Visited <= closure Visited — the frontier only ever touches
-// a subset of the downstream closure (seeds plus flip expansions),
-// which is the machine-independent form of the perf claim.
+// misAnswer is the from-scratch sequential MIS membership of g under
+// ord.
+func misAnswer(g *graph.Graph, ord core.Order) []bool {
+	return must(core.SequentialMIS(context.Background(), g, ord, core.Options{})).InSet
+}
+
+// mmAnswer is the set of edges the from-scratch sequential matching of
+// g under EdgeOrder(seed) takes.
+func mmAnswer(g *graph.Graph, seed uint64) map[graph.Edge]bool {
+	el := g.EdgeList()
+	res := must(matching.SequentialMM(context.Background(), el, EdgeOrder(el, seed), matching.Options{}))
+	matched := make(map[graph.Edge]bool, len(res.Pairs))
+	for _, e := range res.Pairs {
+		matched[e] = true
+	}
+	return matched
+}
+
+// downstreamCone returns the number of items reachable from seeds by a
+// breadth-first search that follows later(x) from each item x: the
+// region a repair may have to re-decide.
+func downstreamCone(n int, seeds []int32, later func(x int32, visit func(y int32))) int {
+	seen := make([]bool, n)
+	var queue []int32
+	for _, s := range seeds {
+		if !seen[s] {
+			seen[s] = true
+			queue = append(queue, s)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		later(queue[i], func(y int32) {
+			if !seen[y] {
+				seen[y] = true
+				queue = append(queue, y)
+			}
+		})
+	}
+	return len(queue)
+}
+
+// misCone is the downstream cone of seeds in g under ord: vertices
+// reachable along edges to later-ranked neighbors.
+func misCone(g *graph.Graph, ord core.Order, seeds []int32) int {
+	return downstreamCone(g.NumVertices(), seeds, func(v int32, visit func(int32)) {
+		for _, u := range g.Neighbors(v) {
+			if ord.Rank[u] > ord.Rank[v] {
+				visit(u)
+			}
+		}
+	})
+}
+
+// checkCost checks that c.Changed equals the number of items whose
+// sequential answer differs between the two versions, and that c.Visited
+// lies between that number and the size of the seeds' downstream cone.
+func checkCost(t *testing.T, label string, c RepairCost, changed, cone int) {
+	t.Helper()
+	if c.Changed != changed {
+		t.Fatalf("%s: changed %d, but %d items' sequential answers differ", label, c.Changed, changed)
+	}
+	if c.Visited < c.Changed || c.Visited > cone {
+		t.Fatalf("%s: visited %d outside [changed %d, downstream cone %d]", label, c.Visited, c.Changed, cone)
+	}
+}
+
+// checkMISCost checks the MIS counters of one Apply of batch, which took
+// the graph to g, against references that share no code with the
+// repair: before and after are the sequential answers on the two
+// versions, and Seeds must count the updates whose earlier endpoint was
+// in the MIS before the batch.
+func checkMISCost(t *testing.T, label string, before, after []bool, g *graph.Graph, ord core.Order, batch []Update, c RepairCost) {
+	t.Helper()
+	var seeds []int32
+	for _, up := range batch {
+		x, w := up.U, up.V
+		if ord.Rank[x] > ord.Rank[w] {
+			x, w = w, x
+		}
+		if before[x] {
+			seeds = append(seeds, w)
+		}
+	}
+	if c.Seeds != len(seeds) {
+		t.Fatalf("%s mis: seeds %d, the seeding rule gives %d", label, c.Seeds, len(seeds))
+	}
+	changed := 0
+	for v := range after {
+		if after[v] != before[v] {
+			changed++
+		}
+	}
+	checkCost(t, label+" mis", c, changed, misCone(g, ord, seeds))
+}
+
+// edgeLess is the total priority order on canonical edges that
+// EdgeOrder sorts by.
+func edgeLess(a, b graph.Edge, seed uint64) bool {
+	pa, pb := EdgePriority(a.U, a.V, seed), EdgePriority(b.U, b.V, seed)
+	if pa != pb {
+		return pa < pb
+	}
+	if a.U != b.U {
+		return a.U < b.U
+	}
+	return a.V < b.V
+}
+
+// checkMMCost is checkMISCost for the matching. An edge absent from a
+// version counts as unmatched there, and the cone starts from the
+// inserted edges and the later edges adjacent to each deleted matched
+// edge.
+func checkMMCost(t *testing.T, label string, before, after map[graph.Edge]bool, g *graph.Graph, seed uint64, batch []Update, c RepairCost) {
+	t.Helper()
+	el := g.EdgeList()
+	id := make(map[graph.Edge]int32, len(el.Edges))
+	inc := make([][]int32, el.N)
+	changed := 0
+	for i, e := range el.Edges {
+		id[e] = int32(i)
+		inc[e.U] = append(inc[e.U], int32(i))
+		inc[e.V] = append(inc[e.V], int32(i))
+		if after[e] != before[e] {
+			changed++
+		}
+	}
+	var seeds []int32
+	for _, up := range batch {
+		u, v := canonical(up.U, up.V)
+		e := graph.Edge{U: u, V: v}
+		if up.Op == OpAdd {
+			seeds = append(seeds, id[e])
+			continue
+		}
+		if !before[e] {
+			continue
+		}
+		for _, x := range [2]int32{u, v} {
+			for _, f := range inc[x] {
+				if edgeLess(e, el.Edges[f], seed) {
+					seeds = append(seeds, f)
+				}
+			}
+		}
+	}
+	cone := downstreamCone(len(el.Edges), seeds, func(e int32, visit func(int32)) {
+		for _, x := range [2]int32{el.Edges[e].U, el.Edges[e].V} {
+			for _, f := range inc[x] {
+				if edgeLess(el.Edges[e], el.Edges[f], seed) {
+					visit(f)
+				}
+			}
+		}
+	})
+	checkCost(t, label+" mm", c, changed, cone)
+}
+
+// TestEngineDifferential checks the repair counters of every Apply over
+// every graph family against the references of checkMISCost and
+// checkMMCost, and the answers against from-scratch sequential runs.
 func TestEngineDifferential(t *testing.T) {
 	ctx := context.Background()
 	for name, g := range families(t) {
 		t.Run(name, func(t *testing.T) {
 			const seed = 13
-			front, err := NewMaintainer(ctx, g, Config{Seed: seed})
+			mt, err := NewMaintainer(ctx, g, Config{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clos, err := NewMaintainer(ctx, g, Config{Seed: seed, Engine: EngineClosure})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ord := mt.Order()
+			mis, mm := misAnswer(g, ord), mmAnswer(g, seed)
 			x := rng.NewXoshiro256(31)
 			for step, k := range []int{1, 1, 3, 9, 1, 40, 2, 1} {
-				batch := randomBatch(x, front, k)
-				fs, err := front.Apply(ctx, batch)
+				batch := randomBatch(x, mt, k)
+				st, err := mt.Apply(ctx, batch)
 				if err != nil {
-					t.Fatalf("step %d frontier: %v", step, err)
+					t.Fatalf("step %d: %v", step, err)
 				}
-				cs, err := clos.Apply(ctx, batch)
-				if err != nil {
-					t.Fatalf("step %d closure: %v", step, err)
-				}
-				verifyAgainstScratch(t, front, seed)
-				verifyAgainstScratch(t, clos, seed)
-				for _, pair := range []struct {
-					name string
-					f, c RepairCost
-				}{{"mis", fs.MIS, cs.MIS}, {"mm", fs.MM, cs.MM}} {
-					if pair.f.Seeds != pair.c.Seeds {
-						t.Fatalf("step %d %s: seeds %d (frontier) vs %d (closure)", step, pair.name, pair.f.Seeds, pair.c.Seeds)
-					}
-					if pair.f.Changed != pair.c.Changed {
-						t.Fatalf("step %d %s: changed %d (frontier) vs %d (closure)", step, pair.name, pair.f.Changed, pair.c.Changed)
-					}
-					if pair.f.Visited > pair.c.Visited {
-						t.Fatalf("step %d %s: frontier visited %d exceeds closure %d", step, pair.name, pair.f.Visited, pair.c.Visited)
-					}
-				}
+				verifyAgainstScratch(t, mt, seed)
+				after := mt.Graph()
+				label := fmt.Sprintf("step %d", step)
+				nextMIS, nextMM := misAnswer(after, ord), mmAnswer(after, seed)
+				checkMISCost(t, label, mis, nextMIS, after, ord, batch, st.MIS)
+				checkMMCost(t, label, mm, nextMM, after, seed, batch, st.MM)
+				mis, mm = nextMIS, nextMM
 			}
 		})
 	}
 }
 
-// TestFrontierHubTermination is the tentpole property in miniature: a
-// high-degree vertex whose own decision is unaffected terminates
-// propagation on the spot under the frontier engine, while the closure
-// engine pays for its entire downstream fan-out.
+// TestFrontierHubTermination is the frontier's central property in
+// miniature: a high-degree vertex whose own decision is unaffected
+// terminates propagation on the spot, although its downstream cone
+// holds its entire fan-out.
 //
 // Identity order over: 0 and 2 in the MIS, hub 3 ruled out by both,
 // leaves 4..23 hanging off the hub (all in the MIS). Deleting {0,3}
 // seeds 3, which re-derives Out from its surviving earlier In neighbor
-// 2 — no flip, so the 20 leaves are never visited. The closure engine
-// resets and re-resolves all of them.
+// 2 — no flip, so the 20 leaves of its cone are never visited.
 func TestFrontierHubTermination(t *testing.T) {
 	ctx := context.Background()
 	const leaves = 20
@@ -79,34 +219,23 @@ func TestFrontierHubTermination(t *testing.T) {
 	}
 	g := graph.MustFromEdges(4+leaves, edges)
 	ord := core.IdentityOrder(g.NumVertices())
-
-	build := func(engine Engine) *Maintainer {
-		o := ord
-		mt, err := NewMaintainer(ctx, g, Config{MIS: true, Order: &o, Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mt
+	mt, err := NewMaintainer(ctx, g, Config{MIS: true, Order: &ord})
+	if err != nil {
+		t.Fatal(err)
 	}
-	front, clos := build(EngineFrontier), build(EngineClosure)
 	del := []Update{{Op: OpDel, U: 0, V: 3}}
-
-	fs, err := front.Apply(ctx, del)
+	st, err := mt.Apply(ctx, del)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.MIS.Seeds != 1 || fs.MIS.Visited != 1 || fs.MIS.Flipped != 0 || fs.MIS.Changed != 0 {
-		t.Fatalf("frontier should decide the hub once and stop: %+v", fs.MIS)
+	if st.MIS.Seeds != 1 || st.MIS.Visited != 1 || st.MIS.Flipped != 0 || st.MIS.Changed != 0 {
+		t.Fatalf("frontier should decide the hub once and stop: %+v", st.MIS)
 	}
-	cs, err := clos.Apply(ctx, del)
-	if err != nil {
-		t.Fatal(err)
+	if cone := misCone(mt.Graph(), ord, []int32{3}); cone != 1+leaves {
+		t.Fatalf("the hub's downstream cone has %d items, want %d", cone, 1+leaves)
 	}
-	if cs.MIS.Visited != 1+leaves {
-		t.Fatalf("closure should pay for the hub fan-out (%d items), got %+v", 1+leaves, cs.MIS)
-	}
-	verifyAgainstScratch(t, front, 0)
-	verifyAgainstScratch(t, clos, 0)
+	checkMISCost(t, "hub", misAnswer(g, ord), misAnswer(mt.Graph(), ord), mt.Graph(), ord, del, st.MIS)
+	verifyAgainstScratch(t, mt, 0)
 }
 
 // TestFrontierFlipChainCounters pins the counter semantics on a path

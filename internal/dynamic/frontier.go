@@ -1,19 +1,40 @@
 package dynamic
 
 import (
+	"context"
+	"sync/atomic"
+
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/parallel"
 )
 
-// frontier is the shared state of the change-driven repair engine: a
-// monotone bucket queue over priority ranks plus epoch-stamped
-// membership marks and a first-touch undo log. The MIS and MM engines
-// drain it the same way — pop the earliest bucket, re-decide its items
-// with a two-phase check/commit round loop, and expand to a downstream
-// neighbor only when an item's in/out-of-solution status actually
-// changed — and differ only in what an "item" and a "neighbor" are.
+// repairItems is what the frontier drain asks of a problem's repair
+// state: MIS items are vertices, MM items are edge slots.
+type repairItems interface {
+	// key returns item's frontier bucket, monotone in the priority
+	// order.
+	key(item int32) int
+	// decide re-decides item against its earlier neighbors and returns
+	// its outcome and the earlier-neighbor status reads it made. A
+	// settled earlier In neighbor rules it out, a pending earlier
+	// neighbor stalls it (statusUndecided), and an all-settled, all-Out
+	// earlier neighborhood admits it. The items of a round are decided
+	// concurrently and read only state committed before the round.
+	decide(item int32) (status int32, inspections int64)
+	// expand pushes the later neighbors of item, whose status just
+	// flipped.
+	expand(item int32)
+}
+
+// frontier is the shared state of the change-driven repair: a monotone
+// bucket queue over priority ranks plus epoch-stamped membership marks
+// and a first-touch undo log. The MIS and MM states drain it the same
+// way (see drain) and differ only in what an "item" and a "neighbor"
+// are.
 //
 // All buffers persist across Apply calls on a session and grow with
-// slack (the matching engine's slot universe creeps upward one slot
+// slack (the matching state's slot universe creeps upward one slot
 // per net insertion), so steady-state repairs allocate nothing; ensure
 // pre-sizes them at session creation so even the first Apply pays no
 // universe-sized allocation.
@@ -34,6 +55,9 @@ type frontier struct {
 	// pending is the live frontier size; peak its high-water mark.
 	pending int
 	peak    int
+
+	active  []int32
+	outcome []int32
 }
 
 // ensure grows the mark buffers (with slack) to cover items [0, n).
@@ -86,22 +110,87 @@ func (f *frontier) push(item int32, key int, status int32) {
 	}
 }
 
-// settle marks item decided (no longer pending).
-func (f *frontier) settle(item int32) {
-	f.pend[item] = false
-	f.pending--
-}
-
-// finish folds the drain's bookkeeping into cost: Visited is the
-// number of distinct items the frontier touched, FrontierPeak its
-// high-water mark, and Changed the touched items whose final status
-// differs from their pre-repair one (status reads the live array).
-func (f *frontier) finish(cost *RepairCost, status []int32) {
+// drain re-decides the seeds, and every item their flips reach, in
+// priority order, and returns the repair's cost. status is the live
+// status array of the item universe, bucketed by it.key into
+// numBuckets buckets. Each popped bucket is decided in two-phase
+// check/commit rounds: an item stalls while an earlier neighbor is
+// pending, and only an item whose status flipped expands to its later
+// neighbors, which re-enqueues any of them decided too early. So the
+// final state is bit-identical to the sequential greedy on the mutated
+// graph no matter how priorities fall into buckets. ctx is checked
+// once per round; a cancellation error leaves the state inconsistent
+// and the caller must mark the maintainer broken.
+func (f *frontier) drain(ctx context.Context, it repairItems, status, seeds []int32, numBuckets, grain int) (RepairCost, error) {
+	cost := RepairCost{Seeds: len(seeds)}
+	if len(seeds) == 0 {
+		return cost, nil
+	}
+	f.begin(len(status), numBuckets)
+	for _, s := range seeds {
+		f.push(s, it.key(s), status[s])
+	}
+	var inspections atomic.Int64
+	active := f.active[:0]
+	for {
+		var ok bool
+		active, _, ok = f.q.PopBucket(active[:0])
+		if !ok {
+			break
+		}
+		for len(active) > 0 {
+			if err := ctx.Err(); err != nil {
+				f.active = active
+				return cost, err
+			}
+			outcome := engine.Grow32(&f.outcome, len(active))
+			// Check phase: reads only statuses and pending marks
+			// committed before this round.
+			parallel.ForRange(len(active), grain, func(lo, hi int) {
+				var local int64
+				for i := lo; i < hi; i++ {
+					var insp int64
+					outcome[i], insp = it.decide(active[i])
+					local += insp
+				}
+				inspections.Add(local)
+			})
+			// Commit phase: settle decided items and expand flips.
+			// Sequential — the push bookkeeping is cheap next to the
+			// parallel checks, and its order fixes the counters
+			// machine-independently.
+			for i, x := range active {
+				if outcome[i] == statusUndecided {
+					continue
+				}
+				f.pend[x] = false
+				f.pending--
+				if status[x] != outcome[i] {
+					status[x] = outcome[i]
+					cost.Flipped++
+					it.expand(x)
+				}
+			}
+			cost.Rounds++
+			cost.Attempts += int64(len(active))
+			active = parallel.PackInPlace(active, grain, func(i int) bool {
+				return outcome[i] == statusUndecided
+			})
+			// Same-bucket pushes join the next round.
+			active = f.q.TakeCurrent(active)
+		}
+	}
+	f.active = active
+	cost.Inspections = inspections.Load()
+	// Visited is the number of distinct items the frontier touched, and
+	// Changed the touched items whose final status differs from their
+	// pre-repair one.
 	cost.Visited = len(f.touched)
 	cost.FrontierPeak = f.peak
-	for i, it := range f.touched {
-		if status[it] != f.old[i] {
+	for i, x := range f.touched {
+		if status[x] != f.old[i] {
 			cost.Changed++
 		}
 	}
+	return cost, nil
 }

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -9,17 +10,18 @@ import (
 	"repro/internal/matching"
 )
 
-// FuzzConeRepair is the repair-equivalence fuzz target, three ways:
-// arbitrary bytes are decoded into a base graph (an edge-soup "random"
-// shape or a power-law rMat shape, whose hubs are exactly where the
-// frontier and closure engines diverge most) and a stream of update
-// batches; after every batch the frontier-maintained and
-// closure-maintained MIS and matching must each be bit-identical to a
-// from-scratch sequential greedy run on the mutated graph, and their
-// machine-independent repair counters must agree where the engines'
-// contracts overlap (seeds, net changes). Run with `go test
-// -fuzz=FuzzConeRepair ./internal/dynamic`; the seed corpus also runs
-// under plain `go test`.
+// FuzzConeRepair is the repair-equivalence fuzz target: arbitrary
+// bytes are decoded into a base graph (an edge-soup "random" shape or a
+// power-law rMat shape, whose hubs stress the flip expansion) and a
+// stream of update batches. After every batch the maintained MIS,
+// matching and mate array must be bit-identical to a from-scratch
+// sequential greedy run on the mutated graph, and the repair counters
+// must agree with references that share no code with the repair:
+// Changed with the items whose sequential answers differ between the
+// two graph versions, MIS Seeds with the seeding rule, and Visited with
+// the seeds' breadth-first downstream cone (checkMISCost, checkMMCost).
+// Run with `go test -fuzz=FuzzConeRepair ./internal/dynamic`; the seed
+// corpus also runs under plain `go test`.
 //
 // Ops are decoded so that every generated batch is valid (an absent
 // edge is inserted, a present edge is deleted, intra-batch duplicates
@@ -66,14 +68,12 @@ func FuzzConeRepair(f *testing.F) {
 			g = graph.RMat(logN, m, seed|1, graph.DefaultRMatOptions())
 		}
 		ctx := context.Background()
-		front, err := NewMaintainer(ctx, g, Config{Seed: seed})
+		mt, err := NewMaintainer(ctx, g, Config{Seed: seed})
 		if err != nil {
-			t.Fatalf("frontier maintainer: %v", err)
+			t.Fatalf("maintainer: %v", err)
 		}
-		clos, err := NewMaintainer(ctx, g, Config{Seed: seed, Engine: EngineClosure})
-		if err != nil {
-			t.Fatalf("closure maintainer: %v", err)
-		}
+		ord := mt.Order()
+		mis, mm := misAnswer(g, ord), mmAnswer(g, seed)
 		// Decode ops into batches: byte pairs name an endpoint pair, a
 		// degenerate pair flushes the batch, toggling presence keeps
 		// every batch valid.
@@ -83,30 +83,17 @@ func FuzzConeRepair(f *testing.F) {
 			if len(batch) == 0 {
 				return
 			}
-			fs, err := front.Apply(ctx, batch)
+			st, err := mt.Apply(ctx, batch)
 			if err != nil {
-				t.Fatalf("frontier apply %v: %v", batch, err)
+				t.Fatalf("apply %v: %v", batch, err)
 			}
-			cs, err := clos.Apply(ctx, batch)
-			if err != nil {
-				t.Fatalf("closure apply %v: %v", batch, err)
-			}
-			for _, pair := range []struct {
-				name string
-				f, c RepairCost
-			}{{"mis", fs.MIS, cs.MIS}, {"mm", fs.MM, cs.MM}} {
-				if pair.f.Seeds != pair.c.Seeds {
-					t.Fatalf("%s seeds diverged: frontier %d vs closure %d", pair.name, pair.f.Seeds, pair.c.Seeds)
-				}
-				if pair.f.Changed != pair.c.Changed {
-					t.Fatalf("%s changed diverged: frontier %d vs closure %d", pair.name, pair.f.Changed, pair.c.Changed)
-				}
-				if pair.f.Visited > pair.c.Visited {
-					t.Fatalf("%s frontier visited %d exceeds closure cone %d", pair.name, pair.f.Visited, pair.c.Visited)
-				}
-			}
-			verifyFuzz(t, front, seed)
-			verifyFuzz(t, clos, seed)
+			verifyFuzz(t, mt, seed)
+			after := mt.Graph()
+			label := fmt.Sprintf("batch %v", batch)
+			nextMIS, nextMM := misAnswer(after, ord), mmAnswer(after, seed)
+			checkMISCost(t, label, mis, nextMIS, after, ord, batch, st.MIS)
+			checkMMCost(t, label, mm, nextMM, after, seed, batch, st.MM)
+			mis, mm = nextMIS, nextMM
 			batch = batch[:0]
 			clear(inBatch)
 		}
@@ -126,7 +113,7 @@ func FuzzConeRepair(f *testing.F) {
 			// batch start equals presence at validation time: toggling
 			// keeps the batch valid.
 			op := OpAdd
-			if front.HasEdge(cu, cv) {
+			if mt.HasEdge(cu, cv) {
 				op = OpDel
 			}
 			batch = append(batch, Update{Op: op, U: u, V: v})

@@ -62,14 +62,14 @@ func NewMaintainer(ctx context.Context, g *graph.Graph, cfg Config) (*Maintainer
 		} else {
 			ord = core.NewRandomOrder(n, cfg.Seed)
 		}
-		ms, stats, err := newMISState(ctx, g, ord, cfg.Engine, cfg.Grain)
+		ms, stats, err := newMISState(ctx, &mt.ov, ord, cfg.Grain)
 		if err != nil {
 			return nil, err
 		}
 		mt.mis, mt.initMIS = ms, stats
 	}
 	if cfg.MM {
-		ms, stats, err := newMMState(ctx, g, cfg.Seed, cfg.Engine, cfg.Grain)
+		ms, stats, err := newMMState(ctx, g, cfg.Seed, cfg.Grain)
 		if err != nil {
 			return nil, err
 		}
@@ -79,9 +79,8 @@ func NewMaintainer(ctx context.Context, g *graph.Graph, cfg Config) (*Maintainer
 }
 
 // Apply validates the batch, applies it, and repairs the maintained
-// solutions by draining the change-driven priority frontier (or, under
-// EngineClosure, re-resolving the downstream closures). The batch is
-// atomic: an invalid batch (ErrBadUpdate) changes nothing. A ctx
+// solutions by draining the change-driven priority frontier. The batch
+// is atomic: an invalid batch (ErrBadUpdate) changes nothing. A ctx
 // cancellation observed mid-repair leaves the state inconsistent; the
 // Maintainer marks itself broken and every later call returns
 // ErrBroken.
@@ -109,7 +108,7 @@ func (mt *Maintainer) Apply(ctx context.Context, batch []Update) (RepairStats, e
 		}
 	}
 	if mt.mis != nil {
-		cost, err := mt.mis.repair(ctx, &mt.ov, batch, mt.grain)
+		cost, err := mt.mis.repair(ctx, batch, mt.grain)
 		stats.MIS = cost
 		if err != nil {
 			mt.broken = true

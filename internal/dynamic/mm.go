@@ -3,13 +3,11 @@ package dynamic
 import (
 	"context"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/parallel"
 )
 
 // unmatched marks a vertex with no mate (matching package convention).
@@ -20,11 +18,6 @@ const unmatched int32 = -1
 // hash, so its top bits are a monotone, evenly-loaded bucketing of the
 // priority order no matter how slots are numbered.
 const mmFrontierBucketBits = 10
-
-// mmBucketKey maps an edge priority to its frontier bucket.
-func mmBucketKey(prio uint64) int {
-	return int(prio >> (64 - mmFrontierBucketBits))
-}
 
 // mmEdge is one live edge of the matching store: canonical endpoints
 // and the churn-stable hash priority.
@@ -47,18 +40,10 @@ type mmState struct {
 	inc    [][]int32
 	free   []int32
 	mate   []int32
-	engine Engine
 
 	fr frontier
 
-	seedBuf   []int32
-	activeBuf []int32
-	outcome   []int32
-
-	// Closure-engine scratch (differential-testing path).
-	cs     core.ConeScratch
-	cone   []int32
-	oldBuf []int32
+	seedBuf []int32
 }
 
 // newMMState computes the initial matching of g with the library's
@@ -67,7 +52,7 @@ type mmState struct {
 // the first Apply pays no universe-sized allocation.
 //
 //lint:allow ctxround ctx is consumed by PrefixMM (checked every round); the remaining loops are bounded O(m) slot/incidence conversions, cheaper than a single solver round
-func newMMState(ctx context.Context, g *graph.Graph, seed uint64, eng Engine, grain int) (*mmState, core.Stats, error) {
+func newMMState(ctx context.Context, g *graph.Graph, seed uint64, grain int) (*mmState, core.Stats, error) {
 	el := g.EdgeList()
 	m := el.NumEdges()
 	ord := EdgeOrder(el, seed)
@@ -75,7 +60,7 @@ func newMMState(ctx context.Context, g *graph.Graph, seed uint64, eng Engine, gr
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	ms := &mmState{seed: seed, engine: eng}
+	ms := &mmState{seed: seed}
 	ms.edges = make([]mmEdge, m)
 	ms.status = make([]int32, m)
 	for i, e := range el.Edges {
@@ -127,10 +112,10 @@ func (ms *mmState) recEarlier(rec mmEdge, b int32) bool {
 }
 
 // insertEdge adds the validated-absent edge {u, v} and returns its
-// slot. The new edge starts Out — the frontier engine's stored
-// statuses are always trusted In/Out values guarded by pending marks,
-// and "not in the matching yet" is exactly Out (it also makes the
-// Changed counter read as "entered the matching" for insertions).
+// slot. The new edge starts Out — the frontier's stored statuses are
+// always trusted In/Out values guarded by pending marks, and "not in
+// the matching yet" is exactly Out (it also makes the Changed counter
+// read as "entered the matching" for insertions).
 func (ms *mmState) insertEdge(u, v int32) int32 {
 	if u > v {
 		u, v = v, u
@@ -192,21 +177,6 @@ func removeSlot(lst *[]int32, slot int32) {
 	}
 }
 
-// adjacent enumerates the live edges sharing an endpoint with slot e.
-func (ms *mmState) adjacent(e int32, visit func(f int32)) {
-	rec := &ms.edges[e]
-	for _, f := range ms.inc[rec.u] {
-		if f != e {
-			visit(f)
-		}
-	}
-	for _, f := range ms.inc[rec.v] {
-		if f != e {
-			visit(f)
-		}
-	}
-}
-
 // applyStructural applies the batch's edge insertions and deletions to
 // the slot store and returns the repair seeds: an inserted edge must
 // be decided, so it always seeds itself (deciding it In displaces
@@ -255,116 +225,30 @@ func (ms *mmState) applyStructural(batch []Update) []int32 {
 }
 
 // repair applies the batch's structural changes to the edge store and
-// re-resolves the damage region, dispatching on the configured engine
-// (the matching analogue of misState.repair).
+// drains the frontier seeded by them (the matching analogue of
+// misState.repair), then brings the mate array up to date.
 func (ms *mmState) repair(ctx context.Context, batch []Update, grain int) (RepairCost, error) {
-	if ms.engine == EngineClosure {
-		return ms.repairClosure(ctx, batch, grain)
-	}
-	return ms.repairFrontier(ctx, batch, grain)
-}
-
-// repairFrontier is the change-driven engine over the edge frontier:
-// drain the seeds in hash-priority order, re-decide each popped edge
-// against its earlier adjacent edges, and expand to later adjacent
-// edges only when the popped edge's matched status actually flipped.
-// Mate bookkeeping is deferred to the end of the drain (clears before
-// sets), so transiently re-decided edges never corrupt the mate array.
-func (ms *mmState) repairFrontier(ctx context.Context, batch []Update, grain int) (RepairCost, error) {
+	// applyStructural may grow ms.status, so it runs before the drain
+	// reads the slice.
 	seeds := ms.applyStructural(batch)
-	cost := RepairCost{Seeds: len(seeds)}
-	if len(seeds) == 0 {
-		return cost, nil
+	cost, err := ms.fr.drain(ctx, ms, ms.status, seeds, 1<<mmFrontierBucketBits, grain)
+	if err != nil || cost.Seeds == 0 {
+		return cost, err
 	}
-	f := &ms.fr
-	f.begin(len(ms.edges), 1<<mmFrontierBucketBits)
-	for _, e := range seeds {
-		f.push(e, mmBucketKey(ms.edges[e].prio), ms.status[e])
-	}
-	var inspections atomic.Int64
-	active := ms.activeBuf[:0]
-	for {
-		var ok bool
-		active, _, ok = f.q.PopBucket(active[:0])
-		if !ok {
-			break
-		}
-		for len(active) > 0 {
-			if err := ctx.Err(); err != nil {
-				ms.activeBuf = active
-				return cost, err
-			}
-			outcome := engine.Grow32(&ms.outcome, len(active))
-			// Check phase: reads only statuses and pending marks
-			// committed before this round.
-			parallel.ForRange(len(active), grain, func(lo, hi int) {
-				var local int64
-				for i := lo; i < hi; i++ {
-					var insp int64
-					outcome[i], insp = ms.checkFrontier(active[i])
-					local += insp
-				}
-				inspections.Add(local)
-			})
-			// Commit phase: settle decided edges; a flip enqueues the
-			// edge's later adjacent edges.
-			for i, e := range active {
-				if outcome[i] == statusUndecided {
-					continue
-				}
-				f.settle(e)
-				if ms.status[e] != outcome[i] {
-					ms.status[e] = outcome[i]
-					cost.Flipped++
-					rec := &ms.edges[e]
-					for _, x := range [2]int32{rec.u, rec.v} {
-						for _, ff := range ms.inc[x] {
-							if ff != e && ms.earlier(e, ff) {
-								f.push(ff, mmBucketKey(ms.edges[ff].prio), ms.status[ff])
-							}
-						}
-					}
-				}
-			}
-			cost.Rounds++
-			cost.Attempts += int64(len(active))
-			active = parallel.PackInPlace(active, grain, func(i int) bool {
-				return outcome[i] == statusUndecided
-			})
-			active = f.q.TakeCurrent(active)
-		}
-	}
-	ms.activeBuf = active
-	cost.Inspections = inspections.Load()
-	// Mate fix-up from the undo log: all In->Out clears first, then all
-	// Out->In sets. The final In set is endpoint-disjoint (it is the
-	// sequential matching), so the set pass is conflict-free, and the
-	// clear pass runs against pre-repair mates, where every cleared
-	// edge still owns both its endpoints.
-	for i, e := range f.touched {
-		if f.old[i] == statusIn && ms.status[e] == statusOut {
-			rec := &ms.edges[e]
-			ms.mate[rec.u] = unmatched
-			ms.mate[rec.v] = unmatched
-		}
-	}
-	for i, e := range f.touched {
-		if f.old[i] != statusIn && ms.status[e] == statusIn {
-			rec := &ms.edges[e]
-			ms.mate[rec.u] = rec.v
-			ms.mate[rec.v] = rec.u
-		}
-	}
-	f.finish(&cost, ms.status)
+	ms.fixMates()
 	return cost, nil
 }
 
-// checkFrontier re-decides edge e against its earlier adjacent edges:
-// a settled earlier In neighbor rules it out immediately (so an edge
-// blocked by an unaffected matched neighbor terminates in O(1)-ish
-// inspections), a pending earlier neighbor stalls it for the next
-// round, and an all-settled, all-Out earlier neighborhood admits it.
-func (ms *mmState) checkFrontier(e int32) (int32, int64) {
+// key maps edge e's priority to its frontier bucket.
+func (ms *mmState) key(e int32) int {
+	return int(ms.edges[e].prio >> (64 - mmFrontierBucketBits))
+}
+
+// decide re-decides edge e against its earlier adjacent edges. A
+// settled earlier In neighbor rules it out at once, so an edge blocked
+// by an unaffected matched neighbor terminates in O(1)-ish
+// inspections.
+func (ms *mmState) decide(e int32) (int32, int64) {
 	rec := &ms.edges[e]
 	pend := ms.fr.pend
 	sawPending := false
@@ -390,112 +274,41 @@ func (ms *mmState) checkFrontier(e int32) (int32, int64) {
 	return statusIn, inspections
 }
 
-// repairClosure is the conservative engine: reset and re-resolve the
-// full downstream closure of the seeds with the restricted round loop.
-// Kept as the frontier engine's differential-testing oracle.
-func (ms *mmState) repairClosure(ctx context.Context, batch []Update, grain int) (RepairCost, error) {
-	seeds := ms.applyStructural(batch)
-	cost := RepairCost{Seeds: len(seeds)}
-	if len(seeds) == 0 {
-		return cost, nil
+// expand enqueues the later adjacent edges of flipped edge e.
+func (ms *mmState) expand(e int32) {
+	rec := &ms.edges[e]
+	for _, x := range [2]int32{rec.u, rec.v} {
+		for _, f := range ms.inc[x] {
+			if f != e && ms.earlier(e, f) {
+				ms.fr.push(f, ms.key(f), ms.status[f])
+			}
+		}
 	}
-	cone := ms.cs.DownstreamCone(len(ms.edges), seeds, ms.cone[:0], ms.adjacent,
-		func(x, y int32) bool { return ms.earlier(x, y) })
-	ms.cone = cone
-	cost.Visited = len(cone)
+}
 
-	sortInt32s(cone, ms.earlier)
-	old := engine.Grow32(&ms.oldBuf, len(cone))
-	for i, e := range cone {
-		old[i] = ms.status[e]
-	}
-	for _, e := range cone {
-		if ms.status[e] == statusIn {
+// fixMates applies the drain's undo log to the mate array: all In->Out
+// clears first, then all Out->In sets. Mate writes wait for the end of
+// the drain so transiently re-decided edges never corrupt the array.
+// The final In set is endpoint-disjoint (it is the sequential
+// matching), so the set pass is conflict-free, and the clear pass runs
+// against pre-repair mates, where every cleared edge still owns both
+// its endpoints.
+func (ms *mmState) fixMates() {
+	f := &ms.fr
+	for i, e := range f.touched {
+		if f.old[i] == statusIn && ms.status[e] == statusOut {
 			rec := &ms.edges[e]
 			ms.mate[rec.u] = unmatched
 			ms.mate[rec.v] = unmatched
 		}
-		ms.status[e] = statusUndecided
 	}
-
-	var inspections atomic.Int64
-	active := engine.Grow32(&ms.activeBuf, len(cone))
-	copy(active, cone)
-	for len(active) > 0 {
-		if err := ctx.Err(); err != nil {
-			return cost, err
-		}
-		outcome := engine.Grow32(&ms.outcome, len(active))
-		// Check phase: reads only statuses committed in previous
-		// rounds.
-		parallel.ForRange(len(active), grain, func(lo, hi int) {
-			var local int64
-			for i := lo; i < hi; i++ {
-				var insp int64
-				outcome[i], insp = ms.checkClosure(active[i])
-				local += insp
-			}
-			inspections.Add(local)
-		})
-		// Update phase: same-round In commits are endpoint-disjoint (two
-		// adjacent edges cannot both pass the check — the later one saw
-		// the earlier one undecided), so the mate writes are race-free.
-		parallel.ForRange(len(active), grain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if outcome[i] == statusUndecided {
-					continue
-				}
-				e := active[i]
-				ms.status[e] = outcome[i]
-				if outcome[i] == statusIn {
-					rec := &ms.edges[e]
-					ms.mate[rec.u] = rec.v
-					ms.mate[rec.v] = rec.u
-				}
-			}
-		})
-		cost.Rounds++
-		cost.Attempts += int64(len(active))
-		active = parallel.PackInPlace(active, grain, func(i int) bool {
-			return outcome[i] == statusUndecided
-		})
-	}
-	cost.Inspections = inspections.Load()
-	for i, e := range cone {
-		if ms.status[e] != old[i] {
-			cost.Changed++
+	for i, e := range f.touched {
+		if f.old[i] != statusIn && ms.status[e] == statusIn {
+			rec := &ms.edges[e]
+			ms.mate[rec.u] = rec.v
+			ms.mate[rec.v] = rec.u
 		}
 	}
-	return cost, nil
-}
-
-// checkClosure decides cone edge e against the statuses of its earlier
-// adjacent edges: any matched earlier neighbor rules it out, any
-// undecided earlier neighbor stalls it for the next round, and an
-// all-resolved earlier neighborhood admits it — the acceptance rule of
-// the sequential greedy matching.
-func (ms *mmState) checkClosure(e int32) (int32, int64) {
-	rec := &ms.edges[e]
-	sawUndecided := false
-	var inspections int64
-	for _, x := range [2]int32{rec.u, rec.v} {
-		for _, f := range ms.inc[x] {
-			if f == e || !ms.earlier(f, e) {
-				continue
-			}
-			inspections++
-			switch ms.status[f] {
-			case statusIn:
-				return statusOut, inspections
-			case statusUndecided:
-				sawUndecided = true
-			}
-		}
-	}
-	if sawUndecided {
-		return statusUndecided, inspections
-	}
-	return statusIn, inspections
 }
 
 // pairs returns the current matching as canonical edges sorted

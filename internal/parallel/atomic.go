@@ -19,39 +19,3 @@ func WriteMin32(addr *int32, val int32) bool {
 		}
 	}
 }
-
-// WriteMin64 is WriteMin32 for int64.
-func WriteMin64(addr *int64, val int64) bool {
-	for {
-		old := atomic.LoadInt64(addr)
-		if old <= val {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(addr, old, val) {
-			return true
-		}
-	}
-}
-
-// WriteMax32 atomically sets *addr = max(*addr, val) and reports whether
-// the write happened.
-func WriteMax32(addr *int32, val int32) bool {
-	for {
-		old := atomic.LoadInt32(addr)
-		if old >= val {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(addr, old, val) {
-			return true
-		}
-	}
-}
-
-// WriteOnce32 atomically sets *addr = val if *addr still holds empty, and
-// reports whether this call's write won. It implements the paper's
-// duplicate-elimination trick in Lemma 4.2: "having the neighbor write
-// its identifier into the checked vertex using an arbitrary concurrent
-// write, and whichever write succeeds is responsible for the check".
-func WriteOnce32(addr *int32, empty, val int32) bool {
-	return atomic.CompareAndSwapInt32(addr, empty, val)
-}

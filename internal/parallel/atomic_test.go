@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -19,55 +18,13 @@ func TestWriteMinBoundaries(t *testing.T) {
 	if !WriteMin32(&x, math.MinInt32) || x != math.MinInt32 {
 		t.Errorf("WriteMin32(MaxInt32 -> MinInt32): x = %d", x)
 	}
-	var y int64 = math.MinInt64
-	if WriteMin64(&y, 0) || y != math.MinInt64 {
-		t.Errorf("WriteMin64 below MinInt64: y = %d", y)
-	}
-	var z int32 = math.MinInt32
-	if !WriteMax32(&z, math.MaxInt32) || z != math.MaxInt32 {
-		t.Errorf("WriteMax32(MinInt32 -> MaxInt32): z = %d", z)
-	}
 }
 
-// TestWriteOnceConcurrentSingleWinner is the Lemma 4.2 contract: of any
-// number of concurrent writers to an empty cell, EXACTLY one wins, and
-// the stored value is the winner's.
-func TestWriteOnceConcurrentSingleWinner(t *testing.T) {
-	const writers = 16
-	for trial := 0; trial < 50; trial++ {
-		var cell int32 = -1
-		var wins int32
-		var winner int32 = -1
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(id int32) {
-				defer wg.Done()
-				<-start
-				if WriteOnce32(&cell, -1, id) {
-					atomic.AddInt32(&wins, 1)
-					atomic.StoreInt32(&winner, id)
-				}
-			}(int32(w))
-		}
-		close(start)
-		wg.Wait()
-		if wins != 1 {
-			t.Fatalf("trial %d: %d writers won, want exactly 1", trial, wins)
-		}
-		if cell != winner {
-			t.Fatalf("trial %d: cell holds %d but winner was %d", trial, cell, winner)
-		}
-	}
-}
-
-// TestAtomicStressAcrossProcs hammers every primitive from many
-// goroutines at GOMAXPROCS=1 (cooperative interleavings only) and at
-// the machine's full processor count; run under -race this doubles as
-// the data-race certificate for the CAS loops. The final values are
-// schedule-independent: min of all written values, max of all written
-// values, and a winner for every once-cell.
+// TestAtomicStressAcrossProcs hammers WriteMin32 from many goroutines
+// at GOMAXPROCS=1 (cooperative interleavings only) and at the machine's
+// full processor count; run under -race this doubles as the data-race
+// certificate for the CAS loop. The final value is
+// schedule-independent: the min of all written values.
 func TestAtomicStressAcrossProcs(t *testing.T) {
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		procs := procs
@@ -78,12 +35,6 @@ func TestAtomicStressAcrossProcs(t *testing.T) {
 			const workers = 8
 			const iters = 2000
 			var mn int32 = math.MaxInt32
-			var mn64 int64 = math.MaxInt64
-			var mx int32 = math.MinInt32
-			once := make([]int32, 64)
-			for i := range once {
-				once[i] = -1
-			}
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -92,9 +43,6 @@ func TestAtomicStressAcrossProcs(t *testing.T) {
 					for i := 0; i < iters; i++ {
 						v := int32(w*iters + i)
 						WriteMin32(&mn, v)
-						WriteMin64(&mn64, int64(v))
-						WriteMax32(&mx, v)
-						WriteOnce32(&once[i%len(once)], -1, v)
 					}
 				}(w)
 			}
@@ -102,17 +50,6 @@ func TestAtomicStressAcrossProcs(t *testing.T) {
 
 			if mn != 0 {
 				t.Errorf("min = %d, want 0", mn)
-			}
-			if mn64 != 0 {
-				t.Errorf("min64 = %d, want 0", mn64)
-			}
-			if want := int32(workers*iters - 1); mx != want {
-				t.Errorf("max = %d, want %d", mx, want)
-			}
-			for i, v := range once {
-				if v == -1 {
-					t.Errorf("once[%d] never written", i)
-				}
 			}
 		})
 	}

@@ -1,62 +1,12 @@
 package parallel
 
-// Pack copies the elements of src whose index satisfies keep into a new
-// slice, preserving order. It is the parallel "filter"/"pack" primitive
-// used by the prefix-based algorithms to compact the set of unresolved
-// iterates between rounds (the paper's "densely pack into new arrays",
-// Theorem 4.5). Work O(n), depth O(n/P + B).
-func Pack[T any](src []T, grain int, keep func(i int) bool) []T {
-	n := len(src)
-	if n == 0 {
-		return nil
-	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if Procs() == 1 || n <= grain {
-		out := make([]T, 0, n/4+8)
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				out = append(out, src[i])
-			}
-		}
-		return out
-	}
-	chunks := (n + grain - 1) / grain
-	counts := make([]int, chunks)
-	ForRange(n, grain, func(lo, hi int) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				c++
-			}
-		}
-		counts[lo/grain] = c
-	})
-	total := 0
-	for c := 0; c < chunks; c++ {
-		v := counts[c]
-		counts[c] = total
-		total += v
-	}
-	out := make([]T, total)
-	ForRange(n, grain, func(lo, hi int) {
-		pos := counts[lo/grain]
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				out[pos] = src[i]
-				pos++
-			}
-		}
-	})
-	return out
-}
-
 // PackInPlace compacts src in place, keeping elements whose index
 // satisfies keep and preserving order, and returns the compacted prefix
-// of src. It performs the same blocked two-pass algorithm as Pack but
-// reuses src's storage; destination positions never exceed source
-// positions so the parallel scatter is safe.
+// of src. It is the parallel "filter"/"pack" primitive the round loops
+// use to compact the unresolved iterates between rounds (the paper's
+// "densely pack into new arrays", Theorem 4.5): per-block counts, a
+// sequential scan over them, and a parallel scatter. Work O(n), depth
+// O(n/P + B).
 func PackInPlace[T any](src []T, grain int, keep func(i int) bool) []T {
 	n := len(src)
 	if n == 0 {

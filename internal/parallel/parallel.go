@@ -142,17 +142,6 @@ func Reduce[T any](n, grain int, identity T, leaf func(lo, hi int) T, combine fu
 	return acc
 }
 
-// SumInt64 returns the sum of f(i) for i in [0, n).
-func SumInt64(n, grain int, f func(i int) int64) int64 {
-	return Reduce(n, grain, 0, func(lo, hi int) int64 {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		return s
-	}, func(a, b int64) int64 { return a + b })
-}
-
 // MaxInt64 returns the maximum of f(i) for i in [0, n), or identity if
 // n <= 0.
 func MaxInt64(n, grain int, identity int64, f func(i int) int64) int64 {
@@ -170,14 +159,4 @@ func MaxInt64(n, grain int, identity int64, f func(i int) int64) int64 {
 		}
 		return b
 	})
-}
-
-// Count returns the number of i in [0, n) for which pred(i) is true.
-func Count(n, grain int, pred func(i int) bool) int {
-	return int(SumInt64(n, grain, func(i int) int64 {
-		if pred(i) {
-			return 1
-		}
-		return 0
-	}))
 }

@@ -107,13 +107,6 @@ func TestReduceDeterministicOrderNonCommutative(t *testing.T) {
 	}
 }
 
-func TestSumInt64(t *testing.T) {
-	got := SumInt64(1000, 32, func(i int) int64 { return int64(i) * 2 })
-	if want := int64(999 * 1000); got != want {
-		t.Errorf("SumInt64 = %d, want %d", got, want)
-	}
-}
-
 func TestMaxInt64(t *testing.T) {
 	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
 	got := MaxInt64(len(vals), 2, -1, func(i int) int64 { return vals[i] })
@@ -122,13 +115,6 @@ func TestMaxInt64(t *testing.T) {
 	}
 	if got := MaxInt64(0, 2, -7, nil); got != -7 {
 		t.Errorf("MaxInt64 empty = %d, want identity -7", got)
-	}
-}
-
-func TestCount(t *testing.T) {
-	got := Count(1000, 64, func(i int) bool { return i%3 == 0 })
-	if want := 334; got != want {
-		t.Errorf("Count = %d, want %d", got, want)
 	}
 }
 
@@ -199,48 +185,16 @@ func TestExclusiveScanInPlace(t *testing.T) {
 	}
 }
 
-func TestInclusiveScan(t *testing.T) {
-	src := []int32{1, 2, 3, 4}
-	dst := make([]int32, 4)
-	total := InclusiveScan(dst, src, 2)
-	want := []int32{1, 3, 6, 10}
-	if total != 10 {
-		t.Errorf("total = %d, want 10", total)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("inclusive scan[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
-	const n = 123457
-	big := make([]int64, n)
-	for i := range big {
-		big[i] = 1
-	}
-	out := make([]int64, n)
-	if got := InclusiveScan(out, big, 100); got != n {
-		t.Errorf("inclusive total = %d, want %d", got, n)
-	}
-	for i := range out {
-		if out[i] != int64(i+1) {
-			t.Fatalf("inclusive[%d] = %d", i, out[i])
-		}
-	}
-}
-
 func TestScanEmpty(t *testing.T) {
 	if got := ExclusiveScan[int64](nil, nil, 0); got != 0 {
 		t.Errorf("empty exclusive scan total = %d", got)
-	}
-	if got := InclusiveScan[int64](nil, nil, 0); got != 0 {
-		t.Errorf("empty inclusive scan total = %d", got)
 	}
 }
 
 func TestPackMatchesFilterQuick(t *testing.T) {
 	f := func(raw []int32, grain uint8) bool {
 		keep := func(i int) bool { return raw[i]%2 == 0 }
-		got := Pack(raw, int(grain%64), keep)
+		got := PackInPlace(append([]int32(nil), raw...), int(grain%64), keep)
 		var want []int32
 		for i, v := range raw {
 			if keep(i) {
@@ -259,23 +213,6 @@ func TestPackMatchesFilterQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPackLargeKeepsOrder(t *testing.T) {
-	const n = 200000
-	src := make([]int32, n)
-	for i := range src {
-		src[i] = int32(i)
-	}
-	got := Pack(src, 64, func(i int) bool { return i%5 == 0 })
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("Pack broke order at %d: %d then %d", i, got[i-1], got[i])
-		}
-	}
-	if len(got) != n/5 {
-		t.Errorf("Pack kept %d, want %d", len(got), n/5)
 	}
 }
 
@@ -357,33 +294,6 @@ func TestWriteMinConcurrentIsMinimum(t *testing.T) {
 	}
 }
 
-func TestWriteMin64AndMax32(t *testing.T) {
-	var y int64 = 10
-	if !WriteMin64(&y, -5) || y != -5 {
-		t.Errorf("WriteMin64 failed: y=%d", y)
-	}
-	var z int32 = 10
-	if !WriteMax32(&z, 20) || z != 20 {
-		t.Errorf("WriteMax32 failed: z=%d", z)
-	}
-	if WriteMax32(&z, 15) {
-		t.Error("WriteMax32(20->15) reported a write")
-	}
-}
-
-func TestWriteOnce32(t *testing.T) {
-	var x int32 = -1
-	if !WriteOnce32(&x, -1, 7) {
-		t.Error("first WriteOnce32 lost")
-	}
-	if WriteOnce32(&x, -1, 9) {
-		t.Error("second WriteOnce32 won")
-	}
-	if x != 7 {
-		t.Errorf("x = %d, want 7", x)
-	}
-}
-
 func TestPrimitivesUnderSingleProc(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
@@ -420,16 +330,5 @@ func BenchmarkExclusiveScan1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ExclusiveScan(dst, src, DefaultGrain)
-	}
-}
-
-func BenchmarkPack1M(b *testing.B) {
-	src := make([]int32, 1<<20)
-	for i := range src {
-		src[i] = int32(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Pack(src, DefaultGrain, func(j int) bool { return src[j]%2 == 0 })
 	}
 }

@@ -56,46 +56,3 @@ func ExclusiveScan[T Integer](dst, src []T, grain int) T {
 	})
 	return total
 }
-
-// InclusiveScan computes the inclusive prefix sum of src into dst and
-// returns the total: dst[i] = src[0] + ... + src[i].
-func InclusiveScan[T Integer](dst, src []T, grain int) T {
-	n := len(src)
-	if n == 0 {
-		return 0
-	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if Procs() == 1 || n <= grain {
-		var acc T
-		for i := 0; i < n; i++ {
-			acc += src[i]
-			dst[i] = acc
-		}
-		return acc
-	}
-	chunks := (n + grain - 1) / grain
-	sums := make([]T, chunks)
-	ForRange(n, grain, func(lo, hi int) {
-		var s T
-		for i := lo; i < hi; i++ {
-			s += src[i]
-		}
-		sums[lo/grain] = s
-	})
-	var total T
-	for c := 0; c < chunks; c++ {
-		s := sums[c]
-		sums[c] = total
-		total += s
-	}
-	ForRange(n, grain, func(lo, hi int) {
-		acc := sums[lo/grain]
-		for i := lo; i < hi; i++ {
-			acc += src[i]
-			dst[i] = acc
-		}
-	})
-	return total
-}

@@ -103,16 +103,3 @@ func allSameDigit(keys []uint64, shift uint) bool {
 	}
 	return true
 }
-
-// SortInt32 sorts 32-bit signed keys ascending via the uint64 radix
-// sort with an order-preserving transform.
-func SortInt32(keys []int32) {
-	tmp := make([]uint64, len(keys))
-	for i, k := range keys {
-		tmp[i] = uint64(uint32(k) ^ 0x80000000)
-	}
-	SortUint64(tmp)
-	for i, k := range tmp {
-		keys[i] = int32(uint32(k) ^ 0x80000000)
-	}
-}

@@ -84,31 +84,6 @@ func TestSortUint64EdgeCases(t *testing.T) {
 	}
 }
 
-func TestSortInt32(t *testing.T) {
-	keys := []int32{5, -3, 0, -2147483648, 2147483647, 1, -1}
-	SortInt32(keys)
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			t.Fatalf("int32 not sorted: %v", keys)
-		}
-	}
-	f := func(raw []int32) bool {
-		mine := append([]int32(nil), raw...)
-		ref := append([]int32(nil), raw...)
-		SortInt32(mine)
-		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		for i := range ref {
-			if mine[i] != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkSortUint64Radix1M(b *testing.B) {
 	x := rng.NewXoshiro256(1)
 	orig := make([]uint64, 1<<20)

@@ -501,6 +501,11 @@ func (e *Engine) Submit(spec JobSpec) (JobStatus, bool, error) {
 		}
 	}
 
+	// Trace the submit before a worker can record the job's queue
+	// event.
+	e.trace.Append(trace.Event{Kind: trace.KindSubmit, Job: job.ID, Name: string(spec.Problem)})
+	e.trace.Append(trace.Event{Kind: trace.KindCheckout, Job: job.ID, Name: spec.GraphID,
+		DurMS: float64(acqDur) / float64(time.Millisecond)})
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -528,9 +533,6 @@ func (e *Engine) Submit(spec JobSpec) (JobStatus, bool, error) {
 	st := e.statusLocked(job)
 	e.mu.Unlock()
 	e.metrics.jobSubmitted(false)
-	e.trace.Append(trace.Event{Kind: trace.KindSubmit, Job: job.ID, Name: string(spec.Problem)})
-	e.trace.Append(trace.Event{Kind: trace.KindCheckout, Job: job.ID, Name: spec.GraphID,
-		DurMS: float64(acqDur) / float64(time.Millisecond)})
 	e.log.Debug("job submitted", "job", job.ID, "graph", spec.GraphID,
 		"problem", string(spec.Problem), "algorithm", spec.Plan.Algorithm.String())
 	return st, false, nil
@@ -626,6 +628,7 @@ func (e *Engine) Recover(id string, spec JobSpec) error {
 		ctx:         ctx,
 		cancel:      cancel,
 	}
+	e.trace.Append(trace.Event{Kind: trace.KindSubmit, Job: id, Name: "recover"})
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -648,7 +651,6 @@ func (e *Engine) Recover(id string, spec JobSpec) error {
 	}
 	e.mu.Unlock()
 	e.metrics.jobRecovered()
-	e.trace.Append(trace.Event{Kind: trace.KindSubmit, Job: id, Name: "recover"})
 	e.log.Info("job recovered", "job", id, "graph", spec.GraphID, "problem", string(spec.Problem))
 	return nil
 }
@@ -926,19 +928,20 @@ func (e *Engine) run(job *Job, solver *greedy.Solver) {
 	}
 
 	now := time.Now()
-	e.mu.Lock()
-	job.finishedAt = now
+	var (
+		state  JobState
+		errMsg string
+		raw    []byte
+	)
 	switch {
 	case err == nil:
 		payload.RunMS = float64(now.Sub(job.startedAt)) / float64(time.Millisecond)
 		payload.JobID = job.ID
-		raw, merr := json.Marshal(payload)
-		if merr != nil {
-			job.state = StateFailed
-			job.err = merr.Error()
+		var merr error
+		if raw, merr = json.Marshal(payload); merr != nil {
+			state, errMsg = StateFailed, merr.Error()
 		} else {
-			job.state = StateDone
-			job.result = raw
+			state = StateDone
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The deadline state is claimed only when the job's own budget
@@ -946,23 +949,32 @@ func (e *Engine) run(job *Job, solver *greedy.Solver) {
 		// from an explicit cancel (or engine shutdown) that happened to
 		// land while a deadline was also configured.
 		if errors.Is(err, context.DeadlineExceeded) && cancelTimeout != nil && job.ctx.Err() == nil {
-			job.state = StateDeadline
-			job.err = fmt.Sprintf("deadline exceeded after %dms", job.Spec.TimeoutMS)
+			state = StateDeadline
+			errMsg = fmt.Sprintf("deadline exceeded after %dms", job.Spec.TimeoutMS)
 		} else {
-			job.state = StateCancelled
-			job.err = "cancelled while running"
+			state = StateCancelled
+			errMsg = "cancelled while running"
 		}
 	default:
-		job.state = StateFailed
-		job.err = err.Error()
+		state, errMsg = StateFailed, err.Error()
 	}
-	run := job.finishedAt.Sub(job.startedAt)
-	e2e := job.finishedAt.Sub(job.submittedAt)
-	state := job.state
-	errMsg := job.err
-	if state != StateQueued && state != StateRunning {
-		e.recordCompletionLocked(now)
+	run := now.Sub(job.startedAt)
+	e2e := now.Sub(job.submittedAt)
+	runMS := float64(run) / float64(time.Millisecond)
+	e2eMS := float64(e2e) / float64(time.Millisecond)
+	// Trace run and done before the terminal state is visible, so a
+	// client or subscriber that sees the job finish finds both.
+	e.trace.Append(trace.Event{Kind: trace.KindRun, Job: job.ID, DurMS: runMS})
+	e.trace.Append(trace.Event{Kind: trace.KindDone, Job: job.ID, Name: string(state), DurMS: e2eMS})
+
+	e.mu.Lock()
+	job.finishedAt = now
+	job.state = state
+	job.err = errMsg
+	if state == StateDone {
+		job.result = raw
 	}
+	e.recordCompletionLocked(now)
 	if state == StateFailed || state == StateCancelled || state == StateDeadline {
 		// A terminal non-answer stops absorbing submissions right away.
 		e.dropKeyLocked(job)
@@ -983,10 +995,6 @@ func (e *Engine) run(job *Job, solver *greedy.Solver) {
 	}
 	e.metrics.jobFinished(job.Spec.Problem, state, adaptiveRan, repair, run, e2e)
 
-	runMS := float64(run) / float64(time.Millisecond)
-	e2eMS := float64(e2e) / float64(time.Millisecond)
-	e.trace.Append(trace.Event{Kind: trace.KindRun, Job: job.ID, DurMS: runMS})
-	e.trace.Append(trace.Event{Kind: trace.KindDone, Job: job.ID, Name: string(state), DurMS: e2eMS})
 	if state == StateFailed {
 		e.log.Warn("job failed", "job", job.ID, "error", errMsg, "run_ms", runMS, "e2e_ms", e2eMS)
 	} else {
