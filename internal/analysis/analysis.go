@@ -284,10 +284,13 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgFunc reports whether fn is one of the named functions of the
-// package with import path pkgPath.
+// isPkgFunc reports whether fn is one of the named package-level
+// functions of the package with import path pkgPath.
 func isPkgFunc(fn *types.Func, pkgPath string, names ...string) bool {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
+		return false
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		return false
 	}
 	for _, n := range names {

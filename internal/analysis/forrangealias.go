@@ -7,15 +7,17 @@ import (
 )
 
 // Forrangealias checks the function literals handed to the fork-join
-// primitives:
+// primitives, either inline or through a local variable bound once to
+// a literal (a loop body hoisted out of its round loop is checked like
+// an inline one):
 //
-//   - parallel.ForRange / parallel.For bodies and parallel.Reduce leaf
-//     functions run concurrently with themselves, so they must not
-//     write captured (free) variables through anything but a disjoint
-//     index — the element-write idiom `out[i] = ...` is the
-//     deterministic-parallelism contract, while `captured += x` or
-//     `shared.field = v` is a data race whose loser is
-//     schedule-dependent, exactly the nondeterminism the paper's
+//   - parallel.ForRange / parallel.For / parallel.Team.ForRange bodies
+//     and parallel.Reduce leaf functions run concurrently with
+//     themselves, so they must not write captured (free) variables
+//     through anything but a disjoint index — the element-write idiom
+//     `out[i] = ...` is the deterministic-parallelism contract, while
+//     `captured += x` or `shared.field = v` is a data race whose loser
+//     is schedule-dependent, exactly the nondeterminism the paper's
 //     reservation discipline exists to eliminate. Taking the address of
 //     a captured non-indexed variable is flagged too, unless the
 //     address feeds a sync/atomic call (the sanctioned way to share a
@@ -39,6 +41,27 @@ var Forrangealias = &Analyzer{
 func runForrangealias(pass *Pass) {
 	info := pass.TypesInfo
 	for _, f := range pass.Files {
+		bound := boundLiterals(info, f)
+		checked := map[*ast.FuncLit]bool{}
+		// body resolves a call argument to the literal it denotes, once
+		// per literal, so a hoisted body passed at several sites is
+		// reported once.
+		body := func(arg ast.Expr) *ast.FuncLit {
+			var lit *ast.FuncLit
+			switch e := ast.Unparen(arg).(type) {
+			case *ast.FuncLit:
+				lit = e
+			case *ast.Ident:
+				if v, ok := info.Uses[e].(*types.Var); ok {
+					lit = bound[v]
+				}
+			}
+			if lit == nil || checked[lit] {
+				return nil
+			}
+			checked[lit] = true
+			return lit
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -46,9 +69,10 @@ func runForrangealias(pass *Pass) {
 			}
 			fn := calleeFunc(info, call)
 			switch {
-			case isPkgFunc(fn, "repro/internal/parallel", "ForRange", "For"):
+			case isPkgFunc(fn, "repro/internal/parallel", "ForRange", "For"),
+				fn != nil && fn.FullName() == "(*repro/internal/parallel.Team).ForRange":
 				for _, arg := range call.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+					if lit := body(arg); lit != nil {
 						checkConcurrentBody(pass, lit, nil)
 					}
 				}
@@ -57,7 +81,7 @@ func runForrangealias(pass *Pass) {
 				// runs concurrently; combine folds the chunk results
 				// sequentially after the join.
 				if len(call.Args) == 5 {
-					if lit, ok := ast.Unparen(call.Args[3]).(*ast.FuncLit); ok {
+					if lit := body(call.Args[3]); lit != nil {
 						checkConcurrentBody(pass, lit, nil)
 					}
 				}
@@ -67,6 +91,57 @@ func runForrangealias(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// boundLiterals maps each local variable of f that is assigned exactly
+// once, and from a function literal, to that literal. A declaration
+// without a value is not an assignment; any other assignment, or a
+// non-literal one, disqualifies the variable.
+func boundLiterals(info *types.Info, f *ast.File) map[*types.Var]*ast.FuncLit {
+	lits := map[*types.Var]*ast.FuncLit{}
+	writes := map[*types.Var]int{}
+	bind := func(id *ast.Ident, rhs ast.Expr) {
+		v, ok := info.Defs[id].(*types.Var)
+		if !ok {
+			v, ok = info.Uses[id].(*types.Var)
+		}
+		if !ok || v.Parent() == nil || v.Parent() == v.Pkg().Scope() {
+			return
+		}
+		writes[v]++
+		if lit, ok := ast.Unparen(rhs).(*ast.FuncLit); ok {
+			lits[v] = lit
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok {
+					continue
+				}
+				var rhs ast.Expr
+				if len(n.Rhs) == len(n.Lhs) {
+					rhs = n.Rhs[i]
+				}
+				bind(id, rhs)
+			}
+		case *ast.ValueSpec:
+			for i, id := range n.Names {
+				if i < len(n.Values) {
+					bind(id, n.Values[i])
+				}
+			}
+		}
+		return true
+	})
+	for v := range lits {
+		if writes[v] != 1 {
+			delete(lits, v)
+		}
+	}
+	return lits
 }
 
 // freeVarFunc returns a resolver mapping identifiers to the captured

@@ -49,8 +49,8 @@
 // item's final decision is always made against the final statuses of
 // all earlier neighbors — exactly the sequential acceptance rule; an
 // item never enqueued kept all of its (unchanged) earlier inputs.
-// Bucket rounds above the configured grain run through
-// parallel.ForRange; the committed outcome is independent of
+// Bucket rounds above the configured grain decide on a parallel.Team
+// that lives for one drain; the committed outcome is independent of
 // GOMAXPROCS and grain. MIS and MM share one drain loop (frontier.drain)
 // and differ only in seeding, the per-item decision, the flip
 // expansion and, for MM, the mate fix-up. The fuzz target in this

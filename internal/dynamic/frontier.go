@@ -130,8 +130,22 @@ func (f *frontier) drain(ctx context.Context, it repairItems, status, seeds []in
 	for _, s := range seeds {
 		f.push(s, it.key(s), status[s])
 	}
+	// The decide rounds share one team, and their body is built once
+	// here over the current round's active and outcome.
+	team := parallel.NewTeam()
+	defer team.Close()
 	var inspections atomic.Int64
 	active := f.active[:0]
+	var outcome []int32
+	decide := func(lo, hi int) {
+		var local int64
+		for i := lo; i < hi; i++ {
+			var insp int64
+			outcome[i], insp = it.decide(active[i])
+			local += insp
+		}
+		inspections.Add(local)
+	}
 	for {
 		var ok bool
 		active, _, ok = f.q.PopBucket(active[:0])
@@ -143,24 +157,20 @@ func (f *frontier) drain(ctx context.Context, it repairItems, status, seeds []in
 				f.active = active
 				return cost, err
 			}
-			outcome := engine.Grow32(&f.outcome, len(active))
+			outcome = engine.Grow32(&f.outcome, len(active))
 			// Check phase: reads only statuses and pending marks
 			// committed before this round.
-			parallel.ForRange(len(active), grain, func(lo, hi int) {
-				var local int64
-				for i := lo; i < hi; i++ {
-					var insp int64
-					outcome[i], insp = it.decide(active[i])
-					local += insp
-				}
-				inspections.Add(local)
-			})
-			// Commit phase: settle decided items and expand flips.
+			team.ForRange(len(active), grain, decide)
+			// Commit phase: settle decided items, expand flips, and
+			// compact the undecided ones, in order, to the front.
 			// Sequential — the push bookkeeping is cheap next to the
 			// parallel checks, and its order fixes the counters
 			// machine-independently.
+			kept := 0
 			for i, x := range active {
 				if outcome[i] == statusUndecided {
+					active[kept] = x
+					kept++
 					continue
 				}
 				f.pend[x] = false
@@ -173,11 +183,8 @@ func (f *frontier) drain(ctx context.Context, it repairItems, status, seeds []in
 			}
 			cost.Rounds++
 			cost.Attempts += int64(len(active))
-			active = parallel.PackInPlace(active, grain, func(i int) bool {
-				return outcome[i] == statusUndecided
-			})
 			// Same-bucket pushes join the next round.
-			active = f.q.TakeCurrent(active)
+			active = f.q.TakeCurrent(active[:kept])
 		}
 	}
 	f.active = active

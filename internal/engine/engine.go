@@ -21,12 +21,23 @@
 // The engine owns everything the four formerly hand-specialized loops
 // duplicated: window refill and the shrink-tail slide that keeps the
 // active set equal to the earliest unresolved ranks, the two-phase
-// fork-join execution over parallel.ForRange, adaptive window control
-// (AdaptiveController), per-round context checks, pooled window/outcome
-// buffers (a Workspace, passed to Run as its last argument), and the
-// per-round observer hook. Its knobs — window, grain, observer, phase
-// clock — are declared once, in Options, which every problem package's
-// own Options embeds.
+// fork-join execution, adaptive window control (AdaptiveController),
+// per-round context checks, pooled window/outcome buffers (a
+// Workspace, passed to Run as its last argument), and the per-round
+// observer hook. Its knobs — window, grain, observer, phase clock — are
+// declared once, in Options, which every problem package's own Options
+// embeds.
+//
+// Both phases of every round run on one parallel.Team that lives for
+// the whole Run, so a round is two fork-joins on resident workers, as
+// in parlaylib's speculative_for, and allocates nothing. Each chunk of
+// the check phase clears its own outcomes before deciding them; each
+// chunk of the commit phase, after its Commit, packs its undecided
+// ranks to the front of its own range and reports what it kept and
+// inspected in its own slot. A short sequential merge then
+// concatenates the chunks' retries in rank order. That pack is why a
+// Commit must read and write act only inside its own [lo, hi) (see
+// Problem).
 //
 // Determinism contract: a Problem's Check phase may read only state
 // written in previous rounds, plus place per-iterate reservation bids
@@ -48,7 +59,6 @@ package engine
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/parallel"
 )
@@ -71,8 +81,8 @@ const (
 // increasing order, so act[i] is both the iterate's index into the
 // problem's rank-space state and its write-min reservation bid; which
 // vertex, edge or element a rank denotes is the problem's business
-// (see the package doc). Both phases run under parallel.ForRange, so
-// an implementation is called once per chunk — one dynamic dispatch
+// (see the package doc). Both phases run on the run's parallel.Team,
+// so an implementation is called once per chunk — one dynamic dispatch
 // per grain-sized block, not per iterate — and runs concurrently with
 // itself on disjoint chunks. The fork-join barrier between the phases
 // is the only synchronization the engine provides; it is also all the
@@ -86,9 +96,12 @@ const (
 // resolves, and must set outcome[i] nonzero for every iterate resolved
 // this round. An iterate holding a reservation releases it in Commit,
 // whether or not it commits, so every slot bid on this round is
-// neutral again when the commit phase ends. Both return the number of
-// neighbor/endpoint inspections performed, the paper's fine-grained
-// work measure.
+// neutral again when the commit phase ends. Commit reads and writes
+// act only inside its own [lo, hi): as soon as a chunk's Commit
+// returns, the engine packs that chunk's undecided ranks in place
+// while other chunks are still committing. Check may read all of act.
+// Both return the number of neighbor/endpoint inspections performed,
+// the paper's fine-grained work measure.
 type Problem interface {
 	Check(act, outcome []int32, lo, hi int) int64
 	Commit(act, outcome []int32, lo, hi int) int64
@@ -167,13 +180,27 @@ func (o Options) AdaptiveInitial(n int) int {
 }
 
 // Workspace holds the engine's pooled per-run buffers (the active
-// window and the per-iterate outcome array), reused across runs on
-// same-or-smaller inputs. Problem-side state (statuses, mates,
-// reservations) lives in the problem packages' own workspaces. Not
-// safe for concurrent use; the zero value is ready.
+// window, the per-iterate outcome array and the per-chunk round
+// slots), reused across runs on same-or-smaller inputs. Problem-side
+// state (statuses, mates, reservations) lives in the problem packages'
+// own workspaces. Not safe for concurrent use; the zero value is ready.
 type Workspace struct {
 	active  []int32
 	outcome []int32
+	chunks  []chunk
+}
+
+// chunk is what one grain-aligned chunk of a round's window reports to
+// the sequential merge: where the chunk ends, how many of its ranks
+// stay undecided (compacted to the front of its own range), and the
+// inspections its Check and Commit made. Each chunk writes only its
+// own slot, padded to a cache line so neighbouring chunks' writes do
+// not contend.
+type chunk struct {
+	hi          int
+	kept        int
+	inspections int64
+	_           [64 - 24]byte
 }
 
 // Run executes the speculative-prefix round loop over the n iterates
@@ -201,6 +228,10 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 		window = ctrl.Window()
 	}
 	maxWindow := window
+	grain := opt.Grain
+	if grain <= 0 {
+		grain = parallel.DefaultGrain
+	}
 
 	stats := Stats{}
 	active := GrowActive(&ws.active, window)
@@ -208,24 +239,48 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 	// windows outgrow the initial capacity by appends, which would
 	// otherwise leave the pooled buffer at its original size.
 	defer func() { ws.active = active[:0] }()
-	var outcome []int32
 	nextRank := 0
 	resolved := 0
-	var inspections atomic.Int64
-	var prevInspections int64
 	// Phase profiling: tPrev carries the last clock reading across
 	// phase boundaries, so consecutive deltas tile the clock's span with
 	// no gaps — the inter-round work (OnRound callbacks, the ctx check,
-	// window refill) lands in the next round's slide bucket rather than
-	// vanishing. tPrev starts at the clock's epoch (solver entry, where
-	// the facade constructs the clock), not at loop entry, so one-time
-	// setup before the loop — priority-order derivation, the problem's
-	// rank-space layout (a parent-list build or an edge gather),
-	// workspace growth — is charged to the first round's slide bucket
-	// and the per-phase sums over a run reconstruct the run's wall time
-	// up to result extraction, not just the loop's.
+	// window refill, the merge of the retry set) lands in the next
+	// round's slide bucket rather than vanishing. tPrev starts at the
+	// clock's epoch (solver entry, where the facade constructs the
+	// clock), not at loop entry, so one-time setup before the loop —
+	// priority-order derivation, the problem's rank-space layout (a
+	// parent-list build or an edge gather), workspace growth — is
+	// charged to the first round's slide bucket and the per-phase sums
+	// over a run reconstruct the run's wall time up to result
+	// extraction, not just the loop's.
 	clock := opt.Clock
 	var tPrev int64
+
+	// The phase bodies are built once per run over the current round's
+	// act, outcome and chunks. Check clears its chunk's outcomes first:
+	// problems are entitled to leave a slot untouched to mean "retry",
+	// so stale values from an earlier round must not leak through the
+	// pooled buffer.
+	team := parallel.NewTeam()
+	defer team.Close()
+	var act, outcome []int32
+	var chunks []chunk
+	check := func(lo, hi int) {
+		Fill32(outcome[lo:hi], Undecided)
+		chunks[lo/grain].inspections = p.Check(act, outcome, lo, hi)
+	}
+	commit := func(lo, hi int) {
+		c := &chunks[lo/grain]
+		c.inspections += p.Commit(act, outcome, lo, hi)
+		kept := lo
+		for i := lo; i < hi; i++ {
+			if outcome[i] == Undecided {
+				act[kept] = act[i]
+				kept++
+			}
+		}
+		c.hi, c.kept = hi, kept-lo
+	}
 
 	for resolved < n {
 		if err := ctx.Err(); err != nil {
@@ -238,7 +293,7 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 		}
 		// A shrunken window attempts only the earliest unresolved
 		// iterates; the tail of the active set waits for a later round.
-		act := active
+		act = active
 		if len(act) > window {
 			act = act[:window]
 		}
@@ -248,12 +303,8 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 		}
 		stats.Rounds++
 		stats.Attempts += int64(len(act))
-		// The outcome array starts every round all-Undecided: problems
-		// are entitled to leave a slot untouched to mean "retry", so
-		// stale values from the previous round must not leak through the
-		// pooled buffer.
 		outcome = Grow32(&ws.outcome, len(act))
-		Fill32(outcome, Undecided)
+		chunks = growChunks(&ws.chunks, (len(act)+grain-1)/grain)
 
 		var checkNS, commitNS, slideNS int64
 		if clock != nil {
@@ -266,44 +317,51 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 		// previous rounds. The problem writes outcome[i] (and places
 		// reservation bids); the fork-join barrier below makes those
 		// writes visible to the commit phase.
-		parallel.ForRange(len(act), opt.Grain, func(lo, hi int) {
-			inspections.Add(p.Check(act, outcome, lo, hi))
-		})
+		team.ForRange(len(act), grain, check)
 		if clock != nil {
 			t := clock()
 			checkNS = t - tPrev
 			tPrev = t
 		}
 
-		// Commit phase: apply the decisions to the problem's state.
-		parallel.ForRange(len(act), opt.Grain, func(lo, hi int) {
-			inspections.Add(p.Commit(act, outcome, lo, hi))
-		})
+		// Commit phase: apply the decisions to the problem's state and
+		// compact each chunk's retries.
+		team.ForRange(len(act), grain, commit)
 		if clock != nil {
 			t := clock()
 			commitNS = t - tPrev
 			tPrev = t
 		}
 
+		// Merge: concatenate the chunks' retries in chunk order, which
+		// keeps them rank-sorted. A chunk's retries sit at or after the
+		// write position, so the copies move them down. The team cuts
+		// both phases identically, and with one chunk (one processor,
+		// or a window within one grain) chunk 0 spans the window.
 		before := len(act)
-		kept := parallel.PackInPlace(act, opt.Grain, func(i int) bool {
-			return outcome[i] == Undecided
-		})
-		if len(act) < len(active) {
+		kept := 0
+		var roundInspections int64
+		for lo := 0; lo < before; {
+			c := &chunks[lo/grain]
+			kept += copy(act[kept:], act[lo:lo+c.kept])
+			roundInspections += c.inspections
+			lo = c.hi
+		}
+		if before < len(active) {
 			// Slide the unattempted tail up against the kept retries;
 			// both are rank-sorted and every kept retry precedes the
 			// tail, so the active set stays the earliest unresolved
 			// iterates in order.
-			moved := copy(active[len(kept):], active[len(act):])
-			active = active[:len(kept)+moved]
+			moved := copy(active[kept:], active[before:])
+			active = active[:kept+moved]
 		} else {
-			active = kept
+			active = active[:kept]
 		}
-		resolvedThis := before - len(kept)
+		resolvedThis := before - kept
 		resolved += resolvedThis
-		cur := inspections.Load()
+		stats.EdgeInspections += roundInspections
 		if ctrl != nil {
-			ctrl.Observe(before, resolvedThis, cur-prevInspections)
+			ctrl.Observe(before, resolvedThis, roundInspections)
 			window = ctrl.Window()
 		}
 		if clock != nil {
@@ -317,16 +375,24 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 				Prefix:      roundWindow,
 				Attempted:   before,
 				Resolved:    resolvedThis,
-				Inspections: cur - prevInspections,
-				RetryTail:   len(kept),
+				Inspections: roundInspections,
+				RetryTail:   kept,
 				CheckNS:     checkNS,
 				CommitNS:    commitNS,
 				SlideNS:     slideNS,
 			})
 		}
-		prevInspections = cur
 	}
 	stats.PrefixSize = maxWindow
-	stats.EdgeInspections = inspections.Load()
 	return stats, nil
+}
+
+// growChunks returns *buf resized to n chunk slots, reallocating only
+// when the pooled capacity is insufficient.
+func growChunks(buf *[]chunk, n int) []chunk {
+	if cap(*buf) < n {
+		*buf = make([]chunk, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }

@@ -210,6 +210,62 @@ func TestRunThreadIndependent(t *testing.T) {
 	}
 }
 
+// orderedProblem is residueProblem with an order oracle in Check.
+type orderedProblem struct {
+	*residueProblem
+	unordered atomic.Int64
+}
+
+func (p *orderedProblem) Check(act, outcome []int32, lo, hi int) int64 {
+	for i := max(lo, 1); i < hi; i++ {
+		if act[i-1] >= act[i] {
+			p.unordered.Add(1)
+		}
+	}
+	return p.residueProblem.Check(act, outcome, lo, hi)
+}
+
+// The act slice handed to every round's Check is strictly
+// rank-increasing: each Commit chunk compacts its retries in order and
+// the merge concatenates the chunks in order, ahead of the unattempted
+// tail and the newly admitted ranks. Fixed, whole-input-fraction and
+// adaptive windows, at grains 1–3 and GOMAXPROCS 1 and 2.
+func TestActRankIncreasing(t *testing.T) {
+	const n, k = 3000, 37
+	order := rng.Perm(n, 7)
+	want := sequentialResidue(n, k, order)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for grain := 1; grain <= 3; grain++ {
+			for _, opt := range []engine.Options{
+				{PrefixSize: 64, Grain: grain},
+				{PrefixFrac: 0.3, Grain: grain},
+				{Adaptive: true, PrefixSize: 16, Grain: grain},
+			} {
+				name := fmt.Sprintf("GOMAXPROCS=%d, opts %+v", procs, opt)
+				p := &orderedProblem{residueProblem: newResidueProblem(n, k, order)}
+				retries := 0
+				opt.OnRound = func(rs engine.RoundStat) { retries += rs.RetryTail }
+				if _, err := engine.Run(context.Background(), n, p, opt, nil); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := p.unordered.Load(); got != 0 {
+					t.Fatalf("%s: %d adjacent pairs of act out of rank order", name, got)
+				}
+				if retries == 0 {
+					t.Fatalf("%s: no round retried an iterate, so nothing was compacted", name)
+				}
+				for id := range p.result {
+					if p.result[id] != want[id] {
+						t.Fatalf("%s: item %d = %d, want %d", name, id, p.result[id], want[id])
+					}
+				}
+			}
+		}
+	}
+}
+
 // Commit releases a reservation while other iterates of the same phase
 // still load it. The forced run makes losing bidders of every class
 // load the slot concurrently with, and then after, its winner's

@@ -60,9 +60,11 @@ type RoundStat struct {
 	// the window is the signature of a hot dependency chain.
 	RetryTail int
 	// CheckNS/CommitNS/SlideNS decompose the round's wall time by
-	// phase, in nanoseconds: the check fork-join, the commit fork-join,
-	// and everything else — window refill, outcome fill, the
-	// pack-and-slide of the retry tail, and adaptive-controller
+	// phase, in nanoseconds: the check fork-join, which also clears each
+	// chunk's outcomes; the commit fork-join, which also packs each
+	// chunk's retries to the front of the chunk; and everything else —
+	// window refill, the sequential merge of the chunks' retries and the
+	// slide of the unattempted tail, and adaptive-controller
 	// bookkeeping. All three are 0 unless Options.Clock is set; when it
 	// is, consecutive rounds tile the loop's span with no gaps, so the
 	// per-phase sums over a run reconstruct where the loop's wall time

@@ -1,24 +1,31 @@
 // Package parallel provides the fork-join primitives used throughout the
 // reproduction of Blelloch, Fineman and Shun (SPAA 2012): parallel loops
 // with an explicit grain size, reductions, blocked prefix sums (scan),
-// pack/filter, and atomic write-min.
+// pack, and atomic write-min.
 //
 // The paper's implementation runs on the cilk++ work-stealing runtime
 // with a loop grain size of 256; this package plays the same role on top
-// of goroutines. Loops shard their index space into fixed-size chunks
-// dealt to a small set of worker goroutines through an atomic counter,
-// which gives dynamic load balancing similar in spirit to work stealing
-// at a far lower implementation cost. All primitives degrade to plain
-// sequential loops when the input is below the grain size or when
-// GOMAXPROCS is 1, so small inputs pay no synchronization cost — the
-// property responsible for the "bump" the paper observes when the prefix
-// size crosses the sequential-to-parallel loop threshold.
+// of goroutines. A loop shards its index space into grain-aligned chunks
+// that the calling goroutine and p−1 helpers claim through an atomic
+// counter, which gives dynamic load balancing similar in spirit to work
+// stealing at a far lower implementation cost. A Team keeps its helpers
+// resident across fork-joins — they spin briefly between two and then
+// park — so a round loop pays one goroutine start per helper per loop,
+// not per round; the package-level loops are one-shot uses of a Team.
+// A caller that runs out of chunks while a helper is still in one
+// polls briefly and then blocks until the helper leaves, so a helper
+// whose thread lost its processor mid-chunk does not keep the caller
+// spinning on a machine it shares.
+// All primitives degrade to plain sequential loops when the input is
+// below the grain size or when GOMAXPROCS is 1, so small inputs pay no
+// synchronization cost — the property responsible for the "bump" the
+// paper observes when the prefix size crosses the sequential-to-parallel
+// loop threshold.
 package parallel
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultGrain is the default minimum number of loop iterations executed
@@ -36,42 +43,13 @@ func Procs() int {
 // [lo, hi) that together cover [0, n) exactly once. If grain <= 0,
 // DefaultGrain is used. The call returns after all chunks complete; it
 // establishes a happens-before edge between the loop body and the caller.
+// It is a one-shot use of a Team: the caller claims chunks alongside
+// p−1 helpers, which exit before ForRange returns. A loop that makes
+// many fork-joins should keep one Team for all of them instead.
 func ForRange(n, grain int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	p := Procs()
-	if p == 1 || n <= grain {
-		body(0, n)
-		return
-	}
-	chunks := (n + grain - 1) / grain
-	if p > chunks {
-		p = chunks
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(atomic.AddInt64(&next, int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	t := NewTeam()
+	t.ForRange(n, grain, body)
+	t.Close()
 }
 
 // For runs body(i) for every i in [0, n) in parallel with the given grain

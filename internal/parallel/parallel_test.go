@@ -191,53 +191,6 @@ func TestScanEmpty(t *testing.T) {
 	}
 }
 
-func TestPackMatchesFilterQuick(t *testing.T) {
-	f := func(raw []int32, grain uint8) bool {
-		keep := func(i int) bool { return raw[i]%2 == 0 }
-		got := PackInPlace(append([]int32(nil), raw...), int(grain%64), keep)
-		var want []int32
-		for i, v := range raw {
-			if keep(i) {
-				want = append(want, v)
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPackInPlace(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 70000} {
-		src := make([]int32, n)
-		for i := range src {
-			src[i] = int32(i)
-		}
-		got := PackInPlace(src, 64, func(i int) bool { return i%3 == 1 })
-		idx := 0
-		for i := 0; i < n; i++ {
-			if i%3 == 1 {
-				if got[idx] != int32(i) {
-					t.Fatalf("n=%d PackInPlace[%d] = %d, want %d", n, idx, got[idx], i)
-				}
-				idx++
-			}
-		}
-		if idx != len(got) {
-			t.Fatalf("n=%d PackInPlace length %d, want %d", n, len(got), idx)
-		}
-	}
-}
-
 func TestPackIndex(t *testing.T) {
 	got := PackIndex(10, 3, func(i int) bool { return i%2 == 1 })
 	want := []int32{1, 3, 5, 7, 9}

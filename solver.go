@@ -76,9 +76,11 @@ type RoundInfo struct {
 	// dependency chain.
 	RetryTail int
 	// CheckNS/CommitNS/SlideNS decompose the round's wall time by
-	// engine phase, in nanoseconds: the check fork-join, the commit
-	// fork-join, and everything else (window refill, outcome fill, the
-	// retry-tail pack-and-slide, adaptive bookkeeping). All three are 0
+	// engine phase, in nanoseconds: the check fork-join (which also
+	// clears the chunk's outcomes), the commit fork-join (which also
+	// packs each chunk's retries), and everything else (window refill,
+	// the merge of the chunks' retries and the slide of the unattempted
+	// tail, adaptive bookkeeping). All three are 0
 	// unless WithPhaseProfile is set; when it is, the per-phase sums
 	// over a run tile the round loop's span with no gaps. ResetNS is
 	// always 0: the engine has no reservation-reset phase —

@@ -3,6 +3,9 @@ package greedy_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -619,6 +622,62 @@ func TestSolverEngineOptionsReachEveryProblem(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSolverRoundsAllocateNothing pins "no per-round allocation at any
+// GOMAXPROCS": a warm Solver's MIS, MM and hitting set allocate the
+// same number of objects in about 20 rounds (a 5% window) as in about
+// 200 (the default 0.5% window), and at most 48, at GOMAXPROCS 1 and
+// 2. Every window here spans more than one grain, so at GOMAXPROCS=2
+// both runs start the engine's helpers.
+func TestSolverRoundsAllocateNothing(t *testing.T) {
+	in := greedy.GraphInput(greedy.RandomGraph(1<<16, 5<<15, 13))
+	ctx := context.Background()
+	s := greedy.NewSolver(greedy.WithSeed(3))
+	windows := []struct {
+		opt    greedy.Option
+		rounds int64
+	}{{greedy.WithPrefixFrac(0.05), 20}, {greedy.WithPrefixFrac(0.005), 200}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, p := range []greedy.Problem{greedy.ProblemMIS, greedy.ProblemMM, greedy.ProblemHittingSet} {
+			name := fmt.Sprintf("GOMAXPROCS=%d %s", procs, p)
+			call := func(opt greedy.Option) greedy.Stats {
+				a, err := s.Solve(ctx, p, in, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return a.Stats
+			}
+			for _, w := range windows { // also warms the Solver's caches
+				if st := call(w.opt); st.Rounds < w.rounds || st.Rounds > 2*w.rounds {
+					t.Fatalf("%s: %d rounds, want about %d", name, st.Rounds, w.rounds)
+				}
+			}
+			// Only the runtime allocates sporadically here: goroutine
+			// records while its free lists refill after a GOMAXPROCS
+			// change, a wait record when a helper parks or the caller
+			// blocks. So each window keeps the least of five
+			// interleaved batches of five calls.
+			least := [2]uint64{math.MaxUint64, math.MaxUint64}
+			for batch := 0; batch < 5; batch++ {
+				for i, w := range windows {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					for c := 0; c < 5; c++ {
+						call(w.opt)
+					}
+					runtime.ReadMemStats(&after)
+					least[i] = min(least[i], (after.Mallocs-before.Mallocs)/5)
+				}
+			}
+			if least[0] != least[1] || least[1] > 48 {
+				t.Errorf("%s: %d allocations per solve in about 20 rounds, %d in about 200; want equal and at most 48", name, least[0], least[1])
+			}
+			t.Logf("%s: %d allocations per warm solve", name, least[1])
+		}
 	}
 }
 
