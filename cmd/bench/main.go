@@ -12,7 +12,9 @@
 //
 // Experiments: fig1 (MIS prefix sweep), fig2 (MM prefix sweep), fig3
 // (MIS thread scaling), fig4 (MM thread scaling), luby-ratio, theory,
-// ablation, spanning, all.
+// ablation, spanning, orders, cold (each problem's default plan under a
+// fresh seed per solve, against the warm solve and the sequential
+// scan), all.
 //
 // The scenario matrix (-matrix, or -smoke for the smallest sizes) is
 // the reproducible fixed-vs-adaptive prefix harness: it runs MIS, MM
@@ -50,7 +52,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig1|fig2|fig3|fig4|luby-ratio|theory|ablation|spanning|orders|all")
+		experiment = flag.String("experiment", "all", "fig1|fig2|fig3|fig4|luby-ratio|theory|ablation|spanning|orders|cold|all")
 		graphKind  = flag.String("graph", "both", "random|rmat|both")
 		shrink     = flag.Uint("shrink", 5, "scale workloads to 2^-shrink of paper size (0 = paper size)")
 		n          = flag.Int("n", 0, "override vertex count (0 = use -shrink)")
@@ -214,6 +216,11 @@ func main() {
 	})
 	run("orders (random vs structured priority orders)", want("orders"), func() {
 		fmt.Println(bench.OrderSensitivity(1_000_000>>*shrink, *seed))
+	})
+	run("cold (a fresh seed per solve vs the sequential scan)", want("cold"), func() {
+		for _, w := range workloads {
+			fmt.Println(bench.ColdPath(w, *reps))
+		}
 	})
 }
 

@@ -7,7 +7,8 @@ import (
 
 // TestRunMatrixSmoke runs the CI-scale matrix once and checks the
 // report's structural invariants: every scenario family present, every
-// problem covered with sequential + fixed + adaptive runs, all runs
+// problem covered with sequential + fixed + adaptive runs and a cold
+// one, all runs
 // verified against the sequential baseline (RunMatrix panics
 // otherwise), ratios populated, and the JSON round-trippable.
 func TestRunMatrixSmoke(t *testing.T) {
@@ -61,7 +62,10 @@ func TestRunMatrixSmoke(t *testing.T) {
 			if p.AdaptiveVsBestFixedWork <= 0 || p.AdaptiveVsBestFixedTime <= 0 {
 				t.Errorf("%s/%s: ratios not populated: %+v", sc.Name, p.Problem, p)
 			}
-			for _, r := range p.Runs {
+			if p.Cold.Config != "cold" || p.ColdVsSeqTime <= 0 {
+				t.Errorf("%s/%s: cold run missing: %+v", sc.Name, p.Problem, p.Cold)
+			}
+			for _, r := range append(p.Runs[:len(p.Runs):len(p.Runs)], p.Cold) {
 				if !r.Matches {
 					t.Errorf("%s/%s/%s: run does not match sequential", sc.Name, p.Problem, r.Config)
 				}

@@ -172,3 +172,29 @@ func TestLubyDifferentFromGreedyUsually(t *testing.T) {
 		t.Error("Luby agreed with greedy for 5 seeds straight (vanishingly unlikely)")
 	}
 }
+
+// newResult runs inside a job's run span after the last round, so it
+// must stay a pair of plain loops: it allocates the Result, its InSet
+// and its Set, sized exactly, and nothing else.
+func TestNewResultAllocatesOnlyTheResult(t *testing.T) {
+	ord := NewRandomOrder(4000, 2)
+	status := make([]int32, 4000)
+	for r := range status {
+		status[r] = statusOut
+		if r%3 == 0 {
+			status[r] = statusIn
+		}
+	}
+	res := newResult(status, ord.Order, Stats{})
+	if len(res.Set) != cap(res.Set) || len(res.Set) != 1334 {
+		t.Fatalf("Set has length %d and capacity %d, want 1334 and 1334", len(res.Set), cap(res.Set))
+	}
+	for i, v := range res.Set {
+		if !res.InSet[v] || status[ord.Rank[v]] != statusIn || (i > 0 && res.Set[i-1] >= v) {
+			t.Fatalf("Set[%d] = %d disagrees with the statuses or is out of order", i, v)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { newResult(status, ord.Order, Stats{}) }); allocs > 3 {
+		t.Fatalf("newResult allocates %.0f times, want 3", allocs)
+	}
+}

@@ -72,16 +72,20 @@ func buildChildren(g *graph.Graph, ord Order) *Parents {
 }
 
 // partition fills p with each vertex's earlier neighbors (parents) or
-// later neighbors (!parents): a counting pass, an in-place scan of the
-// counts into offsets, and a filling pass. Both passes walk the
-// adjacency lists in vertex order. With ranked set, vertex v's list
-// goes to row rank[v] and holds neighbor ranks; otherwise it goes to
-// row v and holds neighbor ids. Writing rank-space rows out of order
+// later neighbors (!parents). With ranked set, vertex v's list goes to
+// row rank[v] and holds neighbor ranks; otherwise it goes to row v and
+// holds neighbor ids. A filtering pass walks the adjacency lists in
+// vertex order, reading rank once per entry: it writes each vertex's
+// list into the vertex's own slot of a scratch copy of the adjacency
+// array, where it always fits, and records the list's length at its
+// row. An in-place scan turns the lengths into offsets, and a copying
+// pass moves each list to its row. Writing rank-space rows out of order
 // costs one scattered row per vertex, far less than reading the
 // adjacency lists in rank order would.
 func (p *Parents) partition(g *graph.Graph, ord Order, parents, ranked bool) {
 	n := g.NumVertices()
 	rank := ord.Rank
+	adjOff, adj := g.Raw()
 	if cap(p.offsets) < n+1 {
 		p.offsets = make([]int64, n+1)
 	}
@@ -93,31 +97,37 @@ func (p *Parents) partition(g *graph.Graph, ord Order, parents, ranked bool) {
 		}
 		return v
 	}
-	parallel.For(n, 1024, func(v int) {
-		rv := rank[v]
-		c := int64(0)
-		for _, u := range g.Neighbors(int32(v)) {
-			if (rank[u] < rv) == parents {
-				c++
+	scratch := make([]int32, len(adj))
+	parallel.ForRange(n, 1024, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			rv := rank[v]
+			nbrs := adj[adjOff[v]:adjOff[v+1]]
+			dst := scratch[adjOff[v]:adjOff[v+1]]
+			w := 0
+			for _, u := range nbrs {
+				ru := rank[u]
+				x := u
+				if ranked {
+					x = ru
+				}
+				// Write every entry and advance past the kept ones; w
+				// never passes the entry's index, so the write stays in
+				// the vertex's slot.
+				dst[w] = x
+				if (ru < rv) == parents {
+					w++
+				}
 			}
+			offsets[row(v)] = int64(w)
 		}
-		offsets[row(v)] = c
 	})
 	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 1024)
 	offsets[n] = total
 	items := engine.Grow32(&p.items, int(total))
-	parallel.For(n, 1024, func(v int) {
-		rv := rank[v]
-		pos := offsets[row(v)]
-		for _, u := range g.Neighbors(int32(v)) {
-			if ru := rank[u]; (ru < rv) == parents {
-				if ranked {
-					items[pos] = ru
-				} else {
-					items[pos] = u
-				}
-				pos++
-			}
+	parallel.ForRange(n, 1024, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			r := row(v)
+			copy(items[offsets[r]:offsets[r+1]], scratch[adjOff[v]:])
 		}
 	})
 }

@@ -1,0 +1,132 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/graph"
+	"repro/internal/parallel"
+)
+
+// partitionReference is the two-pass partition the one-pass build must
+// reproduce byte for byte: a counting pass, an in-place scan of the
+// counts into offsets, and a filling pass, both reading every
+// adjacency entry's rank.
+func (p *Parents) partitionReference(g *graph.Graph, ord Order, parents, ranked bool) {
+	n := g.NumVertices()
+	rank := ord.Rank
+	if cap(p.offsets) < n+1 {
+		p.offsets = make([]int64, n+1)
+	}
+	p.offsets = p.offsets[:n+1]
+	offsets := p.offsets
+	row := func(v int) int {
+		if ranked {
+			return int(rank[v])
+		}
+		return v
+	}
+	parallel.For(n, 1024, func(v int) {
+		rv := rank[v]
+		c := int64(0)
+		for _, u := range g.Neighbors(int32(v)) {
+			if (rank[u] < rv) == parents {
+				c++
+			}
+		}
+		offsets[row(v)] = c
+	})
+	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 1024)
+	offsets[n] = total
+	items := engine.Grow32(&p.items, int(total))
+	parallel.For(n, 1024, func(v int) {
+		rv := rank[v]
+		pos := offsets[row(v)]
+		for _, u := range g.Neighbors(int32(v)) {
+			if ru := rank[u]; (ru < rv) == parents {
+				if ranked {
+					items[pos] = ru
+				} else {
+					items[pos] = u
+				}
+				pos++
+			}
+		}
+	})
+}
+
+// parentsGraphs are the inputs of the parent-list checks: random and
+// rMat graphs (the larger ones span many 1024-vertex chunks), a grid,
+// a star, and graphs with isolated vertices.
+func parentsGraphs() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
+		"random":       graph.Random(500, 2000, 1),
+		"random-large": graph.Random(1<<14, 5<<14, 2),
+		"rmat":         graph.RMat(13, 5<<13, 3, graph.DefaultRMatOptions()),
+		"grid":         graph.Grid2D(40, 70),
+		"star":         graph.Star(3000),
+		"isolated":     graph.Random(4000, 300, 4),
+		"empty":        graph.Empty(7),
+	}
+}
+
+// TestParentsMatchReference checks the one-pass partition against the
+// two-pass reference, offsets and items, for rank-space parents and
+// vertex-space parents and children, at one and two processors. Each
+// build reuses buffers of another graph's build, as a Solver's cache
+// does.
+func TestParentsMatchReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var got, want Parents
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for gname, g := range parentsGraphs() {
+			ord := NewRandomOrder(g.NumVertices(), 9)
+			for _, kind := range []struct {
+				name            string
+				parents, ranked bool
+			}{
+				{"rank-parents", true, true},
+				{"vertex-parents", true, false},
+				{"vertex-children", false, false},
+			} {
+				got.partition(g, ord, kind.parents, kind.ranked)
+				want.partitionReference(g, ord, kind.parents, kind.ranked)
+				name := fmt.Sprintf("procs=%d/%s/%s", procs, gname, kind.name)
+				if !slices.Equal(got.offsets, want.offsets) {
+					t.Fatalf("%s: offsets differ from the reference", name)
+				}
+				if !slices.Equal(got.items, want.items) {
+					t.Fatalf("%s: items differ from the reference", name)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBuildParents times the rank-space parent build against the
+// two-pass reference on random graphs of 2^15 and 2^19 vertices,
+// m = 5n, each iteration under a fresh order.
+func BenchmarkBuildParents(b *testing.B) {
+	for _, logN := range []int{15, 19} {
+		g := graph.Random(1<<logN, 5<<logN, 1)
+		ords := []Order{NewRandomOrder(g.NumVertices(), 1), NewRandomOrder(g.NumVertices(), 2)}
+		for _, v := range []struct {
+			name  string
+			build func(*Parents, *graph.Graph, Order)
+		}{
+			{"one-pass", (*Parents).Build},
+			{"reference", func(p *Parents, g *graph.Graph, ord Order) { p.partitionReference(g, ord, true, true) }},
+		} {
+			b.Run(fmt.Sprintf("n=2^%d/%s", logN, v.name), func(b *testing.B) {
+				var p Parents
+				for i := 0; i < b.N; i++ {
+					v.build(&p, g, ords[i%2])
+				}
+			})
+		}
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 // Vertex statuses shared by all MIS implementations. A status is
@@ -42,17 +41,30 @@ type Result struct {
 
 // newResult builds the result from the final statuses: status[r] is the
 // status of vertex order[r] (order nil means status is vertex-indexed).
+// It is two plain loops that allocate the result's two slices and
+// nothing else: it runs after the last round, and on a small input a
+// parallel loop's fork-join and per-item closure calls would cost more
+// than the work.
 func newResult(status, order []int32, stats Stats) *Result {
-	n := len(status)
-	in := make([]bool, n)
-	parallel.For(n, 4096, func(r int) {
-		v := int32(r)
+	in := make([]bool, len(status))
+	size := 0
+	for r, st := range status {
+		v := r
 		if order != nil {
-			v = order[r]
+			v = int(order[r])
 		}
-		in[v] = status[r] == statusIn
-	})
-	set := parallel.PackIndex(n, 4096, func(i int) bool { return in[i] })
+		x := st == statusIn
+		in[v] = x
+		if x {
+			size++
+		}
+	}
+	set := make([]graph.Vertex, 0, size)
+	for v, x := range in {
+		if x {
+			set = append(set, graph.Vertex(v))
+		}
+	}
 	return &Result{InSet: in, Set: set, Stats: stats}
 }
 

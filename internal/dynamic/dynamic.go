@@ -73,7 +73,6 @@ package dynamic
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -239,33 +238,4 @@ func EdgePriority(u, v graph.Vertex, seed uint64) uint64 {
 		u, v = v, u
 	}
 	return rng.Hash3(seed, uint64(uint32(u)), uint64(uint32(v)))
-}
-
-// EdgeOrder returns the priority order EdgePriority induces on an
-// explicit edge list: edge identifiers sorted by (priority, U, V).
-// A from-scratch greedy matching under this order is exactly what a
-// Maintainer maintains incrementally for the same seed — the
-// equivalence the fuzz tests assert.
-func EdgeOrder(el graph.EdgeList, seed uint64) core.Order {
-	m := el.NumEdges()
-	prio := make([]uint64, m)
-	for i, e := range el.Edges {
-		prio[i] = EdgePriority(e.U, e.V, seed)
-	}
-	perm := make([]int32, m)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(i, j int) bool {
-		a, b := perm[i], perm[j]
-		if prio[a] != prio[b] {
-			return prio[a] < prio[b]
-		}
-		ea, eb := el.Edges[a], el.Edges[b]
-		if ea.U != eb.U {
-			return ea.U < eb.U
-		}
-		return ea.V < eb.V
-	})
-	return core.FromOrder(perm)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/parallel"
 )
 
 // unmatched marks a vertex with no mate (matching package convention).
@@ -55,7 +56,7 @@ type mmState struct {
 func newMMState(ctx context.Context, g *graph.Graph, seed uint64, grain int) (*mmState, core.Stats, error) {
 	el := g.EdgeList()
 	m := el.NumEdges()
-	ord := EdgeOrder(el, seed)
+	ord, prio := edgeOrder(el, seed)
 	res, err := matching.PrefixMM(ctx, el, ord, matching.Options{Options: engine.Options{Grain: grain}})
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -63,14 +64,16 @@ func newMMState(ctx context.Context, g *graph.Graph, seed uint64, grain int) (*m
 	ms := &mmState{seed: seed}
 	ms.edges = make([]mmEdge, m)
 	ms.status = make([]int32, m)
-	for i, e := range el.Edges {
-		ms.edges[i] = mmEdge{u: e.U, v: e.V, prio: EdgePriority(e.U, e.V, seed)}
-		if res.InMatching[i] {
-			ms.status[i] = statusIn
-		} else {
+	parallel.ForRange(m, 4096, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := el.Edges[i]
+			ms.edges[i] = mmEdge{u: e.U, v: e.V, prio: prio[i]}
 			ms.status[i] = statusOut
+			if res.InMatching[i] {
+				ms.status[i] = statusIn
+			}
 		}
-	}
+	})
 	ms.mate = append([]int32(nil), res.Mate...)
 	// Carve the incidence lists from one backing array with capacity
 	// pinned to length, so a later append to one vertex's list

@@ -138,3 +138,16 @@ func MaxInt64(n, grain int, identity int64, f func(i int) int64) int64 {
 		return b
 	})
 }
+
+// ForBlocks runs body(b, lo, hi) for every block b of [0, n) split into
+// blocks of block > 0 iterations, block b being [b·block,
+// min((b+1)·block, n)), in parallel. Unlike ForRange's chunks, the
+// blocks do not depend on the processor count, so b can index
+// per-block state that a later loop over the same blocks reads back.
+func ForBlocks(n, block int, body func(b, lo, hi int)) {
+	ForRange(n, block, func(lo, hi int) {
+		for ; lo < hi; lo += block {
+			body(lo/block, lo, min(lo+block, hi))
+		}
+	})
+}

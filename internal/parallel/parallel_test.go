@@ -28,6 +28,32 @@ func TestForRangeCoversExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestForBlocksCutsFixedBlocks checks that ForBlocks visits every block
+// exactly once with the bounds its index names, at one and two
+// processors, whatever chunks ForRange hands it.
+func TestForBlocksCutsFixedBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 6, 7, 8, 1000} {
+			for _, block := range []int{1, 3, 7, 1024} {
+				seen := make([]int32, (n+block-1)/block)
+				ForBlocks(n, block, func(b, lo, hi int) {
+					if lo != b*block || hi != min(lo+block, n) {
+						t.Errorf("n=%d block=%d: block %d is [%d,%d)", n, block, b, lo, hi)
+					}
+					atomic.AddInt32(&seen[b], 1)
+				})
+				for b, c := range seen {
+					if c != 1 {
+						t.Fatalf("n=%d block=%d procs=%d: block %d visited %d times", n, block, procs, b, c)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestForCoversExactlyOnce(t *testing.T) {
 	const n = 50000
 	hits := make([]int32, n)

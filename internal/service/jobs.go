@@ -543,6 +543,9 @@ func (e *Engine) Submit(spec JobSpec) (JobStatus, bool, error) {
 // accept record was in flight still resolves the id — and releases its
 // dedup key so the next equal submission retries.
 func (e *Engine) failUnstarted(job *Job, msg string) {
+	// Count the failure before it is visible, so a caller that sees
+	// the failed state always finds it counted.
+	e.metrics.jobFinished(job.Spec.Problem, StateFailed, false, nil, 0, 0)
 	e.mu.Lock()
 	job.state = StateFailed
 	job.err = msg
@@ -550,7 +553,6 @@ func (e *Engine) failUnstarted(job *Job, msg string) {
 	e.jobs[job.ID] = job
 	e.dropKeyLocked(job)
 	e.mu.Unlock()
-	e.metrics.jobFinished(job.Spec.Problem, StateFailed, false, nil, 0, 0)
 }
 
 // completeAlways writes a journal completion marker regardless of drain
@@ -732,6 +734,8 @@ func (e *Engine) Cancel(id string) (JobStatus, error) {
 		job.cancel()
 		e.dropKeyLocked(job)
 		st := e.statusLocked(job)
+		// Counted before the unlock makes the state visible.
+		e.metrics.jobCancelled()
 		e.mu.Unlock()
 		// The worker that later pops this job sees the state and skips
 		// it; release the pin now so the graph is evictable immediately.
@@ -739,7 +743,6 @@ func (e *Engine) Cancel(id string) (JobStatus, error) {
 		// An explicit cancellation is a served outcome: mark the journal
 		// so recovery does not resurrect a job the user killed.
 		e.completeAlways(job.ID)
-		e.metrics.jobCancelled()
 		return st, nil
 	default: // running
 		job.cancel()
@@ -962,10 +965,21 @@ func (e *Engine) run(job *Job, solver *greedy.Solver) {
 	e2e := now.Sub(job.submittedAt)
 	runMS := float64(run) / float64(time.Millisecond)
 	e2eMS := float64(e2e) / float64(time.Millisecond)
-	// Trace run and done before the terminal state is visible, so a
-	// client or subscriber that sees the job finish finds both.
+	// Trace run and done, and count the outcome, before the terminal
+	// state is visible, so a client or subscriber that sees the job
+	// finish finds both events and the counters that include it.
 	e.trace.Append(trace.Event{Kind: trace.KindRun, Job: job.ID, DurMS: runMS})
 	e.trace.Append(trace.Event{Kind: trace.KindDone, Job: job.ID, Name: string(state), DurMS: e2eMS})
+	// Dynamic jobs never run the adaptive schedule (the maintainer's
+	// restricted round loop has no window controller), so they must
+	// not count toward adaptive_executed even if the plan carries the
+	// flag.
+	adaptiveRan := job.Spec.Plan.AdaptivePrefix && !job.Spec.Plan.Dynamic
+	var repair *dynamic.RepairStats
+	if payload.Repaired {
+		repair = payload.Repair
+	}
+	e.metrics.jobFinished(job.Spec.Problem, state, adaptiveRan, repair, run, e2e)
 
 	e.mu.Lock()
 	job.finishedAt = now
@@ -984,16 +998,6 @@ func (e *Engine) run(job *Job, solver *greedy.Solver) {
 
 	job.cancel() // release the context's resources
 	job.handle.Release()
-	// Dynamic jobs never run the adaptive schedule (the maintainer's
-	// restricted round loop has no window controller), so they must
-	// not count toward adaptive_executed even if the plan carries the
-	// flag.
-	adaptiveRan := job.Spec.Plan.AdaptivePrefix && !job.Spec.Plan.Dynamic
-	var repair *dynamic.RepairStats
-	if payload.Repaired {
-		repair = payload.Repair
-	}
-	e.metrics.jobFinished(job.Spec.Problem, state, adaptiveRan, repair, run, e2e)
 
 	if state == StateFailed {
 		e.log.Warn("job failed", "job", job.ID, "error", errMsg, "run_ms", runMS, "e2e_ms", e2eMS)
@@ -1317,27 +1321,30 @@ func colorsChecksum(colors []int32) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// membershipChecksum commits to a full membership vector with FNV-1a,
-// so clients can compare results across submissions without shipping
-// the whole set. The vector is hashed in chunks rather than one
-// interface call per element: this runs once per executed job over up
-// to n elements and sits on the worker hot path.
+// membershipChecksum commits to a full membership vector with FNV-1a
+// over one byte per element, so clients can compare results across
+// submissions without shipping the whole set. It runs once per executed
+// job over up to n elements, on the worker's path to the job's end, so
+// it hashes in a plain loop and allocates only the returned string.
 func membershipChecksum(in []bool) string {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 1<<14)
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, x := range in {
-		b := byte(0)
 		if x {
-			b = 1
+			h ^= 1
 		}
-		buf = append(buf, b)
-		if len(buf) == cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
+		h *= prime64
 	}
-	h.Write(buf)
-	return fmt.Sprintf("%016x", h.Sum64())
+	const digits = "0123456789abcdef"
+	var out [16]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = digits[h&15]
+		h >>= 4
+	}
+	return string(out[:])
 }
 
 // janitor reaps finished jobs past the TTL.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	greedy "repro"
 	"repro/internal/dynamic"
+	"repro/internal/fault"
 )
 
 // TestHistogramBucketBoundObservation: an observation exactly equal to
@@ -569,5 +571,79 @@ func TestPrometheusScrapeDeterministic(t *testing.T) {
 		if buf.String() != string(first) {
 			t.Fatalf("scrape %d differs from scrape 0 over the same snapshot:\n--- first ---\n%s\n--- scrape %d ---\n%s", i, first, i, buf.String())
 		}
+	}
+}
+
+// TestTerminalStateCountedBeforeVisible spins on the status of jobs
+// that end done, deadline_exceeded, failed and cancelled, and reads the
+// counters the moment each terminal state shows: every outcome a caller
+// can see must already be counted.
+func TestTerminalStateCountedBeforeVisible(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	svc := newTestService(t, Config{Workers: 1})
+	small := addGraph(t, svc, 2_000, 1)
+	// Prefix size 2 keeps a job on this graph in its round loop for far
+	// longer than a 1 ms budget, even at GOMAXPROCS=1.
+	big, _, err := svc.Generate(GenSpec{Generator: "random", N: 300_000, M: 600_000, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want JobCounters
+	for i := 0; i < 32; i++ {
+		spec := JobSpec{GraphID: small.ID, Problem: ProblemMIS, Plan: greedy.Plan{Seed: uint64(100 + i)}}
+		kind := i % 4
+		// Jobs on the big graph share one seed, so the worker's Solver
+		// keeps their order and parent lists; none of them ends done,
+		// so none absorbs the next.
+		switch kind {
+		case 1:
+			spec.GraphID, spec.TimeoutMS = big.ID, 1
+			spec.Plan = greedy.Plan{Seed: 7, PrefixSize: 2}
+		case 2:
+			if err := fault.ArmSpec("worker.run=error*1"); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			spec.GraphID = big.ID
+			spec.Plan = greedy.Plan{Seed: 7, PrefixSize: 2}
+		}
+		st, _, err := svc.Engine().Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancelled := false
+		for st.State == StateQueued || st.State == StateRunning {
+			if kind == 3 && st.State == StateRunning && !cancelled {
+				if _, err := svc.Engine().Cancel(st.ID); err != nil {
+					t.Fatal(err)
+				}
+				cancelled = true
+			}
+			// Yield, so the worker runs even at GOMAXPROCS=1.
+			runtime.Gosched()
+			if st, err = svc.Engine().Status(st.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := svc.Snapshot().Jobs
+		switch st.State {
+		case StateDone:
+			want.Executed++
+		case StateDeadline:
+			want.DeadlineExceeded++
+		case StateFailed:
+			want.Failed++
+		case StateCancelled:
+			want.Cancelled++
+		}
+		if got.Executed < want.Executed || got.DeadlineExceeded < want.DeadlineExceeded ||
+			got.Failed < want.Failed || got.Cancelled < want.Cancelled {
+			t.Fatalf("job %d seen %s with counters executed=%d deadline=%d failed=%d cancelled=%d, want at least %d, %d, %d, %d",
+				i, st.State, got.Executed, got.DeadlineExceeded, got.Failed, got.Cancelled,
+				want.Executed, want.DeadlineExceeded, want.Failed, want.Cancelled)
+		}
+	}
+	if want.Executed == 0 || want.DeadlineExceeded == 0 || want.Failed == 0 || want.Cancelled == 0 {
+		t.Fatalf("not every outcome was observed: %+v", want)
 	}
 }

@@ -1,6 +1,8 @@
 package setcover
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/parallel"
@@ -46,10 +48,13 @@ func BuildLayout(s *System, ord core.Order) *Layout {
 }
 
 // Build recomputes l as the layout of s under ord, reusing l's buffers
-// when their capacity suffices: a counting pass, an in-place scan of
-// the counts into offsets, and a filling pass. Both passes walk the
-// elements in id order and write each element's row at its rank, which
-// costs less than reading the elements in rank order.
+// when their capacity suffices. One pass walks the elements in id
+// order, in blocks of layoutBlock: it appends each element's row to its
+// block's scratch and records the row's length at the element's rank.
+// An in-place scan turns the lengths into offsets, and a copying pass
+// moves each row to its place. Only the first pass reads the sets and
+// the ranks of their members; writing each row at its rank costs less
+// than reading the elements in rank order would.
 func (l *Layout) Build(s *System, ord core.Order) {
 	n := s.NumElements()
 	if cap(l.offsets) < n+1 {
@@ -58,53 +63,66 @@ func (l *Layout) Build(s *System, ord core.Order) {
 	l.offsets = l.offsets[:n+1]
 	offsets := l.offsets
 	rank := ord.Rank
-	parallel.For(n, 1024, func(e int) {
-		offsets[rank[e]] = int64(emitRow(s, rank, int32(e), nil))
+	rows := make([][]int32, (n+layoutBlock-1)/layoutBlock)
+	parallel.ForBlocks(n, layoutBlock, func(b, lo, hi int) {
+		// A row ends at its first set with no earlier member, so the
+		// vertex-cover systems of random and rMat graphs need about
+		// half a word per membership; a block that needs more grows its
+		// scratch.
+		dst := make([]int32, 0, s.elemOff[hi]-s.elemOff[lo])
+		for e := lo; e < hi; e++ {
+			k := len(dst)
+			dst = appendRow(dst, s, rank, int32(e))
+			offsets[rank[e]] = int64(len(dst) - k)
+		}
+		rows[b] = dst
 	})
 	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 1024)
 	offsets[n] = total
 	words := engine.Grow32(&l.words, int(total))
-	parallel.For(n, 1024, func(e int) {
-		r := rank[e]
-		emitRow(s, rank, int32(e), words[offsets[r]:offsets[r+1]])
+	parallel.ForBlocks(n, layoutBlock, func(b, lo, hi int) {
+		src := rows[b]
+		for e := lo; e < hi; e++ {
+			r := rank[e]
+			src = src[copy(words[offsets[r]:offsets[r+1]], src):]
+		}
 	})
 }
+
+// layoutBlock is the number of elements whose rows share one scratch
+// buffer in Build.
+const layoutBlock = 1024
 
 // row returns row r. The slice aliases l's storage.
 func (l *Layout) row(r int32) []int32 {
 	return l.words[l.offsets[r]:l.offsets[r+1]]
 }
 
-// emitRow writes element e's row into dst and returns its length in
-// words; with dst nil it only counts.
-func emitRow(s *System, rank []int32, e int32, dst []int32) int {
+// appendRow appends element e's row to dst.
+func appendRow(dst []int32, s *System, rank []int32, e int32) []int32 {
 	r := rank[e]
-	w := 0
 	for _, id := range s.SetsOf(e) {
 		elems := s.ElemsOf(id)
 		if len(elems) > inlineMax {
-			if dst != nil {
-				dst[w] = -id - 1
-			}
-			w++
+			dst = append(dst, -id-1)
 			continue
 		}
-		head := w
-		w++
+		// Write every member's rank and advance past the earlier ones.
+		head := len(dst)
+		dst = slices.Grow(dst, 1+len(elems))[:head+1+len(elems)]
+		w := head + 1
 		for _, x := range elems {
-			if rx := rank[x]; rx < r {
-				if dst != nil {
-					dst[w] = rx
-				}
+			rx := rank[x]
+			dst[w] = rx
+			if rx < r {
 				w++
 			}
 		}
-		if dst != nil {
-			dst[head] = int32(w - head - 1)
-		}
+		dst = dst[:w]
+		dst[head] = int32(w - head - 1)
 		if w == head+1 {
 			break // an empty group decides the element
 		}
 	}
-	return w
+	return dst
 }
