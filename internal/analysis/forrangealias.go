@@ -11,15 +11,16 @@ import (
 // a literal (a loop body hoisted out of its round loop is checked like
 // an inline one):
 //
-//   - parallel.ForRange / parallel.For / parallel.Team.ForRange bodies
-//     and parallel.Reduce leaf functions run concurrently with
-//     themselves, so they must not write captured (free) variables
-//     through anything but a disjoint index — the element-write idiom
-//     `out[i] = ...` is the deterministic-parallelism contract, while
-//     `captured += x` or `shared.field = v` is a data race whose loser
-//     is schedule-dependent, exactly the nondeterminism the paper's
-//     reservation discipline exists to eliminate. Taking the address of
-//     a captured non-indexed variable is flagged too, unless the
+//   - parallel.ForRange / parallel.For / parallel.ForBlocks /
+//     parallel.Team.ForRange bodies and parallel.Reduce leaf functions
+//     run concurrently with themselves, so they must not write
+//     captured (free) variables through anything but a disjoint
+//     index — the element-write idiom `out[i] = ...` is the
+//     deterministic-parallelism contract, while `captured += x` or
+//     `shared.field = v` is a data race whose loser is
+//     schedule-dependent, exactly the nondeterminism the paper's
+//     reservation discipline exists to eliminate. Taking the address
+//     of a captured non-indexed variable is flagged too, unless the
 //     address feeds a sync/atomic call (the sanctioned way to share a
 //     scalar).
 //
@@ -69,7 +70,7 @@ func runForrangealias(pass *Pass) {
 			}
 			fn := calleeFunc(info, call)
 			switch {
-			case isPkgFunc(fn, "repro/internal/parallel", "ForRange", "For"),
+			case isPkgFunc(fn, "repro/internal/parallel", "ForRange", "For", "ForBlocks"),
 				fn != nil && fn.FullName() == "(*repro/internal/parallel.Team).ForRange":
 				for _, arg := range call.Args {
 					if lit := body(arg); lit != nil {

@@ -160,3 +160,47 @@ func seqSum(xs []int64) int64 {
 	}
 	return s
 }
+
+// BlockTallyRace counts into a captured scalar from concurrent blocks.
+func BlockTallyRace(xs []int64) int {
+	kept := 0
+	parallel.ForBlocks(len(xs), 64, func(b, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if xs[i] > 0 {
+				kept++ // want `increments captured variable kept`
+			}
+		}
+	})
+	return kept
+}
+
+// BlockLastRace records the last block seen in a captured scalar.
+func BlockLastRace(xs []int64) int {
+	last := -1
+	parallel.ForBlocks(len(xs), 64, func(b, lo, hi int) {
+		last = b // want `writes captured variable last`
+	})
+	return last
+}
+
+// BlockSlots writes each block's tally to its own slot and compacts
+// after the join: the per-block idiom.
+func BlockSlots(xs []int64) []int64 {
+	const block = 64
+	kept := make([]int, (len(xs)+block-1)/block)
+	parallel.ForBlocks(len(xs), block, func(b, lo, hi int) {
+		w := lo
+		for i := lo; i < hi; i++ {
+			if xs[i] > 0 {
+				xs[w] = xs[i]
+				w++
+			}
+		}
+		kept[b] = w - lo
+	})
+	w := 0
+	for b, k := range kept {
+		w += copy(xs[w:], xs[b*block:b*block+k])
+	}
+	return xs[:w]
+}

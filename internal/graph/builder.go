@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -40,7 +40,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	canon := make([]Edge, 0, len(edges))
+	keys := make([]uint64, 0, len(edges))
 	for i, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge %d = %v out of range [0,%d)", i, e, n)
@@ -48,24 +48,10 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		if e.U == e.V {
 			continue // drop self loop
 		}
-		canon = append(canon, e.Canonical())
+		e = e.Canonical()
+		keys = append(keys, uint64(e.U)*uint64(n)+uint64(e.V))
 	}
-	sort.Slice(canon, func(i, j int) bool {
-		if canon[i].U != canon[j].U {
-			return canon[i].U < canon[j].U
-		}
-		return canon[i].V < canon[j].V
-	})
-	// Deduplicate in place.
-	w := 0
-	for i, e := range canon {
-		if i == 0 || e != canon[i-1] {
-			canon[w] = e
-			w++
-		}
-	}
-	canon = canon[:w]
-	return fromCanonicalEdges(n, canon), nil
+	return graphFromKeys(n, dedupSortedKeys(keys)), nil
 }
 
 // MustFromEdges is FromEdges but panics on error; convenient in tests
@@ -79,7 +65,10 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 }
 
 // fromCanonicalEdges builds a Graph from edges already canonical
-// (U < V), sorted and deduplicated.
+// (U < V), sorted by (U, V) and deduplicated. The scatter then leaves
+// every adjacency list sorted without a sort of its own: vertex x first
+// receives its lower neighbours u, from the edges (u, x) in increasing
+// u, and then its higher ones v, from the edges (x, v) in increasing v.
 func fromCanonicalEdges(n int, edges []Edge) *Graph {
 	degrees := make([]int64, n+1)
 	for _, e := range edges {
@@ -98,9 +87,7 @@ func fromCanonicalEdges(n int, edges []Edge) *Graph {
 		adj[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	g := &Graph{offsets: offsets, adj: adj}
-	g.sortAdjacency()
-	return g
+	return &Graph{offsets: offsets, adj: adj}
 }
 
 // sortAdjacency sorts every neighbor list ascending, in parallel over
@@ -108,10 +95,7 @@ func fromCanonicalEdges(n int, edges []Edge) *Graph {
 func (g *Graph) sortAdjacency() {
 	n := g.NumVertices()
 	parallel.For(n, 512, func(i int) {
-		nbrs := g.adj[g.offsets[i]:g.offsets[i+1]]
-		if len(nbrs) > 1 {
-			sort.Slice(nbrs, func(a, b int) bool { return nbrs[a] < nbrs[b] })
-		}
+		slices.Sort(g.adj[g.offsets[i]:g.offsets[i+1]])
 	})
 }
 

@@ -80,8 +80,8 @@ func (inc Incidence) Incident(v Vertex) []EdgeID {
 
 // BuildIncidence builds the vertex-to-incident-edge CSR for el. Within
 // each vertex, edge ids appear in increasing id order; callers that need
-// priority order (the linear-work matching) re-sort with
-// SortIncidenceByPriority.
+// priority order (the linear-work matching) build with
+// BuildIncidenceByPriority instead.
 func BuildIncidence(el EdgeList) Incidence {
 	n := el.N
 	counts := make([]int64, n+1)
@@ -102,64 +102,4 @@ func BuildIncidence(el EdgeList) Incidence {
 		cursor[e.V]++
 	}
 	return Incidence{Offsets: offsets, EdgeIDs: ids}
-}
-
-// SortIncidenceByPriority reorders every per-vertex incident edge list
-// so that edges appear in increasing rank (highest priority first).
-// rank[e] is the priority rank of edge e: smaller is earlier. The paper
-// notes this initial sort is done with a bucket sort in O(m) work; here
-// each per-vertex list is sorted independently in parallel, which for
-// the sparse graphs of the experiments is equally effective.
-func SortIncidenceByPriority(inc Incidence, rank []int32) {
-	n := len(inc.Offsets) - 1
-	parallel.For(n, 256, func(v int) {
-		lst := inc.EdgeIDs[inc.Offsets[v]:inc.Offsets[v+1]]
-		// Insertion sort for short lists, otherwise a simple quicksort;
-		// per-vertex lists in sparse graphs are nearly always short.
-		sortEdgeIDsByRank(lst, rank)
-	})
-}
-
-func sortEdgeIDsByRank(lst []EdgeID, rank []int32) {
-	if len(lst) < 24 {
-		for i := 1; i < len(lst); i++ {
-			e := lst[i]
-			j := i - 1
-			for j >= 0 && rank[lst[j]] > rank[e] {
-				lst[j+1] = lst[j]
-				j--
-			}
-			lst[j+1] = e
-		}
-		return
-	}
-	// Median-of-three quicksort on ranks.
-	lo, hi := 0, len(lst)-1
-	mid := (lo + hi) / 2
-	if rank[lst[mid]] < rank[lst[lo]] {
-		lst[mid], lst[lo] = lst[lo], lst[mid]
-	}
-	if rank[lst[hi]] < rank[lst[lo]] {
-		lst[hi], lst[lo] = lst[lo], lst[hi]
-	}
-	if rank[lst[hi]] < rank[lst[mid]] {
-		lst[hi], lst[mid] = lst[mid], lst[hi]
-	}
-	pivot := rank[lst[mid]]
-	i, j := lo, hi
-	for i <= j {
-		for rank[lst[i]] < pivot {
-			i++
-		}
-		for rank[lst[j]] > pivot {
-			j--
-		}
-		if i <= j {
-			lst[i], lst[j] = lst[j], lst[i]
-			i++
-			j--
-		}
-	}
-	sortEdgeIDsByRank(lst[:j+1], rank)
-	sortEdgeIDsByRank(lst[i:], rank)
 }

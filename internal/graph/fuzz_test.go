@@ -64,7 +64,8 @@ func FuzzReadBinary(f *testing.F) {
 
 // FuzzFromEdges checks the builder's invariants over arbitrary edge
 // soup: any accepted input yields a validated graph whose edge set is a
-// subset of the (cleaned) input.
+// subset of the (cleaned) input, byte for byte the sort-based
+// reference's.
 func FuzzFromEdges(f *testing.F) {
 	f.Add(uint8(5), []byte{0, 1, 1, 2, 2, 0})
 	f.Add(uint8(3), []byte{0, 0, 1, 1})
@@ -87,6 +88,9 @@ func FuzzFromEdges(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("built graph fails validation: %v", err)
+		}
+		if !sameCSR(g, fromEdgesReference(n, edges)) {
+			t.Fatal("built graph differs from the reference")
 		}
 		for _, e := range g.Edges() {
 			found := false

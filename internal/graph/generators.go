@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -91,7 +92,8 @@ func DefaultRMatOptions() RMatOptions {
 // undirected edges (self loops and duplicates are discarded and
 // resampled). The generator is fully deterministic in (logN, m, seed):
 // the quadrant choices for edge i are drawn from a hash of (seed, i,
-// level), so the edge set does not depend on scheduling.
+// level), so the edge set does not depend on scheduling, and each batch
+// of draws runs in parallel over fixed blocks of counters.
 func RMat(logN, m int, seed uint64, opt RMatOptions) *Graph {
 	if logN < 0 || logN > 30 {
 		panic(fmt.Sprintf("graph: RMat logN=%d out of range [0,30]", logN))
@@ -114,25 +116,24 @@ func RMat(logN, m int, seed uint64, opt RMatOptions) *Graph {
 	tB := tA + uint64(opt.B*scale)
 	tC := tB + uint64(opt.C*scale)
 
-	drawEdge := func(i uint64) (Vertex, Vertex) {
-		var u, v uint32
+	// drawKey returns the key u·n+v (u < v) of draw i, and false for a
+	// self loop. Level l hashes Hash3(seed, i, l), computed as
+	// Hash64(pre ^ l) from the draw's prefix pre. The draw takes the
+	// top-left quadrant for h < tA, the top-right for h < tB, the
+	// bottom-left for h < tC and the bottom-right otherwise, so u's bit
+	// is h ≥ tB and v's is set when h passes one or three thresholds.
+	drawKey := func(i uint64) (uint64, bool) {
+		pre := rng.Hash64(rng.Hash2(seed, i))
+		var u, v uint64
 		for level := 0; level < logN; level++ {
-			h := rng.Hash3(seed, i, uint64(level)) >> 11 // 53 random bits
-			u <<= 1
-			v <<= 1
-			switch {
-			case h < tA:
-				// top-left: both bits 0
-			case h < tB:
-				v |= 1 // top-right
-			case h < tC:
-				u |= 1 // bottom-left
-			default:
-				u |= 1
-				v |= 1 // bottom-right
-			}
+			h := rng.Hash64(pre^uint64(level)) >> 11 // 53 random bits
+			u = u<<1 | bit(h >= tB)
+			v = v<<1 | (bit(h >= tA) ^ bit(h >= tB) ^ bit(h >= tC))
 		}
-		return Vertex(u), Vertex(v)
+		if u > v {
+			u, v = v, u
+		}
+		return u<<uint(logN) | v, u != v
 	}
 
 	keys := make([]uint64, 0, m+m/4+64)
@@ -140,21 +141,44 @@ func RMat(logN, m int, seed uint64, opt RMatOptions) *Graph {
 	for len(keys) < m {
 		need := m - len(keys)
 		batch := need + need/4 + 64
-		for i := 0; i < batch; i++ {
-			u, v := drawEdge(counter)
-			counter++
-			if u == v {
-				continue
+		// Each block of draws writes its keys at its own offset and
+		// records how many it kept; the blocks are then compacted in
+		// order, leaving the keys the sequential loop would append.
+		base := len(keys)
+		keys = slices.Grow(keys, batch)[:base+batch]
+		kept := make([]int, (batch+rmatBlock-1)/rmatBlock)
+		parallel.ForBlocks(batch, rmatBlock, func(b, lo, hi int) {
+			out := keys[base+lo : base+hi]
+			w := 0
+			for i := lo; i < hi; i++ {
+				if k, ok := drawKey(counter + uint64(i)); ok {
+					out[w] = k
+					w++
+				}
 			}
-			if u > v {
-				u, v = v, u
-			}
-			keys = append(keys, uint64(u)*uint64(n)+uint64(v))
+			kept[b] = w
+		})
+		w := base
+		for b, k := range kept {
+			lo := base + b*rmatBlock
+			w += copy(keys[w:], keys[lo:lo+k])
 		}
-		keys = dedupSortedKeys(keys)
+		keys = dedupSortedKeys(keys[:w])
+		counter += uint64(batch)
 	}
 	keys = keys[:m]
 	return graphFromKeys(n, keys)
+}
+
+// rmatBlock is the number of draws in one block of an rMat batch.
+const rmatBlock = 1 << 14
+
+// bit returns 1 for true and 0 for false, without a branch.
+func bit(c bool) uint64 {
+	if c {
+		return 1
+	}
+	return 0
 }
 
 // Grid2D returns the rows x cols grid graph: vertex r*cols+c is adjacent

@@ -12,9 +12,8 @@ import "repro/internal/parallel"
 // sort.
 //
 // order is the edge priority permutation (order[r] = edge id with rank
-// r). The result is identical to BuildIncidence followed by
-// SortIncidenceByPriority, at a lower asymptotic cost; both are kept so
-// tests can cross-check them.
+// r). The result is identical to BuildIncidence followed by a sort of
+// each list by rank, which the tests keep as its reference.
 func BuildIncidenceByPriority(el EdgeList, order []int32) Incidence {
 	n := el.N
 	counts := make([]int64, n+1)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -23,6 +24,65 @@ func incidenceEqual(a, b Incidence) bool {
 		}
 	}
 	return true
+}
+
+// SortIncidenceByPriority reorders every per-vertex incident edge list
+// so that edges appear in increasing rank (highest priority first).
+// rank[e] is the priority rank of edge e: smaller is earlier. Each list
+// is sorted on its own by comparisons; it is the reference that
+// BuildIncidenceByPriority's bucket sort must reproduce.
+func SortIncidenceByPriority(inc Incidence, rank []int32) {
+	n := len(inc.Offsets) - 1
+	parallel.For(n, 256, func(v int) {
+		lst := inc.EdgeIDs[inc.Offsets[v]:inc.Offsets[v+1]]
+		// Insertion sort for short lists, otherwise a simple quicksort;
+		// per-vertex lists in sparse graphs are nearly always short.
+		sortEdgeIDsByRank(lst, rank)
+	})
+}
+
+func sortEdgeIDsByRank(lst []EdgeID, rank []int32) {
+	if len(lst) < 24 {
+		for i := 1; i < len(lst); i++ {
+			e := lst[i]
+			j := i - 1
+			for j >= 0 && rank[lst[j]] > rank[e] {
+				lst[j+1] = lst[j]
+				j--
+			}
+			lst[j+1] = e
+		}
+		return
+	}
+	// Median-of-three quicksort on ranks.
+	lo, hi := 0, len(lst)-1
+	mid := (lo + hi) / 2
+	if rank[lst[mid]] < rank[lst[lo]] {
+		lst[mid], lst[lo] = lst[lo], lst[mid]
+	}
+	if rank[lst[hi]] < rank[lst[lo]] {
+		lst[hi], lst[lo] = lst[lo], lst[hi]
+	}
+	if rank[lst[hi]] < rank[lst[mid]] {
+		lst[hi], lst[mid] = lst[mid], lst[hi]
+	}
+	pivot := rank[lst[mid]]
+	i, j := lo, hi
+	for i <= j {
+		for rank[lst[i]] < pivot {
+			i++
+		}
+		for rank[lst[j]] > pivot {
+			j--
+		}
+		if i <= j {
+			lst[i], lst[j] = lst[j], lst[i]
+			i++
+			j--
+		}
+	}
+	sortEdgeIDsByRank(lst[:j+1], rank)
+	sortEdgeIDsByRank(lst[i:], rank)
 }
 
 func TestBuildIncidenceByPriorityMatchesSorting(t *testing.T) {

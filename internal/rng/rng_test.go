@@ -54,6 +54,23 @@ func TestHash2Distinct(t *testing.T) {
 	}
 }
 
+// TestHash3SplitsAtItsPrefix checks the identity the rMat generator
+// relies on to hash a draw's (seed, index) prefix once for all its
+// levels: Hash3(a, b, c) == Hash64(Hash64(Hash2(a, b)) ^ c). Redefining
+// Hash3 or Hash2 without the generator fails here first.
+func TestHash3SplitsAtItsPrefix(t *testing.T) {
+	x := NewXoshiro256(3)
+	for i := 0; i < 10_000; i++ {
+		a, b, c := x.Next(), x.Next(), x.Next()
+		if i%4 == 0 {
+			c %= 32 // the generator's levels are small
+		}
+		if got, want := Hash64(Hash64(Hash2(a, b))^c), Hash3(a, b, c); got != want {
+			t.Fatalf("Hash3(%#x, %#x, %#x) = %#x, but the prefix form gives %#x", a, b, c, want, got)
+		}
+	}
+}
+
 func TestXoshiroDeterministic(t *testing.T) {
 	a, b := NewXoshiro256(7), NewXoshiro256(7)
 	for i := 0; i < 1000; i++ {

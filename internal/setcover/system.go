@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // System is an immutable set system in dual CSR form: for each element
@@ -85,34 +86,26 @@ func MustFromSets(numElements int, sets [][]int32) *System {
 // FromEdges builds the vertex-cover system of an edge list: one
 // two-element set {U,V} per edge, over the vertices as elements. The
 // greedy hitting set of this system is the greedy vertex cover of the
-// graph.
+// graph. The element side is the edge list's incidence.
 func FromEdges(el graph.EdgeList) *System {
 	m := el.NumEdges()
+	inc := graph.BuildIncidence(el)
 	s := &System{
 		numElements: el.N,
 		numSets:     m,
-		elemOff:     make([]int64, el.N+1),
+		elemOff:     inc.Offsets,
+		elemSets:    inc.EdgeIDs,
 		setOff:      make([]int64, m+1),
 		setElems:    make([]int32, 2*m),
-		elemSets:    make([]int32, 2*m),
 	}
-	for _, e := range el.Edges {
-		s.elemOff[e.U+1]++
-		s.elemOff[e.V+1]++
-	}
-	for v := 0; v < el.N; v++ {
-		s.elemOff[v+1] += s.elemOff[v]
-	}
-	cursor := make([]int64, el.N)
-	for i, e := range el.Edges {
-		s.setOff[i+1] = int64(2 * (i + 1))
-		s.setElems[2*i] = e.U
-		s.setElems[2*i+1] = e.V
-		s.elemSets[s.elemOff[e.U]+cursor[e.U]] = int32(i)
-		cursor[e.U]++
-		s.elemSets[s.elemOff[e.V]+cursor[e.V]] = int32(i)
-		cursor[e.V]++
-	}
+	parallel.ForRange(m, 4096, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := el.Edges[i]
+			s.setOff[i+1] = int64(2 * (i + 1))
+			s.setElems[2*i] = e.U
+			s.setElems[2*i+1] = e.V
+		}
+	})
 	return s
 }
 
