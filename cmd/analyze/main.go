@@ -139,7 +139,7 @@ func load(in, gen string, n, m int, seed uint64) (*graph.Graph, error) {
 		for 1<<logn < n {
 			logn++
 		}
-		return graph.RMat(logn, m, seed, graph.DefaultRMatOptions()), nil
+		return graph.RMat(logn, m, seed), nil
 	case "grid":
 		side := 1
 		for side*side < n {

@@ -94,7 +94,7 @@ func build(kind string, n, m, logn, rows, cols, left, right, degree int, seed ui
 	case "random":
 		return graph.Random(n, m, seed), nil
 	case "rmat":
-		return graph.RMat(logn, m, seed, graph.DefaultRMatOptions()), nil
+		return graph.RMat(logn, m, seed), nil
 	case "grid":
 		return graph.Grid2D(rows, cols), nil
 	case "torus":

@@ -124,7 +124,7 @@ func loadOrGenerate(in, gen string, n, m int, seed uint64) (*graph.Graph, error)
 		for 1<<logn < n {
 			logn++
 		}
-		return graph.RMat(logn, m, seed, graph.DefaultRMatOptions()), nil
+		return graph.RMat(logn, m, seed), nil
 	default:
 		return nil, fmt.Errorf("unknown generator %q", gen)
 	}

@@ -89,3 +89,55 @@ func TestPinnedCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestPinnedSequentialCounters pins the counters of AlgoSequential on
+// TestPinnedCounters' inputs. The sequential scan decides each item
+// once through the decision its problem's prefix Check calls, over the
+// same layout, so its EdgeInspections are what that decision reads:
+// the parents scanned (MIS, coloring), the earlier members scanned
+// (hitting set) and two endpoints or root finds per edge (MM, SF). Each
+// sits just under the default prefix plan's pinned count, which makes
+// prefix work over sequential work a like-for-like ratio.
+func TestPinnedSequentialCounters(t *testing.T) {
+	ctx := context.Background()
+	g := greedy.RandomGraph(4_000, 20_000, 41)
+	el := g.EdgeList()
+	s := greedy.NewSolver(greedy.WithSeed(1), greedy.WithAlgorithm(greedy.AlgoSequential))
+	got := map[string]greedy.Stats{}
+	stats := func(name string, st greedy.Stats, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = st
+	}
+	mis, err := s.MIS(ctx, g)
+	stats("mis", mis.Stats, err)
+	mm, err := s.MM(ctx, el)
+	stats("mm", mm.Stats, err)
+	sf, err := s.SF(ctx, el)
+	stats("sf", sf.Stats, err)
+	col, err := s.Coloring(ctx, g)
+	stats("coloring", col.Stats, err)
+	hs, err := s.HittingSet(ctx, greedy.HittingSystemFromEdges(el))
+	stats("hittingset", hs.Stats, err)
+	sets, err := s.HittingSet(ctx, pinnedSystem(t))
+	stats("hittingset sets", sets.Stats, err)
+
+	want := map[string]greedy.Stats{
+		"mis":             {Rounds: 4000, Attempts: 4000, EdgeInspections: 9052},
+		"mm":              {Rounds: 20000, Attempts: 20000, EdgeInspections: 40000},
+		"sf":              {Rounds: 20000, Attempts: 20000, EdgeInspections: 40000},
+		"coloring":        {Rounds: 4000, Attempts: 4000, EdgeInspections: 20000},
+		"hittingset":      {Rounds: 4000, Attempts: 4000, EdgeInspections: 7806},
+		"hittingset sets": {Rounds: 3000, Attempts: 3000, EdgeInspections: 6980},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("pinned %d runs, want %d", len(got), len(want))
+	}
+	for name, st := range got {
+		if w, ok := want[name]; !ok || st != w {
+			t.Errorf("%s: %#v, want %#v", name, st, w)
+		}
+	}
+}

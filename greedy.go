@@ -56,7 +56,7 @@ func RandomGraph(n, m int, seed uint64) *Graph { return graph.Random(n, m, seed)
 // RMatGraph returns the paper's second input family: an rMat graph with
 // 2^logN vertices, m edges and power-law degrees.
 func RMatGraph(logN, m int, seed uint64) *Graph {
-	return graph.RMat(logN, m, seed, graph.DefaultRMatOptions())
+	return graph.RMat(logN, m, seed)
 }
 
 // NewRandomOrder returns a uniformly random priority order on n items,

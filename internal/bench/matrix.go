@@ -64,7 +64,7 @@ func MatrixScenarios(smoke bool) []Scenario {
 				for 1<<logN < sz.n {
 					logN++
 				}
-				return graph.RMat(logN, 5*sz.n, matrixSeed, graph.DefaultRMatOptions())
+				return graph.RMat(logN, 5*sz.n, matrixSeed)
 			},
 		},
 		{
@@ -273,7 +273,7 @@ func runProblem(problem greedy.Problem, in greedy.Input, fracs []float64, reps i
 		pr.AdaptiveVsBestFixedWork = float64(ad.run.Attempts) / float64(bestFixedWork)
 	}
 
-	pr.Cold = coldRun(problem, solver, in, reps)
+	pr.Cold = coldRun(problem, solver, in, reps, greedy.AlgoPrefix, coldSeed)
 	if seq.run.TimeMS > 0 {
 		pr.ColdVsSeqTime = pr.Cold.TimeMS / seq.run.TimeMS
 	}

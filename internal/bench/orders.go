@@ -62,7 +62,7 @@ func rmatFor(n, m int, seed uint64) *graph.Graph {
 	for 1<<logN < n {
 		logN++
 	}
-	return graph.RMat(logN, m, seed, graph.DefaultRMatOptions())
+	return graph.RMat(logN, m, seed)
 }
 
 func isqrt(n int) int {

@@ -47,7 +47,7 @@ func (w Workload) Build() *graph.Graph {
 		for 1<<logN < w.N {
 			logN++
 		}
-		return graph.RMat(logN, w.M, w.Seed, graph.DefaultRMatOptions())
+		return graph.RMat(logN, w.M, w.Seed)
 	default:
 		panic(fmt.Sprintf("bench: unknown workload kind %q", w.Kind))
 	}

@@ -37,14 +37,14 @@ type Result struct {
 	Stats Stats
 }
 
-// newResult wraps out, a vertex-indexed color array the result takes
-// over, with its color count.
-func newResult(out []int32, stats Stats) *Result {
+// newResult maps colors, the rank-indexed colors of a run, back to
+// vertices through order and wraps them with their color count.
+func newResult(colors, order []int32, stats Stats) *Result {
+	out := make([]int32, len(colors))
 	num := int32(0)
-	for _, c := range out {
-		if c+1 > num {
-			num = c + 1
-		}
+	for r, c := range colors {
+		out[order[r]] = c
+		num = max(num, c+1)
 	}
 	return &Result{Colors: out, NumColors: int(num), Stats: stats}
 }
@@ -78,66 +78,23 @@ type Options struct {
 	Workspace *Workspace
 }
 
-// seqCancelMask paces the sequential scan's cancellation checks, as in
-// core.SequentialMIS.
-const seqCancelMask = 1<<12 - 1
-
 // SequentialColoring computes the first-fit greedy coloring of g under
 // ord: vertices in priority order, each taking the smallest color not
-// used by an already-colored neighbor.
+// used by an earlier neighbor. It is the engine's sequential scan over
+// the adapter PrefixColoring runs, deciding each rank with the same
+// first-fit scan (checkFirstFit) over the same rank-space parent lists
+// (opt.Parents when set, built for this run otherwise).
 //
-// ctx is checked every few thousand vertices, and pooled buffers come
-// from opt.Workspace when set.
+// Stats: Rounds = Attempts = n, and EdgeInspections counts the parents
+// the decisions scan. ctx is checked every 4,096 vertices, and pooled
+// buffers come from opt.Workspace when set.
 func SequentialColoring(ctx context.Context, g *graph.Graph, ord core.Order, opt Options) (*Result, error) {
-	n := g.NumVertices()
-	if ord.Len() != n {
-		panic("coloring: order size does not match graph")
+	prob, _ := newColorProblem(g, ord, opt)
+	stats, err := engine.Scan(ctx, len(prob.colors), prob)
+	if err != nil {
+		return nil, err
 	}
-	ws := opt.Workspace
-	if ws == nil {
-		ws = new(Workspace)
-	}
-	colors := engine.Grow32(&ws.colors, n)
-	engine.Fill32(colors, uncolored)
-	// stamp[c] == v+1 marks color c as used by a neighbor of the vertex
-	// currently being decided; the stamped scratch avoids clearing it
-	// between vertices. Size maxdeg+1: first-fit never needs a color
-	// beyond a vertex's degree.
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		if d := g.Degree(int32(v)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	stamp := engine.Grow32(&ws.stamp, maxDeg+1)
-	engine.Fill32(stamp, 0)
-
-	var inspections int64
-	for r := 0; r < n; r++ {
-		if r&seqCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v := ord.Order[r]
-		mark := int32(r) + 1
-		for _, u := range g.Neighbors(v) {
-			inspections++
-			if c := colors[u]; c >= 0 && int(c) < len(stamp) {
-				stamp[c] = mark
-			}
-		}
-		c := int32(0)
-		for stamp[c] == mark {
-			c++
-		}
-		colors[v] = c
-	}
-	return newResult(append([]int32(nil), colors...), Stats{
-		Rounds:          int64(n),
-		Attempts:        int64(n),
-		EdgeInspections: inspections,
-	}), nil
+	return newResult(prob.colors, ord.Order, stats), nil
 }
 
 // PrefixColoring computes the first-fit greedy coloring with the
@@ -155,6 +112,18 @@ func SequentialColoring(ctx context.Context, g *graph.Graph, ord core.Order, opt
 // when set, and are built for this run otherwise. The run colors ranks;
 // the colors are mapped back to vertices through ord.Order at the end.
 func PrefixColoring(ctx context.Context, g *graph.Graph, ord core.Order, opt Options) (*Result, error) {
+	prob, ws := newColorProblem(g, ord, opt)
+	stats, err := engine.Run(ctx, len(prob.colors), prob, opt.Options, &ws.eng)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(prob.colors, ord.Order, stats), nil
+}
+
+// newColorProblem is the set-up PrefixColoring and SequentialColoring
+// share: the workspace, the rank-indexed color array and the
+// rank-space parent lists.
+func newColorProblem(g *graph.Graph, ord core.Order, opt Options) (*colorProblem, *Workspace) {
 	n := g.NumVertices()
 	if ord.Len() != n {
 		panic("coloring: order size does not match graph")
@@ -169,18 +138,7 @@ func PrefixColoring(ctx context.Context, g *graph.Graph, ord core.Order, opt Opt
 	if parents == nil {
 		parents = core.BuildParents(g, ord)
 	}
-
-	prob := &colorProblem{parents: parents, colors: colors}
-	stats, err := engine.Run(ctx, n, prob, opt.Options, &ws.eng)
-	if err != nil {
-		return nil, err
-	}
-	// colors is rank-indexed; the result is vertex-indexed.
-	out := make([]int32, n)
-	for r, c := range colors {
-		out[ord.Order[r]] = c
-	}
-	return newResult(out, stats), nil
+	return &colorProblem{parents: parents, colors: colors}, ws
 }
 
 // colorProblem is the engine adapter for first-fit coloring, indexed by
@@ -214,6 +172,14 @@ func (p *colorProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		}
 	}
 	return 0
+}
+
+// Decide is the sequential step: with every earlier rank colored,
+// checkFirstFit always returns a color.
+func (p *colorProblem) Decide(r int32) int64 {
+	c, insp := checkFirstFit(p.parents.Of(r), p.colors)
+	p.colors[r] = c
+	return insp
 }
 
 // checkFirstFit decides a vertex from its parents ps: it returns

@@ -10,10 +10,36 @@ import (
 	"repro/internal/graph"
 )
 
+// referenceColoring is first-fit over the vertex-space CSR in priority
+// order, the reference that shares no code with the engine adapter:
+// each vertex takes the smallest color no already-colored neighbor has.
+func referenceColoring(g *graph.Graph, ord core.Order) *Result {
+	colors := make([]int32, g.NumVertices())
+	for v := range colors {
+		colors[v] = uncolored
+	}
+	num := 0
+	for _, v := range ord.Order {
+		used := make([]bool, g.Degree(v)+1)
+		for _, u := range g.Neighbors(v) {
+			if c := colors[u]; c >= 0 && int(c) < len(used) {
+				used[c] = true
+			}
+		}
+		c := 0
+		for used[c] {
+			c++
+		}
+		colors[v] = int32(c)
+		num = max(num, c+1)
+	}
+	return &Result{Colors: colors, NumColors: num}
+}
+
 func testGraphs(tb testing.TB) map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"random":   graph.Random(600, 2400, 7),
-		"rmat":     graph.RMat(9, 2000, 11, graph.DefaultRMatOptions()),
+		"rmat":     graph.RMat(9, 2000, 11),
 		"grid":     graph.Grid2D(24, 25),
 		"star":     graph.Star(301),
 		"complete": graph.Complete(41),
@@ -23,16 +49,22 @@ func testGraphs(tb testing.TB) map[string]*graph.Graph {
 	}
 }
 
-// The prefix coloring must equal the sequential first-fit coloring for
-// every prefix size, fraction and grain — the engine-parity oracle for
-// the coloring problem.
+// The prefix and sequential colorings must equal the first-fit
+// reference (referenceColoring) for every prefix size, fraction and
+// grain — the engine-parity oracle for the coloring problem.
 func TestPrefixColoringMatchesSequential(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		n := g.NumVertices()
 		ord := core.NewRandomOrder(n, 99)
-		want := must(SequentialColoring(context.Background(), g, ord, Options{}))
+		want := referenceColoring(g, ord)
 		if err := Verify(g, want.Colors); err != nil {
-			t.Fatalf("%s: sequential reference invalid: %v", name, err)
+			t.Fatalf("%s: reference invalid: %v", name, err)
+		}
+		parents := core.BuildParents(g, ord)
+		for _, opt := range []Options{{}, {Parents: parents}} {
+			if got := must(SequentialColoring(context.Background(), g, ord, opt)); !got.Equal(want) {
+				t.Fatalf("%s: sequential coloring (prebuilt parents %v) differs from the reference", name, opt.Parents != nil)
+			}
 		}
 		for _, opt := range []Options{
 			{Options: engine.Options{PrefixSize: 1}},
@@ -59,7 +91,7 @@ func TestPrefixColoringMatchesSequential(t *testing.T) {
 func TestPrefixColoringIdentityOrder(t *testing.T) {
 	g := graph.Path(300)
 	ord := core.IdentityOrder(300)
-	want := must(SequentialColoring(context.Background(), g, ord, Options{}))
+	want := referenceColoring(g, ord)
 	got := must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 	if !got.Equal(want) {
 		t.Fatal("identity order: prefix differs from sequential")
@@ -74,7 +106,7 @@ func TestPrefixColoringIdentityOrder(t *testing.T) {
 func TestPrefixColoringThreadIndependent(t *testing.T) {
 	g := graph.Random(900, 5400, 21)
 	ord := core.NewRandomOrder(900, 5)
-	want := must(SequentialColoring(context.Background(), g, ord, Options{}))
+	want := referenceColoring(g, ord)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -96,14 +128,17 @@ func TestColoringWorkspaceReuse(t *testing.T) {
 	small := graph.Complete(20)
 	bigOrd := core.NewRandomOrder(500, 1)
 	smallOrd := core.NewRandomOrder(20, 2)
-	wantBig := must(SequentialColoring(context.Background(), big, bigOrd, Options{}))
-	wantSmall := must(SequentialColoring(context.Background(), small, smallOrd, Options{}))
+	wantBig := referenceColoring(big, bigOrd)
+	wantSmall := referenceColoring(small, smallOrd)
 	for i := 0; i < 3; i++ {
 		if got := must(PrefixColoring(context.Background(), big, bigOrd, Options{Options: engine.Options{PrefixFrac: 0.1}, Workspace: ws})); !got.Equal(wantBig) {
 			t.Fatalf("run %d big: pooled run differs", i)
 		}
 		if got := must(PrefixColoring(context.Background(), small, smallOrd, Options{Options: engine.Options{Adaptive: true}, Workspace: ws})); !got.Equal(wantSmall) {
 			t.Fatalf("run %d small: pooled run differs", i)
+		}
+		if got := must(SequentialColoring(context.Background(), big, bigOrd, Options{Workspace: ws})); !got.Equal(wantBig) {
+			t.Fatalf("run %d big: pooled sequential run differs", i)
 		}
 	}
 }
@@ -127,7 +162,7 @@ func TestPrefixColoringCancel(t *testing.T) {
 func TestColoringManyColors(t *testing.T) {
 	g := graph.Complete(130) // forces colors 0..129: three 64-color windows
 	ord := core.NewRandomOrder(130, 17)
-	want := must(SequentialColoring(context.Background(), g, ord, Options{}))
+	want := referenceColoring(g, ord)
 	if want.NumColors != 130 {
 		t.Fatalf("complete graph: want 130 colors, got %d", want.NumColors)
 	}

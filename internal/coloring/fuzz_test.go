@@ -12,8 +12,9 @@ import (
 // FuzzColoringEquivalence is the determinism invariant for greedy
 // coloring as a fuzz target: for arbitrary small graphs, seeds, windows
 // and grains, the prefix coloring (fixed and adaptive windows, with the
-// parent lists built per run or passed in prebuilt) must reproduce the
-// sequential first-fit coloring exactly. Graphs reach 73 vertices, so a
+// parent lists built per run or passed in prebuilt) and the sequential
+// scan (with and without prebuilt parent lists) must reproduce the
+// vertex-space first-fit reference (referenceColoring) exactly. Graphs reach 73 vertices, so a
 // dense input needs more than one 64-color window. Run with
 // `go test -fuzz=FuzzColoringEquivalence ./internal/coloring`.
 func FuzzColoringEquivalence(f *testing.F) {
@@ -26,9 +27,9 @@ func FuzzColoringEquivalence(f *testing.F) {
 		m := int(rawM) % (maxM + 1)
 		g := graph.Random(n, m, seed)
 		ord := core.NewRandomOrder(n, seed^0xfeed)
-		want := must(SequentialColoring(context.Background(), g, ord, Options{}))
+		want := referenceColoring(g, ord)
 		if err := Verify(g, want.Colors); err != nil {
-			t.Fatalf("sequential answer is not a proper coloring: %v", err)
+			t.Fatalf("reference answer is not a proper coloring: %v", err)
 		}
 		prefix := int(rawPrefix)%n + 1
 		grain := int(rawGrain)%3 + 1
@@ -37,12 +38,14 @@ func FuzzColoringEquivalence(f *testing.F) {
 			name string
 			got  *Result
 		}{
+			{"sequential", must(SequentialColoring(context.Background(), g, ord, Options{}))},
+			{"sequential prebuilt parents", must(SequentialColoring(context.Background(), g, ord, Options{Parents: parents}))},
 			{"prefix", must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))},
 			{"adaptive", must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}}))},
 			{"prebuilt parents", must(PrefixColoring(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}, Parents: parents}))},
 		} {
 			if !run.got.Equal(want) {
-				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s coloring diverged from sequential", n, m, prefix, grain, run.name)
+				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s coloring diverged from the reference", n, m, prefix, grain, run.name)
 			}
 		}
 	})

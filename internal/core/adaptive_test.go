@@ -15,7 +15,7 @@ import (
 func TestAdaptiveMISMatchesSequential(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"random":   graph.Random(4000, 20000, 7),
-		"rmat":     graph.RMat(12, 20000, 7, graph.DefaultRMatOptions()),
+		"rmat":     graph.RMat(12, 20000, 7),
 		"grid":     graph.Grid2D(64, 64),
 		"star":     graph.Star(512),
 		"complete": graph.Complete(128),
@@ -26,7 +26,7 @@ func TestAdaptiveMISMatchesSequential(t *testing.T) {
 		n := g.NumVertices()
 		for _, seed := range []uint64{1, 9} {
 			ord := NewRandomOrder(n, seed)
-			want := must(SequentialMIS(context.Background(), g, ord, Options{}))
+			want := referenceMIS(g, ord)
 			got := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true}}))
 			if !got.Equal(want) {
 				t.Errorf("%s seed %d: adaptive MIS differs from sequential", name, seed)
@@ -188,7 +188,7 @@ func TestAdaptiveShrinkKeepsEarliestWindow(t *testing.T) {
 	if !shrank {
 		t.Fatal("schedule never shrank on K600 (test premise broken)")
 	}
-	if !r.Equal(must(SequentialMIS(context.Background(), g, ord, Options{}))) {
+	if !r.Equal(referenceMIS(g, ord)) {
 		t.Fatal("adaptive MIS differs from sequential after shrinking rounds")
 	}
 }
@@ -205,7 +205,7 @@ func TestAdaptiveTinyGraphEndToEnd(t *testing.T) {
 				t.Errorf("n=%d: executed window %d exceeds input", n, rs.Prefix)
 			}
 		}}}))
-		if !r.Equal(must(SequentialMIS(context.Background(), g, ord, Options{}))) {
+		if !r.Equal(referenceMIS(g, ord)) {
 			t.Errorf("n=%d: adaptive MIS differs from sequential", n)
 		}
 		if r.Stats.PrefixSize > n {

@@ -160,7 +160,7 @@ func TestLubyDifferentFromGreedyUsually(t *testing.T) {
 	// the "different results" the paper contrasts determinism against.
 	g := graph.Random(500, 2500, 11)
 	ord := NewRandomOrder(500, 12)
-	want := must(SequentialMIS(context.Background(), g, ord, Options{}))
+	want := referenceMIS(g, ord)
 	differs := false
 	for seed := uint64(0); seed < 5; seed++ {
 		if !must(LubyMIS(context.Background(), g, seed, Options{})).Equal(want) {

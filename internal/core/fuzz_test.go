@@ -9,8 +9,10 @@ import (
 )
 
 // FuzzMISEquivalence is the determinism invariant as a fuzz target: for
-// arbitrary small graphs, seeds and prefix sizes, every parallel MIS
-// variant must reproduce the sequential greedy answer bit-for-bit.
+// arbitrary small graphs, seeds and prefix sizes, every MIS variant —
+// the prefix runs, and the sequential scan with and without prebuilt
+// parent lists — must reproduce the vertex-space Algorithm 1
+// (lexFirstMIS) bit-for-bit.
 // Run with `go test -fuzz=FuzzMISEquivalence ./internal/core`.
 func FuzzMISEquivalence(f *testing.F) {
 	f.Add(uint8(10), uint16(20), uint64(1), uint8(4))
@@ -22,19 +24,23 @@ func FuzzMISEquivalence(f *testing.F) {
 		m := int(rawM) % (maxM + 1)
 		g := graph.Random(n, m, seed)
 		ord := NewRandomOrder(n, seed^0xfeed)
-		want := must(SequentialMIS(context.Background(), g, ord, Options{}))
+		want := referenceMIS(g, ord)
 		if !IsMaximalIndependentSet(g, want.InSet) {
-			t.Fatal("sequential answer is not a maximal independent set")
+			t.Fatal("reference answer is not a maximal independent set")
 		}
 		prefix := int(rawPrefix)%n + 1
+		parents := BuildParents(g, ord)
 		for _, got := range []*Result{
+			must(SequentialMIS(context.Background(), g, ord, Options{})),
+			must(SequentialMIS(context.Background(), g, ord, Options{Parents: parents})),
+			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix}, Parents: parents})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 3}})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix}, Pointered: true})),
 			must(RootSetMIS(context.Background(), g, ord, Options{Options: engine.Options{Grain: 3}})),
 			must(ParallelMIS(context.Background(), g, ord, Options{})),
 		} {
 			if !got.Equal(want) {
-				t.Fatalf("n=%d m=%d prefix=%d: parallel MIS diverged from sequential", n, m, prefix)
+				t.Fatalf("n=%d m=%d prefix=%d: MIS diverged from the reference", n, m, prefix)
 			}
 		}
 		if got := DependenceSteps(g, ord); got.Steps > LongestPath(g, ord) {

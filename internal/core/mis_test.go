@@ -112,16 +112,29 @@ func TestSequentialMISPanicsOnSizeMismatch(t *testing.T) {
 // on the instance and returns the results keyed by name.
 func allDeterministicAlgorithms(g *graph.Graph, ord Order) map[string]*Result {
 	return map[string]*Result{
-		"sequential":        must(SequentialMIS(context.Background(), g, ord, Options{})),
-		"parallel-full":     must(ParallelMIS(context.Background(), g, ord, Options{})),
-		"rootset":           must(RootSetMIS(context.Background(), g, ord, Options{})),
-		"prefix-default":    must(PrefixMIS(context.Background(), g, ord, Options{})),
-		"prefix-1":          must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 1}})),
-		"prefix-7":          must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 7}})),
-		"prefix-frac-0.1":   must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}})),
-		"prefix-pointered":  must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.05}, Pointered: true})),
-		"prefix-tiny-grain": must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.2, Grain: 2}})),
+		"sequential":         must(SequentialMIS(context.Background(), g, ord, Options{})),
+		"sequential-parents": must(SequentialMIS(context.Background(), g, ord, Options{Parents: BuildParents(g, ord)})),
+		"parallel-full":      must(ParallelMIS(context.Background(), g, ord, Options{})),
+		"rootset":            must(RootSetMIS(context.Background(), g, ord, Options{})),
+		"prefix-default":     must(PrefixMIS(context.Background(), g, ord, Options{})),
+		"prefix-1":           must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 1}})),
+		"prefix-7":           must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 7}})),
+		"prefix-frac-0.1":    must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}})),
+		"prefix-pointered":   must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.05}, Pointered: true})),
+		"prefix-tiny-grain":  must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.2, Grain: 2}})),
 	}
+}
+
+// referenceMIS is lexFirstMIS, the vertex-space Algorithm 1 that shares
+// no code with the engine adapter, as a Result.
+func referenceMIS(g *graph.Graph, ord Order) *Result {
+	r := &Result{InSet: lexFirstMIS(g, ord)}
+	for v, in := range r.InSet {
+		if in {
+			r.Set = append(r.Set, graph.Vertex(v))
+		}
+	}
+	return r
 }
 
 func TestAllAlgorithmsMatchSequential(t *testing.T) {
@@ -132,7 +145,7 @@ func TestAllAlgorithmsMatchSequential(t *testing.T) {
 	}{
 		{"random-sparse", graph.Random(300, 900, 1), 10},
 		{"random-dense", graph.Random(100, 2000, 2), 11},
-		{"rmat", graph.RMat(9, 2000, 3, graph.DefaultRMatOptions()), 12},
+		{"rmat", graph.RMat(9, 2000, 3), 12},
 		{"grid", graph.Grid2D(17, 19), 13},
 		{"complete", graph.Complete(60), 14},
 		{"star", graph.Star(80), 15},
@@ -144,7 +157,7 @@ func TestAllAlgorithmsMatchSequential(t *testing.T) {
 	}
 	for _, c := range cases {
 		ord := NewRandomOrder(c.g.NumVertices(), c.seed)
-		want := must(SequentialMIS(context.Background(), c.g, ord, Options{}))
+		want := referenceMIS(c.g, ord)
 		for name, got := range allDeterministicAlgorithms(c.g, ord) {
 			if !got.Equal(want) {
 				t.Errorf("%s/%s: set differs from sequential greedy (got %d, want %d vertices)",
@@ -164,8 +177,9 @@ func TestAlgorithmsMatchQuick(t *testing.T) {
 		m := int(rawM) % (maxM + 1)
 		g := graph.Random(n, m, seed)
 		ord := NewRandomOrder(n, seed^0xdead)
-		want := must(SequentialMIS(context.Background(), g, ord, Options{}))
+		want := referenceMIS(g, ord)
 		for _, got := range []*Result{
+			must(SequentialMIS(context.Background(), g, ord, Options{})),
 			must(ParallelMIS(context.Background(), g, ord, Options{})),
 			must(RootSetMIS(context.Background(), g, ord, Options{})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 3}})),
@@ -239,7 +253,7 @@ func TestParallelMISRoundsTrackDependenceLength(t *testing.T) {
 		g    *graph.Graph
 	}{
 		{"random", graph.Random(800, 4000, 8)},
-		{"rmat", graph.RMat(9, 1500, 9, graph.DefaultRMatOptions())},
+		{"rmat", graph.RMat(9, 1500, 9)},
 		{"complete", graph.Complete(50)},
 		{"path", graph.Path(300)},
 	} {
@@ -273,7 +287,7 @@ func TestRootSetStepsEqualDependenceLength(t *testing.T) {
 		g    *graph.Graph
 	}{
 		{"random", graph.Random(500, 2000, 8)},
-		{"rmat", graph.RMat(9, 1500, 9, graph.DefaultRMatOptions())},
+		{"rmat", graph.RMat(9, 1500, 9)},
 		{"grid", graph.Grid2D(20, 20)},
 		{"complete", graph.Complete(40)},
 		{"path", graph.Path(300)},
@@ -291,7 +305,7 @@ func TestRootSetStepsEqualDependenceLength(t *testing.T) {
 func TestDependenceStepsMatchesSequentialSet(t *testing.T) {
 	g, ord := randomGraphAndOrder(800, 4000, 33)
 	info := DependenceSteps(g, ord)
-	want := must(SequentialMIS(context.Background(), g, ord, Options{}))
+	want := referenceMIS(g, ord)
 	for v := 0; v < g.NumVertices(); v++ {
 		if info.InSet[v] != want.InSet[v] {
 			t.Fatalf("analyzer and sequential disagree on vertex %d", v)
@@ -412,7 +426,7 @@ func TestPrefixInternalEdgesSparse(t *testing.T) {
 func TestLubyProducesMaximalIndependentSet(t *testing.T) {
 	for _, c := range []*graph.Graph{
 		graph.Random(500, 2500, 31),
-		graph.RMat(9, 2000, 32, graph.DefaultRMatOptions()),
+		graph.RMat(9, 2000, 32),
 		graph.Complete(50),
 		graph.Star(60),
 		graph.Empty(40),

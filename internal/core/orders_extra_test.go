@@ -10,7 +10,7 @@ import (
 )
 
 func TestDegreeOrderSorted(t *testing.T) {
-	g := graph.RMat(8, 1000, 3, graph.DefaultRMatOptions())
+	g := graph.RMat(8, 1000, 3)
 	asc := DegreeOrder(g, true)
 	if err := asc.Validate(); err != nil {
 		t.Fatal(err)
@@ -114,14 +114,14 @@ func TestStructuredOrdersChangeDependenceLength(t *testing.T) {
 func TestStructuredOrdersStillGiveLexFirstForThatOrder(t *testing.T) {
 	// Determinism is per-order: even adversarial orders must be
 	// reproduced exactly by the parallel algorithms.
-	g := graph.RMat(8, 800, 9, graph.DefaultRMatOptions())
+	g := graph.RMat(8, 800, 9)
 	for _, ord := range []Order{
 		DegreeOrder(g, true),
 		DegreeOrder(g, false),
 		BFSOrder(g, 0),
 		Reverse(NewRandomOrder(g.NumVertices(), 2)),
 	} {
-		want := must(SequentialMIS(context.Background(), g, ord, Options{}))
+		want := referenceMIS(g, ord)
 		got := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.1}}))
 		if !got.Equal(want) {
 			t.Fatal("parallel MIS diverged from sequential under a structured order")

@@ -65,7 +65,7 @@ func parentsGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"random":       graph.Random(500, 2000, 1),
 		"random-large": graph.Random(1<<14, 5<<14, 2),
-		"rmat":         graph.RMat(13, 5<<13, 3, graph.DefaultRMatOptions()),
+		"rmat":         graph.RMat(13, 5<<13, 3),
 		"grid":         graph.Grid2D(40, 70),
 		"star":         graph.Star(3000),
 		"isolated":     graph.Random(4000, 300, 4),

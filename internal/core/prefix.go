@@ -47,6 +47,44 @@ import (
 // when set, built for this run otherwise) hold ranks, and the result is
 // mapped back to vertices through ord.Order once at the end.
 func PrefixMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
+	prob, ws := newMISProblem(g, ord, opt)
+	if opt.Pointered {
+		prob.ptr = engine.Grow32(&ws.ptr, len(prob.status))
+		engine.Fill32(prob.ptr, 0)
+	}
+	stats, err := engine.Run(ctx, len(prob.status), prob, opt.Options, &ws.eng)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(prob.status, ord.Order, stats), nil
+}
+
+// SequentialMIS computes the lexicographically-first MIS of g under ord
+// with the paper's Algorithm 1: ranks in priority order, each joining
+// the MIS exactly when no earlier neighbor is in it. It is the engine's
+// sequential scan over the adapter PrefixMIS runs, deciding each rank
+// with the same parent scan (checkScratch) over the same rank-space
+// parent lists (opt.Parents when set, built for this run otherwise), so
+// it is the prefix algorithm at prefix size 1 without the window.
+//
+// Stats: Rounds = Attempts = n (the paper's convention that a
+// sequential implementation's work and round count both equal the input
+// size); EdgeInspections counts the parents the decisions scan. ctx is
+// checked every 4,096 ranks; the status array comes from opt.Workspace
+// when set. opt's window knobs and Pointered do not apply.
+func SequentialMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
+	prob, _ := newMISProblem(g, ord, opt)
+	stats, err := engine.Scan(ctx, len(prob.status), prob)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(prob.status, ord.Order, stats), nil
+}
+
+// newMISProblem is the set-up PrefixMIS and SequentialMIS share: the
+// workspace, the rank-indexed status array and the rank-space parent
+// lists.
+func newMISProblem(g *graph.Graph, ord Order, opt Options) (*misProblem, *Workspace) {
 	n := g.NumVertices()
 	if ord.Len() != n {
 		panic("core: order size does not match graph")
@@ -61,16 +99,7 @@ func PrefixMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Re
 	if parents == nil {
 		parents = BuildParents(g, ord)
 	}
-	prob := &misProblem{status: status, parents: parents}
-	if opt.Pointered {
-		prob.ptr = engine.Grow32(&ws.ptr, n)
-		engine.Fill32(prob.ptr, 0)
-	}
-	stats, err := engine.Run(ctx, n, prob, opt.Options, &ws.eng)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(status, ord.Order, stats), nil
+	return &misProblem{status: status, parents: parents}, ws
 }
 
 // misProblem is the engine adapter for MIS, indexed by rank: the check
@@ -106,6 +135,14 @@ func (p *misProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		}
 	}
 	return 0
+}
+
+// Decide is the sequential step: with every earlier rank final,
+// checkScratch never leaves r undecided.
+func (p *misProblem) Decide(r int32) int64 {
+	st, insp := checkScratch(r, p.status, p.parents)
+	p.status[r] = st
+	return insp
 }
 
 // checkScratch decides rank r by scanning all of its parents (the

@@ -95,7 +95,7 @@ func families(t *testing.T) map[string]*graph.Graph {
 	lg, _ := graph.LineGraph(graph.Random(60, 150, 3))
 	return map[string]*graph.Graph{
 		"random":    base,
-		"rmat":      graph.RMat(9, 1500, 11, graph.DefaultRMatOptions()),
+		"rmat":      graph.RMat(9, 1500, 11),
 		"grid":      graph.Grid2D(20, 20),
 		"linegraph": lg,
 		"empty":     graph.Empty(50),

@@ -111,8 +111,8 @@ func TestEdgeOrderMatchesReference(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"random":       graph.Random(300, 1500, 1),
 		"random-large": graph.Random(1<<13, 5<<13, 2),
-		"rmat":         graph.RMat(10, 6000, 3, graph.DefaultRMatOptions()),
-		"rmat-large":   graph.RMat(14, 5<<14, 4, graph.DefaultRMatOptions()),
+		"rmat":         graph.RMat(10, 6000, 3),
+		"rmat-large":   graph.RMat(14, 5<<14, 4),
 		"single":       graph.Random(2, 1, 5),
 		"empty":        graph.Empty(5),
 	}

@@ -65,7 +65,7 @@ func FuzzConeRepair(f *testing.F) {
 			if max := n * (n - 1) / 2; m > max {
 				m = max
 			}
-			g = graph.RMat(logN, m, seed|1, graph.DefaultRMatOptions())
+			g = graph.RMat(logN, m, seed|1)
 		}
 		ctx := context.Background()
 		mt, err := NewMaintainer(ctx, g, Config{Seed: seed})

@@ -29,9 +29,6 @@ type Maintainer struct {
 
 	initMIS core.Stats
 	initMM  core.Stats
-
-	batches int64
-	applied int64
 }
 
 // NewMaintainer builds a Maintainer over g (which must be immutable
@@ -127,8 +124,6 @@ func (mt *Maintainer) Apply(ctx context.Context, batch []Update) (RepairStats, e
 		mt.ov.compact()
 		stats.Compacted = true
 	}
-	mt.batches++
-	mt.applied += int64(len(batch))
 	return stats, nil
 }
 
@@ -218,13 +213,6 @@ func (mt *Maintainer) HasEdge(u, v graph.Vertex) bool {
 // Graph returns the current graph as an immutable CSR: the shared base
 // when no deltas are outstanding, otherwise a fresh materialization.
 func (mt *Maintainer) Graph() *graph.Graph { return mt.ov.graphView() }
-
-// Batches and Applied report the number of successful Apply calls and
-// the total updates they carried.
-func (mt *Maintainer) Batches() int64 { return mt.batches }
-
-// Applied returns the total number of updates applied.
-func (mt *Maintainer) Applied() int64 { return mt.applied }
 
 // Order returns the MIS vertex order, or a zero Order when MIS is not
 // maintained.

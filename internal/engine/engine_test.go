@@ -524,3 +524,73 @@ func TestRunEmpty(t *testing.T) {
 		t.Fatalf("empty run produced stats %+v", stats)
 	}
 }
+
+// cancelDecider records the ranks Scan decides, in order, and cancels
+// its context when it decides rank at.
+type cancelDecider struct {
+	at      int32
+	cancel  context.CancelFunc
+	decided []int32
+}
+
+func (d *cancelDecider) Decide(r int32) int64 {
+	d.decided = append(d.decided, r)
+	if r == d.at {
+		d.cancel()
+	}
+	return int64(r % 3)
+}
+
+// Scan decides every rank once, in rank order, and reports the
+// sequential counters: Rounds = Attempts = n, no window, and the sum
+// of the decisions' inspections.
+func TestScanDecidesInRankOrder(t *testing.T) {
+	const n = 10_000
+	d := &cancelDecider{at: -1}
+	stats, err := engine.Scan(context.Background(), n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.decided) != n {
+		t.Fatalf("decided %d ranks, want %d", len(d.decided), n)
+	}
+	var want int64
+	for r := int32(0); r < n; r++ {
+		if d.decided[r] != r {
+			t.Fatalf("decision %d was rank %d", r, d.decided[r])
+		}
+		want += int64(r % 3)
+	}
+	if got := (engine.Stats{Rounds: n, Attempts: n, EdgeInspections: want}); stats != got {
+		t.Fatalf("stats %+v, want %+v", stats, got)
+	}
+	if stats, err := engine.Scan(context.Background(), 0, d); err != nil || stats != (engine.Stats{}) {
+		t.Fatalf("empty scan: %+v, %v", stats, err)
+	}
+}
+
+// A cancellation lands within 4,096 ranks: Scan returns ctx.Err()
+// having decided at most 4,096 ranks past the one that cancelled, for
+// cancellations at, just before and just after a check.
+func TestScanCancel(t *testing.T) {
+	const n = 100_000
+	for _, at := range []int32{0, 1, 4095, 4096, 4097, 50_000} {
+		ctx, cancel := context.WithCancel(context.Background())
+		d := &cancelDecider{at: at, cancel: cancel}
+		_, err := engine.Scan(ctx, n, d)
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("cancel at %d: want context.Canceled, got %v", at, err)
+		}
+		last := d.decided[len(d.decided)-1]
+		if last < at || last-at >= 4096 {
+			t.Fatalf("cancel at rank %d: scan went on to rank %d", at, last)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	d := &cancelDecider{at: -1}
+	if _, err := engine.Scan(ctx, n, d); err != context.Canceled || len(d.decided) != 0 {
+		t.Fatalf("pre-cancelled scan: %v after %d decisions", err, len(d.decided))
+	}
+}

@@ -64,32 +64,6 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 	return g
 }
 
-// fromCanonicalEdges builds a Graph from edges already canonical
-// (U < V), sorted by (U, V) and deduplicated. The scatter then leaves
-// every adjacency list sorted without a sort of its own: vertex x first
-// receives its lower neighbours u, from the edges (u, x) in increasing
-// u, and then its higher ones v, from the edges (x, v) in increasing v.
-func fromCanonicalEdges(n int, edges []Edge) *Graph {
-	degrees := make([]int64, n+1)
-	for _, e := range edges {
-		degrees[e.U]++
-		degrees[e.V]++
-	}
-	offsets := make([]int64, n+1)
-	total := parallel.ExclusiveScan(offsets[:n], degrees[:n], 4096)
-	offsets[n] = total
-	adj := make([]Vertex, total)
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for _, e := range edges {
-		adj[cursor[e.U]] = e.V
-		cursor[e.U]++
-		adj[cursor[e.V]] = e.U
-		cursor[e.V]++
-	}
-	return &Graph{offsets: offsets, adj: adj}
-}
-
 // sortAdjacency sorts every neighbor list ascending, in parallel over
 // vertices.
 func (g *Graph) sortAdjacency() {

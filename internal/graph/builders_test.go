@@ -12,8 +12,9 @@ import (
 
 // rmatReference is the sequential rMat generator RMat replaced: each
 // level of each draw hashes all of (seed, i, level) anew and picks its
-// quadrant by comparisons. RMat must produce its exact bytes.
-func rmatReference(logN, m int, seed uint64, opt RMatOptions) *Graph {
+// quadrant by comparisons, and its CSR comes from fromEdgesReference.
+// RMat must produce its exact bytes.
+func rmatReference(logN, m int, seed uint64) *Graph {
 	if logN < 0 || logN > 30 {
 		panic(fmt.Sprintf("graph: RMat logN=%d out of range [0,30]", logN))
 	}
@@ -25,13 +26,11 @@ func rmatReference(logN, m int, seed uint64, opt RMatOptions) *Graph {
 	if n <= 1 || m == 0 {
 		return Empty(n)
 	}
-	if opt.A <= 0 && opt.B <= 0 && opt.C <= 0 {
-		opt = DefaultRMatOptions()
-	}
 	const scale = 1 << 53
-	tA := uint64(opt.A * scale)
-	tB := tA + uint64(opt.B*scale)
-	tC := tB + uint64(opt.C*scale)
+	a, b, c := rmatA, rmatB, rmatC
+	tA := uint64(a * scale)
+	tB := tA + uint64(b*scale)
+	tC := tB + uint64(c*scale)
 
 	drawEdge := func(i uint64) (Vertex, Vertex) {
 		var u, v uint32
@@ -72,8 +71,11 @@ func rmatReference(logN, m int, seed uint64, opt RMatOptions) *Graph {
 		}
 		keys = dedupSortedKeys(keys)
 	}
-	keys = keys[:m]
-	return graphFromKeys(n, keys)
+	edges := make([]Edge, m)
+	for i, k := range keys[:m] {
+		edges[i] = Edge{U: Vertex(k / uint64(n)), V: Vertex(k % uint64(n))}
+	}
+	return fromEdgesReference(n, edges)
 }
 
 // sameCSR reports whether two graphs have identical CSR arrays.
@@ -86,32 +88,25 @@ func sameCSR(a, b *Graph) bool {
 // TestRMatMatchesReference checks RMat against the sequential reference
 // byte for byte, at one and two processors. The sizes span one draw
 // block and many; the complete graphs (K8, K16, K32) draw more
-// duplicates than a first batch covers, so they run top-up batches, and
-// the skewed options concentrate draws on a few vertices.
+// duplicates than a first batch covers, so they run top-up batches.
 func TestRMatMatchesReference(t *testing.T) {
 	type tc struct {
 		logN, m int
 		seed    uint64
-		opt     RMatOptions
 	}
-	def := DefaultRMatOptions()
 	cases := []tc{
-		{0, 0, 1, def}, {1, 1, 1, def}, {2, 3, 5, def},
-		{3, 28, 1, def}, {4, 120, 1, def}, {5, 496, 9, def},
-		{8, 1000, 2, def}, {10, 5000, 3, def}, {12, 20000, 77, def},
-		{14, 5 << 14, 4, def}, {16, 5 << 16, 1, def},
-		{10, 4000, 8, RMatOptions{A: 0.25, B: 0.25, C: 0.25}},
-		{11, 6000, 8, RMatOptions{A: 0.7, B: 0.1, C: 0.1}},
-		{9, 3000, 8, RMatOptions{A: 0.45, B: 0, C: 0.3}},
-		{9, 2000, 8, RMatOptions{}},
+		{0, 0, 1}, {1, 1, 1}, {2, 3, 5},
+		{3, 28, 1}, {4, 120, 1}, {5, 496, 9},
+		{8, 1000, 2}, {10, 5000, 3}, {12, 20000, 77},
+		{14, 5 << 14, 4}, {16, 5 << 16, 1}, {9, 2000, 8},
 	}
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, c := range cases {
-			want := rmatReference(c.logN, c.m, c.seed, c.opt)
-			got := RMat(c.logN, c.m, c.seed, c.opt)
+			want := rmatReference(c.logN, c.m, c.seed)
+			got := RMat(c.logN, c.m, c.seed)
 			if !sameCSR(got, want) {
-				t.Errorf("GOMAXPROCS=%d RMat(%d, %d, %d, %+v) differs from the reference", procs, c.logN, c.m, c.seed, c.opt)
+				t.Errorf("GOMAXPROCS=%d RMat(%d, %d, %d) differs from the reference", procs, c.logN, c.m, c.seed)
 			}
 		}
 		runtime.GOMAXPROCS(prev)
@@ -130,8 +125,8 @@ func FuzzRMat(f *testing.F) {
 		n := 1 << logN
 		maxM := n * (n - 1) / 2
 		m := int(rawM) % (min(maxM, 60_000) + 1)
-		want := rmatReference(logN, m, seed, DefaultRMatOptions())
-		got := RMat(logN, m, seed, DefaultRMatOptions())
+		want := rmatReference(logN, m, seed)
+		got := RMat(logN, m, seed)
 		if !sameCSR(got, want) {
 			t.Fatalf("RMat(%d, %d, %d) differs from the reference", logN, m, seed)
 		}
@@ -199,7 +194,7 @@ func fromEdgesReference(n int, edges []Edge) *Graph {
 func TestFromEdgesMatchesReference(t *testing.T) {
 	inputs := map[string][]Edge{}
 	for name, g := range map[string]*Graph{
-		"random": Random(3000, 15000, 4), "rmat": RMat(12, 20000, 2, DefaultRMatOptions()),
+		"random": Random(3000, 15000, 4), "rmat": RMat(12, 20000, 2),
 		"complete": Complete(40), "star": Star(50), "grid": Grid2D(30, 20),
 	} {
 		edges := shuffledEdges(g.Edges(), 5)
@@ -242,7 +237,7 @@ func BenchmarkBuilders(b *testing.B) {
 		n := 1 << logN
 		b.Run(fmt.Sprintf("rmat/%d", logN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = RMat(logN, 5*n, uint64(i), DefaultRMatOptions())
+				_ = RMat(logN, 5*n, uint64(i))
 			}
 		})
 		b.Run(fmt.Sprintf("random/%d", logN), func(b *testing.B) {

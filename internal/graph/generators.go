@@ -62,39 +62,48 @@ func dedupSortedKeys(keys []uint64) []uint64 {
 }
 
 // graphFromKeys builds a graph from sorted, deduplicated edge keys
-// u*n+v with u < v.
+// u·n+v with u < v, decoding each key in the degree count and again in
+// the scatter. The scatter leaves every adjacency list sorted without a
+// sort of its own: vertex x first receives its lower neighbours u, from
+// the keys of (u, x) in increasing u, and then its higher ones v, from
+// the keys of (x, v) in increasing v.
 func graphFromKeys(n int, keys []uint64) *Graph {
-	edges := make([]Edge, len(keys))
-	parallel.For(len(keys), 4096, func(i int) {
-		k := keys[i]
-		edges[i] = Edge{U: Vertex(k / uint64(n)), V: Vertex(k % uint64(n))}
-	})
-	return fromCanonicalEdges(n, edges)
+	nn := uint64(n)
+	offsets := make([]int64, n+1)
+	for _, k := range keys {
+		offsets[k/nn]++
+		offsets[k%nn]++
+	}
+	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 4096)
+	offsets[n] = total
+	adj := make([]Vertex, total)
+	cursor := slices.Clone(offsets[:n])
+	for _, k := range keys {
+		u, v := Vertex(k/nn), Vertex(k%nn)
+		adj[cursor[u]] = v
+		cursor[u]++
+		adj[cursor[v]] = u
+		cursor[v]++
+	}
+	return &Graph{offsets: offsets, adj: adj}
 }
 
-// RMatOptions configures the R-MAT recursive generator of Chakrabarti,
-// Zhan and Faloutsos (SIAM SDM 2004), the paper's second experimental
-// input. A, B and C are the probabilities of the top-left, top-right and
-// bottom-left quadrants; the bottom-right gets the remainder. The
-// defaults (0.5, 0.1, 0.1, leaving 0.3) are the ones used by the PBBS
-// inputs and produce the power-law degree distribution the paper
-// mentions.
-type RMatOptions struct {
-	A, B, C float64
-}
-
-// DefaultRMatOptions returns the PBBS rMat parameters.
-func DefaultRMatOptions() RMatOptions {
-	return RMatOptions{A: 0.5, B: 0.1, C: 0.1}
-}
+// The rMat quadrant probabilities, those of the PBBS inputs the paper
+// measures: top-left rmatA, top-right rmatB, bottom-left rmatC, and
+// bottom-right the remaining 0.3. They give the power-law degree
+// distribution the paper mentions.
+const rmatA, rmatB, rmatC = 0.5, 0.1, 0.1
 
 // RMat returns an rMat graph with 2^logN vertices and m distinct
 // undirected edges (self loops and duplicates are discarded and
-// resampled). The generator is fully deterministic in (logN, m, seed):
-// the quadrant choices for edge i are drawn from a hash of (seed, i,
-// level), so the edge set does not depend on scheduling, and each batch
-// of draws runs in parallel over fixed blocks of counters.
-func RMat(logN, m int, seed uint64, opt RMatOptions) *Graph {
+// resampled), drawn by the R-MAT recursive generator of Chakrabarti,
+// Zhan and Faloutsos (SIAM SDM 2004), the paper's second experimental
+// input, with the quadrant probabilities rmatA, rmatB and rmatC. The
+// generator is fully deterministic in (logN, m, seed): the quadrant
+// choices for edge i are drawn from a hash of (seed, i, level), so the
+// edge set does not depend on scheduling, and each batch of draws runs
+// in parallel over fixed blocks of counters.
+func RMat(logN, m int, seed uint64) *Graph {
 	if logN < 0 || logN > 30 {
 		panic(fmt.Sprintf("graph: RMat logN=%d out of range [0,30]", logN))
 	}
@@ -106,15 +115,14 @@ func RMat(logN, m int, seed uint64, opt RMatOptions) *Graph {
 	if n <= 1 || m == 0 {
 		return Empty(n)
 	}
-	if opt.A <= 0 && opt.B <= 0 && opt.C <= 0 {
-		opt = DefaultRMatOptions()
-	}
 	// Cumulative quadrant thresholds scaled to 2^53 for integer
-	// comparison against hash bits.
+	// comparison against hash bits, each product rounded down in
+	// float64 arithmetic.
 	const scale = 1 << 53
-	tA := uint64(opt.A * scale)
-	tB := tA + uint64(opt.B*scale)
-	tC := tB + uint64(opt.C*scale)
+	a, b, c := rmatA, rmatB, rmatC
+	tA := uint64(a * scale)
+	tB := tA + uint64(b*scale)
+	tC := tB + uint64(c*scale)
 
 	// drawKey returns the key u·n+v (u < v) of draw i, and false for a
 	// self loop. Level l hashes Hash3(seed, i, l), computed as

@@ -252,7 +252,7 @@ func TestRandomGraphPanicsOnImpossible(t *testing.T) {
 }
 
 func TestRMatProperties(t *testing.T) {
-	g := RMat(12, 20000, 77, DefaultRMatOptions())
+	g := RMat(12, 20000, 77)
 	if g.NumVertices() != 1<<12 {
 		t.Errorf("n = %d", g.NumVertices())
 	}
@@ -270,8 +270,8 @@ func TestRMatProperties(t *testing.T) {
 }
 
 func TestRMatDeterministic(t *testing.T) {
-	a := RMat(10, 3000, 5, DefaultRMatOptions())
-	b := RMat(10, 3000, 5, DefaultRMatOptions())
+	a := RMat(10, 3000, 5)
+	b := RMat(10, 3000, 5)
 	ea, eb := a.Edges(), b.Edges()
 	if len(ea) != len(eb) {
 		t.Fatal("rMat edge counts differ across identical calls")
@@ -284,7 +284,7 @@ func TestRMatDeterministic(t *testing.T) {
 }
 
 func TestRMatMoreSkewedThanRandom(t *testing.T) {
-	rmat := RMat(13, 40000, 3, DefaultRMatOptions())
+	rmat := RMat(13, 40000, 3)
 	rand := Random(1<<13, 40000, 3)
 	if rmat.MaxDegree() <= rand.MaxDegree() {
 		t.Errorf("expected rMat max degree (%d) > random max degree (%d)",
@@ -584,6 +584,6 @@ func BenchmarkRandomGraph(b *testing.B) {
 
 func BenchmarkRMat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = RMat(17, 500000, uint64(i), DefaultRMatOptions())
+		_ = RMat(17, 500000, uint64(i))
 	}
 }

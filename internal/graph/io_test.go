@@ -125,7 +125,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		Empty(10),
 		Complete(6),
 		Random(500, 2500, 77),
-		RMat(10, 2000, 5, DefaultRMatOptions()),
+		RMat(10, 2000, 5),
 	} {
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, g); err != nil {

@@ -25,7 +25,7 @@ func TestAdaptiveMMMatchesSequential(t *testing.T) {
 		m := el.NumEdges()
 		for _, seed := range []uint64{1, 5} {
 			ord := core.NewRandomOrder(m, seed)
-			want := must(SequentialMM(context.Background(), el, ord, Options{}))
+			want := referenceMM(el, ord)
 			got := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true}}))
 			if !got.Equal(want) {
 				t.Errorf("%s seed %d: adaptive MM differs from sequential", name, seed)

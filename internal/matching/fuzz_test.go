@@ -12,7 +12,9 @@ import (
 // FuzzMMEquivalence is the determinism invariant for maximal matching
 // as a fuzz target: for arbitrary small graphs, seeds, windows and
 // grains, the prefix (fixed and adaptive) and full-window parallel
-// matchings must reproduce the sequential greedy matching bit for bit.
+// matchings, and the sequential scan with and without a shared edge
+// buffer, must reproduce the greedy matching over the edge list
+// (lexFirstMM) bit for bit.
 // Grains of 1–3 split even tiny windows into several chunks, so the
 // reservation bids and in-commit releases race across goroutines when
 // GOMAXPROCS > 1. Run with `go test -fuzz=FuzzMMEquivalence
@@ -27,9 +29,9 @@ func FuzzMMEquivalence(f *testing.F) {
 		m := int(rawM) % (maxM + 1)
 		el := graph.Random(n, m, seed).EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xfeed)
-		want := must(SequentialMM(context.Background(), el, ord, Options{}))
+		want := referenceMM(el, ord)
 		if !IsMaximalMatching(el, want.InMatching) {
-			t.Fatal("sequential answer is not a maximal matching")
+			t.Fatal("reference answer is not a maximal matching")
 		}
 		prefix := int(rawPrefix)%(m+1) + 1
 		grain := int(rawGrain)%3 + 1
@@ -37,12 +39,14 @@ func FuzzMMEquivalence(f *testing.F) {
 			name string
 			got  *Result
 		}{
+			{"sequential", must(SequentialMM(context.Background(), el, ord, Options{}))},
+			{"sequential buffer", must(SequentialMM(context.Background(), el, ord, Options{Workspace: &Workspace{Edges: new([]graph.Edge)}}))},
 			{"prefix", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))},
 			{"adaptive", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}}))},
 			{"parallel", must(ParallelMM(context.Background(), el, ord, Options{Options: engine.Options{Grain: grain}}))},
 		} {
 			if !run.got.Equal(want) {
-				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s MM diverged from sequential", n, m, prefix, grain, run.name)
+				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s MM diverged from the reference", n, m, prefix, grain, run.name)
 			}
 		}
 	})

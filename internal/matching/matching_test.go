@@ -70,9 +70,16 @@ func TestSequentialMMIsMaximal(t *testing.T) {
 	}
 }
 
+// referenceMM is lexFirstMM, the greedy matching over the edge list
+// that shares no code with the engine adapter, as a Result.
+func referenceMM(el graph.EdgeList, ord core.Order) *Result {
+	return bitsResult(el, lexFirstMM(el, ord), Stats{})
+}
+
 func allDeterministicMM(el graph.EdgeList, ord core.Order) map[string]*Result {
 	return map[string]*Result{
 		"sequential":     must(SequentialMM(context.Background(), el, ord, Options{})),
+		"sequential-buf": must(SequentialMM(context.Background(), el, ord, Options{Workspace: &Workspace{Edges: new([]graph.Edge)}})),
 		"parallel-full":  must(ParallelMM(context.Background(), el, ord, Options{})),
 		"rootset":        must(RootSetMM(context.Background(), el, ord, Options{})),
 		"prefix-default": must(PrefixMM(context.Background(), el, ord, Options{})),
@@ -91,7 +98,7 @@ func TestAllMMAlgorithmsMatchSequential(t *testing.T) {
 	}{
 		{"random-sparse", graph.Random(200, 600, 1), 10},
 		{"random-dense", graph.Random(80, 1500, 2), 11},
-		{"rmat", graph.RMat(8, 1200, 3, graph.DefaultRMatOptions()), 12},
+		{"rmat", graph.RMat(8, 1200, 3), 12},
 		{"grid", graph.Grid2D(15, 17), 13},
 		{"complete", graph.Complete(40), 14},
 		{"star", graph.Star(60), 15},
@@ -102,7 +109,7 @@ func TestAllMMAlgorithmsMatchSequential(t *testing.T) {
 	for _, c := range cases {
 		el := c.g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), c.seed)
-		want := must(SequentialMM(context.Background(), el, ord, Options{}))
+		want := referenceMM(el, ord)
 		for name, got := range allDeterministicMM(el, ord) {
 			if !got.Equal(want) {
 				t.Errorf("%s/%s: matching differs from sequential greedy (got %d, want %d edges)",
@@ -123,8 +130,9 @@ func TestMMAlgorithmsMatchQuick(t *testing.T) {
 		g := graph.Random(n, m, seed)
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xbeef)
-		want := must(SequentialMM(context.Background(), el, ord, Options{}))
+		want := referenceMM(el, ord)
 		for _, got := range []*Result{
+			must(SequentialMM(context.Background(), el, ord, Options{})),
 			must(ParallelMM(context.Background(), el, ord, Options{})),
 			must(RootSetMM(context.Background(), el, ord, Options{})),
 			must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 4}})),
@@ -151,7 +159,7 @@ func TestMMMatchesLineGraphMIS(t *testing.T) {
 	} {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), 7)
-		direct := must(SequentialMM(context.Background(), el, ord, Options{}))
+		direct := referenceMM(el, ord)
 		viaLG := ViaLineGraphMIS(g, ord)
 		if !direct.Equal(viaLG) {
 			t.Errorf("line-graph MIS disagrees with direct greedy MM on %v", g)
@@ -161,7 +169,7 @@ func TestMMMatchesLineGraphMIS(t *testing.T) {
 
 func TestMMDeterminismAcrossPrefixSizes(t *testing.T) {
 	el, ord := instance(1000, 6000, 9)
-	want := must(SequentialMM(context.Background(), el, ord, Options{}))
+	want := referenceMM(el, ord)
 	for _, frac := range []float64{0.001, 0.01, 0.1, 1.0} {
 		r := must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: frac}}))
 		if !r.Equal(want) {
@@ -201,7 +209,7 @@ func TestRootSetMMStepsEqualDependenceLength(t *testing.T) {
 		g    *graph.Graph
 	}{
 		{"random", graph.Random(300, 1200, 8)},
-		{"rmat", graph.RMat(8, 1000, 9, graph.DefaultRMatOptions())},
+		{"rmat", graph.RMat(8, 1000, 9)},
 		{"grid", graph.Grid2D(15, 15)},
 		{"complete", graph.Complete(30)},
 		{"star", graph.Star(50)},
@@ -220,7 +228,7 @@ func TestRootSetMMStepsEqualDependenceLength(t *testing.T) {
 func TestDependenceStepsMatchesSequentialMatching(t *testing.T) {
 	el, ord := instance(500, 2500, 31)
 	info := DependenceSteps(el, ord)
-	want := must(SequentialMM(context.Background(), el, ord, Options{}))
+	want := referenceMM(el, ord)
 	for e := 0; e < el.NumEdges(); e++ {
 		if info.InMatching[e] != want.InMatching[e] {
 			t.Fatalf("analyzer and sequential disagree on edge %d", e)

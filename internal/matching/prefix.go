@@ -40,6 +40,42 @@ import (
 // edge's rank is its bid, and a committed edge sets its own bit of the
 // result, at its id order[r].
 func PrefixMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+	prob, ws := newMMProblem(el, ord, opt)
+	// reserv[v] holds the smallest rank among active edges bidding for
+	// vertex v this round.
+	prob.reserv = engine.Grow32(&ws.reserv, el.N)
+	engine.Fill32(prob.reserv, maxRank)
+	stats, err := engine.Run(ctx, len(prob.edges), prob, opt.Options, &ws.eng)
+	if err != nil {
+		return nil, err
+	}
+	return bitsResult(el, prob.in, stats), nil
+}
+
+// SequentialMM computes the greedy maximal matching of el under ord: it
+// scans edges in priority order and keeps an edge exactly when both of
+// its endpoints are still free. This is the paper's linear-time
+// sequential algorithm whose output — the lexicographically-first
+// matching — every parallel implementation in this package reproduces.
+// It is the engine's sequential scan over the adapter PrefixMM runs,
+// on the same rank-gathered edges; it needs no reservations.
+//
+// Stats follow the paper's convention: Rounds = Attempts = m for a
+// sequential run; EdgeInspections counts the two endpoint examinations
+// per edge. ctx is checked every 4,096 edges, and buffers come from
+// opt.Workspace when set.
+func SequentialMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+	prob, _ := newMMProblem(el, ord, opt)
+	stats, err := engine.Scan(ctx, len(prob.edges), prob)
+	if err != nil {
+		return nil, err
+	}
+	return bitsResult(el, prob.in, stats), nil
+}
+
+// newMMProblem is the set-up PrefixMM and SequentialMM share: the
+// workspace, the mates, the result bits and the rank-gathered edges.
+func newMMProblem(el graph.EdgeList, ord core.Order, opt Options) (*mmProblem, *Workspace) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("matching: order size does not match edge list")
@@ -50,24 +86,12 @@ func PrefixMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Option
 	}
 	mate := engine.Grow32(&ws.mate, el.N)
 	engine.Fill32(mate, unmatched)
-	// reserv[v] holds the smallest rank among active edges bidding for
-	// vertex v this round.
-	reserv := engine.Grow32(&ws.reserv, el.N)
-	engine.Fill32(reserv, maxRank)
-	in := make([]bool, m)
-
-	prob := &mmProblem{
-		edges:  el.GatherByRank(ws.edgeBuf(), ord.Order),
-		order:  ord.Order,
-		in:     in,
-		mate:   mate,
-		reserv: reserv,
-	}
-	stats, err := engine.Run(ctx, m, prob, opt.Options, &ws.eng)
-	if err != nil {
-		return nil, err
-	}
-	return bitsResult(el, in, stats), nil
+	return &mmProblem{
+		edges: el.GatherByRank(ws.edgeBuf(), ord.Order),
+		order: ord.Order,
+		in:    make([]bool, m),
+		mate:  mate,
+	}, ws
 }
 
 // maxRank is the neutral reservation value: larger than any edge rank.
@@ -139,6 +163,18 @@ func (p *mmProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		}
 	}
 	return local
+}
+
+// Decide is the sequential step: with every earlier edge final, edge r
+// is matched exactly when both of its endpoints are free.
+func (p *mmProblem) Decide(r int32) int64 {
+	edge := p.edges[r]
+	if p.mate[edge.U] == unmatched && p.mate[edge.V] == unmatched {
+		p.in[p.order[r]] = true
+		p.mate[edge.U] = edge.V
+		p.mate[edge.V] = edge.U
+	}
+	return 2
 }
 
 // ParallelMM is Algorithm 4 proper: PrefixMM run with the full edge set

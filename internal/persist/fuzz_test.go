@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -103,6 +104,70 @@ func FuzzBlobDecode(f *testing.F) {
 		if dg.NumVertices() != m.N || dg.NumEdges() != m.M {
 			t.Fatalf("decoded graph shape (n=%d m=%d) disagrees with meta (n=%d m=%d)",
 				dg.NumVertices(), dg.NumEdges(), m.N, m.M)
+		}
+	})
+}
+
+// lineageImage encodes recs as a lineage log: the magic record, then
+// one JSON record per derivation, as LineageLog.Append writes them.
+func lineageImage(t testing.TB, recs []LineageRecord) []byte {
+	var buf bytes.Buffer
+	_ = writeRecord(&buf, lineageMagic)
+	for _, rec := range recs {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		_ = writeRecord(&buf, raw)
+	}
+	return buf.Bytes()
+}
+
+// FuzzLineageDecode asserts the lineage decoder's contract on arbitrary
+// bytes, as OpenLineage meets them on every boot: it never panics, its
+// valid offset lies within the image, re-encoding the records it returns
+// decodes to the same records, and every truncation of the image decodes
+// to a prefix of them.
+func FuzzLineageDecode(f *testing.F) {
+	valid := lineageImage(f, []LineageRecord{
+		{Child: "g2", Parent: "g1", Updates: []LineageUpdate{{Op: "add", U: 1, V: 7}, {Op: "del", U: 0, V: 3}}},
+		{Child: "g3", Parent: "g2", Updates: []LineageUpdate{}},
+		{Child: "g4", Parent: "g2"},
+	})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Add([]byte("not a lineage log"))
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/3] ^= 0x80
+	f.Add(flipped)
+	f.Add(append(lineageImage(f, nil), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, off := DecodeLineage(data)
+		if off < 0 || off > len(data) {
+			t.Fatalf("valid offset %d outside an image of %d bytes", off, len(data))
+		}
+		if len(recs) > 0 && off == 0 {
+			t.Fatalf("%d records decoded from an empty valid prefix", len(recs))
+		}
+		image := lineageImage(t, recs)
+		again, againOff := DecodeLineage(image)
+		if againOff != len(image) || len(again) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(again, recs)) {
+			t.Fatalf("round trip of %d records decoded %d records, valid to %d of %d bytes", len(recs), len(again), againOff, len(image))
+		}
+		// Every cut through the valid prefix; past it, cuts at doubling
+		// distances, since each one only shortens the record that
+		// stopped the full decode, and such a record may claim a large
+		// payload that every decode of it starts to allocate.
+		for cut, step := 0, 1; cut <= len(data); cut += step {
+			if cut > off {
+				step *= 2
+			}
+			prefix, prefixOff := DecodeLineage(data[:cut])
+			if prefixOff > cut || len(prefix) > len(recs) || (len(prefix) > 0 && !reflect.DeepEqual(prefix, recs[:len(prefix)])) {
+				t.Fatalf("truncation to %d bytes decoded %d records (valid to %d), not a prefix of the image's %d", cut, len(prefix), prefixOff, len(recs))
+			}
 		}
 	})
 }

@@ -120,7 +120,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		t.Fatalf("bad payload: %+v", payload)
 	}
 	// Cross-check against an in-process run of the library.
-	g := graph.RMat(10, 5000, 3, graph.DefaultRMatOptions())
+	g := graph.RMat(10, 5000, 3)
 	want := greedy.MaximalMatching(g, greedy.WithSeed(13))
 	if payload.Size != want.Size() {
 		t.Fatalf("service matching size %d, library %d", payload.Size, want.Size())

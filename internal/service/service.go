@@ -254,10 +254,6 @@ func (s *Service) Shutdown(window time.Duration) {
 	})
 }
 
-// ShutdownCh closes when Shutdown begins (used by the SSE handlers to
-// emit their terminal frame).
-func (s *Service) ShutdownCh() <-chan struct{} { return s.shutdownCh }
-
 // Store exposes the durability tier (nil when persistence is off).
 func (s *Service) Store() *persist.Store { return s.store }
 
@@ -362,7 +358,7 @@ func (s *Service) Generate(spec GenSpec) (GraphInfo, bool, error) {
 		if err := checkEdgeBudget(1<<logN, spec.M); err != nil {
 			return GraphInfo{}, false, err
 		}
-		g = graph.RMat(logN, spec.M, spec.Seed, graph.DefaultRMatOptions())
+		g = graph.RMat(logN, spec.M, spec.Seed)
 		if label == "" {
 			label = fmt.Sprintf("rmat(logn=%d,m=%d,seed=%d)", logN, spec.M, spec.Seed)
 		}

@@ -40,8 +40,10 @@ func fuzzSystem(n, numSets int, seed uint64) *System {
 // FromEdges systems, seeds, small windows and grains 1–3 (so even tiny
 // windows split into several racing chunks), the prefix hitting set —
 // fixed and adaptive windows, with the layout built per run or passed
-// in prebuilt — must choose exactly the sequential greedy elements, and
-// a prebuilt layout must not move the work counters. Run with
+// in prebuilt — and the sequential scan, with and without a prebuilt
+// layout, must choose exactly the elements of the greedy reference
+// (referenceHittingSet), and a prebuilt layout must not move the work
+// counters. Run with
 // `go test -fuzz=FuzzHittingSetEquivalence ./internal/setcover`.
 func FuzzHittingSetEquivalence(f *testing.F) {
 	f.Add(uint8(20), uint8(30), uint64(1), uint8(3), uint8(0), false)
@@ -58,13 +60,18 @@ func FuzzHittingSetEquivalence(f *testing.F) {
 			s = fuzzSystem(n, int(rawSets)%48, seed)
 		}
 		ord := core.NewRandomOrder(n, seed^0xfeed)
-		want := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
+		want := referenceHittingSet(s, ord)
 		if err := s.Verify(want.InSet); err != nil {
-			t.Fatalf("sequential answer is not a hitting set: %v", err)
+			t.Fatalf("reference answer is not a hitting set: %v", err)
 		}
 		prefix := int(rawPrefix)%16 + 1
 		grain := int(rawGrain)%3 + 1
 		layout := BuildLayout(s, ord)
+		seq := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
+		prebuilt := must(SequentialHittingSet(context.Background(), s, ord, Options{Layout: layout}))
+		if !seq.Equal(want) || !prebuilt.Equal(want) || prebuilt.Stats != seq.Stats {
+			t.Fatalf("n=%d sets=%d edges=%v: sequential hitting set diverged from the reference", n, s.NumSets(), edges)
+		}
 
 		for _, opt := range []Options{
 			{Options: engine.Options{PrefixSize: prefix, Grain: grain}},
@@ -72,7 +79,7 @@ func FuzzHittingSetEquivalence(f *testing.F) {
 		} {
 			got := must(PrefixHittingSet(context.Background(), s, ord, opt))
 			if !got.Equal(want) {
-				t.Fatalf("n=%d sets=%d edges=%v opts %+v: prefix hitting set diverged from sequential",
+				t.Fatalf("n=%d sets=%d edges=%v opts %+v: prefix hitting set diverged from the reference",
 					n, s.NumSets(), edges, opt)
 			}
 			opt.Layout = layout

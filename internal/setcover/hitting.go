@@ -31,16 +31,12 @@ type Result struct {
 }
 
 // newResult builds the result from the final statuses: status[r] is the
-// status of element order[r] (order nil means status is element-indexed).
+// status of element order[r].
 func newResult(status, order []int32, stats Stats) *Result {
 	n := len(status)
 	in := make([]bool, n)
 	parallel.For(n, 4096, func(r int) {
-		e := int32(r)
-		if order != nil {
-			e = order[r]
-		}
-		in[e] = status[r] == statusIn
+		in[order[r]] = status[r] == statusIn
 	})
 	set := parallel.PackIndex(n, 4096, func(i int) bool { return in[i] })
 	return &Result{InSet: in, Set: set, Stats: stats}
@@ -78,60 +74,23 @@ type Options struct {
 	Workspace *Workspace
 }
 
-// seqCancelMask paces the sequential scan's cancellation checks, as in
-// core.SequentialMIS.
-const seqCancelMask = 1<<12 - 1
-
 // SequentialHittingSet computes the greedy hitting set of s under ord:
 // elements in priority order, each joining the hitting set exactly when
-// some set containing it is not yet hit.
+// some set containing it is not yet hit. It is the engine's sequential
+// scan over the adapter PrefixHittingSet runs, deciding each rank with
+// the same check (hsProblem.check) over the same layout (opt.Layout
+// when set, built for this run otherwise).
 //
-// ctx is checked every few thousand elements, and pooled buffers come
-// from opt.Workspace when set.
+// Stats: Rounds = Attempts = n, and EdgeInspections counts the earlier
+// members the decisions scan. ctx is checked every 4,096 elements, and
+// pooled buffers come from opt.Workspace when set.
 func SequentialHittingSet(ctx context.Context, s *System, ord core.Order, opt Options) (*Result, error) {
-	n := s.NumElements()
-	if ord.Len() != n {
-		panic("setcover: order size does not match system")
+	prob, _ := newHSProblem(s, ord, opt)
+	stats, err := engine.Scan(ctx, len(prob.status), prob)
+	if err != nil {
+		return nil, err
 	}
-	ws := opt.Workspace
-	if ws == nil {
-		ws = new(Workspace)
-	}
-	status := engine.Grow32(&ws.status, n)
-	engine.Fill32(status, statusUndecided)
-	hit := engine.Grow32(&ws.hit, s.NumSets())
-	engine.Fill32(hit, 0)
-
-	var inspections int64
-	for r := 0; r < n; r++ {
-		if r&seqCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		e := ord.Order[r]
-		needed := false
-		for _, id := range s.SetsOf(e) {
-			inspections++
-			if hit[id] == 0 {
-				needed = true
-				break
-			}
-		}
-		if needed {
-			status[e] = statusIn
-			for _, id := range s.SetsOf(e) {
-				hit[id] = 1
-			}
-		} else {
-			status[e] = statusOut
-		}
-	}
-	return newResult(status, nil, Stats{
-		Rounds:          int64(n),
-		Attempts:        int64(n),
-		EdgeInspections: inspections,
-	}), nil
+	return newResult(prob.status, ord.Order, stats), nil
 }
 
 // PrefixHittingSet computes the greedy hitting set with the
@@ -159,6 +118,17 @@ func SequentialHittingSet(ctx context.Context, s *System, ord core.Order, opt Op
 // it is built for this run otherwise. The run decides ranks; the
 // statuses are mapped back to elements through ord.Order at the end.
 func PrefixHittingSet(ctx context.Context, s *System, ord core.Order, opt Options) (*Result, error) {
+	prob, ws := newHSProblem(s, ord, opt)
+	stats, err := engine.Run(ctx, len(prob.status), prob, opt.Options, &ws.eng)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(prob.status, ord.Order, stats), nil
+}
+
+// newHSProblem is the set-up PrefixHittingSet and SequentialHittingSet
+// share: the workspace, the rank-indexed status array and the layout.
+func newHSProblem(s *System, ord core.Order, opt Options) (*hsProblem, *Workspace) {
 	n := s.NumElements()
 	if ord.Len() != n {
 		panic("setcover: order size does not match system")
@@ -169,17 +139,11 @@ func PrefixHittingSet(ctx context.Context, s *System, ord core.Order, opt Option
 	}
 	status := engine.Grow32(&ws.status, n)
 	engine.Fill32(status, statusUndecided)
-
 	layout := opt.Layout
 	if layout == nil {
 		layout = BuildLayout(s, ord)
 	}
-	prob := &hsProblem{layout: layout, sys: s, rank: ord.Rank, status: status}
-	stats, err := engine.Run(ctx, n, prob, opt.Options, &ws.eng)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(status, ord.Order, stats), nil
+	return &hsProblem{layout: layout, sys: s, rank: ord.Rank, status: status}, ws
 }
 
 // hsProblem is the engine adapter for greedy hitting set, indexed by
@@ -212,6 +176,14 @@ func (p *hsProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 		}
 	}
 	return 0
+}
+
+// Decide is the sequential step: with every earlier rank final, check
+// never leaves r undecided.
+func (p *hsProblem) Decide(r int32) int64 {
+	st, insp := p.check(r)
+	p.status[r] = st
+	return insp
 }
 
 // check decides rank r from its layout row; see PrefixHittingSet for

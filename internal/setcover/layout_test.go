@@ -77,7 +77,7 @@ func layoutSystems() map[string]*System {
 	return map[string]*System{
 		"random":       FromEdges(graph.Random(500, 2000, 1).EdgeList()),
 		"random-large": FromEdges(graph.Random(1<<14, 5<<14, 2).EdgeList()),
-		"rmat":         FromEdges(graph.RMat(13, 5<<13, 3, graph.DefaultRMatOptions()).EdgeList()),
+		"rmat":         FromEdges(graph.RMat(13, 5<<13, 3).EdgeList()),
 		"grid":         FromEdges(graph.Grid2D(40, 70).EdgeList()),
 		"isolated":     FromEdges(graph.Random(4000, 300, 4).EdgeList()),
 		"mixed":        randomSystem(3000, 2000, 3*inlineMax, 5),

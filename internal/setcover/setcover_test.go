@@ -28,6 +28,31 @@ func randomSystem(n, m, k int, seed uint64) *System {
 	return MustFromSets(n, sets)
 }
 
+// referenceHittingSet is the greedy hitting set over the system in
+// priority order with per-set hit flags, the reference that shares no
+// code with the engine adapter: an element joins exactly when some set
+// containing it is not yet hit.
+func referenceHittingSet(s *System, ord core.Order) *Result {
+	r := &Result{InSet: make([]bool, s.NumElements())}
+	hit := make([]bool, s.NumSets())
+	for _, e := range ord.Order {
+		for _, id := range s.SetsOf(e) {
+			r.InSet[e] = r.InSet[e] || !hit[id]
+		}
+		if r.InSet[e] {
+			for _, id := range s.SetsOf(e) {
+				hit[id] = true
+			}
+		}
+	}
+	for e, in := range r.InSet {
+		if in {
+			r.Set = append(r.Set, int32(e))
+		}
+	}
+	return r
+}
+
 func testSystems(tb testing.TB) map[string]*System {
 	return map[string]*System{
 		"random":     randomSystem(500, 300, 6, 11),
@@ -41,16 +66,21 @@ func testSystems(tb testing.TB) map[string]*System {
 	}
 }
 
-// The prefix hitting set must equal the sequential greedy one for every
-// prefix size, fraction and grain — the engine-parity oracle for the
-// hitting set problem.
+// The prefix and sequential hitting sets must equal the greedy reference
+// (referenceHittingSet) for every prefix size, fraction and grain — the
+// engine-parity oracle for the hitting set problem.
 func TestPrefixHittingSetMatchesSequential(t *testing.T) {
 	for name, s := range testSystems(t) {
 		n := s.NumElements()
 		ord := core.NewRandomOrder(n, 99)
-		want := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
+		want := referenceHittingSet(s, ord)
 		if err := s.Verify(want.InSet); err != nil {
-			t.Fatalf("%s: sequential reference invalid: %v", name, err)
+			t.Fatalf("%s: reference invalid: %v", name, err)
+		}
+		for _, opt := range []Options{{}, {Layout: BuildLayout(s, ord)}} {
+			if got := must(SequentialHittingSet(context.Background(), s, ord, opt)); !got.Equal(want) {
+				t.Fatalf("%s: sequential hitting set (prebuilt layout %v) differs from the reference", name, opt.Layout != nil)
+			}
 		}
 		for _, opt := range []Options{
 			{Options: engine.Options{PrefixSize: 1}},
@@ -77,7 +107,7 @@ func TestPrefixHittingSetMatchesSequential(t *testing.T) {
 func TestPrefixHittingSetThreadIndependent(t *testing.T) {
 	s := randomSystem(900, 700, 8, 21)
 	ord := core.NewRandomOrder(900, 5)
-	want := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
+	want := referenceHittingSet(s, ord)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -114,14 +144,17 @@ func TestHittingSetWorkspaceReuse(t *testing.T) {
 	small := randomSystem(40, 30, 4, 2)
 	bigOrd := core.NewRandomOrder(500, 1)
 	smallOrd := core.NewRandomOrder(40, 2)
-	wantBig := must(SequentialHittingSet(context.Background(), big, bigOrd, Options{}))
-	wantSmall := must(SequentialHittingSet(context.Background(), small, smallOrd, Options{}))
+	wantBig := referenceHittingSet(big, bigOrd)
+	wantSmall := referenceHittingSet(small, smallOrd)
 	for i := 0; i < 3; i++ {
 		if got := must(PrefixHittingSet(context.Background(), big, bigOrd, Options{Options: engine.Options{PrefixFrac: 0.1}, Workspace: ws})); !got.Equal(wantBig) {
 			t.Fatalf("run %d big: pooled run differs", i)
 		}
 		if got := must(PrefixHittingSet(context.Background(), small, smallOrd, Options{Options: engine.Options{Adaptive: true}, Workspace: ws})); !got.Equal(wantSmall) {
 			t.Fatalf("run %d small: pooled run differs", i)
+		}
+		if got := must(SequentialHittingSet(context.Background(), big, bigOrd, Options{Workspace: ws})); !got.Equal(wantBig) {
+			t.Fatalf("run %d big: pooled sequential run differs", i)
 		}
 	}
 }
@@ -203,9 +236,12 @@ func TestLayoutLinearInMemberships(t *testing.T) {
 	if words := len(l.words); words > inlineMax*memberships {
 		t.Fatalf("layout holds %d words for %d memberships, want at most %d", words, memberships, inlineMax*memberships)
 	}
-	want := must(SequentialHittingSet(context.Background(), s, ord, Options{}))
+	want := referenceHittingSet(s, ord)
 	if got := must(PrefixHittingSet(context.Background(), s, ord, Options{Layout: l})); !got.Equal(want) {
-		t.Fatal("prefix hitting set with a referenced set differs from sequential")
+		t.Fatal("prefix hitting set with a referenced set differs from the reference")
+	}
+	if got := must(SequentialHittingSet(context.Background(), s, ord, Options{Layout: l})); !got.Equal(want) {
+		t.Fatal("sequential hitting set with a referenced set differs from the reference")
 	}
 }
 

@@ -50,7 +50,7 @@ func TestFromEdgesMatchesReference(t *testing.T) {
 	shuffled := graph.EdgeList{N: 9, Edges: []graph.Edge{{U: 7, V: 2}, {U: 0, V: 8}, {U: 3, V: 1}, {U: 2, V: 5}, {U: 8, V: 3}}}
 	lists := map[string]graph.EdgeList{
 		"random":    graph.Random(3000, 12000, 4).EdgeList(),
-		"rmat":      graph.RMat(14, 5<<14, 2, graph.DefaultRMatOptions()).EdgeList(),
+		"rmat":      graph.RMat(14, 5<<14, 2).EdgeList(),
 		"grid":      graph.Grid2D(40, 50).EdgeList(),
 		"star":      graph.Star(5000).EdgeList(),
 		"isolated":  graph.Random(200, 150, 6).EdgeList(),

@@ -22,7 +22,7 @@ func TestAdaptiveStrictSFMatchesSequential(t *testing.T) {
 	for name, g := range graphs {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), 3)
-		want := must(SequentialSF(context.Background(), el, ord, Options{}))
+		want := referenceSF(el, ord)
 		got := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true}}))
 		if !got.Equal(want) {
 			t.Errorf("%s: adaptive strict SF differs from sequential", name)
@@ -40,7 +40,7 @@ func TestAdaptiveRelaxedSFValidAndDeterministic(t *testing.T) {
 	g := graph.Random(2000, 10000, 5)
 	el := g.EdgeList()
 	ord := core.NewRandomOrder(el.NumEdges(), 6)
-	seq := must(SequentialSF(context.Background(), el, ord, Options{}))
+	seq := referenceSF(el, ord)
 
 	base := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true}}))
 	if !IsForest(el, base.InForest) {

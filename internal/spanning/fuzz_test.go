@@ -12,10 +12,11 @@ import (
 // FuzzSFEquivalence is the determinism invariant for spanning forest
 // as a fuzz target, for arbitrary small graphs, seeds, windows and
 // grains (1–3, so even tiny windows split into several racing chunks):
-//   - the strict PrefixSF, at a fixed and an adaptive window, must
-//     select exactly the sequential forest;
+//   - the strict PrefixSF, at a fixed and an adaptive window, and the
+//     sequential scan, with and without a shared edge buffer, must
+//     select exactly the reference forest (referenceSF);
 //   - the relaxed PrefixSFRelaxed must select a valid spanning forest
-//     of the sequential size, and the same one on a rerun and at every
+//     of the reference size, and the same one on a rerun and at every
 //     grain for a fixed window.
 //
 // Run with `go test -fuzz=FuzzSFEquivalence ./internal/spanning`.
@@ -29,7 +30,12 @@ func FuzzSFEquivalence(f *testing.F) {
 		m := int(rawM) % (maxM + 1)
 		el := graph.Random(n, m, seed).EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xfeed)
-		want := must(SequentialSF(context.Background(), el, ord, Options{}))
+		want := referenceSF(el, ord)
+		for _, opt := range []Options{{}, {Workspace: &Workspace{Edges: new([]graph.Edge)}}} {
+			if got := must(SequentialSF(context.Background(), el, ord, opt)); !got.Equal(want) {
+				t.Fatalf("n=%d m=%d: sequential SF diverged from the reference", n, m)
+			}
+		}
 		prefix := int(rawPrefix)%(m+1) + 1
 		grain := int(rawGrain)%3 + 1
 
@@ -38,13 +44,13 @@ func FuzzSFEquivalence(f *testing.F) {
 			{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}},
 		} {
 			if got := must(PrefixSF(context.Background(), el, ord, opt)); !got.Equal(want) {
-				t.Fatalf("n=%d m=%d opts %+v: strict SF diverged from sequential", n, m, opt)
+				t.Fatalf("n=%d m=%d opts %+v: strict SF diverged from the reference", n, m, opt)
 			}
 		}
 
 		relaxed := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))
 		if !IsForest(el, relaxed.InForest) || !IsSpanning(el, relaxed.InForest) || relaxed.Size() != want.Size() {
-			t.Fatalf("n=%d m=%d prefix=%d grain=%d: relaxed SF is not a spanning forest of the sequential size %d (got %d edges)",
+			t.Fatalf("n=%d m=%d prefix=%d grain=%d: relaxed SF is not a spanning forest of the reference size %d (got %d edges)",
 				n, m, prefix, grain, want.Size(), relaxed.Size())
 		}
 		for _, g := range []int{grain, 1, 2, 3} {

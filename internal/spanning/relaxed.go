@@ -49,31 +49,14 @@ import (
 // but different schedules — like different fixed prefixes — may select
 // different, equally valid forests.
 func PrefixSFRelaxed(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
-	m := el.NumEdges()
-	if ord.Len() != m {
-		panic("spanning: order size does not match edge list")
-	}
-	ws := opt.Workspace
-	if ws == nil {
-		ws = new(Workspace)
-	}
-	dsu := ws.freshDSU(el.N)
-	in := make([]bool, m)
-	reserv := engine.Grow32(&ws.reserv, el.N)
-	engine.Fill32(reserv, maxRank)
-
-	prob := &sfRelaxedProblem{
-		edges:  el.GatherByRank(ws.edgeBuf(), ord.Order),
-		order:  ord.Order,
-		dsu:    dsu,
-		in:     in,
-		reserv: reserv,
-	}
-	stats, err := engine.Run(ctx, m, prob, opt.Options, &ws.eng)
+	prob, ws := newSFProblem(el, ord, opt)
+	prob.reserv = engine.Grow32(&ws.reserv, el.N)
+	engine.Fill32(prob.reserv, maxRank)
+	stats, err := engine.Run(ctx, len(prob.edges), (*sfRelaxedProblem)(prob), opt.Options, &ws.eng)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(el, in, stats), nil
+	return newResult(el, prob.in, stats), nil
 }
 
 // sfRelaxedProblem is the engine adapter for the PBBS-style one-root

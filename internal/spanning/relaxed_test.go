@@ -14,7 +14,7 @@ import (
 func TestRelaxedProducesValidSpanningForest(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Random(400, 1600, 1),
-		graph.RMat(9, 1500, 2, graph.DefaultRMatOptions()),
+		graph.RMat(9, 1500, 2),
 		graph.Complete(40),
 		graph.Star(50),
 		graph.Cycle(60),
@@ -22,7 +22,7 @@ func TestRelaxedProducesValidSpanningForest(t *testing.T) {
 	} {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), 7)
-		want := must(SequentialSF(context.Background(), el, ord, Options{}))
+		want := referenceSF(el, ord)
 		for _, frac := range []float64{0.01, 0.2, 1.0} {
 			got := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: frac}}))
 			if !IsForest(el, got.InForest) {
@@ -64,7 +64,7 @@ func TestRelaxedPrefixOneIsSequential(t *testing.T) {
 	// sequential loop: one edge at a time, always the earliest, so the
 	// result is the lexicographically-first forest.
 	el, ord := instance(300, 1200, 5)
-	want := must(SequentialSF(context.Background(), el, ord, Options{}))
+	want := referenceSF(el, ord)
 	got := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}}))
 	if !got.Equal(want) {
 		t.Error("relaxed with prefix 1 differs from sequential")
@@ -85,7 +85,7 @@ func TestRelaxedQuick(t *testing.T) {
 		prefix := int(rawPrefix)%el.NumEdges() + 1
 		got := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 4}}))
 		return IsForest(el, got.InForest) && IsSpanning(el, got.InForest) &&
-			got.Size() == must(SequentialSF(context.Background(), el, ord, Options{})).Size()
+			got.Size() == referenceSF(el, ord).Size()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -59,42 +59,23 @@ func newResult(el graph.EdgeList, in []bool, stats Stats) *Result {
 	return &Result{InForest: in, Edges: edges, Stats: stats}
 }
 
-// seqCancelMask paces the sequential scan's cancellation checks, as in
-// core.SequentialMIS.
-const seqCancelMask = 1<<12 - 1
-
-// SequentialSF computes the greedy spanning forest of el under ord with
-// a union-find over the edges in priority order; the kept edges form
-// the lexicographically-first spanning forest.
+// SequentialSF computes the greedy spanning forest of el under ord: it
+// scans edges in priority order and keeps every edge that joins two
+// different components; the kept edges form the lexicographically-first
+// spanning forest. It is the engine's sequential scan over the adapter
+// PrefixSF runs, on the same rank-gathered edges and the same pooled
+// concurrent union-find; it needs no reservations.
 //
-// ctx is checked every few thousand edges. The sequential union-find
-// is not pooled: it is cheap relative to the scan and sharing it with the
-// concurrent variant would complicate the workspace for no measurable
-// win.
+// Stats: Rounds = Attempts = m, and EdgeInspections counts the two
+// root finds per edge. ctx is checked every 4,096 edges, and buffers
+// come from opt.Workspace when set.
 func SequentialSF(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
-	m := el.NumEdges()
-	if ord.Len() != m {
-		panic("spanning: order size does not match edge list")
+	prob, _ := newSFProblem(el, ord, opt)
+	stats, err := engine.Scan(ctx, len(prob.edges), prob)
+	if err != nil {
+		return nil, err
 	}
-	dsu := unionfind.NewDSU(el.N)
-	in := make([]bool, m)
-	for r := 0; r < m; r++ {
-		if r&seqCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		e := ord.Order[r]
-		edge := el.Edges[e]
-		if dsu.Union(edge.U, edge.V) {
-			in[e] = true
-		}
-	}
-	return newResult(el, in, Stats{
-		Rounds:          int64(m),
-		Attempts:        int64(m),
-		EdgeInspections: 2 * int64(m),
-	}), nil
+	return newResult(el, prob.in, stats), nil
 }
 
 // Options configures the prefix spanning-forest algorithms: the
@@ -134,6 +115,21 @@ type Options struct {
 // rank order once, an edge's rank is its bid, and a linked edge sets
 // its own forest bit, at its id order[r].
 func PrefixSF(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
+	prob, ws := newSFProblem(el, ord, opt)
+	prob.reserv = engine.Grow32(&ws.reserv, el.N)
+	engine.Fill32(prob.reserv, maxRank)
+	stats, err := engine.Run(ctx, len(prob.edges), prob, opt.Options, &ws.eng)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(el, prob.in, stats), nil
+}
+
+// newSFProblem is the set-up the strict, relaxed and sequential forests
+// share: the workspace, the pooled union-find reset over el's vertices,
+// the forest bits and the rank-gathered edges. The prefix runs add the
+// reservations.
+func newSFProblem(el graph.EdgeList, ord core.Order, opt Options) (*sfProblem, *Workspace) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("spanning: order size does not match edge list")
@@ -142,23 +138,12 @@ func PrefixSF(ctx context.Context, el graph.EdgeList, ord core.Order, opt Option
 	if ws == nil {
 		ws = new(Workspace)
 	}
-	dsu := ws.freshDSU(el.N)
-	in := make([]bool, m)
-	reserv := engine.Grow32(&ws.reserv, el.N)
-	engine.Fill32(reserv, maxRank)
-
-	prob := &sfProblem{
-		edges:  el.GatherByRank(ws.edgeBuf(), ord.Order),
-		order:  ord.Order,
-		dsu:    dsu,
-		in:     in,
-		reserv: reserv,
-	}
-	stats, err := engine.Run(ctx, m, prob, opt.Options, &ws.eng)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(el, in, stats), nil
+	return &sfProblem{
+		edges: el.GatherByRank(ws.edgeBuf(), ord.Order),
+		order: ord.Order,
+		dsu:   ws.freshDSU(el.N),
+		in:    make([]bool, m),
+	}, ws
 }
 
 // maxRank is the neutral reservation value: larger than any edge rank.
@@ -229,16 +214,35 @@ func (p *sfProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 			atomic.StoreInt32(&p.reserv[rv], maxRank)
 		}
 		if holdU && holdV {
-			if ru < rv {
-				p.dsu.Link(rv, ru)
-			} else {
-				p.dsu.Link(ru, rv)
-			}
+			p.link(ru, rv)
 			p.in[p.order[r]] = true
 			outcome[i] = engine.Committed
 		}
 	}
 	return 0
+}
+
+// Decide is the sequential step: with every earlier edge final, edge r
+// joins the forest exactly when its endpoints' roots differ.
+func (p *sfProblem) Decide(r int32) int64 {
+	edge := p.edges[r]
+	ru := p.dsu.Find(edge.U)
+	rv := p.dsu.Find(edge.V)
+	if ru != rv {
+		p.link(ru, rv)
+		p.in[p.order[r]] = true
+	}
+	return 2
+}
+
+// link hangs the larger of two distinct roots under the smaller, so
+// parent ids strictly decrease along links.
+func (p *sfProblem) link(ru, rv int32) {
+	if ru < rv {
+		p.dsu.Link(rv, ru)
+	} else {
+		p.dsu.Link(ru, rv)
+	}
 }
 
 // IsForest reports whether the selected edges contain no cycle.

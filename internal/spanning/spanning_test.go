@@ -8,12 +8,26 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/unionfind"
 )
 
 func instance(n, m int, seed uint64) (graph.EdgeList, core.Order) {
 	g := graph.Random(n, m, seed)
 	el := g.EdgeList()
 	return el, core.NewRandomOrder(el.NumEdges(), seed+1)
+}
+
+// referenceSF is the greedy spanning forest over the edge list in
+// priority order with the sequential union-find (unionfind.DSU), the
+// reference that shares no code with the engine adapter: an edge is
+// kept exactly when it joins two components.
+func referenceSF(el graph.EdgeList, ord core.Order) *Result {
+	dsu := unionfind.NewDSU(el.N)
+	in := make([]bool, el.NumEdges())
+	for _, e := range ord.Order {
+		in[e] = dsu.Union(el.Edges[e].U, el.Edges[e].V)
+	}
+	return newResult(el, in, Stats{})
 }
 
 func TestSequentialSFTree(t *testing.T) {
@@ -60,7 +74,7 @@ func TestSequentialSFConnectedGraphSize(t *testing.T) {
 func TestPrefixSFMatchesSequential(t *testing.T) {
 	cases := []*graph.Graph{
 		graph.Random(300, 1000, 1),
-		graph.RMat(8, 800, 2, graph.DefaultRMatOptions()),
+		graph.RMat(8, 800, 2),
 		graph.Complete(40),
 		graph.Grid2D(12, 13),
 		graph.Cycle(50),
@@ -69,7 +83,10 @@ func TestPrefixSFMatchesSequential(t *testing.T) {
 	for ci, g := range cases {
 		el := g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), uint64(ci)+11)
-		want := must(SequentialSF(context.Background(), el, ord, Options{}))
+		want := referenceSF(el, ord)
+		if got := must(SequentialSF(context.Background(), el, ord, Options{})); !got.Equal(want) {
+			t.Errorf("case %d: sequential forest differs from the reference", ci)
+		}
 		for _, frac := range []float64{0.001, 0.01, 0.2, 1.0} {
 			got := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: frac}}))
 			if !got.Equal(want) {
@@ -95,10 +112,11 @@ func TestPrefixSFQuick(t *testing.T) {
 			return true
 		}
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xabcd)
-		want := must(SequentialSF(context.Background(), el, ord, Options{}))
+		want := referenceSF(el, ord)
 		prefix := int(rawPrefix)%el.NumEdges() + 1
 		got := must(PrefixSF(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 4}}))
-		return got.Equal(want) && IsForest(el, got.InForest) && IsSpanning(el, got.InForest)
+		seq := must(SequentialSF(context.Background(), el, ord, Options{}))
+		return got.Equal(want) && seq.Equal(want) && IsForest(el, got.InForest) && IsSpanning(el, got.InForest)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

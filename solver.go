@@ -305,16 +305,16 @@ func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult,
 	if err != nil {
 		return nil, err
 	}
+	if c.algorithm == AlgoRootSet {
+		return core.RootSetMIS(ctx, g, ord, coreOpt)
+	}
+	coreOpt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
 	switch c.algorithm {
 	case AlgoSequential:
 		return core.SequentialMIS(ctx, g, ord, coreOpt)
-	case AlgoRootSet:
-		return core.RootSetMIS(ctx, g, ord, coreOpt)
 	case AlgoParallel:
-		coreOpt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
 		return core.ParallelMIS(ctx, g, ord, coreOpt)
 	default:
-		coreOpt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
 		return core.PrefixMIS(ctx, g, ord, coreOpt)
 	}
 }
@@ -355,7 +355,8 @@ func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult
 }
 
 // SF computes a greedy spanning forest of the edge list el — the §7
-// extension. AlgoSequential runs the union-find scan; the default runs
+// extension. AlgoSequential runs the sequential scan over the strict
+// problem's rank-gathered edges and union-find; the default runs
 // the prefix-based deterministic-reservations version with PBBS
 // one-root semantics (see SpanningForest for the fidelity discussion).
 // Other algorithms are rejected with ErrSpanningAlgorithm. Cancellation
@@ -380,7 +381,8 @@ func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult
 // Coloring computes the greedy (first-fit) coloring of g under the
 // configured options: vertices in priority order, each taking the
 // smallest color absent among its earlier neighbors. AlgoSequential
-// runs the reference scan; the default AlgoPrefix runs the speculative
+// runs the sequential scan over the same cached parent lists; the
+// default AlgoPrefix runs the speculative
 // engine and returns the identical — lexicographically-first — coloring
 // at any thread count and prefix size. Other algorithms are rejected
 // with ErrColoringAlgorithm, and WithDynamic with
@@ -395,19 +397,22 @@ func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*Color
 	if err != nil {
 		return nil, err
 	}
-	opt := coloring.Options{Options: engineOptions(c), Workspace: &s.colorWs}
+	opt := coloring.Options{
+		Options:   engineOptions(c),
+		Parents:   s.parents.get(c, g, ord, (*core.Parents).Build),
+		Workspace: &s.colorWs,
+	}
 	if c.algorithm == AlgoSequential {
 		return coloring.SequentialColoring(ctx, g, ord, opt)
 	}
-	opt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
 	return coloring.PrefixColoring(ctx, g, ord, opt)
 }
 
 // HittingSet computes the greedy hitting set of the set system sys
 // under the configured options: elements in priority order, each
 // joining the hitting set exactly when some set containing it is not
-// yet hit. AlgoSequential runs the reference scan; the default
-// AlgoPrefix runs the speculative engine and returns the identical
+// yet hit. AlgoSequential runs the sequential scan over the same cached
+// layout; the default AlgoPrefix runs the speculative engine and returns the identical
 // greedy hitting set at any thread count and prefix size. Other
 // algorithms are rejected with ErrHittingSetAlgorithm, and WithDynamic
 // with ErrDynamicUnsupported. Cancellation follows the same one-round
@@ -421,11 +426,14 @@ func (s *Solver) HittingSet(ctx context.Context, sys *System, opts ...Option) (*
 	if err != nil {
 		return nil, err
 	}
-	opt := setcover.Options{Options: engineOptions(c), Workspace: &s.hsWs}
+	opt := setcover.Options{
+		Options:   engineOptions(c),
+		Layout:    s.hitting.get(c, sys, ord, (*setcover.Layout).Build),
+		Workspace: &s.hsWs,
+	}
 	if c.algorithm == AlgoSequential {
 		return setcover.SequentialHittingSet(ctx, sys, ord, opt)
 	}
-	opt.Layout = s.hitting.get(c, sys, ord, (*setcover.Layout).Build)
 	return setcover.PrefixHittingSet(ctx, sys, ord, opt)
 }
 
