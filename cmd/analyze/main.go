@@ -132,14 +132,8 @@ func load(in, gen string, n, m int, seed uint64) (*graph.Graph, error) {
 		return graph.ReadAuto(f)
 	}
 	switch gen {
-	case "random":
-		return graph.Random(n, m, seed), nil
-	case "rmat":
-		logn := 0
-		for 1<<logn < n {
-			logn++
-		}
-		return graph.RMat(logn, m, seed), nil
+	case "random", "rmat":
+		return graph.Generate(gen, n, m, seed)
 	case "grid":
 		side := 1
 		for side*side < n {

@@ -230,14 +230,6 @@ func WithPointer() Option { return func(c *config) { c.pointered = true } }
 // and allocation-free.
 func WithPhaseProfile() Option { return func(c *config) { c.phaseProfile = true } }
 
-func buildConfig(opts []Option) config {
-	c := config{seed: 1}
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
 // Plan is the resolved configuration an option list denotes: the
 // algorithm, seed and tuning knobs after defaults are applied. Because
 // every deterministic algorithm returns bit-identical results for a
@@ -269,8 +261,8 @@ type Plan struct {
 
 // ResolvePlan applies opts over the defaults and returns the resulting
 // Plan — the exact option→configuration mapping the solver entry points
-// use internally.
-func ResolvePlan(opts ...Option) Plan { return buildConfig(opts).plan() }
+// use internally, that of a Solver without defaults.
+func ResolvePlan(opts ...Option) Plan { return NewSolver().config(opts).plan() }
 
 // plan is the Plan c denotes.
 func (c config) plan() Plan {

@@ -74,11 +74,7 @@ func ChurnScenarios(smoke bool) []ChurnScenario {
 			Note: "rMat power-law graph, m = 5n; hub cones stress the repair BFS",
 			Seed: churnSeed,
 			build: func() *graph.Graph {
-				logN := 0
-				for 1<<logN < sz.n {
-					logN++
-				}
-				return graph.RMat(logN, 5*sz.n, churnSeed)
+				return mustGenerate("rmat", sz.n, 5*sz.n, churnSeed)
 			},
 		},
 		{

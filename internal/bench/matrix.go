@@ -60,11 +60,7 @@ func MatrixScenarios(smoke bool) []Scenario {
 			Note: "rMat power-law graph, m = 5n (the paper's second input family)",
 			Seed: matrixSeed,
 			build: func() *graph.Graph {
-				logN := 0
-				for 1<<logN < sz.n {
-					logN++
-				}
-				return graph.RMat(logN, 5*sz.n, matrixSeed)
+				return mustGenerate("rmat", sz.n, 5*sz.n, matrixSeed)
 			},
 		},
 		{

@@ -24,7 +24,7 @@ func OrderSensitivity(n int, seed uint64) Table {
 		g    *graph.Graph
 	}{
 		{"random(avg10)", graph.Random(n, 5*n, seed)},
-		{"rmat", rmatFor(n, 5*n, seed)},
+		{"rmat", mustGenerate("rmat", n, 5*n, seed)},
 		{"path", graph.Path(n)},
 		{"grid2d", graph.Grid2D(isqrt(n), isqrt(n))},
 		{"hypercube", graph.Hypercube(log2floor(n))},
@@ -55,14 +55,6 @@ func OrderSensitivity(n int, seed uint64) Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-func rmatFor(n, m int, seed uint64) *graph.Graph {
-	logN := 0
-	for 1<<logN < n {
-		logN++
-	}
-	return graph.RMat(logN, m, seed)
 }
 
 func isqrt(n int) int {

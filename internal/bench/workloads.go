@@ -38,19 +38,16 @@ func DefaultScale(kind string, shrink uint) Workload {
 }
 
 // Build generates the workload's graph.
-func (w Workload) Build() *graph.Graph {
-	switch w.Kind {
-	case "random":
-		return graph.Random(w.N, w.M, w.Seed)
-	case "rmat":
-		logN := 0
-		for 1<<logN < w.N {
-			logN++
-		}
-		return graph.RMat(logN, w.M, w.Seed)
-	default:
-		panic(fmt.Sprintf("bench: unknown workload kind %q", w.Kind))
+func (w Workload) Build() *graph.Graph { return mustGenerate(w.Kind, w.N, w.M, w.Seed) }
+
+// mustGenerate is graph.Generate for the harness's own inputs, panicking
+// on an unknown family or an impossible edge count.
+func mustGenerate(family string, n, m int, seed uint64) *graph.Graph {
+	g, err := graph.Generate(family, n, m, seed)
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
+	return g
 }
 
 func (w Workload) String() string {

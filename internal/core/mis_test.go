@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // randomGraphAndOrder builds a deterministic test instance.
@@ -23,21 +22,6 @@ func TestOrderValidate(t *testing.T) {
 	}
 	if o.Len() != 100 {
 		t.Errorf("Len = %d", o.Len())
-	}
-	id := IdentityOrder(5)
-	if !id.Earlier(0, 4) || id.Earlier(4, 0) {
-		t.Error("identity order Earlier wrong")
-	}
-}
-
-func TestFromOrderFromRankRoundTrip(t *testing.T) {
-	p := rng.Perm(50, 9)
-	a := FromOrder(p)
-	b := FromRank(a.Rank)
-	for i := range p {
-		if a.Order[i] != b.Order[i] || a.Rank[i] != b.Rank[i] {
-			t.Fatalf("FromOrder/FromRank mismatch at %d", i)
-		}
 	}
 }
 

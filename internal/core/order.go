@@ -56,21 +56,8 @@ func FromOrder(order []int32) Order {
 	return Order{Order: o, Rank: rng.InversePerm(o)}
 }
 
-// FromRank builds an Order from an explicit rank array mapping each item
-// to its priority rank. It panics if rank is not a permutation.
-func FromRank(rank []int32) Order {
-	if !rng.IsPerm(rank) {
-		panic("core: FromRank argument is not a permutation")
-	}
-	r := append([]int32(nil), rank...)
-	return Order{Order: rng.InversePerm(r), Rank: r}
-}
-
 // Len returns the number of items ordered.
 func (o Order) Len() int { return len(o.Order) }
-
-// Earlier reports whether item a precedes item b in the order.
-func (o Order) Earlier(a, b int32) bool { return o.Rank[a] < o.Rank[b] }
 
 // Validate checks that Order and Rank are mutually inverse permutations.
 func (o Order) Validate() error {

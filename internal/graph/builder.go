@@ -73,25 +73,6 @@ func (g *Graph) sortAdjacency() {
 	})
 }
 
-// FromAdjacency builds a graph directly from CSR arrays. offsets must
-// have length n+1 with offsets[0] == 0 and offsets[n] == len(adj); the
-// arrays are copied. The input must already describe a symmetric simple
-// graph; Validate is run and its error returned if it does not.
-func FromAdjacency(offsets []int64, adj []Vertex) (*Graph, error) {
-	if len(offsets) == 0 {
-		return &Graph{}, nil
-	}
-	g := &Graph{
-		offsets: append([]int64(nil), offsets...),
-		adj:     append([]Vertex(nil), adj...),
-	}
-	g.sortAdjacency()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // FromCSRUnchecked wraps CSR arrays in a Graph without copying, sorting
 // or validation. The caller must guarantee the Graph invariants hold
 // (offsets of length n+1 covering adj, strictly sorted in-range

@@ -113,6 +113,37 @@ func TestRMatMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGenerateMatchesGenerators checks that Generate builds the CSR of
+// Random on n vertices and of RMat on n rounded up to a power of two,
+// and that it reports an unknown family, a negative size or too many
+// edges for the rounded vertex count as an error.
+func TestGenerateMatchesGenerators(t *testing.T) {
+	for _, c := range []struct{ n, m, logN int }{{1, 0, 0}, {5, 7, 3}, {8, 28, 3}, {1000, 5000, 10}} {
+		g, err := Generate("random", c.n, c.m, 3)
+		if err != nil || !sameCSR(g, Random(c.n, c.m, 3)) {
+			t.Errorf("Generate(random, %d, %d): err %v, or not Random's graph", c.n, c.m, err)
+		}
+		g, err = Generate("rmat", c.n, c.m, 3)
+		if err != nil || !sameCSR(g, RMat(c.logN, c.m, 3)) {
+			t.Errorf("Generate(rmat, %d, %d): err %v, or not RMat(%d)'s graph", c.n, c.m, err, c.logN)
+		}
+	}
+	// rmat with n = 5 draws on 8 vertices, which hold 28 edges.
+	if g, err := Generate("rmat", 5, 28, 1); err != nil || g.NumVertices() != 8 || g.NumEdges() != 28 {
+		t.Errorf("Generate(rmat, 5, 28): %v, err %v; want K8", g, err)
+	}
+	for _, c := range []struct {
+		family string
+		n, m   int
+	}{
+		{"grid", 10, 10}, {"", 10, 10}, {"random", 5, 11}, {"rmat", 5, 29}, {"random", -1, 0}, {"rmat", 4, -1},
+	} {
+		if _, err := Generate(c.family, c.n, c.m, 1); err == nil {
+			t.Errorf("Generate(%q, %d, %d) returned no error", c.family, c.n, c.m)
+		}
+	}
+}
+
 // FuzzRMat checks RMat against the sequential reference over
 // (logN ≤ 12, m, seed), m capped at the number of possible edges and,
 // to keep each input fast, at 60,000.

@@ -2,11 +2,42 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
+
+// Generate returns a graph of one of the paper's two input families:
+// "random" (Random on n vertices) or "rmat" (RMat on 2^⌈log2 n⌉
+// vertices, n rounded up to a power of two). It reports an unknown
+// family, a negative size, or more edges than that vertex count allows
+// as an error instead of the generators' panic.
+func Generate(family string, n, m int, seed uint64) (*Graph, error) {
+	if n < 0 || m < 0 {
+		return nil, fmt.Errorf("graph: negative size n=%d m=%d", n, m)
+	}
+	logN := bits.Len(uint(max(n, 1) - 1))
+	nv := n
+	switch family {
+	case "random":
+	case "rmat":
+		if logN > 30 {
+			return nil, fmt.Errorf("graph: rmat with n=%d needs more than 2^30 vertices", n)
+		}
+		nv = 1 << logN
+	default:
+		return nil, fmt.Errorf("graph: unknown generator %q (want random|rmat)", family)
+	}
+	if maxEdges := int64(nv) * int64(nv-1) / 2; int64(m) > maxEdges {
+		return nil, fmt.Errorf("graph: m=%d exceeds the %d possible edges on %d vertices", m, maxEdges, nv)
+	}
+	if family == "rmat" {
+		return RMat(logN, m, seed), nil
+	}
+	return Random(n, m, seed), nil
+}
 
 // Random returns a uniform sparse random graph with n vertices and m
 // distinct undirected edges (the G(n,m) model). This is the paper's

@@ -32,29 +32,6 @@ func Hypercube(d int) *Graph {
 	return MustFromEdges(n, edges)
 }
 
-// Grid3D returns the x*y*z grid graph, the bounded-degree (<=6) mesh of
-// scientific computing workloads.
-func Grid3D(x, y, z int) *Graph {
-	id := func(i, j, k int) Vertex { return Vertex((i*y+j)*z + k) }
-	edges := make([]Edge, 0, 3*x*y*z)
-	for i := 0; i < x; i++ {
-		for j := 0; j < y; j++ {
-			for k := 0; k < z; k++ {
-				if i+1 < x {
-					edges = append(edges, Edge{U: id(i, j, k), V: id(i+1, j, k)})
-				}
-				if j+1 < y {
-					edges = append(edges, Edge{U: id(i, j, k), V: id(i, j+1, k)})
-				}
-				if k+1 < z {
-					edges = append(edges, Edge{U: id(i, j, k), V: id(i, j, k+1)})
-				}
-			}
-		}
-	}
-	return MustFromEdges(x*y*z, edges)
-}
-
 // WattsStrogatz returns a small-world graph: a ring lattice where each
 // vertex connects to its k nearest neighbors (k even), with each edge
 // rewired to a random endpoint with probability beta. beta=0 is the

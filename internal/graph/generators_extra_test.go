@@ -41,23 +41,6 @@ func TestHypercubeBipartite(t *testing.T) {
 	}
 }
 
-func TestGrid3D(t *testing.T) {
-	g := Grid3D(3, 4, 5)
-	if g.NumVertices() != 60 {
-		t.Errorf("n = %d", g.NumVertices())
-	}
-	// Edges: (x-1)yz + x(y-1)z + xy(z-1) = 2*4*5 + 3*3*5 + 3*4*4 = 40+45+48.
-	if g.NumEdges() != 133 {
-		t.Errorf("m = %d, want 133", g.NumEdges())
-	}
-	if g.MaxDegree() != 6 {
-		t.Errorf("maxdeg = %d, want 6", g.MaxDegree())
-	}
-	if err := g.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWattsStrogatz(t *testing.T) {
 	// beta=0: pure ring lattice, exactly nk/2 edges, all degree k.
 	g := WattsStrogatz(100, 4, 0, 1)

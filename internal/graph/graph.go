@@ -81,16 +81,6 @@ func (g *Graph) MaxDegree() int {
 	}))
 }
 
-// AvgDegree returns the average vertex degree 2m/n, or 0 for the empty
-// graph.
-func (g *Graph) AvgDegree() float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	return float64(len(g.adj)) / float64(n)
-}
-
 // Edges returns the canonical edge list of g: every undirected edge
 // exactly once as {U, V} with U < V, sorted lexicographically.
 func (g *Graph) Edges() []Edge {
@@ -177,17 +167,6 @@ func (g *Graph) hasArc(u, v Vertex) bool {
 	nbrs := g.Neighbors(u)
 	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
 	return i < len(nbrs) && nbrs[i] == v
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		offsets: make([]int64, len(g.offsets)),
-		adj:     make([]Vertex, len(g.adj)),
-	}
-	copy(c.offsets, g.offsets)
-	copy(c.adj, g.adj)
-	return c
 }
 
 // Raw exposes the CSR arrays (offsets of length n+1 and the adjacency

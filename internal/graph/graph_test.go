@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,21 +163,18 @@ func TestEdgeOther(t *testing.T) {
 	e.Other(5)
 }
 
-func TestFromAdjacency(t *testing.T) {
-	// Triangle as raw CSR.
-	offsets := []int64{0, 2, 4, 6}
-	adj := []Vertex{1, 2, 0, 2, 0, 1}
-	g, err := FromAdjacency(offsets, adj)
-	if err != nil {
-		t.Fatal(err)
+// Clone returns a deep copy of g.
+func (g *Graph) Clone() *Graph {
+	return &Graph{offsets: slices.Clone(g.offsets), adj: slices.Clone(g.adj)}
+}
+
+// AvgDegree returns the average vertex degree 2m/n, or 0 for the empty
+// graph.
+func (g *Graph) AvgDegree() float64 {
+	if g.NumVertices() == 0 {
+		return 0
 	}
-	if g.NumEdges() != 3 {
-		t.Errorf("triangle m = %d", g.NumEdges())
-	}
-	// Asymmetric input must be rejected.
-	if _, err := FromAdjacency([]int64{0, 1, 1}, []Vertex{1}); err == nil {
-		t.Error("asymmetric adjacency accepted")
-	}
+	return float64(len(g.adj)) / float64(g.NumVertices())
 }
 
 func TestCloneIndependent(t *testing.T) {
@@ -413,43 +411,6 @@ func TestGeneratorsValidateQuick(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := Complete(6)
-	sub, mapping := InducedSubgraph(g, []Vertex{1, 3, 5})
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Errorf("induced K3: n=%d m=%d", sub.NumVertices(), sub.NumEdges())
-	}
-	if len(mapping) != 3 || mapping[0] != 1 || mapping[1] != 3 || mapping[2] != 5 {
-		t.Errorf("mapping = %v", mapping)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Error(err)
-	}
-	// Induced subgraph of a path by its endpoints has no edges.
-	p := Path(5)
-	sub2, _ := InducedSubgraph(p, []Vertex{0, 4})
-	if sub2.NumEdges() != 0 {
-		t.Errorf("induced endpoints: m = %d", sub2.NumEdges())
-	}
-}
-
-func TestInducedSubgraphPanicsOnDuplicate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate vertex accepted")
-		}
-	}()
-	InducedSubgraph(Complete(3), []Vertex{0, 0})
-}
-
-func TestEdgeInducedSubgraph(t *testing.T) {
-	g := Complete(5)
-	sub := EdgeInducedSubgraph(g, []Edge{{0, 1}, {2, 3}})
-	if sub.NumVertices() != 5 || sub.NumEdges() != 2 {
-		t.Errorf("edge-induced: n=%d m=%d", sub.NumVertices(), sub.NumEdges())
-	}
-}
-
 func TestLineGraphTriangle(t *testing.T) {
 	// L(K3) = K3.
 	lg, el := LineGraph(Complete(3))
@@ -477,12 +438,19 @@ func TestLineGraphStar(t *testing.T) {
 	}
 }
 
+// TestLineGraphSizeMatches checks L(g)'s size against the closed form:
+// m vertices and sum_v C(deg(v), 2) edges, as two edges of a simple
+// graph share at most one endpoint.
 func TestLineGraphSizeMatches(t *testing.T) {
 	g := Random(100, 300, 21)
 	lg, _ := LineGraph(g)
-	v, e := LineGraphSize(g)
-	if int64(lg.NumVertices()) != v || int64(lg.NumEdges()) != e {
-		t.Errorf("LineGraphSize = (%d,%d), actual (%d,%d)", v, e, lg.NumVertices(), lg.NumEdges())
+	e := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		d := g.Degree(Vertex(v))
+		e += d * (d - 1) / 2
+	}
+	if lg.NumVertices() != g.NumEdges() || lg.NumEdges() != e {
+		t.Errorf("L(g) has (%d,%d), want (%d,%d)", lg.NumVertices(), lg.NumEdges(), g.NumEdges(), e)
 	}
 }
 
@@ -558,13 +526,6 @@ func TestStats(t *testing.T) {
 		t.Error("Stats on the 0-vertex graph failed")
 	}
 	_ = s.String() // must not panic
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	h := DegreeHistogram(Star(5))
-	if h[4] != 1 || h[1] != 4 {
-		t.Errorf("star histogram = %v", h)
-	}
 }
 
 func TestComponentsDisconnected(t *testing.T) {

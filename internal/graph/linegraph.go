@@ -38,17 +38,3 @@ func LineGraph(g *Graph) (*Graph, EdgeList) {
 	}
 	return lg, el
 }
-
-// LineGraphSize returns the number of vertices and edges L(g) would
-// have, without building it: |V| = m and |E| = sum_v C(deg(v), 2) minus
-// nothing (simple graphs cannot create duplicate line-graph edges
-// because two edges share at most one endpoint).
-func LineGraphSize(g *Graph) (vertices, edges int64) {
-	n := g.NumVertices()
-	var e int64
-	for v := 0; v < n; v++ {
-		d := int64(g.Degree(Vertex(v)))
-		e += d * (d - 1) / 2
-	}
-	return int64(g.NumEdges()), e
-}

@@ -6,16 +6,6 @@ import (
 	"strings"
 )
 
-// DegreeHistogram returns a map from degree to the number of vertices
-// with that degree.
-func DegreeHistogram(g *Graph) map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		h[g.Degree(Vertex(v))]++
-	}
-	return h
-}
-
 // DegreeStats summarizes the degree distribution of a graph. The rMat
 // input's power-law skew versus the random graph's concentration around
 // 2m/n is the structural difference behind the two columns of the

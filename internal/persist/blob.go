@@ -54,12 +54,6 @@ func (b *BlobStore) path(id string) string {
 	return filepath.Join(b.dir, id+blobSuffix)
 }
 
-// Has reports whether a committed blob exists for id.
-func (b *BlobStore) Has(id string) bool {
-	_, err := os.Stat(b.path(id))
-	return err == nil
-}
-
 // Put durably stores g under meta.ID. Present blobs are left alone
 // (content addressing: same id means same bytes). The file hits disk —
 // fsync on both the file and its directory — before Put returns.

@@ -176,3 +176,16 @@ func graphBytesFor(g *graph.Graph) int64 {
 	offsets, adj := g.Raw()
 	return int64(len(offsets))*8 + int64(len(adj))*4
 }
+
+// DecodeJournal replays a raw journal image and returns the pending
+// set, in acceptance order, as OpenJournal does: corrupt tails are
+// tolerated exactly as on open, and the valid prefix wins.
+func DecodeJournal(raw []byte) []PendingJob {
+	j := &Journal{pending: make(map[string]json.RawMessage)}
+	j.replay(raw)
+	out := make([]PendingJob, 0, len(j.order))
+	for _, id := range j.order {
+		out = append(out, PendingJob{ID: id, Spec: j.pending[id]})
+	}
+	return out
+}

@@ -400,3 +400,9 @@ func TestFailpointsInPersist(t *testing.T) {
 		t.Fatalf("Put after failpoint exhausted = %v", err)
 	}
 }
+
+// Has reports whether a committed blob exists for id.
+func (b *BlobStore) Has(id string) bool {
+	_, err := os.Stat(b.path(id))
+	return err == nil
+}

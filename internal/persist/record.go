@@ -62,10 +62,6 @@ func writeRecord(w io.Writer, payload []byte) error {
 	return err
 }
 
-// recordLen returns the on-disk size of a record with the given
-// payload length.
-func recordLen(payload int) int64 { return recordHeaderLen + int64(payload) }
-
 // readRecord reads the next record from r, reusing buf's storage when
 // it is large enough. It returns io.EOF at a clean record boundary and
 // a wrapped ErrCorrupt for everything structurally wrong. Payloads are

@@ -314,17 +314,3 @@ func (j *Journal) Close() error {
 	j.f, j.w = nil, nil
 	return err
 }
-
-// DecodeJournal replays a raw journal image and returns the pending
-// set, in acceptance order. Exported for the fuzz harness; OpenJournal
-// is the production entry point. Corrupt tails are tolerated exactly
-// as on open: the valid prefix wins.
-func DecodeJournal(raw []byte) []PendingJob {
-	j := &Journal{pending: make(map[string]json.RawMessage)}
-	j.replay(raw)
-	out := make([]PendingJob, 0, len(j.order))
-	for _, id := range j.order {
-		out = append(out, PendingJob{ID: id, Spec: j.pending[id]})
-	}
-	return out
-}

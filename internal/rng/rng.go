@@ -136,23 +136,3 @@ func (x *Xoshiro256) Int31n(n int32) int32 {
 func (x *Xoshiro256) Float64() float64 {
 	return float64(x.Next()>>11) * (1.0 / (1 << 53))
 }
-
-// Jump advances the generator by 2^128 steps, equivalent to 2^128 calls
-// to Next. It can be used to split one seed into non-overlapping parallel
-// streams.
-func (x *Xoshiro256) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= x.s[0]
-				s1 ^= x.s[1]
-				s2 ^= x.s[2]
-				s3 ^= x.s[3]
-			}
-			x.Next()
-		}
-	}
-	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
-}

@@ -159,21 +159,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestJumpChangesStream(t *testing.T) {
-	a := NewXoshiro256(3)
-	b := NewXoshiro256(3)
-	b.Jump()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Next() == b.Next() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("jumped stream agreed with original on %d/100 outputs", same)
-	}
-}
-
 func TestPermIsPermutationQuick(t *testing.T) {
 	f := func(n uint16, seed uint64) bool {
 		p := Perm(int(n%2000), seed)

@@ -125,7 +125,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if payload.Size != want.Size() {
 		t.Fatalf("service matching size %d, library %d", payload.Size, want.Size())
 	}
-	if payload.Checksum != membershipChecksum(want.InMatching) {
+	if payload.Checksum != (greedy.Answer{In: want.InMatching}).Checksum() {
 		t.Fatal("service checksum disagrees with library run")
 	}
 }

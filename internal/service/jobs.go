@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"math"
@@ -1098,15 +1096,10 @@ func (e *Engine) execute(ctx context.Context, job *Job, solver *greedy.Solver) (
 // members are its colors; a maintained matching has no edge-id bits,
 // so its checksum commits to its sorted pairs.
 func (p *ResultPayload) setAnswer(a greedy.Answer) {
-	p.Size = a.Size
+	p.Size, p.Checksum = a.Size, a.Checksum()
 	members := a.Members
-	switch {
-	case a.Colors != nil:
-		p.Checksum, members = colorsChecksum(a.Colors), a.Colors
-	case a.In != nil:
-		p.Checksum = membershipChecksum(a.In)
-	default:
-		p.Checksum = pairsChecksum(a.Pairs)
+	if a.Colors != nil {
+		members = a.Colors
 	}
 	if len(members) > memberCap || len(a.Pairs) > memberCap/2 {
 		p.MembersOmitted = true
@@ -1281,70 +1274,12 @@ func pick[T any](problem Problem, mis, mm T) T {
 	return mis
 }
 
-// pairsChecksum commits to a matching by hashing its canonical sorted
-// pair list.
-func pairsChecksum(pairs []graph.Edge) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, e := range pairs {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 func pairsOf(edges []graph.Edge) [][2]int32 {
 	out := make([][2]int32, len(edges))
 	for i, e := range edges {
 		out[i] = [2]int32{e.U, e.V}
 	}
 	return out
-}
-
-// colorsChecksum commits to a full color assignment with FNV-1a over
-// the little-endian int32 colors — the coloring analogue of
-// membershipChecksum (whose vector is boolean membership, not values).
-func colorsChecksum(colors []int32) string {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 1<<14)
-	var b [4]byte
-	for _, c := range colors {
-		binary.LittleEndian.PutUint32(b[:], uint32(c))
-		buf = append(buf, b[:]...)
-		if len(buf)+4 > cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	h.Write(buf)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// membershipChecksum commits to a full membership vector with FNV-1a
-// over one byte per element, so clients can compare results across
-// submissions without shipping the whole set. It runs once per executed
-// job over up to n elements, on the worker's path to the job's end, so
-// it hashes in a plain loop and allocates only the returned string.
-func membershipChecksum(in []bool) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, x := range in {
-		if x {
-			h ^= 1
-		}
-		h *= prime64
-	}
-	const digits = "0123456789abcdef"
-	var out [16]byte
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = digits[h&15]
-		h >>= 4
-	}
-	return string(out[:])
 }
 
 // janitor reaps finished jobs past the TTL.

@@ -118,7 +118,7 @@ func TestJobResultsByteIdenticalAndCorrect(t *testing.T) {
 	// MIS for the same (graph, seed).
 	g := greedy.RandomGraph(2000, 8000, 1)
 	want := greedy.MaximalIndependentSet(g, greedy.WithSeed(7))
-	if got := membershipChecksum(want.InSet); !bytes.Contains(raw1, []byte(got)) {
+	if got := (greedy.Answer{In: want.InSet}).Checksum(); !bytes.Contains(raw1, []byte(got)) {
 		t.Fatalf("service checksum does not match library result (%s not in payload)", got)
 	}
 }

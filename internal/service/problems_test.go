@@ -38,7 +38,7 @@ func TestColoringAndHittingSetJobs(t *testing.T) {
 		if err := greedy.VerifyColoring(g, want.Colors); err != nil {
 			t.Fatalf("library coloring invalid: %v", err)
 		}
-		if sum := colorsChecksum(want.Colors); !bytes.Contains(raw, []byte(sum)) {
+		if sum := (greedy.Answer{Colors: want.Colors}).Checksum(); !bytes.Contains(raw, []byte(sum)) {
 			t.Fatalf("coloring/%s: checksum %s not in payload %s", algo, sum, raw)
 		}
 
@@ -61,7 +61,7 @@ func TestColoringAndHittingSetJobs(t *testing.T) {
 		if err := greedy.VerifyHittingSet(sys, wantHS.InSet); err != nil {
 			t.Fatalf("library hitting set invalid: %v", err)
 		}
-		if sum := membershipChecksum(wantHS.InSet); !bytes.Contains(raw, []byte(sum)) {
+		if sum := (greedy.Answer{In: wantHS.InSet}).Checksum(); !bytes.Contains(raw, []byte(sum)) {
 			t.Fatalf("hittingset/%s: checksum %s not in payload %s", algo, sum, raw)
 		}
 	}

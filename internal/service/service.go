@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -337,43 +338,21 @@ func (s *Service) Generate(spec GenSpec) (GraphInfo, bool, error) {
 		return GraphInfo{}, false, fmt.Errorf("service: generation request n=%d m=%d exceeds limits n<=%d m<=%d",
 			spec.N, spec.M, s.cfg.MaxGenVertices, s.cfg.MaxGenEdges)
 	}
-	var g *graph.Graph
+	family := spec.Generator
+	if family == "" {
+		family = "random"
+	}
+	g, err := graph.Generate(family, spec.N, spec.M, spec.Seed)
+	if err != nil {
+		return GraphInfo{}, false, err
+	}
 	label := spec.Label
-	switch spec.Generator {
-	case "random", "":
-		if err := checkEdgeBudget(spec.N, spec.M); err != nil {
-			return GraphInfo{}, false, err
-		}
-		g = graph.Random(spec.N, spec.M, spec.Seed)
-		if label == "" {
-			label = fmt.Sprintf("random(n=%d,m=%d,seed=%d)", spec.N, spec.M, spec.Seed)
-		}
-	case "rmat":
-		logN := 0
-		for 1<<logN < spec.N {
-			logN++
-		}
-		// rMat rounds the vertex count up to a power of two; the edge
-		// budget must hold for the rounded count the generator uses.
-		if err := checkEdgeBudget(1<<logN, spec.M); err != nil {
-			return GraphInfo{}, false, err
-		}
-		g = graph.RMat(logN, spec.M, spec.Seed)
-		if label == "" {
-			label = fmt.Sprintf("rmat(logn=%d,m=%d,seed=%d)", logN, spec.M, spec.Seed)
-		}
+	switch {
+	case label != "":
+	case family == "rmat":
+		label = fmt.Sprintf("rmat(logn=%d,m=%d,seed=%d)", bits.TrailingZeros(uint(g.NumVertices())), spec.M, spec.Seed)
 	default:
-		return GraphInfo{}, false, fmt.Errorf("service: unknown generator %q (want random|rmat)", spec.Generator)
+		label = fmt.Sprintf("random(n=%d,m=%d,seed=%d)", spec.N, spec.M, spec.Seed)
 	}
 	return s.registry.Add(g, label)
-}
-
-// checkEdgeBudget converts the generators' m-exceeds-possible-edges
-// panic into a client error before a remote request can reach it.
-func checkEdgeBudget(n, m int) error {
-	maxEdges := int64(n) * int64(n-1) / 2
-	if int64(m) > maxEdges {
-		return fmt.Errorf("service: m=%d exceeds the %d possible edges on %d vertices", m, maxEdges, n)
-	}
-	return nil
 }

@@ -253,3 +253,12 @@ func must[T any](v T, err error) T {
 	}
 	return v
 }
+
+// MustFromSets is FromSets, panicking on invalid input.
+func MustFromSets(numElements int, sets [][]int32) *System {
+	s, err := FromSets(numElements, sets)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}

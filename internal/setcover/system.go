@@ -74,15 +74,6 @@ func FromSets(numElements int, sets [][]int32) (*System, error) {
 	return s, nil
 }
 
-// MustFromSets is FromSets, panicking on invalid input.
-func MustFromSets(numElements int, sets [][]int32) *System {
-	s, err := FromSets(numElements, sets)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // FromEdges builds the vertex-cover system of an edge list: one
 // two-element set {U,V} per edge, over the vertices as elements. The
 // greedy hitting set of this system is the greedy vertex cover of the

@@ -217,14 +217,6 @@ func (r *Recorder) Total() uint64 {
 	return r.total
 }
 
-// Capacity returns the ring size (0 for the nil recorder).
-func (r *Recorder) Capacity() int {
-	if r == nil {
-		return 0
-	}
-	return cap(r.buf)
-}
-
 // Recent returns up to limit of the newest events, oldest first.
 // limit <= 0 means everything the ring holds.
 func (r *Recorder) Recent(limit int) []Event {

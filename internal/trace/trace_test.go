@@ -95,7 +95,7 @@ func TestNilRecorder(t *testing.T) {
 	if r.Enabled() {
 		t.Error("nil recorder reports enabled")
 	}
-	if r.Total() != 0 || r.Capacity() != 0 || r.RoundSampleEvery() != 0 {
+	if r.Total() != 0 || r.RoundSampleEvery() != 0 {
 		t.Error("nil recorder reports nonzero state")
 	}
 	if r.Recent(10) != nil || r.Job("j1") != nil {

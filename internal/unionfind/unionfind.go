@@ -53,11 +53,6 @@ func (d *DSU) Union(x, y int32) bool {
 	return true
 }
 
-// Connected reports whether x and y are in the same set.
-func (d *DSU) Connected(x, y int32) bool {
-	return d.Find(x) == d.Find(y)
-}
-
 // Components returns the number of disjoint sets.
 func (d *DSU) Components() int {
 	c := 0
@@ -124,12 +119,6 @@ func (c *Concurrent) Find(x int32) int32 {
 // linking a non-root or racing on the same child corrupts the forest.
 func (c *Concurrent) Link(child, parent int32) {
 	atomic.StoreInt32(&c.parent[child], parent)
-}
-
-// SameSet reports whether x and y currently share a representative.
-// Under concurrent mutation this is a snapshot answer.
-func (c *Concurrent) SameSet(x, y int32) bool {
-	return c.Find(x) == c.Find(y)
 }
 
 // Components returns the number of roots; call only in quiescent states.

@@ -125,3 +125,14 @@ func BenchmarkDSUUnionFind(b *testing.B) {
 		}
 	}
 }
+
+// Connected reports whether x and y are in the same set.
+func (d *DSU) Connected(x, y int32) bool {
+	return d.Find(x) == d.Find(y)
+}
+
+// SameSet reports whether x and y currently share a representative.
+// Under concurrent mutation this is a snapshot answer.
+func (c *Concurrent) SameSet(x, y int32) bool {
+	return c.Find(x) == c.Find(y)
+}

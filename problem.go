@@ -232,6 +232,46 @@ func (a Answer) Verify(in Input) error {
 	return nil
 }
 
+// Checksum commits to a's selection with 64-bit FNV-1a, as 16 hex
+// digits: over the little-endian int32 colors of a coloring, over one
+// byte per membership bit, or, for an answer with pairs and no bits (a
+// maintained matching), over its little-endian (U, V) pairs. It is the
+// digest greedyd serves, and it allocates only the returned string.
+func (a Answer) Checksum() string {
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	word := func(w int32) {
+		for i := 0; i < 32; i += 8 {
+			h = (h ^ uint64(uint8(w>>i))) * prime64
+		}
+	}
+	switch {
+	case a.Colors != nil:
+		for _, c := range a.Colors {
+			word(c)
+		}
+	case a.In != nil:
+		for _, x := range a.In {
+			if x {
+				h ^= 1
+			}
+			h *= prime64
+		}
+	default:
+		for _, e := range a.Pairs {
+			word(e.U)
+			word(e.V)
+		}
+	}
+	const digits = "0123456789abcdef"
+	var out [16]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = digits[h&15]
+		h >>= 4
+	}
+	return string(out[:])
+}
+
 // Matches reports whether a agrees with seq, the sequential answer on
 // the same input and order: bit-identical, or of the same size where
 // the prefix algorithm is relaxed (spanning forest).
