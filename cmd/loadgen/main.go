@@ -228,7 +228,7 @@ func main() {
 					continue
 				}
 				st := resp.JobStatus
-				if st.State != service.StateDone && st.State != service.StateFailed {
+				if !st.State.Terminal() {
 					st, serr = client.Wait(ctx, st.ID, *poll)
 					if serr != nil {
 						mu.Lock()
@@ -562,7 +562,7 @@ func runCancelDemo(ctx context.Context, client *service.Client, n, m int, seed u
 		if st.State == service.StateRunning && st.Progress != nil && st.Progress.Rounds > 0 {
 			break
 		}
-		if st.State == service.StateDone || st.State == service.StateFailed {
+		if st.State.Terminal() {
 			return fmt.Errorf("job finished before it could be cancelled (state %s); use a larger -n/-m", st.State)
 		}
 		if time.Now().After(deadline) {

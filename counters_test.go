@@ -2,6 +2,7 @@ package greedy_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	greedy "repro"
@@ -138,6 +139,39 @@ func TestPinnedSequentialCounters(t *testing.T) {
 	for name, st := range got {
 		if w, ok := want[name]; !ok || st != w {
 			t.Errorf("%s: %#v, want %#v", name, st, w)
+		}
+	}
+}
+
+// TestPinnedRootSetCounters pins the counters of the root-set (Lemma
+// 5.3) MIS and MM on TestPinnedCounters' input. Its steps scan the
+// frontier in parallel, so the test runs at two processors with a grain
+// small enough that frontier chunks interleave, and requires every run
+// to report the same Stats: which worker reaches a shared edge or
+// vertex first must not move the work counted.
+func TestPinnedRootSetCounters(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ctx := context.Background()
+	g := greedy.RandomGraph(4_000, 20_000, 41)
+	el := g.EdgeList()
+	s := greedy.NewSolver(greedy.WithSeed(1), greedy.WithAlgorithm(greedy.AlgoRootSet), greedy.WithGrain(2))
+	want := map[string]greedy.Stats{
+		"mis": {Rounds: 5, Attempts: 977, EdgeInspections: 23919},
+		"mm":  {Rounds: 6, Attempts: 1824, EdgeInspections: 52343},
+	}
+	for run := 0; run < 5; run++ {
+		mis, err := s.MIS(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm, err := s.MM(ctx, el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, st := range map[string]greedy.Stats{"mis": mis.Stats, "mm": mm.Stats} {
+			if st != want[name] {
+				t.Errorf("run %d: %s: %#v, want %#v", run, name, st, want[name])
+			}
 		}
 	}
 }

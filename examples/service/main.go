@@ -102,7 +102,7 @@ func main() {
 			running = true
 			break
 		}
-		if st.State == service.StateDone || st.State == service.StateFailed {
+		if st.State.Terminal() {
 			fmt.Printf("long job %s finished before cancellation (state %s)\n", long.ID, st.State)
 			break
 		}

@@ -147,18 +147,15 @@ type Config struct {
 	// Order, if non-nil, fixes an explicit MIS vertex order instead of
 	// deriving one from Seed. Its length must equal the vertex count.
 	Order *core.Order
-	// ChurnFrac is the compaction threshold: once the overlay's delta
-	// entries exceed this fraction of the adjacency array, the overlay
-	// is compacted into a fresh CSR. 0 means DefaultChurnFrac; negative
-	// disables compaction.
-	ChurnFrac float64
 	// Grain is the parallel-loop grain for repair rounds; 0 means the
 	// library default.
 	Grain int
 }
 
-// DefaultChurnFrac is the default overlay compaction threshold.
-const DefaultChurnFrac = 0.25
+// churnFrac is the compaction threshold: once the overlay's delta
+// entries exceed this fraction of the adjacency array, the overlay is
+// compacted into a fresh CSR.
+const churnFrac = 0.25
 
 // RepairCost records the work one Apply spent repairing one problem.
 // Attempts/Inspections follow the library's Stats conventions, counted

@@ -19,10 +19,9 @@ import (
 // solution state and repair scratch (the service layer checks sessions
 // out of its cache while a worker advances them).
 type Maintainer struct {
-	ov        overlay
-	grain     int
-	churnFrac float64
-	broken    bool
+	ov     overlay
+	grain  int
+	broken bool
 
 	mis *misState
 	mm  *mmState
@@ -39,15 +38,7 @@ func NewMaintainer(ctx context.Context, g *graph.Graph, cfg Config) (*Maintainer
 	if !cfg.MIS && !cfg.MM {
 		cfg.MIS, cfg.MM = true, true
 	}
-	churn := cfg.ChurnFrac
-	if churn == 0 {
-		churn = DefaultChurnFrac
-	}
-	mt := &Maintainer{
-		ov:        newOverlay(g),
-		grain:     cfg.Grain,
-		churnFrac: churn,
-	}
+	mt := &Maintainer{ov: newOverlay(g), grain: cfg.Grain}
 	if cfg.MIS {
 		n := g.NumVertices()
 		var ord core.Order
@@ -120,7 +111,7 @@ func (mt *Maintainer) Apply(ctx context.Context, batch []Update) (RepairStats, e
 			return stats, err
 		}
 	}
-	if mt.churnFrac >= 0 && float64(mt.ov.churn) > mt.churnFrac*float64(2*mt.ov.m)+1 {
+	if float64(mt.ov.churn) > churnFrac*float64(2*mt.ov.m)+1 {
 		mt.ov.compact()
 		stats.Compacted = true
 	}
@@ -133,7 +124,7 @@ func (mt *Maintainer) Apply(ctx context.Context, batch []Update) (RepairStats, e
 // uses it to derive new content-addressed graph versions from PATCH
 // requests without maintaining any solution.
 func ApplyToGraph(g *graph.Graph, batch []Update) (*graph.Graph, int, int, error) {
-	mt := &Maintainer{ov: newOverlay(g), churnFrac: -1}
+	mt := &Maintainer{ov: newOverlay(g)}
 	if err := mt.validate(batch); err != nil {
 		return nil, 0, 0, err
 	}

@@ -113,32 +113,47 @@ func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Optio
 		resolved += int(decidedDelta.Load())
 
 		// Phase 2: mmCheck the far endpoints; each check may surface one
-		// newly ready edge.
+		// newly ready edge. A far endpoint matched this step is skipped:
+		// it has no undecided edge left, and which of its two matched
+		// ends won the kill must not decide whether it is scanned. The
+		// checks read start-of-step pointers only; each returns its
+		// vertex's advanced pointer (a (z, ptr) pair in moved), and the
+		// pointers are published after the fork-join.
 		var mu sync.Mutex
-		var chunks [][]int32
+		var chunks, advances [][]int32
 		parallel.ForRange(len(frontier), opt.Grain, func(lo, hi int) {
 			var local int64
-			var found []int32
+			var found, moved []int32
 			for i := lo; i < hi; i++ {
 				for _, z := range killedFar[i] {
+					if mate[z] != unmatched {
+						continue
+					}
 					old := atomic.LoadInt32(&checkStamp[z])
 					if old == step || !atomic.CompareAndSwapInt32(&checkStamp[z], old, step) {
 						continue // another worker already checks z this step
 					}
-					ready, insp := mmCheck(z, el, inc, status, vptr)
+					ready, ptr, insp := mmCheck(z, el, inc, status, vptr)
 					local += insp
+					moved = append(moved, z, ptr)
 					if ready >= 0 && atomic.CompareAndSwapInt32(&claimed[ready], 0, 1) {
 						found = append(found, ready)
 					}
 				}
 			}
 			inspections.Add(local)
-			if len(found) > 0 {
+			if len(moved) > 0 {
 				mu.Lock()
 				chunks = append(chunks, found)
+				advances = append(advances, moved)
 				mu.Unlock()
 			}
 		})
+		for _, moved := range advances {
+			for k := 0; k < len(moved); k += 2 {
+				vptr[moved[k]] = moved[k+1]
+			}
+		}
 		total := 0
 		for _, ch := range chunks {
 			total += len(ch)
@@ -167,37 +182,34 @@ func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Optio
 // deleted incident edges to find the highest-priority remaining edge t
 // (charging skipped entries to their deletion), then verify that t also
 // heads the remaining list of its other endpoint. It returns t's id if
-// so and -1 otherwise. Only the per-step claimant of z writes vptr[z];
-// the read-only scan of the other endpoint uses its pointer merely as a
-// hint.
-func mmCheck(z int32, el graph.EdgeList, inc graph.Incidence, status []int32, vptr []int32) (ready int32, inspections int64) {
+// so and -1 otherwise, with z's advanced pointer. It writes nothing:
+// statuses and pointers are the step's, so its result and the
+// inspections it counts do not depend on which checks run beside it.
+func mmCheck(z int32, el graph.EdgeList, inc graph.Incidence, status []int32, vptr []int32) (ready, ptr int32, inspections int64) {
 	ids := inc.Incident(z)
-	i := atomic.LoadInt32(&vptr[z])
+	i := vptr[z]
 	for int(i) < len(ids) {
 		inspections++
-		if atomic.LoadInt32(&status[ids[i]]) == statusUndecided {
+		if status[ids[i]] == statusUndecided {
 			break
 		}
 		i++
 	}
-	atomic.StoreInt32(&vptr[z], i)
 	if int(i) == len(ids) {
-		return -1, inspections
+		return -1, i, inspections
 	}
 	t := ids[i]
 	// Phase two: is t also the top remaining edge at its other endpoint?
 	w := el.Edges[t].Other(z)
 	wids := inc.Incident(w)
-	j := atomic.LoadInt32(&vptr[w])
-	for int(j) < len(wids) {
+	for j := vptr[w]; int(j) < len(wids); j++ {
 		inspections++
-		if atomic.LoadInt32(&status[wids[j]]) == statusUndecided {
+		if status[wids[j]] == statusUndecided {
 			if wids[j] == t {
-				return t, inspections
+				return t, i, inspections
 			}
-			return -1, inspections
+			return -1, i, inspections
 		}
-		j++
 	}
-	return -1, inspections
+	return -1, i, inspections
 }

@@ -108,25 +108,37 @@ func apiError(resp *http.Response) error {
 	return fmt.Errorf("service: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 }
 
-// doJSON round-trips one JSON request, retrying per c.Retry when the
-// server answers with a backoff signal (429/503). The marshalled body
-// is replayed from raw on every attempt, so retried submissions stay
-// byte-identical — which is what makes them safe: the engine's
-// idempotency key dedups a retry whose predecessor was actually
-// accepted.
-func (c *Client) doJSON(ctx context.Context, method, path string, raw []byte, out any) (int, error) {
-	attempts := max(c.Retry.MaxAttempts, 1)
+// do round-trips one request and returns the response status. in, when
+// non-nil, is the body: an io.Reader is a raw upload, sent once, and
+// anything else is marshalled as JSON. Only a JSON body retries per
+// c.Retry when the server answers with a backoff signal (429/503): it
+// is replayed from the same bytes on every attempt, so a retried
+// submission stays byte-identical — which is what makes it safe: the
+// engine's idempotency key dedups a retry whose predecessor was
+// actually accepted. out receives the answer: a *[]byte takes its bytes
+// and anything else decodes its JSON.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) (int, error) {
+	upload, isUpload := in.(io.Reader)
+	var raw []byte
+	attempts := 1
+	if in != nil && !isUpload {
+		var err error
+		if raw, err = json.Marshal(in); err != nil {
+			return 0, err
+		}
+		attempts = max(c.Retry.MaxAttempts, 1)
+	}
 	for attempt := 1; ; attempt++ {
-		var body io.Reader
+		body, contentType := upload, "application/octet-stream"
 		if raw != nil {
-			body = bytes.NewReader(raw)
+			body, contentType = bytes.NewReader(raw), "application/json"
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 		if err != nil {
 			return 0, err
 		}
-		if raw != nil {
-			req.Header.Set("Content-Type", "application/json")
+		if body != nil {
+			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := c.http().Do(req)
 		if err != nil {
@@ -144,72 +156,36 @@ func (c *Client) doJSON(ctx context.Context, method, path string, raw []byte, ou
 			}
 			return resp.StatusCode, apiErr
 		}
-		err = json.NewDecoder(resp.Body).Decode(out)
+		if p, ok := out.(*[]byte); ok {
+			*p, err = io.ReadAll(resp.Body)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(out)
+		}
 		resp.Body.Close()
 		return resp.StatusCode, err
 	}
 }
 
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) (int, error) {
-	raw, err := json.Marshal(in)
-	if err != nil {
-		return 0, err
-	}
-	return c.doJSON(ctx, http.MethodPost, path, raw, out)
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, out any) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return resp.StatusCode, apiError(resp)
-	}
-	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-}
-
 // Generate asks the server to build and register a graph.
 func (c *Client) Generate(ctx context.Context, spec GenSpec) (GraphResponse, error) {
 	var out GraphResponse
-	_, err := c.postJSON(ctx, "/v1/graphs", spec, &out)
+	_, err := c.do(ctx, http.MethodPost, "/v1/graphs", spec, &out)
 	return out, err
 }
 
 // Upload ingests a serialized graph (any supported format).
 func (c *Client) Upload(ctx context.Context, body io.Reader) (GraphResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/graphs", body)
-	if err != nil {
-		return GraphResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return GraphResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return GraphResponse{}, apiError(resp)
-	}
 	var out GraphResponse
-	return out, json.NewDecoder(resp.Body).Decode(&out)
+	_, err := c.do(ctx, http.MethodPost, "/v1/graphs", body, &out)
+	return out, err
 }
 
 // Patch applies an edge-update batch to a registered graph, producing
 // (and returning the metadata of) a new content-addressed graph
 // version.
 func (c *Client) Patch(ctx context.Context, id string, req PatchRequest) (PatchResponse, error) {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return PatchResponse{}, err
-	}
 	var out PatchResponse
-	_, err = c.doJSON(ctx, http.MethodPatch, "/v1/graphs/"+id, raw, &out)
+	_, err := c.do(ctx, http.MethodPatch, "/v1/graphs/"+id, req, &out)
 	return out, err
 }
 
@@ -217,21 +193,21 @@ func (c *Client) Patch(ctx context.Context, id string, req PatchRequest) (PatchR
 // registered graph.
 func (c *Client) GraphStats(ctx context.Context, id string) (GraphStatsResponse, error) {
 	var out GraphStatsResponse
-	_, err := c.getJSON(ctx, "/v1/graphs/"+id+"/stats", &out)
+	_, err := c.do(ctx, http.MethodGet, "/v1/graphs/"+id+"/stats", nil, &out)
 	return out, err
 }
 
 // Submit submits a job.
 func (c *Client) Submit(ctx context.Context, req JobRequest) (JobResponse, error) {
 	var out JobResponse
-	_, err := c.postJSON(ctx, "/v1/jobs", req, &out)
+	_, err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &out)
 	return out, err
 }
 
 // Status fetches a job's status.
 func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 	var out JobStatus
-	_, err := c.getJSON(ctx, "/v1/jobs/"+id, &out)
+	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out)
 	return out, err
 }
 
@@ -240,45 +216,21 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 // job may still report state "running": its round loop transitions to
 // "cancelled" within one round; poll Status (or Wait) to observe it.
 func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return JobStatus{}, apiError(resp)
-	}
 	var out JobStatus
-	return out, json.NewDecoder(resp.Body).Decode(&out)
+	_, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &out)
+	return out, err
 }
 
 // Result fetches the raw result payload of a done job. The boolean
 // reports whether the job is done; when false the returned bytes are
 // nil and the caller should poll again.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/result", nil)
-	if err != nil {
+	var raw []byte
+	code, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &raw)
+	if err != nil || code == http.StatusAccepted {
 		return nil, false, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		raw, err := io.ReadAll(resp.Body)
-		return raw, true, err
-	case http.StatusAccepted:
-		io.Copy(io.Discard, resp.Body)
-		return nil, false, nil
-	default:
-		return nil, false, apiError(resp)
-	}
+	return raw, true, nil
 }
 
 // Wait polls a job until it finishes (done, failed, cancelled, or
@@ -292,7 +244,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobSt
 		if err != nil {
 			return st, err
 		}
-		if st.State == StateDone || st.State == StateFailed || st.State == StateCancelled || st.State == StateDeadline {
+		if st.State.Terminal() {
 			return st, nil
 		}
 		select {
@@ -308,7 +260,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobSt
 // is unknown.
 func (c *Client) JobTrace(ctx context.Context, id string) (TraceResponse, error) {
 	var out TraceResponse
-	_, err := c.getJSON(ctx, "/v1/jobs/"+id+"/trace", &out)
+	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace", nil, &out)
 	return out, err
 }
 
@@ -320,14 +272,14 @@ func (c *Client) TraceRecent(ctx context.Context, limit int) (TraceResponse, err
 		path += "?limit=" + strconv.Itoa(limit)
 	}
 	var out TraceResponse
-	_, err := c.getJSON(ctx, path, &out)
+	_, err := c.do(ctx, http.MethodGet, path, nil, &out)
 	return out, err
 }
 
 // Metrics fetches the metrics snapshot.
 func (c *Client) Metrics(ctx context.Context) (Snapshot, error) {
 	var out Snapshot
-	_, err := c.getJSON(ctx, "/v1/metrics", &out)
+	_, err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, &out)
 	return out, err
 }
 

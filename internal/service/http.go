@@ -364,12 +364,12 @@ func (s *Service) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	switch st.State {
-	case StateDone:
+	switch {
+	case st.State == StateDone:
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(raw)
-	case StateFailed, StateCancelled, StateDeadline:
+	case st.State.Terminal():
 		// Terminal without a result: 422 stops result pollers (202 would
 		// have them spin until the janitor reaps the job).
 		writeJSON(w, http.StatusUnprocessableEntity, st)

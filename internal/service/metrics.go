@@ -118,41 +118,17 @@ func (h HistogramSnapshot) CumulativeBuckets() []int64 {
 	return out
 }
 
-// Metrics aggregates the service counters surfaced by /v1/metrics.
+// Metrics aggregates the service counters surfaced by /v1/metrics. The
+// counters live in the snapshot's own sections; their gauges (the
+// resident job states, the registry's sizes, the journal's debt) stay
+// zero here and are filled in by the Service, which owns those
+// structures.
 type Metrics struct {
 	mu sync.Mutex
 
-	jobsSubmitted int64
-	dedupHits     int64
-	jobsExecuted  int64
-	jobsAdaptive  int64 // executed jobs that ran the adaptive schedule
-	jobsRepaired  int64 // executed dynamic jobs answered by session repair
-	repairVisited int64 // frontier items re-decided across repaired jobs
-	repairFlipped int64 // membership flips propagated across repaired jobs
-	jobsFailed    int64
-	jobsCancelled int64
-	jobsDeadline  int64 // jobs terminated by their own timeout_ms budget
-	jobsExpired   int64
-	jobsRecovered int64 // journaled jobs re-enqueued at boot after a crash
-
-	// Overload-control rejections: admission is the job queue saying no
-	// (HTTP 429), ingestPaused is the memory watermark refusing graph
-	// uploads (HTTP 503).
-	admissionRejected int64
-	ingestPausedCount int64
-
-	registryHits      int64 // Add or Acquire found an existing resident graph
-	registryMisses    int64 // Acquire of an unknown id
-	registryEvictions int64
-	registryPatches   int64 // graph versions derived via PATCH
-
-	// Disk-tier counters (all zero when persistence is off).
-	persistBlobsWritten int64
-	persistBlobBytes    int64
-	persistDemotions    int64 // warm graphs demoted to the disk tier
-	persistColdLoads    int64 // cold graphs reloaded on Acquire
-	persistRehydratedN  int64 // entries indexed from blobs at boot
-	persistErrors       int64 // persistence failures (never correctness failures)
+	jobs     JobCounters
+	registry RegistryCounters
+	persist  PersistCounters
 
 	latency map[Problem]*histogram // measured over execution (run) time
 	e2e     map[Problem]*histogram // measured from submission to completion
@@ -188,65 +164,65 @@ func (m *Metrics) httpRequest(status int, d time.Duration) {
 func (m *Metrics) jobSubmitted(dedup bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.jobsSubmitted++
+	m.jobs.Submitted++
 	if dedup {
-		m.dedupHits++
+		m.jobs.DedupHits++
 	}
 }
 
 func (m *Metrics) jobCancelled() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.jobsCancelled++
+	m.jobs.Cancelled++
 }
 
 func (m *Metrics) jobRecovered() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.jobsRecovered++
+	m.jobs.Recovered++
 }
 
 func (m *Metrics) admissionRejectedEvent() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.admissionRejected++
+	m.jobs.AdmissionRejected++
 }
 
 func (m *Metrics) ingestPausedEvent() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ingestPausedCount++
+	m.registry.IngestPausedRejections++
 }
 
 func (m *Metrics) persistBlobWritten(bytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.persistBlobsWritten++
-	m.persistBlobBytes += bytes
+	m.persist.BlobsWritten++
+	m.persist.BlobBytes += bytes
 }
 
 func (m *Metrics) persistDemotion() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.persistDemotions++
+	m.persist.Demotions++
 }
 
 func (m *Metrics) persistColdLoad() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.persistColdLoads++
+	m.persist.ColdLoads++
 }
 
 func (m *Metrics) persistRehydrated() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.persistRehydratedN++
+	m.persist.Rehydrated++
 }
 
 func (m *Metrics) persistError() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.persistErrors++
+	m.persist.Errors++
 }
 
 // jobFinished records a worker-side completion. Only successful runs
@@ -259,23 +235,23 @@ func (m *Metrics) jobFinished(p Problem, state JobState, adaptive bool, repair *
 	defer m.mu.Unlock()
 	switch state {
 	case StateFailed:
-		m.jobsFailed++
+		m.jobs.Failed++
 		return
 	case StateCancelled:
-		m.jobsCancelled++
+		m.jobs.Cancelled++
 		return
 	case StateDeadline:
-		m.jobsDeadline++
+		m.jobs.DeadlineExceeded++
 		return
 	}
-	m.jobsExecuted++
+	m.jobs.Executed++
 	if adaptive {
-		m.jobsAdaptive++
+		m.jobs.AdaptiveExecuted++
 	}
 	if repair != nil {
-		m.jobsRepaired++
-		m.repairVisited += int64(repair.MIS.Visited + repair.MM.Visited)
-		m.repairFlipped += int64(repair.MIS.Flipped + repair.MM.Flipped)
+		m.jobs.Repaired++
+		m.jobs.RepairVisited += int64(repair.MIS.Visited + repair.MM.Visited)
+		m.jobs.RepairFlipped += int64(repair.MIS.Flipped + repair.MM.Flipped)
 	}
 	h := m.latency[p]
 	if h == nil {
@@ -294,21 +270,21 @@ func (m *Metrics) jobFinished(p Problem, state JobState, adaptive bool, repair *
 func (m *Metrics) jobsReaped(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.jobsExpired += int64(n)
+	m.jobs.Expired += int64(n)
 }
 
 func (m *Metrics) registryEvent(hits, misses, evictions int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.registryHits += hits
-	m.registryMisses += misses
-	m.registryEvictions += evictions
+	m.registry.Hits += hits
+	m.registry.Misses += misses
+	m.registry.Evictions += evictions
 }
 
 func (m *Metrics) graphPatched() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.registryPatches++
+	m.registry.Patches++
 }
 
 // JobCounters is the jobs section of a metrics snapshot.
@@ -488,42 +464,14 @@ func snapshotHistogram(h *histogram) HistogramSnapshot {
 	}
 }
 
-// snapshot captures the counters; job-state gauges and registry gauges
-// are filled in by the Service, which owns those structures.
+// snapshot captures the counters; the gauges are the Service's to fill.
 func (m *Metrics) snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Snapshot{
-		Jobs: JobCounters{
-			Submitted:         m.jobsSubmitted,
-			DedupHits:         m.dedupHits,
-			Executed:          m.jobsExecuted,
-			AdaptiveExecuted:  m.jobsAdaptive,
-			Repaired:          m.jobsRepaired,
-			RepairVisited:     m.repairVisited,
-			RepairFlipped:     m.repairFlipped,
-			Failed:            m.jobsFailed,
-			Cancelled:         m.jobsCancelled,
-			DeadlineExceeded:  m.jobsDeadline,
-			Expired:           m.jobsExpired,
-			Recovered:         m.jobsRecovered,
-			AdmissionRejected: m.admissionRejected,
-		},
-		Registry: RegistryCounters{
-			Hits:                   m.registryHits,
-			Misses:                 m.registryMisses,
-			Evictions:              m.registryEvictions,
-			Patches:                m.registryPatches,
-			IngestPausedRejections: m.ingestPausedCount,
-		},
-		Persist: PersistCounters{
-			BlobsWritten: m.persistBlobsWritten,
-			BlobBytes:    m.persistBlobBytes,
-			Demotions:    m.persistDemotions,
-			ColdLoads:    m.persistColdLoads,
-			Rehydrated:   m.persistRehydratedN,
-			Errors:       m.persistErrors,
-		},
+		Jobs:       m.jobs,
+		Registry:   m.registry,
+		Persist:    m.persist,
 		RunLatency: make(map[Problem]HistogramSnapshot, len(m.latency)),
 		E2ELatency: make(map[Problem]HistogramSnapshot, len(m.e2e)),
 		HTTP: HTTPCounters{

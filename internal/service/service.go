@@ -49,8 +49,10 @@ type Config struct {
 	// MaxPatchUpdates bounds the updates one PATCH may carry; 0 means
 	// 1<<20.
 	MaxPatchUpdates int
-	// DynamicSessions bounds the engine's cached dynamic sessions; 0
-	// means 8, negative disables session reuse.
+	// DynamicSessions bounds the engine's cached dynamic sessions
+	// (maintained MIS/MM states, each holding solution arrays sized to
+	// its graph); 0 means 8, negative disables session reuse (dynamic
+	// jobs always recompute).
 	DynamicSessions int
 	// TraceCapacity sizes the trace ring buffer (events retained); 0
 	// means 16384, negative disables tracing entirely (the trace
@@ -94,12 +96,23 @@ type Config struct {
 	IngestWatermark float64
 }
 
+// withDefaults resolves every documented default; nothing else in the
+// package does.
 func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 1 << 30
 	}
 	if c.CacheBytes < 0 {
 		c.CacheBytes = 0 // Registry convention: <= 0 is unlimited.
+	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 4096
+	}
+	if c.ResultTTL <= 0 {
+		c.ResultTTL = 15 * time.Minute
 	}
 	if c.MaxUploadBytes <= 0 {
 		c.MaxUploadBytes = 512 << 20
@@ -112,6 +125,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPatchUpdates <= 0 {
 		c.MaxPatchUpdates = 1 << 20
+	}
+	if c.DynamicSessions == 0 {
+		c.DynamicSessions = 8
+	}
+	if c.DynamicSessions < 0 {
+		c.DynamicSessions = 0 // disabled
 	}
 	if c.TraceCapacity == 0 {
 		c.TraceCapacity = 1 << 14
@@ -178,6 +197,7 @@ func New(cfg Config) (*Service, error) {
 	reg.SetWatermarkFrac(cfg.IngestWatermark)
 
 	var store *persist.Store
+	var journal *persist.Journal
 	var pending []persist.PendingJob
 	if cfg.DataDir != "" {
 		var recs []persist.LineageRecord
@@ -187,20 +207,10 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		reg.AttachStore(store, recs)
+		journal = store.Journal()
 	}
 
-	ecfg := EngineConfig{
-		Workers:         cfg.Workers,
-		QueueDepth:      cfg.QueueDepth,
-		ResultTTL:       cfg.ResultTTL,
-		DynamicSessions: cfg.DynamicSessions,
-		Trace:           rec,
-		Logger:          cfg.Logger,
-	}
-	if store != nil {
-		ecfg.Journal = store.Journal()
-	}
-	eng := NewEngine(reg, m, ecfg)
+	eng := newEngine(cfg, reg, m, rec, journal)
 	s := &Service{cfg: cfg, metrics: m, registry: reg, engine: eng, store: store,
 		trace: rec, bcast: bcast, log: cfg.Logger, shutdownCh: make(chan struct{})}
 
