@@ -1,26 +1,28 @@
 // Benchmarks reproducing every figure of Blelloch, Fineman and Shun
-// (SPAA 2012). Each BenchmarkFigXY corresponds to one panel; DESIGN.md
-// section 4 is the index. Inputs are scaled to 1/100 of the paper's so
-// the full suite runs on a small container; cmd/bench runs the same
-// experiments at configurable scale and EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// (SPAA 2012). Each BenchmarkFigN corresponds to one figure on one
+// input; EXPERIMENTS.md is the index. Inputs are scaled to 1/100 of the
+// paper's so the full suite runs on a small container; cmd/bench runs
+// the same experiments at configurable scale and EXPERIMENTS.md records
+// the paper-vs-measured comparison.
 //
-// Machine-independent quantities (work/N, rounds/N) are attached to the
-// timing benchmarks via b.ReportMetric, so `go test -bench=.` regenerates
-// both the time series and the counter series of each figure.
+// Every figure runs through Solver.Solve. Machine-independent quantities
+// (work/N, rounds/N) are attached to the timing benchmarks via
+// b.ReportMetric, so `go test -bench=.` regenerates both the time series
+// and the counter series of each figure. ns/op excludes the order and
+// layout the Solver caches, as cmd/bench's time columns do.
 package greedy_test
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	greedy "repro"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/matching"
 	"repro/internal/spanning"
 )
 
@@ -36,157 +38,133 @@ const (
 
 var (
 	graphOnce  sync.Once
-	benchRand  *greedy.Graph
-	benchRMat  *greedy.Graph
-	ordRandV   greedy.Order
-	ordRMatV   greedy.Order
-	elRand     greedy.EdgeList
-	elRMat     greedy.EdgeList
-	ordRandE   greedy.Order
-	ordRMatE   greedy.Order
+	benchRand  greedy.Input
+	benchRMat  greedy.Input
 	sweepFracs = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0}
+	sequential = greedy.WithAlgorithm(greedy.AlgoSequential)
+	luby       = []greedy.Option{greedy.WithAlgorithm(greedy.AlgoLuby), greedy.WithSeed(benchSeed + 9)}
 )
 
 func benchSetup() {
 	graphOnce.Do(func() {
-		benchRand = greedy.RandomGraph(benchRandN, benchRandM, benchSeed)
-		benchRMat = greedy.RMatGraph(benchRMatLog, benchRMatM, benchSeed)
-		ordRandV = greedy.NewRandomOrder(benchRand.NumVertices(), benchSeed+1)
-		ordRMatV = greedy.NewRandomOrder(benchRMat.NumVertices(), benchSeed+1)
-		elRand = benchRand.EdgeList()
-		elRMat = benchRMat.EdgeList()
-		ordRandE = greedy.NewRandomOrder(elRand.NumEdges(), benchSeed+2)
-		ordRMatE = greedy.NewRandomOrder(elRMat.NumEdges(), benchSeed+2)
+		benchRand = greedy.GraphInput(greedy.RandomGraph(benchRandN, benchRandM, benchSeed))
+		benchRMat = greedy.GraphInput(greedy.RMatGraph(benchRMatLog, benchRMatM, benchSeed))
 	})
 }
 
-// misPrefixPanel benches PrefixMIS across the sweep fractions on one
-// graph, reporting the figure's three series (time via ns/op, work/N and
-// rounds/N via metrics).
-func misPrefixPanel(b *testing.B, g *greedy.Graph, ord greedy.Order) {
-	n := g.NumVertices()
+// benchSolver returns a Solver seeded as the figures seed problem's
+// runs: benchSeed+1 for MIS, +2 for MM, +3 for SF.
+func benchSolver(problem greedy.Problem) *greedy.Solver {
+	return greedy.NewSolver(greedy.WithSeed(benchSeed + 1 + uint64(slices.Index(greedy.Problems(), problem))))
+}
+
+// solve benches b.N solves of problem on in and returns the last
+// answer. A verified solve before the timer builds what the Solver
+// caches.
+func solve(b *testing.B, solver *greedy.Solver, problem greedy.Problem, in greedy.Input, opts ...greedy.Option) greedy.Answer {
+	a := must(solver.Solve(context.Background(), problem, in, opts...))
+	if err := a.Verify(in); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a = must(solver.Solve(context.Background(), problem, in, opts...))
+	}
+	return a
+}
+
+// prefixPanel benches problem's prefix algorithm across the sweep
+// fractions on one input, reporting the figure's three series: time
+// via ns/op, and work and rounds per item (unit: N vertices or M edges)
+// via metrics.
+func prefixPanel(b *testing.B, problem greedy.Problem, in greedy.Input, unit string) {
+	solver := benchSolver(problem)
+	items := float64(must(solver.Solve(context.Background(), problem, in, sequential)).Stats.Attempts)
 	for _, frac := range sweepFracs {
 		b.Run(fmt.Sprintf("prefix=%g", frac), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = must(core.PrefixMIS(context.Background(), g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}}))
-			}
-			b.ReportMetric(float64(res.Stats.Attempts)/float64(n), "work/N")
-			b.ReportMetric(float64(res.Stats.Rounds)/float64(n), "rounds/N")
+			a := solve(b, solver, problem, in, greedy.WithPrefixFrac(frac))
+			b.ReportMetric(float64(a.Stats.Attempts)/items, "work/"+unit)
+			b.ReportMetric(float64(a.Stats.Rounds)/items, "rounds/"+unit)
 		})
 	}
 }
 
-func mmPrefixPanel(b *testing.B, el greedy.EdgeList, ord greedy.Order) {
-	m := el.NumEdges()
-	for _, frac := range sweepFracs {
-		b.Run(fmt.Sprintf("prefix=%g", frac), func(b *testing.B) {
-			var res *matching.Result
-			for i := 0; i < b.N; i++ {
-				res = must(matching.PrefixMM(context.Background(), el, ord, matching.Options{Options: engine.Options{PrefixFrac: frac}}))
-			}
-			b.ReportMetric(float64(res.Stats.Attempts)/float64(m), "work/M")
-			b.ReportMetric(float64(res.Stats.Rounds)/float64(m), "rounds/M")
-		})
-	}
-}
-
-// Figure 1(a-c): MIS work, rounds, time vs prefix size — random graph.
-func BenchmarkFig1aMISWorkRandom(b *testing.B) { benchSetup(); misPrefixPanel(b, benchRand, ordRandV) }
-func BenchmarkFig1bMISRoundsRandom(b *testing.B) {
+// Figure 1: MIS work (a, d), rounds (b, e) and time (c, f) vs prefix
+// size, on the random graph (a-c) and the rMat graph (d-f).
+func BenchmarkFig1MISRandom(b *testing.B) {
 	benchSetup()
-	misPrefixPanel(b, benchRand, ordRandV)
+	prefixPanel(b, greedy.ProblemMIS, benchRand, "N")
 }
-func BenchmarkFig1cMISTimeRandom(b *testing.B) { benchSetup(); misPrefixPanel(b, benchRand, ordRandV) }
+func BenchmarkFig1MISRMat(b *testing.B) {
+	benchSetup()
+	prefixPanel(b, greedy.ProblemMIS, benchRMat, "N")
+}
 
-// Figure 1(d-f): the same on the rMat graph.
-func BenchmarkFig1dMISWorkRMat(b *testing.B)   { benchSetup(); misPrefixPanel(b, benchRMat, ordRMatV) }
-func BenchmarkFig1eMISRoundsRMat(b *testing.B) { benchSetup(); misPrefixPanel(b, benchRMat, ordRMatV) }
-func BenchmarkFig1fMISTimeRMat(b *testing.B)   { benchSetup(); misPrefixPanel(b, benchRMat, ordRMatV) }
+// Figure 2: the same for MM, per edge.
+func BenchmarkFig2MMRandom(b *testing.B) {
+	benchSetup()
+	prefixPanel(b, greedy.ProblemMM, benchRand, "M")
+}
+func BenchmarkFig2MMRMat(b *testing.B) {
+	benchSetup()
+	prefixPanel(b, greedy.ProblemMM, benchRMat, "M")
+}
 
-// Figure 2(a-c): MM work, rounds, time vs prefix size — random graph.
-func BenchmarkFig2aMMWorkRandom(b *testing.B)   { benchSetup(); mmPrefixPanel(b, elRand, ordRandE) }
-func BenchmarkFig2bMMRoundsRandom(b *testing.B) { benchSetup(); mmPrefixPanel(b, elRand, ordRandE) }
-func BenchmarkFig2cMMTimeRandom(b *testing.B)   { benchSetup(); mmPrefixPanel(b, elRand, ordRandE) }
+// series names one plan of a panel.
+type series struct {
+	name string
+	opts []greedy.Option
+}
 
-// Figure 2(d-f): the same on the rMat graph.
-func BenchmarkFig2dMMWorkRMat(b *testing.B)   { benchSetup(); mmPrefixPanel(b, elRMat, ordRMatE) }
-func BenchmarkFig2eMMRoundsRMat(b *testing.B) { benchSetup(); mmPrefixPanel(b, elRMat, ordRMatE) }
-func BenchmarkFig2fMMTimeRMat(b *testing.B)   { benchSetup(); mmPrefixPanel(b, elRMat, ordRMatE) }
-
-// misThreadsPanel benches the three Figure-3 series at each thread
-// count.
-func misThreadsPanel(b *testing.B, g *greedy.Graph, ord greedy.Order) {
+// threadPanel benches, at each thread count, problem's prefix
+// algorithm, Luby's where the problem has one, and the sequential scan.
+func threadPanel(b *testing.B, problem greedy.Problem, in greedy.Input) {
+	solver := benchSolver(problem)
+	name := strings.ToUpper(string(problem))
 	for _, procs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("threads=%d/prefixMIS", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for i := 0; i < b.N; i++ {
-				must(core.PrefixMIS(context.Background(), g, ord, core.Options{}))
+		for _, s := range []series{{"prefix" + name, nil}, {"luby", luby}, {"serial" + name, []greedy.Option{sequential}}} {
+			if problem.Check(greedy.ResolvePlan(s.opts...)) != nil {
+				continue
 			}
-		})
-		b.Run(fmt.Sprintf("threads=%d/luby", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for i := 0; i < b.N; i++ {
-				must(core.LubyMIS(context.Background(), g, benchSeed+9, core.Options{}))
-			}
-		})
-		b.Run(fmt.Sprintf("threads=%d/serialMIS", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for i := 0; i < b.N; i++ {
-				must(core.SequentialMIS(context.Background(), g, ord, core.Options{}))
-			}
-		})
+			b.Run(fmt.Sprintf("threads=%d/%s", procs, s.name), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				solve(b, solver, problem, in, s.opts...)
+			})
+		}
 	}
 }
 
 // Figure 3: MIS running time vs threads (prefix-based vs Luby vs serial).
 func BenchmarkFig3aMISThreadsRandom(b *testing.B) {
 	benchSetup()
-	misThreadsPanel(b, benchRand, ordRandV)
+	threadPanel(b, greedy.ProblemMIS, benchRand)
 }
 func BenchmarkFig3bMISThreadsRMat(b *testing.B) {
 	benchSetup()
-	misThreadsPanel(b, benchRMat, ordRMatV)
-}
-
-func mmThreadsPanel(b *testing.B, el greedy.EdgeList, ord greedy.Order) {
-	for _, procs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("threads=%d/prefixMM", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for i := 0; i < b.N; i++ {
-				must(matching.PrefixMM(context.Background(), el, ord, matching.Options{}))
-			}
-		})
-		b.Run(fmt.Sprintf("threads=%d/serialMM", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for i := 0; i < b.N; i++ {
-				must(matching.SequentialMM(context.Background(), el, ord, matching.Options{}))
-			}
-		})
-	}
+	threadPanel(b, greedy.ProblemMIS, benchRMat)
 }
 
 // Figure 4: MM running time vs threads (prefix-based vs serial).
-func BenchmarkFig4aMMThreadsRandom(b *testing.B) { benchSetup(); mmThreadsPanel(b, elRand, ordRandE) }
-func BenchmarkFig4bMMThreadsRMat(b *testing.B)   { benchSetup(); mmThreadsPanel(b, elRMat, ordRMatE) }
+func BenchmarkFig4aMMThreadsRandom(b *testing.B) {
+	benchSetup()
+	threadPanel(b, greedy.ProblemMM, benchRand)
+}
+func BenchmarkFig4bMMThreadsRMat(b *testing.B) {
+	benchSetup()
+	threadPanel(b, greedy.ProblemMM, benchRMat)
+}
 
 // In-text claim T1: the prefix-based MIS does less work than Luby
 // (paper: 4-8x faster); the metric reports the inspection ratio.
 func BenchmarkTextMISvsLuby(b *testing.B) {
 	benchSetup()
-	pref := must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{}))
-	luby := must(core.LubyMIS(context.Background(), benchRand, benchSeed+9, core.Options{}))
+	solver := benchSolver(greedy.ProblemMIS)
 	b.Run("prefixMIS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{}))
-		}
-		b.ReportMetric(float64(luby.Stats.EdgeInspections)/float64(pref.Stats.EdgeInspections), "luby-inspect-ratio")
+		pref := solve(b, solver, greedy.ProblemMIS, benchRand)
+		lu := must(solver.Solve(context.Background(), greedy.ProblemMIS, benchRand, luby...))
+		b.ReportMetric(float64(lu.Stats.EdgeInspections)/float64(pref.Stats.EdgeInspections), "luby-inspect-ratio")
 	})
-	b.Run("luby", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(core.LubyMIS(context.Background(), benchRand, benchSeed+9, core.Options{}))
-		}
-	})
+	b.Run("luby", func(b *testing.B) { solve(b, solver, greedy.ProblemMIS, benchRand, luby...) })
 }
 
 // Theory TH1 (Theorem 3.5): dependence length across n; the metric
@@ -214,74 +192,51 @@ func BenchmarkTheoremDependenceLength(b *testing.B) {
 // Ablation AB1: rescan-from-scratch vs parent-pointer attempts.
 func BenchmarkAblationPointer(b *testing.B) {
 	benchSetup()
+	solver := benchSolver(greedy.ProblemMIS)
 	for _, frac := range []float64{1e-3, 1e-1, 1.0} {
-		b.Run(fmt.Sprintf("scratch/prefix=%g", frac), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{Options: engine.Options{PrefixFrac: frac}}))
-			}
-			b.ReportMetric(float64(res.Stats.EdgeInspections), "inspections")
-		})
-		b.Run(fmt.Sprintf("pointer/prefix=%g", frac), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: true}))
-			}
-			b.ReportMetric(float64(res.Stats.EdgeInspections), "inspections")
-		})
+		for _, s := range []series{
+			{"scratch", []greedy.Option{greedy.WithPrefixFrac(frac)}},
+			{"pointer", []greedy.Option{greedy.WithPrefixFrac(frac), greedy.WithPointer()}},
+		} {
+			b.Run(fmt.Sprintf("%s/prefix=%g", s.name, frac), func(b *testing.B) {
+				a := solve(b, solver, greedy.ProblemMIS, benchRand, s.opts...)
+				b.ReportMetric(float64(a.Stats.EdgeInspections), "inspections")
+			})
+		}
 	}
 }
 
-// Ablation AB2: the MIS implementation family on one input.
+// Ablation AB2: every algorithm MIS and MM accept, on one input.
 func BenchmarkAblationAlgorithms(b *testing.B) {
 	benchSetup()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(core.SequentialMIS(context.Background(), benchRand, ordRandV, core.Options{}))
+	for _, problem := range []greedy.Problem{greedy.ProblemMIS, greedy.ProblemMM} {
+		solver := benchSolver(problem)
+		for _, algo := range []greedy.Algorithm{greedy.AlgoSequential, greedy.AlgoRootSet, greedy.AlgoPrefix, greedy.AlgoParallel, greedy.AlgoLuby} {
+			opts := []greedy.Option{greedy.WithAlgorithm(algo)}
+			if algo == greedy.AlgoLuby {
+				opts = luby
+			}
+			if problem.Check(greedy.ResolvePlan(opts...)) != nil {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/%s", problem, algo), func(b *testing.B) { solve(b, solver, problem, benchRand, opts...) })
 		}
-	})
-	b.Run("rootset", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(core.RootSetMIS(context.Background(), benchRand, ordRandV, core.Options{}))
-		}
-	})
-	b.Run("prefix", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(core.PrefixMIS(context.Background(), benchRand, ordRandV, core.Options{}))
-		}
-	})
-	b.Run("parallel-full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(core.ParallelMIS(context.Background(), benchRand, ordRandV, core.Options{}))
-		}
-	})
-	b.Run("luby", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(core.LubyMIS(context.Background(), benchRand, benchSeed+9, core.Options{}))
-		}
-	})
+	}
 }
 
 // Extension X1 (Section 7): spanning forest — sequential, the relaxed
 // (PBBS one-root) parallel protocol at full scale, and the exact
 // sequential-equivalent protocol at 1/16 scale (its hub serialization
 // makes full scale impractical; that asymmetry is the experiment's
-// finding).
+// finding). The exact protocol has no Solver entry.
 func BenchmarkSpanningForest(b *testing.B) {
 	benchSetup()
-	ord := greedy.NewRandomOrder(elRand.NumEdges(), benchSeed+3)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(spanning.SequentialSF(context.Background(), elRand, ord, spanning.Options{}))
-		}
-	})
+	solver := benchSolver(greedy.ProblemSF)
+	b.Run("sequential", func(b *testing.B) { solve(b, solver, greedy.ProblemSF, benchRand, sequential) })
 	b.Run("relaxed-prefix", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			must(spanning.PrefixSFRelaxed(context.Background(), elRand, ord, spanning.Options{Options: engine.Options{PrefixFrac: 0.01}}))
-		}
+		solve(b, solver, greedy.ProblemSF, benchRand, greedy.WithPrefixFrac(0.01))
 	})
-	smallG := greedy.RandomGraph(benchRandN/16, benchRandM/16, benchSeed)
-	smallEl := smallG.EdgeList()
+	smallEl := greedy.RandomGraph(benchRandN/16, benchRandM/16, benchSeed).EdgeList()
 	smallOrd := greedy.NewRandomOrder(smallEl.NumEdges(), benchSeed+3)
 	b.Run("exact-prefix-1/16", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 // Command bench regenerates the paper's evaluation: every figure panel
 // of Blelloch, Fineman and Shun (SPAA 2012) plus the theory-validation
-// and ablation tables described in DESIGN.md.
+// and ablation tables described in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -17,8 +17,8 @@
 // scan), all.
 //
 // The scenario matrix (-matrix, or -smoke for the smallest sizes) is
-// the reproducible fixed-vs-adaptive prefix harness: it runs MIS, MM
-// and SF over random / rMat / grid / line-graph inputs with fixed
+// the reproducible fixed-vs-adaptive prefix harness: it runs all five
+// problems over random / rMat / grid / line-graph inputs with fixed
 // seeds, verifies every answer against the sequential baseline, and
 // writes a machine-readable report (default BENCH_pr3.json) whose
 // machine-independent columns later PRs diff against:
@@ -47,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 
+	greedy "repro"
 	"repro/internal/bench"
 )
 
@@ -169,24 +170,24 @@ func main() {
 
 	run("fig1 (MIS prefix sweep)", want("fig1"), func() {
 		for _, w := range workloads {
-			fmt.Println(bench.MISPrefixSweep(bench.SweepConfig{Workload: w, Fracs: fracList, Reps: *reps}))
+			fmt.Println(bench.PrefixSweep(greedy.ProblemMIS, bench.SweepConfig{Workload: w, Fracs: fracList, Reps: *reps}))
 		}
 	})
 	run("fig2 (MM prefix sweep)", want("fig2"), func() {
 		for _, w := range workloads {
-			fmt.Println(bench.MMPrefixSweep(bench.SweepConfig{Workload: w, Fracs: fracList, Reps: *reps}))
+			fmt.Println(bench.PrefixSweep(greedy.ProblemMM, bench.SweepConfig{Workload: w, Fracs: fracList, Reps: *reps}))
 		}
 	})
 	run("fig3 (MIS thread scaling)", want("fig3"), func() {
 		for _, w := range workloads {
-			fmt.Println(bench.MISThreadScaling(bench.ThreadConfig{
+			fmt.Println(bench.ThreadScaling(greedy.ProblemMIS, bench.ThreadConfig{
 				Workload: w, Threads: threadList, PrefixFrac: *prefixFrac, Reps: *reps,
 			}))
 		}
 	})
 	run("fig4 (MM thread scaling)", want("fig4"), func() {
 		for _, w := range workloads {
-			fmt.Println(bench.MMThreadScaling(bench.ThreadConfig{
+			fmt.Println(bench.ThreadScaling(greedy.ProblemMM, bench.ThreadConfig{
 				Workload: w, Threads: threadList, PrefixFrac: *prefixFrac, Reps: *reps,
 			}))
 		}

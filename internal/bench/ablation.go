@@ -3,22 +3,22 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"repro/internal/core"
+	greedy "repro"
 	"repro/internal/engine"
-	"repro/internal/matching"
 	"repro/internal/spanning"
 )
 
 // AblationPointer compares the PBBS-style rescan-from-scratch attempt
 // (what the paper measures) with the parent-pointer optimization of
-// Lemma 4.1, across prefix sizes. The pointer variant caps attempt work
-// at O(m) but pays to build the parent lists; the crossover is visible
-// at large prefixes where rescans multiply.
+// Lemma 4.1, across prefix sizes. The pointer variant caps check work
+// at O(m) at the cost of one scan cursor per vertex; the difference
+// shows at large prefixes, where rescans multiply.
 func AblationPointer(w Workload, reps int) Table {
-	g := w.Build()
-	n := g.NumVertices()
-	ord := core.NewRandomOrder(n, w.Seed+1)
+	in := greedy.GraphInput(w.Build())
+	solver := solverFor(w, greedy.ProblemMIS)
+	seq := execute(greedy.ProblemMIS, solver, in, true, sequential)
 	t := Table{
 		Title:   fmt.Sprintf("Ablation AB1: rescan vs parent-pointer attempts on %s [%s]", w, Env()),
 		Headers: []string{"prefix/N", "scratch-inspect", "pointer-inspect", "scratch-time", "pointer-time"},
@@ -27,86 +27,42 @@ func AblationPointer(w Workload, reps int) Table {
 		},
 	}
 	for _, frac := range []float64{1e-4, 1e-3, 1e-2, 1e-1, 1.0} {
-		var scratch, pointer *core.Result
-		st := MedianTime(reps, func() {
-			scratch = must(core.PrefixMIS(context.Background(), g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}}))
-		})
-		pt := MedianTime(reps, func() {
-			pointer = must(core.PrefixMIS(context.Background(), g, ord, core.Options{Options: engine.Options{PrefixFrac: frac}, Pointered: true}))
-		})
-		if !scratch.Equal(pointer) {
-			panic("bench: pointer ablation changed the MIS")
-		}
-		t.Rows = append(t.Rows, []string{
-			fmtFloat(frac),
-			fmt.Sprintf("%d", scratch.Stats.EdgeInspections),
-			fmt.Sprintf("%d", pointer.Stats.EdgeInspections),
-			fmtDuration(st),
-			fmtDuration(pt),
-		})
+		scratch := timed(greedy.ProblemMIS, solver, in, seq, reps, greedy.WithPrefixFrac(frac)).run
+		pointer := timed(greedy.ProblemMIS, solver, in, seq, reps, greedy.WithPrefixFrac(frac), greedy.WithPointer()).run
+		t.Rows = append(t.Rows, []string{fmtFloat(frac), fmt.Sprintf("%d", scratch.Inspections),
+			fmt.Sprintf("%d", pointer.Inspections), fmtMS(scratch.TimeMS), fmtMS(pointer.TimeMS)})
 	}
 	return t
 }
 
-// AblationAlgorithms compares all MIS implementations (and the MM
-// implementations) on one workload: the sequential baseline, the
-// root-set linear-work algorithm, the prefix-based algorithm at its
-// default prefix, the fully parallel prefix (Algorithm 2), and Luby.
+// AblationAlgorithms compares every algorithm that MIS and MM accept on
+// one workload: the sequential baseline, the root-set linear-work
+// algorithm, the prefix-based algorithm at its default prefix, the fully
+// parallel prefix (Algorithm 2), and, for MIS, Luby. Every answer but
+// Luby's must match the sequential one.
 func AblationAlgorithms(w Workload, reps int) Table {
-	g := w.Build()
-	n := g.NumVertices()
-	ord := core.NewRandomOrder(n, w.Seed+1)
-	el := g.EdgeList()
-	mmOrd := core.NewRandomOrder(el.NumEdges(), w.Seed+2)
-
+	in := greedy.GraphInput(w.Build())
 	t := Table{
 		Title:   fmt.Sprintf("Ablation AB2: algorithm comparison on %s [%s]", w, Env()),
 		Headers: []string{"algorithm", "rounds", "attempts", "inspections", "time", "size"},
 	}
-	addRow := func(name string, rounds, attempts, inspections int64, dur string, size int) {
-		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprintf("%d", rounds), fmt.Sprintf("%d", attempts),
-			fmt.Sprintf("%d", inspections), dur, fmt.Sprintf("%d", size),
-		})
-	}
-
-	seq := must(core.SequentialMIS(context.Background(), g, ord, core.Options{}))
-	seqT := MedianTime(reps, func() { must(core.SequentialMIS(context.Background(), g, ord, core.Options{})) })
-	addRow("mis/sequential", seq.Stats.Rounds, seq.Stats.Attempts, seq.Stats.EdgeInspections, fmtDuration(seqT), seq.Size())
-
-	root := must(core.RootSetMIS(context.Background(), g, ord, core.Options{}))
-	rootT := MedianTime(reps, func() { must(core.RootSetMIS(context.Background(), g, ord, core.Options{})) })
-	addRow("mis/rootset", root.Stats.Rounds, root.Stats.Attempts, root.Stats.EdgeInspections, fmtDuration(rootT), root.Size())
-
-	pref := must(core.PrefixMIS(context.Background(), g, ord, core.Options{}))
-	prefT := MedianTime(reps, func() { must(core.PrefixMIS(context.Background(), g, ord, core.Options{})) })
-	addRow("mis/prefix", pref.Stats.Rounds, pref.Stats.Attempts, pref.Stats.EdgeInspections, fmtDuration(prefT), pref.Size())
-
-	full := must(core.ParallelMIS(context.Background(), g, ord, core.Options{}))
-	fullT := MedianTime(reps, func() { must(core.ParallelMIS(context.Background(), g, ord, core.Options{})) })
-	addRow("mis/parallel-full", full.Stats.Rounds, full.Stats.Attempts, full.Stats.EdgeInspections, fmtDuration(fullT), full.Size())
-
-	luby := must(core.LubyMIS(context.Background(), g, w.Seed+9, core.Options{}))
-	lubyT := MedianTime(reps, func() { must(core.LubyMIS(context.Background(), g, w.Seed+9, core.Options{})) })
-	addRow("mis/luby", luby.Stats.Rounds, luby.Stats.Attempts, luby.Stats.EdgeInspections, fmtDuration(lubyT), luby.Size())
-
-	mseq := must(matching.SequentialMM(context.Background(), el, mmOrd, matching.Options{}))
-	mseqT := MedianTime(reps, func() { must(matching.SequentialMM(context.Background(), el, mmOrd, matching.Options{})) })
-	addRow("mm/sequential", mseq.Stats.Rounds, mseq.Stats.Attempts, mseq.Stats.EdgeInspections, fmtDuration(mseqT), mseq.Size())
-
-	mroot := must(matching.RootSetMM(context.Background(), el, mmOrd, matching.Options{}))
-	mrootT := MedianTime(reps, func() { must(matching.RootSetMM(context.Background(), el, mmOrd, matching.Options{})) })
-	addRow("mm/rootset", mroot.Stats.Rounds, mroot.Stats.Attempts, mroot.Stats.EdgeInspections, fmtDuration(mrootT), mroot.Size())
-
-	mpref := must(matching.PrefixMM(context.Background(), el, mmOrd, matching.Options{}))
-	mprefT := MedianTime(reps, func() { must(matching.PrefixMM(context.Background(), el, mmOrd, matching.Options{})) })
-	addRow("mm/prefix", mpref.Stats.Rounds, mpref.Stats.Attempts, mpref.Stats.EdgeInspections, fmtDuration(mprefT), mpref.Size())
-
-	if !root.Equal(seq) || !pref.Equal(seq) || !full.Equal(seq) {
-		panic("bench: MIS implementations disagree")
-	}
-	if !mroot.Equal(mseq) || !mpref.Equal(mseq) {
-		panic("bench: MM implementations disagree")
+	for _, problem := range []greedy.Problem{greedy.ProblemMIS, greedy.ProblemMM} {
+		solver := solverFor(w, problem)
+		var seq *executed
+		for _, algo := range []greedy.Algorithm{greedy.AlgoSequential, greedy.AlgoRootSet, greedy.AlgoPrefix, greedy.AlgoParallel, greedy.AlgoLuby} {
+			if problem.Check(greedy.Plan{Algorithm: algo}) != nil {
+				continue
+			}
+			ref, opts := seq, []greedy.Option{greedy.WithAlgorithm(algo)}
+			if algo == greedy.AlgoLuby {
+				ref, opts = nil, lubyPlan(w)
+			}
+			r := timed(problem, solver, in, ref, reps, opts...)
+			if seq == nil {
+				seq = r
+			}
+			t.Rows = append(t.Rows, counterRow(fmt.Sprintf("%s/%s", problem, algo), r.run))
+		}
 	}
 	return t
 }
@@ -118,18 +74,15 @@ func AblationAlgorithms(w Workload, reps int) Table {
 //   - exact (spanning.PrefixSF, both-root reservations) reproduces the
 //     sequential forest but serializes attachments to hub components —
 //     on the random graph its round count approaches the number of tree
-//     edges, so it is run at 1/16 scale and small fracs only;
-//   - relaxed (spanning.PrefixSFRelaxed, PBBS one-root reservations)
-//     keeps the parallelism at the cost of returning a different —
-//     still deterministic, still valid — forest.
+//     edges, so it is run at 1/16 scale and small fracs only; it has no
+//     Solver entry, so it is called directly;
+//   - relaxed (the Solver's SF, PBBS one-root reservations) keeps the
+//     parallelism at the cost of returning a different — still
+//     deterministic, still valid — forest of the same size.
 func SpanningForestExperiment(w Workload, reps int) Table {
-	g := w.Build()
-	el := g.EdgeList()
-	ord := core.NewRandomOrder(el.NumEdges(), w.Seed+3)
-
-	seq := must(spanning.SequentialSF(context.Background(), el, ord, spanning.Options{}))
-	seqT := MedianTime(reps, func() { must(spanning.SequentialSF(context.Background(), el, ord, spanning.Options{})) })
-
+	in := greedy.GraphInput(w.Build())
+	solver := solverFor(w, greedy.ProblemSF)
+	seq := timed(greedy.ProblemSF, solver, in, nil, reps, sequential)
 	t := Table{
 		Title:   fmt.Sprintf("Extension X1 (Section 7): spanning forest on %s [%s]", w, Env()),
 		Headers: []string{"algorithm", "prefix/M", "rounds", "attempts", "time", "forestEdges", "seqEqual"},
@@ -138,48 +91,37 @@ func SpanningForestExperiment(w Workload, reps int) Table {
 			"relaxed = PBBS one-root reservations; deterministic per (order, prefix) but a different valid forest",
 		},
 	}
-	t.Rows = append(t.Rows, []string{
-		"sequential", "-", fmt.Sprintf("%d", seq.Stats.Rounds),
-		fmt.Sprintf("%d", seq.Stats.Attempts), fmtDuration(seqT), fmt.Sprintf("%d", seq.Size()), "yes",
-	})
+	row := func(name, frac string, r RunReport, seqEqual string) {
+		t.Rows = append(t.Rows, []string{name, frac, fmt.Sprintf("%d", r.Rounds), fmt.Sprintf("%d", r.Attempts),
+			fmtMS(r.TimeMS), fmt.Sprintf("%d", r.Size), seqEqual})
+	}
+	row("sequential", "-", seq.run, "yes")
 	for _, frac := range []float64{1e-3, 1e-2, 1e-1, 1.0} {
-		var res *spanning.Result
-		dur := MedianTime(reps, func() {
-			res = must(spanning.PrefixSFRelaxed(context.Background(), el, ord, spanning.Options{Options: engine.Options{PrefixFrac: frac}}))
-		})
+		r := timed(greedy.ProblemSF, solver, in, seq, reps, greedy.WithPrefixFrac(frac))
 		eq := "no"
-		if res.Equal(seq) {
+		if slices.Equal(r.answer.In, seq.answer.In) {
 			eq = "yes"
 		}
-		if res.Size() != seq.Size() {
-			panic("bench: relaxed spanning forest has wrong size")
-		}
-		t.Rows = append(t.Rows, []string{
-			"relaxed", fmtFloat(frac), fmt.Sprintf("%d", res.Stats.Rounds),
-			fmt.Sprintf("%d", res.Stats.Attempts), fmtDuration(dur), fmt.Sprintf("%d", res.Size()), eq,
-		})
+		row("relaxed", fmtFloat(frac), r.run, eq)
 	}
 
-	// Exact protocol at reduced scale.
-	smallW := w
-	smallW.N = w.N / 16
-	smallW.M = w.M / 16
-	sg := smallW.Build()
-	sel := sg.EdgeList()
-	sord := core.NewRandomOrder(sel.NumEdges(), w.Seed+3)
-	sseq := must(spanning.SequentialSF(context.Background(), sel, sord, spanning.Options{}))
+	// The exact protocol at reduced scale, against the sequential forest
+	// there.
+	small := w
+	small.N, small.M = w.N/16, w.M/16
+	smallIn := greedy.GraphInput(small.Build())
+	smallSeq := execute(greedy.ProblemSF, solver, smallIn, true, sequential)
+	el := smallIn.EdgeList()
+	ord := greedy.NewRandomOrder(el.NumEdges(), w.Seed+3)
 	for _, frac := range []float64{1e-4, 1e-3} {
 		var res *spanning.Result
-		dur := MedianTime(reps, func() {
-			res = must(spanning.PrefixSF(context.Background(), sel, sord, spanning.Options{Options: engine.Options{PrefixFrac: frac}}))
+		ms := medianMS(reps, func() {
+			res = must(spanning.PrefixSF(context.Background(), el, ord, spanning.Options{Options: engine.Options{PrefixFrac: frac}}))
 		})
-		if !res.Equal(sseq) {
+		if !slices.Equal(res.InForest, smallSeq.answer.In) {
 			panic("bench: exact prefix spanning forest diverged from sequential")
 		}
-		t.Rows = append(t.Rows, []string{
-			"exact(1/16)", fmtFloat(frac), fmt.Sprintf("%d", res.Stats.Rounds),
-			fmt.Sprintf("%d", res.Stats.Attempts), fmtDuration(dur), fmt.Sprintf("%d", res.Size()), "yes",
-		})
+		row("exact(1/16)", fmtFloat(frac), RunReport{Rounds: res.Stats.Rounds, Attempts: res.Stats.Attempts, TimeMS: ms, Size: res.Size()}, "yes")
 	}
 	return t
 }

@@ -105,9 +105,7 @@ func fmtFloat(v float64) string {
 	}
 }
 
-func fmtDuration(d time.Duration) string {
-	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000.0)
-}
+func fmtMS(ms float64) string { return fmt.Sprintf("%.2fms", ms) }
 
 // must unwraps a run under a background context, which cannot fail.
 func must[T any](v T, err error) T {

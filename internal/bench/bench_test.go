@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	greedy "repro"
 )
 
 // Small workloads keep harness unit tests fast; the real sizes are
@@ -64,48 +66,29 @@ func TestDefaultScale(t *testing.T) {
 	DefaultScale("nope", 0)
 }
 
-func TestMISPrefixSweepRuns(t *testing.T) {
-	tab := MISPrefixSweep(SweepConfig{
-		Workload: smallRandom(),
-		Fracs:    []float64{1e-3, 0.1, 1.0},
-		Reps:     1,
-	})
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(tab.Rows))
-	}
-	// work/N at the largest prefix must be >= work at the smallest.
-	if tab.Rows[0][2] > tab.Rows[2][2] && !strings.Contains(tab.Rows[0][2], "e") {
-		t.Errorf("work did not grow with prefix: %v vs %v", tab.Rows[0][2], tab.Rows[2][2])
-	}
-}
-
-func TestMMPrefixSweepRuns(t *testing.T) {
-	tab := MMPrefixSweep(SweepConfig{
-		Workload: smallRandom(),
-		Fracs:    []float64{1e-2, 1.0},
-		Reps:     1,
-	})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+func TestPrefixSweepRuns(t *testing.T) {
+	for _, problem := range greedy.Problems() {
+		tab := PrefixSweep(problem, SweepConfig{
+			Workload: smallRandom(),
+			Fracs:    []float64{1e-3, 0.1, 1.0},
+			Reps:     1,
+		})
+		if len(tab.Rows) != 3 {
+			t.Fatalf("%s: rows = %d, want 3", problem, len(tab.Rows))
+		}
 	}
 }
 
 func TestThreadScalingRuns(t *testing.T) {
-	tab := MISThreadScaling(ThreadConfig{
-		Workload: smallRandom(),
-		Threads:  []int{1, 2},
-		Reps:     1,
-	})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	mm := MMThreadScaling(ThreadConfig{
-		Workload: smallRandom(),
-		Threads:  []int{1, 2},
-		Reps:     1,
-	})
-	if len(mm.Rows) != 2 {
-		t.Fatalf("mm rows = %d", len(mm.Rows))
+	for problem, cols := range map[greedy.Problem]int{greedy.ProblemMIS: 6, greedy.ProblemMM: 4} {
+		tab := ThreadScaling(problem, ThreadConfig{
+			Workload: smallRandom(),
+			Threads:  []int{1, 2},
+			Reps:     1,
+		})
+		if len(tab.Rows) != 2 || len(tab.Headers) != cols {
+			t.Fatalf("%s: rows = %d, columns = %d; want 2 rows, %d columns", problem, len(tab.Rows), len(tab.Headers), cols)
+		}
 	}
 }
 
@@ -141,7 +124,7 @@ func TestAblationsRun(t *testing.T) {
 		t.Fatal("pointer ablation empty")
 	}
 	ab2 := AblationAlgorithms(smallRandom(), 1)
-	if len(ab2.Rows) < 8 {
+	if len(ab2.Rows) != 9 {
 		t.Fatalf("algorithm ablation rows = %d", len(ab2.Rows))
 	}
 	sf := SpanningForestExperiment(smallRandom(), 1)

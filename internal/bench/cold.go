@@ -21,18 +21,18 @@ const (
 // other algorithm's answer (the sequential one for a prefix run, the
 // prefix one for a sequential run) under its own seed once the timing
 // is done, so the check's order derivation is not charged to the cold
-// solves. Invalid or mismatched answers panic, as in execute.
+// solves. Invalid or mismatched answers panic, as in timed.
 func coldRun(problem greedy.Problem, solver *greedy.Solver, in greedy.Input, reps int, algo greedy.Algorithm, base uint64) RunReport {
 	var cold []*executed
 	ms := medianMS(reps, func() {
-		cold = append(cold, execute(problem, solver, in, nil, greedy.WithAlgorithm(algo), greedy.WithSeed(base+uint64(len(cold)))))
+		cold = append(cold, execute(problem, solver, in, false, greedy.WithAlgorithm(algo), greedy.WithSeed(base+uint64(len(cold)))))
 	})
 	check, config := greedy.AlgoSequential, "cold"
 	if algo == greedy.AlgoSequential {
 		check, config = greedy.AlgoPrefix, "seq cold"
 	}
 	for i, c := range cold {
-		ref := execute(problem, solver, in, nil, greedy.WithAlgorithm(check), greedy.WithSeed(base+uint64(i)))
+		ref := execute(problem, solver, in, false, greedy.WithAlgorithm(check), greedy.WithSeed(base+uint64(i)))
 		if verr := c.answer.Verify(in); verr != nil {
 			panic(fmt.Sprintf("bench: %s %s invalid: %v", config, problem, verr))
 		}
@@ -60,19 +60,17 @@ func ColdPath(w Workload, reps int) Table {
 	}
 	for _, problem := range greedy.Problems() {
 		solver := greedy.NewSolver()
-		sequential := greedy.WithAlgorithm(greedy.AlgoSequential)
-		seq := execute(problem, solver, in, nil, sequential)
-		seqMS := medianMS(reps, func() { execute(problem, solver, in, nil, sequential) })
-		execute(problem, solver, in, seq)
-		warmMS := medianMS(reps, func() { execute(problem, solver, in, nil) })
+		seq := timed(problem, solver, in, nil, reps, sequential)
+		seqMS := seq.run.TimeMS
+		warmMS := timed(problem, solver, in, seq, reps).run.TimeMS
 		cold := coldRun(problem, solver, in, reps, greedy.AlgoPrefix, coldSeed)
 		seqCold := coldRun(problem, solver, in, reps, greedy.AlgoSequential, seqColdSeed)
 		t.Rows = append(t.Rows, []string{
 			string(problem),
-			fmt.Sprintf("%.2fms", seqMS),
-			fmt.Sprintf("%.2fms", seqCold.TimeMS),
-			fmt.Sprintf("%.2fms", warmMS),
-			fmt.Sprintf("%.2fms", cold.TimeMS),
+			fmtMS(seqMS),
+			fmtMS(seqCold.TimeMS),
+			fmtMS(warmMS),
+			fmtMS(cold.TimeMS),
 			fmt.Sprintf("%.2fx", warmMS/seqMS),
 			fmt.Sprintf("%.2fx", cold.TimeMS/seqMS),
 			fmt.Sprintf("%.2fx", cold.TimeMS/seqCold.TimeMS),

@@ -20,8 +20,8 @@ import (
 // MatrixSchema identifies the report format.
 const MatrixSchema = "greedy-bench-matrix/v1"
 
-// matrixSeed fixes every scenario's generator seed; the priority
-// permutation uses matrixSeed+1 via the library default seeding.
+// matrixSeed fixes every scenario's generator seed. The priority
+// permutations use the Solver's default seed, 1: runProblem sets none.
 const matrixSeed = 42
 
 // Scenario is one input family of the matrix.
@@ -223,28 +223,16 @@ func RunMatrix(cfg MatrixConfig) MatrixReport {
 func runProblem(problem greedy.Problem, in greedy.Input, fracs []float64, reps int) ProblemReport {
 	pr := ProblemReport{Problem: string(problem)}
 	solver := greedy.NewSolver()
-	run := func(seq *executed, opts ...greedy.Option) *executed {
-		return execute(problem, solver, in, seq, opts...)
-	}
 
-	seq := run(nil, greedy.WithAlgorithm(greedy.AlgoSequential))
-	if verr := seq.answer.Verify(in); verr != nil {
-		panic(fmt.Sprintf("bench: sequential %s invalid: %v", problem, verr))
-	}
+	seq := timed(problem, solver, in, nil, reps, sequential)
 	seq.run.Config = "seq"
-	seq.run.TimeMS = medianMS(reps, func() {
-		run(nil, greedy.WithAlgorithm(greedy.AlgoSequential))
-	})
 	pr.Runs = append(pr.Runs, seq.run)
 
 	bestFixedTime := 0.0
 	bestFixedWork := int64(0)
 	for _, frac := range fracs {
-		r := run(seq, greedy.WithPrefixFrac(frac))
+		r := timed(problem, solver, in, seq, reps, greedy.WithPrefixFrac(frac))
 		r.run.Config = fmt.Sprintf("frac=%g", frac)
-		r.run.TimeMS = medianMS(reps, func() {
-			run(nil, greedy.WithPrefixFrac(frac))
-		})
 		pr.Runs = append(pr.Runs, r.run)
 		if bestFixedTime == 0 || r.run.TimeMS < bestFixedTime {
 			bestFixedTime = r.run.TimeMS
@@ -254,12 +242,9 @@ func runProblem(problem greedy.Problem, in greedy.Input, fracs []float64, reps i
 		}
 	}
 
-	ad := run(seq, greedy.WithAdaptivePrefix())
+	ad := timed(problem, solver, in, seq, reps, greedy.WithAdaptivePrefix())
 	ad.run.Config = "adaptive"
 	ad.run.Adaptive = true
-	ad.run.TimeMS = medianMS(reps, func() {
-		run(nil, greedy.WithAdaptivePrefix())
-	})
 	pr.Runs = append(pr.Runs, ad.run)
 
 	if bestFixedTime > 0 {
@@ -276,6 +261,10 @@ func runProblem(problem greedy.Problem, in greedy.Input, fracs []float64, reps i
 	return pr
 }
 
+// sequential selects the sequential scan, the reference every other
+// answer is checked against.
+var sequential = greedy.WithAlgorithm(greedy.AlgoSequential)
+
 // executed carries one run's report row plus its answer, for
 // cross-run comparison.
 type executed struct {
@@ -283,14 +272,13 @@ type executed struct {
 	answer greedy.Answer
 }
 
-// execute runs one configuration once, recording counters, the window
-// trajectory, and agreement with the sequential baseline seq (nil
-// skips verification — the timing path). Invalid answers, and answers
-// that do not match the sequential one, panic.
-func execute(problem greedy.Problem, solver *greedy.Solver, in greedy.Input, seq *executed, opts ...greedy.Option) *executed {
+// execute runs one configuration once and records its counters. A
+// checked run also records an adaptive run's window trajectory and
+// panics on an invalid answer; unchecked runs are the timing path.
+func execute(problem greedy.Problem, solver *greedy.Solver, in greedy.Input, checked bool, opts ...greedy.Option) *executed {
 	out := &executed{run: RunReport{Matches: true}}
 	plan := greedy.ResolvePlan(opts...)
-	if plan.AdaptivePrefix && seq != nil {
+	if plan.AdaptivePrefix && checked {
 		opts = append(opts, greedy.WithRoundObserver(func(ri greedy.RoundInfo) {
 			w := out.run.Windows
 			if n := len(w); n > 0 && w[n-1].Window == ri.PrefixSize {
@@ -308,12 +296,9 @@ func execute(problem greedy.Problem, solver *greedy.Solver, in greedy.Input, seq
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s: %v", problem, err))
 	}
-	if seq != nil {
+	if checked {
 		if verr := a.Verify(in); verr != nil {
 			panic(fmt.Sprintf("bench: %s %s invalid: %v", plan.Algorithm, problem, verr))
-		}
-		if !a.Matches(seq.answer) {
-			panic(fmt.Sprintf("bench: %s %s differs from sequential", plan.Algorithm, problem))
 		}
 	}
 	out.answer = a
@@ -323,6 +308,20 @@ func execute(problem greedy.Problem, solver *greedy.Solver, in greedy.Input, seq
 	out.run.Attempts = a.Stats.Attempts
 	out.run.Inspections = a.Stats.EdgeInspections
 	return out
+}
+
+// timed runs one configuration checked, then reports its counters with
+// the median time of reps unchecked runs. Unless seq is nil (the
+// sequential run itself, or Luby's, which only Verify can check), the
+// answer must also match seq's, or timed panics: the harness refuses to
+// time wrong answers.
+func timed(problem greedy.Problem, solver *greedy.Solver, in greedy.Input, seq *executed, reps int, opts ...greedy.Option) *executed {
+	r := execute(problem, solver, in, true, opts...)
+	if seq != nil && !r.answer.Matches(seq.answer) {
+		panic(fmt.Sprintf("bench: %s %s differs from sequential", greedy.ResolvePlan(opts...).Algorithm, problem))
+	}
+	r.run.TimeMS = medianMS(reps, func() { execute(problem, solver, in, false, opts...) })
+	return r
 }
 
 // MatrixTable renders a compact fixed-vs-adaptive comparison of the

@@ -203,9 +203,9 @@ func (e *Engine) completeFinished(id string, state JobState) {
 // restart converge, and recomputation (not output replay) serves it —
 // determinism makes the recomputed bytes identical. Specs that no
 // longer validate, name a graph the blob tier cannot produce, or find
-// the queue full become resident failed jobs, completing their journal
-// debt. A closed engine refuses the job and leaves the debt owed, so
-// the next boot serves it.
+// the queue full become resident failed jobs, submitted at the recovery
+// time, completing their journal debt. A closed engine refuses the job
+// and leaves the debt owed, so the next boot serves it.
 func (e *Engine) Recover(id string, spec JobSpec) error {
 	// Keep the id generator ahead of every recovered id so fresh
 	// submissions never collide with re-enqueued ones.
@@ -218,7 +218,7 @@ func (e *Engine) Recover(id string, spec JobSpec) error {
 		}
 	}
 	fail := func(msg string, err error) error {
-		e.failUnstarted(&Job{ID: id, Spec: spec}, "unrecoverable: "+msg)
+		e.failUnstarted(&Job{ID: id, Spec: spec, submittedAt: time.Now()}, "unrecoverable: "+msg)
 		e.completeAlways(id)
 		return err
 	}

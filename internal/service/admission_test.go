@@ -142,6 +142,9 @@ func TestAdmissionRecoverUnrecoverable(t *testing.T) {
 		if st.State != StateFailed || !strings.HasPrefix(st.Error, c.want) {
 			t.Fatalf("recovered %s: state %s error %q, want failed with prefix %q", c.id, st.State, st.Error, c.want)
 		}
+		if st.SubmittedAt.IsZero() {
+			t.Fatalf("recovered %s: zero submitted_at, want the recovery time", c.id)
+		}
 		if got := journal.PendingCount(); got != owed-1 {
 			t.Fatalf("Recover(%s): journal owes %d, want %d", c.id, got, owed-1)
 		}
