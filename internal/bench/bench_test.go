@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,37 @@ func TestDefaultScale(t *testing.T) {
 		}
 	}()
 	DefaultScale("nope", 0)
+}
+
+func TestMISPrefixSweepRuns(t *testing.T) {
+	tab := PrefixSweep(greedy.ProblemMIS, SweepConfig{
+		Workload: smallRandom(),
+		Fracs:    []float64{1e-3, 0.1, 1.0},
+		Reps:     1,
+	})
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(tab.Rows))
+	}
+	// work/N at the largest prefix must be >= work at the smallest.
+	lo, errLo := strconv.ParseFloat(tab.Rows[0][2], 64)
+	hi, errHi := strconv.ParseFloat(tab.Rows[2][2], 64)
+	if errLo != nil || errHi != nil {
+		t.Fatalf("work cells %q, %q do not parse", tab.Rows[0][2], tab.Rows[2][2])
+	}
+	if lo > hi {
+		t.Errorf("work did not grow with prefix: %v vs %v", lo, hi)
+	}
+}
+
+func TestMMPrefixSweepRuns(t *testing.T) {
+	tab := PrefixSweep(greedy.ProblemMM, SweepConfig{
+		Workload: smallRandom(),
+		Fracs:    []float64{1e-2, 1.0},
+		Reps:     1,
+	})
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
 }
 
 func TestPrefixSweepRuns(t *testing.T) {
