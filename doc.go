@@ -82,22 +82,29 @@
 //
 // # Dynamic graphs
 //
-// Solver.MISDynamic and Solver.MMDynamic return session handles that
-// maintain a solution under streams of edge insertions and deletions:
-// each Apply drains a change-driven priority frontier — seeded only by
-// the directly-perturbed items and expanded to an item's downstream
-// neighbors only when its membership actually flipped — instead of
-// recomputing, and the maintained result is always bit-identical to a
-// from-scratch sequential greedy run on the mutated graph:
+// Solver.Dynamic(ctx, p, g, opts...) returns a Session that maintains
+// problem p's answer (MIS or MM) under streams of edge insertions and
+// deletions: each Apply drains a change-driven priority frontier —
+// seeded only by the directly-perturbed items and expanded to an item's
+// downstream neighbors only when its membership actually flipped —
+// instead of recomputing, and the maintained answer is always
+// bit-identical to a from-scratch sequential greedy run on the mutated
+// graph. Dynamic checks the plan against p's table row as Solve does;
+// MISDynamic and MMDynamic open the same sessions with the MIS result
+// and the matching's pairs as accessors:
 //
-//	sess, err := solver.MISDynamic(ctx, g)
+//	sess, err := solver.Dynamic(ctx, greedy.ProblemMIS, g)
 //	stats, err := sess.Apply(ctx, []greedy.DynamicUpdate{{Op: greedy.OpAdd, U: 1, V: 2}})
-//	res := sess.Result()
+//	ans := sess.Answer()
 //
-// The returned RepairStats speak frontier: Seeds, Visited (distinct
-// items re-decided), Flipped (membership flips propagated — items that
-// re-derive their old decision stop the propagation, so an unaffected
-// hub costs one decision, not its fan-out), FrontierPeak, and Changed.
+// Session.Answer returns the maintained answer in Solve's form; a
+// matching's has its sorted pairs and no edge bits, and Answer.Matches
+// compares such answers by their pairs. The returned RepairStats speak
+// frontier, one section per problem, and RepairStats.Cost returns the
+// session problem's: Seeds, Visited (distinct items re-decided),
+// Flipped (membership flips propagated — items that re-derive their
+// old decision stop the propagation, so an unaffected hub costs one
+// decision, not its fan-out), FrontierPeak, and Changed.
 //
 // WithDynamic selects the same churn-stable priorities for one-shot
 // runs (a no-op for MIS, hash-derived edge priorities for MM), which

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,6 +48,21 @@ func TestWorkloadBuild(t *testing.T) {
 	r := smallRMat().Build()
 	if r.NumVertices() != 1<<12 || r.NumEdges() != 20000 {
 		t.Errorf("rmat workload built %d/%d", r.NumVertices(), r.NumEdges())
+	}
+}
+
+// TestWorkloadStringNamesBuiltGraph checks that a workload's title
+// names the vertex count Build generates, which for rMat is N rounded up
+// to a power of two.
+func TestWorkloadStringNamesBuiltGraph(t *testing.T) {
+	for _, w := range []Workload{
+		{Kind: "rmat", N: 3000, M: 9000, Seed: 1},
+		{Kind: "random", N: 3000, M: 9000, Seed: 1},
+	} {
+		want := fmt.Sprintf("%s(n=%d, m=9000, seed=1)", w.Kind, w.Build().NumVertices())
+		if got := w.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

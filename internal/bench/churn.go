@@ -9,10 +9,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	greedy "repro"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/rng"
 )
 
@@ -22,10 +21,11 @@ import (
 // of several sizes and compares the measured repair time against a
 // from-scratch sequential recompute on the mutated graph — the
 // quantity the paper's shallow-dependence-cone insight predicts to be
-// orders of magnitude apart for small batches. Verification is built
-// in: after timed batches the maintained solution is checked
-// bit-identical to a from-scratch sequential run (the harness refuses
-// to time wrong answers), exactly like the fixed-vs-adaptive matrix.
+// orders of magnitude apart for small batches. Sessions open through
+// Solver.Dynamic. Verification is built in: after timed batches the
+// session's Answer must match a from-scratch sequential WithDynamic
+// Solve (the harness refuses to time wrong answers), exactly like the
+// fixed-vs-adaptive matrix.
 //
 // v2 (PR 5) records the repaired-region shape per cell — visited,
 // flipped, frontier peak — alongside wall time, so the report explains
@@ -119,7 +119,7 @@ type ChurnConfig struct {
 type ChurnRun struct {
 	BatchSize int `json:"batch_size"`
 	Batches   int `json:"batches"`
-	// RepairMSMean/Max are wall times of Maintainer.Apply (validation,
+	// RepairMSMean/Max are wall times of Session.Apply (validation,
 	// structural update, seed, frontier drain).
 	RepairMSMean float64 `json:"repair_ms_mean"`
 	RepairMSMax  float64 `json:"repair_ms_max"`
@@ -136,24 +136,26 @@ type ChurnRun struct {
 	// AttemptsMean is the frontier drain's mean decide attempts per
 	// batch — the repair analogue of the paper's total-work measure.
 	AttemptsMean float64 `json:"attempts_mean"`
-	// RecomputeMS is the median from-scratch sequential solve on the
-	// post-churn graph (order derivation excluded; materialization
-	// excluded — the recompute baseline is handed the same CSR a
-	// non-dynamic job would hold).
+	// RecomputeMS is the median from-scratch sequential Solve on the
+	// post-churn graph under an explicit WithOrder (order derivation
+	// excluded; materialization excluded — the recompute baseline is
+	// handed the same CSR a non-dynamic job would hold). The Solver
+	// caches no layout for an explicit order, so each timed run builds
+	// its own.
 	RecomputeMS float64 `json:"recompute_ms"`
 	// SpeedupVsRecompute is RecomputeMS / RepairMSMean.
 	SpeedupVsRecompute float64 `json:"speedup_vs_recompute"`
-	// Verified reports that the maintained solution was checked
-	// bit-identical to the from-scratch sequential solution after this
-	// cell's batches (a mismatch panics instead).
+	// Verified reports that the session's answer was checked against
+	// the from-scratch sequential one after this cell's batches (a
+	// mismatch panics instead).
 	Verified bool `json:"verified"`
 }
 
 // ChurnProblemReport aggregates one problem over a scenario.
 type ChurnProblemReport struct {
 	Problem string `json:"problem"`
-	// InitMS is the initial from-scratch computation inside the
-	// maintainer (the one-time session cost).
+	// InitMS is the initial from-scratch computation that opens the
+	// session (the one-time session cost).
 	InitMS float64    `json:"init_ms"`
 	Runs   []ChurnRun `json:"runs"`
 }
@@ -214,14 +216,14 @@ func RunChurn(cfg ChurnConfig) ChurnReport {
 		BatchSizes: sizes,
 	}
 	for _, sc := range ChurnScenarios(cfg.Smoke) {
-		// Build once per scenario: the maintainers never mutate their
-		// base graph (the overlay holds the deltas), so both problems
-		// share the same immutable CSR.
+		// Build once per scenario: the sessions never mutate their base
+		// graph (the overlay holds the deltas), so both problems share
+		// the same immutable CSR.
 		g := sc.build()
 		sc.N = g.NumVertices()
 		sc.M = g.NumEdges()
 		sr := ChurnScenarioReport{ChurnScenario: sc}
-		for _, problem := range []string{"mis", "mm"} {
+		for _, problem := range []greedy.Problem{greedy.ProblemMIS, greedy.ProblemMM} {
 			sr.Problems = append(sr.Problems, runChurnProblem(problem, g, sizes, batches, reps, cfg.Smoke))
 		}
 		report.Scenarios = append(report.Scenarios, sr)
@@ -234,7 +236,7 @@ func RunChurn(cfg ChurnConfig) ChurnReport {
 // touching the mirror; Commit applies a drawn batch — so a caller
 // whose remote application can fail (cmd/loadgen's PATCH churner)
 // simply drops an unaccepted batch, and the harness commits right
-// after a successful Maintainer.Apply. Shared by this harness and
+// after a successful Session.Apply. Shared by this harness and
 // cmd/loadgen so the two churn drivers cannot drift.
 type ChurnMutator struct {
 	x     *rng.Xoshiro256
@@ -324,16 +326,16 @@ func (cm *ChurnMutator) Commit(batch []dynamic.Update) {
 
 // runChurnProblem benchmarks one problem on one scenario graph across
 // the batch-size sweep.
-func runChurnProblem(problem string, g *graph.Graph, sizes []int, batches, reps int, verifyEvery bool) ChurnProblemReport {
+func runChurnProblem(problem greedy.Problem, g *graph.Graph, sizes []int, batches, reps int, verifyEvery bool) ChurnProblemReport {
 	ctx := context.Background()
-	cfg := dynamic.Config{MIS: problem == "mis", MM: problem == "mm", Seed: churnSeed}
+	solver := greedy.NewSolver(greedy.WithSeed(churnSeed))
 	initStart := time.Now()
-	mt, err := dynamic.NewMaintainer(ctx, g, cfg)
+	sess, err := solver.Dynamic(ctx, problem, g)
 	if err != nil {
 		panic(fmt.Sprintf("bench: churn init: %v", err))
 	}
 	pr := ChurnProblemReport{
-		Problem: problem,
+		Problem: string(problem),
 		InitMS:  float64(time.Since(initStart).Microseconds()) / 1000.0,
 	}
 	cm := NewChurnMutator(g, churnSeed+1)
@@ -348,7 +350,7 @@ func runChurnProblem(problem string, g *graph.Graph, sizes []int, batches, reps 
 		for b := 0; b < batches; b++ {
 			batch := cm.Draw(size)
 			start := time.Now()
-			st, aerr := mt.Apply(ctx, batch)
+			st, aerr := sess.Apply(ctx, batch)
 			ms := float64(time.Since(start).Microseconds()) / 1000.0
 			if aerr != nil {
 				panic(fmt.Sprintf("bench: churn apply: %v", aerr))
@@ -358,16 +360,15 @@ func runChurnProblem(problem string, g *graph.Graph, sizes []int, batches, reps 
 			if ms > maxMS {
 				maxMS = ms
 			}
-			seeds += int64(st.MIS.Seeds + st.MM.Seeds)
-			visited += int64(st.MIS.Visited + st.MM.Visited)
-			flipped += int64(st.MIS.Flipped + st.MM.Flipped)
-			changed += int64(st.MIS.Changed + st.MM.Changed)
-			attempts += st.MIS.Attempts + st.MM.Attempts
-			if peak := st.MIS.FrontierPeak + st.MM.FrontierPeak; peak > run.FrontierPeakMax {
-				run.FrontierPeakMax = peak
-			}
+			cost := st.Cost()
+			seeds += int64(cost.Seeds)
+			visited += int64(cost.Visited)
+			flipped += int64(cost.Flipped)
+			changed += int64(cost.Changed)
+			attempts += cost.Attempts
+			run.FrontierPeakMax = max(run.FrontierPeakMax, cost.FrontierPeak)
 			if verifyEvery {
-				verifyChurn(problem, mt)
+				verifyChurn(solver, sess)
 			}
 		}
 		run.RepairMSMean = totalMS / float64(batches)
@@ -383,58 +384,36 @@ func runChurnProblem(problem string, g *graph.Graph, sizes []int, batches, reps 
 		// materialized CSR with an already derived order. Settle the
 		// materialization/derivation garbage before timing for the same
 		// reason as above.
-		cur := mt.Graph()
-		switch problem {
-		case "mis":
-			ord := mt.Order()
-			runtime.GC()
-			run.RecomputeMS = medianMS(reps, func() {
-				must(core.SequentialMIS(context.Background(), cur, ord, core.Options{}))
-			})
-		default:
-			el := cur.EdgeList()
-			ord := dynamic.EdgeOrder(el, churnSeed)
-			runtime.GC()
-			run.RecomputeMS = medianMS(reps, func() {
-				must(matching.SequentialMM(context.Background(), el, ord, matching.Options{}))
-			})
+		in := greedy.GraphInput(sess.Graph())
+		var ord greedy.Order
+		if problem == greedy.ProblemMIS {
+			ord = greedy.NewRandomOrder(in.Graph().NumVertices(), churnSeed)
+		} else {
+			ord = greedy.DynamicEdgeOrder(in.EdgeList(), churnSeed)
 		}
+		runtime.GC()
+		run.RecomputeMS = medianMS(reps, func() {
+			must(solver.Solve(ctx, problem, in, greedy.WithOrder(ord), greedy.WithAlgorithm(greedy.AlgoSequential)))
+		})
 		if run.RepairMSMean > 0 {
 			run.SpeedupVsRecompute = run.RecomputeMS / run.RepairMSMean
 		}
 		// Verify at least once per cell (every batch in smoke mode).
-		verifyChurn(problem, mt)
+		verifyChurn(solver, sess)
 		run.Verified = true
 		pr.Runs = append(pr.Runs, run)
 	}
 	return pr
 }
 
-// verifyChurn panics unless the maintained solution is bit-identical
-// to a from-scratch sequential run on the current graph.
-func verifyChurn(problem string, mt *dynamic.Maintainer) {
-	g := mt.Graph()
-	switch problem {
-	case "mis":
-		want := must(core.SequentialMIS(context.Background(), g, mt.Order(), core.Options{}))
-		got := mt.MISResult()
-		for v := range want.InSet {
-			if got.InSet[v] != want.InSet[v] {
-				panic(fmt.Sprintf("bench: churn MIS diverged from sequential at vertex %d", v))
-			}
-		}
-	default:
-		el := g.EdgeList()
-		want := must(matching.SequentialMM(context.Background(), el, dynamic.EdgeOrder(el, churnSeed), matching.Options{}))
-		got := mt.MatchingPairs()
-		if len(got) != len(want.Pairs) {
-			panic(fmt.Sprintf("bench: churn MM size diverged: %d vs %d", len(got), len(want.Pairs)))
-		}
-		for i := range got {
-			if got[i] != want.Pairs[i] {
-				panic(fmt.Sprintf("bench: churn MM diverged at pair %d", i))
-			}
-		}
+// verifyChurn panics unless the session's answer matches a
+// from-scratch sequential WithDynamic Solve on the current graph.
+func verifyChurn(solver *greedy.Solver, sess *greedy.Session) {
+	got := sess.Answer()
+	want := must(solver.Solve(context.Background(), got.Problem, greedy.GraphInput(sess.Graph()),
+		greedy.WithDynamic(), greedy.WithAlgorithm(greedy.AlgoSequential)))
+	if !got.Matches(want) {
+		panic(fmt.Sprintf("bench: churn %s session diverged from a sequential solve", got.Problem))
 	}
 }
 
@@ -535,9 +514,9 @@ func ChurnTable(r ChurnReport) Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"repair = Maintainer.Apply wall time (validate + mutate + frontier drain), mean over the timed batches",
+		"repair = Session.Apply wall time (validate + mutate + frontier drain), mean over the timed batches",
 		"recompute = median from-scratch sequential solve on the post-churn graph (CSR and priority order already in hand; the solve builds its rank-space layout)",
-		"visited/flipped = mean items re-decided and mean membership flips propagated per batch; peak = max pending frontier; every cell is verified bit-identical to sequential before it is reported",
+		"visited/flipped = mean items re-decided and mean membership flips propagated per batch; peak = max pending frontier; every cell is verified against a sequential solve before it is reported",
 	)
 	return t
 }

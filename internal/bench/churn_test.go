@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -57,3 +58,48 @@ func TestCheckAssertions(t *testing.T) {
 		t.Errorf("missing-cell message: %s", fails[1])
 	}
 }
+
+// churnCells renders the machine-independent cells of a churn report,
+// one (scenario, problem, batch size) cell per line: the seeds,
+// visited, flipped, changed and attempts means, the frontier-peak
+// maximum and Verified.
+func churnCells(r ChurnReport) string {
+	var b strings.Builder
+	for _, sc := range r.Scenarios {
+		for _, p := range sc.Problems {
+			for _, run := range p.Runs {
+				fmt.Fprintf(&b, "%s %s %d: seeds=%g visited=%g flipped=%g changed=%g attempts=%g peak=%d verified=%v\n",
+					sc.Name, p.Problem, run.BatchSize, run.SeedsMean, run.VisitedMean, run.FlippedMean,
+					run.ChangedMean, run.AttemptsMean, run.FrontierPeakMax, run.Verified)
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestChurnCellsPinned pins every machine-independent cell of a small
+// churn matrix: the repair counters are a pure function of the graph,
+// the priorities and the drawn batches, so a change to the sessions or
+// the repair that keeps the answers but moves the work fails here.
+// Smoke mode verifies every batch against a from-scratch solve.
+func TestChurnCellsPinned(t *testing.T) {
+	r := RunChurn(ChurnConfig{Smoke: true, Reps: 1, Batches: 2, BatchSizes: []int{1, 16}})
+	if have := churnCells(r); have != pinnedChurnCells {
+		t.Errorf("churn cells:\ngot:\n%swant:\n%s", have, pinnedChurnCells)
+	}
+}
+
+// pinnedChurnCells holds the cells TestChurnCellsPinned expects.
+const pinnedChurnCells = `random mis 1: seeds=0.5 visited=2 flipped=1 changed=1 attempts=2 peak=3 verified=true
+random mis 16: seeds=4.5 visited=11.5 flipped=2 changed=2 attempts=11.5 peak=12 verified=true
+random mm 1: seeds=0.5 visited=0.5 flipped=0 changed=0 attempts=0.5 peak=1 verified=true
+random mm 16: seeds=6.5 visited=6.5 flipped=0 changed=0 attempts=6.5 peak=9 verified=true
+rmat mis 1: seeds=0.5 visited=0.5 flipped=0.5 changed=0.5 attempts=0.5 peak=1 verified=true
+rmat mis 16: seeds=7.5 visited=11 flipped=4.5 changed=4.5 attempts=11 peak=10 verified=true
+rmat mm 1: seeds=0.5 visited=0.5 flipped=0.5 changed=0.5 attempts=0.5 peak=1 verified=true
+rmat mm 16: seeds=33 visited=45.5 flipped=9.5 changed=9.5 attempts=45.5 peak=35 verified=true
+grid mis 1: seeds=1 visited=1 flipped=0 changed=0 attempts=1 peak=1 verified=true
+grid mis 16: seeds=11 visited=19.5 flipped=4.5 changed=4.5 attempts=19.5 peak=16 verified=true
+grid mm 1: seeds=0.5 visited=0.5 flipped=0 changed=0 attempts=0.5 peak=1 verified=true
+grid mm 16: seeds=15.5 visited=37 flipped=7.5 changed=7.5 attempts=37 peak=31 verified=true
+`

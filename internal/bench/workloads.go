@@ -12,7 +12,8 @@ type Workload struct {
 	// m=5x10^7) or "rmat" (the paper's rMat graph, n=2^24, m=5x10^7,
 	// power-law degrees).
 	Kind string
-	// N is the vertex count (for rmat it is rounded up to a power of 2).
+	// N is the requested vertex count; Build rounds an rmat one up to a
+	// power of 2, and String prints the count Build generates.
 	N int
 	// M is the undirected edge count.
 	M int
@@ -51,7 +52,7 @@ func mustGenerate(family string, n, m int, seed uint64) *graph.Graph {
 }
 
 func (w Workload) String() string {
-	return fmt.Sprintf("%s(n=%d, m=%d, seed=%d)", w.Kind, w.N, w.M, w.Seed)
+	return fmt.Sprintf("%s(n=%d, m=%d, seed=%d)", w.Kind, graph.GeneratedVertices(w.Kind, w.N), w.M, w.Seed)
 }
 
 // DefaultFracs is the prefix-fraction sweep used for Figures 1 and 2,

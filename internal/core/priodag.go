@@ -77,25 +77,7 @@ func DependenceSteps(g *graph.Graph, ord Order) DependenceInfo {
 // upper-bounds the dependence length but can be much larger: on the
 // complete graph it is n while the dependence length is O(1).
 func LongestPath(g *graph.Graph, ord Order) int {
-	n := g.NumVertices()
-	rank := ord.Rank
-	level := make([]int32, n)
-	best := int32(0)
-	for r := 0; r < n; r++ {
-		v := ord.Order[r]
-		rv := rank[v]
-		l := int32(1)
-		for _, u := range g.Neighbors(v) {
-			if rank[u] < rv && level[u]+1 > l {
-				l = level[u] + 1
-			}
-		}
-		level[v] = l
-		if l > best {
-			best = l
-		}
-	}
-	return int(best)
+	return PrefixLongestPath(g, ord, g.NumVertices())
 }
 
 // PrefixLongestPath returns the length of the longest directed path in
@@ -137,7 +119,6 @@ func MaxDegreeAfterPrefix(g *graph.Graph, ord Order, prefixSize int) int {
 	if prefixSize > n {
 		prefixSize = n
 	}
-	rank := ord.Rank
 	// Sequential greedy over the prefix only.
 	status := make([]int32, n)
 	for r := 0; r < prefixSize; r++ {
@@ -179,7 +160,6 @@ func MaxDegreeAfterPrefix(g *graph.Graph, ord Order, prefixSize int) int {
 			maxDeg = d
 		}
 	}
-	_ = rank
 	return maxDeg
 }
 

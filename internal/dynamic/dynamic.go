@@ -11,9 +11,10 @@
 // n), so repairing after a small batch costs work proportional to the
 // affected region while almost all of the committed solution survives.
 //
-// A Maintainer owns a mutable overlay over an immutable base
-// graph.Graph (delta adjacency plus tombstones, compacted into a fresh
-// CSR once churn passes a configurable threshold). On each batch of
+// A Maintainer maintains one problem: NewMIS builds one for the MIS,
+// NewMM for the matching. It owns a mutable overlay over an immutable
+// base graph.Graph (delta adjacency plus tombstones, compacted into a
+// fresh CSR once churn passes a fixed threshold). On each batch of
 // updates it
 //
 //  1. applies the structural changes,
@@ -52,13 +53,12 @@
 // Bucket rounds above the configured grain decide on a parallel.Team
 // that lives for one drain; the committed outcome is independent of
 // GOMAXPROCS and grain. MIS and MM share one drain loop (frontier.drain)
-// and differ only in seeding, the per-item decision, the flip
-// expansion and, for MM, the mate fix-up. The fuzz target in this
-// package asserts, on arbitrary graphs and update batches, that the
-// repaired answers equal a from-scratch sequential run, that Changed
-// counts exactly the items whose sequential answers differ between the
-// two graph versions, and that Visited stays within the seeds'
-// downstream cone.
+// and differ only in seeding, the per-item decision and the flip
+// expansion. The fuzz target in this package asserts, on arbitrary
+// graphs and update batches, that the repaired answers equal a
+// from-scratch sequential run, that Changed counts exactly the items
+// whose sequential answers differ between the two graph versions, and
+// that Visited stays within the seeds' downstream cone.
 //
 // MIS priorities are the usual per-vertex random order (stable under
 // edge churn because the vertex set is fixed). MM priorities cannot be
@@ -74,7 +74,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -133,25 +132,6 @@ var (
 	ErrBroken = errors.New("dynamic: maintainer broken by a cancelled repair")
 )
 
-// Config configures a Maintainer.
-type Config struct {
-	// MIS and MM select which solutions to maintain. If both are false,
-	// both are maintained.
-	MIS bool
-	MM  bool
-	// Seed derives the priorities: the vertex order for MIS (via
-	// core.NewRandomOrder, stable under edge churn because the vertex
-	// set is fixed) and the per-edge hash priorities for MM (via
-	// EdgePriority).
-	Seed uint64
-	// Order, if non-nil, fixes an explicit MIS vertex order instead of
-	// deriving one from Seed. Its length must equal the vertex count.
-	Order *core.Order
-	// Grain is the parallel-loop grain for repair rounds; 0 means the
-	// library default.
-	Grain int
-}
-
 // churnFrac is the compaction threshold: once the overlay's delta
 // entries exceed this fraction of the adjacency array, the overlay is
 // compacted into a fresh CSR.
@@ -207,13 +187,22 @@ type RepairStats struct {
 	// Added and Removed count the edges inserted and deleted.
 	Added   int `json:"added"`
 	Removed int `json:"removed"`
-	// MIS and MM are the per-problem repair costs (zero for problems
-	// the Maintainer does not maintain).
+	// MIS and MM are the repair costs by problem. A Maintainer
+	// maintains one problem, so the other section is zero; Cost returns
+	// the maintained one.
 	MIS RepairCost `json:"mis"`
 	MM  RepairCost `json:"mm"`
 	// Compacted reports that the overlay was folded into a fresh CSR
 	// after this batch.
 	Compacted bool `json:"compacted"`
+}
+
+// Cost returns the repair cost of the maintained problem: the two
+// sections combined, of which the unmaintained one is zero.
+func (s RepairStats) Cost() RepairCost {
+	c := s.MIS
+	c.add(s.MM)
+	return c
 }
 
 // Add accumulates stats across batches.

@@ -11,9 +11,42 @@ import (
 	"repro/internal/rng"
 )
 
-// verifyAgainstScratch asserts the maintained solutions are
-// bit-identical to from-scratch sequential greedy runs on the mutated
-// graph under the same priorities — the package's central contract.
+// both drives an MIS and an MM Maintainer of one graph through the same
+// batches, under the priorities seed derives for each problem.
+type both struct{ mis, mm *Maintainer }
+
+func newBoth(ctx context.Context, g *graph.Graph, seed uint64) (both, error) {
+	mis, err := NewMIS(ctx, g, core.NewRandomOrder(g.NumVertices(), seed), 0)
+	if err != nil {
+		return both{}, err
+	}
+	mm, err := NewMM(ctx, g, seed, 0)
+	return both{mis, mm}, err
+}
+
+// apply applies batch to both Maintainers and reports the two repairs
+// as one RepairStats: the MIS Maintainer's, with the MM section of the
+// matching one.
+func (b both) apply(ctx context.Context, batch []Update) (RepairStats, error) {
+	st, err := b.mis.Apply(ctx, batch)
+	if err != nil {
+		return st, err
+	}
+	mm, err := b.mm.Apply(ctx, batch)
+	st.MM = mm.MM
+	return st, err
+}
+
+// verify checks both maintained answers with verifyAgainstScratch.
+func (b both) verify(t *testing.T, seed uint64) {
+	t.Helper()
+	verifyAgainstScratch(t, b.mis, seed)
+	verifyAgainstScratch(t, b.mm, seed)
+}
+
+// verifyAgainstScratch asserts the maintained answer is bit-identical
+// to a from-scratch sequential greedy run on the mutated graph under
+// the same priorities — the package's central contract.
 func verifyAgainstScratch(t *testing.T, mt *Maintainer, seed uint64) {
 	t.Helper()
 	g := mt.Graph()
@@ -21,7 +54,7 @@ func verifyAgainstScratch(t *testing.T, mt *Maintainer, seed uint64) {
 		t.Fatalf("materialized graph invalid: %v", err)
 	}
 	if mt.mis != nil {
-		want := must(core.SequentialMIS(context.Background(), g, mt.Order(), core.Options{}))
+		want := must(core.SequentialMIS(context.Background(), g, mt.mis.ord, core.Options{}))
 		got := mt.MISResult()
 		if len(got.InSet) != len(want.InSet) {
 			t.Fatalf("MIS size mismatch: %d vs %d", len(got.InSet), len(want.InSet))
@@ -42,12 +75,6 @@ func verifyAgainstScratch(t *testing.T, mt *Maintainer, seed uint64) {
 		for i := range got {
 			if got[i] != want.Pairs[i] {
 				t.Fatalf("MM differs from sequential at pair %d: got %v want %v", i, got[i], want.Pairs[i])
-			}
-		}
-		mate := mt.Mate()
-		for v := range want.Mate {
-			if mate[v] != want.Mate[v] {
-				t.Fatalf("mate differs at vertex %d: got %d want %d", v, mate[v], want.Mate[v])
 			}
 		}
 	}
@@ -79,7 +106,7 @@ func randomBatch(x *rng.Xoshiro256, mt *Maintainer, k int) []Update {
 			}
 			cu, cv := canonical(u, v)
 			key := [2]int32{cu, cv}
-			if used[key] || mt.HasEdge(u, v) {
+			if used[key] || mt.ov.hasEdge(cu, cv) {
 				continue
 			}
 			used[key] = true
@@ -110,22 +137,22 @@ func TestRepairEquivalence(t *testing.T) {
 	for name, g := range families(t) {
 		t.Run(name, func(t *testing.T) {
 			const seed = 5
-			mt, err := NewMaintainer(ctx, g, Config{Seed: seed})
+			b, err := newBoth(ctx, g, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			verifyAgainstScratch(t, mt, seed)
+			b.verify(t, seed)
 			x := rng.NewXoshiro256(99)
 			for step, k := range []int{1, 1, 2, 7, 1, 31, 3, 64, 1} {
-				batch := randomBatch(x, mt, k)
-				st, err := mt.Apply(ctx, batch)
+				batch := randomBatch(x, b.mis, k)
+				st, err := b.apply(ctx, batch)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				if st.Added+st.Removed != len(batch) {
 					t.Fatalf("step %d: applied %d+%d updates, want %d", step, st.Added, st.Removed, len(batch))
 				}
-				verifyAgainstScratch(t, mt, seed)
+				b.verify(t, seed)
 			}
 		})
 	}
@@ -137,8 +164,7 @@ func TestRepairEquivalence(t *testing.T) {
 func TestRepairEquivalenceExplicitOrder(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Grid2D(12, 12)
-	ord := core.IdentityOrder(g.NumVertices())
-	mt, err := NewMaintainer(ctx, g, Config{MIS: true, Order: &ord})
+	mt, err := NewMIS(ctx, g, core.IdentityOrder(g.NumVertices()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,24 +182,26 @@ func TestRepairEquivalenceExplicitOrder(t *testing.T) {
 func TestCompaction(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Random(120, 300, 1)
-	mt, err := NewMaintainer(ctx, g, Config{Seed: 2})
+	b, err := newBoth(ctx, g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := rng.NewXoshiro256(17)
 	compacted := false
 	for i := 0; i < 10; i++ {
-		st, err := mt.Apply(ctx, randomBatch(x, mt, 20))
+		st, err := b.apply(ctx, randomBatch(x, b.mis, 20))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Compacted {
 			compacted = true
-			if mt.ov.churn != 0 || len(mt.ov.add) != 0 || len(mt.ov.del) != 0 {
-				t.Fatal("compaction left overlay deltas behind")
+			for _, mt := range []*Maintainer{b.mis, b.mm} {
+				if mt.ov.churn != 0 || len(mt.ov.add) != 0 || len(mt.ov.del) != 0 {
+					t.Fatal("compaction left overlay deltas behind")
+				}
 			}
 		}
-		verifyAgainstScratch(t, mt, 2)
+		b.verify(t, 2)
 	}
 	if !compacted {
 		t.Fatal("the churn threshold never triggered compaction over 200 updates")
@@ -185,7 +213,7 @@ func TestCompaction(t *testing.T) {
 func TestBatchValidation(t *testing.T) {
 	ctx := context.Background()
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	mt, err := NewMaintainer(ctx, g, Config{})
+	b, err := newBoth(ctx, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,15 +233,17 @@ func TestBatchValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := mt.NumEdges()
-			_, err := mt.Apply(ctx, tc.batch)
-			if !errors.Is(err, ErrBadUpdate) {
-				t.Fatalf("got %v, want ErrBadUpdate", err)
+			for _, mt := range []*Maintainer{b.mis, b.mm} {
+				before := mt.NumEdges()
+				_, err := mt.Apply(ctx, tc.batch)
+				if !errors.Is(err, ErrBadUpdate) {
+					t.Fatalf("got %v, want ErrBadUpdate", err)
+				}
+				if mt.NumEdges() != before {
+					t.Fatal("rejected batch mutated the graph")
+				}
 			}
-			if mt.NumEdges() != before {
-				t.Fatal("rejected batch mutated the graph")
-			}
-			verifyAgainstScratch(t, mt, 0)
+			b.verify(t, 0)
 		})
 	}
 }
@@ -225,8 +255,7 @@ func TestInertUpdatesSkipRepair(t *testing.T) {
 	ctx := context.Background()
 	// Path 0-1-2 under identity order: 0 in, 1 out, 2 in.
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	ord := core.IdentityOrder(4)
-	mt, err := NewMaintainer(ctx, g, Config{MIS: true, Order: &ord})
+	mt, err := NewMIS(ctx, g, core.IdentityOrder(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +287,7 @@ func TestRepairLocality(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Random(50_000, 250_000, 21)
 	const seed = 9
-	mt, err := NewMaintainer(ctx, g, Config{Seed: seed})
+	b, err := newBoth(ctx, g, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +295,7 @@ func TestRepairLocality(t *testing.T) {
 	var totalVisited int64
 	const steps = 40
 	for i := 0; i < steps; i++ {
-		st, err := mt.Apply(ctx, randomBatch(x, mt, 1))
+		st, err := b.apply(ctx, randomBatch(x, b.mis, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +304,7 @@ func TestRepairLocality(t *testing.T) {
 	if avg := totalVisited / steps; avg > int64(g.NumVertices())/10 {
 		t.Fatalf("mean repaired region %d is not small relative to n=%d", avg, g.NumVertices())
 	}
-	verifyAgainstScratch(t, mt, seed)
+	b.verify(t, seed)
 }
 
 // TestPinnedRepairCounters pins the MIS and MM RepairCost of every
@@ -286,7 +315,7 @@ func TestRepairLocality(t *testing.T) {
 func TestPinnedRepairCounters(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Random(4_000, 20_000, 41)
-	mt, err := NewMaintainer(ctx, g, Config{Seed: 13})
+	b, err := newBoth(ctx, g, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +340,7 @@ func TestPinnedRepairCounters(t *testing.T) {
 	}
 	x := rng.NewXoshiro256(4)
 	for step, w := range want {
-		st, err := mt.Apply(ctx, randomBatch(x, mt, w.k))
+		st, err := b.apply(ctx, randomBatch(x, b.mis, w.k))
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -322,7 +351,7 @@ func TestPinnedRepairCounters(t *testing.T) {
 			t.Errorf("step %d (k=%d) mm: %+v, want %+v", step, w.k, st.MM, w.mm)
 		}
 	}
-	verifyAgainstScratch(t, mt, 13)
+	b.verify(t, 13)
 }
 
 // TestMaintainerCancellation checks that a context cancelled before
@@ -332,22 +361,27 @@ func TestMaintainerCancellation(t *testing.T) {
 	g := graph.Random(1000, 3000, 1)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewMaintainer(cancelled, g, Config{}); err == nil {
-		t.Fatal("NewMaintainer succeeded with a cancelled context")
+	if _, err := NewMIS(cancelled, g, core.NewRandomOrder(g.NumVertices(), 0), 0); err == nil {
+		t.Fatal("NewMIS succeeded with a cancelled context")
 	}
-	mt, err := NewMaintainer(context.Background(), g, Config{})
+	if _, err := NewMM(cancelled, g, 0, 0); err == nil {
+		t.Fatal("NewMM succeeded with a cancelled context")
+	}
+	b, err := newBoth(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mt.Apply(cancelled, []Update{{Op: OpAdd, U: 0, V: 999}}); err == nil {
-		t.Fatal("Apply succeeded with a cancelled context")
+	for _, mt := range []*Maintainer{b.mis, b.mm} {
+		if _, err := mt.Apply(cancelled, []Update{{Op: OpAdd, U: 0, V: 999}}); err == nil {
+			t.Fatal("Apply succeeded with a cancelled context")
+		}
 	}
-	// The cancellation was observed before any mutation: the maintainer
-	// is still usable.
-	if _, err := mt.Apply(context.Background(), randomBatch(rng.NewXoshiro256(1), mt, 3)); err != nil {
+	// The cancellation was observed before any mutation: the
+	// maintainers are still usable.
+	if _, err := b.apply(context.Background(), randomBatch(rng.NewXoshiro256(1), b.mis, 3)); err != nil {
 		t.Fatal(err)
 	}
-	verifyAgainstScratch(t, mt, 0)
+	b.verify(t, 0)
 }
 
 // TestEdgeOrderStability checks that EdgePriority-derived orders rank

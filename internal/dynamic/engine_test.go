@@ -176,21 +176,21 @@ func TestEngineDifferential(t *testing.T) {
 	for name, g := range families(t) {
 		t.Run(name, func(t *testing.T) {
 			const seed = 13
-			mt, err := NewMaintainer(ctx, g, Config{Seed: seed})
+			b, err := newBoth(ctx, g, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ord := mt.Order()
+			ord := b.mis.mis.ord
 			mis, mm := misAnswer(g, ord), mmAnswer(g, seed)
 			x := rng.NewXoshiro256(31)
 			for step, k := range []int{1, 1, 3, 9, 1, 40, 2, 1} {
-				batch := randomBatch(x, mt, k)
-				st, err := mt.Apply(ctx, batch)
+				batch := randomBatch(x, b.mis, k)
+				st, err := b.apply(ctx, batch)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				verifyAgainstScratch(t, mt, seed)
-				after := mt.Graph()
+				b.verify(t, seed)
+				after := b.mis.Graph()
 				label := fmt.Sprintf("step %d", step)
 				nextMIS, nextMM := misAnswer(after, ord), mmAnswer(after, seed)
 				checkMISCost(t, label, mis, nextMIS, after, ord, batch, st.MIS)
@@ -219,7 +219,7 @@ func TestFrontierHubTermination(t *testing.T) {
 	}
 	g := graph.MustFromEdges(4+leaves, edges)
 	ord := core.IdentityOrder(g.NumVertices())
-	mt, err := NewMaintainer(ctx, g, Config{MIS: true, Order: &ord})
+	mt, err := NewMIS(ctx, g, ord, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +247,7 @@ func TestFrontierFlipChainCounters(t *testing.T) {
 	g := graph.MustFromEdges(5, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
 	})
-	ord := core.IdentityOrder(5)
-	mt, err := NewMaintainer(ctx, g, Config{MIS: true, Order: &ord})
+	mt, err := NewMIS(ctx, g, core.IdentityOrder(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,35 +276,37 @@ func TestFrontierFlipChainCounters(t *testing.T) {
 func TestApplySteadyStateAllocs(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Random(20_000, 100_000, 3)
-	mt, err := NewMaintainer(ctx, g, Config{Seed: 5})
+	b, err := newBoth(ctx, g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the scratch across a few differently-shaped batches.
 	x := rng.NewXoshiro256(8)
 	for i := 0; i < 4; i++ {
-		if _, err := mt.Apply(ctx, randomBatch(x, mt, 8)); err != nil {
+		if _, err := b.apply(ctx, randomBatch(x, b.mis, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	add := []Update{{Op: OpAdd, U: 11, V: 4242}}
 	del := []Update{{Op: OpDel, U: 11, V: 4242}}
-	if mt.HasEdge(11, 4242) {
+	if b.mis.ov.hasEdge(11, 4242) {
 		add, del = del, add
 	}
-	i := 0
-	avg := testing.AllocsPerRun(50, func() {
-		batch := add
-		if i%2 == 1 {
-			batch = del
+	for _, mt := range []*Maintainer{b.mis, b.mm} {
+		i := 0
+		avg := testing.AllocsPerRun(50, func() {
+			batch := add
+			if i%2 == 1 {
+				batch = del
+			}
+			i++
+			if _, err := mt.Apply(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 32 {
+			t.Fatalf("steady-state Apply allocates %.1f objects/run; repair scratch is not being pooled", avg)
 		}
-		i++
-		if _, err := mt.Apply(ctx, batch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 32 {
-		t.Fatalf("steady-state Apply allocates %.1f objects/run; repair scratch is not being pooled", avg)
 	}
-	verifyAgainstScratch(t, mt, 5)
+	b.verify(t, 5)
 }

@@ -13,8 +13,8 @@ import (
 // FuzzConeRepair is the repair-equivalence fuzz target: arbitrary
 // bytes are decoded into a base graph (an edge-soup "random" shape or a
 // power-law rMat shape, whose hubs stress the flip expansion) and a
-// stream of update batches. After every batch the maintained MIS,
-// matching and mate array must be bit-identical to a from-scratch
+// stream of update batches. After every batch the maintained MIS and
+// matching must be bit-identical to a from-scratch
 // sequential greedy run on the mutated graph, and the repair counters
 // must agree with references that share no code with the repair:
 // Changed with the items whose sequential answers differ between the
@@ -68,11 +68,11 @@ func FuzzConeRepair(f *testing.F) {
 			g = graph.RMat(logN, m, seed|1)
 		}
 		ctx := context.Background()
-		mt, err := NewMaintainer(ctx, g, Config{Seed: seed})
+		b, err := newBoth(ctx, g, seed)
 		if err != nil {
 			t.Fatalf("maintainer: %v", err)
 		}
-		ord := mt.Order()
+		ord := b.mis.mis.ord
 		mis, mm := misAnswer(g, ord), mmAnswer(g, seed)
 		// Decode ops into batches: byte pairs name an endpoint pair, a
 		// degenerate pair flushes the batch, toggling presence keeps
@@ -83,12 +83,12 @@ func FuzzConeRepair(f *testing.F) {
 			if len(batch) == 0 {
 				return
 			}
-			st, err := mt.Apply(ctx, batch)
+			st, err := b.apply(ctx, batch)
 			if err != nil {
 				t.Fatalf("apply %v: %v", batch, err)
 			}
-			verifyFuzz(t, mt, seed)
-			after := mt.Graph()
+			verifyFuzz(t, b, seed)
+			after := b.mis.Graph()
 			label := fmt.Sprintf("batch %v", batch)
 			nextMIS, nextMM := misAnswer(after, ord), mmAnswer(after, seed)
 			checkMISCost(t, label, mis, nextMIS, after, ord, batch, st.MIS)
@@ -113,7 +113,7 @@ func FuzzConeRepair(f *testing.F) {
 			// batch start equals presence at validation time: toggling
 			// keeps the batch valid.
 			op := OpAdd
-			if mt.HasEdge(cu, cv) {
+			if b.mis.ov.hasEdge(cu, cv) {
 				op = OpDel
 			}
 			batch = append(batch, Update{Op: op, U: u, V: v})
@@ -127,14 +127,14 @@ func FuzzConeRepair(f *testing.F) {
 
 // verifyFuzz is the fuzz-path equivalence check (a lighter clone of the
 // test helper, fatal on first divergence).
-func verifyFuzz(t *testing.T, mt *Maintainer, seed uint64) {
+func verifyFuzz(t *testing.T, b both, seed uint64) {
 	t.Helper()
-	g := mt.Graph()
+	g := b.mis.Graph()
 	if err := g.Validate(); err != nil {
 		t.Fatalf("materialized graph invalid: %v", err)
 	}
-	want := must(core.SequentialMIS(context.Background(), g, mt.Order(), core.Options{}))
-	got := mt.MISResult()
+	want := must(core.SequentialMIS(context.Background(), g, b.mis.mis.ord, core.Options{}))
+	got := b.mis.MISResult()
 	for v := range want.InSet {
 		if got.InSet[v] != want.InSet[v] {
 			t.Fatalf("MIS diverged at vertex %d", v)
@@ -142,19 +142,13 @@ func verifyFuzz(t *testing.T, mt *Maintainer, seed uint64) {
 	}
 	el := g.EdgeList()
 	wantMM := must(matching.SequentialMM(context.Background(), el, EdgeOrder(el, seed), matching.Options{}))
-	gotPairs := mt.MatchingPairs()
+	gotPairs := b.mm.MatchingPairs()
 	if len(gotPairs) != len(wantMM.Pairs) {
 		t.Fatalf("MM size diverged: %d vs %d", len(gotPairs), len(wantMM.Pairs))
 	}
 	for i := range gotPairs {
 		if gotPairs[i] != wantMM.Pairs[i] {
 			t.Fatalf("MM diverged at pair %d", i)
-		}
-	}
-	mate := mt.Mate()
-	for v := range wantMM.Mate {
-		if mate[v] != wantMM.Mate[v] {
-			t.Fatalf("mate diverged at vertex %d: got %d want %d", v, mate[v], wantMM.Mate[v])
 		}
 	}
 }

@@ -11,9 +11,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// unmatched marks a vertex with no mate (matching package convention).
-const unmatched int32 = -1
-
 // mmFrontierBucketBits is the number of leading priority-hash bits
 // that form an edge's frontier bucket key: EdgePriority is a uniform
 // hash, so its top bits are a monotone, evenly-loaded bucketing of the
@@ -40,7 +37,6 @@ type mmState struct {
 	status []int32
 	inc    [][]int32
 	free   []int32
-	mate   []int32
 
 	fr frontier
 
@@ -74,7 +70,6 @@ func newMMState(ctx context.Context, g *graph.Graph, seed uint64, grain int) (*m
 			}
 		}
 	})
-	ms.mate = append([]int32(nil), res.Mate...)
 	// Carve the incidence lists from one backing array with capacity
 	// pinned to length, so a later append to one vertex's list
 	// reallocates that list alone instead of corrupting its neighbors'.
@@ -140,8 +135,7 @@ func (ms *mmState) insertEdge(u, v int32) int32 {
 }
 
 // deleteEdge removes the validated-present edge {u, v}, returning its
-// record and whether it was matched (in which case its endpoints'
-// mates are cleared).
+// record and whether it was matched.
 func (ms *mmState) deleteEdge(u, v int32) (mmEdge, bool) {
 	if u > v {
 		u, v = v, u
@@ -157,10 +151,6 @@ func (ms *mmState) deleteEdge(u, v int32) (mmEdge, bool) {
 	removeSlot(&ms.inc[v], slot)
 	rec := ms.edges[slot]
 	wasIn := ms.status[slot] == statusIn
-	if wasIn {
-		ms.mate[u] = unmatched
-		ms.mate[v] = unmatched
-	}
 	ms.edges[slot] = mmEdge{u: -1, v: -1}
 	ms.status[slot] = statusOut
 	ms.free = append(ms.free, slot)
@@ -229,17 +219,12 @@ func (ms *mmState) applyStructural(batch []Update) []int32 {
 
 // repair applies the batch's structural changes to the edge store and
 // drains the frontier seeded by them (the matching analogue of
-// misState.repair), then brings the mate array up to date.
+// misState.repair).
 func (ms *mmState) repair(ctx context.Context, batch []Update, grain int) (RepairCost, error) {
 	// applyStructural may grow ms.status, so it runs before the drain
 	// reads the slice.
 	seeds := ms.applyStructural(batch)
-	cost, err := ms.fr.drain(ctx, ms, ms.status, seeds, 1<<mmFrontierBucketBits, grain)
-	if err != nil || cost.Seeds == 0 {
-		return cost, err
-	}
-	ms.fixMates()
-	return cost, nil
+	return ms.fr.drain(ctx, ms, ms.status, seeds, 1<<mmFrontierBucketBits, grain)
 }
 
 // key maps edge e's priority to its frontier bucket.
@@ -289,31 +274,6 @@ func (ms *mmState) expand(e int32) {
 	}
 }
 
-// fixMates applies the drain's undo log to the mate array: all In->Out
-// clears first, then all Out->In sets. Mate writes wait for the end of
-// the drain so transiently re-decided edges never corrupt the array.
-// The final In set is endpoint-disjoint (it is the sequential
-// matching), so the set pass is conflict-free, and the clear pass runs
-// against pre-repair mates, where every cleared edge still owns both
-// its endpoints.
-func (ms *mmState) fixMates() {
-	f := &ms.fr
-	for i, e := range f.touched {
-		if f.old[i] == statusIn && ms.status[e] == statusOut {
-			rec := &ms.edges[e]
-			ms.mate[rec.u] = unmatched
-			ms.mate[rec.v] = unmatched
-		}
-	}
-	for i, e := range f.touched {
-		if f.old[i] != statusIn && ms.status[e] == statusIn {
-			rec := &ms.edges[e]
-			ms.mate[rec.u] = rec.v
-			ms.mate[rec.v] = rec.u
-		}
-	}
-}
-
 // pairs returns the current matching as canonical edges sorted
 // lexicographically.
 func (ms *mmState) pairs() []graph.Edge {
@@ -331,9 +291,4 @@ func (ms *mmState) pairs() []graph.Edge {
 		return out[i].V < out[j].V
 	})
 	return out
-}
-
-// mateCopy returns a copy of the mate array.
-func (ms *mmState) mateCopy() []int32 {
-	return append([]int32(nil), ms.mate...)
 }

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/graph"
@@ -107,6 +108,62 @@ func (o *overlay) visit(v int32, visit func(u int32) bool) {
 			return
 		}
 	}
+}
+
+// apply validates batch against the overlaid graph and, when every
+// update is valid, applies it and returns the inserted and deleted edge
+// counts. The batch is atomic: its first invalid update (ErrBadUpdate)
+// rejects it before any edit.
+func (o *overlay) apply(batch []Update) (added, removed int, err error) {
+	var seen map[uint64]struct{}
+	if len(batch) > 1 {
+		seen = make(map[uint64]struct{}, len(batch))
+	}
+	n := int32(o.n)
+	for i, up := range batch {
+		if up.Op != OpAdd && up.Op != OpDel {
+			return 0, 0, fmt.Errorf("%w: update %d has unknown op %d", ErrBadUpdate, i, up.Op)
+		}
+		if up.U < 0 || up.U >= n || up.V < 0 || up.V >= n {
+			return 0, 0, fmt.Errorf("%w: update %d: edge {%d,%d} out of range [0,%d)", ErrBadUpdate, i, up.U, up.V, n)
+		}
+		if up.U == up.V {
+			return 0, 0, fmt.Errorf("%w: update %d: self loop at vertex %d", ErrBadUpdate, i, up.U)
+		}
+		u, v := canonical(up.U, up.V)
+		if seen != nil {
+			key := uint64(uint32(u))<<32 | uint64(uint32(v))
+			if _, dup := seen[key]; dup {
+				return 0, 0, fmt.Errorf("%w: update %d: edge {%d,%d} appears twice in one batch", ErrBadUpdate, i, u, v)
+			}
+			seen[key] = struct{}{}
+		}
+		present := o.hasEdge(u, v)
+		if up.Op == OpAdd && present {
+			return 0, 0, fmt.Errorf("%w: update %d inserts existing edge {%d,%d}", ErrBadUpdate, i, u, v)
+		}
+		if up.Op == OpDel && !present {
+			return 0, 0, fmt.Errorf("%w: update %d deletes missing edge {%d,%d}", ErrBadUpdate, i, u, v)
+		}
+	}
+	for _, up := range batch {
+		u, v := canonical(up.U, up.V)
+		if up.Op == OpAdd {
+			o.addEdge(u, v)
+			added++
+		} else {
+			o.delEdge(u, v)
+			removed++
+		}
+	}
+	return added, removed, nil
+}
+
+func canonical(u, v graph.Vertex) (graph.Vertex, graph.Vertex) {
+	if u > v {
+		return v, u
+	}
+	return u, v
 }
 
 // addEdge inserts the (absent, validated) edge {u, v}.

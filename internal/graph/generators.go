@@ -18,18 +18,17 @@ func Generate(family string, n, m int, seed uint64) (*Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative size n=%d m=%d", n, m)
 	}
-	logN := bits.Len(uint(max(n, 1) - 1))
-	nv := n
+	logN := rmatScale(n)
 	switch family {
 	case "random":
 	case "rmat":
 		if logN > 30 {
 			return nil, fmt.Errorf("graph: rmat with n=%d needs more than 2^30 vertices", n)
 		}
-		nv = 1 << logN
 	default:
 		return nil, fmt.Errorf("graph: unknown generator %q (want random|rmat)", family)
 	}
+	nv := GeneratedVertices(family, n)
 	if maxEdges := int64(nv) * int64(nv-1) / 2; int64(m) > maxEdges {
 		return nil, fmt.Errorf("graph: m=%d exceeds the %d possible edges on %d vertices", m, maxEdges, nv)
 	}
@@ -38,6 +37,19 @@ func Generate(family string, n, m int, seed uint64) (*Graph, error) {
 	}
 	return Random(n, m, seed), nil
 }
+
+// GeneratedVertices returns the vertex count Generate builds for family
+// and n: n rounded up to a power of two for "rmat", n itself otherwise.
+func GeneratedVertices(family string, n int) int {
+	if family == "rmat" {
+		return 1 << rmatScale(n)
+	}
+	return n
+}
+
+// rmatScale is ⌈log2 n⌉ (0 for n ≤ 1), the scale of the rMat graph
+// Generate builds for n vertices.
+func rmatScale(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
 
 // Random returns a uniform sparse random graph with n vertices and m
 // distinct undirected edges (the G(n,m) model). This is the paper's

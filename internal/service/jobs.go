@@ -331,7 +331,7 @@ func newEngine(cfg Config, reg *Registry, metrics *Metrics, rec *trace.Recorder,
 		journal:  journal,
 		jobs:     make(map[string]*Job),
 		byKey:    make(map[string]*Job),
-		sessions: sessionCache{m: make(map[sessKey]*dynamic.Maintainer), limit: cfg.DynamicSessions},
+		sessions: sessionCache{m: make(map[sessKey]*greedy.Session), limit: cfg.DynamicSessions},
 		queue:    make(chan *Job, cfg.QueueDepth),
 		stop:     make(chan struct{}),
 	}

@@ -250,8 +250,9 @@ func (m *Metrics) jobFinished(p Problem, state JobState, adaptive bool, repair *
 	}
 	if repair != nil {
 		m.jobs.Repaired++
-		m.jobs.RepairVisited += int64(repair.MIS.Visited + repair.MM.Visited)
-		m.jobs.RepairFlipped += int64(repair.MIS.Flipped + repair.MM.Flipped)
+		cost := repair.Cost()
+		m.jobs.RepairVisited += int64(cost.Visited)
+		m.jobs.RepairFlipped += int64(cost.Flipped)
 	}
 	h := m.latency[p]
 	if h == nil {

@@ -25,18 +25,18 @@ type sessKey struct {
 // job for a patched graph version repairs instead of recomputes.
 type sessionCache struct {
 	mu    sync.Mutex
-	m     map[sessKey]*dynamic.Maintainer
+	m     map[sessKey]*greedy.Session
 	lru   []sessKey
 	limit int
 }
 
 // checkout removes and returns the cached session for key, if any.
-// Checkout is exclusive: a Maintainer is not safe for concurrent use,
-// so it leaves the cache while a worker advances or reads it.
-func (c *sessionCache) checkout(key sessKey) *dynamic.Maintainer {
+// Checkout is exclusive: a Session is not safe for concurrent use, so
+// it leaves the cache while a worker advances or reads it.
+func (c *sessionCache) checkout(key sessKey) *greedy.Session {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mt, ok := c.m[key]
+	sess, ok := c.m[key]
 	if !ok {
 		return nil
 	}
@@ -47,15 +47,15 @@ func (c *sessionCache) checkout(key sessKey) *dynamic.Maintainer {
 			break
 		}
 	}
-	return mt
+	return sess
 }
 
 // checkin parks a session under key, evicting the least recently used
 // entry past the limit. If a racing worker already parked one for the
 // key, the resident session wins (both describe the same deterministic
 // state).
-func (c *sessionCache) checkin(key sessKey, mt *dynamic.Maintainer) {
-	if c.limit == 0 || mt == nil {
+func (c *sessionCache) checkin(key sessKey, sess *greedy.Session) {
+	if c.limit == 0 || sess == nil {
 		return
 	}
 	c.mu.Lock()
@@ -63,7 +63,7 @@ func (c *sessionCache) checkin(key sessKey, mt *dynamic.Maintainer) {
 	if _, ok := c.m[key]; ok {
 		return
 	}
-	c.m[key] = mt
+	c.m[key] = sess
 	c.lru = append(c.lru, key)
 	for len(c.lru) > c.limit {
 		victim := c.lru[0]
@@ -77,7 +77,7 @@ func (c *sessionCache) checkin(key sessKey, mt *dynamic.Maintainer) {
 // checked-out session, the ancestor's id, and the patch chain (oldest
 // first) that advances it to key.graphID. The walk is depth-capped so
 // a corrupt lineage index cannot spin a worker.
-func (e *Engine) lineageSession(key sessKey) (*dynamic.Maintainer, string, [][]dynamic.Update) {
+func (e *Engine) lineageSession(key sessKey) (*greedy.Session, string, [][]dynamic.Update) {
 	var chain [][]dynamic.Update
 	id := key.graphID
 	for depth := 0; depth < 32; depth++ {
@@ -89,8 +89,8 @@ func (e *Engine) lineageSession(key sessKey) (*dynamic.Maintainer, string, [][]d
 		copy(chain[1:], chain)
 		chain[0] = updates
 		id = parent
-		if mt := e.sessions.checkout(sessKey{graphID: id, problem: key.problem, seed: key.seed}); mt != nil {
-			return mt, id, chain
+		if sess := e.sessions.checkout(sessKey{graphID: id, problem: key.problem, seed: key.seed}); sess != nil {
+			return sess, id, chain
 		}
 	}
 	return nil, "", nil
@@ -100,20 +100,19 @@ func (e *Engine) lineageSession(key sessKey) (*dynamic.Maintainer, string, [][]d
 // an exact-version session is a free read; an ancestor session is
 // advanced by replaying the recorded patches (change-driven frontier
 // repair — the work recorded in payload.Repair stays proportional to
-// the flipped damage region); otherwise the job computes from scratch
-// and seeds a session for its version so later jobs on patched
-// descendants can repair.
-func (e *Engine) executeDynamic(ctx context.Context, job *Job, payload ResultPayload) (ResultPayload, error) {
+// the flipped damage region); otherwise the worker's solver computes
+// from scratch and opens a session for its version so later jobs on
+// patched descendants can repair.
+func (e *Engine) executeDynamic(ctx context.Context, job *Job, solver *greedy.Solver, payload ResultPayload) (ResultPayload, error) {
 	h := job.handle
 	g := h.Graph()
 	plan := job.Spec.Plan
-	problem := job.Spec.Problem
 	payload.Dynamic = true
-	key := sessKey{graphID: h.ID(), problem: problem, seed: plan.Seed}
+	key := sessKey{graphID: h.ID(), problem: job.Spec.Problem, seed: plan.Seed}
 
-	mt := e.sessions.checkout(key)
+	sess := e.sessions.checkout(key)
 	resolution := "hit" // exact-version session checkout: a free read
-	if mt == nil {
+	if sess == nil {
 		prior, from, chain := e.lineageSession(key)
 		if prior != nil {
 			repair := dynamic.RepairStats{}
@@ -121,7 +120,7 @@ func (e *Engine) executeDynamic(ctx context.Context, job *Job, payload ResultPay
 			for i, batch := range chain {
 				st, err := advanced.Apply(ctx, batch)
 				repair.Add(st)
-				cost := pick(problem, st.MIS, st.MM)
+				cost := st.Cost()
 				e.trace.Append(trace.Event{
 					Kind:         trace.KindRepair,
 					Job:          job.ID,
@@ -147,51 +146,31 @@ func (e *Engine) executeDynamic(ctx context.Context, job *Job, payload ResultPay
 			// the edge count is a cheap invariant check against a stale
 			// or corrupted lineage chain.
 			if advanced != nil && advanced.NumEdges() == g.NumEdges() {
-				mt = advanced
+				sess = advanced
 				resolution = "replay"
 				payload.Repaired = true
 				payload.RepairedFrom = from
 				payload.RepairBatches = len(chain)
 				payload.Repair = &repair
-				cost := pick(problem, repair.MIS, repair.MM)
+				cost := repair.Cost()
 				payload.Stats = greedy.Stats{Rounds: cost.Rounds, Attempts: cost.Attempts, EdgeInspections: cost.Inspections}
 			}
 		}
 	}
-	if mt == nil {
+	if sess == nil {
 		resolution = "scratch"
-		fresh, err := dynamic.NewMaintainer(ctx, g, dynamic.Config{
-			MIS:   problem == ProblemMIS,
-			MM:    problem == ProblemMM,
-			Seed:  plan.Seed,
-			Grain: plan.Grain,
-		})
+		fresh, err := solver.Dynamic(ctx, job.Spec.Problem, g, plan.Options()...)
 		if err != nil {
 			return payload, err
 		}
-		mt = fresh
-		misStats, mmStats := mt.InitStats()
-		payload.Stats = pick(problem, misStats, mmStats)
+		sess = fresh
+		payload.Stats = sess.InitStats()
 	}
 	// (A checkout hit at the exact version reads the maintained state
 	// with zero Stats: no work was performed.)
 	e.trace.Append(trace.Event{Kind: trace.KindResolve, Job: job.ID, Name: resolution,
 		Batch: payload.RepairBatches})
-	if problem == ProblemMIS {
-		res := mt.MISResult()
-		payload.setAnswer(greedy.Answer{Size: res.Size(), In: res.InSet, Members: res.Set})
-	} else { // ProblemMM: Validate rejects the other dynamic problems
-		pairs := mt.MatchingPairs()
-		payload.setAnswer(greedy.Answer{Size: len(pairs), Pairs: pairs})
-	}
-	e.sessions.checkin(key, mt)
+	payload.setAnswer(sess.Answer())
+	e.sessions.checkin(key, sess)
 	return payload, nil
-}
-
-// pick returns mm for a matching session and mis for an MIS one.
-func pick[T any](problem Problem, mis, mm T) T {
-	if problem == ProblemMM {
-		return mm
-	}
-	return mis
 }

@@ -215,7 +215,7 @@ func (e *Engine) execute(ctx context.Context, job *Job, solver *greedy.Solver) (
 	// ancestor version when possible, recompute (and seed a session)
 	// otherwise.
 	if plan.Dynamic {
-		return e.executeDynamic(ctx, job, payload)
+		return e.executeDynamic(ctx, job, solver, payload)
 	}
 	a, err := solver.Solve(ctx, job.Spec.Problem, h, opts...)
 	if err != nil {

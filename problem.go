@@ -273,11 +273,18 @@ func (a Answer) Checksum() string {
 }
 
 // Matches reports whether a agrees with seq, the sequential answer on
-// the same input and order: bit-identical, or of the same size where
-// the prefix algorithm is relaxed (spanning forest).
+// the same input and order: bit-identical, with the same pairs where
+// either answer has no bits (a maintained matching), or of the same
+// size where the prefix algorithm is relaxed (spanning forest).
 func (a Answer) Matches(seq Answer) bool {
-	if r, err := a.Problem.rule(); err == nil && r.relaxed {
-		return a.Problem == seq.Problem && a.Size == seq.Size
+	if a.Problem != seq.Problem {
+		return false
 	}
-	return a.Problem == seq.Problem && slices.Equal(a.In, seq.In) && slices.Equal(a.Colors, seq.Colors)
+	if r, err := a.Problem.rule(); err == nil && r.relaxed {
+		return a.Size == seq.Size
+	}
+	if a.In == nil && a.Colors == nil || seq.In == nil && seq.Colors == nil {
+		return slices.Equal(a.Pairs, seq.Pairs)
+	}
+	return slices.Equal(a.In, seq.In) && slices.Equal(a.Colors, seq.Colors)
 }

@@ -3,6 +3,7 @@ package greedy
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -110,6 +111,94 @@ func TestMMDynamicSession(t *testing.T) {
 		t.Fatal("deleting a matched edge produced no repair seeds")
 	}
 	check()
+}
+
+// TestDynamicRejectsStaticProblems checks that Solver.Dynamic reads
+// the problem table: problems without a churn-stable variant are
+// ErrDynamicUnsupported, and an unknown problem is an error.
+func TestDynamicRejectsStaticProblems(t *testing.T) {
+	ctx := context.Background()
+	g := RandomGraph(200, 600, 1)
+	solver := NewSolver()
+	for _, p := range []Problem{ProblemSF, ProblemColoring, ProblemHittingSet} {
+		if _, err := solver.Dynamic(ctx, p, g); !errors.Is(err, ErrDynamicUnsupported) {
+			t.Errorf("Dynamic(%s): got %v, want ErrDynamicUnsupported", p, err)
+		}
+	}
+	if _, err := solver.Dynamic(ctx, Problem("nope"), g); err == nil {
+		t.Error("Dynamic accepted an unknown problem")
+	}
+}
+
+// TestDynamicSessionAnswerMatchesSolve drives an MIS and an MM session
+// through several batches and checks each Answer against a fresh
+// sequential WithDynamic Solve on the current graph.
+func TestDynamicSessionAnswerMatchesSolve(t *testing.T) {
+	ctx := context.Background()
+	g := RandomGraph(1500, 6000, 5)
+	solver := NewSolver(WithSeed(8))
+	for _, p := range []Problem{ProblemMIS, ProblemMM} {
+		sess, err := solver.Dynamic(ctx, p, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 4; step++ {
+			// Delete a few present edges and insert as many absent ones.
+			cur := sess.Graph()
+			var batch []DynamicUpdate
+			for _, e := range cur.Edges()[step*7 : step*7+3] {
+				batch = append(batch, DynamicUpdate{Op: OpDel, U: e.U, V: e.V})
+			}
+			for u := int32(step); len(batch) < 6; u += 11 {
+				if v := u + 700; !cur.HasEdge(u, v) {
+					batch = append(batch, DynamicUpdate{Op: OpAdd, U: u, V: v})
+				}
+			}
+			st, err := sess.Apply(ctx, batch)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", p, step, err)
+			}
+			if st.Added != 3 || st.Removed != 3 {
+				t.Fatalf("%s step %d: applied %d+%d updates, want 3+3", p, step, st.Added, st.Removed)
+			}
+			got := sess.Answer()
+			want, err := solver.Solve(ctx, p, GraphInput(sess.Graph()), WithDynamic(), WithAlgorithm(AlgoSequential))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Matches(want) || got.Size != want.Size {
+				t.Fatalf("%s step %d: session answer differs from a sequential WithDynamic solve", p, step)
+			}
+		}
+	}
+}
+
+// TestSessionAnswerMatchesComparesPairs checks that a maintained
+// matching, which has pairs and no edge bits, is compared by its pairs:
+// a matching that differs from the fresh one in one pair does not
+// match.
+func TestSessionAnswerMatchesComparesPairs(t *testing.T) {
+	ctx := context.Background()
+	g := RandomGraph(500, 2000, 3)
+	solver := NewSolver(WithSeed(2))
+	sess, err := solver.Dynamic(ctx, ProblemMM, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := solver.Solve(ctx, ProblemMM, GraphInput(g), WithDynamic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sess.Answer()
+	if got.In != nil || !got.Matches(fresh) || !fresh.Matches(got) {
+		t.Fatal("the maintained matching does not match the fresh one")
+	}
+	off := got
+	off.Pairs = slices.Clone(got.Pairs)
+	off.Pairs[len(off.Pairs)/2].V++
+	if off.Matches(fresh) || fresh.Matches(off) {
+		t.Fatal("a matching that differs in one pair matches the fresh one")
+	}
 }
 
 // TestDynamicOptionOnSolver checks the one-shot WithDynamic semantics:
