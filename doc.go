@@ -67,18 +67,15 @@
 // ErrHittingSetAlgorithm for an algorithm that does not run the
 // problem, ErrAdaptiveAlgorithm, ErrDynamicUnsupported and ErrOrderSize.
 //
-// # One-shot helpers
+// # One-shot runs
 //
-// The original free functions remain as thin wrappers over an internal
-// Solver pool, for quick scripts and tests:
+// A script that solves once makes a Solver for the call, and
+// Answer.Verify checks an answer of any problem on its input:
 //
 //	g := greedy.RandomGraph(1_000_000, 5_000_000, 42)
-//	res := greedy.MaximalIndependentSet(g, greedy.WithSeed(7))
-//	fmt.Println(res.Size(), res.Stats)
-//
-// Each free function runs its problem's Solver method (MaximalMatching
-// is solver.MM on g.EdgeList(), GreedyColoring is solver.Coloring, and
-// so on) and panics with the error the method would return.
+//	in := greedy.GraphInput(g)
+//	ans, err := greedy.NewSolver().Solve(ctx, greedy.ProblemMIS, in, greedy.WithSeed(7))
+//	fmt.Println(ans.Size, ans.Stats, ans.Verify(in))
 //
 // # Dynamic graphs
 //

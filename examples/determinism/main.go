@@ -7,10 +7,14 @@
 // prefix sizes, grain sizes and GOMAXPROCS settings, and shows that all
 // of them produce the same fingerprint; Luby's algorithm, which redraws
 // priorities each round, is included as the intentional counterexample.
+// It exits with status 1 if any deterministic variant disagrees.
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"os"
 	"runtime"
 
 	greedy "repro"
@@ -31,6 +35,18 @@ func main() {
 	g := greedy.RandomGraph(50_000, 250_000, 99)
 	fmt.Printf("graph: n=%d m=%d\n", g.NumVertices(), g.NumEdges())
 	fmt.Printf("host: %d CPUs\n\n", runtime.NumCPU())
+
+	// One Solver serves every run; its reused workspace does not change
+	// any answer.
+	solver := greedy.NewSolver()
+	in := greedy.GraphInput(g)
+	solve := func(p greedy.Problem, opts ...greedy.Option) greedy.Answer {
+		a, err := solver.Solve(context.Background(), p, in, opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return a
+	}
 
 	type variant struct {
 		name string
@@ -54,15 +70,15 @@ func main() {
 		old := runtime.GOMAXPROCS(procs)
 		for _, v := range variants {
 			opts := append([]greedy.Option{greedy.WithSeed(5)}, v.opts...)
-			res := greedy.MaximalIndependentSet(g, opts...)
-			fp := fingerprintBools(res.InSet)
+			res := solve(greedy.ProblemMIS, opts...)
+			fp := fingerprintBools(res.In)
 			if reference == 0 {
 				reference = fp
 			}
 			if fp != reference {
 				consistent = false
 			}
-			fmt.Printf("  procs=%d %-18s size=%-6d fp=%016x\n", procs, v.name, res.Size(), fp)
+			fmt.Printf("  procs=%d %-18s size=%-6d fp=%016x\n", procs, v.name, res.Size, fp)
 		}
 		runtime.GOMAXPROCS(old)
 	}
@@ -74,24 +90,29 @@ func main() {
 
 	fmt.Println("\nchanging the seed changes the (equally valid) answer:")
 	for _, seed := range []uint64{5, 6, 7} {
-		res := greedy.MaximalIndependentSet(g, greedy.WithSeed(seed))
-		fmt.Printf("  seed=%d size=%-6d fp=%016x\n", seed, res.Size(), fingerprintBools(res.InSet))
+		res := solve(greedy.ProblemMIS, greedy.WithSeed(seed))
+		fmt.Printf("  seed=%d size=%-6d fp=%016x\n", seed, res.Size, fingerprintBools(res.In))
 	}
 
 	fmt.Println("\nLuby's algorithm (fresh priorities each round) is deterministic in its")
 	fmt.Println("seed but computes a different MIS than the greedy order:")
-	luby := greedy.MaximalIndependentSet(g, greedy.WithSeed(5), greedy.WithAlgorithm(greedy.AlgoLuby))
-	fmt.Printf("  luby seed=5 size=%-6d fp=%016x\n", luby.Size(), fingerprintBools(luby.InSet))
+	luby := solve(greedy.ProblemMIS, greedy.WithSeed(5), greedy.WithAlgorithm(greedy.AlgoLuby))
+	fmt.Printf("  luby seed=5 size=%-6d fp=%016x\n", luby.Size, fingerprintBools(luby.In))
 
 	fmt.Println("\nsame story for maximal matching:")
-	mmRef := greedy.MaximalMatching(g, greedy.WithSeed(5), greedy.WithAlgorithm(greedy.AlgoSequential))
+	mmRef := solve(greedy.ProblemMM, greedy.WithSeed(5), greedy.WithAlgorithm(greedy.AlgoSequential))
 	for _, v := range []variant{
 		{"rootset", []greedy.Option{greedy.WithAlgorithm(greedy.AlgoRootSet)}},
 		{"parallel-full", []greedy.Option{greedy.WithAlgorithm(greedy.AlgoParallel)}},
 		{"prefix-default", nil},
 	} {
 		opts := append([]greedy.Option{greedy.WithSeed(5)}, v.opts...)
-		res := greedy.MaximalMatching(g, opts...)
-		fmt.Printf("  %-18s size=%-6d same-as-sequential=%v\n", v.name, res.Size(), res.Equal(mmRef))
+		res := solve(greedy.ProblemMM, opts...)
+		same := res.Matches(mmRef)
+		consistent = consistent && same
+		fmt.Printf("  %-18s size=%-6d same-as-sequential=%v\n", v.name, res.Size, same)
+	}
+	if !consistent {
+		os.Exit(1)
 	}
 }

@@ -20,9 +20,7 @@ func main() {
 	fmt.Printf("graph: n=%d m=%d maxdeg=%d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
 	// A Solver owns a reusable workspace: every run below shares the
-	// same frontier/flag buffers and cached priority orders. One-shot
-	// callers can use the free functions (greedy.MaximalIndependentSet)
-	// instead, which draw Solvers from an internal pool.
+	// same frontier/flag buffers and cached priority orders.
 	solver := greedy.NewSolver(greedy.WithSeed(7))
 	ctx := context.Background()
 
@@ -50,8 +48,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("MM: size=%d  %s\n", mm.Size(), mm.Stats)
-	if !greedy.IsMaximalMatching(el, mm.InMatching) {
-		log.Fatal("matching not maximal")
+	if err := greedy.VerifyLexFirstMM(el, greedy.NewRandomOrder(el.NumEdges(), 7), mm); err != nil {
+		log.Fatalf("determinism violated: %v", err)
 	}
 
 	// The prefix size dials between work and parallelism (Figure 1 of

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	greedy "repro"
@@ -70,9 +71,13 @@ func main() {
 	for i := range idOf {
 		idOf[i] = int32(i)
 	}
+	solver := greedy.NewSolver(greedy.WithSeed(seed))
 	for left > 0 {
 		slot++
-		res := greedy.MaximalIndependentSet(cur, greedy.WithSeed(seed+uint64(0)))
+		res, err := solver.MIS(context.Background(), cur)
+		if err != nil {
+			panic(err)
+		}
 		ran := 0
 		var keep []int32
 		for v := 0; v < cur.NumVertices(); v++ {

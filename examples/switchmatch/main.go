@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	greedy "repro"
@@ -33,6 +34,7 @@ func main() {
 	}
 	x := rng.NewXoshiro256(seed)
 
+	solver := greedy.NewSolver()
 	totalArrived, totalForwarded := 0, 0
 	for slot := 1; slot <= slots; slot++ {
 		// Arrivals.
@@ -66,7 +68,10 @@ func main() {
 		// One maximal matching = one crossbar configuration. The seed
 		// mixes in the slot number so different slots use different
 		// priorities, but each slot is still fully deterministic.
-		res := greedy.MaximalMatchingEdges(el, greedy.WithSeed(seed+uint64(slot)))
+		res, err := solver.MM(context.Background(), el, greedy.WithSeed(seed+uint64(slot)))
+		if err != nil {
+			panic(err)
+		}
 
 		// Forward one packet per matched pair.
 		for _, pair := range res.Pairs {

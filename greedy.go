@@ -1,7 +1,6 @@
 package greedy
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/coloring"
@@ -144,16 +143,12 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
+// config is what an option list denotes: its Plan, plus what a Plan
+// does not carry — the explicit order, the phase profile and the
+// observers.
 type config struct {
-	algorithm    Algorithm
-	seed         uint64
-	order        *Order
-	prefixFrac   float64
-	prefixSize   int
-	adaptive     bool
-	dynamic      bool
-	grain        int
-	pointered    bool
+	Plan
+	order        Order // set with ExplicitOrder
 	phaseProfile bool
 	observers    []func(RoundInfo)
 }
@@ -162,24 +157,26 @@ type config struct {
 type Option func(*config)
 
 // WithAlgorithm selects the implementation (default AlgoPrefix).
-func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algorithm = a } }
+func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.Algorithm = a } }
 
 // WithSeed sets the seed from which the priority order is derived
 // (default 1). Two runs with the same graph and seed return identical
 // results for every deterministic algorithm at any thread count.
-func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
+func WithSeed(seed uint64) Option { return func(c *config) { c.Seed = seed } }
 
 // WithOrder fixes an explicit priority order instead of deriving one
 // from the seed.
-func WithOrder(ord Order) Option { return func(c *config) { c.order = &ord } }
+func WithOrder(ord Order) Option {
+	return func(c *config) { c.order, c.ExplicitOrder = ord, true }
+}
 
 // WithPrefixFrac sets the prefix size as a fraction of the input — the
 // work/parallelism dial of the paper's Figure 1. 1.0 is maximally
 // parallel; values around 0.005 are near the running-time optimum.
-func WithPrefixFrac(frac float64) Option { return func(c *config) { c.prefixFrac = frac } }
+func WithPrefixFrac(frac float64) Option { return func(c *config) { c.PrefixFrac = frac } }
 
 // WithPrefixSize sets an absolute prefix size (overrides WithPrefixFrac).
-func WithPrefixSize(size int) Option { return func(c *config) { c.prefixSize = size } }
+func WithPrefixSize(size int) Option { return func(c *config) { c.PrefixSize = size } }
 
 // WithAdaptivePrefix replaces the fixed prefix window of AlgoPrefix
 // with a measured, self-tuning schedule: after every round the window
@@ -193,7 +190,7 @@ func WithPrefixSize(size int) Option { return func(c *config) { c.prefixSize = s
 // seed the initial window when set; otherwise the run starts at one
 // grain-sized chunk and doubles its way up. Requesting it with any
 // algorithm other than AlgoPrefix is reported as ErrAdaptiveAlgorithm.
-func WithAdaptivePrefix() Option { return func(c *config) { c.adaptive = true } }
+func WithAdaptivePrefix() Option { return func(c *config) { c.AdaptivePrefix = true } }
 
 // WithDynamic selects churn-stable priorities, the ones the dynamic
 // subsystem maintains incrementally (see Solver.MISDynamic/MMDynamic):
@@ -207,15 +204,15 @@ func WithAdaptivePrefix() Option { return func(c *config) { c.adaptive = true } 
 // answer a dynamic-plan job either by repair or by recompute
 // interchangeably. Luby and the problems without a churn-stable variant
 // (SF, coloring, hitting set) report ErrDynamicUnsupported.
-func WithDynamic() Option { return func(c *config) { c.dynamic = true } }
+func WithDynamic() Option { return func(c *config) { c.Dynamic = true } }
 
 // WithGrain sets the parallel-loop grain size (default 256, as in the
 // paper).
-func WithGrain(grain int) Option { return func(c *config) { c.grain = grain } }
+func WithGrain(grain int) Option { return func(c *config) { c.Grain = grain } }
 
 // WithPointer enables the Lemma 4.1 parent-pointer optimization in the
 // prefix-based MIS.
-func WithPointer() Option { return func(c *config) { c.pointered = true } }
+func WithPointer() Option { return func(c *config) { c.Pointered = true } }
 
 // WithPhaseProfile enables per-phase wall-time attribution in the
 // round-synchronous engine: each RoundInfo reported to a
@@ -262,22 +259,7 @@ type Plan struct {
 // ResolvePlan applies opts over the defaults and returns the resulting
 // Plan — the exact option→configuration mapping the solver entry points
 // use internally, that of a Solver without defaults.
-func ResolvePlan(opts ...Option) Plan { return NewSolver().config(opts).plan() }
-
-// plan is the Plan c denotes.
-func (c config) plan() Plan {
-	return Plan{
-		Algorithm:      c.algorithm,
-		Seed:           c.seed,
-		PrefixFrac:     c.prefixFrac,
-		PrefixSize:     c.prefixSize,
-		AdaptivePrefix: c.adaptive,
-		Dynamic:        c.dynamic,
-		Grain:          c.grain,
-		Pointered:      c.pointered,
-		ExplicitOrder:  c.order != nil,
-	}
-}
+func ResolvePlan(opts ...Option) Plan { return NewSolver().config(opts).Plan }
 
 // Options converts p back to an option list accepted by the solver
 // entry points. ResolvePlan(p.Options()...) round-trips every field
@@ -305,98 +287,6 @@ func (p Plan) Options() []Option {
 	return opts
 }
 
-// MaximalIndependentSet computes an MIS of g. With the default options
-// it runs the paper's prefix-based algorithm under a random order
-// derived from seed 1 and returns the lexicographically-first MIS for
-// that order.
-//
-// It is a thin wrapper over a pooled Solver, kept for one-shot callers;
-// it panics on configuration errors a Solver would return (a mismatched
-// WithOrder). Long-lived callers should hold a Solver: it exposes
-// cancellation and reuses its workspace deterministically.
-func MaximalIndependentSet(g *Graph, opts ...Option) *MISResult {
-	return pooled(func(s *Solver) (*MISResult, error) { return s.MIS(context.Background(), g, opts...) })
-}
-
-// pooled runs solve on a pooled Solver, panicking on its error.
-func pooled[R any](solve func(*Solver) (R, error)) R {
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	res, err := solve(s)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// MaximalMatching computes a maximal matching of g; the priority order
-// is over g's canonical edge list.
-func MaximalMatching(g *Graph, opts ...Option) *MMResult {
-	return MaximalMatchingEdges(g.EdgeList(), opts...)
-}
-
-// MaximalMatchingEdges computes a maximal matching of an explicit edge
-// list. Like MaximalIndependentSet it wraps a pooled Solver and panics
-// on configuration errors (AlgoLuby, mismatched WithOrder).
-func MaximalMatchingEdges(el EdgeList, opts ...Option) *MMResult {
-	return pooled(func(s *Solver) (*MMResult, error) { return s.MM(context.Background(), el, opts...) })
-}
-
-// SpanningForest computes a greedy spanning forest of g — the §7
-// extension. AlgoSequential runs the union-find scan and returns the
-// lexicographically-first forest. The default runs the prefix-based
-// deterministic-reservations version with PBBS one-root semantics
-// (spanning.PrefixSFRelaxed): the forest is valid and deterministic for
-// a fixed order and prefix at any thread count, but is not necessarily
-// the sequential one — reproducing the sequential forest in parallel
-// (spanning.PrefixSF) serializes on hub components, the honest finding
-// of this reproduction's §7 experiment (see EXPERIMENTS.md).
-func SpanningForest(g *Graph, opts ...Option) *SFResult {
-	return SpanningForestEdges(g.EdgeList(), opts...)
-}
-
-// SpanningForestEdges computes a greedy spanning forest of an explicit
-// edge list, for callers that already hold the edge-array view (e.g.
-// the service layer, which caches it per graph). Like the other free
-// functions it wraps a pooled Solver and panics on configuration
-// errors (an unsupported algorithm, mismatched WithOrder).
-func SpanningForestEdges(el EdgeList, opts ...Option) *SFResult {
-	return pooled(func(s *Solver) (*SFResult, error) { return s.SF(context.Background(), el, opts...) })
-}
-
-// GreedyColoring computes the first-fit greedy coloring of g: vertices
-// in priority order, each taking the smallest color absent among its
-// earlier neighbors — the lexicographically-first greedy coloring. Like
-// the other free functions it wraps a pooled Solver and panics on
-// configuration errors (an unsupported algorithm, mismatched
-// WithOrder).
-func GreedyColoring(g *Graph, opts ...Option) *ColoringResult {
-	return pooled(func(s *Solver) (*ColoringResult, error) { return s.Coloring(context.Background(), g, opts...) })
-}
-
-// GreedyHittingSet computes the greedy hitting set of a set system:
-// elements in priority order, each joining exactly when some set
-// containing it is not yet hit. Like the other free functions it wraps
-// a pooled Solver and panics on configuration errors (an unsupported
-// algorithm, mismatched WithOrder).
-func GreedyHittingSet(sys *System, opts ...Option) *HittingSetResult {
-	return pooled(func(s *Solver) (*HittingSetResult, error) { return s.HittingSet(context.Background(), sys, opts...) })
-}
-
-// Verifiers, re-exported for callers that want the paper's checks.
-
-// IsMaximalIndependentSet reports whether inSet is independent and
-// maximal in g.
-func IsMaximalIndependentSet(g *Graph, inSet []bool) bool {
-	return core.IsMaximalIndependentSet(g, inSet)
-}
-
-// IsMaximalMatching reports whether inMatching is a maximal matching of
-// el.
-func IsMaximalMatching(el EdgeList, inMatching []bool) bool {
-	return matching.IsMaximalMatching(el, inMatching)
-}
-
 // VerifyLexFirstMIS checks that result is exactly the sequential greedy
 // MIS under ord.
 func VerifyLexFirstMIS(g *Graph, ord Order, result *MISResult) error {
@@ -407,17 +297,6 @@ func VerifyLexFirstMIS(g *Graph, ord Order, result *MISResult) error {
 // matching under ord.
 func VerifyLexFirstMM(el EdgeList, ord Order, result *MMResult) error {
 	return matching.VerifyLexFirst(el, ord, result)
-}
-
-// VerifyColoring checks that colors is a proper coloring of g (every
-// vertex colored, no monochromatic edge).
-func VerifyColoring(g *Graph, colors []int32) error {
-	return coloring.Verify(g, colors)
-}
-
-// VerifyHittingSet checks that inSet hits every nonempty set of sys.
-func VerifyHittingSet(sys *System, inSet []bool) error {
-	return sys.Verify(inSet)
 }
 
 // DependenceLength returns the dependence length of (g, ord): the number

@@ -1,16 +1,20 @@
 package greedy_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	greedy "repro"
+	"repro/internal/core"
+	"repro/internal/matching"
 )
 
 func TestFacadeMISDefault(t *testing.T) {
+	ctx := context.Background()
 	g := greedy.RandomGraph(2000, 10000, 3)
-	res := greedy.MaximalIndependentSet(g, greedy.WithSeed(7))
-	if !greedy.IsMaximalIndependentSet(g, res.InSet) {
+	res := must(greedy.NewSolver().MIS(ctx, g, greedy.WithSeed(7)))
+	if !core.IsMaximalIndependentSet(g, res.InSet) {
 		t.Fatal("facade MIS not maximal independent")
 	}
 	ord := greedy.NewRandomOrder(g.NumVertices(), 7)
@@ -20,27 +24,31 @@ func TestFacadeMISDefault(t *testing.T) {
 }
 
 func TestFacadeMISAlgorithmsAgree(t *testing.T) {
+	ctx := context.Background()
 	g := greedy.RMatGraph(10, 4000, 5)
-	want := greedy.MaximalIndependentSet(g, greedy.WithSeed(2), greedy.WithAlgorithm(greedy.AlgoSequential))
+	s := greedy.NewSolver(greedy.WithSeed(2))
+	want := must(s.MIS(ctx, g, greedy.WithAlgorithm(greedy.AlgoSequential)))
 	for _, algo := range []greedy.Algorithm{
 		greedy.AlgoPrefix, greedy.AlgoRootSet, greedy.AlgoParallel,
 	} {
-		got := greedy.MaximalIndependentSet(g, greedy.WithSeed(2), greedy.WithAlgorithm(algo))
+		got := must(s.MIS(ctx, g, greedy.WithAlgorithm(algo)))
 		if !got.Equal(want) {
 			t.Errorf("algorithm %d disagrees with sequential", algo)
 		}
 	}
-	luby := greedy.MaximalIndependentSet(g, greedy.WithSeed(2), greedy.WithAlgorithm(greedy.AlgoLuby))
-	if !greedy.IsMaximalIndependentSet(g, luby.InSet) {
+	luby := must(s.MIS(ctx, g, greedy.WithAlgorithm(greedy.AlgoLuby)))
+	if !core.IsMaximalIndependentSet(g, luby.InSet) {
 		t.Error("Luby result not a maximal independent set")
 	}
 }
 
 func TestFacadeMISOptions(t *testing.T) {
+	ctx := context.Background()
 	g := greedy.RandomGraph(1000, 5000, 1)
-	a := greedy.MaximalIndependentSet(g, greedy.WithSeed(4), greedy.WithPrefixSize(17))
-	b := greedy.MaximalIndependentSet(g, greedy.WithSeed(4), greedy.WithPrefixFrac(0.5), greedy.WithGrain(8))
-	c := greedy.MaximalIndependentSet(g, greedy.WithSeed(4), greedy.WithPointer())
+	s := greedy.NewSolver(greedy.WithSeed(4))
+	a := must(s.MIS(ctx, g, greedy.WithPrefixSize(17)))
+	b := must(s.MIS(ctx, g, greedy.WithPrefixFrac(0.5), greedy.WithGrain(8)))
+	c := must(s.MIS(ctx, g, greedy.WithPointer()))
 	if !a.Equal(b) || !a.Equal(c) {
 		t.Error("prefix size/frac/pointer options changed the result")
 	}
@@ -50,54 +58,50 @@ func TestFacadeMISOptions(t *testing.T) {
 }
 
 func TestFacadeExplicitOrder(t *testing.T) {
+	ctx := context.Background()
 	g := greedy.RandomGraph(500, 2000, 9)
 	ord := greedy.NewRandomOrder(g.NumVertices(), 11)
-	a := greedy.MaximalIndependentSet(g, greedy.WithOrder(ord))
-	b := greedy.MaximalIndependentSet(g, greedy.WithSeed(11))
+	a := must(greedy.NewSolver().MIS(ctx, g, greedy.WithOrder(ord)))
+	b := must(greedy.NewSolver().MIS(ctx, g, greedy.WithSeed(11)))
 	if !a.Equal(b) {
 		t.Error("WithOrder(NewRandomOrder(seed)) differs from WithSeed(seed)")
 	}
 }
 
 func TestFacadeMM(t *testing.T) {
+	ctx := context.Background()
 	g := greedy.RandomGraph(2000, 8000, 6)
-	res := greedy.MaximalMatching(g, greedy.WithSeed(3))
+	s := greedy.NewSolver(greedy.WithSeed(3))
 	el := g.EdgeList()
-	if !greedy.IsMaximalMatching(el, res.InMatching) {
+	res := must(s.MM(ctx, el))
+	if !matching.IsMaximalMatching(el, res.InMatching) {
 		t.Fatal("facade MM not maximal")
 	}
 	ord := greedy.NewRandomOrder(el.NumEdges(), 3)
 	if err := greedy.VerifyLexFirstMM(el, ord, res); err != nil {
 		t.Fatal(err)
 	}
-	seq := greedy.MaximalMatching(g, greedy.WithSeed(3), greedy.WithAlgorithm(greedy.AlgoSequential))
-	root := greedy.MaximalMatching(g, greedy.WithSeed(3), greedy.WithAlgorithm(greedy.AlgoRootSet))
+	seq := must(s.MM(ctx, el, greedy.WithAlgorithm(greedy.AlgoSequential)))
+	root := must(s.MM(ctx, el, greedy.WithAlgorithm(greedy.AlgoRootSet)))
 	if !res.Equal(seq) || !res.Equal(root) {
 		t.Error("facade MM algorithms disagree")
 	}
 }
 
-func TestFacadeMMLubyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AlgoLuby for matching did not panic")
-		}
-	}()
-	g := greedy.RandomGraph(10, 20, 1)
-	greedy.MaximalMatching(g, greedy.WithAlgorithm(greedy.AlgoLuby))
-}
-
 func TestFacadeSpanningForest(t *testing.T) {
+	ctx := context.Background()
 	g := greedy.RandomGraph(3000, 9000, 8)
-	seq := greedy.SpanningForest(g, greedy.WithSeed(2), greedy.WithAlgorithm(greedy.AlgoSequential))
-	par := greedy.SpanningForest(g, greedy.WithSeed(2), greedy.WithPrefixFrac(0.05))
+	s := greedy.NewSolver(greedy.WithSeed(2))
+	el := g.EdgeList()
+	seq := must(s.SF(ctx, el, greedy.WithAlgorithm(greedy.AlgoSequential)))
+	par := must(s.SF(ctx, el, greedy.WithPrefixFrac(0.05)))
 	// The default parallel forest uses relaxed (PBBS) semantics: a valid
 	// forest of the same size, deterministic per prefix, but not
 	// necessarily the sequential edge set.
 	if par.Size() != seq.Size() {
 		t.Errorf("forest sizes differ: %d vs %d", par.Size(), seq.Size())
 	}
-	again := greedy.SpanningForest(g, greedy.WithSeed(2), greedy.WithPrefixFrac(0.05))
+	again := must(s.SF(ctx, el, greedy.WithPrefixFrac(0.05)))
 	if !par.Equal(again) {
 		t.Error("parallel spanning forest not deterministic across runs")
 	}
@@ -107,15 +111,17 @@ func TestFacadeSpanningForest(t *testing.T) {
 }
 
 func TestFacadeDeterministicAcrossThreadCounts(t *testing.T) {
+	ctx := context.Background()
 	// The paper's headline property: same order => same answer at any
 	// parallelism level.
 	g := greedy.RandomGraph(5000, 30000, 13)
+	s := greedy.NewSolver(greedy.WithSeed(5))
 	var results []*greedy.MISResult
 	var mmResults []*greedy.MMResult
 	for _, procs := range []int{1, 2, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		results = append(results, greedy.MaximalIndependentSet(g, greedy.WithSeed(5)))
-		mmResults = append(mmResults, greedy.MaximalMatching(g, greedy.WithSeed(5)))
+		results = append(results, must(s.MIS(ctx, g)))
+		mmResults = append(mmResults, must(s.MM(ctx, g.EdgeList())))
 		runtime.GOMAXPROCS(old)
 	}
 	for i := 1; i < len(results); i++ {
@@ -134,16 +140,6 @@ func TestFacadeDependenceLength(t *testing.T) {
 	if d < 1 || d > 400 {
 		t.Errorf("dependence length = %d, outside plausible polylog range", d)
 	}
-}
-
-func TestFacadeOrderMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched order accepted")
-		}
-	}()
-	g := greedy.RandomGraph(10, 20, 1)
-	greedy.MaximalIndependentSet(g, greedy.WithOrder(greedy.NewRandomOrder(5, 1)))
 }
 
 func TestFacadeNewGraph(t *testing.T) {

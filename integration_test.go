@@ -61,16 +61,17 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 
 		// Solve everything on the loaded graph and verify.
-		mis := greedy.MaximalIndependentSet(loaded, greedy.WithSeed(3))
+		s := greedy.NewSolver(greedy.WithSeed(3))
+		mis := must(s.MIS(context.Background(), loaded))
 		if err := greedy.VerifyLexFirstMIS(loaded, greedy.NewRandomOrder(loaded.NumVertices(), 3), mis); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		mm := greedy.MaximalMatching(loaded, greedy.WithSeed(3))
 		el := loaded.EdgeList()
+		mm := must(s.MM(context.Background(), el))
 		if err := greedy.VerifyLexFirstMM(el, greedy.NewRandomOrder(el.NumEdges(), 3), mm); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		sf := greedy.SpanningForest(loaded, greedy.WithSeed(3))
+		sf := must(s.SF(context.Background(), el))
 		if !spanning.IsForest(el, sf.InForest) || !spanning.IsSpanning(el, sf.InForest) {
 			t.Errorf("%s: spanning forest invalid", name)
 		}

@@ -37,7 +37,7 @@ func FuzzMISEquivalence(f *testing.F) {
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 3}})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix}, Pointered: true})),
 			must(RootSetMIS(context.Background(), g, ord, Options{Options: engine.Options{Grain: 3}})),
-			must(ParallelMIS(context.Background(), g, ord, Options{})),
+			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}})),
 		} {
 			if !got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d: MIS diverged from the reference", n, m, prefix)

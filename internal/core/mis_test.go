@@ -98,7 +98,7 @@ func allDeterministicAlgorithms(g *graph.Graph, ord Order) map[string]*Result {
 	return map[string]*Result{
 		"sequential":         must(SequentialMIS(context.Background(), g, ord, Options{})),
 		"sequential-parents": must(SequentialMIS(context.Background(), g, ord, Options{Parents: BuildParents(g, ord)})),
-		"parallel-full":      must(ParallelMIS(context.Background(), g, ord, Options{})),
+		"parallel-full":      must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}})),
 		"rootset":            must(RootSetMIS(context.Background(), g, ord, Options{})),
 		"prefix-default":     must(PrefixMIS(context.Background(), g, ord, Options{})),
 		"prefix-1":           must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 1}})),
@@ -164,7 +164,7 @@ func TestAlgorithmsMatchQuick(t *testing.T) {
 		want := referenceMIS(g, ord)
 		for _, got := range []*Result{
 			must(SequentialMIS(context.Background(), g, ord, Options{})),
-			must(ParallelMIS(context.Background(), g, ord, Options{})),
+			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}})),
 			must(RootSetMIS(context.Background(), g, ord, Options{})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: 3}})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.3}, Pointered: true})),
@@ -242,10 +242,10 @@ func TestParallelMISRoundsTrackDependenceLength(t *testing.T) {
 		{"path", graph.Path(300)},
 	} {
 		ord := NewRandomOrder(c.g.NumVertices(), 31)
-		r := must(ParallelMIS(context.Background(), c.g, ord, Options{}))
+		r := must(PrefixMIS(context.Background(), c.g, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 		info := DependenceSteps(c.g, ord)
 		if int(r.Stats.Rounds) < info.Steps || int(r.Stats.Rounds) > 2*info.Steps+1 {
-			t.Errorf("%s: ParallelMIS rounds %d outside [depLen, 2*depLen+1] for depLen %d",
+			t.Errorf("%s: full-prefix rounds %d outside [depLen, 2*depLen+1] for depLen %d",
 				c.name, r.Stats.Rounds, info.Steps)
 		}
 	}
@@ -255,7 +255,7 @@ func TestFullPrefixWorkExceedsSequential(t *testing.T) {
 	// The paper's Figure 1(a): at the full prefix, total work (attempts)
 	// is well above N because blocked vertices retry every round.
 	g, ord := randomGraphAndOrder(5000, 25000, 77)
-	full := must(ParallelMIS(context.Background(), g, ord, Options{}))
+	full := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}}))
 	ratio := float64(full.Stats.Attempts) / float64(g.NumVertices())
 	if ratio < 1.5 {
 		t.Errorf("full-prefix work/N = %.2f, expected the paper's ~2-3x regime", ratio)

@@ -191,18 +191,3 @@ func checkPointered(r int32, status []int32, parents *Parents, ptr []int32) (int
 	ptr[r] = i
 	return statusIn, inspections
 }
-
-// ParallelMIS is Algorithm 2: the prefix-based algorithm run with the
-// full remaining input as the prefix, i.e. every undecided vertex is
-// attempted every round. Its Rounds statistic is exactly the dependence
-// length of the priority DAG, the quantity Theorem 3.5 bounds by
-// O(log^2 n).
-// Cancellation and workspace reuse work as in PrefixMIS.
-func ParallelMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
-	opt.Adaptive = false // the full prefix is the point of Algorithm 2
-	opt.PrefixSize = g.NumVertices()
-	if opt.PrefixSize == 0 {
-		opt.PrefixSize = 1
-	}
-	return PrefixMIS(ctx, g, ord, opt)
-}

@@ -104,9 +104,9 @@ type Options struct {
 	// and its work curve.
 	Pointered bool
 	// Parents, if non-nil, are the rank-space parent lists of the input
-	// graph under the run's order (see BuildParents: row r holds the
+	// graph under the run's order (see Parents.Build: row r holds the
 	// ranks of the earlier neighbors of the vertex of rank r), reused by
-	// PrefixMIS and ParallelMIS instead of building them per run. They
+	// PrefixMIS and SequentialMIS instead of building them per run. They
 	// must match the graph and order passed with these options.
 	Parents *Parents
 	// Workspace, if non-nil, supplies pooled per-run buffers reused

@@ -66,7 +66,7 @@ func TestOnRoundFullPrefixProfile(t *testing.T) {
 	// is exhausted).
 	g, ord := randomGraphAndOrder(3000, 15000, 15)
 	var attempted []int
-	must(ParallelMIS(context.Background(), g, ord, Options{Options: engine.Options{OnRound: func(rs RoundStat) {
+	must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1, OnRound: func(rs RoundStat) {
 		attempted = append(attempted, rs.Attempted)
 	}}}))
 	if attempted[0] != g.NumVertices() {

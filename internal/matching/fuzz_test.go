@@ -43,7 +43,7 @@ func FuzzMMEquivalence(f *testing.F) {
 			{"sequential buffer", must(SequentialMM(context.Background(), el, ord, Options{Workspace: &Workspace{Edges: new([]graph.Edge)}}))},
 			{"prefix", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))},
 			{"adaptive", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}}))},
-			{"parallel", must(ParallelMM(context.Background(), el, ord, Options{Options: engine.Options{Grain: grain}}))},
+			{"parallel", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1, Grain: grain}}))},
 		} {
 			if !run.got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s MM diverged from the reference", n, m, prefix, grain, run.name)

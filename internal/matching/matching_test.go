@@ -2,6 +2,7 @@ package matching
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,8 +26,8 @@ func TestSequentialMMSmall(t *testing.T) {
 	if r.Size() != 2 || !r.InMatching[0] || r.InMatching[1] || !r.InMatching[2] {
 		t.Errorf("path matching = %v (pairs %v)", r.InMatching, r.Pairs)
 	}
-	if r.Mate[0] != 1 || r.Mate[1] != 0 || r.Mate[2] != 3 || r.Mate[3] != 2 {
-		t.Errorf("mates = %v", r.Mate)
+	if !slices.Equal(r.Pairs, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}) {
+		t.Errorf("pairs = %v", r.Pairs)
 	}
 	if r.Stats.Rounds != 3 || r.Stats.Attempts != 3 {
 		t.Errorf("sequential stats %+v", r.Stats)
@@ -52,13 +53,8 @@ func TestSequentialMMOrderMatters(t *testing.T) {
 func TestSequentialMMEmpty(t *testing.T) {
 	el := graph.EdgeList{N: 5}
 	r := must(SequentialMM(context.Background(), el, core.IdentityOrder(0), Options{}))
-	if r.Size() != 0 {
+	if r.Size() != 0 || len(r.InMatching) != 0 {
 		t.Error("empty edge list gave nonempty matching")
-	}
-	for _, m := range r.Mate {
-		if m != -1 {
-			t.Error("unmatched vertex has a mate")
-		}
 	}
 }
 
@@ -80,7 +76,7 @@ func allDeterministicMM(el graph.EdgeList, ord core.Order) map[string]*Result {
 	return map[string]*Result{
 		"sequential":     must(SequentialMM(context.Background(), el, ord, Options{})),
 		"sequential-buf": must(SequentialMM(context.Background(), el, ord, Options{Workspace: &Workspace{Edges: new([]graph.Edge)}})),
-		"parallel-full":  must(ParallelMM(context.Background(), el, ord, Options{})),
+		"parallel-full":  must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1}})),
 		"rootset":        must(RootSetMM(context.Background(), el, ord, Options{})),
 		"prefix-default": must(PrefixMM(context.Background(), el, ord, Options{})),
 		"prefix-1":       must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}})),
@@ -133,7 +129,7 @@ func TestMMAlgorithmsMatchQuick(t *testing.T) {
 		want := referenceMM(el, ord)
 		for _, got := range []*Result{
 			must(SequentialMM(context.Background(), el, ord, Options{})),
-			must(ParallelMM(context.Background(), el, ord, Options{})),
+			must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1}})),
 			must(RootSetMM(context.Background(), el, ord, Options{})),
 			must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 4}})),
 		} {
@@ -296,22 +292,24 @@ func TestIsMatchingAndMaximal(t *testing.T) {
 	}
 }
 
-func TestResultPairsAndMateConsistent(t *testing.T) {
+func TestResultPairsMatchInMatching(t *testing.T) {
 	el, ord := instance(500, 2000, 14)
 	r := must(PrefixMM(context.Background(), el, ord, Options{}))
+	var want []graph.Edge
+	for id, in := range r.InMatching {
+		if in {
+			want = append(want, el.Edges[id])
+		}
+	}
+	if !slices.Equal(r.Pairs, want) {
+		t.Fatalf("pairs are not the matched edges in id order: %d pairs, %d matched edges", len(r.Pairs), len(want))
+	}
+	covered := make([]bool, el.N)
 	for _, p := range r.Pairs {
-		if r.Mate[p.U] != p.V || r.Mate[p.V] != p.U {
-			t.Fatalf("pair %v not reflected in Mate", p)
+		if covered[p.U] || covered[p.V] {
+			t.Fatalf("pair %v shares an endpoint with an earlier pair", p)
 		}
-	}
-	matched := 0
-	for _, m := range r.Mate {
-		if m != -1 {
-			matched++
-		}
-	}
-	if matched != 2*r.Size() {
-		t.Errorf("matched vertex count %d != 2*pairs %d", matched, 2*r.Size())
+		covered[p.U], covered[p.V] = true, true
 	}
 }
 

@@ -176,16 +176,3 @@ func (p *mmProblem) Decide(r int32) int64 {
 	}
 	return 2
 }
-
-// ParallelMM is Algorithm 4 proper: PrefixMM run with the full edge set
-// as the window each round. Its Rounds statistic tracks the dependence
-// length of the edge priority DAG (Lemma 5.1: O(log^2 m) w.h.p.).
-// Cancellation and workspace reuse work as in PrefixMM.
-func ParallelMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
-	opt.Adaptive = false // the full prefix is the point of Algorithm 4
-	opt.PrefixSize = el.NumEdges()
-	if opt.PrefixSize == 0 {
-		opt.PrefixSize = 1
-	}
-	return PrefixMM(ctx, el, ord, opt)
-}

@@ -39,8 +39,6 @@ type Result struct {
 	// InMatching[e] reports whether edge e (an index into the EdgeList)
 	// is part of the matching.
 	InMatching []bool
-	// Mate[v] is the vertex matched to v, or -1 if v is unmatched.
-	Mate []int32
 	// Pairs lists the matched edges in increasing edge-id order.
 	Pairs []graph.Edge
 	// Stats are the cost counters of the run.
@@ -59,20 +57,12 @@ func newResult(el graph.EdgeList, status []int32, stats Stats) *Result {
 // bitsResult builds the result around in, the per-edge matched bits,
 // which it takes over.
 func bitsResult(el graph.EdgeList, in []bool, stats Stats) *Result {
-	m := el.NumEdges()
-	mate := make([]int32, el.N)
-	for i := range mate {
-		mate[i] = unmatched
-	}
-	ids := parallel.PackIndex(m, 4096, func(i int) bool { return in[i] })
+	ids := parallel.PackIndex(el.NumEdges(), 4096, func(i int) bool { return in[i] })
 	pairs := make([]graph.Edge, len(ids))
 	for i, id := range ids {
-		e := el.Edges[id]
-		pairs[i] = e
-		mate[e.U] = e.V
-		mate[e.V] = e.U
+		pairs[i] = el.Edges[id]
 	}
-	return &Result{InMatching: in, Mate: mate, Pairs: pairs, Stats: stats}
+	return &Result{InMatching: in, Pairs: pairs, Stats: stats}
 }
 
 // Size returns the number of matched edges.

@@ -121,7 +121,10 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 	// Cross-check against an in-process run of the library.
 	g := graph.RMat(10, 5000, 3)
-	want := greedy.MaximalMatching(g, greedy.WithSeed(13))
+	want, err := greedy.NewSolver().MM(ctx, g.EdgeList(), greedy.WithSeed(13))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if payload.Size != want.Size() {
 		t.Fatalf("service matching size %d, library %d", payload.Size, want.Size())
 	}

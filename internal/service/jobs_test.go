@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -117,7 +118,10 @@ func TestJobResultsByteIdenticalAndCorrect(t *testing.T) {
 	// The service's answer must be the library's lexicographically-first
 	// MIS for the same (graph, seed).
 	g := greedy.RandomGraph(2000, 8000, 1)
-	want := greedy.MaximalIndependentSet(g, greedy.WithSeed(7))
+	want, err := greedy.NewSolver().MIS(context.Background(), g, greedy.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := (greedy.Answer{In: want.InSet}).Checksum(); !bytes.Contains(raw1, []byte(got)) {
 		t.Fatalf("service checksum does not match library result (%s not in payload)", got)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	greedy "repro"
+	"repro/internal/coloring"
 )
 
 // TestColoringAndHittingSetJobs runs the two engine-opened problems
@@ -34,8 +35,11 @@ func TestColoringAndHittingSetJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := greedy.GreedyColoring(g, greedy.WithAlgorithm(algo), greedy.WithSeed(11))
-		if err := greedy.VerifyColoring(g, want.Colors); err != nil {
+		want, err := greedy.NewSolver().Coloring(context.Background(), g, greedy.WithAlgorithm(algo), greedy.WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coloring.Verify(g, want.Colors); err != nil {
 			t.Fatalf("library coloring invalid: %v", err)
 		}
 		if sum := (greedy.Answer{Colors: want.Colors}).Checksum(); !bytes.Contains(raw, []byte(sum)) {
@@ -57,8 +61,11 @@ func TestColoringAndHittingSetJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys := greedy.HittingSystemFromEdges(g.EdgeList())
-		wantHS := greedy.GreedyHittingSet(sys, greedy.WithAlgorithm(algo), greedy.WithSeed(11))
-		if err := greedy.VerifyHittingSet(sys, wantHS.InSet); err != nil {
+		wantHS, err := greedy.NewSolver().HittingSet(context.Background(), sys, greedy.WithAlgorithm(algo), greedy.WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Verify(wantHS.InSet); err != nil {
 			t.Fatalf("library hitting set invalid: %v", err)
 		}
 		if sum := (greedy.Answer{In: wantHS.InSet}).Checksum(); !bytes.Contains(raw, []byte(sum)) {

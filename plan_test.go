@@ -1,6 +1,7 @@
 package greedy_test
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -116,12 +117,13 @@ func TestPlanJSONCanonicalNames(t *testing.T) {
 func TestPlanIsSoundDedupKey(t *testing.T) {
 	g := greedy.RandomGraph(2000, 10000, 5)
 	p := greedy.ResolvePlan(greedy.WithSeed(7))
-	r1 := greedy.MaximalIndependentSet(g, p.Options()...)
-	r2 := greedy.MaximalIndependentSet(g, p.Options()...)
+	ctx := context.Background()
+	r1 := must(greedy.NewSolver().MIS(ctx, g, p.Options()...))
+	r2 := must(greedy.NewSolver().MIS(ctx, g, p.Options()...))
 	if !r1.Equal(r2) {
 		t.Fatal("same plan, different results")
 	}
-	r3 := greedy.MaximalIndependentSet(g, greedy.ResolvePlan(greedy.WithSeed(8)).Options()...)
+	r3 := must(greedy.NewSolver().MIS(ctx, g, greedy.ResolvePlan(greedy.WithSeed(8)).Options()...))
 	if r1.Equal(r3) {
 		t.Fatal("different seeds produced identical MIS (suspicious)")
 	}

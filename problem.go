@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/coloring"
+	"repro/internal/core"
+	"repro/internal/matching"
 	"repro/internal/spanning"
 )
 
@@ -124,9 +127,6 @@ func (p Problem) Check(plan Plan) error {
 	return nil
 }
 
-// check is Check for the configuration c denotes.
-func (c config) check(p Problem) error { return p.Check(c.plan()) }
-
 // Input is a graph in the forms the problems read: itself (MIS,
 // coloring), its edge list (MM, SF) and its vertex-cover system
 // (hitting set). Solve reads only its problem's form, so an Input can
@@ -213,15 +213,15 @@ func (a Answer) Verify(in Input) error {
 	ok := true
 	switch a.Problem {
 	case ProblemMIS:
-		ok = IsMaximalIndependentSet(in.Graph(), a.In)
+		ok = core.IsMaximalIndependentSet(in.Graph(), a.In)
 	case ProblemMM:
-		ok = IsMaximalMatching(in.EdgeList(), a.In)
+		ok = matching.IsMaximalMatching(in.EdgeList(), a.In)
 	case ProblemSF:
 		ok = spanning.IsForest(in.EdgeList(), a.In) && spanning.IsSpanning(in.EdgeList(), a.In)
 	case ProblemColoring:
-		return VerifyColoring(in.Graph(), a.Colors)
+		return coloring.Verify(in.Graph(), a.Colors)
 	case ProblemHittingSet:
-		return VerifyHittingSet(in.HittingSystem(), a.In)
+		return in.HittingSystem().Verify(a.In)
 	default:
 		_, err := a.Problem.rule()
 		return err

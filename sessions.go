@@ -63,8 +63,8 @@ type Session struct {
 // initial computation honors ctx.
 func (s *Solver) Dynamic(ctx context.Context, p Problem, g *Graph, opts ...Option) (*Session, error) {
 	c := s.config(opts)
-	c.dynamic = true
-	if err := c.check(p); err != nil {
+	c.Dynamic = true
+	if err := p.Check(c.Plan); err != nil {
 		return nil, err
 	}
 	var mt *dynamic.Maintainer
@@ -74,9 +74,9 @@ func (s *Solver) Dynamic(ctx context.Context, p Problem, g *Graph, opts ...Optio
 		if ord, err = s.orderFor(c, g.NumVertices()); err != nil {
 			return nil, err
 		}
-		mt, err = dynamic.NewMIS(ctx, g, ord, c.grain)
+		mt, err = dynamic.NewMIS(ctx, g, ord, c.Grain)
 	} else { // ProblemMM: check rejects the problems without a dynamic variant
-		mt, err = dynamic.NewMM(ctx, g, c.seed, c.grain)
+		mt, err = dynamic.NewMM(ctx, g, c.Seed, c.Grain)
 	}
 	if err != nil {
 		return nil, err

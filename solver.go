@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/coloring"
@@ -16,9 +15,8 @@ import (
 	"repro/internal/spanning"
 )
 
-// Facade errors. The Solver methods return these (possibly wrapped with
-// detail); the legacy free functions panic with them instead, for
-// compatibility with pre-Solver callers.
+// Facade errors. The Solver methods return these, possibly wrapped with
+// detail.
 var (
 	// ErrOrderSize reports that WithOrder supplied an order whose length
 	// does not match the input size.
@@ -120,8 +118,7 @@ func WithRoundObserver(fn func(RoundInfo)) Option {
 //
 // A Solver is NOT safe for concurrent use: it owns its workspace.
 // Use one Solver per goroutine (the service layer keeps one per
-// worker); the zero-cost alternative for one-shot calls is the package
-// free functions, which draw Solvers from an internal pool.
+// worker).
 //
 // Options passed to NewSolver become defaults for every run; options
 // passed to a method call override them for that run.
@@ -178,7 +175,7 @@ func NewSolver(defaults ...Option) *Solver {
 }
 
 func (s *Solver) config(opts []Option) config {
-	c := config{seed: 1}
+	c := config{Plan: Plan{Seed: 1}}
 	for _, o := range s.defaults {
 		o(&c)
 	}
@@ -193,17 +190,17 @@ func (s *Solver) config(opts []Option) config {
 // random order is deterministic, so caching is purely an allocation
 // win).
 func (s *Solver) orderFor(c config, n int) (Order, error) {
-	if c.order != nil {
+	if c.ExplicitOrder {
 		if c.order.Len() != n {
 			return Order{}, fmt.Errorf("%w: order has %d items, input has %d", ErrOrderSize, c.order.Len(), n)
 		}
-		return *c.order, nil
+		return c.order, nil
 	}
-	key := orderKey{n: n, seed: c.seed}
+	key := orderKey{n: n, seed: c.Seed}
 	if ord, ok := s.orders[key]; ok {
 		return ord, nil
 	}
-	ord := core.NewRandomOrder(n, c.seed)
+	ord := core.NewRandomOrder(n, c.Seed)
 	if s.orders == nil {
 		s.orders = make(map[orderKey]Order)
 	}
@@ -220,14 +217,14 @@ func (s *Solver) orderFor(c config, n int) (Order, error) {
 // seed, from the entry. An explicit WithOrder is never cached: get
 // returns nil, and the problem package builds the layout for the run.
 func (e *layoutEntry[I, L]) get(c config, in I, ord Order, build func(*L, I, Order)) *L {
-	if c.order != nil {
+	if c.ExplicitOrder {
 		return nil
 	}
-	if e.in != in || e.seed != c.seed {
+	if e.in != in || e.seed != c.Seed {
 		var invalid I
 		e.in = invalid // until the rebuild completes
 		build(&e.layout, in, ord)
-		e.in, e.seed = in, c.seed
+		e.in, e.seed = in, c.Seed
 	}
 	return &e.layout
 }
@@ -275,15 +272,22 @@ func clockFor(c config) func() int64 {
 
 // engineOptions is the engine configuration c denotes — window, grain,
 // observers and phase clock — shared by every problem's Options.
+// AlgoParallel is the prefix algorithm with the whole input as the
+// window every round: Algorithm 2 for MIS and 4 for MM, whose Rounds
+// track the dependence length (Theorem 3.5, Lemma 5.1).
 func engineOptions(c config) engine.Options {
-	return engine.Options{
-		PrefixSize: c.prefixSize,
-		PrefixFrac: c.prefixFrac,
-		Adaptive:   c.adaptive,
-		Grain:      c.grain,
+	opt := engine.Options{
+		PrefixSize: c.PrefixSize,
+		PrefixFrac: c.PrefixFrac,
+		Adaptive:   c.AdaptivePrefix,
+		Grain:      c.Grain,
 		OnRound:    observerFor(c),
 		Clock:      clockFor(c),
 	}
+	if c.Algorithm == AlgoParallel {
+		opt.PrefixSize, opt.PrefixFrac = 0, 1
+	}
+	return opt
 }
 
 // MIS computes a maximal independent set of g under the configured
@@ -292,31 +296,27 @@ func engineOptions(c config) engine.Options {
 // within one round of the context being cancelled.
 func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult, error) {
 	c := s.config(opts)
-	if err := c.check(ProblemMIS); err != nil {
+	if err := ProblemMIS.Check(c.Plan); err != nil {
 		return nil, err
 	}
-	coreOpt := core.Options{Options: engineOptions(c), Pointered: c.pointered, Workspace: &s.misWs}
+	coreOpt := core.Options{Options: engineOptions(c), Pointered: c.Pointered, Workspace: &s.misWs}
 	// Luby regenerates priorities from the seed every round; deriving
 	// (and caching) a priority order for it would be pure waste.
-	if c.algorithm == AlgoLuby {
-		return core.LubyMIS(ctx, g, c.seed, coreOpt)
+	if c.Algorithm == AlgoLuby {
+		return core.LubyMIS(ctx, g, c.Seed, coreOpt)
 	}
 	ord, err := s.orderFor(c, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
-	if c.algorithm == AlgoRootSet {
+	if c.Algorithm == AlgoRootSet {
 		return core.RootSetMIS(ctx, g, ord, coreOpt)
 	}
 	coreOpt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
-	switch c.algorithm {
-	case AlgoSequential:
+	if c.Algorithm == AlgoSequential {
 		return core.SequentialMIS(ctx, g, ord, coreOpt)
-	case AlgoParallel:
-		return core.ParallelMIS(ctx, g, ord, coreOpt)
-	default:
-		return core.PrefixMIS(ctx, g, ord, coreOpt)
 	}
+	return core.PrefixMIS(ctx, g, ord, coreOpt)
 }
 
 // MM computes a maximal matching of the edge list el; the priority
@@ -324,15 +324,15 @@ func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult,
 // one-round bound as MIS. AlgoLuby is rejected with ErrLubyMatching.
 func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult, error) {
 	c := s.config(opts)
-	if err := c.check(ProblemMM); err != nil {
+	if err := ProblemMM.Check(c.Plan); err != nil {
 		return nil, err
 	}
 	var ord Order
-	if c.dynamic {
+	if c.Dynamic {
 		// Churn-stable priorities: derived from the edges themselves
 		// (see WithDynamic) and never cached — (m, seed) does not
 		// determine them.
-		ord = dynamic.EdgeOrder(el, c.seed)
+		ord = dynamic.EdgeOrder(el, c.Seed)
 	} else {
 		var err error
 		ord, err = s.orderFor(c, el.NumEdges())
@@ -342,13 +342,11 @@ func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult
 	}
 	s.mmWs.Edges = &s.edges
 	opt := matching.Options{Options: engineOptions(c), Workspace: &s.mmWs}
-	switch c.algorithm {
+	switch c.Algorithm {
 	case AlgoSequential:
 		return matching.SequentialMM(ctx, el, ord, opt)
 	case AlgoRootSet:
 		return matching.RootSetMM(ctx, el, ord, opt)
-	case AlgoParallel:
-		return matching.ParallelMM(ctx, el, ord, opt)
 	default:
 		return matching.PrefixMM(ctx, el, ord, opt)
 	}
@@ -356,14 +354,19 @@ func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult
 
 // SF computes a greedy spanning forest of the edge list el — the §7
 // extension. AlgoSequential runs the sequential scan over the strict
-// problem's rank-gathered edges and union-find; the default runs
-// the prefix-based deterministic-reservations version with PBBS
-// one-root semantics (see SpanningForest for the fidelity discussion).
-// Other algorithms are rejected with ErrSpanningAlgorithm. Cancellation
+// problem's rank-gathered edges and union-find, and returns the
+// lexicographically-first forest. The default runs the prefix-based
+// deterministic-reservations version with PBBS one-root semantics
+// (spanning.PrefixSFRelaxed): the forest is valid and deterministic for
+// a fixed order and prefix at any thread count, but is not necessarily
+// the sequential one — reproducing the sequential forest in parallel
+// (spanning.PrefixSF) serializes on hub components, the honest finding
+// of this reproduction's §7 experiment (see EXPERIMENTS.md). Other
+// algorithms are rejected with ErrSpanningAlgorithm. Cancellation
 // follows the same one-round bound as MIS.
 func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult, error) {
 	c := s.config(opts)
-	if err := c.check(ProblemSF); err != nil {
+	if err := ProblemSF.Check(c.Plan); err != nil {
 		return nil, err
 	}
 	ord, err := s.orderFor(c, el.NumEdges())
@@ -372,7 +375,7 @@ func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult
 	}
 	s.sfWs.Edges = &s.edges
 	opt := spanning.Options{Options: engineOptions(c), Workspace: &s.sfWs}
-	if c.algorithm == AlgoSequential {
+	if c.Algorithm == AlgoSequential {
 		return spanning.SequentialSF(ctx, el, ord, opt)
 	}
 	return spanning.PrefixSFRelaxed(ctx, el, ord, opt)
@@ -390,7 +393,7 @@ func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult
 // as MIS.
 func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*ColoringResult, error) {
 	c := s.config(opts)
-	if err := c.check(ProblemColoring); err != nil {
+	if err := ProblemColoring.Check(c.Plan); err != nil {
 		return nil, err
 	}
 	ord, err := s.orderFor(c, g.NumVertices())
@@ -402,7 +405,7 @@ func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*Color
 		Parents:   s.parents.get(c, g, ord, (*core.Parents).Build),
 		Workspace: &s.colorWs,
 	}
-	if c.algorithm == AlgoSequential {
+	if c.Algorithm == AlgoSequential {
 		return coloring.SequentialColoring(ctx, g, ord, opt)
 	}
 	return coloring.PrefixColoring(ctx, g, ord, opt)
@@ -419,7 +422,7 @@ func (s *Solver) Coloring(ctx context.Context, g *Graph, opts ...Option) (*Color
 // bound as MIS.
 func (s *Solver) HittingSet(ctx context.Context, sys *System, opts ...Option) (*HittingSetResult, error) {
 	c := s.config(opts)
-	if err := c.check(ProblemHittingSet); err != nil {
+	if err := ProblemHittingSet.Check(c.Plan); err != nil {
 		return nil, err
 	}
 	ord, err := s.orderFor(c, sys.NumElements())
@@ -431,13 +434,8 @@ func (s *Solver) HittingSet(ctx context.Context, sys *System, opts ...Option) (*
 		Layout:    s.hitting.get(c, sys, ord, (*setcover.Layout).Build),
 		Workspace: &s.hsWs,
 	}
-	if c.algorithm == AlgoSequential {
+	if c.Algorithm == AlgoSequential {
 		return setcover.SequentialHittingSet(ctx, sys, ord, opt)
 	}
 	return setcover.PrefixHittingSet(ctx, sys, ord, opt)
 }
-
-// solverPool backs the package free functions: one-shot callers still
-// benefit from workspace reuse across calls without any Solver
-// lifecycle of their own, and the pool empties under memory pressure.
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}

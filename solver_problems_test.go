@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	greedy "repro"
+	"repro/internal/coloring"
 )
 
 // TestSolverReuseAcrossProblems cycles ONE pooled Solver through all
@@ -44,7 +45,7 @@ func TestSolverReuseAcrossProblems(t *testing.T) {
 		if !col.Equal(wantCol) || col.Stats != wantCol.Stats {
 			t.Fatalf("cycle %d: coloring on shared solver diverged", cycle)
 		}
-		if err := greedy.VerifyColoring(g, col.Colors); err != nil {
+		if err := coloring.Verify(g, col.Colors); err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 
@@ -71,7 +72,7 @@ func TestSolverReuseAcrossProblems(t *testing.T) {
 		if !hs.Equal(wantHS) || hs.Stats != wantHS.Stats {
 			t.Fatalf("cycle %d: hitting set on shared solver diverged", cycle)
 		}
-		if err := greedy.VerifyHittingSet(sys, hs.InSet); err != nil {
+		if err := sys.Verify(hs.InSet); err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	greedy "repro"
+	"repro/internal/matching"
 )
 
 // cancelAfterRounds returns a context plus an option that cancels it
@@ -78,7 +79,7 @@ func TestSolverCancellationMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !greedy.IsMaximalMatching(el, got.InMatching) {
+	if !matching.IsMaximalMatching(el, got.InMatching) {
 		t.Error("post-cancel MM not maximal")
 	}
 }

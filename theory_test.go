@@ -1,6 +1,7 @@
 package greedy_test
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"testing"
@@ -20,11 +21,12 @@ import (
 // stayed within 0.0015 of both limits, with dependence lengths 4 to 7.
 func TestTheoryLimits(t *testing.T) {
 	const n = 1 << 17
+	s := greedy.NewSolver(greedy.WithAlgorithm(greedy.AlgoSequential))
 	for _, c := range []float64{2, 10} {
 		g := greedy.RandomGraph(n, int(c*n/2), 1)
 		ord := greedy.NewRandomOrder(n, 2)
-		mis := greedy.MaximalIndependentSet(g, greedy.WithAlgorithm(greedy.AlgoSequential), greedy.WithOrder(ord))
-		mm := greedy.MaximalMatching(g, greedy.WithAlgorithm(greedy.AlgoSequential), greedy.WithSeed(3))
+		mis := must(s.MIS(context.Background(), g, greedy.WithOrder(ord)))
+		mm := must(s.MM(context.Background(), g.EdgeList(), greedy.WithSeed(3)))
 		density, matched := float64(mis.Size())/n, float64(mm.Size())/n
 		if want := math.Log1p(c) / c; math.Abs(density-want) > 0.005 {
 			t.Errorf("c=%g: MIS density %.4f, limit %.4f", c, density, want)
