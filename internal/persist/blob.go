@@ -77,34 +77,14 @@ func (b *BlobStore) Put(meta BlobMeta, g *graph.Graph) error {
 	if err := graph.WriteBinary(&payload, g); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(b.dir, meta.ID+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	for _, rec := range [][]byte{blobMagic, metaRaw, payload.Bytes()} {
-		if err := writeRecord(f, rec); err != nil {
-			cleanup()
-			return err
+	return writeFileAtomic(final, func(w io.Writer) error {
+		for _, rec := range [][]byte{blobMagic, metaRaw, payload.Bytes()} {
+			if err := writeRecord(w, rec); err != nil {
+				return err
+			}
 		}
-	}
-	if err := syncFile(f); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(b.dir)
+		return nil
+	})
 }
 
 // Load reads the graph stored under id.

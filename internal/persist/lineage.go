@@ -1,8 +1,6 @@
 package persist
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -14,7 +12,8 @@ import (
 // repair survives a restart: without it every post-restart dynamic job
 // recomputes from scratch — still correct, just slower. Because
 // lineage is an optimization, appends are not fsync'd; a lost tail
-// only costs repair opportunities.
+// only costs repair opportunities. The log keeps what its owner
+// retains: Rewrite replaces it with the records still wanted.
 
 // lineageMagic is the first record of a lineage log file.
 var lineageMagic = []byte("greedylineage\x01")
@@ -35,18 +34,16 @@ type LineageRecord struct {
 	Updates []LineageUpdate `json:"updates"`
 }
 
-// LineageLog is the append-only derivation log.
+// LineageLog is the derivation log: appended to, and rewritten whole.
 type LineageLog struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	recs int64
+	mu  sync.Mutex
+	log logFile
 }
 
 // OpenLineage opens (creating if needed) the log at path and returns
-// the replayed records, oldest first. A corrupt tail is truncated away
-// on the next append cycle's natural overwrite — records after damage
-// are simply not replayed.
+// the replayed records, oldest first. Records after damage are not
+// replayed: a missing, foreign or damaged log is rewritten to its valid
+// records first, so appends frame correctly.
 func OpenLineage(path string) (*LineageLog, []LineageRecord, error) {
 	raw, err := os.ReadFile(path)
 	switch {
@@ -56,62 +53,43 @@ func OpenLineage(path string) (*LineageLog, []LineageRecord, error) {
 		return nil, nil, fmt.Errorf("persist: reading lineage log: %w", err)
 	}
 	recs, valid := DecodeLineage(raw)
-	// Truncate any corrupt tail so future appends frame correctly.
-	if valid < len(raw) {
-		if err := os.WriteFile(path, raw[:valid], 0o644); err != nil {
-			return nil, nil, err
-		}
+	l := &LineageLog{log: logFile{path: path}}
+	if valid == 0 || valid < len(raw) {
+		err = rewriteLog(&l.log, lineageMagic, recs)
+	} else {
+		err = l.log.reopen()
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &LineageLog{f: f, w: bufio.NewWriterSize(f, 1<<14), recs: int64(len(recs))}
-	if valid == 0 {
-		if err := writeRecord(l.w, lineageMagic); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := l.w.Flush(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
 	return l, recs, nil
+}
+
+// Rewrite atomically replaces the log with recs, oldest first; later
+// appends follow them.
+func (l *LineageLog) Rewrite(recs []LineageRecord) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.log.w == nil {
+		return fmt.Errorf("persist: lineage log closed")
+	}
+	return rewriteLog(&l.log, lineageMagic, recs)
 }
 
 // DecodeLineage replays a raw lineage image, returning the valid
 // records and the byte offset of the valid prefix. Exported for the
 // fuzz harness.
 func DecodeLineage(raw []byte) ([]LineageRecord, int) {
-	if len(raw) == 0 {
-		return nil, 0
-	}
-	r := bytes.NewReader(raw)
-	total := len(raw)
-	sawMagic := false
 	var recs []LineageRecord
-	var buf []byte
-	for {
-		offset := total - r.Len()
-		var err error
-		buf, err = readRecord(r, buf)
-		if err != nil {
-			return recs, offset
-		}
-		if !sawMagic {
-			if !bytes.Equal(buf, lineageMagic) {
-				return nil, 0
-			}
-			sawMagic = true
-			continue
-		}
+	valid := replayLog(raw, lineageMagic, func(payload []byte) bool {
 		var rec LineageRecord
-		if err := json.Unmarshal(buf, &rec); err != nil || rec.Child == "" || rec.Parent == "" {
-			return recs, offset
+		if err := json.Unmarshal(payload, &rec); err != nil || rec.Child == "" || rec.Parent == "" {
+			return false
 		}
 		recs = append(recs, rec)
-	}
+		return true
+	})
+	return recs, valid
 }
 
 // Append records one derivation. Flushed but not fsync'd.
@@ -122,30 +100,12 @@ func (l *LineageLog) Append(rec LineageRecord) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.w == nil {
-		return fmt.Errorf("persist: lineage log closed")
-	}
-	if err := writeRecord(l.w, raw); err != nil {
-		return err
-	}
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	l.recs++
-	return nil
+	return l.log.append(raw)
 }
 
 // Close flushes and closes the log.
 func (l *LineageLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.w == nil {
-		return nil
-	}
-	err := l.w.Flush()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f, l.w = nil, nil
-	return err
+	return l.log.close()
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -250,6 +252,94 @@ func TestJournalCorruptTailRecoversPrefix(t *testing.T) {
 	j3.Close()
 	if len(pending) != 1 || pending[0].ID != "j1" {
 		t.Fatalf("pending after mid damage = %+v", pending)
+	}
+}
+
+// TestJournalTruncatedLastRecord cuts a journal at every byte offset of
+// its last record, as a crash mid-append would. Each cut must recover
+// the pending set the earlier records denote, in acceptance order, and
+// so must a second open of the file the first open rewrote; the whole
+// file also recovers the last record. The pending sets come from the
+// operation list, not from the replay code.
+func TestJournalTruncatedLastRecord(t *testing.T) {
+	type op struct {
+		accept bool
+		id     string
+	}
+	pendingAfter := func(ops []op) []string {
+		var ids []string
+		for _, o := range ops {
+			if o.accept {
+				ids = append(ids, o.id)
+			} else {
+				ids = slices.DeleteFunc(ids, func(id string) bool { return id == o.id })
+			}
+		}
+		return ids
+	}
+	earlier := []op{{true, "j1"}, {true, "j2"}, {false, "j1"}, {true, "j3"}, {true, "j4"}, {false, "j3"}}
+	for _, last := range []op{{true, "j5"}, {false, "j2"}} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "jobs.wal")
+		j, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := append(slices.Clone(earlier), last)
+		start := 0
+		for i, o := range ops {
+			if i == len(ops)-1 {
+				info, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				start = int(info.Size())
+			}
+			if o.accept {
+				err = j.Accept(o.id, testSpec{Graph: o.id})
+			} else {
+				err = j.Complete(o.id)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := start; cut <= len(raw); cut++ {
+			want := pendingAfter(ops[:len(ops)-1])
+			if cut == len(raw) {
+				want = pendingAfter(ops)
+			}
+			cutPath := filepath.Join(dir, fmt.Sprintf("cut%d.wal", cut))
+			if err := os.WriteFile(cutPath, raw[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for open := 1; open <= 2; open++ {
+				jc, pending, err := OpenJournal(cutPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jc.Close()
+				var got []string
+				for _, p := range pending {
+					var spec testSpec
+					if err := json.Unmarshal(p.Spec, &spec); err != nil || spec.Graph != p.ID {
+						t.Fatalf("last op %+v, cut at %d, open %d: %s has spec %s", last, cut, open, p.ID, p.Spec)
+					}
+					got = append(got, p.ID)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("last op %+v, cut at %d of %d..%d, open %d: pending %v, want %v",
+						last, cut, start, len(raw), open, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -13,11 +13,16 @@
 package persist
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 )
 
 // Record format: every durable file is a sequence of
@@ -103,4 +108,115 @@ func readRecord(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return buf, nil
+}
+
+// replayLog calls take with each record after magic in raw, in order,
+// until a record is damaged or take refuses one, and returns the length
+// of the valid prefix: the magic and the records taken. A file that
+// does not start with magic has no valid prefix.
+func replayLog(raw, magic []byte, take func(payload []byte) bool) int {
+	r := bytes.NewReader(raw)
+	buf, err := readRecord(r, nil)
+	if err != nil || !bytes.Equal(buf, magic) {
+		return 0
+	}
+	for {
+		valid := len(raw) - r.Len()
+		if buf, err = readRecord(r, buf); err != nil || !take(buf) {
+			return valid
+		}
+	}
+}
+
+// writeFileAtomic replaces path with what write emits: into a temp file
+// beside it, flushed and fsync'd, then renamed over path, with the
+// directory fsync'd after. A crash leaves the old file or the new one,
+// never a partial one under path.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(tmp, 1<<16)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = syncFile(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// logFile is a file of records that is appended to and replaced whole:
+// the journal and the lineage log each write through one. Its owner
+// serializes the calls.
+type logFile struct {
+	path string
+	f    *os.File
+	w    *bufio.Writer
+}
+
+// append writes one record and flushes it to the operating system.
+func (l *logFile) append(payload []byte) error {
+	if l.w == nil {
+		return fmt.Errorf("persist: %s is closed", l.path)
+	}
+	if err := writeRecord(l.w, payload); err != nil {
+		return err
+	}
+	return l.w.Flush()
+}
+
+// rewriteLog atomically replaces l's file with magic and the JSON
+// encodings of recs, and appends after them from then on.
+func rewriteLog[T any](l *logFile, magic []byte, recs []T) error {
+	err := writeFileAtomic(l.path, func(w io.Writer) error {
+		err := writeRecord(w, magic)
+		for i := 0; err == nil && i < len(recs); i++ {
+			var raw []byte
+			if raw, err = json.Marshal(recs[i]); err == nil {
+				err = writeRecord(w, raw)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	return l.reopen()
+}
+
+// reopen points the appends at the file now under l.path.
+func (l *logFile) reopen() error {
+	l.close()
+	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	l.f, l.w = f, bufio.NewWriterSize(f, 1<<16)
+	return nil
+}
+
+// close flushes and closes the file; appends fail after it.
+func (l *logFile) close() error {
+	if l.w == nil {
+		return nil
+	}
+	err := l.w.Flush()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	l.f, l.w = nil, nil
+	return err
 }

@@ -1,8 +1,6 @@
 package persist
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -58,10 +56,8 @@ const compactThreshold = 4096
 // batches nothing — the contract is strict write-ahead, one fsync per
 // acknowledgment.
 type Journal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	w    *bufio.Writer
+	mu  sync.Mutex
+	log logFile
 
 	pending map[string]json.RawMessage // accepted, not yet done
 	order   []string                   // accept order of pending ids
@@ -76,7 +72,7 @@ type Journal struct {
 // tail. The returned pending list is every acknowledged job the
 // process died owing, in acceptance order.
 func OpenJournal(path string) (*Journal, []PendingJob, error) {
-	j := &Journal{path: path, pending: make(map[string]json.RawMessage)}
+	j := &Journal{log: logFile{path: path}, pending: make(map[string]json.RawMessage)}
 	raw, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err):
@@ -84,13 +80,10 @@ func OpenJournal(path string) (*Journal, []PendingJob, error) {
 	case err != nil:
 		return nil, nil, fmt.Errorf("persist: reading journal: %w", err)
 	}
-	valid := 0
-	if len(raw) > 0 {
-		valid = j.replay(raw)
-	}
+	j.replay(raw)
 	// A rewrite on open serves two purposes: it truncates a corrupt
-	// tail (valid < len(raw)) and drops completed entries, so a crash
-	// loop cannot grow the journal without bound.
+	// tail and drops completed entries, so a crash loop cannot grow the
+	// journal without bound.
 	if err := j.rewriteLocked(); err != nil {
 		return nil, nil, err
 	}
@@ -98,36 +91,17 @@ func OpenJournal(path string) (*Journal, []PendingJob, error) {
 	for _, id := range j.order {
 		pending = append(pending, PendingJob{ID: id, Spec: j.pending[id]})
 	}
-	_ = valid
 	return j, pending, nil
 }
 
-// replay scans raw, populating the pending set, and returns the byte
-// offset of the last structurally valid record. Corruption mid-file
+// replay scans raw, populating the pending set. Corruption mid-file
 // stops the scan: everything after the first damaged record is
 // untrusted (lengths no longer frame reliably).
-func (j *Journal) replay(raw []byte) int {
-	r := bytes.NewReader(raw)
-	total := len(raw)
-	sawMagic := false
-	var buf []byte
-	for {
-		offset := total - r.Len()
-		var err error
-		buf, err = readRecord(r, buf)
-		if err != nil {
-			return offset
-		}
-		if !sawMagic {
-			if !bytes.Equal(buf, journalMagic) {
-				return 0
-			}
-			sawMagic = true
-			continue
-		}
+func (j *Journal) replay(raw []byte) {
+	replayLog(raw, journalMagic, func(payload []byte) bool {
 		var ent walEntry
-		if err := json.Unmarshal(buf, &ent); err != nil || ent.Job == "" {
-			return offset
+		if err := json.Unmarshal(payload, &ent); err != nil || ent.Job == "" {
+			return false
 		}
 		switch ent.Op {
 		case "accept":
@@ -138,9 +112,10 @@ func (j *Journal) replay(raw []byte) int {
 		case "done":
 			j.dropPendingLocked(ent.Job)
 		default:
-			return offset
+			return false
 		}
-	}
+		return true
+	})
 }
 
 func (j *Journal) dropPendingLocked(id string) {
@@ -160,61 +135,16 @@ func (j *Journal) dropPendingLocked(id string) {
 // pending job, via temp+fsync+rename. Callers hold j.mu (or, on open,
 // have exclusive ownership).
 func (j *Journal) rewriteLocked() error {
-	dir := filepath.Dir(j.path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(j.log.path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp*")
-	if err != nil {
+	accepts := make([]walEntry, len(j.order))
+	for i, id := range j.order {
+		accepts[i] = walEntry{Op: "accept", Job: id, Spec: j.pending[id]}
+	}
+	if err := rewriteLog(&j.log, journalMagic, accepts); err != nil {
 		return err
 	}
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmp.Name())
-	}
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	if err := writeRecord(bw, journalMagic); err != nil {
-		cleanup()
-		return err
-	}
-	for _, id := range j.order {
-		raw, err := json.Marshal(walEntry{Op: "accept", Job: id, Spec: j.pending[id]})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		if err := writeRecord(bw, raw); err != nil {
-			cleanup()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := syncFile(tmp); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	_ = syncDir(dir)
-	if j.f != nil {
-		j.f.Close()
-	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.f, j.w = nil, nil
-		return err
-	}
-	j.f = f
-	j.w = bufio.NewWriterSize(f, 1<<16)
 	j.dones = 0
 	return nil
 }
@@ -235,16 +165,10 @@ func (j *Journal) Accept(id string, spec any) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.w == nil {
-		return fmt.Errorf("persist: journal closed")
-	}
-	if err := writeRecord(j.w, raw); err != nil {
+	if err := j.log.append(raw); err != nil {
 		return err
 	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	if err := syncFile(j.f); err != nil {
+	if err := syncFile(j.log.f); err != nil {
 		return err
 	}
 	if _, ok := j.pending[id]; !ok {
@@ -265,13 +189,7 @@ func (j *Journal) Complete(id string) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.w == nil {
-		return fmt.Errorf("persist: journal closed")
-	}
-	if err := writeRecord(j.w, raw); err != nil {
-		return err
-	}
-	if err := j.w.Flush(); err != nil {
+	if err := j.log.append(raw); err != nil {
 		return err
 	}
 	j.dropPendingLocked(id)
@@ -304,13 +222,5 @@ func (j *Journal) Counters() (appends, compactions int64) {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.w == nil {
-		return nil
-	}
-	err := j.w.Flush()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f, j.w = nil, nil
-	return err
+	return j.log.close()
 }

@@ -51,6 +51,20 @@ func TestHTTPGraphGenerateRoundTrip(t *testing.T) {
 	}
 }
 
+// A generation request past the vertex limit is refused before any
+// graph is built.
+func TestHTTPGenerateOverLimit(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	spec := GenSpec{Generator: "random", N: maxGenVertices + 1, M: 1, Seed: 1}
+	var out GraphResponse
+	if status, err := c.do(t.Context(), http.MethodPost, "/v1/graphs", spec, &out); status != http.StatusBadRequest {
+		t.Fatalf("generating n=%d answered %d (%v), want 400", spec.N, status, err)
+	}
+	if n := clientSnapshot(t, c).Registry.Graphs; n != 0 {
+		t.Fatalf("%d graphs registered after a refused generation", n)
+	}
+}
+
 func TestHTTPGraphUploadAllFormats(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()

@@ -89,7 +89,9 @@ type lineageRec struct {
 	updates []dynamic.Update
 }
 
-// maxLineageRecs bounds the lineage index.
+// maxLineageRecs bounds the lineage index. The lineage log is
+// rewritten to the retained records at boot and after every
+// maxLineageRecs appends, so it holds at most twice as many.
 const maxLineageRecs = 1024
 
 // Registry is the graph store behind the service: content-addressed
@@ -109,8 +111,13 @@ type Registry struct {
 	store     *persist.Store // nil: memory-only (no durability, evictions are final)
 	watermark int64          // ingest pauses at this many resident bytes; 0 disables
 
-	lineage      map[string]lineageRec
-	lineageOrder []string // FIFO of lineage keys for bounded retention
+	// lineageMu guards the lineage index and orders the log's appends
+	// and rewrites with it, so the log holds the retained derivations
+	// in their order.
+	lineageMu      sync.Mutex
+	lineage        map[string]lineageRec
+	lineageOrder   []string // FIFO of lineage keys for bounded retention
+	lineageAppends int      // log appends since its last rewrite
 }
 
 // NewRegistry returns a registry with the given byte budget (<= 0 means
@@ -144,9 +151,11 @@ func (r *Registry) SetWatermarkFrac(frac float64) {
 // AttachStore connects the disk tier and rehydrates the index from it:
 // every committed blob becomes a cold entry (metadata resident, arrays
 // loaded on first Acquire), and the lineage log rebuilds the
-// patch-derivation index. Must be called before the registry serves
-// requests.
+// patch-derivation index, then is rewritten to what the index retains.
+// Must be called before the registry serves requests.
 func (r *Registry) AttachStore(store *persist.Store, recs []persist.LineageRecord) {
+	r.lineageMu.Lock()
+	defer r.lineageMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.store = store
@@ -191,6 +200,9 @@ func (r *Registry) AttachStore(store *persist.Store, recs []persist.LineageRecor
 		if ok && rec.Child != rec.Parent {
 			r.recordLineageLocked(rec.Child, rec.Parent, updates)
 		}
+	}
+	if err := r.rewriteLineageLocked(store); err != nil {
+		r.metrics.persistError()
 	}
 }
 
@@ -525,23 +537,45 @@ func (r *Registry) Patch(parentID string, updates []dynamic.Update, label string
 // with a disk tier attached, appends them to the durable lineage log
 // so repair opportunities survive a restart.
 func (r *Registry) recordLineage(child, parent string, updates []dynamic.Update) {
-	r.mu.Lock()
+	r.lineageMu.Lock()
+	defer r.lineageMu.Unlock()
 	r.recordLineageLocked(child, parent, updates)
+	r.mu.Lock()
 	store := r.store
 	r.mu.Unlock()
 	if store == nil {
 		return
 	}
-	rec := persist.LineageRecord{Child: child, Parent: parent,
-		Updates: make([]persist.LineageUpdate, len(updates))}
-	for i, u := range updates {
-		rec.Updates[i] = persist.LineageUpdate{Op: u.Op.String(), U: u.U, V: u.V}
+	err := store.Lineage().Append(lineageRecord(child, r.lineage[child]))
+	if r.lineageAppends++; err == nil && r.lineageAppends >= maxLineageRecs {
+		err = r.rewriteLineageLocked(store)
 	}
-	if err := store.Lineage().Append(rec); err != nil {
+	if err != nil {
 		// Lineage is a repair optimization; losing a record costs a
 		// recompute, never correctness.
 		r.metrics.persistError()
 	}
+}
+
+// rewriteLineageLocked rewrites the lineage log to the retained
+// derivations, oldest first.
+func (r *Registry) rewriteLineageLocked(store *persist.Store) error {
+	recs := make([]persist.LineageRecord, len(r.lineageOrder))
+	for i, child := range r.lineageOrder {
+		recs[i] = lineageRecord(child, r.lineage[child])
+	}
+	r.lineageAppends = 0
+	return store.Lineage().Rewrite(recs)
+}
+
+// lineageRecord is the log record of child's derivation rec.
+func lineageRecord(child string, rec lineageRec) persist.LineageRecord {
+	out := persist.LineageRecord{Child: child, Parent: rec.parent,
+		Updates: make([]persist.LineageUpdate, len(rec.updates))}
+	for i, u := range rec.updates {
+		out.Updates[i] = persist.LineageUpdate{Op: u.Op.String(), U: u.U, V: u.V}
+	}
+	return out
 }
 
 func (r *Registry) recordLineageLocked(child, parent string, updates []dynamic.Update) {
@@ -559,8 +593,8 @@ func (r *Registry) recordLineageLocked(child, parent string, updates []dynamic.U
 
 // Lineage returns how a graph version was derived, if known.
 func (r *Registry) Lineage(id string) (parent string, updates []dynamic.Update, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lineageMu.Lock()
+	defer r.lineageMu.Unlock()
 	rec, ok := r.lineage[id]
 	if !ok {
 		return "", nil, false

@@ -2,9 +2,13 @@ package service
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/persist"
 )
@@ -273,5 +277,73 @@ func TestHandleHittingSystemCachedAccountedAndDemoted(t *testing.T) {
 	}
 	if got, want := r.counters().BytesResident, graphBytes(a)+graphBytes(b)+derived; got != want {
 		t.Fatalf("resident bytes after the cold load = %d, want %d", got, want)
+	}
+}
+
+// The lineage log holds what the index retains: rewritten at boot and
+// after every maxLineageRecs appends, it never grows past twice the
+// retention, and a restart rebuilds the same index from it.
+func TestLineageLogBoundedAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*persist.Store, *Registry) {
+		store, _, recs, err := persist.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRegistry(0, nil)
+		r.AttachStore(store, recs)
+		return store, r
+	}
+	const total = 3 * maxLineageRecs
+	id := func(i int) string { return fmt.Sprintf("g%d", i) }
+	type derivation struct {
+		parent  string
+		updates []dynamic.Update
+		ok      bool
+	}
+	lineage := func(r *Registry) []derivation {
+		out := make([]derivation, total+1)
+		for i := range out {
+			d := &out[i]
+			d.parent, d.updates, d.ok = r.Lineage(id(i))
+		}
+		return out
+	}
+	logged := func() int {
+		raw, err := os.ReadFile(filepath.Join(dir, "lineage.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, valid := persist.DecodeLineage(raw)
+		if valid != len(raw) {
+			t.Fatalf("lineage log valid to %d of %d bytes", valid, len(raw))
+		}
+		return len(recs)
+	}
+
+	store, r := open()
+	for i := 1; i <= total; i++ {
+		r.recordLineage(id(i), id(i-1), []dynamic.Update{{Op: dynamic.OpAdd, U: int32(i % 7), V: 7}})
+	}
+	before := lineage(r)
+	for i, d := range before {
+		if want := i > total-maxLineageRecs; d.ok != want {
+			t.Fatalf("derivation %d retained=%v, want %v", i, d.ok, want)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := logged(); n > 2*maxLineageRecs {
+		t.Fatalf("lineage log holds %d records after %d derivations, want at most %d", n, total, 2*maxLineageRecs)
+	}
+
+	store, r = open()
+	defer store.Close()
+	if !reflect.DeepEqual(lineage(r), before) {
+		t.Fatal("the lineage index differs after a restart")
+	}
+	if n := logged(); n != maxLineageRecs {
+		t.Fatalf("lineage log holds %d records after the boot rewrite, want %d", n, maxLineageRecs)
 	}
 }

@@ -42,10 +42,6 @@ type Config struct {
 	ResultTTL time.Duration
 	// MaxUploadBytes bounds a graph upload request body; 0 means 512 MiB.
 	MaxUploadBytes int64
-	// MaxGenVertices and MaxGenEdges bound server-side generation
-	// requests; 0 means 1<<27 vertices and 1<<28 edges.
-	MaxGenVertices int
-	MaxGenEdges    int
 	// MaxPatchUpdates bounds the updates one PATCH may carry; 0 means
 	// 1<<20.
 	MaxPatchUpdates int
@@ -116,12 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxUploadBytes <= 0 {
 		c.MaxUploadBytes = 512 << 20
-	}
-	if c.MaxGenVertices <= 0 {
-		c.MaxGenVertices = 1 << 27
-	}
-	if c.MaxGenEdges <= 0 {
-		c.MaxGenEdges = 1 << 28
 	}
 	if c.MaxPatchUpdates <= 0 {
 		c.MaxPatchUpdates = 1 << 20
@@ -337,6 +327,9 @@ type GenSpec struct {
 	Label     string `json:"label,omitempty"`
 }
 
+// maxGenVertices and maxGenEdges bound server-side generation requests.
+const maxGenVertices, maxGenEdges = 1 << 27, 1 << 28
+
 // Generate builds the requested graph with the paper's generators and
 // registers it. The second result reports whether the graph was
 // already resident.
@@ -344,9 +337,9 @@ func (s *Service) Generate(spec GenSpec) (GraphInfo, bool, error) {
 	if spec.N <= 0 || spec.M < 0 {
 		return GraphInfo{}, false, fmt.Errorf("service: bad generation sizes n=%d m=%d", spec.N, spec.M)
 	}
-	if spec.N > s.cfg.MaxGenVertices || spec.M > s.cfg.MaxGenEdges {
+	if spec.N > maxGenVertices || spec.M > maxGenEdges {
 		return GraphInfo{}, false, fmt.Errorf("service: generation request n=%d m=%d exceeds limits n<=%d m<=%d",
-			spec.N, spec.M, s.cfg.MaxGenVertices, s.cfg.MaxGenEdges)
+			spec.N, spec.M, maxGenVertices, maxGenEdges)
 	}
 	family := spec.Generator
 	if family == "" {
