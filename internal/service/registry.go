@@ -201,8 +201,11 @@ func (r *Registry) AttachStore(store *persist.Store, recs []persist.LineageRecor
 			r.recordLineageLocked(rec.Child, rec.Parent, updates)
 		}
 	}
-	if err := r.rewriteLineageLocked(store); err != nil {
-		r.metrics.persistError()
+	// A log that replayed nothing already holds what the index retains.
+	if len(recs) > 0 {
+		if err := r.rewriteLineageLocked(store); err != nil {
+			r.metrics.persistError()
+		}
 	}
 }
 
