@@ -197,7 +197,8 @@ func rewriteLog[T any](l *logFile, magic []byte, recs []T) error {
 	return l.reopen()
 }
 
-// reopen points the appends at the file now under l.path.
+// reopen points the appends at the file now under l.path. Closing the
+// file it replaced loses nothing: every append was flushed.
 func (l *logFile) reopen() error {
 	l.close()
 	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)

@@ -57,7 +57,7 @@ func TestHTTPGenerateOverLimit(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	spec := GenSpec{Generator: "random", N: maxGenVertices + 1, M: 1, Seed: 1}
 	var out GraphResponse
-	if status, err := c.do(t.Context(), http.MethodPost, "/v1/graphs", spec, &out); status != http.StatusBadRequest {
+	if status, err := c.do(context.Background(), http.MethodPost, "/v1/graphs", spec, &out); status != http.StatusBadRequest {
 		t.Fatalf("generating n=%d answered %d (%v), want 400", spec.N, status, err)
 	}
 	if n := clientSnapshot(t, c).Registry.Graphs; n != 0 {

@@ -550,7 +550,8 @@ func (r *Registry) recordLineage(child, parent string, updates []dynamic.Update)
 		return
 	}
 	err := store.Lineage().Append(lineageRecord(child, r.lineage[child]))
-	if r.lineageAppends++; err == nil && r.lineageAppends >= maxLineageRecs {
+	r.lineageAppends++
+	if err == nil && r.lineageAppends >= maxLineageRecs {
 		err = r.rewriteLineageLocked(store)
 	}
 	if err != nil {

@@ -282,7 +282,8 @@ func TestHandleHittingSystemCachedAccountedAndDemoted(t *testing.T) {
 
 // The lineage log holds what the index retains: rewritten at boot and
 // after every maxLineageRecs appends, it never grows past twice the
-// retention, and a restart rebuilds the same index from it.
+// retention, and a restart rebuilds the same index from it, also when
+// derivations are recorded and looked up from several goroutines.
 func TestLineageLogBoundedAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*persist.Store, *Registry) {
@@ -322,14 +323,46 @@ func TestLineageLogBoundedAcrossRestart(t *testing.T) {
 	}
 
 	store, r := open()
-	for i := 1; i <= total; i++ {
-		r.recordLineage(id(i), id(i-1), []dynamic.Update{{Op: dynamic.OpAdd, U: int32(i % 7), V: 7}})
-	}
-	before := lineage(r)
-	for i, d := range before {
-		if want := i > total-maxLineageRecs; d.ok != want {
-			t.Fatalf("derivation %d retained=%v, want %v", i, d.ok, want)
+	stop := make(chan struct{})
+	var writers, reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Lineage(id(i % total))
+			}
 		}
+	}()
+	const numWriters = 3
+	for w := 1; w <= numWriters; w++ {
+		writers.Add(1)
+		go func(first int) {
+			defer writers.Done()
+			for i := first; i <= total; i += numWriters {
+				r.recordLineage(id(i), id(i-1), []dynamic.Update{{Op: dynamic.OpAdd, U: int32(i % 7), V: 7}})
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(stop)
+	reader.Wait()
+	before := lineage(r)
+	retained := 0
+	for i, d := range before {
+		if !d.ok {
+			continue
+		}
+		retained++
+		if d.parent != id(i-1) || len(d.updates) != 1 || d.updates[0].U != int32(i%7) {
+			t.Fatalf("derivation %d = %+v", i, d)
+		}
+	}
+	if retained != maxLineageRecs {
+		t.Fatalf("%d derivations retained, want %d", retained, maxLineageRecs)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
