@@ -56,7 +56,7 @@ func TestAdaptiveDeterministicAcrossGrain(t *testing.T) {
 	for _, grain := range []int{0, 7, 256, 4096} {
 		var trace []int
 		r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, Grain: grain, OnRound: func(rs RoundStat) {
-			trace = append(trace, rs.Prefix)
+			trace = append(trace, rs.PrefixSize)
 		}}}))
 		windows = append(windows, trace)
 		stats = append(stats, r.Stats)
@@ -83,14 +83,14 @@ func TestAdaptiveWindowBounds(t *testing.T) {
 	ord := NewRandomOrder(5000, 6)
 	cap := engine.AdaptiveGrowCap(5000)
 	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
-		if rs.Prefix < 1 || rs.Prefix > 5000 {
-			t.Errorf("round %d: window %d outside [1, n]", rs.Round, rs.Prefix)
+		if rs.PrefixSize < 1 || rs.PrefixSize > 5000 {
+			t.Errorf("round %d: window %d outside [1, n]", rs.Round, rs.PrefixSize)
 		}
-		if rs.Prefix > cap {
-			t.Errorf("round %d: window %d above grow cap %d", rs.Round, rs.Prefix, cap)
+		if rs.PrefixSize > cap {
+			t.Errorf("round %d: window %d above grow cap %d", rs.Round, rs.PrefixSize, cap)
 		}
-		if rs.Attempted > rs.Prefix {
-			t.Errorf("round %d: attempted %d exceeds window %d", rs.Round, rs.Attempted, rs.Prefix)
+		if rs.Attempted > rs.PrefixSize {
+			t.Errorf("round %d: attempted %d exceeds window %d", rs.Round, rs.Attempted, rs.PrefixSize)
 		}
 	}}}))
 	if r.Stats.PrefixSize > cap {
@@ -107,7 +107,7 @@ func TestAdaptiveExplicitSeedWindow(t *testing.T) {
 	first := -1
 	must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: 3000, OnRound: func(rs RoundStat) {
 		if first < 0 {
-			first = rs.Prefix
+			first = rs.PrefixSize
 		}
 	}}}))
 	if first != 3000 {
@@ -127,8 +127,8 @@ func TestAdaptiveStatsAccounting(t *testing.T) {
 	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
 		rounds++
 		attempts += int64(rs.Attempted)
-		if rs.Prefix > maxW {
-			maxW = rs.Prefix
+		if rs.PrefixSize > maxW {
+			maxW = rs.PrefixSize
 		}
 	}}}))
 	if rounds != r.Stats.Rounds {
@@ -156,8 +156,8 @@ func TestAdaptivePrefixSizeIsUsedWindow(t *testing.T) {
 	ord := NewRandomOrder(768, 1)
 	maxSeen := 0
 	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
-		if rs.Prefix > maxSeen {
-			maxSeen = rs.Prefix
+		if rs.PrefixSize > maxSeen {
+			maxSeen = rs.PrefixSize
 		}
 	}}}))
 	if r.Stats.PrefixSize != maxSeen {
@@ -180,10 +180,10 @@ func TestAdaptiveShrinkKeepsEarliestWindow(t *testing.T) {
 	shrank := false
 	prev := 0
 	r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: 512, OnRound: func(rs RoundStat) {
-		if prev > 0 && rs.Prefix < prev {
+		if prev > 0 && rs.PrefixSize < prev {
 			shrank = true
 		}
-		prev = rs.Prefix
+		prev = rs.PrefixSize
 	}}}))
 	if !shrank {
 		t.Fatal("schedule never shrank on K600 (test premise broken)")
@@ -201,8 +201,8 @@ func TestAdaptiveTinyGraphEndToEnd(t *testing.T) {
 		g := graph.Path(n)
 		ord := NewRandomOrder(n, 3)
 		r := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{Adaptive: true, OnRound: func(rs RoundStat) {
-			if rs.Prefix > n {
-				t.Errorf("n=%d: executed window %d exceeds input", n, rs.Prefix)
+			if rs.PrefixSize > n {
+				t.Errorf("n=%d: executed window %d exceeds input", n, rs.PrefixSize)
 			}
 		}}}))
 		if !r.Equal(referenceMIS(g, ord)) {

@@ -174,8 +174,8 @@ func TestLubyDifferentFromGreedyUsually(t *testing.T) {
 }
 
 // newResult runs inside a job's run span after the last round, so it
-// must stay a pair of plain loops: it allocates the Result, its InSet
-// and its Set, sized exactly, and nothing else.
+// must stay engine.Members' pair of plain loops: it allocates the
+// Result, its InSet and its Set, sized exactly, and nothing else.
 func TestNewResultAllocatesOnlyTheResult(t *testing.T) {
 	ord := NewRandomOrder(4000, 2)
 	status := make([]int32, 4000)

@@ -10,9 +10,10 @@ import (
 
 // FuzzMISEquivalence is the determinism invariant as a fuzz target: for
 // arbitrary small graphs, seeds and prefix sizes, every MIS variant —
-// the prefix runs, and the sequential scan with and without prebuilt
-// parent lists — must reproduce the vertex-space Algorithm 1
-// (lexFirstMIS) bit-for-bit.
+// the prefix runs, and the sequential scan and the root-set steps with
+// and without prebuilt parent lists — must reproduce the vertex-space
+// Algorithm 1 (lexFirstMIS) bit-for-bit, and the root-set counters must
+// not depend on where the parent lists came from.
 // Run with `go test -fuzz=FuzzMISEquivalence ./internal/core`.
 func FuzzMISEquivalence(f *testing.F) {
 	f.Add(uint8(10), uint16(20), uint64(1), uint8(4))
@@ -30,13 +31,19 @@ func FuzzMISEquivalence(f *testing.F) {
 		}
 		prefix := int(rawPrefix)%n + 1
 		parents := BuildParents(g, ord)
+		root := must(RootSetMIS(context.Background(), g, ord, Options{Options: engine.Options{Grain: 3}}))
+		rootParents := must(RootSetMIS(context.Background(), g, ord, Options{Options: engine.Options{Grain: 3}, Parents: parents}))
+		if rootParents.Stats != root.Stats {
+			t.Fatalf("n=%d m=%d: root-set stats %v with prebuilt parents, %v without", n, m, rootParents.Stats, root.Stats)
+		}
 		for _, got := range []*Result{
 			must(SequentialMIS(context.Background(), g, ord, Options{})),
 			must(SequentialMIS(context.Background(), g, ord, Options{Parents: parents})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix}, Parents: parents})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: 3}})),
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixSize: prefix}, Pointered: true})),
-			must(RootSetMIS(context.Background(), g, ord, Options{Options: engine.Options{Grain: 3}})),
+			root,
+			rootParents,
 			must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 1}})),
 		} {
 			if !got.Equal(want) {

@@ -142,10 +142,10 @@ func LubyMIS(ctx context.Context, g *graph.Graph, seed uint64, opt Options) (*Re
 		if opt.OnRound != nil {
 			cur := inspections.Load()
 			opt.OnRound(RoundStat{
-				Round:       stats.Rounds,
-				Attempted:   len(live),
-				Resolved:    len(live) - len(newLive),
-				Inspections: cur - prevInspections,
+				Round:           stats.Rounds,
+				Attempted:       len(live),
+				Accepted:        len(live) - len(newLive),
+				EdgeInspections: cur - prevInspections,
 			})
 			prevInspections = cur
 		}

@@ -10,33 +10,32 @@ import (
 // priority order (its parents in the priority DAG). The paper's
 // linear-work implementation assumes "the neighbors of a vertex have
 // been pre-partitioned into their parents (higher priorities) and
-// children (lower priorities)"; this structure is that partition.
+// children (lower priorities)"; this structure is one side of that
+// partition, and the same routine builds the other.
 //
-// The lists BuildParents returns are in rank space, the space the
-// engine's iterates live in: row r belongs to the vertex of rank r
+// The lists are in rank space, the space every ordered algorithm's
+// iterates live in: row r belongs to the vertex of rank r
 // (ord.Order[r]) and holds the ranks of its earlier neighbors, so a
 // check indexes rank-space state with them directly and the rows of one
 // window are adjacent in memory. Within a row, parents appear in
 // adjacency (vertex id) order; the algorithms that use them do not
 // require priority order, and keeping adjacency order makes a parent
 // scan inspect exactly the neighbors, in exactly the order, that a
-// rank-filtered neighbor scan would. The root-set MIS keeps a
-// vertex-space partition (row v holds v's earlier neighbors as vertex
-// ids) built by the same routine.
+// rank-filtered neighbor scan would.
 //
 // The lists depend only on the graph and the order, so a caller that
 // solves the same (graph, order) pair repeatedly builds them once and
-// passes them through Options.Parents; the prefix-based MIS and the
-// greedy coloring then check each vertex by scanning its parents alone.
-// The zero value is empty; Build fills it.
+// passes them through Options.Parents; the prefix-based, sequential and
+// root-set MIS and the greedy coloring then check each vertex by
+// scanning its parents alone. The zero value is empty; Build fills it.
 type Parents struct {
 	offsets []int64
 	items   []int32
 }
 
-// Of returns row i: for rank-space lists, the ranks of the parents of
-// the vertex of rank i. The slice aliases p's storage and must not be
-// modified.
+// Of returns row i: the ranks of the parents (or, for child lists, the
+// children) of the vertex of rank i. The slice aliases p's storage and
+// must not be modified.
 func (p *Parents) Of(i int32) []int32 {
 	return p.items[p.offsets[i]:p.offsets[i+1]]
 }
@@ -52,37 +51,28 @@ func BuildParents(g *graph.Graph, ord Order) *Parents {
 // Build recomputes p as the rank-space parent lists of g under ord,
 // reusing p's buffers when their capacity suffices.
 func (p *Parents) Build(g *graph.Graph, ord Order) {
-	p.partition(g, ord, true, true)
+	p.partition(g, ord, true)
 }
 
-// buildVertexParents builds the vertex-space parent lists: row v holds
-// v's earlier neighbors as vertex ids.
-func buildVertexParents(g *graph.Graph, ord Order) *Parents {
-	p := new(Parents)
-	p.partition(g, ord, true, false)
-	return p
-}
-
-// buildChildren builds the vertex-space child lists (later neighbors),
-// the mirror of buildVertexParents.
+// buildChildren builds the rank-space child lists (later neighbors),
+// the other side of the partition Build makes.
 func buildChildren(g *graph.Graph, ord Order) *Parents {
 	p := new(Parents)
-	p.partition(g, ord, false, false)
+	p.partition(g, ord, false)
 	return p
 }
 
 // partition fills p with each vertex's earlier neighbors (parents) or
-// later neighbors (!parents). With ranked set, vertex v's list goes to
-// row rank[v] and holds neighbor ranks; otherwise it goes to row v and
-// holds neighbor ids. A filtering pass walks the adjacency lists in
+// later neighbors (!parents): vertex v's list goes to row rank[v] and
+// holds neighbor ranks. A filtering pass walks the adjacency lists in
 // vertex order, reading rank once per entry: it writes each vertex's
 // list into the vertex's own slot of a scratch copy of the adjacency
 // array, where it always fits, and records the list's length at its
 // row. An in-place scan turns the lengths into offsets, and a copying
-// pass moves each list to its row. Writing rank-space rows out of order
-// costs one scattered row per vertex, far less than reading the
-// adjacency lists in rank order would.
-func (p *Parents) partition(g *graph.Graph, ord Order, parents, ranked bool) {
+// pass moves each list to its row. Writing the rows out of order costs
+// one scattered row per vertex, far less than reading the adjacency
+// lists in rank order would.
+func (p *Parents) partition(g *graph.Graph, ord Order, parents bool) {
 	n := g.NumVertices()
 	rank := ord.Rank
 	adjOff, adj := g.Raw()
@@ -91,12 +81,6 @@ func (p *Parents) partition(g *graph.Graph, ord Order, parents, ranked bool) {
 	}
 	p.offsets = p.offsets[:n+1]
 	offsets := p.offsets
-	row := func(v int) int {
-		if ranked {
-			return int(rank[v])
-		}
-		return v
-	}
 	scratch := make([]int32, len(adj))
 	parallel.ForRange(n, 1024, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -106,19 +90,15 @@ func (p *Parents) partition(g *graph.Graph, ord Order, parents, ranked bool) {
 			w := 0
 			for _, u := range nbrs {
 				ru := rank[u]
-				x := u
-				if ranked {
-					x = ru
-				}
 				// Write every entry and advance past the kept ones; w
 				// never passes the entry's index, so the write stays in
 				// the vertex's slot.
-				dst[w] = x
+				dst[w] = ru
 				if (ru < rv) == parents {
 					w++
 				}
 			}
-			offsets[row(v)] = int64(w)
+			offsets[rv] = int64(w)
 		}
 	})
 	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 1024)
@@ -126,7 +106,7 @@ func (p *Parents) partition(g *graph.Graph, ord Order, parents, ranked bool) {
 	items := engine.Grow32(&p.items, int(total))
 	parallel.ForRange(n, 1024, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			r := row(v)
+			r := rank[v]
 			copy(items[offsets[r]:offsets[r+1]], scratch[adjOff[v]:])
 		}
 	})

@@ -15,7 +15,7 @@ import (
 // reproduce byte for byte: a counting pass, an in-place scan of the
 // counts into offsets, and a filling pass, both reading every
 // adjacency entry's rank.
-func (p *Parents) partitionReference(g *graph.Graph, ord Order, parents, ranked bool) {
+func (p *Parents) partitionReference(g *graph.Graph, ord Order, parents bool) {
 	n := g.NumVertices()
 	rank := ord.Rank
 	if cap(p.offsets) < n+1 {
@@ -23,12 +23,6 @@ func (p *Parents) partitionReference(g *graph.Graph, ord Order, parents, ranked 
 	}
 	p.offsets = p.offsets[:n+1]
 	offsets := p.offsets
-	row := func(v int) int {
-		if ranked {
-			return int(rank[v])
-		}
-		return v
-	}
 	parallel.For(n, 1024, func(v int) {
 		rv := rank[v]
 		c := int64(0)
@@ -37,21 +31,17 @@ func (p *Parents) partitionReference(g *graph.Graph, ord Order, parents, ranked 
 				c++
 			}
 		}
-		offsets[row(v)] = c
+		offsets[rv] = c
 	})
 	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 1024)
 	offsets[n] = total
 	items := engine.Grow32(&p.items, int(total))
 	parallel.For(n, 1024, func(v int) {
 		rv := rank[v]
-		pos := offsets[row(v)]
+		pos := offsets[rv]
 		for _, u := range g.Neighbors(int32(v)) {
 			if ru := rank[u]; (ru < rv) == parents {
-				if ranked {
-					items[pos] = ru
-				} else {
-					items[pos] = u
-				}
+				items[pos] = ru
 				pos++
 			}
 		}
@@ -74,8 +64,8 @@ func parentsGraphs() map[string]*graph.Graph {
 }
 
 // TestParentsMatchReference checks the one-pass partition against the
-// two-pass reference, offsets and items, for rank-space parents and
-// vertex-space parents and children, at one and two processors. Each
+// two-pass reference, offsets and items, for the rank-space parents and
+// children, at one and two processors. Each
 // build reuses buffers of another graph's build, as a Solver's cache
 // does.
 func TestParentsMatchReference(t *testing.T) {
@@ -86,15 +76,14 @@ func TestParentsMatchReference(t *testing.T) {
 		for gname, g := range parentsGraphs() {
 			ord := NewRandomOrder(g.NumVertices(), 9)
 			for _, kind := range []struct {
-				name            string
-				parents, ranked bool
+				name    string
+				parents bool
 			}{
-				{"rank-parents", true, true},
-				{"vertex-parents", true, false},
-				{"vertex-children", false, false},
+				{"parents", true},
+				{"children", false},
 			} {
-				got.partition(g, ord, kind.parents, kind.ranked)
-				want.partitionReference(g, ord, kind.parents, kind.ranked)
+				got.partition(g, ord, kind.parents)
+				want.partitionReference(g, ord, kind.parents)
 				name := fmt.Sprintf("procs=%d/%s/%s", procs, gname, kind.name)
 				if !slices.Equal(got.offsets, want.offsets) {
 					t.Fatalf("%s: offsets differ from the reference", name)
@@ -119,7 +108,7 @@ func BenchmarkBuildParents(b *testing.B) {
 			build func(*Parents, *graph.Graph, Order)
 		}{
 			{"one-pass", (*Parents).Build},
-			{"reference", func(p *Parents, g *graph.Graph, ord Order) { p.partitionReference(g, ord, true, true) }},
+			{"reference", func(p *Parents, g *graph.Graph, ord Order) { p.partitionReference(g, ord, true) }},
 		} {
 			b.Run(fmt.Sprintf("n=2^%d/%s", logN, v.name), func(b *testing.B) {
 				var p Parents

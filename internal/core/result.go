@@ -41,30 +41,9 @@ type Result struct {
 
 // newResult builds the result from the final statuses: status[r] is the
 // status of vertex order[r] (order nil means status is vertex-indexed).
-// It is two plain loops that allocate the result's two slices and
-// nothing else: it runs after the last round, and on a small input a
-// parallel loop's fork-join and per-item closure calls would cost more
-// than the work.
+// Besides the Result itself it allocates only what engine.Members does.
 func newResult(status, order []int32, stats Stats) *Result {
-	in := make([]bool, len(status))
-	size := 0
-	for r, st := range status {
-		v := r
-		if order != nil {
-			v = int(order[r])
-		}
-		x := st == statusIn
-		in[v] = x
-		if x {
-			size++
-		}
-	}
-	set := make([]graph.Vertex, 0, size)
-	for v, x := range in {
-		if x {
-			set = append(set, graph.Vertex(v))
-		}
-	}
+	in, set := engine.Members(status, order)
 	return &Result{InSet: in, Set: set, Stats: stats}
 }
 
@@ -106,8 +85,9 @@ type Options struct {
 	// Parents, if non-nil, are the rank-space parent lists of the input
 	// graph under the run's order (see Parents.Build: row r holds the
 	// ranks of the earlier neighbors of the vertex of rank r), reused by
-	// PrefixMIS and SequentialMIS instead of building them per run. They
-	// must match the graph and order passed with these options.
+	// PrefixMIS, SequentialMIS and RootSetMIS instead of building them
+	// per run. They must match the graph and order passed with these
+	// options.
 	Parents *Parents
 	// Workspace, if non-nil, supplies pooled per-run buffers reused
 	// across runs (see Workspace). nil means allocate fresh buffers.

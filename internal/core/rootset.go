@@ -14,35 +14,31 @@ import (
 // with the linear-work implementation of Lemma 4.2: the algorithm
 // explicitly maintains the set of roots of the remaining priority DAG.
 // Each step adds the roots to the MIS, marks their children out, and
-// runs a misCheck on the out-neighbors' children to discover the next
-// root set. Each parent edge is skipped past at most once (the lazy
-// deletion argument of Lemma 4.1), so total work is O(n + m); the number
-// of steps equals the dependence length of the priority DAG exactly,
-// which Theorem 3.5 bounds by O(log^2 n) w.h.p. for random orders.
-// ctx is checked once per step, and buffers come from opt.Workspace
-// when set.
+// runs Lemma 4.1's pointer check (checkPointered) on the out-neighbors'
+// children to discover the next root set. Each parent edge is skipped
+// past at most once (the lazy deletion argument of Lemma 4.1), so total
+// work is O(n + m); the number of steps equals the dependence length of
+// the priority DAG exactly, which Theorem 3.5 bounds by O(log^2 n)
+// w.h.p. for random orders. ctx is checked once per step, and buffers
+// come from opt.Workspace when set.
+//
+// The run is in rank space, like PrefixMIS: frontier, statuses,
+// pointers and claim stamps are indexed by rank, the parents are
+// opt.Parents when set (built for this run otherwise), and the children
+// are the other side of the same rank-space partition.
 func RootSetMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
-	n := g.NumVertices()
-	if ord.Len() != n {
-		panic("core: order size does not match graph")
-	}
-	parents := buildVertexParents(g, ord)
+	prob, ws := newMISProblem(g, ord, opt)
+	status, parents := prob.status, prob.parents
 	children := buildChildren(g, ord)
-
-	ws := opt.Workspace
-	if ws == nil {
-		ws = new(Workspace)
-	}
-	status := engine.Grow32(&ws.status, n)
-	engine.Fill32(status, statusUndecided)
-	// ptr[v] indexes the first not-yet-skipped parent of v; parents
+	n := len(status)
+	// ptr[r] indexes the first not-yet-skipped parent of r; parents
 	// before it are known dead (lazy deletion, Lemma 4.1).
 	ptr := engine.Grow32(&ws.ptr, n)
 	engine.Fill32(ptr, 0)
-	// claimStamp[v] records the last step at which some neighbor claimed
-	// the right to misCheck v. This is the concurrent-write
+	// claimStamp[r] records the last step at which some neighbor claimed
+	// the right to check r. This is the concurrent-write
 	// deduplication of Lemma 4.2 ("whichever write succeeds is
-	// responsible for the check"): per step, at most one worker checks v.
+	// responsible for the check"): per step, at most one worker checks r.
 	claimStamp := engine.Grow32(&ws.claim, n)
 	engine.Fill32(claimStamp, -1)
 
@@ -50,7 +46,7 @@ func RootSetMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*R
 	var inspections atomic.Int64
 	var prevInspections int64
 
-	// Initial roots: vertices with no parents at all.
+	// Initial roots: ranks with no parents at all.
 	frontier := parallel.PackIndex(n, opt.Grain, func(i int) bool {
 		return parents.offsets[i] == parents.offsets[i+1]
 	})
@@ -95,10 +91,12 @@ func RootSetMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*R
 		})
 		undecided -= int(decidedThisStep.Load())
 
-		// Phase 2: misCheck the children of killed vertices; the
-		// successful claimant packs ready vertices into the next
-		// frontier. Claim-once-per-step means each candidate is examined
-		// at most once per step.
+		// Phase 2: check the children of killed vertices; the successful
+		// claimant packs ready vertices into the next frontier.
+		// Claim-once-per-step means each candidate is examined at most
+		// once per step. Statuses are final for the step, and after
+		// phase 1 no undecided vertex has a parent in the set, so a check
+		// finds its vertex ready (statusIn) or stalled, never out.
 		var mu sync.Mutex
 		var chunks [][]int32
 		parallel.ForRange(len(frontier), opt.Grain, func(lo, hi int) {
@@ -109,16 +107,16 @@ func RootSetMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*R
 					kids := children.Of(w)
 					local += int64(len(kids))
 					for _, c := range kids {
-						if atomic.LoadInt32(&status[c]) != statusUndecided {
+						if status[c] != statusUndecided {
 							continue
 						}
 						old := atomic.LoadInt32(&claimStamp[c])
 						if old == step || !atomic.CompareAndSwapInt32(&claimStamp[c], old, step) {
 							continue // someone else claimed c this step
 						}
-						ready, insp := misCheck(c, status, parents, ptr)
+						st, insp := checkPointered(c, status, parents, ptr)
 						local += insp
-						if ready {
+						if st == statusIn {
 							found = append(found, c)
 						}
 					}
@@ -142,34 +140,15 @@ func RootSetMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*R
 		if opt.OnRound != nil {
 			cur := inspections.Load()
 			opt.OnRound(RoundStat{
-				Round:       stats.Rounds,
-				Attempted:   len(frontier),
-				Resolved:    int(decidedThisStep.Load()),
-				Inspections: cur - prevInspections,
+				Round:           stats.Rounds,
+				Attempted:       len(frontier),
+				Accepted:        int(decidedThisStep.Load()),
+				EdgeInspections: cur - prevInspections,
 			})
 			prevInspections = cur
 		}
 		frontier = next
 	}
 	stats.EdgeInspections = inspections.Load()
-	return newResult(status, nil, stats), nil
-}
-
-// misCheck is the operation of Lemma 4.1: scan v's remaining parents,
-// lazily deleting dead ones by advancing the pointer, and report whether
-// none remain (v is a root of the remaining priority DAG). Work is
-// charged to deleted edges plus O(1) per call.
-func misCheck(v int32, status []int32, parents *Parents, ptr []int32) (ready bool, inspections int64) {
-	ps := parents.Of(v)
-	i := ptr[v]
-	for int(i) < len(ps) {
-		inspections++
-		if atomic.LoadInt32(&status[ps[i]]) == statusUndecided {
-			ptr[v] = i
-			return false, inspections
-		}
-		i++
-	}
-	ptr[v] = i
-	return true, inspections
+	return newResult(status, ord.Order, stats), nil
 }

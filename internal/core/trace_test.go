@@ -16,8 +16,8 @@ func TestOnRoundTraceConsistency(t *testing.T) {
 	res := must(PrefixMIS(context.Background(), g, ord, Options{Options: engine.Options{PrefixFrac: 0.05, OnRound: func(rs RoundStat) {
 		rounds = append(rounds, rs.Round)
 		attempted = append(attempted, rs.Attempted)
-		resolved = append(resolved, rs.Resolved)
-		inspections += rs.Inspections
+		resolved = append(resolved, rs.Accepted)
+		inspections += rs.EdgeInspections
 	}}}))
 	if inspections != res.Stats.EdgeInspections {
 		t.Errorf("trace inspections %d != stats inspections %d", inspections, res.Stats.EdgeInspections)

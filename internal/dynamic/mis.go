@@ -5,17 +5,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/parallel"
 )
 
-// Item statuses, identical in meaning to the core/matching packages'.
-// The stored status is always In or Out (a pending mark, not a stored
-// sentinel, says "do not trust me yet"); statusUndecided is only the
-// per-round stall outcome.
+// Item statuses, identical in meaning to the core/matching packages'
+// and valued as the engine's outcome codes. The stored status is always
+// In or Out (a pending mark, not a stored sentinel, says "do not trust
+// me yet"); statusUndecided is only the per-round stall outcome.
 const (
-	statusUndecided int32 = 0
-	statusIn        int32 = 1
-	statusOut       int32 = 2
+	statusUndecided = engine.Undecided
+	statusIn        = engine.Committed
+	statusOut       = engine.Dropped
 )
 
 // misFrontierBuckets bounds the frontier queue's bucket count (and so
@@ -151,11 +150,6 @@ func (ms *misState) expand(v int32) {
 // result builds the current MIS as a core.Result (Stats left zero: the
 // per-batch costs live in RepairStats).
 func (ms *misState) result() *core.Result {
-	n := len(ms.status)
-	in := make([]bool, n)
-	parallel.For(n, 4096, func(i int) {
-		in[i] = ms.status[i] == statusIn
-	})
-	set := parallel.PackIndex(n, 4096, func(i int) bool { return in[i] })
+	in, set := engine.Members(ms.status, nil)
 	return &core.Result{InSet: in, Set: set}
 }

@@ -371,15 +371,15 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 		}
 		if opt.OnRound != nil {
 			opt.OnRound(RoundStat{
-				Round:       stats.Rounds,
-				Prefix:      roundWindow,
-				Attempted:   before,
-				Resolved:    resolvedThis,
-				Inspections: roundInspections,
-				RetryTail:   kept,
-				CheckNS:     checkNS,
-				CommitNS:    commitNS,
-				SlideNS:     slideNS,
+				Round:           stats.Rounds,
+				PrefixSize:      roundWindow,
+				Attempted:       before,
+				Accepted:        resolvedThis,
+				EdgeInspections: roundInspections,
+				RetryTail:       kept,
+				CheckNS:         checkNS,
+				CommitNS:        commitNS,
+				SlideNS:         slideNS,
 			})
 		}
 	}

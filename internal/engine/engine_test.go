@@ -400,10 +400,10 @@ func TestOnRoundStatsConsistent(t *testing.T) {
 		}
 		lastRound = rs.Round
 		attempted += int64(rs.Attempted)
-		resolved += int64(rs.Resolved)
-		inspections += rs.Inspections
-		if rs.Prefix > maxPrefix {
-			maxPrefix = rs.Prefix
+		resolved += int64(rs.Accepted)
+		inspections += rs.EdgeInspections
+		if rs.PrefixSize > maxPrefix {
+			maxPrefix = rs.PrefixSize
 		}
 	}}, nil)
 	if err != nil {

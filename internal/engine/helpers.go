@@ -2,9 +2,9 @@ package engine
 
 import "math"
 
-// Pooled-buffer and window-arithmetic helpers, the single source of
-// truth the algorithm packages share (they used to carry per-package
-// copies).
+// Pooled-buffer, membership and window-arithmetic helpers, the single
+// source of truth the algorithm packages share (they used to carry
+// per-package copies).
 
 // Grow32 returns *buf resized to n int32s, reallocating only when the
 // pooled capacity is insufficient. Contents are unspecified: callers
@@ -24,6 +24,36 @@ func Fill32(s []int32, v int32) {
 	for i := range s {
 		s[i] = v
 	}
+}
+
+// Members maps a run's final statuses back to item ids: status[r] is
+// the status of item order[r], or of item r when order is nil. It
+// returns in, where in[id] reports whether item id was Committed, and
+// the committed ids in increasing order. It is two plain loops that
+// allocate those two slices, sized exactly, and nothing else: it runs
+// after the last round, and on a small input a parallel loop's
+// fork-join and per-item closure calls would cost more than the work.
+func Members(status, order []int32) (in []bool, ids []int32) {
+	in = make([]bool, len(status))
+	size := 0
+	for r, st := range status {
+		id := r
+		if order != nil {
+			id = int(order[r])
+		}
+		x := st == Committed
+		in[id] = x
+		if x {
+			size++
+		}
+	}
+	ids = make([]int32, 0, size)
+	for id, x := range in {
+		if x {
+			ids = append(ids, int32(id))
+		}
+	}
+	return in, ids
 }
 
 // GrowActive returns an empty int32 slice with capacity at least n

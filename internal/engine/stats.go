@@ -32,31 +32,34 @@ func (s Stats) String() string {
 }
 
 // RoundStat describes one completed round of a round-synchronous
-// algorithm, passed to Options.OnRound. Summed over a run, Attempted is
-// the paper's total work (Figure 1(a)/1(d)), the number of callbacks is
-// Rounds (Figure 1(b)/1(e)), and Inspections is the edge-inspection
-// work measure — so an observer sees the paper's Figure 1 quantities
-// accumulate live.
+// algorithm (prefix-based, root-set, Luby; the strictly sequential
+// scans do not report — their "rounds" are single items), passed to
+// Options.OnRound; the facade re-exports it as RoundInfo. Summed over a
+// run, Attempted is the paper's total work (Figure 1(a)/1(d)), the
+// number of callbacks is Rounds (Figure 1(b)/1(e)), and EdgeInspections
+// is the finer-grained work measure — so an observer sees the paper's
+// Figure 1 quantities accumulate live.
 type RoundStat struct {
 	// Round is the 1-based round index.
 	Round int64
-	// Prefix is the window size of this round: the maximum number of
-	// iterates attempted (0 for algorithms without a prefix window).
-	// Fixed-prefix runs report the same value every round; adaptive
-	// runs report the controller's current window, so an observer
-	// watches the schedule evolve.
-	Prefix int
+	// PrefixSize is the window size of this round: the maximum number
+	// of iterates attempted (0 for algorithms without a prefix window,
+	// root-set and Luby). Fixed-prefix runs report the same value every
+	// round; adaptive runs report the controller's current window, so an
+	// observer watches the schedule evolve.
+	PrefixSize int
 	// Attempted is the number of iterates processed this round.
 	Attempted int
-	// Resolved is the number of iterates that reached their final
-	// status (accepted into the solution or ruled out) this round.
-	Resolved int
-	// Inspections is the number of neighbor/endpoint status reads
+	// Accepted is the number of iterates that reached their final
+	// status this round — committed into the solution or ruled out —
+	// and therefore will not be retried.
+	Accepted int
+	// EdgeInspections is the number of neighbor/endpoint status reads
 	// performed this round.
-	Inspections int64
+	EdgeInspections int64
 	// RetryTail is the number of attempted iterates left Undecided this
 	// round — the retry set carried into the next round (Attempted -
-	// Resolved for prefix runs). A persistently large tail relative to
+	// Accepted for prefix runs). A persistently large tail relative to
 	// the window is the signature of a hot dependency chain.
 	RetryTail int
 	// CheckNS/CommitNS/SlideNS decompose the round's wall time by
@@ -69,9 +72,11 @@ type RoundStat struct {
 	// is, consecutive rounds tile the loop's span with no gaps, so the
 	// per-phase sums over a run reconstruct where the loop's wall time
 	// went (the work/span decomposition the paper's Figure 1 analysis
-	// reasons about). There is no reset phase: reservation-based
-	// problems release their bids inside Commit.
+	// reasons about). ResetNS is always 0: there is no reset phase, as
+	// reservation-based problems release their bids inside Commit, and
+	// the field stays for consumers that report it.
 	CheckNS  int64
 	CommitNS int64
+	ResetNS  int64
 	SlideNS  int64
 }

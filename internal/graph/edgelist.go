@@ -79,18 +79,17 @@ func (inc Incidence) Incident(v Vertex) []EdgeID {
 }
 
 // BuildIncidence builds the vertex-to-incident-edge CSR for el. Within
-// each vertex, edge ids appear in increasing id order; callers that need
-// priority order (the linear-work matching) build with
-// BuildIncidenceByPriority instead.
+// each vertex, edge ids appear in increasing id order, so on edges laid
+// out in rank order (GatherByRank) each list is in priority order, as
+// the linear-work matching needs.
 func BuildIncidence(el EdgeList) Incidence {
 	n := el.N
-	counts := make([]int64, n+1)
-	for _, e := range el.Edges {
-		counts[e.U]++
-		counts[e.V]++
-	}
 	offsets := make([]int64, n+1)
-	total := parallel.ExclusiveScan(offsets[:n], counts[:n], 4096)
+	for _, e := range el.Edges {
+		offsets[e.U]++
+		offsets[e.V]++
+	}
+	total := parallel.ExclusiveScan(offsets[:n], offsets[:n], 4096)
 	offsets[n] = total
 	ids := make([]EdgeID, total)
 	cursor := make([]int64, n)

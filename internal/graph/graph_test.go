@@ -454,35 +454,33 @@ func TestLineGraphSizeMatches(t *testing.T) {
 	}
 }
 
+// TestIncidence checks that BuildIncidence lists each edge at both of
+// its endpoints, in increasing id order. On edges gathered into rank
+// order, ids are ranks, so the lists are in priority order: the root-set
+// matching relies on that.
 func TestIncidence(t *testing.T) {
 	g := Complete(4)
 	el := g.EdgeList()
 	inc := BuildIncidence(el)
 	for v := Vertex(0); v < 4; v++ {
-		ids := inc.Incident(v)
-		if len(ids) != 3 {
+		if ids := inc.Incident(v); len(ids) != 3 {
 			t.Fatalf("vertex %d has %d incident edges, want 3", v, len(ids))
 		}
-		for _, id := range ids {
-			e := el.Edges[id]
-			if e.U != v && e.V != v {
-				t.Fatalf("edge %v listed as incident to %d", e, v)
-			}
-		}
 	}
-}
-
-func TestSortIncidenceByPriority(t *testing.T) {
-	g := Random(80, 400, 31)
-	el := g.EdgeList()
-	inc := BuildIncidence(el)
-	rank := rng.Perm(el.NumEdges(), 8)
-	SortIncidenceByPriority(inc, rank)
-	for v := 0; v < el.N; v++ {
-		ids := inc.Incident(Vertex(v))
-		for i := 1; i < len(ids); i++ {
-			if rank[ids[i-1]] > rank[ids[i]] {
-				t.Fatalf("vertex %d incident list not sorted by rank at %d", v, i)
+	random := Random(80, 400, 31).EdgeList()
+	var gathered []Edge
+	random.Edges = random.GatherByRank(&gathered, rng.Perm(random.NumEdges(), 8))
+	for _, el := range []EdgeList{el, random} {
+		inc := BuildIncidence(el)
+		for v := Vertex(0); int(v) < el.N; v++ {
+			ids := inc.Incident(v)
+			for i, id := range ids {
+				if e := el.Edges[id]; e.U != v && e.V != v {
+					t.Fatalf("edge %v listed as incident to %d", e, v)
+				}
+				if i > 0 && ids[i-1] >= id {
+					t.Fatalf("vertex %d: incident ids %d then %d, want increasing", v, ids[i-1], id)
+				}
 			}
 		}
 	}

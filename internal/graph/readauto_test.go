@@ -1,14 +1,31 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 )
 
-// Format round trips through ReadAuto are covered by
-// TestReadAutoAllFormats in incidence_priority_test.go; these tests
-// pin down the hardened rejection behavior.
+func TestReadAutoAllFormats(t *testing.T) {
+	g := Random(80, 240, 5)
+	writers := map[string]func(*Graph, *bytes.Buffer) error{
+		"adjacency": func(g *Graph, buf *bytes.Buffer) error { return WriteAdjacency(buf, g) },
+		"edges":     func(g *Graph, buf *bytes.Buffer) error { return WriteEdgeArray(buf, g) },
+		"binary":    func(g *Graph, buf *bytes.Buffer) error { return WriteBinary(buf, g) },
+	}
+	for name, w := range writers {
+		var buf bytes.Buffer
+		if err := w(g, &buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := ReadAuto(&buf)
+		if err != nil {
+			t.Fatalf("%s: ReadAuto: %v", name, err)
+		}
+		graphsEqual(t, g, got)
+	}
+}
 
 func TestReadAutoRejectsGarbage(t *testing.T) {
 	cases := map[string]string{

@@ -84,14 +84,5 @@ func ViaLineGraphMIS(g *graph.Graph, ord core.Order) *Result {
 	lg, el := graph.LineGraph(g)
 	// A background context never cancels, the scan's only error.
 	misResult, _ := core.SequentialMIS(context.Background(), lg, ord, core.Options{})
-	m := el.NumEdges()
-	status := make([]int32, m)
-	for e := 0; e < m; e++ {
-		if misResult.InSet[e] {
-			status[e] = statusIn
-		} else {
-			status[e] = statusOut
-		}
-	}
-	return newResult(el, status, misResult.Stats)
+	return pairsResult(el, misResult.InSet, misResult.Set, misResult.Stats)
 }

@@ -12,9 +12,10 @@ import (
 // FuzzMMEquivalence is the determinism invariant for maximal matching
 // as a fuzz target: for arbitrary small graphs, seeds, windows and
 // grains, the prefix (fixed and adaptive) and full-window parallel
-// matchings, and the sequential scan with and without a shared edge
-// buffer, must reproduce the greedy matching over the edge list
-// (lexFirstMM) bit for bit.
+// matchings, and the sequential scan and the root-set steps with and
+// without a shared edge buffer, must reproduce the greedy matching over
+// the edge list (lexFirstMM) bit for bit, and the root-set counters must
+// not depend on the buffer.
 // Grains of 1–3 split even tiny windows into several chunks, so the
 // reservation bids and in-commit releases race across goroutines when
 // GOMAXPROCS > 1. Run with `go test -fuzz=FuzzMMEquivalence
@@ -35,6 +36,11 @@ func FuzzMMEquivalence(f *testing.F) {
 		}
 		prefix := int(rawPrefix)%(m+1) + 1
 		grain := int(rawGrain)%3 + 1
+		root := must(RootSetMM(context.Background(), el, ord, Options{Options: engine.Options{Grain: grain}}))
+		rootBuffer := must(RootSetMM(context.Background(), el, ord, Options{Options: engine.Options{Grain: grain}, Workspace: &Workspace{Edges: new([]graph.Edge)}}))
+		if rootBuffer.Stats != root.Stats {
+			t.Fatalf("n=%d m=%d grain=%d: root-set stats %v with a shared buffer, %v without", n, m, grain, rootBuffer.Stats, root.Stats)
+		}
 		for _, run := range []struct {
 			name string
 			got  *Result
@@ -44,6 +50,8 @@ func FuzzMMEquivalence(f *testing.F) {
 			{"prefix", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))},
 			{"adaptive", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}}))},
 			{"parallel", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1, Grain: grain}}))},
+			{"rootset", root},
+			{"rootset buffer", rootBuffer},
 		} {
 			if !run.got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s MM diverged from the reference", n, m, prefix, grain, run.name)

@@ -2,7 +2,7 @@
 // algorithms: the sequential greedy algorithm over a random edge order,
 // the prefix-based parallel algorithm (Algorithm 4 executed on prefixes
 // via deterministic reservations), the linear-work root-set
-// implementation with mmCheck on priority-sorted incident-edge lists
+// implementation with mmCheck on priority-ordered incident-edge lists
 // (Lemma 5.3), a reference reduction through MIS on the line graph
 // (Lemma 5.1), and an exact dependence-length analyzer.
 //
@@ -19,11 +19,12 @@ import (
 	"repro/internal/parallel"
 )
 
-// Edge statuses; monotone undecided -> {in, out} exactly once.
+// Edge statuses; monotone undecided -> {in, out} exactly once, with
+// the values shared with the engine's outcome codes.
 const (
-	statusUndecided int32 = 0
-	statusIn        int32 = 1
-	statusOut       int32 = 2
+	statusUndecided = engine.Undecided
+	statusIn        = engine.Committed
+	statusOut       = engine.Dropped
 )
 
 // unmatched marks a vertex with no mate.
@@ -45,19 +46,15 @@ type Result struct {
 	Stats Stats
 }
 
-func newResult(el graph.EdgeList, status []int32, stats Stats) *Result {
-	m := el.NumEdges()
-	in := make([]bool, m)
-	parallel.For(m, 4096, func(i int) {
-		in[i] = status[i] == statusIn
-	})
-	return bitsResult(el, in, stats)
-}
-
 // bitsResult builds the result around in, the per-edge matched bits,
 // which it takes over.
 func bitsResult(el graph.EdgeList, in []bool, stats Stats) *Result {
-	ids := parallel.PackIndex(el.NumEdges(), 4096, func(i int) bool { return in[i] })
+	return pairsResult(el, in, parallel.PackIndex(el.NumEdges(), 4096, func(i int) bool { return in[i] }), stats)
+}
+
+// pairsResult builds the result around in, the per-edge matched bits,
+// and ids, the matched edge ids in increasing order; it takes both over.
+func pairsResult(el graph.EdgeList, in []bool, ids []int32, stats Stats) *Result {
 	pairs := make([]graph.Edge, len(ids))
 	for i, id := range ids {
 		pairs[i] = el.Edges[id]

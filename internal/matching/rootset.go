@@ -22,20 +22,23 @@ import (
 // steps is exactly the dependence length of the edge priority DAG.
 // ctx is checked once per step, and buffers come from opt.Workspace
 // when set.
+//
+// The run is in rank space, like PrefixMM: the edges are gathered into
+// rank order (into the workspace's edge buffer), statuses and claims
+// are indexed by rank, and the incidence of the gathered edges lists
+// each vertex's ranks in increasing order — priority order, the paper's
+// Lemma 5.3 preprocessing, with no sort.
 func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	m := el.NumEdges()
 	if ord.Len() != m {
 		panic("matching: order size does not match edge list")
 	}
-
-	// O(m) bucket-sorted incidence: every per-vertex list is already in
-	// priority order (the paper's Lemma 5.3 preprocessing).
-	inc := graph.BuildIncidenceByPriority(el, ord.Order)
-
 	ws := opt.Workspace
 	if ws == nil {
 		ws = new(Workspace)
 	}
+	edges := el.GatherByRank(ws.edgeBuf(), ord.Order)
+	inc := graph.BuildIncidence(graph.EdgeList{N: el.N, Edges: edges})
 	status := engine.Grow32(&ws.status, m)
 	engine.Fill32(status, statusUndecided)
 	mate := engine.Grow32(&ws.mate, el.N)
@@ -44,7 +47,7 @@ func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Optio
 	// incident list (lazy deletion).
 	vptr := engine.Grow32(&ws.reserv, el.N)
 	engine.Fill32(vptr, 0)
-	// claimed[e] dedups ready-edge discovery: an edge can be found ready
+	// claimed[r] dedups ready-edge discovery: an edge can be found ready
 	// from both endpoints simultaneously.
 	claimed := engine.Grow32(&ws.claimed, m)
 	engine.Fill32(claimed, 0)
@@ -58,11 +61,9 @@ func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Optio
 
 	// Initial ready set: edges that head both endpoints' lists.
 	frontier := parallel.PackIndex(m, opt.Grain, func(i int) bool {
-		e := int32(i)
-		edge := el.Edges[e]
-		u := inc.Incident(edge.U)
-		v := inc.Incident(edge.V)
-		return len(u) > 0 && u[0] == e && len(v) > 0 && v[0] == e
+		r := int32(i)
+		edge := edges[r]
+		return inc.Incident(edge.U)[0] == r && inc.Incident(edge.V)[0] == r
 	})
 
 	resolved := 0
@@ -86,7 +87,7 @@ func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Optio
 			var local, decided int64
 			for i := lo; i < hi; i++ {
 				e := frontier[i]
-				edge := el.Edges[e]
+				edge := edges[e]
 				atomic.StoreInt32(&status[e], statusIn)
 				atomic.StoreInt32(&mate[edge.U], edge.V)
 				atomic.StoreInt32(&mate[edge.V], edge.U)
@@ -101,7 +102,7 @@ func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Optio
 						}
 						if atomic.CompareAndSwapInt32(&status[f], statusUndecided, statusOut) {
 							decided++
-							far = append(far, el.Edges[f].Other(endpoint))
+							far = append(far, edges[f].Other(endpoint))
 						}
 					}
 				}
@@ -133,7 +134,7 @@ func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Optio
 					if old == step || !atomic.CompareAndSwapInt32(&checkStamp[z], old, step) {
 						continue // another worker already checks z this step
 					}
-					ready, ptr, insp := mmCheck(z, el, inc, status, vptr)
+					ready, ptr, insp := mmCheck(z, edges, inc, status, vptr)
 					local += insp
 					moved = append(moved, z, ptr)
 					if ready >= 0 && atomic.CompareAndSwapInt32(&claimed[ready], 0, 1) {
@@ -165,27 +166,28 @@ func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Optio
 		if opt.OnRound != nil {
 			cur := inspections.Load()
 			opt.OnRound(core.RoundStat{
-				Round:       stats.Rounds,
-				Attempted:   len(frontier),
-				Resolved:    int(decidedDelta.Load()),
-				Inspections: cur - prevInspections,
+				Round:           stats.Rounds,
+				Attempted:       len(frontier),
+				Accepted:        int(decidedDelta.Load()),
+				EdgeInspections: cur - prevInspections,
 			})
 			prevInspections = cur
 		}
 		frontier = next
 	}
 	stats.EdgeInspections = inspections.Load()
-	return newResult(el, status, stats), nil
+	in, ids := engine.Members(status, ord.Order)
+	return pairsResult(el, in, ids, stats), nil
 }
 
 // mmCheck is the two-phase check of Lemma 5.2 on vertex z: advance past
 // deleted incident edges to find the highest-priority remaining edge t
 // (charging skipped entries to their deletion), then verify that t also
-// heads the remaining list of its other endpoint. It returns t's id if
+// heads the remaining list of its other endpoint. It returns t's rank if
 // so and -1 otherwise, with z's advanced pointer. It writes nothing:
 // statuses and pointers are the step's, so its result and the
 // inspections it counts do not depend on which checks run beside it.
-func mmCheck(z int32, el graph.EdgeList, inc graph.Incidence, status []int32, vptr []int32) (ready, ptr int32, inspections int64) {
+func mmCheck(z int32, edges []graph.Edge, inc graph.Incidence, status []int32, vptr []int32) (ready, ptr int32, inspections int64) {
 	ids := inc.Incident(z)
 	i := vptr[z]
 	for int(i) < len(ids) {
@@ -200,7 +202,7 @@ func mmCheck(z int32, el graph.EdgeList, inc graph.Incidence, status []int32, vp
 	}
 	t := ids[i]
 	// Phase two: is t also the top remaining edge at its other endpoint?
-	w := el.Edges[t].Other(z)
+	w := edges[t].Other(z)
 	wids := inc.Incident(w)
 	for j := vptr[w]; int(j) < len(wids); j++ {
 		inspections++

@@ -12,7 +12,7 @@ import (
 // to runs on fresh memory; Result arrays are never pooled. Not safe for
 // concurrent use; the zero value is ready.
 type Workspace struct {
-	// Edges, if non-nil, is the buffer PrefixMM gathers the
+	// Edges, if non-nil, is the buffer every matching run gathers the
 	// rank-ordered edges into, instead of the workspace's own; pointing
 	// several workspaces at one buffer shares it between problems.
 	// Every run regathers it.

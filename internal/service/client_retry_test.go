@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -49,7 +50,7 @@ func TestClientRetriesOverload(t *testing.T) {
 				BaseURL: srv.URL,
 				Retry:   BackoffPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 			}
-			gen, err := client.Generate(t.Context(), GenSpec{Generator: "random", N: 1_000, M: 4_000, Seed: 1})
+			gen, err := client.Generate(context.Background(), GenSpec{Generator: "random", N: 1_000, M: 4_000, Seed: 1})
 			if err != nil {
 				t.Fatalf("Generate with %d front: %v", tc.code, err)
 			}
@@ -62,7 +63,7 @@ func TestClientRetriesOverload(t *testing.T) {
 			srv2 := httptest.NewServer(h2)
 			defer srv2.Close()
 			client.BaseURL = srv2.URL
-			job, err := client.Submit(t.Context(), JobRequest{GraphID: gen.ID, Problem: "mis",
+			job, err := client.Submit(context.Background(), JobRequest{GraphID: gen.ID, Problem: "mis",
 				Plan: greedy.Plan{Algorithm: greedy.AlgoPrefix, Seed: 5}})
 			if err != nil {
 				t.Fatalf("Submit with %d front: %v", tc.code, err)
@@ -70,7 +71,7 @@ func TestClientRetriesOverload(t *testing.T) {
 			if got := rejected2.Load(); got != 2 {
 				t.Fatalf("rejected = %d, want 2", got)
 			}
-			if st, err := client.Wait(t.Context(), job.ID, time.Millisecond); err != nil || st.State != StateDone {
+			if st, err := client.Wait(context.Background(), job.ID, time.Millisecond); err != nil || st.State != StateDone {
 				t.Fatalf("Wait: state=%v err=%v", st.State, err)
 			}
 		})
@@ -85,7 +86,7 @@ func TestClientRetryDisabledByDefault(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	client := &Client{BaseURL: srv.URL}
-	if _, err := client.Generate(t.Context(), GenSpec{Generator: "random", N: 1_000, M: 4_000, Seed: 1}); err == nil {
+	if _, err := client.Generate(context.Background(), GenSpec{Generator: "random", N: 1_000, M: 4_000, Seed: 1}); err == nil {
 		t.Fatal("zero-value client retried through a 429")
 	}
 	if got := rejected.Load(); got != 1 {
@@ -105,7 +106,7 @@ func TestClientRetryExhaustion(t *testing.T) {
 		BaseURL: srv.URL,
 		Retry:   BackoffPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 	}
-	_, err := client.Generate(t.Context(), GenSpec{Generator: "random", N: 1_000, M: 4_000, Seed: 1})
+	_, err := client.Generate(context.Background(), GenSpec{Generator: "random", N: 1_000, M: 4_000, Seed: 1})
 	if err == nil {
 		t.Fatal("Generate succeeded against a permanently overloaded server")
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"reflect"
@@ -46,9 +47,16 @@ func quickSpec(graphID string, seed uint64) JobSpec {
 func TestServiceRestartRecoversAcknowledgedJobs(t *testing.T) {
 	dir := t.TempDir()
 
-	// Boot 1: a single worker pinned on a long job, with quick jobs
-	// acknowledged behind it. Shutdown with a zero window cancels all
-	// of them before any completes — crash-equivalent for the journal.
+	// Boot 1: a single worker wedged by a sleep failpoint on the long
+	// job, with quick jobs acknowledged behind it. A one-chunk round
+	// costs so little that the long job alone can finish while the
+	// quick submits fsync, so the failpoint, not its size, keeps every
+	// job unserved. Shutdown with a zero window cancels all of them
+	// before any completes — crash-equivalent for the journal.
+	if err := fault.ArmSpec("worker.run=sleep:2s*1"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Reset)
 	svc1, err := New(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +267,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	}
 	t.Cleanup(fault.Reset)
 	srv, client := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	gen, err := client.Generate(t.Context(), GenSpec{Generator: "random", N: 2_000, M: 8_000, Seed: 1})
+	gen, err := client.Generate(context.Background(), GenSpec{Generator: "random", N: 2_000, M: 8_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +322,7 @@ func TestIngestPausedReturns503(t *testing.T) {
 		CacheBytes:      g.Bytes + g.Bytes/2,
 		IngestWatermark: 0.5, // watermark below one graph's footprint
 	})
-	gen, err := client.Generate(t.Context(), GenSpec{Generator: "random", N: 300_000, M: 600_000, Seed: 1})
+	gen, err := client.Generate(context.Background(), GenSpec{Generator: "random", N: 300_000, M: 600_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +354,7 @@ func TestIngestPausedReturns503(t *testing.T) {
 		t.Fatal("ingest_paused counter did not move")
 	}
 	// Job traffic is unaffected: status polls on the pinned job succeed.
-	if _, err := client.Status(t.Context(), "j1"); err != nil {
+	if _, err := client.Status(context.Background(), "j1"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -354,7 +362,7 @@ func TestIngestPausedReturns503(t *testing.T) {
 // clientSnapshot fetches /v1/metrics through the public client.
 func clientSnapshot(t *testing.T, c *Client) Snapshot {
 	t.Helper()
-	snap, err := c.Metrics(t.Context())
+	snap, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

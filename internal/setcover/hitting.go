@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/parallel"
 )
 
 // Element statuses; monotone undecided -> {in, out} exactly once, with
@@ -33,12 +32,7 @@ type Result struct {
 // newResult builds the result from the final statuses: status[r] is the
 // status of element order[r].
 func newResult(status, order []int32, stats Stats) *Result {
-	n := len(status)
-	in := make([]bool, n)
-	parallel.For(n, 4096, func(r int) {
-		in[order[r]] = status[r] == statusIn
-	})
-	set := parallel.PackIndex(n, 4096, func(i int) bool { return in[i] })
+	in, set := engine.Members(status, order)
 	return &Result{InSet: in, Set: set, Stats: stats}
 }
 

@@ -46,49 +46,12 @@ var (
 
 // RoundInfo is a per-round progress report streamed to a
 // WithRoundObserver callback by the round-synchronous algorithms
-// (prefix-based, root-set, Luby; the strictly sequential algorithms do
-// not report — their "rounds" are single items). Summed over a run,
-// Attempted is the paper's total-work measure (Figure 1(a)/1(d)), the
-// number of callbacks is the round count (Figure 1(b)/1(e)), and
-// EdgeInspections is the finer-grained work measure — so an observer
-// watches the paper's Figure 1 quantities accumulate live.
-type RoundInfo struct {
-	// Round is the 1-based round index.
-	Round int64
-	// PrefixSize is the resolved prefix (window) size of the run: the
-	// maximum number of iterates examined per round. 0 for algorithms
-	// without a prefix window (root-set, Luby).
-	PrefixSize int
-	// Attempted is the number of iterates processed this round.
-	Attempted int
-	// Accepted is the number of iterates that reached their final
-	// status this round — committed into the solution or ruled out —
-	// and therefore will not be retried.
-	Accepted int
-	// EdgeInspections is the number of neighbor/endpoint status reads
-	// performed this round.
-	EdgeInspections int64
-	// RetryTail is the number of attempted iterates left undecided this
-	// round — the retry set carried into the next round. A persistently
-	// large tail relative to the window is the signature of a hot
-	// dependency chain.
-	RetryTail int
-	// CheckNS/CommitNS/SlideNS decompose the round's wall time by
-	// engine phase, in nanoseconds: the check fork-join (which also
-	// clears the chunk's outcomes), the commit fork-join (which also
-	// packs each chunk's retries), and everything else (window refill,
-	// the merge of the chunks' retries and the slide of the unattempted
-	// tail, adaptive bookkeeping). All three are 0
-	// unless WithPhaseProfile is set; when it is, the per-phase sums
-	// over a run tile the round loop's span with no gaps. ResetNS is
-	// always 0: the engine has no reservation-reset phase —
-	// reservation-based problems release their bids inside the commit
-	// phase — and the field stays for consumers that report it.
-	CheckNS  int64
-	CommitNS int64
-	ResetNS  int64
-	SlideNS  int64
-}
+// (prefix-based, root-set, Luby): the round index, the window
+// (PrefixSize), the iterates Attempted and Accepted, the
+// EdgeInspections, the RetryTail and, under WithPhaseProfile, the
+// per-phase wall times. It is the engine's round report; see
+// engine.RoundStat for the fields.
+type RoundInfo = engine.RoundStat
 
 // WithRoundObserver streams per-round statistics to fn as the run
 // progresses. fn is called between rounds on the solver's goroutine
@@ -141,8 +104,8 @@ type Solver struct {
 }
 
 // layoutEntry caches one rank-space layout L of an input I — the
-// parent lists the prefix MIS and coloring checks scan, or the
-// hitting-set layout — keyed on (input, seed): repeated runs build it
+// parent lists the MIS and coloring checks scan, or the hitting-set
+// layout — keyed on (input, seed): repeated runs build it
 // once, and a miss rebuilds it into the same buffers. Each layout kind
 // has its own entry, so a pass over all problems keeps hitting. Pinning
 // the (immutable) input keeps its address from being reused by another
@@ -229,27 +192,20 @@ func (e *layoutEntry[I, L]) get(c config, in I, ord Order, build func(*L, I, Ord
 	return &e.layout
 }
 
-// observerFor adapts the facade observers to the internal round hook,
-// fanning each round report out to every registered observer. With no
-// observers it returns nil, so the unobserved hot path stays exactly
-// the pre-observer code (and allocation-free).
-func observerFor(c config) func(engine.RoundStat) {
-	if len(c.observers) == 0 {
-		return nil
-	}
+// observerFor adapts the facade observers to the internal round hook:
+// a single observer is the hook itself, and several are fanned out to
+// in registration order. With no observers it returns nil, so the
+// unobserved hot path stays exactly the pre-observer code (and
+// allocation-free).
+func observerFor(c config) func(RoundInfo) {
 	obs := c.observers
-	return func(rs engine.RoundStat) {
-		ri := RoundInfo{
-			Round:           rs.Round,
-			PrefixSize:      rs.Prefix,
-			Attempted:       rs.Attempted,
-			Accepted:        rs.Resolved,
-			EdgeInspections: rs.Inspections,
-			RetryTail:       rs.RetryTail,
-			CheckNS:         rs.CheckNS,
-			CommitNS:        rs.CommitNS,
-			SlideNS:         rs.SlideNS,
-		}
+	switch len(obs) {
+	case 0:
+		return nil
+	case 1:
+		return obs[0]
+	}
+	return func(ri RoundInfo) {
 		for _, fn := range obs {
 			fn(ri)
 		}
@@ -309,14 +265,15 @@ func (s *Solver) MIS(ctx context.Context, g *Graph, opts ...Option) (*MISResult,
 	if err != nil {
 		return nil, err
 	}
-	if c.Algorithm == AlgoRootSet {
-		return core.RootSetMIS(ctx, g, ord, coreOpt)
-	}
 	coreOpt.Parents = s.parents.get(c, g, ord, (*core.Parents).Build)
-	if c.Algorithm == AlgoSequential {
+	switch c.Algorithm {
+	case AlgoRootSet:
+		return core.RootSetMIS(ctx, g, ord, coreOpt)
+	case AlgoSequential:
 		return core.SequentialMIS(ctx, g, ord, coreOpt)
+	default:
+		return core.PrefixMIS(ctx, g, ord, coreOpt)
 	}
-	return core.PrefixMIS(ctx, g, ord, coreOpt)
 }
 
 // MM computes a maximal matching of the edge list el; the priority
