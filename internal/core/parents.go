@@ -54,14 +54,6 @@ func (p *Parents) Build(g *graph.Graph, ord Order) {
 	p.partition(g, ord, true)
 }
 
-// buildChildren builds the rank-space child lists (later neighbors),
-// the other side of the partition Build makes.
-func buildChildren(g *graph.Graph, ord Order) *Parents {
-	p := new(Parents)
-	p.partition(g, ord, false)
-	return p
-}
-
 // partition fills p with each vertex's earlier neighbors (parents) or
 // later neighbors (!parents): vertex v's list goes to row rank[v] and
 // holds neighbor ranks. A filtering pass walks the adjacency lists in

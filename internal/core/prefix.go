@@ -47,11 +47,7 @@ import (
 // when set, built for this run otherwise) hold ranks, and the result is
 // mapped back to vertices through ord.Order once at the end.
 func PrefixMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
-	prob, ws := newMISProblem(g, ord, opt)
-	if opt.Pointered {
-		prob.ptr = engine.Grow32(&ws.ptr, len(prob.status))
-		engine.Fill32(prob.ptr, 0)
-	}
+	prob, ws := newMISProblem(g, ord, opt, opt.Pointered)
 	stats, err := engine.Run(ctx, len(prob.status), prob, opt.Options, &ws.eng)
 	if err != nil {
 		return nil, err
@@ -73,7 +69,7 @@ func PrefixMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Re
 // checked every 4,096 ranks; the status array comes from opt.Workspace
 // when set. opt's window knobs and Pointered do not apply.
 func SequentialMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
-	prob, _ := newMISProblem(g, ord, opt)
+	prob, _ := newMISProblem(g, ord, opt, false)
 	stats, err := engine.Scan(ctx, len(prob.status), prob)
 	if err != nil {
 		return nil, err
@@ -81,10 +77,10 @@ func SequentialMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) 
 	return newResult(prob.status, ord.Order, stats), nil
 }
 
-// newMISProblem is the set-up PrefixMIS and SequentialMIS share: the
-// workspace, the rank-indexed status array and the rank-space parent
-// lists.
-func newMISProblem(g *graph.Graph, ord Order, opt Options) (*misProblem, *Workspace) {
+// newMISProblem is the set-up PrefixMIS, SequentialMIS and RootSetMIS
+// share: the workspace, the rank-indexed status array, the rank-space
+// parent lists and, for pointered checks, the zeroed parent pointers.
+func newMISProblem(g *graph.Graph, ord Order, opt Options, pointered bool) (*misProblem, *Workspace) {
 	n := g.NumVertices()
 	if ord.Len() != n {
 		panic("core: order size does not match graph")
@@ -99,7 +95,12 @@ func newMISProblem(g *graph.Graph, ord Order, opt Options) (*misProblem, *Worksp
 	if parents == nil {
 		parents = BuildParents(g, ord)
 	}
-	return &misProblem{status: status, parents: parents}, ws
+	p := &misProblem{status: status, parents: parents}
+	if pointered {
+		p.ptr = engine.Grow32(&ws.ptr, n)
+		engine.Fill32(p.ptr, 0)
+	}
+	return p, ws
 }
 
 // misProblem is the engine adapter for MIS, indexed by rank: the check

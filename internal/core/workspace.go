@@ -13,8 +13,9 @@ import "repro/internal/engine"
 // A Workspace may be used by one run at a time; it is not safe for
 // concurrent use. The zero value is ready to use.
 type Workspace struct {
-	status []int32
-	ptr    []int32
-	claim  []int32
-	eng    engine.Workspace
+	status   []int32
+	ptr      []int32
+	claim    []int32
+	children Parents // RootSetMIS's child lists, rebuilt every run
+	eng      engine.Workspace
 }

@@ -1,14 +1,18 @@
-// Package engine is the repo's single implementation of the paper's
-// prefix-based speculative round loop — the pattern every greedy
-// problem here shares: take the earliest unresolved iterates in
-// priority-rank order as the active window, check each against the
-// state left by strictly earlier-priority iterates, commit the winners,
-// and retry the losers next round together with newly admitted
-// iterates. MIS, maximal matching, spanning forest (strict and
-// relaxed), greedy coloring and greedy hitting set all ride this one
-// loop; what differs between them — how an iterate is checked and what
-// committing it writes — is supplied through the Problem interface,
-// exactly the factoring of parlaylib's speculative_for.
+// Package engine holds the three ordered schedules the greedy problems
+// here share; a problem package supplies its decisions through one
+// interface per schedule. Run is the paper's prefix-based speculative
+// round loop: take the earliest unresolved iterates in priority-rank
+// order as the active window, check each against the state left by
+// strictly earlier-priority iterates, commit the winners, and retry the
+// losers next round with newly admitted iterates. MIS, maximal
+// matching, spanning forest (strict and relaxed), greedy coloring and
+// greedy hitting set all ride it; a Problem supplies how an iterate is
+// checked and what committing it writes, exactly the factoring of
+// parlaylib's speculative_for. Scan is the sequential algorithm, one
+// Decider decision per rank in order. Steps is the root-set schedule of
+// the linear-work MIS and MM (Lemmas 4.2 and 5.3): a Stepper supplies
+// the first frontier, the kills of an accepted rank, the check that
+// finds the next frontier, and the writes that check defers.
 //
 // Iterates are priority ranks: the engine runs over 0..n-1, rank 0
 // first, and never sees an order. A problem package owns the mapping
@@ -18,7 +22,7 @@
 // parlaylib's speculative_for MIS compares iterate ids; and it maps its
 // result back to item ids through the order once, when the run ends.
 //
-// The engine owns everything the four formerly hand-specialized loops
+// Run owns everything the four formerly hand-specialized loops
 // duplicated: window refill and the shrink-tail slide that keeps the
 // active set equal to the earliest unresolved ranks, the two-phase
 // fork-join execution, adaptive window control (AdaptiveController),
@@ -179,15 +183,18 @@ func (o Options) AdaptiveInitial(n int) int {
 	return w
 }
 
-// Workspace holds the engine's pooled per-run buffers (the active
-// window, the per-iterate outcome array and the per-chunk round
-// slots), reused across runs on same-or-smaller inputs. Problem-side
-// state (statuses, mates, reservations) lives in the problem packages'
-// own workspaces. Not safe for concurrent use; the zero value is ready.
+// Workspace holds the engine's pooled per-run buffers, reused across
+// runs on same-or-smaller inputs: Run's active window, per-iterate
+// outcome array and per-chunk round slots, and Steps' frontier pair
+// (active and next) and per-chunk step slots. Problem-side state
+// (statuses, mates, reservations) lives in the problem packages' own
+// workspaces. Not safe for concurrent use; the zero value is ready.
 type Workspace struct {
 	active  []int32
+	next    []int32
 	outcome []int32
 	chunks  []chunk
+	steps   []stepChunk
 }
 
 // chunk is what one grain-aligned chunk of a round's window reports to
@@ -387,11 +394,11 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 	return stats, nil
 }
 
-// growChunks returns *buf resized to n chunk slots, reallocating only
-// when the pooled capacity is insufficient.
-func growChunks(buf *[]chunk, n int) []chunk {
+// growChunks returns *buf resized to n chunk slots (Run's or Steps'),
+// reallocating only when the pooled capacity is insufficient.
+func growChunks[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]chunk, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

@@ -594,3 +594,144 @@ func TestScanCancel(t *testing.T) {
 		t.Fatalf("pre-cancelled scan: %v after %d decisions", err, len(d.decided))
 	}
 }
+
+// pathStepper is a toy Stepper on paths disjoint paths of length
+// n/paths, interleaved by rank: rank r is at position r/paths of its
+// path, and its successor is r+paths. The first rank of each path is a
+// root; accepting r kills r+paths and exposing that finds r+2·paths
+// ready, so step s accepts every path's position 2s. Each Expose
+// defers its rank, and Settle checks that every Expose of the step has
+// returned before it records the rank as settled.
+type pathStepper struct {
+	n, paths  int32
+	round     int32   // the step under way, advanced by OnRound
+	accepted  []int32 // rank -> step that accepted it, or -1
+	settled   []int32 // rank -> step that settled it, or -1
+	kills     atomic.Int64
+	exposes   atomic.Int64
+	misplaced atomic.Int64 // calls that saw a step other than round
+}
+
+func newPathStepper(n, paths int32) *pathStepper {
+	p := &pathStepper{n: n, paths: paths, accepted: make([]int32, n), settled: make([]int32, n)}
+	for r := range p.accepted {
+		p.accepted[r], p.settled[r] = -1, -1
+	}
+	return p
+}
+
+func (p *pathStepper) Root(r int32) bool { return r < p.paths }
+
+func (p *pathStepper) Accept(r int32, killed []int32) ([]int32, int64) {
+	p.accepted[r] = p.round
+	if k := r + p.paths; k < p.n {
+		killed = append(killed, k)
+		p.kills.Add(1)
+	}
+	return killed, 1
+}
+
+func (p *pathStepper) Expose(k, step int32, found, deferred []int32) ([]int32, []int32, int64) {
+	if step != p.round {
+		p.misplaced.Add(1)
+	}
+	if next := k + p.paths; next < p.n {
+		found = append(found, next)
+	}
+	p.exposes.Add(1)
+	return found, append(deferred, k), 2
+}
+
+func (p *pathStepper) Settle(deferred []int32) {
+	if p.exposes.Load() != p.kills.Load() {
+		p.misplaced.Add(1)
+	}
+	for _, k := range deferred {
+		if p.settled[k] != -1 {
+			p.misplaced.Add(1)
+		}
+		p.settled[k] = p.round
+	}
+}
+
+// Steps accepts each path's position 2s at step s and kills position
+// 2s+1; OnRound fires once per step with counters that sum to the
+// run's; Settle runs after every Expose of its step and settles each
+// deferred write once. One workspace serves two processors and then
+// one, where a single chunk spans every frontier, and the runs agree:
+// the paths have even length, so the first run's last step leaves
+// killed and deferred lists in slots the second must not read.
+func TestStepsOnPaths(t *testing.T) {
+	const paths, length = 1000, 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ws := new(engine.Workspace)
+	var first engine.Stats
+	for _, procs := range []int{2, 1} {
+		runtime.GOMAXPROCS(procs)
+		p := newPathStepper(paths*length, paths)
+		var calls, attempted, accepted int64
+		var inspections int64
+		opt := engine.Options{Grain: 16, OnRound: func(rs engine.RoundStat) {
+			calls++
+			if rs.Round != calls {
+				t.Errorf("GOMAXPROCS=%d: callback %d reports round %d", procs, calls, rs.Round)
+			}
+			attempted += int64(rs.Attempted)
+			accepted += int64(rs.Accepted)
+			inspections += rs.EdgeInspections
+			p.round++
+		}}
+		stats, err := engine.Steps(context.Background(), paths*length, p, opt, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps, kills := int64(length+1)/2, int64(length/2)
+		want := engine.Stats{Rounds: steps, Attempts: paths * steps, EdgeInspections: paths*steps + 2*paths*kills}
+		if stats != want {
+			t.Fatalf("GOMAXPROCS=%d: stats %+v, want %+v", procs, stats, want)
+		}
+		if calls != stats.Rounds || attempted != stats.Attempts || accepted != paths*length || inspections != stats.EdgeInspections {
+			t.Fatalf("GOMAXPROCS=%d: %d callbacks attempted %d, accepted %d, inspected %d; stats %+v",
+				procs, calls, attempted, accepted, inspections, stats)
+		}
+		if m := p.misplaced.Load(); m != 0 {
+			t.Fatalf("GOMAXPROCS=%d: %d Expose or Settle calls out of their step", procs, m)
+		}
+		for r := int32(0); r < paths*length; r++ {
+			pos := r / paths
+			acc, set := int32(-1), pos/2
+			if pos%2 == 0 {
+				acc, set = pos/2, -1
+			}
+			if p.accepted[r] != acc || p.settled[r] != set {
+				t.Fatalf("GOMAXPROCS=%d: rank %d (position %d) accepted at step %d, settled at %d; want %d, %d",
+					procs, r, pos, p.accepted[r], p.settled[r], acc, set)
+			}
+		}
+		if procs == 2 {
+			first = stats
+		} else if stats != first {
+			t.Fatalf("GOMAXPROCS=1 on a reused workspace: %+v, GOMAXPROCS=2: %+v", stats, first)
+		}
+	}
+}
+
+// A context cancelled before the call returns context.Canceled having
+// accepted nothing, and n = 0 returns zero Stats.
+func TestStepsCancelAndEmpty(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := newPathStepper(1000, 10)
+	if _, err := engine.Steps(ctx, 1000, p, engine.Options{}, new(engine.Workspace)); err != context.Canceled {
+		t.Fatalf("pre-cancelled run: want context.Canceled, got %v", err)
+	}
+	for r, step := range p.accepted {
+		if step != -1 {
+			t.Fatalf("pre-cancelled run accepted rank %d", r)
+		}
+	}
+	stats, err := engine.Steps(context.Background(), 0, newPathStepper(0, 1), engine.Options{}, new(engine.Workspace))
+	if err != nil || stats != (engine.Stats{}) {
+		t.Fatalf("empty run: %+v, %v", stats, err)
+	}
+}

@@ -73,8 +73,9 @@ func SequentialMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Op
 	return bitsResult(el, prob.in, stats), nil
 }
 
-// newMMProblem is the set-up PrefixMM and SequentialMM share: the
-// workspace, the mates, the result bits and the rank-gathered edges.
+// newMMProblem is the set-up PrefixMM, SequentialMM and RootSetMM
+// share: the workspace, the mates, the result bits and the
+// rank-gathered edges.
 func newMMProblem(el graph.EdgeList, ord core.Order, opt Options) (*mmProblem, *Workspace) {
 	m := el.NumEdges()
 	if ord.Len() != m {

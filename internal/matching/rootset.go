@@ -2,13 +2,11 @@ package matching
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 // RootSetMM computes the lexicographically-first maximal matching with
@@ -23,161 +21,99 @@ import (
 // ctx is checked once per step, and buffers come from opt.Workspace
 // when set.
 //
-// The run is in rank space, like PrefixMM: the edges are gathered into
-// rank order (into the workspace's edge buffer), statuses and claims
-// are indexed by rank, and the incidence of the gathered edges lists
-// each vertex's ranks in increasing order — priority order, the paper's
-// Lemma 5.3 preprocessing, with no sort.
+// The steps are engine.Steps' over the MM Stepper, in rank space like
+// PrefixMM, with which it shares its set-up: the edges are gathered
+// into rank order, statuses and claims are indexed by rank, and the
+// incidence of the gathered edges lists each vertex's ranks in
+// increasing order — priority order, the paper's Lemma 5.3
+// preprocessing, with no sort.
 func RootSetMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
-	m := el.NumEdges()
-	if ord.Len() != m {
-		panic("matching: order size does not match edge list")
+	prob, ws := newMMProblem(el, ord, opt)
+	m := len(prob.edges)
+	p := &rootSetMM{
+		mmProblem: prob,
+		inc:       graph.BuildIncidence(graph.EdgeList{N: el.N, Edges: prob.edges}),
+		status:    engine.Grow32(&ws.status, m),
+		vptr:      engine.Grow32(&ws.reserv, el.N),
+		claimed:   engine.Grow32(&ws.claimed, m),
+		stamp:     engine.Grow32(&ws.stamp, el.N),
 	}
-	ws := opt.Workspace
-	if ws == nil {
-		ws = new(Workspace)
+	engine.Fill32(p.status, statusUndecided)
+	engine.Fill32(p.vptr, 0)
+	engine.Fill32(p.claimed, 0)
+	engine.Fill32(p.stamp, -1)
+	stats, err := engine.Steps(ctx, m, p, opt.Options, &ws.eng)
+	if err != nil {
+		return nil, err
 	}
-	edges := el.GatherByRank(ws.edgeBuf(), ord.Order)
-	inc := graph.BuildIncidence(graph.EdgeList{N: el.N, Edges: edges})
-	status := engine.Grow32(&ws.status, m)
-	engine.Fill32(status, statusUndecided)
-	mate := engine.Grow32(&ws.mate, el.N)
-	engine.Fill32(mate, unmatched)
-	// vptr[v] indexes the first not-yet-skipped entry of v's sorted
-	// incident list (lazy deletion).
-	vptr := engine.Grow32(&ws.reserv, el.N)
-	engine.Fill32(vptr, 0)
-	// claimed[r] dedups ready-edge discovery: an edge can be found ready
-	// from both endpoints simultaneously.
-	claimed := engine.Grow32(&ws.claimed, m)
-	engine.Fill32(claimed, 0)
-	// checkStamp[v] ensures each far endpoint is checked once per step.
-	checkStamp := engine.Grow32(&ws.stamp, el.N)
-	engine.Fill32(checkStamp, -1)
+	return bitsResult(el, p.in, stats), nil
+}
 
-	stats := Stats{}
-	var inspections atomic.Int64
-	var prevInspections int64
+// rootSetMM is the MM Stepper, on the edges, mates and result bits of
+// the embedded matching problem; a killed entry is the far endpoint of
+// a deleted edge. vptr[v] indexes the first not-yet-skipped entry of
+// v's incident list (lazy deletion); claimed[r] dedups ready-edge
+// discovery, as both endpoints can find an edge ready; and stamp[v]
+// lets each far endpoint be checked once per step.
+type rootSetMM struct {
+	*mmProblem
+	inc                          graph.Incidence
+	status, vptr, claimed, stamp []int32
+}
 
-	// Initial ready set: edges that head both endpoints' lists.
-	frontier := parallel.PackIndex(m, opt.Grain, func(i int) bool {
-		r := int32(i)
-		edge := edges[r]
-		return inc.Incident(edge.U)[0] == r && inc.Incident(edge.V)[0] == r
-	})
+// Root: the first ready edges head both endpoints' lists.
+func (p *rootSetMM) Root(r int32) bool {
+	e := p.edges[r]
+	return p.inc.Incident(e.U)[0] == r && p.inc.Incident(e.V)[0] == r
+}
 
-	resolved := 0
-	for resolved < m {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if len(frontier) == 0 {
-			panic("matching: RootSetMM frontier empty with unresolved edges")
-		}
-		step := int32(stats.Rounds)
-		stats.Rounds++
-		stats.Attempts += int64(len(frontier))
-
-		// Phase 1: match ready edges and lazily delete their neighbors.
-		// killedFar[i] collects, for frontier edge i, the far endpoints
-		// of the edges its matching deleted.
-		killedFar := make([][]int32, len(frontier))
-		var decidedDelta atomic.Int64
-		parallel.ForRange(len(frontier), opt.Grain, func(lo, hi int) {
-			var local, decided int64
-			for i := lo; i < hi; i++ {
-				e := frontier[i]
-				edge := edges[e]
-				atomic.StoreInt32(&status[e], statusIn)
-				atomic.StoreInt32(&mate[edge.U], edge.V)
-				atomic.StoreInt32(&mate[edge.V], edge.U)
-				decided++
-				var far []int32
-				for _, endpoint := range [2]int32{edge.U, edge.V} {
-					ids := inc.Incident(endpoint)
-					local += int64(len(ids))
-					for _, f := range ids {
-						if f == e {
-							continue
-						}
-						if atomic.CompareAndSwapInt32(&status[f], statusUndecided, statusOut) {
-							decided++
-							far = append(far, edges[f].Other(endpoint))
-						}
-					}
-				}
-				killedFar[i] = far
-			}
-			inspections.Add(local)
-			decidedDelta.Add(decided)
-		})
-		resolved += int(decidedDelta.Load())
-
-		// Phase 2: mmCheck the far endpoints; each check may surface one
-		// newly ready edge. A far endpoint matched this step is skipped:
-		// it has no undecided edge left, and which of its two matched
-		// ends won the kill must not decide whether it is scanned. The
-		// checks read start-of-step pointers only; each returns its
-		// vertex's advanced pointer (a (z, ptr) pair in moved), and the
-		// pointers are published after the fork-join.
-		var mu sync.Mutex
-		var chunks, advances [][]int32
-		parallel.ForRange(len(frontier), opt.Grain, func(lo, hi int) {
-			var local int64
-			var found, moved []int32
-			for i := lo; i < hi; i++ {
-				for _, z := range killedFar[i] {
-					if mate[z] != unmatched {
-						continue
-					}
-					old := atomic.LoadInt32(&checkStamp[z])
-					if old == step || !atomic.CompareAndSwapInt32(&checkStamp[z], old, step) {
-						continue // another worker already checks z this step
-					}
-					ready, ptr, insp := mmCheck(z, edges, inc, status, vptr)
-					local += insp
-					moved = append(moved, z, ptr)
-					if ready >= 0 && atomic.CompareAndSwapInt32(&claimed[ready], 0, 1) {
-						found = append(found, ready)
-					}
-				}
-			}
-			inspections.Add(local)
-			if len(moved) > 0 {
-				mu.Lock()
-				chunks = append(chunks, found)
-				advances = append(advances, moved)
-				mu.Unlock()
-			}
-		})
-		for _, moved := range advances {
-			for k := 0; k < len(moved); k += 2 {
-				vptr[moved[k]] = moved[k+1]
+// Accept matches ready edge e and lazily deletes its neighbors,
+// appending the far endpoint of each edge it deletes.
+func (p *rootSetMM) Accept(e int32, far []int32) ([]int32, int64) {
+	edge := p.edges[e]
+	p.in[p.order[e]] = true
+	atomic.StoreInt32(&p.status[e], statusIn)
+	atomic.StoreInt32(&p.mate[edge.U], edge.V)
+	atomic.StoreInt32(&p.mate[edge.V], edge.U)
+	var insp int64
+	for _, endpoint := range [2]int32{edge.U, edge.V} {
+		ids := p.inc.Incident(endpoint)
+		insp += int64(len(ids))
+		for _, f := range ids {
+			if f != e && atomic.CompareAndSwapInt32(&p.status[f], statusUndecided, statusOut) {
+				far = append(far, p.edges[f].Other(endpoint))
 			}
 		}
-		total := 0
-		for _, ch := range chunks {
-			total += len(ch)
-		}
-		next := make([]int32, 0, total)
-		for _, ch := range chunks {
-			next = append(next, ch...)
-		}
-		if opt.OnRound != nil {
-			cur := inspections.Load()
-			opt.OnRound(core.RoundStat{
-				Round:           stats.Rounds,
-				Attempted:       len(frontier),
-				Accepted:        int(decidedDelta.Load()),
-				EdgeInspections: cur - prevInspections,
-			})
-			prevInspections = cur
-		}
-		frontier = next
 	}
-	stats.EdgeInspections = inspections.Load()
-	in, ids := engine.Members(status, ord.Order)
-	return pairsResult(el, in, ids, stats), nil
+	return far, insp
+}
+
+// Expose runs mmCheck on far endpoint z, which may surface one newly
+// ready edge. A far endpoint matched this step is skipped: it has no
+// undecided edge left, and which of its two matched ends won the kill
+// must not decide whether it is scanned. The check reads start-of-step
+// pointers only, and defers z's advanced pointer as a (z, ptr) pair.
+func (p *rootSetMM) Expose(z, step int32, found, moved []int32) ([]int32, []int32, int64) {
+	if p.mate[z] != unmatched {
+		return found, moved, 0
+	}
+	old := atomic.LoadInt32(&p.stamp[z])
+	if old == step || !atomic.CompareAndSwapInt32(&p.stamp[z], old, step) {
+		return found, moved, 0 // another worker already checks z this step
+	}
+	ready, ptr, insp := mmCheck(z, p.edges, p.inc, p.status, p.vptr)
+	moved = append(moved, z, ptr)
+	if ready >= 0 && atomic.CompareAndSwapInt32(&p.claimed[ready], 0, 1) {
+		found = append(found, ready)
+	}
+	return found, moved, insp
+}
+
+// Settle publishes the pointer advances of one chunk's checks.
+func (p *rootSetMM) Settle(moved []int32) {
+	for k := 0; k < len(moved); k += 2 {
+		p.vptr[moved[k]] = moved[k+1]
+	}
 }
 
 // mmCheck is the two-phase check of Lemma 5.2 on vertex z: advance past

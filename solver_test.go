@@ -682,6 +682,56 @@ func TestSolverRoundsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestRootSetAllocatesOnlyTheResult pins what a warm root-set MIS or
+// MM allocates per solve: the result, the per-call layout (the child
+// lists, or the incidence of the gathered edges) and the team, not
+// anything per step. The Solver is warmed at two processors and then
+// solves at one as well, where a single chunk spans every frontier and
+// the step slots the two-processor runs filled are stale; both counts
+// must report the same Stats and checksum. Allocations are counted as
+// in TestSolverRoundsAllocateNothing, the least of five batches of
+// five solves, for the runtime's sporadic allocations it describes.
+func TestRootSetAllocatesOnlyTheResult(t *testing.T) {
+	in := greedy.GraphInput(greedy.RandomGraph(1<<16, 5<<15, 13))
+	ctx := context.Background()
+	s := greedy.NewSolver(greedy.WithSeed(3), greedy.WithAlgorithm(greedy.AlgoRootSet))
+	first := map[greedy.Problem]greedy.Answer{}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 1} {
+		runtime.GOMAXPROCS(procs)
+		for _, p := range []greedy.Problem{greedy.ProblemMIS, greedy.ProblemMM} {
+			name := fmt.Sprintf("GOMAXPROCS=%d %s", procs, p)
+			call := func() greedy.Answer {
+				a, err := s.Solve(ctx, p, in)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return a
+			}
+			a := call() // also warms the Solver's caches
+			if w, ok := first[p]; !ok {
+				first[p] = a
+			} else if a.Stats != w.Stats || a.Checksum() != w.Checksum() {
+				t.Errorf("%s: %v, checksum %s; GOMAXPROCS=2: %v, checksum %s", name, a.Stats, a.Checksum(), w.Stats, w.Checksum())
+			}
+			least := uint64(math.MaxUint64)
+			for batch := 0; batch < 5; batch++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for c := 0; c < 5; c++ {
+					call()
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, (after.Mallocs-before.Mallocs)/5)
+			}
+			if least > 48 {
+				t.Errorf("%s: %d allocations per warm root-set solve in %d steps, want at most 48", name, least, a.Stats.Rounds)
+			}
+			t.Logf("%s: %d allocations per warm solve", name, least)
+		}
+	}
+}
+
 // BenchmarkSolverMISReused vs BenchmarkSolverMISFresh quantify the
 // workspace win the Solver API exists for: the reused variant allocates
 // only the returned Result, the fresh variant pays the full set of
