@@ -19,6 +19,9 @@ type (
 	// Edge is an undirected edge {U, V}.
 	Edge = graph.Edge
 	// EdgeList is the edge-array view used by the matching algorithms.
+	// A Solver reuses what it derived from an edge array (see Solver),
+	// so an array passed to a Solver must not be modified in place
+	// between its calls; pass a new array instead.
 	EdgeList = graph.EdgeList
 	// Vertex indexes a vertex.
 	Vertex = graph.Vertex

@@ -49,9 +49,13 @@ func BuildParents(g *graph.Graph, ord Order) *Parents {
 }
 
 // Build recomputes p as the rank-space parent lists of g under ord,
-// reusing p's buffers when their capacity suffices.
+// reusing p's buffers when their capacity suffices. The partition's
+// adjacency-sized scratch is allocated per call, not pooled with p: a
+// cached p is rebuilt once per (graph, seed), and keeping the scratch
+// beside it would hold 8m more bytes per Solver (21 MB at 2^19 vertices
+// and m = 5n) for that one build.
 func (p *Parents) Build(g *graph.Graph, ord Order) {
-	p.partition(g, ord, true)
+	p.partition(g, ord, true, new([]int32))
 }
 
 // partition fills p with each vertex's earlier neighbors (parents) or
@@ -59,12 +63,12 @@ func (p *Parents) Build(g *graph.Graph, ord Order) {
 // holds neighbor ranks. A filtering pass walks the adjacency lists in
 // vertex order, reading rank once per entry: it writes each vertex's
 // list into the vertex's own slot of a scratch copy of the adjacency
-// array, where it always fits, and records the list's length at its
-// row. An in-place scan turns the lengths into offsets, and a copying
-// pass moves each list to its row. Writing the rows out of order costs
-// one scattered row per vertex, far less than reading the adjacency
-// lists in rank order would.
-func (p *Parents) partition(g *graph.Graph, ord Order, parents bool) {
+// array (grown in *buf), where it always fits, and records the list's
+// length at its row. An in-place scan turns the lengths into offsets,
+// and a copying pass moves each list to its row. Writing the rows out
+// of order costs one scattered row per vertex, far less than reading
+// the adjacency lists in rank order would.
+func (p *Parents) partition(g *graph.Graph, ord Order, parents bool, buf *[]int32) {
 	n := g.NumVertices()
 	rank := ord.Rank
 	adjOff, adj := g.Raw()
@@ -73,7 +77,7 @@ func (p *Parents) partition(g *graph.Graph, ord Order, parents bool) {
 	}
 	p.offsets = p.offsets[:n+1]
 	offsets := p.offsets
-	scratch := make([]int32, len(adj))
+	scratch := engine.Grow32(buf, len(adj))
 	parallel.ForRange(n, 1024, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			rv := rank[v]

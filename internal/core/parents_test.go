@@ -71,6 +71,7 @@ func parentsGraphs() map[string]*graph.Graph {
 func TestParentsMatchReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var got, want Parents
+	var scratch []int32 // reused, stale, across graphs, as RootSetMIS's is
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
 		for gname, g := range parentsGraphs() {
@@ -82,7 +83,7 @@ func TestParentsMatchReference(t *testing.T) {
 				{"parents", true},
 				{"children", false},
 			} {
-				got.partition(g, ord, kind.parents)
+				got.partition(g, ord, kind.parents, &scratch)
 				want.partitionReference(g, ord, kind.parents)
 				name := fmt.Sprintf("procs=%d/%s/%s", procs, gname, kind.name)
 				if !slices.Equal(got.offsets, want.offsets) {

@@ -24,11 +24,11 @@ import (
 // PrefixMIS: statuses, pointers and claim stamps are indexed by rank,
 // the parents are opt.Parents when set (built for this run otherwise),
 // and the children, the other side of the same partition, are built
-// into the workspace on every call.
+// into the workspace on every call, through the workspace's scratch.
 func RootSetMIS(ctx context.Context, g *graph.Graph, ord Order, opt Options) (*Result, error) {
 	prob, ws := newMISProblem(g, ord, opt, true)
 	n := len(prob.status)
-	ws.children.partition(g, ord, false)
+	ws.children.partition(g, ord, false, &ws.scratch)
 	p := &rootSetMIS{misProblem: prob, children: &ws.children, claim: engine.Grow32(&ws.claim, n)}
 	engine.Fill32(p.claim, -1)
 	stats, err := engine.Steps(ctx, n, p, opt.Options, &ws.eng)

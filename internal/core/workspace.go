@@ -17,5 +17,6 @@ type Workspace struct {
 	ptr      []int32
 	claim    []int32
 	children Parents // RootSetMIS's child lists, rebuilt every run
+	scratch  []int32 // the adjacency-sized scratch of their partition
 	eng      engine.Workspace
 }

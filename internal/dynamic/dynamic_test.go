@@ -16,7 +16,7 @@ import (
 type both struct{ mis, mm *Maintainer }
 
 func newBoth(ctx context.Context, g *graph.Graph, seed uint64) (both, error) {
-	mis, err := NewMIS(ctx, g, core.NewRandomOrder(g.NumVertices(), seed), 0)
+	mis, err := NewMIS(ctx, g, core.NewRandomOrder(g.NumVertices(), seed), nil, 0)
 	if err != nil {
 		return both{}, err
 	}
@@ -164,7 +164,7 @@ func TestRepairEquivalence(t *testing.T) {
 func TestRepairEquivalenceExplicitOrder(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Grid2D(12, 12)
-	mt, err := NewMIS(ctx, g, core.IdentityOrder(g.NumVertices()), 0)
+	mt, err := NewMIS(ctx, g, core.IdentityOrder(g.NumVertices()), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestInertUpdatesSkipRepair(t *testing.T) {
 	ctx := context.Background()
 	// Path 0-1-2 under identity order: 0 in, 1 out, 2 in.
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	mt, err := NewMIS(ctx, g, core.IdentityOrder(4), 0)
+	mt, err := NewMIS(ctx, g, core.IdentityOrder(4), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestMaintainerCancellation(t *testing.T) {
 	g := graph.Random(1000, 3000, 1)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewMIS(cancelled, g, core.NewRandomOrder(g.NumVertices(), 0), 0); err == nil {
+	if _, err := NewMIS(cancelled, g, core.NewRandomOrder(g.NumVertices(), 0), nil, 0); err == nil {
 		t.Fatal("NewMIS succeeded with a cancelled context")
 	}
 	if _, err := NewMM(cancelled, g, 0, 0); err == nil {

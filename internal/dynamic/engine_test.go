@@ -219,7 +219,7 @@ func TestFrontierHubTermination(t *testing.T) {
 	}
 	g := graph.MustFromEdges(4+leaves, edges)
 	ord := core.IdentityOrder(g.NumVertices())
-	mt, err := NewMIS(ctx, g, ord, 0)
+	mt, err := NewMIS(ctx, g, ord, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestFrontierFlipChainCounters(t *testing.T) {
 	g := graph.MustFromEdges(5, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
 	})
-	mt, err := NewMIS(ctx, g, core.IdentityOrder(5), 0)
+	mt, err := NewMIS(ctx, g, core.IdentityOrder(5), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

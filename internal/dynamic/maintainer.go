@@ -32,17 +32,19 @@ type Maintainer struct {
 
 // NewMIS builds a Maintainer of the greedy MIS of g under the vertex
 // order ord. g must stay immutable for the Maintainer's lifetime (the
-// overlay aliases it); grain is the parallel-loop grain of the initial
-// computation and the repair rounds, 0 for the library default. The
-// initial computation honors ctx; no usable Maintainer is returned on
-// cancellation.
-func NewMIS(ctx context.Context, g *graph.Graph, ord core.Order, grain int) (*Maintainer, error) {
+// overlay aliases it); parents, if non-nil, are g's rank-space parent
+// lists under ord (core.Options.Parents), which the initial computation
+// reads instead of building its own; grain is the parallel-loop grain
+// of the initial computation and the repair rounds, 0 for the library
+// default. The initial computation honors ctx; no usable Maintainer is
+// returned on cancellation.
+func NewMIS(ctx context.Context, g *graph.Graph, ord core.Order, parents *core.Parents, grain int) (*Maintainer, error) {
 	if ord.Len() != g.NumVertices() {
 		return nil, fmt.Errorf("dynamic: order has %d items, graph has %d vertices", ord.Len(), g.NumVertices())
 	}
 	mt := &Maintainer{ov: newOverlay(g), grain: grain}
 	var err error
-	if mt.mis, mt.init, err = newMISState(ctx, &mt.ov, ord, grain); err != nil {
+	if mt.mis, mt.init, err = newMISState(ctx, &mt.ov, ord, parents, grain); err != nil {
 		return nil, err
 	}
 	return mt, nil

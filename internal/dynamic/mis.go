@@ -37,13 +37,13 @@ type misState struct {
 }
 
 // newMISState computes the initial MIS of ov's base graph under ord
-// with the library's prefix round loop and captures its status vector.
-// Repair scratch is pre-sized to the vertex universe so the first
-// Apply pays no universe-sized allocation.
+// with the library's prefix round loop, on parents when non-nil, and
+// captures its status vector. Repair scratch is pre-sized to the vertex
+// universe so the first Apply pays no universe-sized allocation.
 //
 //lint:allow ctxround ctx is consumed by PrefixMIS (checked every round); the remaining loop is one bounded O(n) status conversion, cheaper than a single solver round
-func newMISState(ctx context.Context, ov *overlay, ord core.Order, grain int) (*misState, core.Stats, error) {
-	res, err := core.PrefixMIS(ctx, ov.base, ord, core.Options{Options: engine.Options{Grain: grain}})
+func newMISState(ctx context.Context, ov *overlay, ord core.Order, parents *core.Parents, grain int) (*misState, core.Stats, error) {
+	res, err := core.PrefixMIS(ctx, ov.base, ord, core.Options{Options: engine.Options{Grain: grain}, Parents: parents})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}

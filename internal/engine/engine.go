@@ -16,9 +16,10 @@
 //
 // Iterates are priority ranks: the engine runs over 0..n-1, rank 0
 // first, and never sees an order. A problem package owns the mapping
-// from ranks to its items. It lays its input out by rank once per run
-// (parent lists whose entries are ranks, edges gathered into rank
-// order), so a check compares and indexes ranks directly, as
+// from ranks to its items. It lays its input out by rank once per run,
+// or reads a layout its caller cached for the input and order (parent
+// lists whose entries are ranks, edges gathered into rank order), so a
+// check compares and indexes ranks directly, as
 // parlaylib's speculative_for MIS compares iterate ids; and it maps its
 // result back to item ids through the order once, when the run ends.
 //
@@ -109,6 +110,15 @@ const (
 type Problem interface {
 	Check(act, outcome []int32, lo, hi int) int64
 	Commit(act, outcome []int32, lo, hi int) int64
+}
+
+// A WindowSizer is a Problem that keeps state per window slot, indexed
+// like outcome. Run calls SizeWindow once, before the first round, with
+// the largest window the run can attempt; every slot index a Check or
+// Commit sees is below it, so the problem sizes its slot buffers once
+// per run.
+type WindowSizer interface {
+	SizeWindow(bound int)
 }
 
 // Options configures one engine run; the zero value runs the default
@@ -228,11 +238,23 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 	// active set always holds the earliest unresolved iterates in rank
 	// order, and Check only commits iterates whose earlier-priority
 	// dependencies are resolved.
+	//
+	// bound is the largest window the run can attempt, decided once: the
+	// fixed window, or the larger of the adaptive controller's initial
+	// window and its growth cap (AdaptiveGrowCap reads the processor
+	// count, so it is read here only). The active set never holds more,
+	// and a WindowSizer problem sizes its slot buffers to it.
 	window := opt.PrefixFor(n)
+	bound := window
 	var ctrl *AdaptiveController
 	if opt.Adaptive {
-		ctrl = NewAdaptiveController(opt.AdaptiveInitial(n), AdaptiveGrowCap(n), n)
+		growCap := AdaptiveGrowCap(n)
+		ctrl = NewAdaptiveController(opt.AdaptiveInitial(n), growCap, n)
 		window = ctrl.Window()
+		bound = max(window, growCap)
+	}
+	if sz, ok := p.(WindowSizer); ok {
+		sz.SizeWindow(bound)
 	}
 	maxWindow := window
 	grain := opt.Grain
@@ -241,11 +263,7 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 	}
 
 	stats := Stats{}
-	active := GrowActive(&ws.active, window)
-	// Hand grown frontier storage back to the workspace: adaptive
-	// windows outgrow the initial capacity by appends, which would
-	// otherwise leave the pooled buffer at its original size.
-	defer func() { ws.active = active[:0] }()
+	active := GrowActive(&ws.active, bound)
 	nextRank := 0
 	resolved := 0
 	// Phase profiling: tPrev carries the last clock reading across
@@ -293,10 +311,15 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		// Refill the window with the earliest unresolved iterates.
-		for len(active) < window && nextRank < n {
-			active = append(active, int32(nextRank))
-			nextRank++
+		// Refill the window with the earliest unresolved iterates; the
+		// active set's capacity is bound, so this never reallocates.
+		if k := min(window-len(active), n-nextRank); k > 0 {
+			fill := active[len(active) : len(active)+k]
+			for i := range fill {
+				fill[i] = int32(nextRank + i)
+			}
+			active = active[:len(active)+k]
+			nextRank += k
 		}
 		// A shrunken window attempts only the earliest unresolved
 		// iterates; the tail of the active set waits for a later round.
@@ -311,7 +334,7 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 		stats.Rounds++
 		stats.Attempts += int64(len(act))
 		outcome = Grow32(&ws.outcome, len(act))
-		chunks = growChunks(&ws.chunks, (len(act)+grain-1)/grain)
+		chunks = Grow(&ws.chunks, (len(act)+grain-1)/grain)
 
 		var checkNS, commitNS, slideNS int64
 		if clock != nil {
@@ -394,9 +417,10 @@ func Run(ctx context.Context, n int, p Problem, opt Options, ws *Workspace) (Sta
 	return stats, nil
 }
 
-// growChunks returns *buf resized to n chunk slots (Run's or Steps'),
-// reallocating only when the pooled capacity is insufficient.
-func growChunks[T any](buf *[]T, n int) []T {
+// Grow returns *buf resized to n items, reallocating only when the
+// pooled capacity is insufficient: Run's and Steps' chunk slots, and a
+// WindowSizer's slot buffers. Contents are unspecified.
+func Grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
 	}

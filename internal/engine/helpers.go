@@ -29,31 +29,51 @@ func Fill32(s []int32, v int32) {
 // Members maps a run's final statuses back to item ids: status[r] is
 // the status of item order[r], or of item r when order is nil. It
 // returns in, where in[id] reports whether item id was Committed, and
-// the committed ids in increasing order. It is two plain loops that
-// allocate those two slices, sized exactly, and nothing else: it runs
-// after the last round, and on a small input a parallel loop's
-// fork-join and per-item closure calls would cost more than the work.
+// the committed ids in increasing order (Trues of in). Like Trues it is
+// plain loops that allocate those two slices, sized exactly, and
+// nothing else.
 func Members(status, order []int32) (in []bool, ids []int32) {
 	in = make([]bool, len(status))
+	if order == nil {
+		for r, st := range status {
+			in[r] = st == Committed
+		}
+	} else {
+		for r, st := range status {
+			in[order[r]] = st == Committed
+		}
+	}
+	return in, Trues(in)
+}
+
+// Trues returns the indices of the set items of in, in increasing
+// order, in a slice whose capacity is its length. It runs after the
+// last round, on the calling goroutine: on a small input a parallel
+// loop's fork-join would cost more than the work, and on a large one
+// two branch-free passes cost less than a data-dependent branch per
+// item. The first pass counts; the second stores every index and
+// advances past the set ones, and stops at the last set item, so its
+// store never passes the end.
+func Trues(in []bool) []int32 {
 	size := 0
-	for r, st := range status {
-		id := r
-		if order != nil {
-			id = int(order[r])
-		}
-		x := st == Committed
-		in[id] = x
-		if x {
-			size++
-		}
+	for _, x := range in {
+		size += b2i(x)
 	}
-	ids = make([]int32, 0, size)
-	for id, x := range in {
-		if x {
-			ids = append(ids, int32(id))
-		}
+	ids := make([]int32, size)
+	for i, k := 0, 0; k < len(ids); i++ {
+		ids[k] = int32(i)
+		k += b2i(in[i])
 	}
-	return in, ids
+	return ids
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // GrowActive returns an empty int32 slice with capacity at least n

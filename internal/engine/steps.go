@@ -47,7 +47,7 @@ func Steps(ctx context.Context, n int, p Stepper, opt Options, ws *Workspace) (S
 		grain = parallel.DefaultGrain
 	}
 	// No frontier outgrows the n ranks the roots are drawn from.
-	slots := growChunks(&ws.steps, (n+grain-1)/grain)
+	slots := Grow(&ws.steps, (n+grain-1)/grain)
 	frontier, next := ws.active[:0], ws.next[:0]
 	defer func() { ws.active, ws.next = frontier[:0], next[:0] }()
 	team := parallel.NewTeam()

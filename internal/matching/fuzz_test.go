@@ -13,9 +13,10 @@ import (
 // as a fuzz target: for arbitrary small graphs, seeds, windows and
 // grains, the prefix (fixed and adaptive) and full-window parallel
 // matchings, and the sequential scan and the root-set steps with and
-// without a shared edge buffer, must reproduce the greedy matching over
-// the edge list (lexFirstMM) bit for bit, and the root-set counters must
-// not depend on the buffer.
+// without a prebuilt edge layout (Options.Edges), must reproduce the
+// greedy matching over the edge list (lexFirstMM) bit for bit; the
+// root-set counters must not depend on the layout, and no run may write
+// into it.
 // Grains of 1–3 split even tiny windows into several chunks, so the
 // reservation bids and in-commit releases race across goroutines when
 // GOMAXPROCS > 1. Run with `go test -fuzz=FuzzMMEquivalence
@@ -36,26 +37,29 @@ func FuzzMMEquivalence(f *testing.F) {
 		}
 		prefix := int(rawPrefix)%(m+1) + 1
 		grain := int(rawGrain)%3 + 1
+		layout := gathered(el, ord)
 		root := must(RootSetMM(context.Background(), el, ord, Options{Options: engine.Options{Grain: grain}}))
-		rootBuffer := must(RootSetMM(context.Background(), el, ord, Options{Options: engine.Options{Grain: grain}, Workspace: &Workspace{Edges: new([]graph.Edge)}}))
-		if rootBuffer.Stats != root.Stats {
-			t.Fatalf("n=%d m=%d grain=%d: root-set stats %v with a shared buffer, %v without", n, m, grain, rootBuffer.Stats, root.Stats)
+		rootLayout := must(RootSetMM(context.Background(), el, ord, Options{Options: engine.Options{Grain: grain}, Edges: layout}))
+		if rootLayout.Stats != root.Stats {
+			t.Fatalf("n=%d m=%d grain=%d: root-set stats %v with a prebuilt layout, %v without", n, m, grain, rootLayout.Stats, root.Stats)
 		}
 		for _, run := range []struct {
 			name string
 			got  *Result
 		}{
 			{"sequential", must(SequentialMM(context.Background(), el, ord, Options{}))},
-			{"sequential buffer", must(SequentialMM(context.Background(), el, ord, Options{Workspace: &Workspace{Edges: new([]graph.Edge)}}))},
+			{"sequential layout", must(SequentialMM(context.Background(), el, ord, Options{Edges: layout}))},
 			{"prefix", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}}))},
+			{"prefix layout", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}, Edges: layout}))},
 			{"adaptive", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}}))},
 			{"parallel", must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1, Grain: grain}}))},
 			{"rootset", root},
-			{"rootset buffer", rootBuffer},
+			{"rootset layout", rootLayout},
 		} {
 			if !run.got.Equal(want) {
 				t.Fatalf("n=%d m=%d prefix=%d grain=%d: %s MM diverged from the reference", n, m, prefix, grain, run.name)
 			}
 		}
+		checkLayout(t, el, ord, layout)
 	})
 }

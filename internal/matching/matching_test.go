@@ -72,17 +72,36 @@ func referenceMM(el graph.EdgeList, ord core.Order) *Result {
 	return bitsResult(el, lexFirstMM(el, ord), Stats{})
 }
 
-func allDeterministicMM(el graph.EdgeList, ord core.Order) map[string]*Result {
+// gathered returns el's edges in rank order under ord, a fresh
+// layout of the kind a caller passes as Options.Edges.
+func gathered(el graph.EdgeList, ord core.Order) []graph.Edge {
+	return el.GatherByRank(new([]graph.Edge), ord.Order)
+}
+
+// checkLayout fails t unless layout still equals a fresh gather: runs
+// only read a prebuilt layout, which a Solver shares across calls.
+func checkLayout(t *testing.T, el graph.EdgeList, ord core.Order, layout []graph.Edge) {
+	t.Helper()
+	if !slices.Equal(layout, gathered(el, ord)) {
+		t.Fatal("a run wrote into the prebuilt edge layout")
+	}
+}
+
+func allDeterministicMM(t *testing.T, el graph.EdgeList, ord core.Order) map[string]*Result {
+	layout := gathered(el, ord)
+	defer checkLayout(t, el, ord, layout)
 	return map[string]*Result{
-		"sequential":     must(SequentialMM(context.Background(), el, ord, Options{})),
-		"sequential-buf": must(SequentialMM(context.Background(), el, ord, Options{Workspace: &Workspace{Edges: new([]graph.Edge)}})),
-		"parallel-full":  must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1}})),
-		"rootset":        must(RootSetMM(context.Background(), el, ord, Options{})),
-		"prefix-default": must(PrefixMM(context.Background(), el, ord, Options{})),
-		"prefix-1":       must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}})),
-		"prefix-5":       must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 5}})),
-		"prefix-0.2":     must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.2}})),
-		"tiny-grain":     must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.5, Grain: 2}})),
+		"sequential":        must(SequentialMM(context.Background(), el, ord, Options{})),
+		"sequential-layout": must(SequentialMM(context.Background(), el, ord, Options{Edges: layout})),
+		"rootset-layout":    must(RootSetMM(context.Background(), el, ord, Options{Edges: layout})),
+		"prefix-layout":     must(PrefixMM(context.Background(), el, ord, Options{Edges: layout})),
+		"parallel-full":     must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 1}})),
+		"rootset":           must(RootSetMM(context.Background(), el, ord, Options{})),
+		"prefix-default":    must(PrefixMM(context.Background(), el, ord, Options{})),
+		"prefix-1":          must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 1}})),
+		"prefix-5":          must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: 5}})),
+		"prefix-0.2":        must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.2}})),
+		"tiny-grain":        must(PrefixMM(context.Background(), el, ord, Options{Options: engine.Options{PrefixFrac: 0.5, Grain: 2}})),
 	}
 }
 
@@ -106,7 +125,7 @@ func TestAllMMAlgorithmsMatchSequential(t *testing.T) {
 		el := c.g.EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), c.seed)
 		want := referenceMM(el, ord)
-		for name, got := range allDeterministicMM(el, ord) {
+		for name, got := range allDeterministicMM(t, el, ord) {
 			if !got.Equal(want) {
 				t.Errorf("%s/%s: matching differs from sequential greedy (got %d, want %d edges)",
 					c.name, name, got.Size(), want.Size())

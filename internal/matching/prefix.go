@@ -36,9 +36,9 @@ import (
 // (internal/engine); this function contributes the matching problem:
 // reserve both endpoints in the check phase, commit when holding both
 // reservations and release the held ones in the commit phase. The run
-// is in rank space: the edges are gathered into rank order once, an
-// edge's rank is its bid, and a committed edge sets its own bit of the
-// result, at its id order[r].
+// is in rank space: it reads the edges in rank order (opt.Edges when
+// set, gathered for this run otherwise), an edge's rank is its bid, and
+// a committed edge sets its own bit of the result, at its id order[r].
 func PrefixMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	prob, ws := newMMProblem(el, ord, opt)
 	// reserv[v] holds the smallest rank among active edges bidding for
@@ -75,7 +75,8 @@ func SequentialMM(ctx context.Context, el graph.EdgeList, ord core.Order, opt Op
 
 // newMMProblem is the set-up PrefixMM, SequentialMM and RootSetMM
 // share: the workspace, the mates, the result bits and the
-// rank-gathered edges.
+// rank-gathered edges (opt.Edges when set, gathered into the workspace
+// otherwise).
 func newMMProblem(el graph.EdgeList, ord core.Order, opt Options) (*mmProblem, *Workspace) {
 	m := el.NumEdges()
 	if ord.Len() != m {
@@ -85,10 +86,14 @@ func newMMProblem(el graph.EdgeList, ord core.Order, opt Options) (*mmProblem, *
 	if ws == nil {
 		ws = new(Workspace)
 	}
+	edges := opt.Edges
+	if edges == nil {
+		edges = el.GatherByRank(&ws.edges, ord.Order)
+	}
 	mate := engine.Grow32(&ws.mate, el.N)
 	engine.Fill32(mate, unmatched)
 	return &mmProblem{
-		edges: el.GatherByRank(ws.edgeBuf(), ord.Order),
+		edges: edges,
 		order: ord.Order,
 		in:    make([]bool, m),
 		mate:  mate,

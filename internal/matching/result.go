@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 // Edge statuses; monotone undecided -> {in, out} exactly once, with
@@ -49,7 +48,7 @@ type Result struct {
 // bitsResult builds the result around in, the per-edge matched bits,
 // which it takes over.
 func bitsResult(el graph.EdgeList, in []bool, stats Stats) *Result {
-	return pairsResult(el, in, parallel.PackIndex(el.NumEdges(), 4096, func(i int) bool { return in[i] }), stats)
+	return pairsResult(el, in, engine.Trues(in), stats)
 }
 
 // pairsResult builds the result around in, the per-edge matched bits,
@@ -80,11 +79,17 @@ func (r *Result) Equal(other *Result) bool {
 
 // Options configures the parallel matching algorithms: the engine's
 // window, grain and telemetry knobs (see engine.Options; PrefixSize and
-// PrefixFrac count edges), plus the pooled workspace. The matching
-// stays bit-identical to the sequential greedy one for every window
-// schedule.
+// PrefixFrac count edges), the rank-gathered edges and the pooled
+// workspace. The matching stays bit-identical to the sequential greedy
+// one for every window schedule.
 type Options struct {
 	engine.Options
+	// Edges, if non-nil, are the input's edges gathered into rank order
+	// (see graph.EdgeList.GatherByRank: Edges[r] is the edge of rank r),
+	// reused by PrefixMM, SequentialMM and RootSetMM instead of
+	// gathering them per run. Runs only read them. They must match the
+	// edge list and order passed with these options.
+	Edges []graph.Edge
 	// Workspace, if non-nil, supplies pooled per-run buffers reused
 	// across runs. nil means allocate fresh buffers.
 	Workspace *Workspace

@@ -22,8 +22,8 @@ import (
 // when set.
 //
 // The steps are engine.Steps' over the MM Stepper, in rank space like
-// PrefixMM, with which it shares its set-up: the edges are gathered
-// into rank order, statuses and claims are indexed by rank, and the
+// PrefixMM, with which it shares its set-up: the edges are read in
+// rank order, statuses and claims are indexed by rank, and the
 // incidence of the gathered edges lists each vertex's ranks in
 // increasing order — priority order, the paper's Lemma 5.3
 // preprocessing, with no sort.

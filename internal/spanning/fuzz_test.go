@@ -13,11 +13,14 @@ import (
 // as a fuzz target, for arbitrary small graphs, seeds, windows and
 // grains (1–3, so even tiny windows split into several racing chunks):
 //   - the strict PrefixSF, at a fixed and an adaptive window, and the
-//     sequential scan, with and without a shared edge buffer, must
-//     select exactly the reference forest (referenceSF);
+//     sequential scan, with and without a prebuilt edge layout
+//     (Options.Edges), must select exactly the reference forest
+//     (referenceSF);
 //   - the relaxed PrefixSFRelaxed must select a valid spanning forest
-//     of the reference size, and the same one on a rerun and at every
-//     grain for a fixed window.
+//     of the reference size, and the same one on a rerun, at every
+//     grain for a fixed window and with the layout;
+//   - no run may write into the layout: the root snapshots live in
+//     the run's own window slots.
 //
 // Run with `go test -fuzz=FuzzSFEquivalence ./internal/spanning`.
 func FuzzSFEquivalence(f *testing.F) {
@@ -31,7 +34,8 @@ func FuzzSFEquivalence(f *testing.F) {
 		el := graph.Random(n, m, seed).EdgeList()
 		ord := core.NewRandomOrder(el.NumEdges(), seed^0xfeed)
 		want := referenceSF(el, ord)
-		for _, opt := range []Options{{}, {Workspace: &Workspace{Edges: new([]graph.Edge)}}} {
+		layout := gathered(el, ord)
+		for _, opt := range []Options{{}, {Edges: layout}} {
 			if got := must(SequentialSF(context.Background(), el, ord, opt)); !got.Equal(want) {
 				t.Fatalf("n=%d m=%d: sequential SF diverged from the reference", n, m)
 			}
@@ -42,9 +46,11 @@ func FuzzSFEquivalence(f *testing.F) {
 		for _, opt := range []Options{
 			{Options: engine.Options{PrefixSize: prefix, Grain: grain}},
 			{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}},
+			{Options: engine.Options{PrefixSize: prefix, Grain: grain}, Edges: layout},
+			{Options: engine.Options{Adaptive: true, PrefixSize: prefix, Grain: grain}, Edges: layout},
 		} {
 			if got := must(PrefixSF(context.Background(), el, ord, opt)); !got.Equal(want) {
-				t.Fatalf("n=%d m=%d opts %+v: strict SF diverged from the reference", n, m, opt)
+				t.Fatalf("n=%d m=%d opts %+v: strict SF diverged from the reference", n, m, opt.Options)
 			}
 		}
 
@@ -58,5 +64,9 @@ func FuzzSFEquivalence(f *testing.F) {
 				t.Fatalf("n=%d m=%d prefix=%d: relaxed SF at grain %d differs from grain %d", n, m, prefix, g, grain)
 			}
 		}
+		if again := must(PrefixSFRelaxed(context.Background(), el, ord, Options{Options: engine.Options{PrefixSize: prefix, Grain: grain}, Edges: layout})); !again.Equal(relaxed) {
+			t.Fatalf("n=%d m=%d prefix=%d grain=%d: relaxed SF differs with a prebuilt layout", n, m, prefix, grain)
+		}
+		checkLayout(t, el, ord, layout)
 	})
 }

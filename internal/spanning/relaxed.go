@@ -61,11 +61,13 @@ func PrefixSFRelaxed(ctx context.Context, el graph.EdgeList, ord core.Order, opt
 
 // sfRelaxedProblem is the engine adapter for the PBBS-style one-root
 // reservation forest. It holds sfProblem's rank-indexed state under
-// sfProblem's sharing discipline; only the phases differ. Check
-// overwrites the edge's slot with the root pair it found, the root it
-// would write (the larger id) first, and Commit links that pair; as in
-// sfProblem, the roots stand in for the endpoints in every later Find.
+// sfProblem's sharing discipline; only the phases differ. Check writes
+// the root pair it found into the edge's window slot of roots, the root
+// it would write (the larger id) first, and Commit links that pair.
 type sfRelaxedProblem sfProblem
+
+// SizeWindow is sfProblem's.
+func (p *sfRelaxedProblem) SizeWindow(bound int) { (*sfProblem)(p).SizeWindow(bound) }
 
 // Check is the reserve phase: find roots, drop cycle edges, bid on the
 // root that would be overwritten (the larger id).
@@ -84,7 +86,7 @@ func (p *sfRelaxedProblem) Check(act, outcome []int32, lo, hi int) int64 {
 		if ru < rv {
 			ru, rv = rv, ru
 		}
-		p.edges[r] = graph.Edge{U: ru, V: rv}
+		p.roots[i] = graph.Edge{U: ru, V: rv}
 		parallel.WriteMin32(&p.reserv[ru], r)
 	}
 	return local
@@ -99,7 +101,7 @@ func (p *sfRelaxedProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 			continue
 		}
 		r := act[i]
-		child, target := p.edges[r].U, p.edges[r].V
+		child, target := p.roots[i].U, p.roots[i].V
 		if atomic.LoadInt32(&p.reserv[child]) == r {
 			atomic.StoreInt32(&p.reserv[child], maxRank)
 			p.dsu.Link(child, target)

@@ -50,8 +50,10 @@ func (r *Result) Equal(other *Result) bool {
 	return true
 }
 
+// newResult builds the result around in, the per-edge forest bits,
+// which it takes over.
 func newResult(el graph.EdgeList, in []bool, stats Stats) *Result {
-	ids := parallel.PackIndex(len(in), 4096, func(i int) bool { return in[i] })
+	ids := engine.Trues(in)
 	edges := make([]graph.Edge, len(ids))
 	for i, id := range ids {
 		edges[i] = el.Edges[id]
@@ -80,13 +82,20 @@ func SequentialSF(ctx context.Context, el graph.EdgeList, ord core.Order, opt Op
 
 // Options configures the prefix spanning-forest algorithms: the
 // engine's window, grain and telemetry knobs (see engine.Options;
-// PrefixSize and PrefixFrac count edges), plus the pooled workspace.
-// PrefixSF returns exactly the sequential forest for every window
-// schedule, while PrefixSFRelaxed — deterministic per window schedule,
-// like per fixed prefix — may select a different (equally valid) forest
-// under an adaptive schedule than under a fixed window.
+// PrefixSize and PrefixFrac count edges), the rank-gathered edges and
+// the pooled workspace. PrefixSF returns exactly the sequential forest
+// for every window schedule, while PrefixSFRelaxed — deterministic per
+// window schedule, like per fixed prefix — may select a different
+// (equally valid) forest under an adaptive schedule than under a fixed
+// window.
 type Options struct {
 	engine.Options
+	// Edges, if non-nil, are the input's edges gathered into rank order
+	// (see graph.EdgeList.GatherByRank: Edges[r] is the edge of rank r),
+	// reused by PrefixSF, PrefixSFRelaxed and SequentialSF instead of
+	// gathering them per run. Runs only read them. They must match the
+	// edge list and order passed with these options.
+	Edges []graph.Edge
 	// Workspace, if non-nil, supplies pooled per-run buffers reused
 	// across runs. nil means allocate fresh buffers.
 	Workspace *Workspace
@@ -111,9 +120,10 @@ type Options struct {
 // (internal/engine); this function contributes the strict spanning
 // forest problem: find roots and bid on both in the check phase, link
 // when holding both reservations and release the held ones in the
-// commit phase. The run is in rank space: the edges are gathered into
-// rank order once, an edge's rank is its bid, and a linked edge sets
-// its own forest bit, at its id order[r].
+// commit phase. The run is in rank space: it reads the edges in rank
+// order (opt.Edges when set, gathered for this run otherwise), an
+// edge's rank is its bid, and a linked edge sets its own forest bit, at
+// its id order[r].
 func PrefixSF(ctx context.Context, el graph.EdgeList, ord core.Order, opt Options) (*Result, error) {
 	prob, ws := newSFProblem(el, ord, opt)
 	prob.reserv = engine.Grow32(&ws.reserv, el.N)
@@ -127,8 +137,9 @@ func PrefixSF(ctx context.Context, el graph.EdgeList, ord core.Order, opt Option
 
 // newSFProblem is the set-up the strict, relaxed and sequential forests
 // share: the workspace, the pooled union-find reset over el's vertices,
-// the forest bits and the rank-gathered edges. The prefix runs add the
-// reservations.
+// the forest bits and the rank-gathered edges (opt.Edges when set,
+// gathered into the workspace otherwise). The prefix runs add the
+// reservations, and Run sizes their root snapshots (SizeWindow).
 func newSFProblem(el graph.EdgeList, ord core.Order, opt Options) (*sfProblem, *Workspace) {
 	m := el.NumEdges()
 	if ord.Len() != m {
@@ -138,11 +149,16 @@ func newSFProblem(el graph.EdgeList, ord core.Order, opt Options) (*sfProblem, *
 	if ws == nil {
 		ws = new(Workspace)
 	}
+	edges := opt.Edges
+	if edges == nil {
+		edges = el.GatherByRank(&ws.edges, ord.Order)
+	}
 	return &sfProblem{
-		edges: el.GatherByRank(ws.edgeBuf(), ord.Order),
-		order: ord.Order,
-		dsu:   ws.freshDSU(el.N),
-		in:    make([]bool, m),
+		edges:    edges,
+		order:    ord.Order,
+		dsu:      ws.freshDSU(el.N),
+		in:       make([]bool, m),
+		rootsBuf: &ws.roots,
 	}, ws
 }
 
@@ -154,21 +170,28 @@ const maxRank = int32(1<<31 - 1)
 // rank r, and r is its bid. The reservation array is shared between
 // concurrently running edges within a phase — bids race through the
 // priority write-min, and commit-phase loads race with the holders'
-// releases — so every access to it is atomic. An edge's slot of edges
-// and its forest bit are written only by its own phases, on opposite
-// sides of the engine's fork-join barrier.
+// releases — so every access to it is atomic. An edge's forest bit is
+// written only by its own Commit.
 //
-// Check overwrites the edge's slot with the roots it found, the
-// snapshot Commit links: a root found in round t is an ancestor of its
-// endpoint ever after, so every later Find from it returns the
-// endpoint's current root, and a retried edge finds from its roots
-// exactly the roots its endpoints would give.
+// The edges are only read: they may be a layout other runs share.
+// Check writes the roots it found into the edge's window slot of roots,
+// the snapshot Commit links, on the other side of the engine's
+// fork-join barrier; a retried edge finds its roots from its endpoints
+// again.
 type sfProblem struct {
-	edges  []graph.Edge
-	order  []int32
-	dsu    *unionfind.Concurrent
-	in     []bool
-	reserv []int32
+	edges    []graph.Edge
+	order    []int32
+	dsu      *unionfind.Concurrent
+	in       []bool
+	reserv   []int32
+	roots    []graph.Edge
+	rootsBuf *[]graph.Edge
+}
+
+// SizeWindow sizes the root snapshots to the largest window Run can
+// attempt.
+func (p *sfProblem) SizeWindow(bound int) {
+	p.roots = engine.Grow(p.rootsBuf, bound)
 }
 
 // Check is the reserve phase: find roots, drop cycle edges, bid on both
@@ -185,7 +208,7 @@ func (p *sfProblem) Check(act, outcome []int32, lo, hi int) int64 {
 			outcome[i] = engine.Dropped
 			continue
 		}
-		p.edges[r] = graph.Edge{U: ru, V: rv}
+		p.roots[i] = graph.Edge{U: ru, V: rv}
 		parallel.WriteMin32(&p.reserv[ru], r)
 		parallel.WriteMin32(&p.reserv[rv], r)
 	}
@@ -204,7 +227,7 @@ func (p *sfProblem) Commit(act, outcome []int32, lo, hi int) int64 {
 			continue
 		}
 		r := act[i]
-		ru, rv := p.edges[r].U, p.edges[r].V
+		ru, rv := p.roots[i].U, p.roots[i].V
 		holdU := atomic.LoadInt32(&p.reserv[ru]) == r
 		holdV := atomic.LoadInt32(&p.reserv[rv]) == r
 		if holdU {

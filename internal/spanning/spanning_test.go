@@ -2,6 +2,7 @@ package spanning
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +16,21 @@ func instance(n, m int, seed uint64) (graph.EdgeList, core.Order) {
 	g := graph.Random(n, m, seed)
 	el := g.EdgeList()
 	return el, core.NewRandomOrder(el.NumEdges(), seed+1)
+}
+
+// gathered returns el's edges in rank order under ord, a fresh
+// layout of the kind a caller passes as Options.Edges.
+func gathered(el graph.EdgeList, ord core.Order) []graph.Edge {
+	return el.GatherByRank(new([]graph.Edge), ord.Order)
+}
+
+// checkLayout fails t unless layout still equals a fresh gather: runs
+// only read a prebuilt layout, which a Solver shares across calls.
+func checkLayout(t *testing.T, el graph.EdgeList, ord core.Order, layout []graph.Edge) {
+	t.Helper()
+	if !slices.Equal(layout, gathered(el, ord)) {
+		t.Fatal("a run wrote into the prebuilt edge layout")
+	}
 }
 
 // referenceSF is the greedy spanning forest over the edge list in

@@ -3,6 +3,7 @@ package greedy
 import (
 	"context"
 
+	"repro/internal/core"
 	"repro/internal/dynamic"
 )
 
@@ -57,7 +58,8 @@ type Session struct {
 // without a churn-stable variant, AlgoLuby and an explicit order for
 // MM are reported as ErrDynamicUnsupported. An MIS session runs under
 // the order Solver.MIS derives for the configured seed (served from
-// the Solver's order cache) or under WithOrder; an MM session under the
+// the Solver's order cache, its first solve on the Solver's cached
+// parent lists) or under WithOrder; an MM session under the
 // churn-stable edge priorities of WithDynamic. Either way the session's
 // Answer always matches a WithDynamic Solve on the current graph. The
 // initial computation honors ctx.
@@ -74,7 +76,7 @@ func (s *Solver) Dynamic(ctx context.Context, p Problem, g *Graph, opts ...Optio
 		if ord, err = s.orderFor(c, g.NumVertices()); err != nil {
 			return nil, err
 		}
-		mt, err = dynamic.NewMIS(ctx, g, ord, c.Grain)
+		mt, err = dynamic.NewMIS(ctx, g, ord, s.parents.get(c, g, ord, (*core.Parents).Build), c.Grain)
 	} else { // ProblemMM: check rejects the problems without a dynamic variant
 		mt, err = dynamic.NewMM(ctx, g, c.Seed, c.Grain)
 	}

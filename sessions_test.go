@@ -276,3 +276,28 @@ func TestPlanDynamicRoundTrip(t *testing.T) {
 		t.Fatalf("Options round trip changed plan: %+v vs %+v", p2, p)
 	}
 }
+
+// An MIS session's first solve reads the Solver's cached parent lists
+// when the Solver holds them for the session's (graph, seed); it must
+// start from the same answer and counters as a session a fresh Solver
+// opens, which builds its own.
+func TestMISSessionOnWarmSolver(t *testing.T) {
+	ctx := context.Background()
+	g := RandomGraph(5_000, 25_000, 9)
+	warm := NewSolver(WithSeed(4))
+	if _, err := warm.MIS(ctx, g, WithAlgorithm(AlgoSequential)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := warm.MISDynamic(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewSolver(WithSeed(4)).MISDynamic(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := got.Answer(), want.Answer()
+	if !slices.Equal(a.In, b.In) || !slices.Equal(a.Members, b.Members) || got.InitStats() != want.InitStats() {
+		t.Fatal("a session opened on a warm Solver differs from one opened on a fresh Solver")
+	}
+}

@@ -79,6 +79,15 @@ func WithRoundObserver(fn func(RoundInfo)) Option {
 // performs near-zero steady-state allocation per run beyond the
 // returned Result. Results are bit-identical to fresh-memory runs.
 //
+// A Solver also caches three rank-space layouts, one entry per kind,
+// keyed on (input, seed) under derived orders: the parent lists of a
+// Graph (MIS and coloring), the layout of a System (hitting set) and
+// the rank-gathered edges of an edge array (MM and SF, which share the
+// entry). It reuses what it derived from an input, so an input must
+// not be modified in place between calls on one Solver; a Graph and a
+// System are immutable, and an EdgeList's Edges array must be treated
+// as such.
+//
 // A Solver is NOT safe for concurrent use: it owns its workspace.
 // Use one Solver per goroutine (the service layer keeps one per
 // worker).
@@ -98,22 +107,30 @@ type Solver struct {
 
 	parents layoutEntry[*Graph, core.Parents]
 	hitting layoutEntry[*System, setcover.Layout]
-	// edges is the rank-ordered edge buffer the MM and SF runs share:
-	// each call regathers it, so one buffer serves both problems.
-	edges []Edge
+	edges   layoutEntry[edgeArray, []Edge]
 }
 
 // layoutEntry caches one rank-space layout L of an input I — the
-// parent lists the MIS and coloring checks scan, or the hitting-set
-// layout — keyed on (input, seed): repeated runs build it
-// once, and a miss rebuilds it into the same buffers. Each layout kind
-// has its own entry, so a pass over all problems keeps hitting. Pinning
-// the (immutable) input keeps its address from being reused by another
-// input while the entry is keyed on it.
+// parent lists the MIS and coloring checks scan, the hitting-set
+// layout, or the rank-gathered edges MM and SF read — keyed on (input,
+// seed): repeated runs build it once, and a miss rebuilds it into the
+// same buffers. Each layout kind has one entry, so a pass over all
+// problems keeps hitting. Pinning the input keeps its address from
+// being reused by another input while the entry is keyed on it. The
+// input must not change while it is pinned: a Solver reuses what it
+// derived from it.
 type layoutEntry[I comparable, L any] struct {
 	in     I
 	seed   uint64
 	layout L
+}
+
+// edgeArray is an edge layout's input: the edge array, identified by
+// the address of its first edge and its length. The address pins the
+// array.
+type edgeArray struct {
+	first *Edge
+	m     int
 }
 
 // orderKey identifies a derived priority order: NewRandomOrder is
@@ -190,6 +207,29 @@ func (e *layoutEntry[I, L]) get(c config, in I, ord Order, build func(*L, I, Ord
 		e.in, e.seed = in, c.Seed
 	}
 	return &e.layout
+}
+
+// edgesFor returns el's edges gathered into the rank order ord, the
+// layout MM and SF read. Under a derived order (cached) it is the
+// Solver's edge layout entry, which MM and SF share. An explicit
+// WithOrder, or a WithDynamic MM order, which (m, seed) does not
+// determine, is gathered into the same buffer for the run and drops the
+// key. The runs only read the layout; an empty array is never keyed.
+func (s *Solver) edgesFor(c config, el EdgeList, ord Order, cached bool) []Edge {
+	e := &s.edges
+	var key edgeArray
+	if len(el.Edges) > 0 {
+		key = edgeArray{first: &el.Edges[0], m: len(el.Edges)}
+	}
+	if cached && key.first != nil && e.in == key && e.seed == c.Seed {
+		return e.layout
+	}
+	e.in = edgeArray{} // until the gather completes
+	el.GatherByRank(&e.layout, ord.Order)
+	if cached {
+		e.in, e.seed = key, c.Seed
+	}
+	return e.layout
 }
 
 // observerFor adapts the facade observers to the internal round hook:
@@ -297,8 +337,11 @@ func (s *Solver) MM(ctx context.Context, el EdgeList, opts ...Option) (*MMResult
 			return nil, err
 		}
 	}
-	s.mmWs.Edges = &s.edges
-	opt := matching.Options{Options: engineOptions(c), Workspace: &s.mmWs}
+	opt := matching.Options{
+		Options:   engineOptions(c),
+		Edges:     s.edgesFor(c, el, ord, !c.ExplicitOrder && !c.Dynamic),
+		Workspace: &s.mmWs,
+	}
 	switch c.Algorithm {
 	case AlgoSequential:
 		return matching.SequentialMM(ctx, el, ord, opt)
@@ -330,8 +373,11 @@ func (s *Solver) SF(ctx context.Context, el EdgeList, opts ...Option) (*SFResult
 	if err != nil {
 		return nil, err
 	}
-	s.sfWs.Edges = &s.edges
-	opt := spanning.Options{Options: engineOptions(c), Workspace: &s.sfWs}
+	opt := spanning.Options{
+		Options:   engineOptions(c),
+		Edges:     s.edgesFor(c, el, ord, !c.ExplicitOrder),
+		Workspace: &s.sfWs,
+	}
 	if c.Algorithm == AlgoSequential {
 		return spanning.SequentialSF(ctx, el, ord, opt)
 	}

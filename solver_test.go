@@ -283,41 +283,107 @@ func TestSolverHittingSetCache(t *testing.T) {
 	}
 }
 
-// MM and SF share one rank-ordered edge buffer, and SF overwrites it
-// with root snapshots, so every call must regather it. Alternating the
-// two problems over two edge lists on one Solver must match fresh
-// Solvers call for call; a call that reused the previous gather would
-// read another list's edges or SF's roots.
+// MM and SF share the Solver's one edge layout entry, keyed on the
+// edge array's identity and the seed, and only read it: a derived-order
+// call on the same array and seed reuses the gather, any other array
+// (list 2 is list 0 with one edge changed: same length, another array)
+// regathers it, and an explicit order or a dynamic MM order gathers
+// into the same buffer for the run and drops the key. Alternating the
+// problems, algorithms and orders over three edge lists on one Solver
+// must match fresh Solvers call for call; a call that reused a stale
+// layout would read another list's edges or another order's.
 func TestSolverEdgeBufferSharedBySFAndMM(t *testing.T) {
 	ctx := context.Background()
 	lists := []greedy.EdgeList{
 		greedy.RandomGraph(3_000, 15_000, 5).EdgeList(),
 		greedy.RandomGraph(3_000, 15_000, 6).EdgeList(),
 	}
-	solve := func(s *greedy.Solver, problem string, el greedy.EdgeList) ([]bool, greedy.Stats) {
-		if problem == "mm" {
-			r, err := s.MM(ctx, el)
+	lists = append(lists, changedEdge(lists[0], greedy.NewRandomOrder(len(lists[0].Edges), 3).Order[0]))
+	solve := func(s *greedy.Solver, step string, el greedy.EdgeList) ([]bool, greedy.Stats) {
+		var opts []greedy.Option
+		switch step {
+		case "sf":
+			r, err := s.SF(ctx, el)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return r.InMatching, r.Stats
+			return r.InForest, r.Stats
+		case "mm rootset":
+			opts = append(opts, greedy.WithAlgorithm(greedy.AlgoRootSet))
+		case "mm order":
+			opts = append(opts, greedy.WithOrder(greedy.NewRandomOrder(len(el.Edges), 99)))
+		case "mm dynamic":
+			opts = append(opts, greedy.WithDynamic())
 		}
-		r, err := s.SF(ctx, el)
+		r, err := s.MM(ctx, el, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.InForest, r.Stats
+		return r.InMatching, r.Stats
+	}
+	a, _ := solve(greedy.NewSolver(greedy.WithSeed(3)), "mm", lists[0])
+	b, _ := solve(greedy.NewSolver(greedy.WithSeed(3)), "mm", lists[2])
+	if slices.Equal(a, b) {
+		t.Fatal("list 2's matching equals list 0's, so a stale layout would go unseen")
 	}
 	s := greedy.NewSolver(greedy.WithSeed(3))
-	for _, i := range []int{0, 1, 0} {
-		for step, problem := range []string{"sf", "mm", "sf"} {
-			got, gotStats := solve(s, problem, lists[i])
-			want, wantStats := solve(greedy.NewSolver(greedy.WithSeed(3)), problem, lists[i])
+	for _, i := range []int{0, 1, 0, 2, 0} {
+		for _, step := range []string{"sf", "mm", "mm rootset", "mm order", "mm", "sf", "mm dynamic", "sf", "mm"} {
+			got, gotStats := solve(s, step, lists[i])
+			want, wantStats := solve(greedy.NewSolver(greedy.WithSeed(3)), step, lists[i])
 			if !slices.Equal(got, want) || gotStats != wantStats {
-				t.Fatalf("list %d, step %d (%s): reused solver differs from a fresh one", i, step, problem)
+				t.Fatalf("list %d, %s: reused solver differs from a fresh one", i, step)
 			}
 		}
 	}
+}
+
+// SF keeps its root snapshots in window slots, sized once per run to
+// the largest window Run can attempt. On a warm Solver whose slots were
+// sized by a smaller window, the adaptive schedule (up to the growth
+// cap, which reads the processor count) and the full window must still
+// match a fresh Solver, at one and two processors.
+func TestSolverSFWindowSlotsWarm(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ctx := context.Background()
+	el := greedy.RandomGraph(20_000, 100_000, 7).EdgeList()
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		s := greedy.NewSolver(greedy.WithSeed(5))
+		for _, opts := range [][]greedy.Option{
+			{greedy.WithPrefixSize(64)},
+			{greedy.WithAdaptivePrefix()},
+			{greedy.WithPrefixFrac(1)},
+			{greedy.WithAdaptivePrefix()},
+		} {
+			got, err := s.SF(ctx, el, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := greedy.NewSolver(greedy.WithSeed(5)).SF(ctx, el, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || got.Stats != want.Stats {
+				t.Fatalf("procs=%d, window %d: warm SF differs from a fresh Solver's", procs, want.Stats.PrefixSize)
+			}
+		}
+	}
+}
+
+// changedEdge returns a copy of el whose edge e joins vertex 0 to a
+// vertex it is not adjacent to; canonical edges list vertex 0 as U.
+func changedEdge(el greedy.EdgeList, e int32) greedy.EdgeList {
+	adj := make([]bool, el.N)
+	adj[0] = true
+	for _, ed := range el.Edges {
+		if ed.U == 0 {
+			adj[ed.V] = true
+		}
+	}
+	edges := slices.Clone(el.Edges)
+	edges[e] = greedy.Edge{U: 0, V: greedy.Vertex(slices.Index(adj, false))}
+	return greedy.EdgeList{N: el.N, Edges: edges}
 }
 
 func TestSolverSecondRunAllocatesStrictlyLess(t *testing.T) {
